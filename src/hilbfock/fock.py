@@ -10,6 +10,10 @@ Sorting two odd-class factors flips the sign; a repeated odd factor kills
 the state.  The weight of a state is the total point count -sum(modes);
 vectors silently drop states whose weight exceeds the window cutoff.
 
+Coefficients are exact: an int where the value is integral and nothing
+forced a Fraction, a Fraction otherwise, never a float.  Both render the
+same way (str(3) == str(Fraction(3))).
+
 The bilinear pairing peels creation factors using the adjoint rule
 a(-n;c)^dagger = (-1)^n a(n;c) and is the ingredient for intersection
 numbers downstream.
@@ -23,6 +27,13 @@ from math import factorial
 from .partitions import enumerate_ordinary
 
 Q = Fraction
+
+
+def exact(c):
+    """c as an int when it is an integral Fraction, else c unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def canonical_factors(factors, parity):
@@ -57,23 +68,36 @@ def degree(state, ring):
 
 
 class FockVector:
-    """Finite rational combination of basis states, with a weight window."""
+    """Finite rational combination of basis states, with a weight window.
+
+    No state above the window cutoff is ever held: the constructor and
+    add_term drop them.
+    """
 
     __slots__ = ("ring", "cutoff", "terms")
 
     def __init__(self, ring, cutoff, terms=None):
         self.ring = ring
         self.cutoff = cutoff
-        self.terms = dict(terms or {})
+        self.terms = ({s: c for s, c in terms.items() if weight(s) <= cutoff}
+                      if terms else {})
+
+    def _like(self, terms):
+        """A vector on this ring and window holding terms, which must lie
+        inside the window already."""
+        out = FockVector(self.ring, self.cutoff)
+        out.terms = terms
+        return out
 
     def copy(self):
-        return FockVector(self.ring, self.cutoff, self.terms)
+        return self._like(dict(self.terms))
 
     def add_term(self, state, coeff):
         """Accumulate one state, dropping it if outside the window."""
         if weight(state) > self.cutoff:
             return
-        c = self.terms.get(state, Q(0)) + coeff
+        c = self.terms.get(state)
+        c = coeff if c is None else c + coeff
         if c:
             self.terms[state] = c
         elif state in self.terms:
@@ -92,14 +116,18 @@ class FockVector:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(Q(-1))
+        out = self.copy()
+        for s, c in other.terms.items():
+            out.add_term(s, -c)
+        return out
 
     def scale(self, c):
-        c = Q(c)
+        if type(c) is not int and type(c) is not Fraction:
+            raise TypeError("scale factor must be int or Fraction, not %s"
+                            % type(c).__name__)
         if not c:
             return FockVector(self.ring, self.cutoff)
-        return FockVector(self.ring, self.cutoff,
-                          {s: v * c for s, v in self.terms.items()})
+        return self._like({s: v * c for s, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, FockVector) and self.ring is other.ring
@@ -116,7 +144,7 @@ class FockVector:
 
 
 def vacuum(ring, cutoff):
-    return FockVector(ring, cutoff, {(): Q(1)})
+    return FockVector(ring, cutoff, {(): 1})
 
 
 def fundamental_class(ring, n, cutoff):
@@ -131,17 +159,22 @@ def annihilate_state(ring, n, i, state):
     """Apply the annihilation mode a(n; basis i), n > 0, to one state.
 
     Returns (state, coefficient) pairs; each matching creation factor
-    contracts with coefficient -n * integral(b_i * b_j) and the Koszul
-    sign of moving a(n;b_i) past the earlier factors.
+    contracts with coefficient -n * integral(b_i * b_j), read from a row
+    cached on the ring, and the Koszul sign of moving a(n;b_i) past the
+    earlier factors.
     """
-    g = ring.pairing_matrix()
+    key = ("contraction", n, i)
+    row = ring._cache.get(key)
+    if row is None:
+        row = ring._cache[key] = tuple(exact(-n * g)
+                                       for g in ring.pairing_matrix()[i])
     par = ring.parity
     pi = par[i]
     out = []
     sign = 1
     for t, (m, j) in enumerate(state):
-        if m == -n and g[i][j]:
-            out.append((state[:t] + state[t + 1:], sign * Q(-n) * g[i][j]))
+        if m == -n and row[j]:
+            out.append((state[:t] + state[t + 1:], sign * row[j]))
         if pi and par[j]:
             sign = -sign
     return out

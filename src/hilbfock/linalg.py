@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Small dense matrices as lists of lists of Fraction.  Only what the ring
-module needs: multiplication, inversion and linear solves by Gaussian
-elimination with exact pivoting.
+module needs: transposition and inversion by Gauss-Jordan elimination
+with exact pivoting.
 """
 
 from __future__ import annotations
@@ -12,29 +12,6 @@ from fractions import Fraction
 
 class LinAlgError(Exception):
     """Raised when a matrix is singular."""
-
-
-def mat_mul(a, b):
-    """Product of two matrices (lists of rows of Fraction)."""
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a, v):
-    """Matrix times column vector."""
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
 def transpose(a):
@@ -60,7 +37,3 @@ def mat_inv(a):
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
-
-def solve(a, rhs):
-    """Solve a @ x = rhs for a single right-hand-side vector."""
-    return mat_vec(mat_inv(a), rhs)

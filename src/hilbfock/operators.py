@@ -33,30 +33,58 @@ from fractions import Fraction
 from math import factorial
 
 from .fock import (FockVector, annihilate_state, canonical_factors,
-                   create_state)
+                   create_state, exact)
 from .partitions import GenPartition, enumerate_genpartitions
 
 Q = Fraction
 
 
 def _acc(d, key, c):
-    v = d.get(key, Q(0)) + c
+    v = d.get(key)
+    v = c if v is None else v + c
     if v:
         d[key] = v
     elif key in d:
         del d[key]
 
 
+def apply_word(ring, word, terms, cutoff):
+    """Apply the factor word a(m1;b_i1)...a(mk;b_ik), right to left, to a
+    {state: coeff} dict, creation dropping states above cutoff; returns a
+    new dict.  Every action of mode monomials on states goes through here.
+    """
+    cur = terms
+    for mode, i in reversed(word):
+        nxt = {}
+        if mode > 0:
+            for s, c in cur.items():
+                for s2, c2 in annihilate_state(ring, mode, i, s):
+                    _acc(nxt, s2, c * c2)
+        else:
+            for s, c in cur.items():
+                s2, sgn = create_state(ring, -mode, i, s, cutoff)
+                if s2 is not None:
+                    _acc(nxt, s2, c if sgn == 1 else -c)
+        if not nxt:
+            return nxt
+        cur = nxt
+    return dict(cur) if cur is terms else cur
+
+
 class OperatorSum:
-    """Scalar plus normal-ordered mode monomials with rational weights."""
+    """Scalar plus normal-ordered mode monomials with rational weights.
 
-    __slots__ = ("ring", "cutoff", "terms", "scalar")
+    Coefficients are stored through fock.exact, so integral ones are ints.
+    """
 
-    def __init__(self, ring, cutoff, terms=None, scalar=Q(0)):
+    __slots__ = ("ring", "cutoff", "terms", "scalar", "_parity")
+
+    def __init__(self, ring, cutoff, terms=None, scalar=0):
         self.ring = ring
         self.cutoff = cutoff
-        self.terms = dict(terms or {})
-        self.scalar = Q(scalar)
+        self.terms = {f: exact(c) for f, c in (terms or {}).items()}
+        self.scalar = exact(scalar)
+        self._parity = None
 
     def add_factors(self, factors, coeff):
         """Accumulate one monomial; modes must be nondecreasing already."""
@@ -65,12 +93,21 @@ class OperatorSum:
             raise ValueError("factors must arrive in nondecreasing mode order")
         state, sign = canonical_factors(factors, self.ring.parity)
         if state is not None:
-            _acc(self.terms, state, coeff * sign)
+            self._add(state, coeff * sign)
 
-    def merge(self, other, scale=Q(1)):
+    def merge(self, other, scale=1):
         for f, c in other.terms.items():
-            _acc(self.terms, f, c * scale)
-        self.scalar += other.scalar * scale
+            self._add(f, c * scale)
+        self.scalar = exact(self.scalar + other.scalar * scale)
+        self._parity = None
+
+    def _add(self, word, c):
+        v = exact(self.terms.get(word, 0) + c)
+        if v:
+            self.terms[word] = v
+        elif word in self.terms:
+            del self.terms[word]
+        self._parity = None
 
     def scaled(self, c):
         if not c:
@@ -81,8 +118,7 @@ class OperatorSum:
 
     def __sub__(self, other):
         out = OperatorSum(self.ring, self.cutoff, self.terms, self.scalar)
-        out.terms = dict(self.terms)
-        out.merge(other, Q(-1))
+        out.merge(other, -1)
         return out
 
     def is_zero(self):
@@ -92,66 +128,36 @@ class OperatorSum:
         return self.terms == other.terms and self.scalar == other.scalar
 
     def parity(self):
-        pars = {sum(self.ring.parity[i] for _, i in f) % 2 for f in self.terms}
-        if self.scalar:
-            pars.add(0)
-        if len(pars) > 1:
-            raise ValueError("operator has mixed parity")
-        return pars.pop() if pars else 0
+        """Koszul parity of every monomial (checked), cached until the
+        operator changes."""
+        if self._parity is None:
+            par = self.ring.parity
+            pars = {sum(par[i] for _, i in f) % 2 for f in self.terms}
+            if self.scalar:
+                pars.add(0)
+            if len(pars) > 1:
+                raise ValueError("operator has mixed parity")
+            self._parity = pars.pop() if pars else 0
+        return self._parity
 
-    def weight_shift(self):
-        """Uniform point-count shift of all monomials (checked)."""
-        shifts = {-sum(m for m, _ in f) for f in self.terms}
+    def act(self, terms, cutoff):
+        """Image of a {state: coeff} dict, creation capped at cutoff."""
+        out = {}
+        if not terms:
+            return out
         if self.scalar:
-            shifts.add(0)
-        if len(shifts) > 1:
-            raise ValueError("operator has mixed weight shift")
-        return shifts.pop() if shifts else 0
-
-    def degree_shift(self):
-        """Uniform cohomological degree shift of all monomials (checked)."""
-        degs = self.ring.degrees
-        out = set()
-        for f in self.terms:
-            s = 0
-            for m, i in f:
-                if m < 0:
-                    s += 2 * (-m - 1) + degs[i]
-                else:
-                    s -= 2 * (m - 1) + 4 - degs[i]
-            out.add(s)
-        if self.scalar:
-            out.add(0)
-        if len(out) > 1:
-            raise ValueError("operator has mixed degree shift")
-        return out.pop() if out else 0
+            for s, c in terms.items():
+                _acc(out, s, c * self.scalar)
+        ring = self.ring
+        for word, tc in self.terms.items():
+            for s, c in apply_word(ring, word, terms, cutoff).items():
+                _acc(out, s, c * tc)
+        return out
 
     def apply(self, vec):
         """Exact action on a windowed vector."""
-        ring = self.ring
-        out = FockVector(ring, vec.cutoff)
-        if self.scalar:
-            for s, c in vec.terms.items():
-                out.add_term(s, c * self.scalar)
-        for factors, tc in self.terms.items():
-            cur = vec.terms
-            for mode, i in reversed(factors):
-                nxt = {}
-                if mode > 0:
-                    for s, c in cur.items():
-                        for s2, c2 in annihilate_state(ring, mode, i, s):
-                            _acc(nxt, s2, c * c2)
-                else:
-                    for s, c in cur.items():
-                        s2, sgn = create_state(ring, -mode, i, s, vec.cutoff)
-                        if s2 is not None:
-                            _acc(nxt, s2, c * sgn)
-                cur = nxt
-                if not cur:
-                    break
-            for s, c in cur.items():
-                out.add_term(s, c * tc)
-        return out
+        # vec holds no state above its cutoff, so neither does the image
+        return vec._like(self.act(vec.terms, vec.cutoff))
 
     def render(self):
         names = self.ring.basis_names
@@ -187,8 +193,9 @@ def compose(*ops):
 
 def commutator_action(f, g, vec):
     """[f, g] applied to vec, with the super sign from operator parities."""
-    sign = -1 if (f.parity() and g.parity()) else 1
-    return f.apply(g.apply(vec)) - g.apply(f.apply(vec)).scale(sign)
+    fg = f.apply(g.apply(vec))
+    gf = g.apply(f.apply(vec))
+    return fg + gf if (f.parity() and g.parity()) else fg - gf
 
 
 # -- constructors ----------------------------------------------------------
@@ -244,24 +251,10 @@ def apply_arrangement(ring, modes, elem, vec):
         return out
     big = vec.cutoff + sum(-m for m in modes if m < 0)
     for key, c0 in ring.tau(k, elem).terms.items():
-        factors = tuple(zip(modes, key))
-        cur = {s: c * c0 for s, c in vec.terms.items()}
-        for mode, i in reversed(factors):
-            nxt = {}
-            if mode > 0:
-                for s, c in cur.items():
-                    for s2, c2 in annihilate_state(ring, mode, i, s):
-                        _acc(nxt, s2, c * c2)
-            else:
-                for s, c in cur.items():
-                    s2, sgn = create_state(ring, -mode, i, s, big)
-                    if s2 is not None:
-                        _acc(nxt, s2, c * sgn)
-            cur = nxt
-            if not cur:
-                break
-        for s, c in cur.items():
-            out.add_term(s, c)
+        c0 = exact(c0)
+        for s, c in apply_word(ring, tuple(zip(modes, key)), vec.terms,
+                               big).items():
+            out.add_term(s, c * c0)
     return out
 
 
@@ -287,12 +280,10 @@ def derivation_apply(vec):
     ring = vec.ring
     out = FockVector(ring, vec.cutoff)
     for state, c in vec.terms.items():
-        for t in range(len(state)):
-            mode, i = state[t]
+        for t, (mode, i) in enumerate(state):
             rep = _replacement_op(ring, mode, i, vec.cutoff)
-            part = rep.apply(FockVector(ring, vec.cutoff, {state[t + 1:]: c}))
             prefix = state[:t]
-            for s2, c2 in part.terms.items():
+            for s2, c2 in rep.act({state[t + 1:]: c}, vec.cutoff).items():
                 out.add_factors(prefix + s2, c2)
     return out
 
@@ -345,9 +336,6 @@ class SmearedOp:
 
     def filter(self, pred):
         return SmearedOp({k: c for k, c in self.terms.items() if pred(k[0])})
-
-    def without_k(self):
-        return SmearedOp({k: c for k, c in self.terms.items() if not k[2]})
 
     def shift_euler(self):
         """Multiply the smearing class by e; terms already carrying e die."""

@@ -123,7 +123,8 @@ class TensorSum:
         self.terms = dict(terms or {})
 
     def add(self, key, coeff):
-        c = self.terms.get(key, Q(0)) + coeff
+        c = self.terms.get(key)
+        c = coeff if c is None else c + coeff
         if c:
             self.terms[key] = c
         elif key in self.terms:
@@ -136,13 +137,6 @@ class TensorSum:
     def __eq__(self, other):
         return (isinstance(other, TensorSum) and self.ring is other.ring
                 and self.arity == other.arity and self.terms == other.terms)
-
-    def degree_check(self, target):
-        degs = self.ring.degrees
-        for key in self.terms:
-            if sum(degs[i] for i in key) != target:
-                return False
-        return True
 
     def contract(self):
         """Multiply all slots; for tau2(a) this returns e*a."""

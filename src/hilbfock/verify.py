@@ -15,6 +15,7 @@ use reduced grids; the mutation is rejected unless its label matches.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,7 +155,7 @@ def _action_states(ring, wmax=2):
 
 
 def _vec(ring, state, cutoff):
-    return FockVector(ring, cutoff, {state: Q(1)})
+    return FockVector(ring, cutoff, {state: 1})
 
 
 def _sound_pos(N, size_a, size_b):
@@ -1213,6 +1214,11 @@ def _thm55_cell(args):
     return (p, q, m, n), (meas - exp).terms
 
 
+def pool_size(jobs):
+    """Worker processes for --jobs: jobs, clamped to 1..CPU count."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def _run_thm55(spec, mut):
     """[J^p_m(a), J^q_n(b)] = (qm-pn) J^{p+q-1}_{m+n}(ab)
                               - (Omega(p,q,m,n)/12) J^{p+q-3}_{m+n}(e a b)
@@ -1236,8 +1242,9 @@ def _run_thm55(spec, mut):
              for q in range(pqmax + 1 - p)
              for m in range(-mmax, mmax + 1)
              for n in range(-mmax, mmax + 1)]
-    if spec.jobs > 1:
-        with Pool(spec.jobs) as pool:
+    workers = pool_size(spec.jobs)
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_thm55_cell, cells, chunksize=16)
     else:
         results = [_thm55_cell(c) for c in cells]

@@ -58,6 +58,14 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify")[0] == 2
 
 
+def test_verify_jobs_below_one_is_usage_error(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--suite", "rmk43",
+                             "--jobs", bad)
+        assert code == 2 and out == ""
+        assert "--jobs must be at least 1" in err
+
+
 def test_omega_value_and_jsonl(capsys):
     code, out, _ = run(capsys, "omega", "--p", "2", "--q", "1",
                        "--m", "1", "--n", "1")

@@ -1,0 +1,185 @@
+"""The factor-word apply kernel: equivalence with raw mode composition,
+exact coefficient types, and the cached operator parity."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilbfock.fock import (FockVector, annihilate_state, basis_states,
+                           create_state, weight)
+from hilbfock.operators import (OperatorSum, apply_arrangement,
+                                commutator_action, derivation_apply,
+                                heisenberg, quadratic_sum)
+from hilbfock.ring import builtin_ring
+
+P2 = builtin_ring("p2")
+AB = builtin_ring("abelian")
+RINGS = {"p2": P2, "abelian": AB}
+# Classes the random words and states use; on the abelian surface they
+# are closed under the pairing (t1 pairs with t234, t2 with t134).
+CLASSES = {"p2": ("1", "H", "x"),
+           "abelian": ("t1", "t2", "t134", "t234", "1", "t1234")}
+
+# Fixed-seed profile: the same examples on every run.
+KERNEL = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=120)
+
+MODES = [m for m in range(-3, 4) if m]
+COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                   st.fractions(-3, 3, max_denominator=4).filter(bool))
+
+
+def ref_word(ring, word, terms, cutoff):
+    """Right-to-left composition of single modes, one state at a time."""
+    cur = dict(terms)
+    for mode, i in reversed(word):
+        nxt = {}
+        for s, c in cur.items():
+            if mode > 0:
+                images = annihilate_state(ring, mode, i, s)
+            else:
+                s2, sign = create_state(ring, -mode, i, s, cutoff)
+                images = [] if s2 is None else [(s2, sign)]
+            for s2, c2 in images:
+                nxt[s2] = nxt.get(s2, 0) + c * c2
+        cur = {s: c for s, c in nxt.items() if c}
+    return cur
+
+
+def ref_sum(pieces, cutoff):
+    """Sum of (coefficient, {state: coeff}) pieces inside the window."""
+    out = {}
+    for k, terms in pieces:
+        for s, c in terms.items():
+            if weight(s) <= cutoff:
+                out[s] = out.get(s, 0) + k * c
+    return {s: c for s, c in out.items() if c}
+
+
+@st.composite
+def setups(draw, name, sorted_words):
+    ring = RINGS[name]
+    idx = [ring.index[c] for c in CLASSES[name]]
+    cutoff = draw(st.integers(2, 6))
+    states = [s for w in range(3)
+              for s in basis_states(ring, w) if all(i in idx for _, i in s)]
+    # odd-rich states first: Hypothesis draws early list entries more often
+    states.sort(key=lambda s: -sum(ring.parity[i] for _, i in s))
+    terms = draw(st.dictionaries(st.sampled_from(states), COEFFS,
+                                 min_size=1, max_size=4))
+    g = ring.pairing_matrix()
+    # annihilators that contract with some factor of a drawn state
+    hits = sorted({(-m, k) for s in terms for m, j in s for k in idx
+                   if g[k][j]})
+    classes = st.sampled_from(idx)
+    factor = st.one_of(st.tuples(st.sampled_from(MODES), classes),
+                       st.tuples(st.sampled_from((-1, -2)), classes),
+                       st.sampled_from(hits or [(1, idx[0])]))
+    words = draw(st.lists(st.lists(factor, min_size=1, max_size=3),
+                          min_size=1, max_size=4))
+    if sorted_words:
+        words = [sorted(w, key=lambda f: f[0]) for w in words]
+    return ring, cutoff, terms, [tuple(w) for w in words]
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@KERNEL
+@given(data=st.data())
+def test_operator_apply_matches_composition(name, data):
+    ring, cutoff, terms, words = data.draw(setups(name, sorted_words=True))
+    coeffs = data.draw(st.lists(COEFFS, min_size=4, max_size=4))
+    scalar = data.draw(st.integers(-2, 2))
+    op = OperatorSum(ring, cutoff, scalar=scalar)
+    for word, c in zip(words, coeffs):
+        op.add_factors(word, c)
+    vec = FockVector(ring, cutoff, terms)
+    want = ref_sum([(tc, ref_word(ring, w, vec.terms, cutoff))
+                    for w, tc in op.terms.items()]
+                   + [(op.scalar, vec.terms)], cutoff)
+    assert op.apply(vec).terms == want
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@KERNEL
+@given(data=st.data())
+def test_apply_arrangement_matches_composition(name, data):
+    ring, cutoff, terms, words = data.draw(setups(name, sorted_words=False))
+    modes = [m for m, _ in words[0]]
+    elem = ring.basis(words[0][0][1])
+    vec = FockVector(ring, cutoff, terms)
+    big = cutoff + sum(-m for m in modes if m < 0)
+    want = ref_sum([(c0, ref_word(ring, tuple(zip(modes, key)), vec.terms,
+                                  big))
+                    for key, c0 in ring.tau(len(modes), elem).terms.items()],
+                   cutoff)
+    assert apply_arrangement(ring, modes, elem, vec).terms == want
+
+
+def test_kernel_crosses_window_edge():
+    """Creation above the cutoff drops the state; annihilating it again
+    does not bring it back."""
+    vec = FockVector(P2, 2, {((-1, 0),): 1})
+    word = ((1, 2), (-2, 2))            # a(1;x) a(-2;x): weight 3 midway
+    op = OperatorSum(P2, 2, {word: 1})
+    assert op.apply(vec).is_zero()
+    assert ref_word(P2, word, vec.terms, 2) == {}
+    assert ref_word(P2, word, vec.terms, 3) != {}
+
+
+def test_parity_cache_resets_on_add_factors():
+    t1, one = AB.index["t1"], AB.index["1"]
+    op = heisenberg(AB, 1, AB.basis("t1"), 4)
+    assert op.parity() == 1
+    op.add_factors(((1, one),), 1)
+    with pytest.raises(ValueError, match="mixed parity"):
+        op.parity()
+    even = heisenberg(AB, -1, AB.basis("1"), 4)
+    assert even.parity() == 0
+    even.add_factors(((-1, t1),), Fraction(1, 2))
+    with pytest.raises(ValueError, match="mixed parity"):
+        even.parity()
+
+
+def test_parity_cache_resets_on_merge():
+    op = heisenberg(AB, 2, AB.basis("t12"), 4)
+    assert op.parity() == 0
+    op.merge(heisenberg(AB, 2, AB.basis("t1"), 4))
+    with pytest.raises(ValueError, match="mixed parity"):
+        op.parity()
+
+
+# -- exact coefficient types ----------------------------------------------
+
+
+def _assert_exact(vec):
+    for c in vec.terms.values():
+        assert type(c) in (int, Fraction), (type(c), c)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_coefficients_stay_int_or_fraction(name):
+    ring = RINGS[name]
+    N = 5
+    states = [s for w in range(3) for s in basis_states(ring, w)]
+    names = ring.basis_names
+    pairs = [(quadratic_sum(ring, 1, ring.basis(a), N),
+              heisenberg(ring, -1, ring.basis(b), N))
+             for a in names[:3] for b in names[-3:]]
+    for s in states:
+        v = FockVector(ring, N, {s: 1})
+        for f, g in pairs:
+            _assert_exact(commutator_action(f, g, v))
+        for a in names[:3]:
+            _assert_exact(apply_arrangement(ring, (1, -2), ring.basis(a),
+                                            v))
+        _assert_exact(derivation_apply(v))
+        _assert_exact(v.scale(Fraction(1, 3)) - v.scale(2))
+
+
+def test_scale_rejects_float_and_bool():
+    v = FockVector(P2, 2, {((-1, 0),): 1})
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(TypeError):
+            v.scale(bad)

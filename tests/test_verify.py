@@ -5,8 +5,8 @@ import json
 import pytest
 
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
-                             VerificationReport, list_suites, report_lines,
-                             run_suite, serialize_report)
+                             VerificationReport, list_suites, pool_size,
+                             report_lines, run_suite, serialize_report)
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -19,6 +19,13 @@ def test_registry_names_frozen():
     assert [d["suite"] for d in listed] == list(SUITE_NAMES)
     for d in listed:
         assert d["description"] and d["mutation"]
+
+
+def test_pool_size_clamps_to_cpu_count(monkeypatch):
+    monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: 4)
+    assert [pool_size(j) for j in (1, 2, 4, 5, 10**6)] == [1, 2, 4, 4, 4]
+    monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: None)
+    assert pool_size(8) == 1
 
 
 def test_small_runs_pass():
