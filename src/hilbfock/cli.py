@@ -16,7 +16,8 @@ import sys
 
 from .fock import render_vector, vector_records
 from .hilbert import (chern_class, cup_product, hilb_integral,
-                      intersection_number, intersection_number_closed)
+                      intersection_number, intersection_number_closed,
+                      k_multisets)
 from .operators import heisenberg
 from .ring import (RingError, SURFACE_NAMES, builtin_ring, dump_ring,
                    load_ring)
@@ -210,9 +211,8 @@ def _cmd_intersect(args):
     ring = _resolve_ring(args.surface, args.ring_file)
     if args.grid:
         rows = []
-        from .verify import _k_multisets
         for n in range(1, args.n + 1):
-            for ks in _k_multisets(n):
+            for ks in k_multisets(n):
                 value = intersection_number(ring, ks, n)
                 oracle = intersection_number_closed(ks, n)
                 rows.append((ks, n, value, oracle))

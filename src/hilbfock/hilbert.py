@@ -24,7 +24,6 @@ sum (k_i + 2) = 2n reduce to the surface-independent rational
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -35,19 +34,6 @@ from .partitions import enumerate_ordinary
 from .walgebra import chern, require_canonical_trivial
 
 Q = Fraction
-
-
-@dataclass(frozen=True)
-class ChernClassRequest:
-    k: int
-    n: int
-    class_name: str = "x"
-
-
-@dataclass(frozen=True)
-class IntersectionRequest:
-    ks: tuple
-    n: int
 
 
 def point_class(ring):
@@ -139,3 +125,19 @@ def intersection_number_closed(ks, n):
                 break
         total += value
     return total
+
+
+def k_multisets(n):
+    """Nonincreasing k-tuples with sum (k_i + 2) = 2n: the degree-matched
+    products of character classes on n points."""
+    out = []
+
+    def rec(remaining, maxk, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for k in range(min(maxk, remaining - 2), -1, -1):
+            rec(remaining - (k + 2), k, acc + [k])
+
+    rec(2 * n, 2 * n, [])
+    return out

@@ -170,27 +170,6 @@ class OperatorSum:
         return "\n".join(lines) if lines else "0"
 
 
-class ProductOp:
-    """Composition of operators, applied right to left."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self, *ops):
-        self.ops = tuple(ops)
-
-    def apply(self, vec):
-        for op in reversed(self.ops):
-            vec = op.apply(vec)
-        return vec
-
-    def parity(self):
-        return sum(op.parity() for op in self.ops) % 2
-
-
-def compose(*ops):
-    return ProductOp(*ops)
-
-
 def commutator_action(f, g, vec):
     """[f, g] applied to vec, with the super sign from operator parities."""
     fg = f.apply(g.apply(vec))

@@ -7,6 +7,11 @@ then instantiated on concrete surfaces, and a sample of instances is
 grounded by applying both sides to explicit states, so the smeared
 calculus itself is cross-checked against raw operator composition.
 
+Checks are counted in record groups by one tally (`_Tally`): a group
+reports a pass over all its checks, or its first failure.  Each runner
+declares its grid bounds, with their defaults, as keyword-only
+parameters; `run_suite` rejects any other --bound key.
+
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
 use reduced grids; the mutation is rejected unless its label matches.
@@ -19,24 +24,26 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby, product
 from math import comb, factorial
 from multiprocessing import Pool
 
 from .fock import FockVector, basis_states, render_state, vacuum, weight
 from .operators import (Family, SmearedOp, box_keep, commutator_action,
-                        derivation_apply, diamond_keep, heisenberg,
-                        instantiate, monomial, quadratic_sum, s_bracket,
-                        s_derive, series_bracket, series_to_smeared,
-                        apply_arrangement)
+                        derivation_apply, derivative_action, diamond_keep,
+                        heisenberg, instantiate, monomial, quadratic_sum,
+                        s_bracket, s_derive, series_bracket,
+                        series_to_smeared, apply_arrangement)
 from .partitions import GenPartition, enumerate_ordinary
 from .ring import RingElem, SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
                        chern_families, chern_smeared, fourier,
                        fourier_families, heis_families, jay, jay_families,
                        jay_smeared, jay_via_fields_smeared, omega,
-                       shift_families, wbracket, wkey, wparity, wterm)
+                       shift_families, vir_families, wbracket, wkey,
+                       wparity, wterm)
 from .hilbert import (chern_class, chern_class_closed, intersection_number,
-                      intersection_number_closed)
+                      intersection_number_closed, k_multisets)
 
 Q = Fraction
 
@@ -96,9 +103,9 @@ _NAMED = {
     "abelian": ("1", "t1", "t2", "t12", "t34", "t123", "t1234"),
 }
 
-
-def _bound(spec, key, default):
-    return int(spec.bounds.get(key, default))
+# Classes of the abstract W-algebra checks (eq22, thm57).
+_W_CLASSES = {"abelian": ("1", "t1", "t234", "t12"),
+              "k3": ("1", "u1", "u2", "x")}
 
 
 def _cutoff(spec, default=8):
@@ -127,7 +134,8 @@ def _st(ring, *factors):
 
 
 def _action_states(ring, wmax=2):
-    """Vacuum, all weight-1 states, and a spread of heavier states."""
+    """Vacuum, all weight-1 states, and a spread of heavier states, in
+    order of nondecreasing weight."""
     out = [()]
     out.extend(basis_states(ring, 1))
     if ring.dim <= 4:
@@ -154,13 +162,65 @@ def _action_states(ring, wmax=2):
     return out
 
 
-def _vec(ring, state, cutoff):
-    return FockVector(ring, cutoff, {state: 1})
-
-
 def _sound_pos(N, size_a, size_b):
     """Largest creation total with no intermediate window loss."""
     return N - max(0, -size_a, -size_b, -size_a - size_b)
+
+
+def _show(value):
+    """Report text of a compared value: its render() if any, else str."""
+    return value.render() if hasattr(value, "render") else str(value)
+
+
+class _Tally:
+    """Check count and first failure of one record group.
+
+    A group reports a pass over all its checks, or its first failure.
+    The failure reports one check or, with ``total`` set, every check
+    counted when the group ends; heis ends a group at its first failure.
+    """
+
+    __slots__ = ("checks", "fail", "total")
+
+    def __init__(self, total=False):
+        self.checks = 0
+        self.fail = None
+        self.total = total
+
+    def check(self, ok, params, expected, actual):
+        """Count one check; the first failure keeps both sides' text."""
+        self.checks += 1
+        if not ok and self.fail is None:
+            self.fail = InstanceRecord(params, "fail", 1, _show(expected),
+                                       _show(actual))
+
+    def states(self, ring, states, cutoff, sides, params):
+        """Apply both sides to each basis state in the window and compare.
+
+        ``sides(v)`` returns (lhs, rhs) for the one-term vector v; the
+        first failure adds the state to params and shows rhs as expected.
+        """
+        for s in states:
+            v = FockVector(ring, cutoff, {s: 1})
+            lhs, rhs = sides(v)
+            self.checks += 1
+            if lhs != rhs and self.fail is None:
+                p = dict(params)
+                p["state"] = render_state(s, ring)
+                self.fail = InstanceRecord(p, "fail", 1, rhs.render(),
+                                           lhs.render())
+
+    def skip(self, count):
+        """Count checks that hold without computing them."""
+        self.checks += count
+
+    def record(self, params):
+        """The group's record; params name the group when it passes."""
+        if self.fail is None:
+            return InstanceRecord(params, "pass", self.checks)
+        if self.total:
+            self.fail.checks = self.checks
+        return self.fail
 
 
 def _inst_fail(delta, ring, a, b):
@@ -181,36 +241,24 @@ def _inst_fail(delta, ring, a, b):
     return None
 
 
-def _sweep_record(delta, ring, pairs, params):
-    """Instantiation sweep of a residual over class pairs on one ring."""
-    fail = None
-    cnt = 0
-    for na, a in pairs:
-        for nb, b in pairs:
-            cnt += 1
-            if fail is None:
-                msg = _inst_fail(delta, ring, a, b)
-                if msg:
-                    fail = "%s,%s: %s" % (na, nb, msg)
-    p = dict(params)
-    p["surface"] = ring.name
-    return InstanceRecord(p, "fail" if fail else "pass", cnt, "0",
-                          fail or "0")
+def _pair_cases(ring, probes):
+    """Instantiation cases (label, a, b) for every ordered probe pair."""
+    return [("%s,%s" % (na, nb), a, b) for na, a in probes
+            for nb, b in probes]
 
 
-def _sweep_single(delta, ring, classes, params):
-    """Instantiation sweep of a single-class residual on one ring."""
+def _sweep(delta, ring, cases, params):
+    """Instantiation sweep of a residual over (label, a, b) cases on one
+    ring: one record counting every case, naming the first failure."""
     fail = None
-    cnt = 0
-    for na, a in classes:
-        cnt += 1
-        if fail is None:
-            msg = _inst_fail(delta, ring, a, ring.unit)
-            if msg:
-                fail = "%s: %s" % (na, msg)
+    for label, a, b in cases:
+        msg = _inst_fail(delta, ring, a, b)
+        if msg:
+            fail = "%s: %s" % (label, msg)
+            break
     p = dict(params)
     p["surface"] = ring.name
-    return InstanceRecord(p, "fail" if fail else "pass", cnt, "0",
+    return InstanceRecord(p, "fail" if fail else "pass", len(cases), "0",
                           fail or "0")
 
 
@@ -219,6 +267,13 @@ def _universal_record(delta, params):
     return InstanceRecord(dict(params), "pass" if ok else "fail",
                           max(len(delta.terms), 1), "0",
                           "0" if ok else delta.render())
+
+
+def _scalar_part(meas, ring):
+    """Integral of the K-free scalar terms of a smeared list at gamma = 1."""
+    return sum((c * ring.integrate(ring.e if ep else ring.unit)
+                for (modes, ep, kp), c in meas.terms.items()
+                if not modes and not kp), Q(0))
 
 
 def _iter_deriv(op, k, vec):
@@ -230,33 +285,26 @@ def _iter_deriv(op, k, vec):
                                                  derivation_apply(vec))
 
 
-def _vector_fail(params, lhs, rhs, state, ring, extra):
-    p = dict(params)
-    p.update(extra)
-    p["state"] = render_state(state, ring)
-    return InstanceRecord(p, "fail", 1, rhs.render(), lhs.render())
-
-
 # -- heis: transfer operator commutators ----------------------------------
 
 
-def _run_heis(spec, mut):
-    """[a_m(a), a_n(b)] = -m delta_{m,-n} integral(ab) Id on basis states.
+def _run_heis(spec, mut, *, m_max=4, w_max=None):
+    """[a_m(a), a_n(b)] = -m delta_{m,-n} integral(ab) Id on basis states
+    of weight at most w_max (default 2 on rings of dimension at most 4,
+    else 1).
 
     Mutation central-shift: the central coefficient -m becomes -m + 1.
     """
-    mmax = _bound(spec, "m_max", 4)
-    recs = []
     rings = _rings(spec, SURFACE_NAMES)
     if mut:
-        mmax = min(mmax, 2)
+        m_max = min(m_max, 2)
         rings = rings[:1]
     for ring in rings:
         pairs = _probe(ring, spec.classes or "all")
-        wmax = _bound(spec, "w_max", 2 if ring.dim <= 4 else 1)
-        states = [s for w in range(wmax + 1) for s in basis_states(ring, w)]
-        pre = [(s, {m for m, _ in s}) for s in states]
-        big = wmax + 2 * mmax
+        wmax = w_max if w_max is not None else (2 if ring.dim <= 4 else 1)
+        pre = [(s, {m for m, _ in s})
+               for w in range(wmax + 1) for s in basis_states(ring, w)]
+        big = wmax + 2 * m_max
         ops = {}
 
         def hop(m, name, elem):
@@ -265,103 +313,74 @@ def _run_heis(spec, mut):
                 ops[key] = heisenberg(ring, m, elem, big)
             return ops[key]
 
-        for m in range(-mmax, mmax + 1):
-            for n in range(-mmax, mmax + 1):
-                checks = 0
-                fail = None
-                for na, a in pairs:
-                    for nb, b in pairs:
+        for m in range(-m_max, m_max + 1):
+            for n in range(-m_max, m_max + 1):
+                # Off the diagonal a check holds trivially on a state
+                # unless an annihilator meets one of its modes.
+                live = [s for s, modes in pre
+                        if m == -n or (m > 0 and -m in modes)
+                        or (n > 0 and -n in modes)]
+                params = {"surface": ring.name, "m": m, "n": n}
+                t = _Tally(total=True)
+                for (na, a), (nb, b) in product(pairs, pairs):
+                    t.skip(len(pre) - len(live))
+                    if live:
+                        f, g = hop(m, na, a), hop(n, nb, b)
                         cc = Q(0)
                         if m == -n and m != 0:
-                            cc = Q(-m + (1 if mut else 0)) * ring.integrate(a * b)
-                        for s, smodes in pre:
-                            if (m != -n and not ((m > 0 and -m in smodes)
-                                                 or (n > 0 and -n in smodes))):
-                                checks += 1
-                                continue
-                            v = _vec(ring, s, big)
-                            lhs = commutator_action(hop(m, na, a),
-                                                    hop(n, nb, b), v)
-                            rhs = v.scale(cc)
-                            checks += 1
-                            if lhs != rhs and fail is None:
-                                fail = _vector_fail(
-                                    {"surface": ring.name, "m": m, "n": n},
-                                    lhs, rhs, s, ring, {"a": na, "b": nb})
-                        if fail:
-                            break
-                    if fail:
+                            cc = (Q(-m + (1 if mut else 0))
+                                  * ring.integrate(a * b))
+                        t.states(ring, live, big,
+                                 lambda v: (commutator_action(f, g, v),
+                                            v.scale(cc)),
+                                 dict(params, a=na, b=nb))
+                    if t.fail:
                         break
-                if fail:
-                    fail.checks = checks
-                    recs.append(fail)
-                else:
-                    recs.append(InstanceRecord(
-                        {"surface": ring.name, "m": m, "n": n},
-                        "pass", checks))
-    return recs
+                yield t.record(params)
 
 
 # -- vir: Virasoro bracket -------------------------------------------------
 
 
-def _run_vir(spec, mut):
+def _run_vir(spec, mut, *, m_max=3):
     """[L_m(a), L_n(b)] = (m-n) L_{m+n}(ab)
                           + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id.
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
     N = _cutoff(spec)
-    mmax = _bound(spec, "m_max", 3)
-    recs = []
-    rings = _rings(spec, SURFACE_NAMES)
+    cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
+             for r in _rings(spec, SURFACE_NAMES)]
+    k3 = builtin_ring("k3")
     if mut:
-        mmax = min(mmax, 2)
-    for m in range(-mmax, mmax + 1):
-        for n in range(-mmax, mmax + 1):
+        m_max = min(m_max, 2)
+    for m in range(-m_max, m_max + 1):
+        for n in range(-m_max, m_max + 1):
             pos = _sound_pos(N, m, n)
-            meas = series_bracket(vir_f(m), vir_f(n), pos, N)
-            exp = series_to_smeared(vir_f(m + n), pos, N).scaled(Q(m - n))
+            meas = series_bracket(vir_families(m), vir_families(n), pos, N)
+            exp = series_to_smeared(vir_families(m + n), pos, N).scaled(
+                Q(m - n))
             if m == -n and m != 0:
-                cc = Q(m ** 3 - m, 12)
-                if mut:
-                    cc += Q(1, 12)
-                exp.add(((), 1, 0), cc)
+                exp.add(((), 1, 0), Q(m ** 3 - m + (1 if mut else 0), 12))
             delta = meas - exp
-            recs.append(_universal_record(
-                delta, {"check": "universal", "m": m, "n": n}))
-            for ring in rings:
-                recs.append(_sweep_record(
-                    delta, ring, _probe(ring, spec.classes or "named"),
-                    {"check": "instantiate", "m": m, "n": n}))
-            if m == -n and m != 0 and (not spec.surface
-                                       or spec.surface == "k3"):
-                k3 = builtin_ring("k3")
-                val = Q(0)
-                for (modes, ep, kp), c in meas.terms.items():
-                    if modes or kp:
-                        continue
-                    cls = k3.unit
-                    if ep:
-                        cls = k3.e
-                    val += c * k3.integrate(cls)
+            yield _universal_record(
+                delta, {"check": "universal", "m": m, "n": n})
+            for ring, rcases in cases:
+                yield _sweep(delta, ring, rcases,
+                             {"check": "instantiate", "m": m, "n": n})
+            if m == -n and m != 0 and spec.surface in ("", "k3"):
+                val = _scalar_part(meas, k3)
                 expect = Q(24) * Q(m ** 3 - m, 12)
-                recs.append(InstanceRecord(
+                yield InstanceRecord(
                     {"check": "central", "surface": "k3", "m": m},
                     "pass" if val == expect else "fail", 1,
-                    str(expect), str(val)))
-    recs.extend(_vir_spots(spec, mut))
-    return recs
-
-
-def vir_f(n):
-    return jay_families(1, n)
+                    str(expect), str(val))
+    yield from _vir_spots(spec, mut)
 
 
 def _vir_spots(spec, mut):
     """Apply both sides to explicit states on small surfaces."""
-    recs = []
-    names = [r.name for r in _rings(spec, ("p2", "k3"))]
+    names = (spec.surface,) if spec.surface else ("p2", "k3")
     mtop = 2
     if "p2" in names:
         ring = builtin_ring("p2")
@@ -377,60 +396,43 @@ def _vir_spots(spec, mut):
 
         for m in range(-mtop, mtop + 1):
             for n in range(-mtop, mtop + 1):
-                checks = 0
-                fail = None
-                for na, a in pairs:
-                    for nb, b in pairs:
-                        ab = a * b
-                        cc = Q(0)
-                        if m == -n and m != 0:
-                            cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
-                        rhs_op = quadratic_sum(ring, m + n, ab, big)
-                        for s in states:
-                            v = _vec(ring, s, big)
-                            lhs = commutator_action(lop(m, na, a),
-                                                    lop(n, nb, b), v)
-                            rhs = rhs_op.apply(v).scale(Q(m - n)) + v.scale(cc)
-                            checks += 1
-                            if lhs != rhs and fail is None:
-                                fail = _vector_fail(
-                                    {"check": "action", "surface": "p2",
-                                     "m": m, "n": n}, lhs, rhs, s, ring,
-                                    {"a": na, "b": nb})
-                recs.append(fail or InstanceRecord(
-                    {"check": "action", "surface": "p2", "m": m, "n": n},
-                    "pass", checks))
+                params = {"check": "action", "surface": "p2", "m": m, "n": n}
+                t = _Tally()
+                for (na, a), (nb, b) in product(pairs, pairs):
+                    ab = a * b
+                    cc = Q(0)
+                    if m == -n and m != 0:
+                        cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
+                    rhs_op = quadratic_sum(ring, m + n, ab, big)
+                    f, g = lop(m, na, a), lop(n, nb, b)
+                    t.states(ring, states, big,
+                             lambda v: (commutator_action(f, g, v),
+                                        rhs_op.apply(v).scale(Q(m - n))
+                                        + v.scale(cc)),
+                             dict(params, a=na, b=nb))
+                yield t.record(params)
     if "k3" in names and not mut:
         ring = builtin_ring("k3")
         states = _action_states(ring, 2)
-        one = ring.unit
         for m in range(1, 4):
             big = 2 + 2 * m
-            lm = quadratic_sum(ring, m, one, big)
-            ln = quadratic_sum(ring, -m, one, big)
-            l0 = quadratic_sum(ring, 0, one, big)
+            lm = quadratic_sum(ring, m, ring.unit, big)
+            ln = quadratic_sum(ring, -m, ring.unit, big)
+            l0 = quadratic_sum(ring, 0, ring.unit, big)
             cc = Q(m ** 3 - m, 12) * 24
-            checks = 0
-            fail = None
-            for s in states:
-                v = _vec(ring, s, big)
-                lhs = commutator_action(lm, ln, v)
-                rhs = l0.apply(v).scale(Q(2 * m)) + v.scale(cc)
-                checks += 1
-                if lhs != rhs and fail is None:
-                    fail = _vector_fail(
-                        {"check": "action", "surface": "k3", "m": m,
-                         "n": -m}, lhs, rhs, s, ring, {"a": "1", "b": "1"})
-            recs.append(fail or InstanceRecord(
-                {"check": "action", "surface": "k3", "m": m, "n": -m},
-                "pass", checks))
-    return recs
+            params = {"check": "action", "surface": "k3", "m": m, "n": -m}
+            t = _Tally()
+            t.states(ring, states, big,
+                     lambda v: (commutator_action(lm, ln, v),
+                                l0.apply(v).scale(Q(2 * m)) + v.scale(cc)),
+                     dict(params, a="1", b="1"))
+            yield t.record(params)
 
 
 # -- thm31: mixed brackets and the replacement rule ------------------------
 
 
-def _run_thm31(spec, mut):
+def _run_thm31(spec, mut, *, m_max=3, k_max=3):
     """Three action identities:
 
     (ii)  [L_m(a), a_n(b)] = -n a_{m+n}(ab)
@@ -439,90 +441,63 @@ def _run_thm31(spec, mut):
 
     Mutation canonical-shift: the K-term coefficient in (iii) gains +1.
     """
-    mmax = _bound(spec, "m_max", 3)
-    kmax = _bound(spec, "k_max", 3)
-    recs = []
     rings = _rings(spec, SURFACE_NAMES)
     if mut:
-        mmax = min(mmax, 2)
-        kmax = 0
+        m_max = min(m_max, 2)
+        k_max = 0
         rings = [builtin_ring("p2")]
     for ring in rings:
         pairs = _probe(ring)
         small = pairs[:5] if ring.dim > 8 else pairs
-        wmax = 2 if ring.dim <= 4 else 1
-        states = _action_states(ring, wmax)
+        states = _action_states(ring, 2 if ring.dim <= 4 else 1)
         wtop = max(weight(s) for s in states)
-        big = wtop + 2 * mmax + 1
-        for m in range(-mmax, mmax + 1):
-            for n in range(-mmax, mmax + 1):
-                checks = 0
-                fail = None
+        big = wtop + 2 * m_max + 1
+        for m in range(-m_max, m_max + 1):
+            for n in range(-m_max, m_max + 1):
+                params = {"part": "mixed", "surface": ring.name, "m": m,
+                          "n": n}
+                t = _Tally()
                 for na, a in small:
                     lm = quadratic_sum(ring, m, a, big)
                     for nb, b in small:
                         an = heisenberg(ring, n, b, big)
                         rhs_op = heisenberg(ring, m + n, a * b, big)
-                        for s in states:
-                            v = _vec(ring, s, big)
-                            lhs = commutator_action(lm, an, v)
-                            rhs = rhs_op.apply(v).scale(Q(-n))
-                            checks += 1
-                            if lhs != rhs and fail is None:
-                                fail = _vector_fail(
-                                    {"part": "mixed", "surface": ring.name,
-                                     "m": m, "n": n}, lhs, rhs, s, ring,
-                                    {"a": na, "b": nb})
-                recs.append(fail or InstanceRecord(
-                    {"part": "mixed", "surface": ring.name, "m": m, "n": n},
-                    "pass", checks))
-        for n in range(-mmax, mmax + 1):
+                        t.states(ring, states, big,
+                                 lambda v: (commutator_action(lm, an, v),
+                                            rhs_op.apply(v).scale(Q(-n))),
+                                 dict(params, a=na, b=nb))
+                yield t.record(params)
+        for n in range(-m_max, m_max + 1):
             if n == 0:
                 continue
-            checks = 0
-            fail = None
             coef = Q(n * (abs(n) - 1), 2) + (1 if mut else 0)
+            params = {"part": "replacement", "surface": ring.name, "n": n}
+            t = _Tally()
             for nb, b in pairs:
                 an = heisenberg(ring, n, b, big)
                 ln = quadratic_sum(ring, n, b, big)
                 kn = heisenberg(ring, n, ring.K * b, big)
-                for s in states:
-                    v = _vec(ring, s, big)
-                    lhs = derivation_apply(an.apply(v)) - an.apply(
-                        derivation_apply(v))
-                    rhs = ln.apply(v).scale(Q(n)) - kn.apply(v).scale(coef)
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"part": "replacement", "surface": ring.name,
-                             "n": n}, lhs, rhs, s, ring, {"b": nb})
-            recs.append(fail or InstanceRecord(
-                {"part": "replacement", "surface": ring.name, "n": n},
-                "pass", checks))
+                t.states(ring, states, big,
+                         lambda v: (derivative_action(an, v),
+                                    ln.apply(v).scale(Q(n))
+                                    - kn.apply(v).scale(coef)),
+                         dict(params, b=nb))
+            yield t.record(params)
         kfree = _ktrivial(ring, pairs)
-        for k in range(kmax + 1):
-            checks = 0
-            fail = None
+        for k in range(k_max + 1):
+            params = {"part": "character-pin", "surface": ring.name, "k": k}
+            t = _Tally()
             for na, a in kfree:
                 gk = chern(ring, k, a, wtop + 1)
                 for nb, b in small:
                     am = heisenberg(ring, -1, b, big)
                     inner = heisenberg(ring, -1, a * b, big)
-                    for s in states:
-                        v = _vec(ring, s, big)
-                        lhs = commutator_action(gk, am, v)
-                        rhs = _iter_deriv(inner, k, v).scale(
-                            Q(1, factorial(k)))
-                        checks += 1
-                        if lhs != rhs and fail is None:
-                            fail = _vector_fail(
-                                {"part": "character-pin",
-                                 "surface": ring.name, "k": k},
-                                lhs, rhs, s, ring, {"a": na, "b": nb})
-            recs.append(fail or InstanceRecord(
-                {"part": "character-pin", "surface": ring.name, "k": k},
-                "pass", checks))
-    return recs
+                    t.states(ring, states, big,
+                             lambda v: (commutator_action(gk, am, v),
+                                        _iter_deriv(inner, k, v).scale(
+                                            Q(1, factorial(k)))),
+                             dict(params, a=na, b=nb))
+            yield t.record(params)
 
 
 # -- lem32: smeared calculus against raw composition -----------------------
@@ -545,7 +520,6 @@ def _run_lem32(spec, mut):
 
     Mutation euler-sign: the reorder correction -v becomes +v.
     """
-    recs = []
     rings = _rings(spec, SURFACE_NAMES)
     if mut:
         rings = [builtin_ring("p2")]
@@ -557,9 +531,9 @@ def _run_lem32(spec, mut):
         states = _action_states(ring, 2 if smallring else 1)
         wtop = max(weight(s) for s in states)
         big = wtop + 8
-        checks = 0
-        fail = None
         if not mut:
+            params = {"part": "bracket", "surface": ring.name}
+            t = _Tally()
             for nu in nus:
                 gnu = GenPartition(nu)
                 for mu in nus:
@@ -572,23 +546,14 @@ def _run_lem32(spec, mut):
                         for nb, b in cpairs:
                             bv = monomial(ring, gmu, b, big)
                             rhs_op = instantiate(sm, ring, a * b, big)
-                            for s in states:
-                                v = _vec(ring, s, big)
-                                lhs = commutator_action(av, bv, v)
-                                rhs = rhs_op.apply(v)
-                                checks += 1
-                                if lhs != rhs and fail is None:
-                                    fail = _vector_fail(
-                                        {"part": "bracket",
-                                         "surface": ring.name},
-                                        lhs, rhs, s, ring,
-                                        {"nu": str(list(nu)),
-                                         "mu": str(list(mu)),
-                                         "a": na, "b": nb})
-            recs.append(fail or InstanceRecord(
-                {"part": "bracket", "surface": ring.name}, "pass", checks))
-            checks = 0
-            fail = None
+                            t.states(ring, states, big,
+                                     lambda v: (commutator_action(av, bv, v),
+                                                rhs_op.apply(v)),
+                                     dict(params, nu=str(list(nu)),
+                                          mu=str(list(mu)), a=na, b=nb))
+            yield t.record(params)
+            params = {"part": "derivative", "surface": ring.name}
+            t = _Tally()
             for nu in nus:
                 gnu = GenPartition(nu)
                 sm = s_derive(SmearedOp({(gnu.parts, 0, 0): Q(1)}),
@@ -596,50 +561,35 @@ def _run_lem32(spec, mut):
                 for na, a in cpairs:
                     op = monomial(ring, gnu, a, big)
                     rhs_op = instantiate(sm, ring, a, big)
-                    for s in states:
-                        v = _vec(ring, s, big)
-                        lhs = derivation_apply(op.apply(v)) - op.apply(
-                            derivation_apply(v))
-                        rhs = rhs_op.apply(v)
-                        checks += 1
-                        if lhs != rhs and fail is None:
-                            fail = _vector_fail(
-                                {"part": "derivative", "surface": ring.name},
-                                lhs, rhs, s, ring,
-                                {"nu": str(list(nu)), "a": na})
-            recs.append(fail or InstanceRecord(
-                {"part": "derivative", "surface": ring.name}, "pass", checks))
-        checks = 0
-        fail = None
+                    t.states(ring, states, big,
+                             lambda v: (derivative_action(op, v),
+                                        rhs_op.apply(v)),
+                             dict(params, nu=str(list(nu)), a=na))
+            yield t.record(params)
+        params = {"part": "reorder", "surface": ring.name}
+        t = _Tally()
         for seq, j in _SWAPS:
-            swapped = list(seq)
-            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            swapped = tuple(swapped)
+            swapped = seq[:j] + (seq[j + 1], seq[j]) + seq[j + 2:]
             rest = seq[:j] + seq[j + 2:]
             cc = Q(0)
             if seq[j] == -seq[j + 1] and seq[j] != 0:
                 cc = Q(seq[j] if mut else -seq[j])
             for na, a in cpairs:
                 ea = ring.e * a
-                for s in states:
-                    v = _vec(ring, s, big)
+
+                def sides(v):
                     lhs = apply_arrangement(ring, seq, a, v)
                     rhs = apply_arrangement(ring, swapped, a, v)
-                    if cc:
-                        if rest:
-                            rhs = rhs + apply_arrangement(
-                                ring, rest, ea, v).scale(cc)
-                        else:
-                            rhs = rhs + v.scale(cc * ring.integrate(ea))
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"part": "reorder", "surface": ring.name},
-                            lhs, rhs, s, ring,
-                            {"seq": str(list(seq)), "pos": j, "a": na})
-        recs.append(fail or InstanceRecord(
-            {"part": "reorder", "surface": ring.name}, "pass", checks))
-    return recs
+                    if cc and rest:
+                        rhs = rhs + apply_arrangement(
+                            ring, rest, ea, v).scale(cc)
+                    elif cc:
+                        rhs = rhs + v.scale(cc * ring.integrate(ea))
+                    return lhs, rhs
+
+                t.states(ring, states, big, sides,
+                         dict(params, seq=str(list(seq)), pos=j, a=na))
+        yield t.record(params)
 
 
 # -- thm42: closed iterated derivatives of transfer operators --------------
@@ -658,83 +608,70 @@ def _apow_smeared(n, k, N, mut):
     return series_to_smeared(fams, N, N).filter(diamond_keep(N))
 
 
-def _run_thm42(spec, mut):
+def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     """The k-th derivative of a_n equals its closed partition expansion
     (modulo K; exercised with full K via the recursive route on states).
 
     Mutation euler-shift: the closed Euler factor (s-1) becomes (s+1).
     """
     N = _cutoff(spec)
-    kmax = _bound(spec, "k_max", 3)
-    nmax = _bound(spec, "n_max", 3)
     keep = diamond_keep(N)
-    recs = []
     if mut:
-        kmax = min(kmax, 2)
-    rnames = [r for r in ("k3", "abelian", "p2")
-              if not spec.surface or spec.surface == r]
-    rcls = []
-    for rname in rnames:
+        k_max = min(k_max, 2)
+    rcases = []
+    for rname in ("k3", "abelian", "p2"):
+        if spec.surface and spec.surface != rname:
+            continue
         ring = builtin_ring(rname)
-        if rname == "p2":
-            rcls.append((ring, [("x", ring.basis("x"))]))
-        else:
-            rcls.append((ring, _probe(ring, "all")))
-    for k in range(kmax + 1):
-        for n in [v for a in range(1, nmax + 1) for v in (a, -a)]:
+        cls = ([("x", ring.basis("x"))] if rname == "p2"
+               else _probe(ring, "all"))
+        rcases.append((ring, [(na, a, ring.unit) for na, a in cls]))
+    for k in range(k_max + 1):
+        for n in [v for a in range(1, n_max + 1) for v in (a, -a)]:
             cur = series_to_smeared(heis_families(n), N, N).filter(keep)
             for _ in range(k):
                 cur = s_derive(cur, keep, N, N, include_k=False)
-            closed = _apow_smeared(n, k, N, mut)
-            delta = cur - closed
-            recs.append(_universal_record(
-                delta, {"check": "universal", "k": k, "n": n}))
-            for ring, cls in rcls:
-                recs.append(_sweep_single(
-                    delta, ring, cls,
-                    {"check": "classes", "k": k, "n": n}))
-    recs.extend(_thm42_spots(spec, mut))
-    return recs
+            delta = cur - _apow_smeared(n, k, N, mut)
+            yield _universal_record(
+                delta, {"check": "universal", "k": k, "n": n})
+            for ring, cases in rcases:
+                yield _sweep(delta, ring, cases,
+                             {"check": "classes", "k": k, "n": n})
+    yield from _thm42_spots(spec, mut, N)
 
 
-def _thm42_spots(spec, mut):
-    recs = []
+def _thm42_spots(spec, mut, N):
     cases = [("p2", "x"), ("k3", "1"), ("k3", "x")]
     if spec.surface:
         cases = [c for c in cases if c[0] == spec.surface]
     if mut:
         cases = cases[1:2]
-    N = _cutoff(spec)
     for rname, cname in cases:
         ring = builtin_ring(rname)
         a = ring.basis(cname)
         states = _action_states(ring, 2 if ring.dim <= 4 else 1)
-        checks = 0
-        fail = None
-        for k in range(3 if not mut else 3):
+        t = _Tally()
+        for k in range(3):
             for n in (1, -1, -2):
                 closed = _apow_smeared(n, k, N, mut)
-                for s in states:
-                    big = weight(s) + abs(n) * (k + 1) + 2
-                    v = _vec(ring, s, big)
-                    lhs = _iter_deriv(heisenberg(ring, n, a, big), k, v)
-                    rhs = instantiate(closed, ring, a, big).apply(v)
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"check": "action", "surface": rname,
-                             "k": k, "n": n}, lhs, rhs, s, ring,
-                            {"a": cname})
-        recs.append(fail or InstanceRecord(
-            {"check": "action", "surface": rname, "class": cname},
-            "pass", checks))
-    return recs
+                params = {"check": "action", "surface": rname, "k": k,
+                          "n": n, "a": cname}
+                # The window grows with the state's weight.
+                for w, same in groupby(states, weight):
+                    big = w + abs(n) * (k + 1) + 2
+                    an = heisenberg(ring, n, a, big)
+                    rhs_op = instantiate(closed, ring, a, big)
+                    t.states(ring, list(same), big,
+                             lambda v: (_iter_deriv(an, k, v),
+                                        rhs_op.apply(v)), params)
+        yield t.record(
+            {"check": "action", "surface": rname, "class": cname})
 
 
 # -- rmk43: derivative closure of shifted families -------------------------
 
 
-def _run_rmk43(spec, mut):
+def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
     """Derivative of the d-shifted family, for d = -1 and d = n^2 - 2:
 
         F(k,n,d)' = -n(k+1) F(k+1,n,d)
@@ -745,12 +682,9 @@ def _run_rmk43(spec, mut):
     Mutation shift-term: the factor (d+1) becomes (d+2).
     """
     N = _cutoff(spec)
-    kmax = _bound(spec, "k_max", 3)
-    nmax = _bound(spec, "n_max", 3)
     keep = diamond_keep(N)
-    recs = []
-    for k in range(kmax + 1):
-        for n in range(-nmax, nmax + 1):
+    for k in range(k_max + 1):
+        for n in range(-n_max, n_max + 1):
             dvals = [-1]
             if n * n - 2 != -1:
                 dvals.append(n * n - 2)
@@ -767,9 +701,8 @@ def _run_rmk43(spec, mut):
                                   epow=1)
                     rhs = rhs + series_to_smeared(
                         [efam], N, N).filter(keep).scaled(c2)
-                recs.append(_universal_record(
-                    dA - rhs, {"k": k, "n": n, "d": d}))
-    return recs
+                yield _universal_record(
+                    dA - rhs, {"k": k, "n": n, "d": d})
 
 
 # -- thm46-unique: characterization of the character series ----------------
@@ -786,7 +719,7 @@ def _chern_families_mut(k, mut):
     return fams
 
 
-def _run_thm46(spec, mut):
+def _run_thm46(spec, mut, *, k_max=3):
     """G_k is pinned by three properties: every term annihilates the
     vacuum, the series commutes with the derivation (modulo K), and its
     bracket with a_{-1} reproduces the k-th derivative of a_{-1}.
@@ -794,100 +727,74 @@ def _run_thm46(spec, mut):
     Mutation euler-shift: the Euler factor (s-2) becomes (s-1).
     """
     N = _cutoff(spec)
-    kmax = _bound(spec, "k_max", 3)
     keep = diamond_keep(N)
-    recs = []
-    for k in range(kmax + 1):
+    for k in range(k_max + 1):
         fams = _chern_families_mut(k, mut)
         A = series_to_smeared(fams, N, N).filter(keep)
         bad = [m for (m, _, _) in A.terms if not m or max(m) <= 0]
-        recs.append(InstanceRecord(
+        yield InstanceRecord(
             {"check": "vacuum", "k": k},
             "pass" if not bad else "fail", max(len(A.terms), 1),
-            "every term has an annihilation mode", str(bad) if bad else ""))
+            "every term has an annihilation mode", str(bad) if bad else "")
         dA = s_derive(A, keep, N, N, include_k=False)
-        recs.append(_universal_record(dA, {"check": "derivation", "k": k}))
+        yield _universal_record(dA, {"check": "derivation", "k": k})
         pos = _sound_pos(N, 0, -1)
         meas = series_bracket(fams, heis_families(-1), pos, N)
         rhs = series_to_smeared(apow_families(-1, k), pos, N).scaled(
             Q(1, factorial(k)))
-        recs.append(_universal_record(
-            meas - rhs, {"check": "transfer-pin", "k": k}))
+        yield _universal_record(
+            meas - rhs, {"check": "transfer-pin", "k": k})
     if not mut:
-        recs.extend(_thm46_spots(spec))
-    return recs
+        yield from _thm46_spots(spec)
 
 
 def _thm46_spots(spec):
-    recs = []
     for rname in ("k3", "abelian"):
         if spec.surface and spec.surface != rname:
             continue
         ring = builtin_ring(rname)
         states = _action_states(ring, 3)
-        pairs = _probe(ring)
-        checks = 0
-        fail = None
+        t = _Tally()
         for k in (2, 3):
             gk = chern(ring, k, ring.unit, 4)
-            for nb, b in pairs[:3]:
+            for nb, b in _probe(ring)[:3]:
                 am = heisenberg(ring, -1, b, 5)
-                inner = heisenberg(ring, -1, b, 5)
-                for s in states:
-                    v = _vec(ring, s, 5)
-                    lhs = commutator_action(gk, am, v)
-                    rhs = _iter_deriv(inner, k, v).scale(Q(1, factorial(k)))
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"check": "action", "surface": rname, "k": k},
-                            lhs, rhs, s, ring, {"b": nb})
-        recs.append(fail or InstanceRecord(
-            {"check": "action", "surface": rname}, "pass", checks))
-    return recs
+                t.states(ring, states, 5,
+                         lambda v: (commutator_action(gk, am, v),
+                                    _iter_deriv(am, k, v).scale(
+                                        Q(1, factorial(k)))),
+                         {"check": "action", "surface": rname, "k": k,
+                          "b": nb})
+        yield t.record({"check": "action", "surface": rname})
 
 
 # -- cor48: creation-only expansion of character classes -------------------
 
 
-def _run_cor48(spec, mut):
+def _run_cor48(spec, mut, *, n_max=4):
     """Character classes G_k(c, n) by operator action and by the closed
     creation expansion agree for every basis class on K-trivial surfaces.
 
     Mutation euler-shift: the closed Euler weight (j+1+s-2) gains +1.
     """
-    nmax = _bound(spec, "n_max", 4)
-    recs = []
     rings = _rings(spec, ("abelian", "k3"))
     if mut:
         rings = [builtin_ring("k3")]
-        nmax = min(nmax, 3)
+        n_max = min(n_max, 3)
     for ring in rings:
-        for n in range(nmax + 1):
+        for n in range(n_max + 1):
             for k in range(n):
-                checks = 0
-                fail = None
+                params = {"surface": ring.name, "n": n, "k": k}
+                t = _Tally(total=True)
                 for na, a in _probe(ring, "all"):
                     via_op = chern_class(ring, k, a, n)
                     via_closed = chern_class_closed(ring, k, a, n)
                     if mut:
                         via_closed = via_closed + _cor48_mut_extra(
                             ring, k, a, n)
-                    checks += 1
-                    if via_op != via_closed and fail is None:
-                        fail = InstanceRecord(
-                            {"surface": ring.name, "n": n, "k": k,
-                             "a": na},
-                            "fail", 1, via_op.render(),
-                            via_closed.render())
-                if fail:
-                    fail.checks = checks
-                    recs.append(fail)
-                else:
-                    recs.append(InstanceRecord(
-                        {"surface": ring.name, "n": n, "k": k},
-                        "pass", checks))
-    return recs
+                    t.check(via_op == via_closed, dict(params, a=na),
+                            via_op, via_closed)
+                yield t.record(params)
 
 
 def _cor48_mut_extra(ring, k, a, n):
@@ -914,76 +821,41 @@ def _cor48_mut_extra(ring, k, a, n):
 # -- rmk410: surface-independent intersection numbers ----------------------
 
 
-def _k_multisets(n):
-    """Nonincreasing k-tuples with sum (k_i + 2) = 2n."""
-    out = []
-
-    def rec(remaining, maxk, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for k in range(min(maxk, remaining - 2), -1, -1):
-            rec(remaining - (k + 2), k, acc + [k])
-
-    rec(2 * n, 2 * n, [])
-    return out
-
-
-def _closed_number_mut(ks, n):
-    """Closed value with the documented sign mutation (-1)^j -> (-1)^{j+1}."""
-    from itertools import product as iproduct
-    total = Q(0)
-    for js in iproduct(*(range(k + 1) for k in ks)):
-        if sum(j + 1 for j in js) != n:
-            continue
-        value = Q(1)
-        for k, j in zip(ks, js):
-            part = Q(0)
-            for lam in enumerate_ordinary(j + 1, k - j + 1):
-                part += Q((-1) ** (j + 1),
-                          lam.mult_factorial * factorial(j + 1))
-            value *= part
-            if not value:
-                break
-        total += value
-    return total
-
-
 _RMK410_SPOTS = (((0,), 1, Q(1)), ((2,), 2, Q(-1, 4)), ((0, 0), 2, Q(1)))
 
 
-def _run_rmk410(spec, mut):
+def _run_rmk410(spec, mut, *, n_max=4):
     """Integrals of products of point-smeared character classes agree
     across all surfaces and match the closed combinatorial value.
 
-    Mutation sign-flip: the closed per-factor sign (-1)^j flips.
+    Mutation sign-flip: the closed per-factor sign (-1)^j flips, which
+    multiplies the closed value by (-1)^len(ks).
     """
-    nmax = _bound(spec, "n_max", 4)
-    recs = []
+    def closed(ks, n):
+        value = intersection_number_closed(ks, n)
+        return -value if mut and len(ks) % 2 else value
+
     rings = _rings(spec, SURFACE_NAMES)
     if mut:
-        nmax = min(nmax, 2)
+        n_max = min(n_max, 2)
         rings = rings[:2]
-    for n in range(1, nmax + 1):
-        for ks in _k_multisets(n):
-            oracle = (_closed_number_mut(ks, n) if mut
-                      else intersection_number_closed(ks, n))
+    for n in range(1, n_max + 1):
+        for ks in k_multisets(n):
+            oracle = closed(ks, n)
             vals = [(r.name, intersection_number(r, ks, n)) for r in rings]
             ok = all(v == oracle for _, v in vals)
-            recs.append(InstanceRecord(
+            yield InstanceRecord(
                 {"n": n, "ks": ",".join(map(str, ks))},
                 "pass" if ok else "fail", len(vals), str(oracle),
-                "; ".join("%s=%s" % (nm, v) for nm, v in vals)))
+                "; ".join("%s=%s" % (nm, v) for nm, v in vals))
     for ks, n, frozen in _RMK410_SPOTS:
-        if n > nmax:
+        if n > n_max:
             continue
-        oracle = (_closed_number_mut(ks, n) if mut
-                  else intersection_number_closed(ks, n))
-        recs.append(InstanceRecord(
+        oracle = closed(ks, n)
+        yield InstanceRecord(
             {"check": "frozen", "n": n, "ks": ",".join(map(str, ks))},
             "pass" if oracle == frozen else "fail", 1, str(frozen),
-            str(oracle)))
-    return recs
+            str(oracle))
 
 
 # -- def51-ids: W-generator identifications --------------------------------
@@ -1002,7 +874,7 @@ def _jay_families_mut(p, n, mut):
     return fams
 
 
-def _run_def51(spec, mut):
+def _run_def51(spec, mut, *, p_max=4, n_max=3):
     """Identifications of the W-generators:
 
     (a) J^0_n = -a_n            (b) J^1_n = L_n (independent expansion)
@@ -1011,94 +883,71 @@ def _run_def51(spec, mut):
     Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
     """
     N = _cutoff(spec)
-    pmax = _bound(spec, "p_max", 4)
-    nmax = _bound(spec, "n_max", 3)
-    recs = []
-    for n in range(-nmax, nmax + 1):
+    for n in range(-n_max, n_max + 1):
         got = series_to_smeared(_jay_families_mut(0, n, mut), N, N)
         want = series_to_smeared(heis_families(n), N, N).scaled(Q(-1))
-        recs.append(_universal_record(got - want, {"part": "a", "n": n}))
+        yield _universal_record(got - want, {"part": "a", "n": n})
     for rname in ("p2", "k3"):
         if spec.surface and spec.surface != rname:
             continue
         ring = builtin_ring(rname)
-        checks = 0
-        fail = None
+        t = _Tally(total=True)
         for n in range(-2, 3):
             for na, a in _probe(ring)[:4]:
                 ja = instantiate(
                     series_to_smeared(_jay_families_mut(1, n, mut), 4, 4),
                     ring, a, 4)
                 ln = quadratic_sum(ring, n, a, 4)
-                checks += 1
-                if not ja.equal_terms(ln) and fail is None:
-                    fail = InstanceRecord(
+                t.check(ja.equal_terms(ln),
                         {"part": "b", "surface": rname, "n": n, "a": na},
-                        "fail", 1, ln.render(), ja.render())
-        if fail:
-            fail.checks = checks
-            recs.append(fail)
-        else:
-            recs.append(InstanceRecord(
-                {"part": "b", "surface": rname}, "pass", checks))
-    for p in range(1, pmax + 1):
+                        ln, ja)
+        yield t.record({"part": "b", "surface": rname})
+    for p in range(1, p_max + 1):
         got = series_to_smeared(_jay_families_mut(p, 0, mut), N, N)
         want = chern_smeared(p - 1, N, N).scaled(Q(factorial(p)))
-        recs.append(_universal_record(got - want, {"part": "c", "p": p}))
+        yield _universal_record(got - want, {"part": "c", "p": p})
         got = series_to_smeared(_jay_families_mut(p, -1, mut), N, N)
         want = series_to_smeared(apow_families(-1, p), N, N).scaled(Q(-1))
-        recs.append(_universal_record(got - want, {"part": "d", "p": p}))
+        yield _universal_record(got - want, {"part": "d", "p": p})
     if not mut:
         ring = builtin_ring("k3")
         states = _action_states(ring, 2)
-        checks = 0
-        fail = None
+        t = _Tally()
         for p in range(4):
             for na, a in _probe(ring)[:3]:
                 jp = jay(ring, p, -1, a, 4)
                 inner = heisenberg(ring, -1, a, 4)
-                for s in states:
-                    v = _vec(ring, s, 4)
-                    lhs = jp.apply(v)
-                    rhs = _iter_deriv(inner, p, v).scale(Q(-1))
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"part": "d-action", "surface": "k3", "p": p},
-                            lhs, rhs, s, ring, {"a": na})
-        recs.append(fail or InstanceRecord(
-            {"part": "d-action", "surface": "k3"}, "pass", checks))
-    return recs
+                t.states(ring, states, 4,
+                         lambda v: (jp.apply(v),
+                                    _iter_deriv(inner, p, v).scale(Q(-1))),
+                         {"part": "d-action", "surface": "k3", "p": p,
+                          "a": na})
+        yield t.record({"part": "d-action", "surface": "k3"})
 
 
 # -- lem52: character-transfer bracket gives W-generators ------------------
 
 
-def _run_lem52(spec, mut):
+def _run_lem52(spec, mut, *, p_max=4, n_max=3):
     """[G_p(a), a_n(b)] = (n/p!) J^p_n(ab).
 
     Mutation rhs-scale: the factor n/p! becomes (n+1)/p!.
     """
     N = _cutoff(spec)
-    pmax = _bound(spec, "p_max", 4)
-    nmax = _bound(spec, "n_max", 3)
-    recs = []
-    for p in range(pmax + 1):
-        for n in range(-nmax, nmax + 1):
+    for p in range(p_max + 1):
+        for n in range(-n_max, n_max + 1):
             pos = _sound_pos(N, 0, n)
             meas = series_bracket(chern_families(p), heis_families(n),
                                   pos, N)
             scale = Q(n + (1 if mut else 0), factorial(p))
             rhs = series_to_smeared(jay_families(p, n), pos, N).scaled(scale)
-            recs.append(_universal_record(
-                meas - rhs, {"check": "universal", "p": p, "n": n}))
+            yield _universal_record(
+                meas - rhs, {"check": "universal", "p": p, "n": n})
     if not mut:
-        recs.extend(_lem52_spots(spec))
-    return recs
+        yield from _lem52_spots(spec)
 
 
 def _lem52_spots(spec):
-    recs = []
     for rname in ("k3", "p1xp1"):
         if spec.surface and spec.surface != rname:
             continue
@@ -1106,8 +955,7 @@ def _lem52_spots(spec):
         kfree = _ktrivial(ring, _probe(ring))
         others = _probe(ring)[:3]
         states = _action_states(ring, 2)
-        checks = 0
-        fail = None
+        t = _Tally()
         for p in range(3):
             for n in (-2, -1, 1, 2):
                 big = 2 + abs(n) + 1
@@ -1116,25 +964,19 @@ def _lem52_spots(spec):
                     for nb, b in others:
                         an = heisenberg(ring, n, b, big)
                         jp = jay(ring, p, n, a * b, big)
-                        for s in states:
-                            v = _vec(ring, s, big)
-                            lhs = commutator_action(gp, an, v)
-                            rhs = jp.apply(v).scale(Q(n, factorial(p)))
-                            checks += 1
-                            if lhs != rhs and fail is None:
-                                fail = _vector_fail(
-                                    {"check": "action", "surface": rname,
-                                     "p": p, "n": n}, lhs, rhs, s, ring,
-                                    {"a": na, "b": nb})
-        recs.append(fail or InstanceRecord(
-            {"check": "action", "surface": rname}, "pass", checks))
-    return recs
+                        t.states(ring, states, big,
+                                 lambda v: (commutator_action(gp, an, v),
+                                            jp.apply(v).scale(
+                                                Q(n, factorial(p)))),
+                                 {"check": "action", "surface": rname,
+                                  "p": p, "n": n, "a": na, "b": nb})
+        yield t.record({"check": "action", "surface": rname})
 
 
 # -- lem53: W-generators as field monomial components ----------------------
 
 
-def _run_lem53(spec, mut):
+def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """J^p_m equals its normally ordered field expression term by term:
 
         -1/(p+1) :a^{p+1}:_m + p(m^2-3m-2p)/24 :a^{p-1}:_m (Euler)
@@ -1143,38 +985,25 @@ def _run_lem53(spec, mut):
     Mutation field-coeff-shift: the middle coefficient gains p/24.
     """
     N = _cutoff(spec)
-    pmax = _bound(spec, "p_max", 4)
-    mmax = _bound(spec, "m_max", 3)
-    recs = []
-    for p in range(pmax + 1):
-        for m in range(-mmax, mmax + 1):
+    for p in range(p_max + 1):
+        for m in range(-m_max, m_max + 1):
             A = jay_smeared(p, m, N, N)
             B = jay_via_fields_smeared(p, m, N, N)
             if mut and p >= 1:
                 extra = series_to_smeared(
                     fourier_families(FourierSpec((0,) * (p - 1), m)), N, N)
                 B = B + extra.shift_euler().scaled(Q(p, 24))
-            recs.append(_universal_record(A - B, {"p": p, "m": m}))
+            yield _universal_record(A - B, {"p": p, "m": m})
     if not mut:
         ring = builtin_ring("p2")
-        checks = 0
-        fail = None
+        t = _Tally(total=True)
         for m in range(-2, 3):
             for na, a in _probe(ring):
                 f2 = fourier(ring, FourierSpec((0, 0), m), a, 5)
                 l2 = quadratic_sum(ring, m, a, 5).scaled(Q(-2))
-                checks += 1
-                if not f2.equal_terms(l2) and fail is None:
-                    fail = InstanceRecord(
-                        {"check": "square-field", "m": m, "a": na},
-                        "fail", 1, l2.render(), f2.render())
-        if fail:
-            fail.checks = checks
-            recs.append(fail)
-        else:
-            recs.append(InstanceRecord(
-                {"check": "square-field", "surface": "p2"}, "pass", checks))
-    return recs
+                t.check(f2.equal_terms(l2),
+                        {"check": "square-field", "m": m, "a": na}, l2, f2)
+        yield t.record({"check": "square-field", "surface": "p2"})
 
 
 # -- thm55: the full W-algebra bracket -------------------------------------
@@ -1219,7 +1048,7 @@ def pool_size(jobs):
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _run_thm55(spec, mut):
+def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
     """[J^p_m(a), J^q_n(b)] = (qm-pn) J^{p+q-1}_{m+n}(ab)
                               - (Omega(p,q,m,n)/12) J^{p+q-3}_{m+n}(e a b)
 
@@ -1230,143 +1059,112 @@ def _run_thm55(spec, mut):
     Mutation omega-negated: the structure polynomial flips sign.
     """
     N = _cutoff(spec)
-    pqmax = _bound(spec, "pq_max", 6)
-    mmax = _bound(spec, "m_max", 3)
     rings = _rings(spec, ("abelian", "k3", "p2"))
     if mut:
-        pqmax = min(pqmax, 3)
-        mmax = min(mmax, 1)
+        pq_max = min(pq_max, 3)
+        m_max = min(m_max, 1)
         rings = rings[:1]
     cells = [(p, q, m, n, N, mut)
-             for p in range(pqmax + 1)
-             for q in range(pqmax + 1 - p)
-             for m in range(-mmax, mmax + 1)
-             for n in range(-mmax, mmax + 1)]
+             for p in range(pq_max + 1)
+             for q in range(pq_max + 1 - p)
+             for m in range(-m_max, m_max + 1)
+             for n in range(-m_max, m_max + 1)]
     workers = pool_size(spec.jobs)
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(_thm55_cell, cells, chunksize=16)
     else:
         results = [_thm55_cell(c) for c in cells]
-    recs = []
-    ring_pairs = [(r, _probe(r, spec.classes or "named")) for r in rings]
+    cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
+             for r in rings]
     for (p, q, m, n), terms in results:
         delta = SmearedOp(terms)
-        recs.append(_universal_record(
-            delta, {"check": "universal", "p": p, "q": q, "m": m, "n": n}))
-        for ring, pairs in ring_pairs:
-            recs.append(_sweep_record(
-                delta, ring, pairs,
-                {"check": "instantiate", "p": p, "q": q, "m": m, "n": n}))
-    recs.extend(_thm55_centrals(spec, mut, N, mmax))
+        params = {"p": p, "q": q, "m": m, "n": n}
+        yield _universal_record(delta, dict(params, check="universal"))
+        for ring, rcases in cases:
+            yield _sweep(delta, ring, rcases,
+                         dict(params, check="instantiate"))
+    yield from _thm55_centrals(spec, N, m_max)
     if not mut:
-        recs.extend(_thm55_spots(spec, N))
-    return recs
+        yield from _thm55_spots(spec, N)
 
 
-def _thm55_centrals(spec, mut, N, mmax):
+def _thm55_centrals(spec, N, m_max):
     """Explicit central values on the K3 model."""
     if spec.surface and spec.surface != "k3":
-        return []
+        return
     ring = builtin_ring("k3")
-    u1, u2 = ring.basis("u1"), ring.basis("u2")
-    recs = []
-    cases = [(0, 0), (1, 1), (2, 0), (0, 2)]
-    for p, q in cases:
-        for m in range(1, mmax + 1):
-            n = -m
-            pos = _sound_pos(N, m, n)
-            meas = series_bracket(jay_families(p, m), jay_families(q, n),
+    u1u2 = ring.integrate(ring.basis("u1") * ring.basis("u2"))
+    for p, q in ((0, 0), (1, 1), (2, 0), (0, 2)):
+        for m in range(1, m_max + 1):
+            pos = _sound_pos(N, m, -m)
+            meas = series_bracket(jay_families(p, m), jay_families(q, -m),
                                   pos, N)
             if (p, q) == (0, 0):
-                got = Q(0)
-                for (modes, ep, kp), c in meas.terms.items():
-                    if not modes and not ep and not kp:
-                        got += c * ring.integrate(u1 * u2)
+                got = meas.terms.get(((), 0, 0), Q(0)) * u1u2
                 want = Q(-m)
                 label = "-m * integral(ab)"
             else:
-                got = Q(0)
-                for (modes, ep, kp), c in meas.terms.items():
-                    if modes or kp:
-                        continue
-                    got += c * ring.integrate(ring.e if ep else ring.unit)
-                if (p, q) == (1, 1):
-                    want = Q(m ** 3 - m, 12) * 24
-                    label = "(m^3-m)/12 * integral(e)"
-                else:
-                    want = Q(m ** 3 - m, 6) * 24
-                    label = "(m^3-m)/6 * integral(e)"
-            recs.append(InstanceRecord(
+                den = 12 if (p, q) == (1, 1) else 6
+                got = _scalar_part(meas, ring)
+                want = Q(m ** 3 - m, den) * 24
+                label = "(m^3-m)/%d * integral(e)" % den
+            yield InstanceRecord(
                 {"check": "central", "p": p, "q": q, "m": m, "label": label},
-                "pass" if got == want else "fail", 1, str(want), str(got)))
-    return recs
+                "pass" if got == want else "fail", 1, str(want), str(got))
 
 
 _THM55_SPOT_CELLS = ((1, 1, 1, -1), (2, 1, 1, -1), (2, 1, 2, -1),
                      (0, 3, 1, 1), (2, 2, 1, -1), (3, 0, 1, -1))
 
+_THM55_SPOT_PAIRS = {
+    "k3": (("1", "1"), ("u1", "u2"), ("1", "x")),
+    "abelian": (("1", "1"), ("t1", "t2"), ("t1", "t234"), ("t12", "t34")),
+    "p2": (("1", "1"), ("H", "H"), ("1", "x")),
+}
+
 
 def _thm55_spots(spec, N):
-    recs = []
     for rname in ("k3", "abelian", "p2"):
         if spec.surface and spec.surface != rname:
             continue
         ring = builtin_ring(rname)
-        if rname == "k3":
-            cpairs = [("1", "1"), ("u1", "u2"), ("1", "x")]
-        elif rname == "abelian":
-            cpairs = [("1", "1"), ("t1", "t2"), ("t1", "t234"),
-                      ("t12", "t34")]
-        else:
-            cpairs = [("1", "1"), ("H", "H"), ("1", "x")]
         allst = _action_states(ring, 2)
         states = ([allst[0]]
                   + [s for s in allst if weight(s) == 1][:2]
                   + [s for s in allst if weight(s) == 2][:4])
-        checks = 0
-        fail = None
+        wtop = max(weight(s) for s in states)
+        t = _Tally()
         for p, q, m, n in _THM55_SPOT_CELLS:
             pos = _sound_pos(N, m, n)
             exp = _thm55_expected(p, q, m, n, pos, N, False)
-            for ca, cb in cpairs:
+            big = wtop + abs(m) + abs(n)
+            for ca, cb in _THM55_SPOT_PAIRS[rname]:
                 a, b = ring.basis(ca), ring.basis(cb)
-                wtop = max(weight(s) for s in states)
-                big = wtop + abs(m) + abs(n)
                 ja = jay(ring, p, m, a, big)
                 jb = jay(ring, q, n, b, big)
                 rhs_op = instantiate(exp, ring, a * b, big)
-                for s in states:
-                    v = _vec(ring, s, big)
-                    lhs = commutator_action(ja, jb, v)
-                    rhs = rhs_op.apply(v)
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"check": "action", "surface": rname, "p": p,
-                             "q": q, "m": m, "n": n}, lhs, rhs, s, ring,
-                            {"a": ca, "b": cb})
-        recs.append(fail or InstanceRecord(
-            {"check": "action", "surface": rname}, "pass", checks))
-    return recs
+                t.states(ring, states, big,
+                         lambda v: (commutator_action(ja, jb, v),
+                                    rhs_op.apply(v)),
+                         {"check": "action", "surface": rname, "p": p,
+                          "q": q, "m": m, "n": n, "a": ca, "b": cb})
+        yield t.record({"check": "action", "surface": rname})
 
 
 # -- rmk56: derivative of W-generators -------------------------------------
 
 
-def _run_rmk56(spec, mut):
+def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
     """(J^p_n)' = -n J^{p+1}_n - ((n^3-n) p / 12) J^{p-1}_n(e c), p >= 1,
     modulo K (grounded with full K on explicit states).
 
     Mutation central-scale: the factor 1/12 becomes 1/6.
     """
     N = _cutoff(spec)
-    pmax = _bound(spec, "p_max", 3)
-    nmax = _bound(spec, "n_max", 2)
     keep = diamond_keep(N)
-    recs = []
-    for p in range(1, pmax + 1):
-        for n in range(-nmax, nmax + 1):
+    for p in range(1, p_max + 1):
+        for n in range(-n_max, n_max + 1):
             A = series_to_smeared(jay_families(p, n), N, N).filter(keep)
             dA = s_derive(A, keep, N, N, include_k=False)
             rhs = series_to_smeared(jay_families(p + 1, n), N, N)
@@ -1376,21 +1174,18 @@ def _run_rmk56(spec, mut):
                 rhs = rhs + series_to_smeared(
                     jay_families(p - 1, n), N, N).shift_euler().filter(
                         keep).scaled(cc)
-            recs.append(_universal_record(
-                dA - rhs, {"check": "universal", "p": p, "n": n}))
+            yield _universal_record(
+                dA - rhs, {"check": "universal", "p": p, "n": n})
     if not mut:
-        recs.extend(_rmk56_spots(spec))
-    return recs
+        yield from _rmk56_spots(spec)
 
 
 def _rmk56_spots(spec):
     if spec.surface and spec.surface != "k3":
-        return []
+        return
     ring = builtin_ring("k3")
     states = _action_states(ring, 2)[:6]
-    recs = []
-    checks = 0
-    fail = None
+    t = _Tally()
     for p in range(1, 4):
         for n in (-2, -1, 1, 2):
             big = 2 + abs(n) + 1
@@ -1399,25 +1194,19 @@ def _rmk56_spots(spec):
                 jup = jay(ring, p + 1, n, a, big)
                 jdown = jay(ring, p - 1, n, ring.e * a, big)
                 cc = Q(-(n ** 3 - n) * p, 12)
-                for s in states:
-                    v = _vec(ring, s, big)
-                    lhs = derivation_apply(jp.apply(v)) - jp.apply(
-                        derivation_apply(v))
-                    rhs = jup.apply(v).scale(Q(-n)) + jdown.apply(v).scale(cc)
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"check": "action", "surface": "k3", "p": p,
-                             "n": n}, lhs, rhs, s, ring, {"a": na})
-    recs.append(fail or InstanceRecord(
-        {"check": "action", "surface": "k3"}, "pass", checks))
-    return recs
+                t.states(ring, states, big,
+                         lambda v: (derivative_action(jp, v),
+                                    jup.apply(v).scale(Q(-n))
+                                    + jdown.apply(v).scale(cc)),
+                         {"check": "action", "surface": "k3", "p": p,
+                          "n": n, "a": na})
+    yield t.record({"check": "action", "surface": "k3"})
 
 
 # -- thm57: isomorphism with the abstract W-algebra ------------------------
 
 
-def _run_thm57(spec, mut):
+def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
     """On a surface with K = e = 0 the generators realize the abstract
     W-algebra: restricted to untagged terms,
 
@@ -1430,16 +1219,13 @@ def _run_thm57(spec, mut):
     Mutation linear-shift: the factor (qm-pn) gains +1.
     """
     N = _cutoff(spec)
-    pqmax = _bound(spec, "pq_max", 5)
-    mmax = _bound(spec, "m_max", 3)
-    recs = []
     if mut:
-        pqmax = min(pqmax, 2)
-        mmax = min(mmax, 1)
-    for p in range(pqmax + 1):
-        for q in range(pqmax + 1 - p):
-            for m in range(-mmax, mmax + 1):
-                for n in range(-mmax, mmax + 1):
+        pq_max = min(pq_max, 2)
+        m_max = min(m_max, 1)
+    for p in range(pq_max + 1):
+        for q in range(pq_max + 1 - p):
+            for m in range(-m_max, m_max + 1):
+                for n in range(-m_max, m_max + 1):
                     pos = _sound_pos(N, m, n)
                     meas = series_bracket(
                         [f for f in jay_families(p, m) if not f.epow],
@@ -1458,60 +1244,44 @@ def _run_thm57(spec, mut):
                     delta = SmearedOp(
                         {k: c for k, c in (meas - exp).terms.items()
                          if not k[1] and not k[2]})
-                    recs.append(_universal_record(
+                    yield _universal_record(
                         delta, {"check": "universal", "p": p, "q": q,
-                                "m": m, "n": n}))
+                                "m": m, "n": n})
     ring = builtin_ring("abelian")
-    recs.append(_thm57_symbolic(ring, mmax))
+    yield _thm57_symbolic(ring)
     if not mut:
-        recs.extend(_thm57_spots(ring))
-    return recs
+        yield _thm57_spots(ring)
 
 
-def _thm57_symbolic(ring, mmax):
+def _thm57_symbolic(ring):
     """The symbolic W-algebra bracket against the measured constants."""
-    checks = 0
-    fail = None
-    cls = [("1", ring.unit), ("t1", ring.basis("t1")),
-           ("t234", ring.basis("t234")), ("t12", ring.basis("t12"))]
-    for p in range(3):
-        for q in range(3):
-            for m in (-2, 0, 1):
-                for n in (-1, 1, 2):
-                    for ca, a in cls:
-                        for cb, b in cls:
-                            got = wbracket(ring, {wkey(p, m, a): Q(1)},
-                                           {wkey(q, n, b): Q(1)})
-                            ab = a * b
-                            want = {}
-                            if p == 0 and q == 0:
-                                if m == -n and m != 0:
-                                    c = Q(m) * -ring.integrate(ab)
-                                    if c:
-                                        want[CENTRAL] = c
-                            elif not ab.is_zero():
-                                want = wterm(p + q - 1, m + n, ab,
-                                             Q(q * m - p * n))
-                            checks += 1
-                            if got != want and fail is None:
-                                fail = InstanceRecord(
-                                    {"check": "symbolic", "p": p, "q": q,
-                                     "m": m, "n": n, "a": ca, "b": cb},
-                                    "fail", 1, str(want), str(got))
-    if fail:
-        fail.checks = checks
-        return fail
-    return InstanceRecord({"check": "symbolic"}, "pass", checks)
+    t = _Tally(total=True)
+    cls = [(c, ring.basis(c)) for c in _W_CLASSES["abelian"]]
+    for p, q, m, n in product(range(3), range(3), (-2, 0, 1), (-1, 1, 2)):
+        for (ca, a), (cb, b) in product(cls, cls):
+            got = wbracket(ring, {wkey(p, m, a): Q(1)},
+                           {wkey(q, n, b): Q(1)})
+            ab = a * b
+            want = {}
+            if p == 0 and q == 0:
+                if m == -n and m != 0:
+                    c = Q(m) * -ring.integrate(ab)
+                    if c:
+                        want[CENTRAL] = c
+            elif not ab.is_zero():
+                want = wterm(p + q - 1, m + n, ab, Q(q * m - p * n))
+            t.check(got == want,
+                    {"check": "symbolic", "p": p, "q": q, "m": m, "n": n,
+                     "a": ca, "b": cb}, want, got)
+    return t.record({"check": "symbolic"})
 
 
 def _thm57_spots(ring):
     """Action checks on the abelian model, including odd classes."""
-    recs = []
     states = _action_states(ring, 1)
     cpairs = [("1", "1"), ("t1", "t2"), ("t1", "t234"), ("t12", "t34"),
               ("t123", "t4")]
-    checks = 0
-    fail = None
+    t = _Tally()
     for p, q in ((0, 0), (1, 0), (1, 1), (2, 1)):
         for m, n in ((1, -1), (1, 1), (-1, -1), (2, -1)):
             big = 1 + abs(m) + abs(n)
@@ -1520,30 +1290,24 @@ def _thm57_spots(ring):
                 ja = jay(ring, p, m, a, big)
                 jb = jay(ring, q, n, b, big)
                 ab = a * b
-                rhs_parts = []
-                if (p, q) == (0, 0):
-                    cc = Q(-m) * ring.integrate(ab) if m == -n else Q(0)
-                else:
-                    cc = Q(0)
+                cc = (Q(-m) * ring.integrate(ab) if (p, q, m + n) == (0, 0, 0)
+                      else Q(0))
                 lin = Q(q * m - p * n)
                 jt = (jay(ring, p + q - 1, m + n, ab, big)
                       if (p, q) != (0, 0) and lin and not ab.is_zero()
                       else None)
-                for s in states:
-                    v = _vec(ring, s, big)
+
+                def sides(v):
                     lhs = commutator_action(ja, jb, v)
                     rhs = v.scale(cc)
                     if jt is not None:
                         rhs = rhs + jt.apply(v).scale(lin)
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = _vector_fail(
-                            {"check": "action", "surface": "abelian",
-                             "p": p, "q": q, "m": m, "n": n},
-                            lhs, rhs, s, ring, {"a": ca, "b": cb})
-    recs.append(fail or InstanceRecord(
-        {"check": "action", "surface": "abelian"}, "pass", checks))
-    return recs
+                    return lhs, rhs
+
+                t.states(ring, states, big, sides,
+                         {"check": "action", "surface": "abelian", "p": p,
+                          "q": q, "m": m, "n": n, "a": ca, "b": cb})
+    return t.record({"check": "action", "surface": "abelian"})
 
 
 # -- lem61: derivative identities of field monomials -----------------------
@@ -1560,7 +1324,28 @@ def _F(orders, m, B):
     return _F_CACHE[key]
 
 
-def _run_lem61(spec, mut):
+def _lem61_identities(Nf, m, six):
+    """(name, lhs orders, lhs scalar, rhs terms) of the five identities at
+    N = Nf underived factors; a rhs term (orders, used, coefficient)
+    replaces the first `used` underived factors and needs Nf >= used."""
+    s1, s2, s3 = -m - Nf, -m - Nf - 1, -m - Nf - 2
+    return (
+        ("i", (), s1 * s2,
+         (((2,), 1, Nf), ((1, 1), 2, Nf * (Nf - 1)))),
+        ("ii", (), s1 * s2 * s3,
+         (((3,), 1, Nf), ((1, 2), 2, six * comb(Nf, 2)),
+          ((1, 1, 1), 3, 6 * comb(Nf, 3)))),
+        ("iii", (2,), -m - Nf - 3,
+         (((3,), 0, 1), ((1, 2), 1, Nf))),
+        ("iv", (1, 1), -m - Nf - 4,
+         (((1, 2), 0, 2), ((1, 1, 1), 1, Nf))),
+        ("v", (), s1 * s2 * s3,
+         (((2,), 1, 3 * Nf * s3), ((3,), 1, -2 * Nf),
+          ((1, 1, 1), 3, 6 * comb(Nf, 3)))),
+    )
+
+
+def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     """Five derivative identities of normally ordered field monomials,
     compared as component term lists; N is the number of underived
     factors and the component scalars are products of (-m - weight - s).
@@ -1568,89 +1353,43 @@ def _run_lem61(spec, mut):
     Mutation coeff-shift: the 6 C(N,2) coefficient becomes 5 C(N,2).
     """
     B = _cutoff(spec, 5)
-    nfmax = _bound(spec, "n_max", 4)
-    mmax = _bound(spec, "m_max", 3)
-    recs = []
     six = 5 if mut else 6
-    for Nf in range(nfmax + 1):
-        for m in range(-mmax, mmax + 1):
+    for Nf in range(n_max + 1):
+        for m in range(-m_max, m_max + 1):
             z = (0,) * Nf
-            s1 = Q(-m - Nf)
-            s2 = Q(-m - Nf - 1)
-            s3 = Q(-m - Nf - 2)
-            lhs = _F(z, m, B).scaled(s1 * s2)
-            rhs = SmearedOp()
-            if Nf >= 1:
-                rhs.merge(_F((2,) + z[1:], m, B), Q(Nf))
-            if Nf >= 2:
-                rhs.merge(_F((1, 1) + z[2:], m, B), Q(Nf * (Nf - 1)))
-            recs.append(_universal_record(
-                lhs - rhs, {"identity": "i", "N": Nf, "m": m}))
-            lhs = _F(z, m, B).scaled(s1 * s2 * s3)
-            rhs = SmearedOp()
-            if Nf >= 1:
-                rhs.merge(_F((3,) + z[1:], m, B), Q(Nf))
-            if Nf >= 2:
-                rhs.merge(_F((1, 2) + z[2:], m, B), Q(six * comb(Nf, 2)))
-            if Nf >= 3:
-                rhs.merge(_F((1, 1, 1) + z[3:], m, B), Q(6 * comb(Nf, 3)))
-            recs.append(_universal_record(
-                lhs - rhs, {"identity": "ii", "N": Nf, "m": m}))
-            lhs = _F((2,) + z, m, B).scaled(Q(-m - Nf - 3))
-            rhs = SmearedOp()
-            rhs.merge(_F((3,) + z, m, B), Q(1))
-            if Nf >= 1:
-                rhs.merge(_F((1, 2) + z[1:], m, B), Q(Nf))
-            recs.append(_universal_record(
-                lhs - rhs, {"identity": "iii", "N": Nf, "m": m}))
-            lhs = _F((1, 1) + z, m, B).scaled(Q(-m - Nf - 4))
-            rhs = SmearedOp()
-            rhs.merge(_F((1, 2) + z, m, B), Q(2))
-            if Nf >= 1:
-                rhs.merge(_F((1, 1, 1) + z[1:], m, B), Q(Nf))
-            recs.append(_universal_record(
-                lhs - rhs, {"identity": "iv", "N": Nf, "m": m}))
-            lhs = _F(z, m, B).scaled(s1 * s2 * s3)
-            rhs = SmearedOp()
-            if Nf >= 1:
-                rhs.merge(_F((2,) + z[1:], m, B),
-                          Q(3 * Nf) * Q(-m - Nf - 2))
-                rhs.merge(_F((3,) + z[1:], m, B), Q(-2 * Nf))
-            if Nf >= 3:
-                rhs.merge(_F((1, 1, 1) + z[3:], m, B), Q(6 * comb(Nf, 3)))
-            recs.append(_universal_record(
-                lhs - rhs, {"identity": "v", "N": Nf, "m": m}))
-    return recs
+            for name, orders, scale, terms in _lem61_identities(Nf, m, six):
+                lhs = _F(orders + z, m, B).scaled(Q(scale))
+                rhs = SmearedOp()
+                for rorders, used, c in terms:
+                    if Nf >= used:
+                        rhs.merge(_F(rorders + z[used:], m, B), Q(c))
+                yield _universal_record(
+                    lhs - rhs, {"identity": name, "N": Nf, "m": m})
 
 
 # -- eq22: the abstract W-algebra ------------------------------------------
 
 
-def _run_eq22(spec, mut):
+def _run_eq22(spec, mut, *, p_max=2, m_max=2):
     """Antisymmetry and the Jacobi identity of the symbolic bracket, and
     the trace convention trace = -integral against the measured
     transfer-operator central term.
 
     Mutation central-shift: the central factor m becomes m + 1.
     """
-    pmax = _bound(spec, "p_max", 2)
-    mmax = _bound(spec, "m_max", 2)
-    recs = []
+    if spec.surface not in ("", "abelian", "k3"):
+        raise ValueError("suite eq22 runs on abelian or k3, not %s"
+                         % spec.surface)
     rings = _rings(spec, ("abelian", "k3"))
     if mut:
-        pmax = min(pmax, 1)
+        p_max = min(p_max, 1)
         rings = rings[:1]
     for ring in rings:
-        if ring.name == "abelian":
-            cls = [("1", ring.unit), ("t1", ring.basis("t1")),
-                   ("t234", ring.basis("t234")), ("t12", ring.basis("t12"))]
-        else:
-            cls = [("1", ring.unit), ("u1", ring.basis("u1")),
-                   ("u2", ring.basis("u2")), ("x", ring.basis("x"))]
-        singles = [(p, m, cn, c)
-                   for p in range(pmax + 1)
-                   for m in range(-mmax, mmax + 1)
-                   for cn, c in cls]
+        names = _W_CLASSES[ring.name]
+        singles = [(p, m, cn, ring.basis(cn))
+                   for p in range(p_max + 1)
+                   for m in range(-m_max, m_max + 1)
+                   for cn in names]
 
         def brk(x, y):
             out = wbracket(ring, x, y)
@@ -1667,8 +1406,7 @@ def _run_eq22(spec, mut):
                                 out[CENTRAL] = out.get(CENTRAL, Q(0)) + c
             return {k: v for k, v in out.items() if v}
 
-        checks = 0
-        fail = None
+        t = _Tally()
         for p, m, cn, c in singles:
             x = {wkey(p, m, c): Q(1)}
             px = wparity(ring, x)
@@ -1678,23 +1416,15 @@ def _run_eq22(spec, mut):
                 sign = Q(-1) if (px and py) else Q(1)
                 lhs = brk(x, y)
                 rhs = {k: -sign * v for k, v in brk(y, x).items()}
-                rhs = {k: v for k, v in rhs.items() if v}
-                checks += 1
-                if lhs != rhs and fail is None:
-                    fail = InstanceRecord(
+                t.check(lhs == rhs,
                         {"check": "antisymmetry", "surface": ring.name,
                          "x": "J(%d,%d;%s)" % (p, m, cn),
-                         "y": "J(%d,%d;%s)" % (q, n, dn)},
-                        "fail", 1, str(rhs), str(lhs))
-        recs.append(fail or InstanceRecord(
-            {"check": "antisymmetry", "surface": ring.name},
-            "pass", checks))
+                         "y": "J(%d,%d;%s)" % (q, n, dn)}, rhs, lhs)
+        yield t.record({"check": "antisymmetry", "surface": ring.name})
         if mut:
             continue
-        checks = 0
-        fail = None
-        sub = [s for s in singles if s[1] in (-2, 0, 1) and s[2] in
-               (cls[0][0], cls[1][0], cls[2][0])]
+        t = _Tally()
+        sub = [s for s in singles if s[1] in (-2, 0, 1) and s[2] in names[:3]]
         for p, m, cn, c in sub:
             x = {wkey(p, m, c): Q(1)}
             px = wparity(ring, x)
@@ -1711,31 +1441,18 @@ def _run_eq22(spec, mut):
                     for k, v in t2.items():
                         rhs[k] = rhs.get(k, Q(0)) + sign * v
                     rhs = {k: v for k, v in rhs.items() if v}
-                    checks += 1
-                    if lhs != rhs and fail is None:
-                        fail = InstanceRecord(
+                    t.check(lhs == rhs,
                             {"check": "jacobi", "surface": ring.name,
                              "x": "J(%d,%d;%s)" % (p, m, cn),
                              "y": "J(%d,%d;%s)" % (q, n, dn),
-                             "z": "J(%d,%d;%s)" % (r, s_, en)},
-                            "fail", 1, str(rhs), str(lhs))
-        recs.append(fail or InstanceRecord(
-            {"check": "jacobi", "surface": ring.name}, "pass", checks))
-    checks = 0
-    fail = None
-    ring = rings[0]
+                             "z": "J(%d,%d;%s)" % (r, s_, en)}, rhs, lhs)
+        yield t.record({"check": "jacobi", "surface": ring.name})
+    t = _Tally()
     for m in (1, 2, 3):
         meas = series_bracket(heis_families(m), heis_families(-m), 4, 4)
         got = meas.terms.get(((), 0, 0), Q(0))
-        want = Q(-m)
-        checks += 1
-        if got != want and fail is None:
-            fail = InstanceRecord(
-                {"check": "trace-bridge", "m": m}, "fail", 1,
-                str(want), str(got))
-    recs.append(fail or InstanceRecord(
-        {"check": "trace-bridge"}, "pass", checks))
-    return recs
+        t.check(got == -m, {"check": "trace-bridge", "m": m}, Q(-m), got)
+    yield t.record({"check": "trace-bridge"})
 
 
 # -- registry and reports --------------------------------------------------
@@ -1791,14 +1508,20 @@ def run_suite(spec):
         raise ValueError("unknown suite %r (choose from %s)"
                          % (spec.suite, ", ".join(sorted(SUITES))))
     runner, _, mlabel = SUITES[spec.suite]
-    mut = False
-    if spec.mutation:
-        if spec.mutation != mlabel:
-            raise ValueError("suite %s supports only mutation %r"
-                             % (spec.suite, mlabel))
-        mut = True
+    if spec.mutation and spec.mutation != mlabel:
+        raise ValueError("suite %s supports only mutation %r"
+                         % (spec.suite, mlabel))
+    if spec.cutoff < 0:
+        raise ValueError("cutoff must be at least 0, got %d" % spec.cutoff)
+    accepted = sorted(runner.__kwdefaults__ or ())
+    unknown = sorted(set(spec.bounds) - set(accepted))
+    if unknown:
+        raise ValueError("suite %s has no bound %s; it accepts %s"
+                         % (spec.suite, ", ".join(unknown),
+                            ", ".join(accepted) or "none"))
+    bounds = {k: int(v) for k, v in spec.bounds.items()}
     t0 = time.perf_counter()
-    records = runner(spec, mut)
+    records = list(runner(spec, bool(spec.mutation), **bounds))
     wall = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(spec.suite, spec, records, wall)
 

@@ -303,16 +303,6 @@ def wterm(p, n, elem, c=Q(1)):
     return {("L", p, n, norm): c}
 
 
-def welem(terms):
-    """Abstract element as {key: coefficient}."""
-    out = {}
-    for k, c in terms.items():
-        c = Q(c)
-        if c:
-            out[k] = out.get(k, Q(0)) + c
-    return {k: c for k, c in out.items() if c}
-
-
 def _wpair(ring, p, mm, ac, q, nn, bc):
     ab = RingElem(ring, ac) * RingElem(ring, bc)
     if p == 0 and q == 0:

@@ -6,6 +6,7 @@ clock budget.  All checks are exact rational identities; there are no
 tolerances anywhere.
 """
 
+import hashlib
 import os
 import time
 from fractions import Fraction as Q
@@ -14,10 +15,90 @@ from hilbfock.fock import vacuum
 from hilbfock.hilbert import intersection_number, intersection_number_closed
 from hilbfock.operators import commutator_action
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
-from hilbfock.verify import SUITES, SuiteSpec, run_suite
+from hilbfock.verify import SUITES, SuiteSpec, run_suite, serialize_report
 from hilbfock.walgebra import virasoro
 
 JOBS = max(1, os.cpu_count() or 1)
+
+# Frozen sha256 of the jsonl report of every battery run, by suite: the
+# plain runs below (eq22 runs only mutated) and the mutated runs of test
+# 12.  A change to any report byte must be explained in CHANGES.md before
+# a digest here is refrozen.
+REPORT_SHA256 = {
+    "cor48":
+        "16b277e44cac594e8d9291a2eb82ecf6ea201ef38d5456dd39c0654a27ce2a5f",
+    "def51-ids":
+        "afa41e5cd98f7b74591e72c99529be29c8b99c56ada0be7f39e187b51972ded6",
+    "heis":
+        "71b294fe3988676807d74f5f43480d268a15d4e1ef520f01b55b1c29cad31fd9",
+    "lem32":
+        "a3e3e2db188c64a82b0a969b7c9391ad617c3760e7a5cd8614fcd691b1f9dfb4",
+    "lem52":
+        "317f574ff3dd0b317e53dc9202ef7dcbe17d1590a2ad7ecaf2f67289ff013dd9",
+    "lem53":
+        "62d3cf305cdab5399bb84a85070b73d9464f9ab67058400cc0a0f7852a9ae717",
+    "lem61":
+        "be7dd8ce7214051faa96114a843748d14e2e74628a115ee4197fe67da461bc36",
+    "rmk410":
+        "439a66c3265216de4c63572c0c4f78c44b18870291f565a4bf79be714bc7dcb5",
+    "rmk43":
+        "2c2ff2495398cff8f0d8a26d7fb88efa119c2be1eef8141a431860b4c95b70bc",
+    "rmk56":
+        "c47d80fa4059918720da2fb3f5c4ae4da9cd410ceccab618c3fc20247a544a46",
+    "thm31":
+        "0c92f26c7eeebcf88b9f64649db95d169968f3d93abcb820786ce5df4bdce7fa",
+    "thm42":
+        "3881698652146321ad5be240421681845782ce43597e046468fdfe6fd3892c3c",
+    "thm46-unique":
+        "e551607e80054c09e39766bef638562efe07c8d80ae1dc18c56c3e53913794b3",
+    "thm55":
+        "5760aeb88da607375c5ae04ae21be5bce710e52a259675ba1bf309d7d3596a79",
+    "thm57":
+        "afa10328f40c1da578e2a21e0f893adfad926d931fe0df5d14ffbfb317ae0d58",
+    "vir":
+        "c57731c2b5fa01dd030280ab4c8e0529400e12012c00d74bae65f5bbef204985",
+}
+MUTATED_SHA256 = {
+    "cor48":
+        "a5fab4630694dc82449a28d3449a534e05a252ee2b64ba17ec7559f1d5ee0c72",
+    "def51-ids":
+        "7d1bbfd18e7e7b35f56ec1763efd6b9f4b06b64f3427390f1a50757a43450282",
+    "eq22":
+        "8a17c3d8ab36e834d35361ec49752ba6e9e2cb1d9dd231cc10ee3c2a68ef7993",
+    "heis":
+        "df02945d92dacbd46352d207926700561fb07ae7f07ba4d4c744bb4f32beea63",
+    "lem32":
+        "0de949c858f8d74bd74d2b22a67d985616150342bd8fda43a80f631979b01135",
+    "lem52":
+        "76ddf700d4d869d21cbdcf6e0d20331feeaa140f53802b6ab1cb891514f8ef0d",
+    "lem53":
+        "dcc2b2cc3a5cd506117d2cbd9a4cfcf82a13e8c25805f301a4e745221092aeeb",
+    "lem61":
+        "c7f44b373e8e37e171aa27dff771e5957ab3d528f9d63394ce02b61857d93ffa",
+    "rmk410":
+        "a254b0c37d9c8762e25891caecaa267e1720a0f4ebb1d0bdd1799a02de02e7ac",
+    "rmk43":
+        "aac91a945067bfbe53f12d4168a3e5c83f65c644f5ac66bcef898d7dda816937",
+    "rmk56":
+        "290aaa73c6ff8f5d3ddf40604a10bf0c98524f836a800f4175403f9700544dfc",
+    "thm31":
+        "2ea6847fd7898ccf4a4ee3cb7e62064f0a49896a10c967e091bc16803a00eec2",
+    "thm42":
+        "33b4be78342be534443af0d44716ef108a3f607bc2861a38afdc3d7fa5948561",
+    "thm46-unique":
+        "212d21d108fd06b2049e8c8c14629f136c78d9c532ae1ea55ae2d9644c132bb2",
+    "thm55":
+        "8c771e91f55f43790e0decdbcd8efaded89041509808eb7b6f4fcb9c057ae392",
+    "thm57":
+        "3fdded60fb792843876c588293caaaacfce1258c418fa98bcc03a65912681263",
+    "vir":
+        "6df94b233808a5635d75593344e7f0121f57225c5cd8c7309a1dd46335cac12f",
+}
+
+
+def report_sha256(report):
+    text = serialize_report(report, "jsonl")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_ok(spec, budget):
@@ -31,6 +112,7 @@ def run_ok(spec, budget):
     assert report.records, spec.suite
     assert elapsed < budget, "%s took %.1fs (budget %.0fs)" % (
         spec.suite, elapsed, budget)
+    assert report_sha256(report) == REPORT_SHA256[spec.suite], spec.suite
     return report
 
 
@@ -181,4 +263,5 @@ def test_acceptance_12_every_mutation_is_detected():
     for name, (_, _, label) in sorted(SUITES.items()):
         report = run_suite(SuiteSpec(name, mutation=label))
         assert report.failed >= 1, name
+        assert report_sha256(report) == MUTATED_SHA256[name], name
     assert time.perf_counter() - t0 < 120

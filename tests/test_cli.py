@@ -66,6 +66,28 @@ def test_verify_jobs_below_one_is_usage_error(capsys):
         assert "--jobs must be at least 1" in err
 
 
+def test_verify_negative_cutoff_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "rmk43", "--cutoff",
+                         "-3", "--mutation", "shift-term")
+    assert code == 2 and out == ""
+    assert "cutoff must be at least 0" in err
+
+
+def test_verify_unknown_bound_key_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "rmk43",
+                         "--bound", "kmax=1")
+    assert code == 2 and out == ""
+    assert "kmax" in err and "k_max, n_max" in err
+
+
+def test_verify_eq22_unsupported_surface_is_usage_error(capsys):
+    for surface in ("p2", "p1xp1"):
+        code, out, err = run(capsys, "verify", "--suite", "eq22",
+                             "--surface", surface)
+        assert code == 2 and out == ""
+        assert "abelian or k3" in err and "Traceback" not in err
+
+
 def test_omega_value_and_jsonl(capsys):
     code, out, _ = run(capsys, "omega", "--p", "2", "--q", "1",
                        "--m", "1", "--n", "1")

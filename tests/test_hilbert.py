@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock.fock import FockVector, degree, fundamental_class, vacuum
-from hilbfock.hilbert import (ChernClassRequest, IntersectionRequest,
-                              chern_class, chern_class_closed, cup_product,
+from hilbfock.hilbert import (chern_class, chern_class_closed, cup_product,
                               hilb_integral, intersection_number,
                               intersection_number_closed, point_class)
 from hilbfock.operators import heisenberg
@@ -133,14 +132,6 @@ def test_intersection_degree_mismatch_vanishes():
     for ks, n in (((1, 1), 2), ((1, 1, 0), 3), ((0,), 2)):
         assert intersection_number_closed(ks, n) == 0, (ks, n)
         assert intersection_number(P2, ks, n) == 0, (ks, n)
-
-
-def test_request_dataclasses_hashable():
-    req = ChernClassRequest(k=2, n=3)
-    assert req.class_name == "x"
-    assert hash(req) == hash(ChernClassRequest(2, 3, "x"))
-    grid = {IntersectionRequest((0, 0), 2), IntersectionRequest((0, 0), 2)}
-    assert len(grid) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hilbfock.fock import FockVector, basis_states, pairing, vacuum
 from hilbfock.operators import (OperatorSum, SmearedOp, apply_arrangement,
-                                box_keep, commutator_action, compose,
+                                box_keep, commutator_action,
                                 derivation_apply, derivative_action,
                                 diamond_keep, heisenberg, instantiate,
                                 monomial, normalize_arrangement,
@@ -208,13 +208,6 @@ def test_apply_arrangement_matches_composition():
     got = apply_arrangement(P2, (-2, 1), x, v)
     want = heisenberg(P2, -2, x, 5).apply(heisenberg(P2, 1, x, 5).apply(v))
     assert got == want
-
-
-def test_compose_applies_right_to_left():
-    a = heisenberg(P2, -1, P2.elem({"H": 1}), 5)
-    b = heisenberg(P2, 1, P2.elem({"H": 1}), 5)
-    v = st_vec(P2, 5, (-1, {"H": 1}))
-    assert compose(a, b).apply(v) == a.apply(b.apply(v))
 
 
 def test_instantiate_euler_and_canonical_tags():

@@ -64,6 +64,7 @@ def test_report_lines_structure():
     report = run_suite(SuiteSpec("lem53", bounds={"p_max": 2, "m_max": 2}))
     lines = report_lines(report)
     assert set(lines[0]) == {"header"}
+    assert lines[0]["header"]["bounds"] == {"m_max": 2, "p_max": 2}
     assert set(lines[-1]) == {"summary"}
     assert lines[-1]["summary"]["instances"] == len(report.records)
     assert lines[-1]["summary"]["ok"] is True
@@ -114,3 +115,22 @@ def test_report_ok_semantics():
     assert VerificationReport("heis", spec, [good]).ok
     mixed = VerificationReport("heis", spec, [good, bad])
     assert mixed.passed == 1 and mixed.failed == 1 and not mixed.ok
+
+
+def test_negative_cutoff_rejected():
+    # A negative window empties every smeared series, so no check could fail.
+    with pytest.raises(ValueError, match="cutoff"):
+        run_suite(SuiteSpec("rmk43", cutoff=-3, mutation="shift-term"))
+
+
+def test_unknown_bound_key_rejected():
+    with pytest.raises(ValueError, match="kmax.*accepts k_max, n_max"):
+        run_suite(SuiteSpec("rmk43", bounds={"kmax": 1}))
+    with pytest.raises(ValueError, match="accepts none"):
+        run_suite(SuiteSpec("lem32", bounds={"m_max": 1}))
+
+
+def test_eq22_rejects_surfaces_without_its_classes():
+    for surface in ("p2", "p1xp1"):
+        with pytest.raises(ValueError, match="abelian or k3"):
+            run_suite(SuiteSpec("eq22", surface=surface))
