@@ -209,6 +209,8 @@ def _cmd_cup(args):
 
 def _cmd_intersect(args):
     ring = _resolve_ring(args.surface, args.ring_file)
+    if args.n < 1:
+        raise UsageError("--n must be at least 1, got %d" % args.n)
     if args.grid:
         rows = []
         for n in range(1, args.n + 1):
@@ -237,7 +239,10 @@ def _cmd_intersect(args):
         raise UsageError(
             "degree mismatch: sum of (k+2) over --k must be 2n; "
             "got %d for n=%d" % (sum(k + 2 for k in ks), args.n))
-    value = intersection_number(ring, ks, args.n)
+    try:
+        value = intersection_number(ring, ks, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     oracle = intersection_number_closed(ks, args.n)
     match = value == oracle
     if args.format == "json":
@@ -288,6 +293,8 @@ def _cmd_omega(args):
 
 def _cmd_dump(args):
     ring = _resolve_ring(args.surface, args.ring_file)
+    if args.cutoff < 0:
+        raise UsageError("--cutoff must be at least 0, got %d" % args.cutoff)
     try:
         op = parse_operator(ring, args.op, args.cutoff)
     except ValueError as exc:

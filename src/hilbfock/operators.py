@@ -30,7 +30,6 @@ instantiate on a concrete ring where needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .fock import (FockVector, annihilate_state, canonical_factors,
                    create_state, exact)
@@ -598,7 +597,7 @@ def instantiate(smeared, ring, gamma, cutoff):
         if cls.is_zero():
             continue
         if not modes:
-            op.scalar += c * ring.integrate(cls)
+            op.merge(OperatorSum(ring, cutoff, scalar=ring.integrate(cls)), c)
             continue
         gp = GenPartition(modes)
         if gp.positive_total() > cutoff or gp.negative_total() > cutoff:

@@ -28,20 +28,20 @@ from itertools import groupby, product
 from math import comb, factorial
 from multiprocessing import Pool
 
-from .fock import FockVector, basis_states, render_state, vacuum, weight
+from .fock import FockVector, basis_states, render_state, weight
 from .operators import (Family, SmearedOp, box_keep, commutator_action,
                         derivation_apply, derivative_action, diamond_keep,
                         heisenberg, instantiate, monomial, quadratic_sum,
                         s_bracket, s_derive, series_bracket,
                         series_to_smeared, apply_arrangement)
-from .partitions import GenPartition, enumerate_ordinary
-from .ring import RingElem, SURFACE_NAMES, builtin_ring
+from .partitions import GenPartition
+from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
                        chern_families, chern_smeared, fourier,
                        fourier_families, heis_families, jay, jay_families,
                        jay_smeared, jay_via_fields_smeared, omega,
-                       shift_families, vir_families, wbracket, wkey,
-                       wparity, wterm)
+                       shift_families, vir_families, wbracket, wparity,
+                       wterm)
 from .hilbert import (chern_class, chern_class_closed, intersection_number,
                       intersection_number_closed, k_multisets)
 
@@ -283,6 +283,17 @@ def _iter_deriv(op, k, vec):
     lower = _iter_deriv(op, k - 1, vec)
     return derivation_apply(lower) - _iter_deriv(op, k - 1,
                                                  derivation_apply(vec))
+
+
+def _euler_families(ell, total, c):
+    """The family c/(24 lam^!) a_lam(tau(e g)) over partitions of length
+    ell and size total, as a family list; empty for ell < 1, where the
+    series it shifts has no Euler family.  Each euler-shift mutation is
+    the checked series plus this one family."""
+    if ell < 1:
+        return []
+    return [Family(ell, total, lambda parts, mf, ws: Q(c, 24 * mf),
+                   epow=1)]
 
 
 # -- heis: transfer operator commutators ----------------------------------
@@ -596,15 +607,11 @@ def _run_lem32(spec, mut):
 
 
 def _apow_smeared(n, k, N, mut):
-    lead = Q((-n) ** k * factorial(k))
-    fams = [Family(k + 1, n, lambda parts, mf, ws, lead=lead: lead / mf)]
-    shift = 2 if mut else 0
-    if k - 1 >= 1:
-        fams.append(Family(
-            k - 1, n,
-            lambda parts, mf, ws, lead=lead, shift=shift:
-            -lead * (ws - 1 + shift) / (24 * mf),
-            epow=1))
+    """apow_families(n, k) on the window; the mutation adds
+    -2 (-n)^k k! / (24 lam^!) a_lam(tau(e c)), turning (s-1) into (s+1)."""
+    fams = apow_families(n, k)
+    if mut:
+        fams += _euler_families(k - 1, n, -2 * (-n) ** k * factorial(k))
     return series_to_smeared(fams, N, N).filter(diamond_keep(N))
 
 
@@ -695,28 +702,15 @@ def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
                 rhs = series_to_smeared(
                     shift_families(k + 1, n, d), N, N).filter(keep)
                 rhs = rhs.scaled(Q(-n * (k + 1)))
-                c2 = Q(-n * (d + (2 if mut else 1)), 12)
+                c2 = -2 * n * (d + (2 if mut else 1))
                 if c2:
-                    efam = Family(k, n, lambda parts, mf, ws: Q(1, mf),
-                                  epow=1)
                     rhs = rhs + series_to_smeared(
-                        [efam], N, N).filter(keep).scaled(c2)
+                        _euler_families(k, n, c2), N, N).filter(keep)
                 yield _universal_record(
                     dA - rhs, {"k": k, "n": n, "d": d})
 
 
 # -- thm46-unique: characterization of the character series ----------------
-
-
-def _chern_families_mut(k, mut):
-    fams = [Family(k + 2, 0, lambda parts, mf, ws: Q(-1, mf))]
-    shift = 1 if mut else 0
-    if k >= 1:
-        fams.append(Family(
-            k, 0,
-            lambda parts, mf, ws, shift=shift: Q(ws - 2 + shift, 24 * mf),
-            epow=1))
-    return fams
 
 
 def _run_thm46(spec, mut, *, k_max=3):
@@ -729,7 +723,9 @@ def _run_thm46(spec, mut, *, k_max=3):
     N = _cutoff(spec)
     keep = diamond_keep(N)
     for k in range(k_max + 1):
-        fams = _chern_families_mut(k, mut)
+        fams = chern_families(k)
+        if mut:
+            fams += _euler_families(k, 0, 1)
         A = series_to_smeared(fams, N, N).filter(keep)
         bad = [m for (m, _, _) in A.terms if not m or max(m) <= 0]
         yield InstanceRecord(
@@ -775,10 +771,14 @@ def _run_cor48(spec, mut, *, n_max=4):
     """Character classes G_k(c, n) by operator action and by the closed
     creation expansion agree for every basis class on K-trivial surfaces.
 
-    Mutation euler-shift: the closed Euler weight (j+1+s-2) gains +1.
+    Mutation euler-shift: the closed Euler weight (j+1+s-2) gains +1,
+    which adds -(1/24) G_{k-2}(e a, n) by the closed expansion (e*e = 0).
     """
     rings = _rings(spec, ("abelian", "k3"))
     if mut:
+        if spec.surface not in ("", "k3"):
+            raise ValueError("the cor48 mutation needs e != 0 and runs on "
+                             "k3, not %s" % spec.surface)
         rings = [builtin_ring("k3")]
         n_max = min(n_max, 3)
     for ring in rings:
@@ -790,32 +790,11 @@ def _run_cor48(spec, mut, *, n_max=4):
                     via_op = chern_class(ring, k, a, n)
                     via_closed = chern_class_closed(ring, k, a, n)
                     if mut:
-                        via_closed = via_closed + _cor48_mut_extra(
-                            ring, k, a, n)
+                        via_closed = via_closed + chern_class_closed(
+                            ring, k - 2, ring.e * a, n).scale(Q(-1, 24))
                     t.check(via_op == via_closed, dict(params, a=na),
                             via_op, via_closed)
                 yield t.record(params)
-
-
-def _cor48_mut_extra(ring, k, a, n):
-    """The documented mutation: +1 inside the closed Euler weight."""
-    out = FockVector(ring, n)
-    ea = ring.e * a
-    if ea.is_zero():
-        return out
-    unit_op = heisenberg(ring, -1, ring.unit, n)
-    for j in range(k + 1):
-        r = n - j - 1
-        if r < 0:
-            continue
-        for lam in enumerate_ordinary(j + 1, k - j - 1):
-            coeff = Q((-1) ** (j + 1),
-                      24 * lam.mult_factorial * factorial(j + 1))
-            vec = monomial(ring, lam.negate(), ea, n).apply(vacuum(ring, n))
-            for _ in range(r):
-                vec = unit_op.apply(vec)
-            out = out + vec.scale(coeff / factorial(r))
-    return out
 
 
 # -- rmk410: surface-independent intersection numbers ----------------------
@@ -861,19 +840,6 @@ def _run_rmk410(spec, mut, *, n_max=4):
 # -- def51-ids: W-generator identifications --------------------------------
 
 
-def _jay_families_mut(p, n, mut):
-    fams = [Family(p + 1, n,
-                   lambda parts, mf, ws, p=p: Q(-factorial(p), mf))]
-    shift = 1 if mut else 0
-    if p - 1 >= 1:
-        fams.append(Family(
-            p - 1, n,
-            lambda parts, mf, ws, p=p, n=n, shift=shift:
-            Q(factorial(p) * (ws + n * n - 2 - shift), 24 * mf),
-            epow=1))
-    return fams
-
-
 def _run_def51(spec, mut, *, p_max=4, n_max=3):
     """Identifications of the W-generators:
 
@@ -883,8 +849,15 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
     Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
     """
     N = _cutoff(spec)
+
+    def jf(p, n):
+        fams = jay_families(p, n)
+        if mut:
+            fams += _euler_families(p - 1, n, -factorial(p))
+        return fams
+
     for n in range(-n_max, n_max + 1):
-        got = series_to_smeared(_jay_families_mut(0, n, mut), N, N)
+        got = series_to_smeared(jf(0, n), N, N)
         want = series_to_smeared(heis_families(n), N, N).scaled(Q(-1))
         yield _universal_record(got - want, {"part": "a", "n": n})
     for rname in ("p2", "k3"):
@@ -895,7 +868,7 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         for n in range(-2, 3):
             for na, a in _probe(ring)[:4]:
                 ja = instantiate(
-                    series_to_smeared(_jay_families_mut(1, n, mut), 4, 4),
+                    series_to_smeared(jf(1, n), 4, 4),
                     ring, a, 4)
                 ln = quadratic_sum(ring, n, a, 4)
                 t.check(ja.equal_terms(ln),
@@ -903,10 +876,10 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
                         ln, ja)
         yield t.record({"part": "b", "surface": rname})
     for p in range(1, p_max + 1):
-        got = series_to_smeared(_jay_families_mut(p, 0, mut), N, N)
+        got = series_to_smeared(jf(p, 0), N, N)
         want = chern_smeared(p - 1, N, N).scaled(Q(factorial(p)))
         yield _universal_record(got - want, {"part": "c", "p": p})
-        got = series_to_smeared(_jay_families_mut(p, -1, mut), N, N)
+        got = series_to_smeared(jf(p, -1), N, N)
         want = series_to_smeared(apow_families(-1, p), N, N).scaled(Q(-1))
         yield _universal_record(got - want, {"part": "d", "p": p})
     if not mut:
@@ -1256,20 +1229,18 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
 def _thm57_symbolic(ring):
     """The symbolic W-algebra bracket against the measured constants."""
     t = _Tally(total=True)
+    gram = ring.pairing_matrix()
     cls = [(c, ring.basis(c)) for c in _W_CLASSES["abelian"]]
     for p, q, m, n in product(range(3), range(3), (-2, 0, 1), (-1, 1, 2)):
         for (ca, a), (cb, b) in product(cls, cls):
-            got = wbracket(ring, {wkey(p, m, a): Q(1)},
-                           {wkey(q, n, b): Q(1)})
-            ab = a * b
+            got = wbracket(ring, wterm(p, m, a), wterm(q, n, b))
             want = {}
             if p == 0 and q == 0:
-                if m == -n and m != 0:
-                    c = Q(m) * -ring.integrate(ab)
-                    if c:
-                        want[CENTRAL] = c
-            elif not ab.is_zero():
-                want = wterm(p + q - 1, m + n, ab, Q(q * m - p * n))
+                c = -m * gram[ring.index[ca]][ring.index[cb]]
+                if m == -n and c:
+                    want[CENTRAL] = c
+            else:
+                want = wterm(p + q - 1, m + n, a * b, Q(q * m - p * n))
             t.check(got == want,
                     {"check": "symbolic", "p": p, "q": q, "m": m, "n": n,
                      "a": ca, "b": cb}, want, got)
@@ -1386,7 +1357,8 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
         rings = rings[:1]
     for ring in rings:
         names = _W_CLASSES[ring.name]
-        singles = [(p, m, cn, ring.basis(cn))
+        gram = ring.pairing_matrix()
+        singles = [(p, m, cn, wterm(p, m, ring.basis(cn)))
                    for p in range(p_max + 1)
                    for m in range(-m_max, m_max + 1)
                    for cn in names]
@@ -1399,19 +1371,15 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
                         if (kx != CENTRAL and ky != CENTRAL
                                 and kx[1] == 0 and ky[1] == 0
                                 and kx[2] == -ky[2] and kx[2] != 0):
-                            tr = -ring.integrate(RingElem(ring, kx[3])
-                                                 * RingElem(ring, ky[3]))
-                            c = tr * x[kx] * y[ky]
+                            c = -gram[kx[3]][ky[3]] * x[kx] * y[ky]
                             if c:
                                 out[CENTRAL] = out.get(CENTRAL, Q(0)) + c
             return {k: v for k, v in out.items() if v}
 
         t = _Tally()
-        for p, m, cn, c in singles:
-            x = {wkey(p, m, c): Q(1)}
+        for p, m, cn, x in singles:
             px = wparity(ring, x)
-            for q, n, dn, d in singles:
-                y = {wkey(q, n, d): Q(1)}
+            for q, n, dn, y in singles:
                 py = wparity(ring, y)
                 sign = Q(-1) if (px and py) else Q(1)
                 lhs = brk(x, y)
@@ -1425,14 +1393,11 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
             continue
         t = _Tally()
         sub = [s for s in singles if s[1] in (-2, 0, 1) and s[2] in names[:3]]
-        for p, m, cn, c in sub:
-            x = {wkey(p, m, c): Q(1)}
+        for p, m, cn, x in sub:
             px = wparity(ring, x)
-            for q, n, dn, d in sub:
-                y = {wkey(q, n, d): Q(1)}
+            for q, n, dn, y in sub:
                 py = wparity(ring, y)
-                for r, s_, en, e in sub:
-                    z = {wkey(r, s_, e): Q(1)}
+                for r, s_, en, z in sub:
                     lhs = brk(x, brk(y, z))
                     t1 = brk(brk(x, y), z)
                     t2 = brk(y, brk(x, z))

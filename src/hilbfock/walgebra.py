@@ -33,7 +33,6 @@ from itertools import permutations
 from math import factorial
 
 from .operators import Family, instantiate, quadratic_sum, series_to_smeared
-from .ring import RingElem
 
 Q = Fraction
 
@@ -271,80 +270,47 @@ def omega(p, q, m, n):
 # -- abstract W-algebra ----------------------------------------------------
 
 
-def _canon(coeffs):
-    """Unit-normalized coefficient tuple and the leading scalar."""
-    for v in coeffs:
-        if v:
-            return tuple(c / v for c in coeffs), v
-    return None, Q(0)
-
-
-def wkey(p, n, elem):
-    """Basis symbol t^n D^p (x) elem of the abstract algebra.
-
-    The class slot is stored unit-normalized so that scalar multiples of
-    one class always produce the same key.
-    """
-    norm, lead = _canon(elem.coeffs)
-    if not lead:
-        raise ValueError("zero class has no basis symbol")
-    return ("L", p, n, norm)
-
-
 CENTRAL = ("C",)
 
 
 def wterm(p, n, elem, c=Q(1)):
-    """One-term abstract element c * t^n D^p (x) elem, canonically keyed."""
-    norm, lead = _canon(elem.coeffs)
-    c = Q(c) * lead
+    """One-term abstract element c * t^n D^p (x) elem, linear in elem: one
+    key ("L", p, n, i) per basis index i that elem touches."""
     if not c:
         return {}
-    return {("L", p, n, norm): c}
-
-
-def _wpair(ring, p, mm, ac, q, nn, bc):
-    ab = RingElem(ring, ac) * RingElem(ring, bc)
-    if p == 0 and q == 0:
-        if mm == -nn and mm != 0:
-            trace = -ring.integrate(ab)
-            c = Q(mm) * trace
-            return {CENTRAL: c} if c else {}
-        return {}
-    c = Q(q * mm - p * nn)
-    if not c or ab.is_zero():
-        return {}
-    return wterm(p + q - 1, mm + nn, ab, c)
+    return {("L", p, n, i): c * v for i, v in elem.components()}
 
 
 def wbracket(ring, x, y):
-    """Bracket of two abstract elements over the given coefficient ring."""
+    """Bracket of two abstract elements over the given coefficient ring:
+    basis products come from ring.table, traces from the Gram matrix."""
+    gram = ring.pairing_matrix()
     out = {}
     for kx, cx in x.items():
         if kx == CENTRAL:
             continue
+        _, p, mm, i = kx
         for ky, cy in y.items():
             if ky == CENTRAL:
                 continue
-            _, p, mm, ac = kx
-            _, q, nn, bc = ky
-            for k, c in _wpair(ring, p, mm, ac, q, nn, bc).items():
-                v = out.get(k, Q(0)) + c * cx * cy
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    return out
+            _, q, nn, j = ky
+            lin = q * mm - p * nn
+            if p == 0 and q == 0:
+                terms = ([(CENTRAL, -mm * gram[i][j])]
+                         if mm == -nn and mm != 0 else [])
+            elif lin:
+                terms = [(("L", p + q - 1, mm + nn, k), lin * v)
+                         for k, v in enumerate(ring.table[i][j]) if v]
+            else:
+                continue
+            for k, c in terms:
+                out[k] = out.get(k, Q(0)) + c * cx * cy
+    return {k: v for k, v in out.items() if v}
 
 
 def wparity(ring, x):
     """Koszul parity of a homogeneous abstract element."""
-    pars = set()
-    for k in x:
-        if k == CENTRAL:
-            pars.add(0)
-        else:
-            pars.add(RingElem(ring, k[3]).parity())
+    pars = {0 if k == CENTRAL else ring.parity[k[3]] for k in x}
     if len(pars) > 1:
         raise ValueError("mixed-parity abstract element")
     return pars.pop() if pars else 0

@@ -21,14 +21,16 @@ from hilbfock.walgebra import virasoro
 JOBS = max(1, os.cpu_count() or 1)
 
 # Frozen sha256 of the jsonl report of every battery run, by suite: the
-# plain runs below (eq22 runs only mutated) and the mutated runs of test
-# 12.  A change to any report byte must be explained in CHANGES.md before
-# a digest here is refrozen.
+# plain runs below and the mutated runs of test 12.  A change to any
+# report byte must be explained in CHANGES.md before a digest here is
+# refrozen.
 REPORT_SHA256 = {
     "cor48":
         "16b277e44cac594e8d9291a2eb82ecf6ea201ef38d5456dd39c0654a27ce2a5f",
     "def51-ids":
         "afa41e5cd98f7b74591e72c99529be29c8b99c56ada0be7f39e187b51972ded6",
+    "eq22":
+        "da75d93130a1df3bf42fd9c7705f7bf8ea616914a17c92b2d8b8587d6f10019b",
     "heis":
         "71b294fe3988676807d74f5f43480d268a15d4e1ef520f01b55b1c29cad31fd9",
     "lem32":
@@ -265,3 +267,16 @@ def test_acceptance_12_every_mutation_is_detected():
         assert report.failed >= 1, name
         assert report_sha256(report) == MUTATED_SHA256[name], name
     assert time.perf_counter() - t0 < 120
+
+
+def test_acceptance_13_abstract_w_algebra():
+    """Antisymmetry and the Jacobi identity of the abstract W-algebra
+    bracket on the abelian and K3 classes, p <= 2, |m| <= 2, and the
+    trace convention against the measured transfer-operator central
+    term."""
+    report = run_ok(SuiteSpec("eq22"), 60)
+    checks = {(r.params["check"], r.params.get("surface"))
+              for r in report.records}
+    assert checks == {("antisymmetry", "abelian"), ("jacobi", "abelian"),
+                      ("antisymmetry", "k3"), ("jacobi", "k3"),
+                      ("trace-bridge", None)}

@@ -88,6 +88,15 @@ def test_verify_eq22_unsupported_surface_is_usage_error(capsys):
         assert "abelian or k3" in err and "Traceback" not in err
 
 
+def test_verify_cor48_mutation_off_k3_is_usage_error(capsys):
+    for surface in ("abelian", "p2"):
+        code, out, err = run(capsys, "verify", "--suite", "cor48",
+                             "--surface", surface,
+                             "--mutation", "euler-shift")
+        assert code == 2 and out == ""
+        assert "runs on k3" in err and "Traceback" not in err
+
+
 def test_omega_value_and_jsonl(capsys):
     code, out, _ = run(capsys, "omega", "--p", "2", "--q", "1",
                        "--m", "1", "--n", "1")
@@ -111,6 +120,19 @@ def test_intersect_degree_mismatch(capsys):
     code, _, err = run(capsys, "intersect", "--k", "1", "--n", "2")
     assert code == 2
     assert "degree mismatch" in err
+
+
+def test_intersect_negative_k_is_usage_error(capsys):
+    code, _, err = run(capsys, "intersect", "--k", "-2", "--k", "2",
+                       "--n", "2")
+    assert code == 2
+    assert "negative Chern character index -2" in err
+
+
+def test_intersect_grid_without_points_is_usage_error(capsys):
+    code, out, err = run(capsys, "intersect", "--grid", "--n", "0")
+    assert code == 2
+    assert out == "" and "--n must be at least 1" in err
 
 
 def test_intersect_grid_csv(capsys):
@@ -172,6 +194,12 @@ def test_dump_operator_bad_input(capsys):
     assert run(capsys, "dump", "--op", "Z(1;x)")[0] == 2
     assert run(capsys, "dump", "--op", "a(-2;zz)")[0] == 2
     assert run(capsys, "dump", "--op", "J(1;x)")[0] == 2
+
+
+def test_dump_negative_cutoff_is_usage_error(capsys):
+    code, out, err = run(capsys, "dump", "--op", "a(1;x)", "--cutoff", "-3")
+    assert code == 2
+    assert out == "" and "--cutoff must be at least 0" in err
 
 
 def test_chern_formats_and_gate(capsys):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hilbfock.fock import (FockVector, annihilate_state, basis_states,
                            create_state, weight)
-from hilbfock.operators import (OperatorSum, apply_arrangement,
+from hilbfock.operators import (OperatorSum, SmearedOp, apply_arrangement,
                                 commutator_action, derivation_apply,
-                                heisenberg, quadratic_sum)
+                                heisenberg, instantiate, quadratic_sum)
 from hilbfock.ring import builtin_ring
 
 P2 = builtin_ring("p2")
@@ -176,6 +176,15 @@ def test_coefficients_stay_int_or_fraction(name):
                                             v))
         _assert_exact(derivation_apply(v))
         _assert_exact(v.scale(Fraction(1, 3)) - v.scale(2))
+
+
+def test_instantiated_scalars_are_int_first():
+    k3 = builtin_ring("k3")
+    x = k3.basis("x")
+    op = instantiate(SmearedOp({((), 0, 0): Fraction(-2)}), k3, x, 4)
+    assert type(op.scalar) is int and op.scalar == -2
+    op = instantiate(SmearedOp({((), 0, 0): Fraction(1, 3)}), k3, x, 4)
+    assert op.scalar == Fraction(1, 3)
 
 
 def test_scale_rejects_float_and_bool():

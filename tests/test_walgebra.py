@@ -15,7 +15,7 @@ from hilbfock.walgebra import (CENTRAL, FourierSpec, apow_families, chern,
                                chern_smeared, fourier, heis_families, jay,
                                jay_families, jay_smeared,
                                jay_via_fields_smeared, omega, shift_families,
-                               virasoro, wbracket, wkey, wparity, wterm)
+                               virasoro, wbracket, wparity, wterm)
 
 P2 = builtin_ring("p2")
 K3 = builtin_ring("k3")
@@ -206,9 +206,15 @@ def test_wterm_canonical_keying():
     assert ba == -ab
     # same basis direction keyed identically with opposite coefficients
     assert wterm(2, 1, ab) == {k: -v for k, v in wterm(2, 1, ba).items()}
-    assert wkey(2, 1, ab) == wkey(2, 1, ba)
-    with pytest.raises(ValueError):
-        wkey(1, 0, AB.zero())
+    assert set(wterm(2, 1, ab)) == {("L", 2, 1, AB.index["t1234"])}
+    # linear in the class: one key per basis index, none for zero
+    mixed = AB.elem({"t1": 2, "t12": Q(1, 3)})
+    assert wterm(1, 0, mixed, Q(3)) == {
+        ("L", 1, 0, AB.index["t1"]): 6, ("L", 1, 0, AB.index["t12"]): 1}
+    assert wterm(1, 0, AB.zero()) == {}
+    assert wterm(1, 0, t1, 0) == {}
+    with pytest.raises(ValueError, match="mixed-parity"):
+        wparity(AB, wterm(1, 0, mixed))
 
 
 def test_wbracket_antisymmetry_including_odd():
