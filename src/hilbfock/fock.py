@@ -25,15 +25,9 @@ from fractions import Fraction
 from math import factorial
 
 from .partitions import enumerate_ordinary
+from .ring import exact
 
 Q = Fraction
-
-
-def exact(c):
-    """c as an int when it is an integral Fraction, else c unchanged."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def canonical_factors(factors, parity):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Small dense matrices as lists of lists of Fraction.  Only what the ring
-module needs: transposition and inversion by Gauss-Jordan elimination
-with exact pivoting.
+module needs: inversion of the Gram matrix, once per ring, by
+Gauss-Jordan elimination with exact pivoting.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from fractions import Fraction
 
 class LinAlgError(Exception):
     """Raised when a matrix is singular."""
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def mat_inv(a):

@@ -7,6 +7,12 @@ canonical class K in degree 2 and the Euler class e in degree 4 with
 e*e = 0.  The intersection pairing (a, b) -> integrate(a*b) must be
 nondegenerate.
 
+The multiplication table is sparse and exact: table[i][j] is the product
+of basis classes i and j as a tuple of (k, coeff) pairs sorted by k, with
+zero coefficients dropped and each coefficient an int, or a Fraction when
+it is not integral.  Validation, the Gram matrix and tau2 read the table
+directly.
+
 The module also computes the adjoints tau_k of the k-fold cup product,
 characterized by
 
@@ -27,23 +33,48 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import LinAlgError, mat_inv, transpose
+from .linalg import LinAlgError, mat_inv
 
 Q = Fraction
+_EXACT = (int, Fraction)
 
 
 class RingError(Exception):
     """Raised for invalid ring configurations or misuse."""
 
 
+def exact(c):
+    """c as an int when it is an integral Fraction, else c unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _sparse_mul(table, x, y):
+    """x * y as {k: coeff} with zeros dropped; x and y are sequences of
+    (basis index, coeff) pairs."""
+    out = {}
+    for i, a in x:
+        ti = table[i]
+        for j, b in y:
+            c = a * b
+            for k, v in ti[j]:
+                out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 class RingElem:
-    """Element of a SurfaceRing, stored densely in the chosen basis."""
+    """Element of a SurfaceRing, stored densely in the chosen basis.
+
+    Coefficients are int or Fraction; anything else is converted to a
+    Fraction.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = tuple(Q(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) in _EXACT else Q(c) for c in coeffs)
 
     def __add__(self, other):
         self._check(other)
@@ -183,24 +214,16 @@ class SurfaceRing:
         self.index = {n: i for i, n in enumerate(self.basis_names)}
         if len(self.index) != self.dim:
             raise RingError("duplicate basis names")
-        # dense multiplication table: table[i][j] is a coefficient tuple
-        zero = tuple([Q(0)] * self.dim)
-        self.table = [[zero] * self.dim for _ in range(self.dim)]
+        # sparse multiplication table: table[i][j] holds (k, coeff) pairs
+        self.table = [[()] * self.dim for _ in range(self.dim)]
         for (i, j), comp in products.items():
-            row = [Q(0)] * self.dim
-            for k, c in comp.items():
-                row[k] = Q(c)
-            self.table[i][j] = tuple(row)
-        self.integral_vec = tuple(Q(integral.get(i, 0)) for i in range(self.dim))
-        self.unit = RingElem(self, [Q(int(i == 0)) for i in range(self.dim)])
-        kvec = [Q(0)] * self.dim
-        for i, c in canonical.items():
-            kvec[i] = Q(c)
-        evec = [Q(0)] * self.dim
-        for i, c in euler.items():
-            evec[i] = Q(c)
-        self.K = RingElem(self, kvec)
-        self.e = RingElem(self, evec)
+            pairs = ((k, exact(Q(c))) for k, c in sorted(comp.items()))
+            self.table[i][j] = tuple((k, c) for k, c in pairs if c)
+        self.integral_vec = tuple(exact(Q(integral.get(i, 0)))
+                                  for i in range(self.dim))
+        self.unit = self.basis(0)
+        self.K = self._vector(canonical)
+        self.e = self._vector(euler)
         self._tau2_cache = {}
         self._cache = {}
         self._pairing = None
@@ -210,34 +233,33 @@ class SurfaceRing:
 
     # -- basic algebra ----------------------------------------------------
 
+    def _vector(self, comp):
+        """Element from {basis index: coefficient}."""
+        out = [0] * self.dim
+        for i, c in comp.items():
+            out[i] = exact(Q(c))
+        return RingElem(self, out)
+
     def basis(self, i):
         if isinstance(i, str):
             i = self.index[i]
-        return RingElem(self, [Q(int(j == i)) for j in range(self.dim)])
+        return RingElem(self, [int(j == i) for j in range(self.dim)])
 
     def basis_elems(self):
         return [self.basis(i) for i in range(self.dim)]
 
     def zero(self):
-        return RingElem(self, [Q(0)] * self.dim)
+        return RingElem(self, [0] * self.dim)
 
     def elem(self, spec):
         """Build an element from {basis name: coefficient}."""
-        out = [Q(0)] * self.dim
-        for name, c in spec.items():
-            out[self.index[name]] = Q(c)
-        return RingElem(self, out)
+        return self._vector({self.index[name]: c for name, c in spec.items()})
 
     def multiply(self, a, b):
-        out = [Q(0)] * self.dim
-        for i, ca in a.components():
-            ti = self.table[i]
-            for j, cb in b.components():
-                row = ti[j]
-                c = ca * cb
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += c * row[k]
+        out = [0] * self.dim
+        for k, v in _sparse_mul(self.table, a.components(),
+                                b.components()).items():
+            out[k] = v
         return RingElem(self, out)
 
     def integrate(self, a):
@@ -248,8 +270,9 @@ class SurfaceRing:
 
     def pairing_matrix(self):
         if self._pairing is None:
-            self._pairing = [[self.integrate(self.basis(i) * self.basis(j))
-                              for j in range(self.dim)] for i in range(self.dim)]
+            iv = self.integral_vec
+            self._pairing = [[sum((c * iv[k] for k, c in prod), Q(0))
+                              for prod in row] for row in self.table]
         return self._pairing
 
     def _pairing_inverse(self):
@@ -263,6 +286,8 @@ class SurfaceRing:
     # -- validation -------------------------------------------------------
 
     def validate(self):
+        if not self.dim:
+            raise RingError("the basis is empty")
         errors = []
         for i, d in enumerate(self.degrees):
             if d not in (0, 1, 2, 3, 4):
@@ -282,34 +307,29 @@ class SurfaceRing:
                 errors.append("integral vanishes on the top class %r"
                               % self.basis_names[i])
         names = self.basis_names
+        table = self.table
         for i in range(self.dim):
-            prod = self.table[0][i]
-            want = tuple(Q(int(k == i)) for k in range(self.dim))
-            if prod != want:
+            if table[0][i] != ((i, 1),):
                 errors.append("unit law fails on pair (%r, %r)" % (names[0], names[i]))
         for i in range(self.dim):
             for j in range(self.dim):
                 sign = -1 if (self.parity[i] and self.parity[j]) else 1
-                lhs = self.table[i][j]
-                rhs = tuple(sign * c for c in self.table[j][i])
-                if lhs != rhs:
+                lhs = table[i][j]
+                if lhs != tuple((k, sign * c) for k, c in table[j][i]):
                     errors.append("product not super-commutative on pair (%r, %r)"
                                   % (names[i], names[j]))
                 target = self.degrees[i] + self.degrees[j]
-                for k, c in enumerate(lhs):
-                    if c and self.degrees[k] != target:
-                        errors.append("product (%r, %r) not homogeneous of degree %d"
-                                      % (names[i], names[j], target))
-                        break
+                if any(self.degrees[k] != target for k, _ in lhs):
+                    errors.append("product (%r, %r) not homogeneous of degree %d"
+                                  % (names[i], names[j], target))
         if not errors:
+            # (b_i b_j) b_k against b_i (b_j b_k), as sparse dicts
             for i in range(self.dim):
-                bi = self.basis(i)
                 for j in range(self.dim):
-                    bj = self.basis(j)
-                    ij = bi * bj
+                    ij = table[i][j]
                     for k in range(self.dim):
-                        bk = self.basis(k)
-                        if (ij * bk).coeffs != (bi * (bj * bk)).coeffs:
+                        if (_sparse_mul(table, ij, ((k, 1),))
+                                != _sparse_mul(table, ((i, 1),), table[j][k])):
                             errors.append(
                                 "product not associative on triple (%r, %r, %r)"
                                 % (names[i], names[j], names[k]))
@@ -336,24 +356,36 @@ class SurfaceRing:
         return self._tau2_cache[i]
 
     def _solve_tau2(self, i):
+        """With rhs[p][q] = integral(b_p b_q b_i), read from the table, and
+        G the Gram matrix: z = G^-1 rhs with the Koszul sign of (r, q),
+        and tau2(b_i) = z (G^T)^-1, whose entries are those of G^-1
+        transposed."""
         n = self.dim
-        b = self.basis(i)
         degs = self.degrees
-        rhs = [[self.integrate(self.basis(p) * self.basis(q) * b)
-                for q in range(n)] for p in range(n)]
+        par = self.parity
+        gram = self.pairing_matrix()
         ginv = self._pairing_inverse()
-        z = [[Q(0)] * n for _ in range(n)]
-        for q in range(n):
-            col = [sum(ginv[r][p] * rhs[p][q] for p in range(n)) for r in range(n)]
-            for r in range(n):
-                sign = -1 if (degs[q] % 2 and degs[r] % 2) else 1
-                z[r][q] = sign * col[r]
-        gt_inv = mat_inv(transpose(self.pairing_matrix()))
+        rhs = []
+        for row in self.table:
+            cubic = {}
+            for q, prod in enumerate(row):
+                v = sum(c * gram[l][i] for l, c in prod)
+                if v:
+                    cubic[q] = v
+            rhs.append(cubic)
         out = []
         target = degs[i] + 4
         for r in range(n):
+            z = {}
+            for p, g in enumerate(ginv[r]):
+                if g:
+                    for q, v in rhs[p].items():
+                        z[q] = z.get(q, 0) + g * v
+            if par[r]:
+                z = {q: -v if par[q] else v for q, v in z.items()}
             for s in range(n):
-                c = sum(z[r][t] * gt_inv[t][s] for t in range(n))
+                gs = ginv[s]
+                c = sum(v * gs[t] for t, v in z.items())
                 if c:
                     if degs[r] + degs[s] != target:
                         raise RingError("tau2 solve produced inhomogeneous term")
@@ -472,12 +504,12 @@ def dump_ring(ring):
     """Canonical JSON text for a ring; stable byte-for-byte."""
     names = ring.basis_names
     products = []
-    for i in range(ring.dim):
-        for j in range(ring.dim):
+    for i in range(1, ring.dim):
+        for j in range(1, ring.dim):
             row = ring.table[i][j]
-            comp = {names[k]: str(c) for k, c in enumerate(row) if c}
-            if comp and not (i == 0 or j == 0):
-                products.append([names[i], names[j], comp])
+            if row:
+                products.append([names[i], names[j],
+                                 {names[k]: str(c) for k, c in row}])
     doc = {
         "name": ring.name,
         "basis": [[names[i], ring.degrees[i]] for i in range(ring.dim)],
@@ -489,11 +521,35 @@ def dump_ring(ring):
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _coefficient(v):
+    """An exact coefficient from JSON: an integer or a string such as
+    "3/2"; floats and booleans are refused, since 0.1 has no exact value."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        try:
+            return exact(Q(v))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise RingError("coefficient %s is not an exact number (an integer or a "
+                    "string such as \"3/2\")" % json.dumps(v))
+
+
+def _coefficients(index, spec, what):
+    """{basis index: coefficient} from a {class name: coefficient} object."""
+    if not isinstance(spec, dict):
+        raise RingError("%s must be an object of class name: coefficient, "
+                        "got %s" % (what, json.dumps(spec)))
+    return {index[k]: _coefficient(v) for k, v in spec.items()}
+
+
 def load_ring(text):
     """Parse a ring from JSON text; omitted products default to zero.
 
     Products with the unit are filled in automatically; everything else
     must be listed explicitly, including both orders of each pair.
+    Coefficients are integers or strings such as "3/2".  Any malformed
+    document raises RingError.
     """
     try:
         doc = json.loads(text)
@@ -509,11 +565,11 @@ def load_ring(text):
             prod[(i, 0)] = {i: 1}
         for entry in doc.get("products", []):
             i, j = index[entry[0]], index[entry[1]]
-            prod[(i, j)] = {index[k]: Q(v) for k, v in entry[2].items()}
-        integral = {index[k]: Q(v) for k, v in doc.get("integral", {}).items()}
-        canonical = {index[k]: Q(v) for k, v in doc.get("K", {}).items()}
-        euler = {index[k]: Q(v) for k, v in doc.get("e", {}).items()}
+            prod[(i, j)] = _coefficients(index, entry[2], "a product")
+        integral = _coefficients(index, doc.get("integral", {}), "integral")
+        canonical = _coefficients(index, doc.get("K", {}), "K")
+        euler = _coefficients(index, doc.get("e", {}), "e")
         name = str(doc.get("name", "custom"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise RingError("malformed ring description: %r" % (exc,))
     return SurfaceRing(name, names, degrees, prod, integral, canonical, euler)

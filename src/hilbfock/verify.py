@@ -1485,6 +1485,10 @@ def run_suite(spec):
                          % (spec.suite, ", ".join(unknown),
                             ", ".join(accepted) or "none"))
     bounds = {k: int(v) for k, v in spec.bounds.items()}
+    for k in sorted(bounds):
+        if bounds[k] < 0:
+            raise ValueError("bound %s must be at least 0, got %d"
+                             % (k, bounds[k]))
     t0 = time.perf_counter()
     records = list(runner(spec, bool(spec.mutation), **bounds))
     wall = (time.perf_counter() - t0) * 1000.0

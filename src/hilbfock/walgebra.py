@@ -283,7 +283,8 @@ def wterm(p, n, elem, c=Q(1)):
 
 def wbracket(ring, x, y):
     """Bracket of two abstract elements over the given coefficient ring:
-    basis products come from ring.table, traces from the Gram matrix."""
+    basis products come from the sparse rows of ring.table, traces from
+    the Gram matrix."""
     gram = ring.pairing_matrix()
     out = {}
     for kx, cx in x.items():
@@ -300,7 +301,7 @@ def wbracket(ring, x, y):
                          if mm == -nn and mm != 0 else [])
             elif lin:
                 terms = [(("L", p + q - 1, mm + nn, k), lin * v)
-                         for k, v in enumerate(ring.table[i][j]) if v]
+                         for k, v in ring.table[i][j]]
             else:
                 continue
             for k, c in terms:

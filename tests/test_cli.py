@@ -80,6 +80,13 @@ def test_verify_unknown_bound_key_is_usage_error(capsys):
     assert "kmax" in err and "k_max, n_max" in err
 
 
+
+def test_verify_negative_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "heis",
+                         "--bound", "m_max=-1")
+    assert code == 2 and out == ""
+    assert "m_max" in err and "at least 0" in err
+
 def test_verify_eq22_unsupported_surface_is_usage_error(capsys):
     for surface in ("p2", "p1xp1"):
         code, out, err = run(capsys, "verify", "--suite", "eq22",
@@ -169,6 +176,21 @@ def test_ring_file_and_surface_conflict(tmp_path, capsys):
                        "--ring-file", str(path))
     assert code == 2 and "not both" in err
 
+
+
+def test_ring_file_malformed_is_usage_error(tmp_path, capsys):
+    doc = json.loads(dump_ring(builtin_ring("p2")))
+    bad = [dict(doc, integral=[1]),
+           dict(doc, products=[["H", "H", ["x", "1"]]]),
+           dict(doc, integral={"x": "1/0"}),
+           dict(doc, basis=[]),
+           dict(doc, integral={"x": 0.1})]
+    for i, d in enumerate(bad):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "ring", "--ring-file", str(path))
+        assert code == 2 and out == "", d
+        assert err.startswith("ring error: ") and "Traceback" not in err
 
 def test_surface_dir_lookup(tmp_path, capsys, monkeypatch):
     (tmp_path / "myplane.json").write_text(dump_ring(builtin_ring("p2")))

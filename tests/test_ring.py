@@ -1,13 +1,14 @@
 """Surface models: graded product, trace pairing, diagonal pushforward."""
 
+import json
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock.ring import (RingError, SURFACE_NAMES, builtin_ring, dump_ring,
-                           load_ring)
+from hilbfock.ring import (RingError, SURFACE_NAMES, SurfaceRing, builtin_ring,
+                           dump_ring, load_ring)
 
 RINGS = {name: builtin_ring(name) for name in SURFACE_NAMES}
 
@@ -215,3 +216,122 @@ def test_abelian_supercommutative_random(i, j):
     b = ab.basis(j)
     sign = Q(-1 if (a.parity() and b.parity()) else 1)
     assert a * b == (b * a) * sign
+
+
+def _products(dim, extra):
+    """The products with the unit, both orders, plus the given ones."""
+    prod = {}
+    for i in range(dim):
+        prod[(0, i)] = {i: 1}
+        prod[(i, 0)] = {i: 1}
+    prod.update(extra)
+    return prod
+
+
+def _plane(extra, euler=None):
+    return SurfaceRing("bad", ["1", "H", "x"], [0, 2, 4],
+                       _products(3, extra), {2: 1}, {}, euler or {})
+
+
+# 1, t1, t2 (degree 1), u (degree 2), x: t1 t2 = u and u u = x, so
+# (t1 t2) u = x while t1 (t2 u) = 0 for want of a degree-3 class.
+_NONASSOCIATIVE = {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 3): {4: 1}}
+
+VALIDATION_CASES = [
+    ("unit law", lambda: _plane({(0, 1): {1: 2}, (1, 1): {2: 1}}),
+     r"unit law fails on pair \('1', 'H'\)"),
+    ("super-commutativity",
+     lambda: SurfaceRing("bad", ["1", "f1", "f2", "x"], [0, 2, 2, 4],
+                         _products(4, {(1, 2): {3: 1}}), {3: 1}, {}, {}),
+     r"product not super-commutative on pair \('f1', 'f2'\)"),
+    ("homogeneity", lambda: _plane({(1, 1): {1: 1}}),
+     r"product \('H', 'H'\) not homogeneous of degree 4"),
+    ("associativity",
+     lambda: SurfaceRing("bad", ["1", "t1", "t2", "u", "x"], [0, 1, 1, 2, 4],
+                         _products(5, _NONASSOCIATIVE), {4: 1}, {}, {}),
+     r"product not associative on triple \('t1', 't2', 'u'\)"),
+    ("euler square", lambda: _plane({(1, 1): {2: 1}}, euler={1: 1}),
+     r"Euler class must square to zero"),
+    ("degenerate pairing", lambda: _plane({}),
+     r"intersection pairing is degenerate"),
+]
+
+
+@pytest.mark.parametrize("build,message",
+                         [case[1:] for case in VALIDATION_CASES],
+                         ids=[case[0] for case in VALIDATION_CASES])
+def test_validate_rejects_each_rule(build, message):
+    with pytest.raises(RingError, match=message):
+        build()
+
+
+def _plane_doc(**changes):
+    doc = json.loads(dump_ring(RINGS["p2"]))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+LOAD_CASES = [
+    ("integral not an object", _plane_doc(integral=[1]),
+     "integral must be an object"),
+    ("product not an object",
+     _plane_doc(products=[["H", "H", ["x", "1"]]]),
+     "a product must be an object"),
+    ("zero denominator", _plane_doc(integral={"x": "1/0"}),
+     'coefficient "1/0" is not an exact number'),
+    ("empty basis", _plane_doc(basis=[], products=[], integral={}, K={},
+                               e={}),
+     "the basis is empty"),
+    ("float coefficient", _plane_doc(integral={"x": 0.1}),
+     "coefficient 0.1 is not an exact number"),
+    ("float product", _plane_doc(products=[["H", "H", {"x": 1.0}]]),
+     "coefficient 1.0 is not an exact number"),
+    ("boolean coefficient", _plane_doc(K={"H": True}),
+     "coefficient true is not an exact number"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in LOAD_CASES],
+                         ids=[case[0] for case in LOAD_CASES])
+def test_load_rejects_each_malformed_case(text, message):
+    with pytest.raises(RingError, match=message):
+        load_ring(text)
+
+
+def test_load_accepts_fraction_strings():
+    ring = load_ring(_plane_doc(K={"H": "-6/2"}, e={"x": "3/1"},
+                                products=[["H", "H", {"x": 1}]]))
+    assert ring.K.coeffs == (0, -3, 0) and ring.e.coeffs == (0, 0, 3)
+    assert [type(c) for c in ring.K.coeffs + ring.e.coeffs] == [int] * 6
+    assert load_ring(_plane_doc(K={"H": "3/2"})).K.coeffs[1] == Q(3, 2)
+
+
+def _inexact(value):
+    """The floats and bools inside a nested value."""
+    if isinstance(value, (bool, float)):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _inexact(v)]
+    if isinstance(value, dict):
+        return [x for kv in value.items() for x in _inexact(kv)]
+    if hasattr(value, "coeffs"):
+        return _inexact(value.coeffs)
+    if hasattr(value, "terms"):
+        return _inexact(value.terms)
+    return []
+
+
+def test_ring_scalars_are_exact():
+    """No float or bool in the table, the distinguished classes, the Gram
+    matrix and its inverse, tau2 or tau_k (k <= 4), for the built-in rings
+    and a dump/load round trip."""
+    rings = list(RINGS.values()) + [load_ring(dump_ring(RINGS["abelian"]))]
+    for ring in rings:
+        assert all(type(c) in (int, Q) for row in ring.table
+                   for prod in row for _, c in prod)
+        data = [ring.table, ring.integral_vec, ring.K, ring.e,
+                ring.pairing_matrix(), ring._pairing_inverse()]
+        data += [ring.tau2_basis(i) for i in range(ring.dim)]
+        data += [ring.tau(k, b) for k in (1, 2, 3, 4)
+                 for b in ring.basis_elems()]
+        assert _inexact(data) == [], ring.name

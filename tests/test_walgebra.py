@@ -244,6 +244,24 @@ def test_wbracket_linear_term_matches_structure_constants():
     assert CENTRAL not in got
 
 
+
+def test_wbracket_central_term_is_heisenberg_scalar():
+    """The central term of [t^m D^0 (x) b_i, t^-m D^0 (x) b_j] is the
+    scalar [a_m(b_i), a_-m(b_j)] leaves on the vacuum (trace = -integral),
+    for every pair of basis classes, odd ones included."""
+    for ring in (P2, AB):
+        vac = vacuum(ring, 3)
+        for m in (1, 2, 3):
+            for i in range(ring.dim):
+                for j in range(ring.dim):
+                    got = wbracket(ring, {("L", 0, m, i): 1},
+                                   {("L", 0, -m, j): 1}).get(CENTRAL, 0)
+                    act = commutator_action(
+                        heisenberg(ring, m, ring.basis(i), 3),
+                        heisenberg(ring, -m, ring.basis(j), 3), vac)
+                    assert set(act.terms) <= {()}
+                    assert got == act.terms.get((), 0), (ring.name, m, i, j)
+
 def test_heis_families_single_term():
     (fam,) = heis_families(-2)
     assert fam.ell == 1 and fam.total == -2
