@@ -5,8 +5,16 @@ Two layers:
 * Expanded operators (OperatorSum): finite combinations of normal-ordered
   mode monomials a(m1;c1)...a(mk;ck) plus a scalar, acting exactly on
   FockVector windows.  Constructors: transfer operators (heisenberg), and
-  smeared partition monomials a_lambda(tau_l(class)) (monomial).  The
-  derivation operator d acts recursively through the replacement rule
+  smeared partition monomials a_lambda(tau_l(class)) (monomial).  An
+  operator caches its sparse columns, the images of single basis states,
+  per window cutoff on the operator object itself, so repeated checks on
+  the same states reuse them; there is no global cache, and the memory is
+  freed with the operator.  A contraction index skips, without storing
+  anything, the states an operator provably kills.  The kernels act on
+  {state: coeff} dicts (OperatorSum.act and column, commutator_column,
+  derive, act_arrangement); apply, commutator_action, derivation_apply
+  and apply_arrangement wrap them for FockVectors.  The derivation
+  operator d acts recursively through the replacement rule
 
       [d, a(n;c)] = n*L(n;c) - (n(|n|-1)/2) * a(n; K*c)
 
@@ -30,12 +38,17 @@ instantiate on a concrete ring where needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
-from .fock import (FockVector, annihilate_state, canonical_factors,
-                   create_state, exact)
+from .fock import (annihilate_state, canonical_factors, create_state,
+                   exact, weight)
 from .partitions import GenPartition, enumerate_genpartitions
 
 Q = Fraction
+
+# The column of every state the contraction index rules out; read-only,
+# since it is shared.
+_EMPTY = MappingProxyType({})
 
 
 def _acc(d, key, c):
@@ -70,20 +83,42 @@ def apply_word(ring, word, terms, cutoff):
     return dict(cur) if cur is terms else cur
 
 
+def _partners(ring, m, i):
+    """The creation factors (-m, j) that a(m; b_i), m > 0, contracts
+    with (pairing[i][j] != 0), cached on the ring."""
+    key = ("partners", m, i)
+    out = ring._cache.get(key)
+    if out is None:
+        gram = ring.pairing_matrix()
+        out = ring._cache[key] = frozenset((-m, j) for j, g in
+                                           enumerate(gram[i]) if g)
+    return out
+
+
 class OperatorSum:
     """Scalar plus normal-ordered mode monomials with rational weights.
 
     Coefficients are stored through fock.exact, so integral ones are ints.
+    Columns (images of single basis states) are cached on the operator,
+    one dict per window cutoff, and dropped whenever the operator changes.
     """
 
-    __slots__ = ("ring", "cutoff", "terms", "scalar", "_parity")
+    __slots__ = ("ring", "cutoff", "terms", "scalar", "_parity", "_columns",
+                 "_groups", "_index")
 
     def __init__(self, ring, cutoff, terms=None, scalar=0):
         self.ring = ring
         self.cutoff = cutoff
         self.terms = {f: exact(c) for f, c in (terms or {}).items()}
         self.scalar = exact(scalar)
+        self._columns = {}
+        self._changed()
+
+    def _changed(self):
+        """Drop everything derived from the terms and the scalar."""
         self._parity = None
+        self._index = self._groups = None
+        self._columns.clear()
 
     def add_factors(self, factors, coeff):
         """Accumulate one monomial; modes must be nondecreasing already."""
@@ -98,7 +133,7 @@ class OperatorSum:
         for f, c in other.terms.items():
             self._add(f, c * scale)
         self.scalar = exact(self.scalar + other.scalar * scale)
-        self._parity = None
+        self._changed()
 
     def _add(self, word, c):
         v = exact(self.terms.get(word, 0) + c)
@@ -106,7 +141,7 @@ class OperatorSum:
             self.terms[word] = v
         elif word in self.terms:
             del self.terms[word]
-        self._parity = None
+        self._changed()
 
     def scaled(self, c):
         if not c:
@@ -139,18 +174,67 @@ class OperatorSum:
             self._parity = pars.pop() if pars else 0
         return self._parity
 
+    def _contractions(self):
+        """The contraction index: the creation factors (-m, j) that the
+        rightmost annihilator a(m; b_i) of some word contracts with
+        (pairing[i][j] != 0), or False when a state without them may
+        still have a nonzero image: some word has no annihilator, or the
+        scalar is nonzero.
+
+        Alongside it, the words grouped by their rightmost factor, each
+        group with its own such factors (None for a creator), so that a
+        column skips the groups that kill its state.  Both are built once
+        until the operator changes."""
+        if self._index is None:
+            groups = {}
+            for word in self.terms:
+                groups.setdefault(word[-1], []).append(word)
+            self._groups = [
+                (None if m <= 0 else _partners(self.ring, m, i), tuple(words))
+                for (m, i), words in groups.items()]
+            partners = [p for p, _ in self._groups]
+            self._index = (False if self.scalar or None in partners
+                           else frozenset().union(*partners))
+        return self._index
+
+    def column(self, state, cutoff):
+        """The image of the basis state, as act({state: 1}, cutoff) would
+        give it, kept on the operator; callers must not modify it."""
+        index = self._index
+        if index is None:
+            index = self._contractions()
+        if index is not False and index.isdisjoint(state):
+            return _EMPTY
+        cols = self._columns.get(cutoff)
+        if cols is None:
+            cols = self._columns[cutoff] = {}
+        col = cols.get(state)
+        if col is None:
+            col = cols[state] = self._image(state, cutoff) or _EMPTY
+        return col
+
+    def _image(self, state, cutoff):
+        """The column of state, computed word by word; needs the groups
+        that _contractions builds."""
+        terms = {state: 1}
+        out = {state: self.scalar} if self.scalar else {}
+        ring, coeffs = self.ring, self.terms
+        for partners, words in self._groups:
+            if partners is not None and partners.isdisjoint(state):
+                continue
+            for word in words:
+                tc = coeffs[word]
+                for s, c in apply_word(ring, word, terms, cutoff).items():
+                    _acc(out, s, c * tc)
+        return out
+
     def act(self, terms, cutoff):
-        """Image of a {state: coeff} dict, creation capped at cutoff."""
+        """Image of a {state: coeff} dict, creation capped at cutoff:
+        the combination of the cached columns of its states."""
         out = {}
-        if not terms:
-            return out
-        if self.scalar:
-            for s, c in terms.items():
-                _acc(out, s, c * self.scalar)
-        ring = self.ring
-        for word, tc in self.terms.items():
-            for s, c in apply_word(ring, word, terms, cutoff).items():
-                _acc(out, s, c * tc)
+        for s, c in terms.items():
+            for s2, c2 in self.column(s, cutoff).items():
+                _acc(out, s2, c * c2)
         return out
 
     def apply(self, vec):
@@ -169,11 +253,29 @@ class OperatorSum:
         return "\n".join(lines) if lines else "0"
 
 
+def commutator_column(f, g, state, cutoff):
+    """[f, g] applied to one basis state, with the super sign from the
+    operator parities, formed from cached columns."""
+    out = {}
+    for s, c in g.column(state, cutoff).items():
+        for s2, c2 in f.column(s, cutoff).items():
+            _acc(out, s2, c * c2)
+    fcol = f.column(state, cutoff)
+    if fcol:
+        odd = f.parity() and g.parity()
+        for s, c in fcol.items():
+            for s2, c2 in g.column(s, cutoff).items():
+                _acc(out, s2, c * c2 if odd else -c * c2)
+    return out
+
+
 def commutator_action(f, g, vec):
     """[f, g] applied to vec, with the super sign from operator parities."""
-    fg = f.apply(g.apply(vec))
-    gf = g.apply(f.apply(vec))
-    return fg + gf if (f.parity() and g.parity()) else fg - gf
+    out = {}
+    for s, c in vec.terms.items():
+        for s2, c2 in commutator_column(f, g, s, vec.cutoff).items():
+            _acc(out, s2, c * c2)
+    return vec._like(out)
 
 
 # -- constructors ----------------------------------------------------------
@@ -218,22 +320,30 @@ def quadratic_sum(ring, n, elem, cutoff):
     return op
 
 
-def apply_arrangement(ring, modes, elem, vec):
+def act_arrangement(ring, modes, elem, terms, cutoff):
     """Apply a_{m1}...a_{mk}(tau_k(elem)) with the modes in the given
-    (possibly unsorted) order, with enough headroom that intermediate
-    states are never dropped; the result is windowed to vec.cutoff.
+    (possibly unsorted) order to a {state: coeff} dict, with enough
+    headroom that intermediate states are never dropped; the image keeps
+    the states of weight at most cutoff.
     """
-    out = FockVector(ring, vec.cutoff)
+    out = {}
     k = len(modes)
     if k == 0 or elem.is_zero():
         return out
-    big = vec.cutoff + sum(-m for m in modes if m < 0)
+    big = cutoff + sum(-m for m in modes if m < 0)
     for key, c0 in ring.tau(k, elem).terms.items():
         c0 = exact(c0)
-        for s, c in apply_word(ring, tuple(zip(modes, key)), vec.terms,
+        for s, c in apply_word(ring, tuple(zip(modes, key)), terms,
                                big).items():
-            out.add_term(s, c * c0)
+            if weight(s) <= cutoff:
+                _acc(out, s, c * c0)
     return out
+
+
+def apply_arrangement(ring, modes, elem, vec):
+    """act_arrangement on a windowed vector, windowed to vec.cutoff."""
+    return vec._like(act_arrangement(ring, modes, elem, vec.terms,
+                                     vec.cutoff))
 
 
 # -- the derivation operator ----------------------------------------------
@@ -253,17 +363,25 @@ def _replacement_op(ring, mode, i, cutoff):
     return ring._cache[key]
 
 
-def derivation_apply(vec):
-    """d(vec) by the factorwise replacement rule; d|0> = 0 and d is even."""
-    ring = vec.ring
-    out = FockVector(ring, vec.cutoff)
-    for state, c in vec.terms.items():
+def derive(ring, terms, cutoff):
+    """d applied to a {state: coeff} dict by the factorwise replacement
+    rule, dropping states above cutoff; d|0> = 0 and d is even."""
+    out = {}
+    parity = ring.parity
+    for state, c in terms.items():
         for t, (mode, i) in enumerate(state):
-            rep = _replacement_op(ring, mode, i, vec.cutoff)
+            rep = _replacement_op(ring, mode, i, cutoff)
             prefix = state[:t]
-            for s2, c2 in rep.act({state[t + 1:]: c}, vec.cutoff).items():
-                out.add_factors(prefix + s2, c2)
+            for s2, c2 in rep.column(state[t + 1:], cutoff).items():
+                s3, sign = canonical_factors(prefix + s2, parity)
+                if s3 is not None and weight(s3) <= cutoff:
+                    _acc(out, s3, c * c2 if sign == 1 else -c * c2)
     return out
+
+
+def derivation_apply(vec):
+    """d(vec) by the factorwise replacement rule."""
+    return vec._like(derive(vec.ring, vec.terms, vec.cutoff))
 
 
 def derivative_action(op, vec):

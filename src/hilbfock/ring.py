@@ -535,6 +535,14 @@ def _coefficient(v):
                     "string such as \"3/2\")" % json.dumps(v))
 
 
+def _degree(entry):
+    """The degree of a [name, degree] basis entry: a JSON integer."""
+    if type(entry[1]) is not int:
+        raise RingError("degree %s of class %s is not an integer"
+                        % (json.dumps(entry[1]), json.dumps(entry[0])))
+    return entry[1]
+
+
 def _coefficients(index, spec, what):
     """{basis index: coefficient} from a {class name: coefficient} object."""
     if not isinstance(spec, dict):
@@ -547,9 +555,9 @@ def load_ring(text):
     """Parse a ring from JSON text; omitted products default to zero.
 
     Products with the unit are filled in automatically; everything else
-    must be listed explicitly, including both orders of each pair.
-    Coefficients are integers or strings such as "3/2".  Any malformed
-    document raises RingError.
+    must be listed explicitly, including both orders of each pair, and
+    no pair twice.  Degrees are integers; coefficients are integers or
+    strings such as "3/2".  Any malformed document raises RingError.
     """
     try:
         doc = json.loads(text)
@@ -557,14 +565,19 @@ def load_ring(text):
         raise RingError("invalid JSON: %s" % exc)
     try:
         names = [str(b[0]) for b in doc["basis"]]
-        degrees = [int(b[1]) for b in doc["basis"]]
+        degrees = [_degree(b) for b in doc["basis"]]
         index = {n: i for i, n in enumerate(names)}
         prod = {}
         for i in range(len(names)):
             prod[(0, i)] = {i: 1}
             prod[(i, 0)] = {i: 1}
+        listed = set()
         for entry in doc.get("products", []):
             i, j = index[entry[0]], index[entry[1]]
+            if (i, j) in listed:
+                raise RingError("product (%s, %s) is listed twice"
+                                % (names[i], names[j]))
+            listed.add((i, j))
             prod[(i, j)] = _coefficients(index, entry[2], "a product")
         integral = _coefficients(index, doc.get("integral", {}), "integral")
         canonical = _coefficients(index, doc.get("K", {}), "K")

@@ -29,11 +29,10 @@ from math import comb, factorial
 from multiprocessing import Pool
 
 from .fock import FockVector, basis_states, render_state, weight
-from .operators import (Family, SmearedOp, box_keep, commutator_action,
-                        derivation_apply, derivative_action, diamond_keep,
-                        heisenberg, instantiate, monomial, quadratic_sum,
-                        s_bracket, s_derive, series_bracket,
-                        series_to_smeared, apply_arrangement)
+from .operators import (Family, SmearedOp, act_arrangement, box_keep,
+                        commutator_column, derive, diamond_keep, heisenberg,
+                        instantiate, monomial, quadratic_sum, s_bracket,
+                        s_derive, series_bracket, series_to_smeared)
 from .partitions import GenPartition
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
@@ -162,6 +161,21 @@ def _action_states(ring, wmax=2):
     return out
 
 
+def _op_memo(ring, cutoff):
+    """op(build, m, label, elem): build(ring, m, elem, cutoff), made once
+    per (build, m, label), so that its cached columns serve every check
+    that uses it."""
+    ops = {}
+
+    def op(build, m, label, elem):
+        key = (build, m, label)
+        if key not in ops:
+            ops[key] = build(ring, m, elem, cutoff)
+        return ops[key]
+
+    return op
+
+
 def _sound_pos(N, size_a, size_b):
     """Largest creation total with no intermediate window loss."""
     return N - max(0, -size_a, -size_b, -size_a - size_b)
@@ -195,20 +209,21 @@ class _Tally:
                                        _show(actual))
 
     def states(self, ring, states, cutoff, sides, params):
-        """Apply both sides to each basis state in the window and compare.
+        """Compare both sides on each basis state in the window.
 
-        ``sides(v)`` returns (lhs, rhs) for the one-term vector v; the
-        first failure adds the state to params and shows rhs as expected.
+        ``sides(s)`` returns (lhs, rhs), the images of the basis state s
+        as {state: coeff} dicts; the first failure adds the state to
+        params and shows rhs as expected.
         """
         for s in states:
-            v = FockVector(ring, cutoff, {s: 1})
-            lhs, rhs = sides(v)
+            lhs, rhs = sides(s)
             self.checks += 1
             if lhs != rhs and self.fail is None:
                 p = dict(params)
                 p["state"] = render_state(s, ring)
-                self.fail = InstanceRecord(p, "fail", 1, rhs.render(),
-                                           lhs.render())
+                self.fail = InstanceRecord(
+                    p, "fail", 1, FockVector(ring, cutoff, rhs).render(),
+                    FockVector(ring, cutoff, lhs).render())
 
     def skip(self, count):
         """Count checks that hold without computing them."""
@@ -276,13 +291,31 @@ def _scalar_part(meas, ring):
                 if not modes and not kp), Q(0))
 
 
-def _iter_deriv(op, k, vec):
-    """k-fold derivative of an operator applied to a vector, recursively."""
+def _lin(*pieces):
+    """The combination of (scalar, {state: coeff}) pieces, as a dict."""
+    out = {}
+    for c, terms in pieces:
+        if not c:
+            continue
+        for s, v in terms.items():
+            v = out.get(s, 0) + c * v
+            if v:
+                out[s] = v
+            else:
+                out.pop(s, None)
+    return out
+
+
+def _iter_deriv(op, k, terms, cutoff):
+    """k-fold derivative of an operator applied to a {state: coeff} dict,
+    recursively: D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
     if k == 0:
-        return op.apply(vec)
-    lower = _iter_deriv(op, k - 1, vec)
-    return derivation_apply(lower) - _iter_deriv(op, k - 1,
-                                                 derivation_apply(vec))
+        return op.act(terms, cutoff)
+    ring = op.ring
+    return _lin((1, derive(ring, _iter_deriv(op, k - 1, terms, cutoff),
+                           cutoff)),
+                (-1, _iter_deriv(op, k - 1, derive(ring, terms, cutoff),
+                                 cutoff)))
 
 
 def _euler_families(ell, total, c):
@@ -316,15 +349,9 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         pre = [(s, {m for m, _ in s})
                for w in range(wmax + 1) for s in basis_states(ring, w)]
         big = wmax + 2 * m_max
-        ops = {}
-
-        def hop(m, name, elem):
-            key = (m, name)
-            if key not in ops:
-                ops[key] = heisenberg(ring, m, elem, big)
-            return ops[key]
-
         for m in range(-m_max, m_max + 1):
+            # One memo per m bounds the memory of cached columns.
+            op = _op_memo(ring, big)
             for n in range(-m_max, m_max + 1):
                 # Off the diagonal a check holds trivially on a state
                 # unless an annihilator meets one of its modes.
@@ -336,14 +363,15 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                 for (na, a), (nb, b) in product(pairs, pairs):
                     t.skip(len(pre) - len(live))
                     if live:
-                        f, g = hop(m, na, a), hop(n, nb, b)
+                        f = op(heisenberg, m, na, a)
+                        g = op(heisenberg, n, nb, b)
                         cc = Q(0)
                         if m == -n and m != 0:
                             cc = (Q(-m + (1 if mut else 0))
                                   * ring.integrate(a * b))
                         t.states(ring, live, big,
-                                 lambda v: (commutator_action(f, g, v),
-                                            v.scale(cc)),
+                                 lambda s: (commutator_column(f, g, s, big),
+                                            {s: cc} if cc else {}),
                                  dict(params, a=na, b=nb))
                     if t.fail:
                         break
@@ -398,12 +426,7 @@ def _vir_spots(spec, mut):
         pairs = _probe(ring)
         states = _action_states(ring, 2)
         big = 2 + 2 * mtop
-        lcache = {}
-
-        def lop(m, name, elem):
-            if (m, name) not in lcache:
-                lcache[(m, name)] = quadratic_sum(ring, m, elem, big)
-            return lcache[(m, name)]
+        op = _op_memo(ring, big)
 
         for m in range(-mtop, mtop + 1):
             for n in range(-mtop, mtop + 1):
@@ -415,11 +438,13 @@ def _vir_spots(spec, mut):
                     if m == -n and m != 0:
                         cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
                     rhs_op = quadratic_sum(ring, m + n, ab, big)
-                    f, g = lop(m, na, a), lop(n, nb, b)
+                    f = op(quadratic_sum, m, na, a)
+                    g = op(quadratic_sum, n, nb, b)
                     t.states(ring, states, big,
-                             lambda v: (commutator_action(f, g, v),
-                                        rhs_op.apply(v).scale(Q(m - n))
-                                        + v.scale(cc)),
+                             lambda s: (commutator_column(f, g, s, big),
+                                        _lin((Q(m - n),
+                                              rhs_op.column(s, big)),
+                                             (cc, {s: 1}))),
                              dict(params, a=na, b=nb))
                 yield t.record(params)
     if "k3" in names and not mut:
@@ -434,8 +459,9 @@ def _vir_spots(spec, mut):
             params = {"check": "action", "surface": "k3", "m": m, "n": -m}
             t = _Tally()
             t.states(ring, states, big,
-                     lambda v: (commutator_action(lm, ln, v),
-                                l0.apply(v).scale(Q(2 * m)) + v.scale(cc)),
+                     lambda s: (commutator_column(lm, ln, s, big),
+                                _lin((Q(2 * m), l0.column(s, big)),
+                                     (cc, {s: 1}))),
                      dict(params, a="1", b="1"))
             yield t.record(params)
 
@@ -464,18 +490,21 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
         wtop = max(weight(s) for s in states)
         big = wtop + 2 * m_max + 1
         for m in range(-m_max, m_max + 1):
+            # One memo per m bounds the memory of cached columns.
+            op = _op_memo(ring, big)
             for n in range(-m_max, m_max + 1):
                 params = {"part": "mixed", "surface": ring.name, "m": m,
                           "n": n}
                 t = _Tally()
                 for na, a in small:
-                    lm = quadratic_sum(ring, m, a, big)
+                    lm = op(quadratic_sum, m, na, a)
                     for nb, b in small:
                         an = heisenberg(ring, n, b, big)
                         rhs_op = heisenberg(ring, m + n, a * b, big)
                         t.states(ring, states, big,
-                                 lambda v: (commutator_action(lm, an, v),
-                                            rhs_op.apply(v).scale(Q(-n))),
+                                 lambda s: (commutator_column(lm, an, s, big),
+                                            _lin((Q(-n),
+                                                  rhs_op.column(s, big)))),
                                  dict(params, a=na, b=nb))
                 yield t.record(params)
         for n in range(-m_max, m_max + 1):
@@ -489,24 +518,26 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                 ln = quadratic_sum(ring, n, b, big)
                 kn = heisenberg(ring, n, ring.K * b, big)
                 t.states(ring, states, big,
-                         lambda v: (derivative_action(an, v),
-                                    ln.apply(v).scale(Q(n))
-                                    - kn.apply(v).scale(coef)),
+                         lambda s: (_iter_deriv(an, 1, {s: 1}, big),
+                                    _lin((Q(n), ln.column(s, big)),
+                                         (-coef, kn.column(s, big)))),
                          dict(params, b=nb))
             yield t.record(params)
         kfree = _ktrivial(ring, pairs)
+        op = _op_memo(ring, big)
         for k in range(k_max + 1):
             params = {"part": "character-pin", "surface": ring.name, "k": k}
             t = _Tally()
             for na, a in kfree:
                 gk = chern(ring, k, a, wtop + 1)
                 for nb, b in small:
-                    am = heisenberg(ring, -1, b, big)
-                    inner = heisenberg(ring, -1, a * b, big)
+                    am = op(heisenberg, -1, nb, b)
+                    inner = op(heisenberg, -1, (na, nb), a * b)
                     t.states(ring, states, big,
-                             lambda v: (commutator_action(gk, am, v),
-                                        _iter_deriv(inner, k, v).scale(
-                                            Q(1, factorial(k)))),
+                             lambda s: (commutator_column(gk, am, s, big),
+                                        _lin((Q(1, factorial(k)),
+                                              _iter_deriv(inner, k, {s: 1},
+                                                          big)))),
                              dict(params, a=na, b=nb))
             yield t.record(params)
 
@@ -558,8 +589,9 @@ def _run_lem32(spec, mut):
                             bv = monomial(ring, gmu, b, big)
                             rhs_op = instantiate(sm, ring, a * b, big)
                             t.states(ring, states, big,
-                                     lambda v: (commutator_action(av, bv, v),
-                                                rhs_op.apply(v)),
+                                     lambda s: (commutator_column(av, bv, s,
+                                                                  big),
+                                                rhs_op.column(s, big)),
                                      dict(params, nu=str(list(nu)),
                                           mu=str(list(mu)), a=na, b=nb))
             yield t.record(params)
@@ -573,8 +605,8 @@ def _run_lem32(spec, mut):
                     op = monomial(ring, gnu, a, big)
                     rhs_op = instantiate(sm, ring, a, big)
                     t.states(ring, states, big,
-                             lambda v: (derivative_action(op, v),
-                                        rhs_op.apply(v)),
+                             lambda s: (_iter_deriv(op, 1, {s: 1}, big),
+                                        rhs_op.column(s, big)),
                              dict(params, nu=str(list(nu)), a=na))
             yield t.record(params)
         params = {"part": "reorder", "surface": ring.name}
@@ -588,14 +620,15 @@ def _run_lem32(spec, mut):
             for na, a in cpairs:
                 ea = ring.e * a
 
-                def sides(v):
-                    lhs = apply_arrangement(ring, seq, a, v)
-                    rhs = apply_arrangement(ring, swapped, a, v)
+                def sides(s):
+                    one = {s: 1}
+                    lhs = act_arrangement(ring, seq, a, one, big)
+                    rhs = act_arrangement(ring, swapped, a, one, big)
                     if cc and rest:
-                        rhs = rhs + apply_arrangement(
-                            ring, rest, ea, v).scale(cc)
+                        rhs = _lin((1, rhs), (cc, act_arrangement(
+                            ring, rest, ea, one, big)))
                     elif cc:
-                        rhs = rhs + v.scale(cc * ring.integrate(ea))
+                        rhs = _lin((1, rhs), (cc * ring.integrate(ea), one))
                     return lhs, rhs
 
                 t.states(ring, states, big, sides,
@@ -669,8 +702,8 @@ def _thm42_spots(spec, mut, N):
                     an = heisenberg(ring, n, a, big)
                     rhs_op = instantiate(closed, ring, a, big)
                     t.states(ring, list(same), big,
-                             lambda v: (_iter_deriv(an, k, v),
-                                        rhs_op.apply(v)), params)
+                             lambda s: (_iter_deriv(an, k, {s: 1}, big),
+                                        rhs_op.column(s, big)), params)
         yield t.record(
             {"check": "action", "surface": rname, "class": cname})
 
@@ -756,9 +789,9 @@ def _thm46_spots(spec):
             for nb, b in _probe(ring)[:3]:
                 am = heisenberg(ring, -1, b, 5)
                 t.states(ring, states, 5,
-                         lambda v: (commutator_action(gk, am, v),
-                                    _iter_deriv(am, k, v).scale(
-                                        Q(1, factorial(k)))),
+                         lambda s: (commutator_column(gk, am, s, 5),
+                                    _lin((Q(1, factorial(k)),
+                                          _iter_deriv(am, k, {s: 1}, 5)))),
                          {"check": "action", "surface": rname, "k": k,
                           "b": nb})
         yield t.record({"check": "action", "surface": rname})
@@ -891,8 +924,9 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
                 jp = jay(ring, p, -1, a, 4)
                 inner = heisenberg(ring, -1, a, 4)
                 t.states(ring, states, 4,
-                         lambda v: (jp.apply(v),
-                                    _iter_deriv(inner, p, v).scale(Q(-1))),
+                         lambda s: (jp.column(s, 4),
+                                    _lin((-1, _iter_deriv(inner, p, {s: 1},
+                                                          4)))),
                          {"part": "d-action", "surface": "k3", "p": p,
                           "a": na})
         yield t.record({"part": "d-action", "surface": "k3"})
@@ -938,9 +972,9 @@ def _lem52_spots(spec):
                         an = heisenberg(ring, n, b, big)
                         jp = jay(ring, p, n, a * b, big)
                         t.states(ring, states, big,
-                                 lambda v: (commutator_action(gp, an, v),
-                                            jp.apply(v).scale(
-                                                Q(n, factorial(p)))),
+                                 lambda s: (commutator_column(gp, an, s, big),
+                                            _lin((Q(n, factorial(p)),
+                                                  jp.column(s, big)))),
                                  {"check": "action", "surface": rname,
                                   "p": p, "n": n, "a": na, "b": nb})
         yield t.record({"check": "action", "surface": rname})
@@ -1118,8 +1152,8 @@ def _thm55_spots(spec, N):
                 jb = jay(ring, q, n, b, big)
                 rhs_op = instantiate(exp, ring, a * b, big)
                 t.states(ring, states, big,
-                         lambda v: (commutator_action(ja, jb, v),
-                                    rhs_op.apply(v)),
+                         lambda s: (commutator_column(ja, jb, s, big),
+                                    rhs_op.column(s, big)),
                          {"check": "action", "surface": rname, "p": p,
                           "q": q, "m": m, "n": n, "a": ca, "b": cb})
         yield t.record({"check": "action", "surface": rname})
@@ -1168,9 +1202,9 @@ def _rmk56_spots(spec):
                 jdown = jay(ring, p - 1, n, ring.e * a, big)
                 cc = Q(-(n ** 3 - n) * p, 12)
                 t.states(ring, states, big,
-                         lambda v: (derivative_action(jp, v),
-                                    jup.apply(v).scale(Q(-n))
-                                    + jdown.apply(v).scale(cc)),
+                         lambda s: (_iter_deriv(jp, 1, {s: 1}, big),
+                                    _lin((Q(-n), jup.column(s, big)),
+                                         (cc, jdown.column(s, big)))),
                          {"check": "action", "surface": "k3", "p": p,
                           "n": n, "a": na})
     yield t.record({"check": "action", "surface": "k3"})
@@ -1268,12 +1302,11 @@ def _thm57_spots(ring):
                       if (p, q) != (0, 0) and lin and not ab.is_zero()
                       else None)
 
-                def sides(v):
-                    lhs = commutator_action(ja, jb, v)
-                    rhs = v.scale(cc)
+                def sides(s):
+                    rhs = [(cc, {s: 1})]
                     if jt is not None:
-                        rhs = rhs + jt.apply(v).scale(lin)
-                    return lhs, rhs
+                        rhs.append((lin, jt.column(s, big)))
+                    return commutator_column(ja, jb, s, big), _lin(*rhs)
 
                 t.states(ring, states, big, sides,
                          {"check": "action", "surface": "abelian", "p": p,

@@ -192,6 +192,19 @@ def test_ring_file_malformed_is_usage_error(tmp_path, capsys):
         assert code == 2 and out == "", d
         assert err.startswith("ring error: ") and "Traceback" not in err
 
+def test_ring_file_bad_degree_or_repeated_product_is_usage_error(tmp_path,
+                                                                capsys):
+    doc = json.loads(dump_ring(builtin_ring("p2")))
+    bad = [dict(doc, basis=[["1", 0], ["H", 2.9], ["x", 4]]),
+           dict(doc, products=doc["products"] + doc["products"][:1])]
+    for i, d in enumerate(bad):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "ring", "--ring-file", str(path))
+        assert code == 2 and out == "", d
+        assert err.startswith("ring error: ") and "Traceback" not in err
+
+
 def test_surface_dir_lookup(tmp_path, capsys, monkeypatch):
     (tmp_path / "myplane.json").write_text(dump_ring(builtin_ring("p2")))
     monkeypatch.setenv("HILBFOCK_SURFACE_DIR", str(tmp_path))

@@ -1,5 +1,6 @@
 """The factor-word apply kernel: equivalence with raw mode composition,
-exact coefficient types, and the cached operator parity."""
+exact coefficient types, the cached operator parity, and the cached
+operator columns with their contraction index."""
 
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 from hilbfock.fock import (FockVector, annihilate_state, basis_states,
                            create_state, weight)
 from hilbfock.operators import (OperatorSum, SmearedOp, apply_arrangement,
-                                commutator_action, derivation_apply,
-                                heisenberg, instantiate, quadratic_sum)
+                                commutator_action, commutator_column,
+                                derivation_apply, heisenberg, instantiate,
+                                monomial, quadratic_sum)
+from hilbfock.partitions import GenPartition
 from hilbfock.ring import builtin_ring
+from hilbfock.walgebra import chern
 
 P2 = builtin_ring("p2")
 AB = builtin_ring("abelian")
@@ -148,6 +152,113 @@ def test_parity_cache_resets_on_merge():
     op.merge(heisenberg(AB, 2, AB.basis("t1"), 4))
     with pytest.raises(ValueError, match="mixed parity"):
         op.parity()
+
+
+# -- cached columns ---------------------------------------------------------
+
+
+PARTS = ((-1,), (1,), (2,), (-2, 1), (-1, 1), (1, 1), (-1, -1), (-2, 2))
+
+
+def ref_image(op, terms, cutoff):
+    """op applied to a {state: coeff} dict word by word, with no cache."""
+    return ref_sum([(tc, ref_word(op.ring, w, terms, cutoff))
+                    for w, tc in op.terms.items()]
+                   + [(op.scalar, terms)], cutoff)
+
+
+@st.composite
+def operators(draw, name, cutoff):
+    """A transfer operator, Virasoro series, smeared monomial or Chern
+    character of one test class."""
+    ring = RINGS[name]
+    kind = draw(st.sampled_from(("heisenberg", "quadratic_sum", "monomial",
+                                 "chern")))
+    names = CLASSES[name]
+    if kind == "chern":
+        names = [c for c in names if (ring.K * ring.basis(c)).is_zero()]
+    elem = ring.basis(draw(st.sampled_from(names)))
+    if kind == "heisenberg":
+        return heisenberg(ring, draw(st.sampled_from(MODES)), elem, cutoff)
+    if kind == "quadratic_sum":
+        return quadratic_sum(ring, draw(st.integers(-2, 2)), elem, cutoff)
+    if kind == "monomial":
+        return monomial(ring, GenPartition(draw(st.sampled_from(PARTS))),
+                        elem, cutoff)
+    return chern(ring, draw(st.integers(0, 1)), elem, cutoff)
+
+
+def window_states(name, cutoff):
+    """Basis states on the test classes of weight up to min(cutoff, 2), so
+    creation crosses the window edge on the heaviest of them."""
+    ring = RINGS[name]
+    idx = {ring.index[c] for c in CLASSES[name]}
+    return [s for w in range(min(cutoff, 2) + 1)
+            for s in basis_states(ring, w) if all(i in idx for _, i in s)]
+
+
+def assert_columns(op, states, cutoff):
+    """Every column is the uncached image, also through act, and the
+    contraction index only rules out states the operator kills."""
+    index = op._contractions()
+    for s in states:
+        want = ref_image(op, {s: 1}, cutoff)
+        assert op.column(s, cutoff) == want, s
+        assert op.act({s: 1}, cutoff) == want, s
+        if index is not False and index.isdisjoint(s):
+            assert not want, s
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@KERNEL
+@given(data=st.data())
+def test_columns_match_composition_and_reset(name, data):
+    ring = RINGS[name]
+    cutoff = data.draw(st.integers(1, 3))
+    states = window_states(name, cutoff)
+    op = data.draw(operators(name, cutoff))
+    # one cache per window: the wider window must not reuse the narrow one
+    assert_columns(op, states, cutoff)
+    assert_columns(op, states, cutoff + 1)
+    op.merge(data.draw(operators(name, cutoff)), data.draw(COEFFS))
+    assert_columns(op, states, cutoff)
+    idx = [ring.index[c] for c in CLASSES[name]]
+    factor = st.tuples(st.sampled_from(MODES), st.sampled_from(idx))
+    word = sorted(data.draw(st.lists(factor, min_size=1, max_size=2)))
+    op.add_factors(word, data.draw(COEFFS))
+    assert_columns(op, states, cutoff)
+
+
+def test_contraction_index_is_exact_for_transfer_operators():
+    """a(m; b) with m > 0 kills exactly the states the index rules out:
+    those without a factor a(-m; c) that b pairs with."""
+    for ring in (P2, AB):
+        states = [s for w in range(3) for s in basis_states(ring, w)]
+        for m in (1, 2):
+            for i in range(ring.dim):
+                op = heisenberg(ring, m, ring.basis(i), 3)
+                index = op._contractions()
+                for s in states:
+                    killed = not ref_image(op, {s: 1}, 3)
+                    assert index.isdisjoint(s) == killed, (m, i, s)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@KERNEL
+@given(data=st.data())
+def test_commutator_column_matches_composition(name, data):
+    cutoff = data.draw(st.integers(1, 3))
+    f = data.draw(operators(name, cutoff))
+    g = data.draw(operators(name, cutoff))
+    sign = 1 if f.parity() and g.parity() else -1
+    for s in window_states(name, cutoff):
+        one = {s: 1}
+        fg = ref_image(f, ref_image(g, one, cutoff), cutoff)
+        gf = ref_image(g, ref_image(f, one, cutoff), cutoff)
+        want = ref_sum([(1, fg), (sign, gf)], cutoff)
+        assert commutator_column(f, g, s, cutoff) == want, s
+        vec = FockVector(RINGS[name], cutoff, one)
+        assert commutator_action(f, g, vec).terms == want, s
 
 
 # -- exact coefficient types ----------------------------------------------

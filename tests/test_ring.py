@@ -288,6 +288,13 @@ LOAD_CASES = [
      "coefficient 1.0 is not an exact number"),
     ("boolean coefficient", _plane_doc(K={"H": True}),
      "coefficient true is not an exact number"),
+    ("float degree", _plane_doc(basis=[["1", 0], ["H", 2.9], ["x", 4]]),
+     'degree 2.9 of class "H" is not an integer'),
+    ("boolean degree", _plane_doc(basis=[["1", 0], ["H", True], ["x", 4]]),
+     'degree true of class "H" is not an integer'),
+    ("repeated product",
+     _plane_doc(products=[["H", "H", {"x": 1}], ["H", "H", {"x": 2}]]),
+     r"product \(H, H\) is listed twice"),
 ]
 
 
