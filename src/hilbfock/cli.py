@@ -281,7 +281,10 @@ def _cmd_ring(args):
 
 
 def _cmd_omega(args):
-    value = omega(args.p, args.q, args.m, args.n)
+    try:
+        value = omega(args.p, args.q, args.m, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.format == "jsonl":
         text = _jline({"m": args.m, "n": args.n, "omega": str(value),
                        "p": args.p, "q": args.q})
@@ -339,7 +342,9 @@ def build_parser():
                    help="list available suites")
     p.add_argument("--surface", default="",
                    help="restrict to one built-in surface")
-    p.add_argument("--cutoff", type=int, default=0)
+    p.add_argument("--cutoff", type=int, default=0,
+                   help="window cutoff: 0 (the default) runs the suite's "
+                        "default window; otherwise at least 2")
     p.add_argument("--classes", choices=["", "named", "all"], default="")
     p.add_argument("--mutation", default="",
                    help="run the suite's documented mutation; it must fail")

@@ -31,6 +31,15 @@ Two layers:
   the output window, so windowed bracket lists are complete: no
   out-of-window input term can contribute.
 
+  The calculus is integer-first.  A Family weights each partition by an
+  integer numerator num(parts, mult_factorial, weighted_square) over one
+  integer family denominator den.  series_to_smeared and series_bracket
+  accumulate int numerators, bring the families (or the family pairs of
+  a bracket) to one common denominator, and divide once per output key
+  through ring.ratio; s_derive halves once per key.
+  SmearedOp values are stored through fock.exact: an int when integral,
+  else a Fraction, never a float.
+
 Identity checks compare smeared term lists (surface independent), then
 instantiate on a concrete ring where needed.
 """
@@ -38,11 +47,13 @@ instantiate on a concrete ring where needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .fock import (annihilate_state, canonical_factors, create_state,
                    exact, weight)
 from .partitions import GenPartition, enumerate_genpartitions
+from .ring import ratio
 
 Q = Fraction
 
@@ -395,7 +406,8 @@ def derivative_action(op, vec):
 class SmearedOp:
     """Combination of a_modes(tau(e^a K^b gamma)) with gamma symbolic.
 
-    Terms map (modes, a, b) to rational coefficients; modes is a sorted
+    Terms map (modes, a, b) to exact coefficients, stored through
+    fock.exact: an int when integral, else a Fraction.  modes is a sorted
     tuple of nonzero integers and the empty tuple stands for
     integral(e^a K^b gamma) * Id.
     """
@@ -403,26 +415,28 @@ class SmearedOp:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = dict(terms or {})
+        self.terms = {k: exact(c) for k, c in (terms or {}).items() if c}
 
     def add(self, key, c):
-        _acc(self.terms, key, c)
+        v = self.terms.get(key, 0) + c
+        if v:
+            self.terms[key] = exact(v)
+        else:
+            self.terms.pop(key, None)
 
-    def merge(self, other, scale=Q(1)):
+    def merge(self, other, scale=1):
         for k, c in other.terms.items():
-            _acc(self.terms, k, c * scale)
+            self.add(k, c * scale)
         return self
 
     def scaled(self, c):
-        if not c:
-            return SmearedOp()
         return SmearedOp({k: v * c for k, v in self.terms.items()})
 
     def __add__(self, other):
         return SmearedOp(self.terms).merge(other)
 
     def __sub__(self, other):
-        return SmearedOp(self.terms).merge(other, Q(-1))
+        return SmearedOp(self.terms).merge(other, -1)
 
     def __eq__(self, other):
         return isinstance(other, SmearedOp) and self.terms == other.terms
@@ -453,6 +467,18 @@ class SmearedOp:
         return "\n".join(lines) if lines else "0"
 
 
+def _euler_corrections(seq):
+    """(sorted rest, -v) for each inverted pair (v, -v) of seq, v > 0
+    first: the rest is seq with that pair removed."""
+    for i1, v in enumerate(seq):
+        if v <= 0:
+            continue
+        for i2 in range(i1 + 1, len(seq)):
+            if seq[i2] == -v:
+                rest = seq[:i1] + seq[i1 + 1:i2] + seq[i2 + 1:]
+                yield tuple(sorted(rest)), -v
+
+
 def normalize_arrangement(seq):
     """Sort a mode arrangement, collecting Euler corrections.
 
@@ -461,16 +487,8 @@ def normalize_arrangement(seq):
     pair is removed and the factor is -v (v the earlier, positive value).
     Deeper corrections would carry e^2 = 0 and are omitted.
     """
-    out = [(tuple(sorted(seq)), 0, 1)]
-    for i1 in range(len(seq)):
-        v = seq[i1]
-        if v <= 0:
-            continue
-        for i2 in range(i1 + 1, len(seq)):
-            if seq[i2] == -v:
-                rest = seq[:i1] + seq[i1 + 1:i2] + seq[i2 + 1:]
-                out.append((tuple(sorted(rest)), 1, -v))
-    return out
+    return [(tuple(sorted(seq)), 0, 1)] + [
+        (ms, 1, im) for ms, im in _euler_corrections(seq)]
 
 
 def s_bracket(a, b, keep=None):
@@ -485,7 +503,7 @@ def s_bracket(a, b, keep=None):
                 for j, w in enumerate(mu):
                     if v != -w:
                         continue
-                    coeff = Q(-v) * ca * cb
+                    coeff = -v * ca * cb
                     arr = mu[:j] + nu[:t] + nu[t + 1:] + mu[j + 1:]
                     for ms, ee, im in normalize_arrangement(arr):
                         if e0 + ee > 1:
@@ -496,19 +514,26 @@ def s_bracket(a, b, keep=None):
 
 
 class Family:
-    """One full smeared series: all partitions of a length and size.
+    """One full smeared series: all partitions of a length and size, the
+    partition lam weighted by num(parts, mult_factorial, weighted_square)
+    / den.
 
-    coeff maps (parts, mult_factorial, weighted_square) of a partition to
-    a rational; these stats are precomputed so coefficient evaluation in
-    the bracket inner loop allocates nothing extra.
+    num returns an int and den is one positive int for the whole family,
+    so the bracket inner loops multiply ints only; the division comes
+    once per output key, over the common denominator of the family
+    pairs.  A weight c / lam^! meets this with num = c * (ell! // lam^!)
+    and den = ell!, since lam^! divides ell! (walgebra.mult_family).
+    The partition statistics are precomputed, so evaluating num in the
+    inner loops allocates nothing extra.
     """
 
-    __slots__ = ("ell", "total", "coeff", "epow", "kpow")
+    __slots__ = ("ell", "total", "num", "den", "epow", "kpow")
 
-    def __init__(self, ell, total, coeff, epow=0, kpow=0):
+    def __init__(self, ell, total, num, den=1, epow=0, kpow=0):
         self.ell = ell
         self.total = total
-        self.coeff = coeff
+        self.num = num
+        self.den = den
         self.epow = epow
         self.kpow = kpow
 
@@ -531,75 +556,98 @@ def _stats_list(ell, total, poscap, negcap):
 _stats_cache = {}
 
 
-def series_to_smeared(families, poscap, negcap):
-    """Materialize families on the box window pos <= poscap, neg <= negcap."""
+def _divided(nums, den):
+    """The SmearedOp of exact numerators over one int denominator."""
     out = SmearedOp()
-    for fam in families:
-        for parts, _, _, mf, ws in _stats_list(fam.ell, fam.total, poscap, negcap):
-            out.add((parts, fam.epow, fam.kpow), fam.coeff(parts, mf, ws))
+    out.terms = {k: ratio(n, den) for k, n in nums.items() if n}
     return out
 
 
-def series_bracket(fams_a, fams_b, poscap, negcap, keep=None):
-    """Complete windowed bracket of two families of smeared series.
+def series_to_smeared(families, poscap, negcap):
+    """Materialize families on the box window pos <= poscap, neg <= negcap,
+    dividing once per term by the common family denominator."""
+    den = lcm(*[fam.den for fam in families])
+    nums = {}
+    for fam in families:
+        num, scale = fam.num, den // fam.den
+        for parts, _, _, mf, ws in _stats_list(fam.ell, fam.total, poscap,
+                                               negcap):
+            _acc(nums, (parts, fam.epow, fam.kpow), num(parts, mf, ws) * scale)
+    return _divided(nums, den)
+
+
+def series_bracket(fams_a, fams_b, poscap, negcap):
+    """Complete bracket of two families of smeared series on the box
+    pos <= poscap, neg <= negcap.
 
     Two passes.  Plain contraction events keep every survivor mode, so
     the survivors are sub-multisets of the output and sit inside the
-    box; enumerating them there is complete.  Euler-corrected events
+    box; enumerating them there is complete.  Each contracts the value v
+    of a = a' + (v,) with the -v of b = b' + (-v,), and every position of
+    -v in b gives the same sorted output a' + b'.  Euler-corrected events
     shed one (w, -w) pair while reordering, so the shed pair may stick
     out of the box; those events are rebuilt from the in-box remainder
     together with the shed pair, whose value is bounded by the
-    contraction ordering.  Output restricted to keep (default: the
-    box); keep is assumed to refine the box.
+    contraction ordering (_swap_events).  Every family pair accumulates
+    integer numerators; they meet over the common denominator of all
+    pairs, which is divided out once per output key.
     """
-    if keep is None:
-        keep = box_keep(poscap, negcap)
-    out = SmearedOp()
-    for fa in fams_a:
-        for fb in fams_b:
-            e0 = fa.epow + fb.epow
-            k0 = fa.kpow + fb.kpow
-            if e0 > 1:
+    pairs = [(fa, fb) for fa in fams_a for fb in fams_b
+             if fa.epow + fb.epow <= 1]
+    den = lcm(*[fa.den * fb.den for fa, fb in pairs])
+    keep = box_keep(poscap, negcap)
+    nums = {}
+    for fa, fb in pairs:
+        scale = den // (fa.den * fb.den)
+        e0, k0 = fa.epow + fb.epow, fa.kpow + fb.kpow
+        for ms, n in _plain_events(fa, fb, poscap, negcap).items():
+            _acc(nums, (ms, e0, k0), n * scale)
+        if e0 == 0 and fa.ell >= 2 and fb.ell >= 2:
+            for ms, n in _swap_events(fa, fb, poscap, negcap, keep).items():
+                _acc(nums, (ms, 1, k0), n * scale)
+    return _divided(nums, den)
+
+
+def _plain_events(fa, fb, poscap, negcap):
+    """Integer numerators of the plain contraction events of one family
+    pair, keyed by output modes."""
+    nums = {}
+    for v in range(fa.total - poscap, fa.total + negcap + 1):
+        if v == 0:
+            continue
+        surv_a = _stats_list(fa.ell - 1, fa.total - v, poscap, negcap)
+        if not surv_a:
+            continue
+        surv_b = _stats_list(fb.ell - 1, fb.total + v, poscap, negcap)
+        if not surv_b:
+            continue
+        wv = v * v
+        side_b = []
+        for pb, posb, negb, mfb, wsb in surv_b:
+            cnt = pb.count(-v) + 1
+            cb = cnt * fb.num(tuple(sorted(pb + (-v,))), mfb * cnt, wsb + wv)
+            if cb:
+                side_b.append((pb, posb, negb, cb))
+        if not side_b:
+            continue
+        for pa, posa, nega, mfa, wsa in surv_a:
+            cnt = pa.count(v) + 1
+            ca = -v * cnt * fa.num(tuple(sorted(pa + (v,))), mfa * cnt,
+                                   wsa + wv)
+            if not ca:
                 continue
-            for v in range(fa.total - poscap, fa.total + negcap + 1):
-                if v == 0:
+            pcap, ncap = poscap - posa, negcap - nega
+            for pb, posb, negb, cb in side_b:
+                if posb > pcap or negb > ncap:
                     continue
-                surv_a = _stats_list(fa.ell - 1, fa.total - v, poscap, negcap)
-                if not surv_a:
-                    continue
-                surv_b = _stats_list(fb.ell - 1, fb.total + v, poscap, negcap)
-                if not surv_b:
-                    continue
-                wa = v * v
-                for pa, posa, nega, mfa, wsa in surv_a:
-                    cnt = pa.count(v) + 1
-                    nu = tuple(sorted(pa + (v,)))
-                    ca = fa.coeff(nu, mfa * cnt, wsa + wa) * cnt
-                    if not ca:
-                        continue
-                    for pb, posb, negb, mfb, wsb in surv_b:
-                        if posa + posb > poscap or nega + negb > negcap:
-                            continue
-                        mu = tuple(sorted(pb + (-v,)))
-                        cb = fb.coeff(mu, mfb * (pb.count(-v) + 1), wsb + wa)
-                        if not cb:
-                            continue
-                        coeff = Q(-v) * ca * cb
-                        for j in range(len(mu)):
-                            if mu[j] != -v:
-                                continue
-                            arr = mu[:j] + pa + mu[j + 1:]
-                            for ms, ee, im in normalize_arrangement(arr):
-                                if ee:
-                                    continue
-                                if keep(ms):
-                                    out.add((ms, e0, k0), coeff * im)
-    _swap_events(fams_a, fams_b, poscap, negcap, keep, out)
-    return out
+                ms = tuple(sorted(pa + pb))
+                nums[ms] = nums.get(ms, 0) + ca * cb
+    return nums
 
 
-def _swap_events(fams_a, fams_b, poscap, negcap, keep, out):
-    """Bracket events whose reordering sheds one (w, -w) pair.
+def _swap_events(fa, fb, poscap, negcap, keep):
+    """Integer numerators of the bracket events of one family pair whose
+    reordering sheds one (w, -w) pair, keyed by output modes.
 
     The output is the arrangement minus the shed pair, so everything
     except the pair lies inside the box.  Candidates are rebuilt from
@@ -608,57 +656,54 @@ def _swap_events(fams_a, fams_b, poscap, negcap, keep, out):
     v <= -w (leftward), which bounds w by half the gap between the
     left family total and the left remainder total.
     """
-    for fa in fams_a:
-        if fa.ell < 2 or fa.epow:
+    tsum = fa.total + fb.total
+    cands = set()
+    for ta in range(-negcap, poscap + 1):
+        surv_a = _stats_list(fa.ell - 2, ta, poscap, negcap)
+        if not surv_a:
             continue
-        for fb in fams_b:
-            if fb.ell < 2 or fb.epow:
+        surv_b = _stats_list(fb.ell - 2, tsum - ta, poscap, negcap)
+        if not surv_b:
+            continue
+        gap = fa.total - ta
+        for sa, posa, nega, _, _ in surv_a:
+            for sb, posb, negb, _, _ in surv_b:
+                if posa + posb > poscap or nega + negb > negcap:
+                    continue
+                for w in range(1, gap // 2 + 1):
+                    cands.add((tuple(sorted(sa + (w,))),
+                               tuple(sorted(sb + (-w,))),
+                               gap - w))
+                for w in range(1, -gap // 2 + 1):
+                    cands.add((tuple(sorted(sa + (-w,))),
+                               tuple(sorted(sb + (w,))),
+                               gap + w))
+    nums = {}
+    side_a, side_b = {}, {}
+    for pa, pb, v in cands:
+        ca = side_a.get((pa, v))
+        if ca is None:
+            g = GenPartition(pa + (v,))
+            ca = side_a[pa, v] = (-v * g.parts.count(v) * fa.num(
+                g.parts, g.mult_factorial, g.weighted_square))
+        if not ca:
+            continue
+        mu_cb = side_b.get((pb, v))
+        if mu_cb is None:
+            g = GenPartition(pb + (-v,))
+            mu_cb = side_b[pb, v] = (g.parts, fb.num(
+                g.parts, g.mult_factorial, g.weighted_square))
+        mu, cb = mu_cb
+        if not cb:
+            continue
+        coeff = ca * cb
+        for j in range(len(mu)):
+            if mu[j] != -v:
                 continue
-            k0 = fa.kpow + fb.kpow
-            tsum = fa.total + fb.total
-            cands = set()
-            for ta in range(-negcap, poscap + 1):
-                surv_a = _stats_list(fa.ell - 2, ta, poscap, negcap)
-                if not surv_a:
-                    continue
-                surv_b = _stats_list(fb.ell - 2, tsum - ta, poscap, negcap)
-                if not surv_b:
-                    continue
-                gap = fa.total - ta
-                for sa, posa, nega, mfa, wsa in surv_a:
-                    for sb, posb, negb, mfb, wsb in surv_b:
-                        if posa + posb > poscap or nega + negb > negcap:
-                            continue
-                        for w in range(1, gap // 2 + 1):
-                            cands.add((tuple(sorted(sa + (w,))),
-                                       tuple(sorted(sb + (-w,))),
-                                       gap - w))
-                        for w in range(1, -gap // 2 + 1):
-                            cands.add((tuple(sorted(sa + (-w,))),
-                                       tuple(sorted(sb + (w,))),
-                                       gap + w))
-            for pa, pb, v in cands:
-                nu = tuple(sorted(pa + (v,)))
-                ga = GenPartition(nu)
-                ca = fa.coeff(nu, ga.mult_factorial,
-                              ga.weighted_square) * nu.count(v)
-                if not ca:
-                    continue
-                mu = tuple(sorted(pb + (-v,)))
-                gb = GenPartition(mu)
-                cb = fb.coeff(mu, gb.mult_factorial, gb.weighted_square)
-                if not cb:
-                    continue
-                coeff = Q(-v) * ca * cb
-                for j in range(len(mu)):
-                    if mu[j] != -v:
-                        continue
-                    arr = mu[:j] + pa + mu[j + 1:]
-                    for ms, ee, im in normalize_arrangement(arr):
-                        if ee != 1:
-                            continue
-                        if keep(ms):
-                            out.add((ms, 1, k0), coeff * im)
+            for ms, im in _euler_corrections(mu[:j] + pa + mu[j + 1:]):
+                if keep(ms):
+                    nums[ms] = nums.get(ms, 0) + coeff * im
+    return nums
 
 
 def s_derive(a, keep, poscap, negcap, include_k=True):
@@ -667,15 +712,16 @@ def s_derive(a, keep, poscap, negcap, include_k=True):
     Each part v splits into ordered pairs m1 + m2 = v with weight -v/2
     (the pair inserted in place, normal ordered), and each term gains a
     K-smeared copy weighted by -sum v(|v|-1)/2 unless include_k is off.
+    Twice the result is accumulated, then halved once per key.
     """
-    out = SmearedOp()
+    twice = {}
     for (modes, e0, k0), c in a.terms.items():
         if include_k:
-            ks = -sum(Q(v * (abs(v) - 1), 2) for v in modes)
+            ks = -sum(v * (abs(v) - 1) // 2 for v in modes)
             if ks and keep(modes):
-                out.add((modes, e0, k0 + 1), c * ks)
+                _acc(twice, (modes, e0, k0 + 1), 2 * ks * c)
         for j, v in enumerate(modes):
-            base = c * Q(-v, 2)
+            base = -v * c
             for m1 in range(max(-negcap, v - poscap), v // 2 + 1):
                 m2 = v - m1
                 if m1 == 0 or m2 == 0:
@@ -686,8 +732,8 @@ def s_derive(a, keep, poscap, negcap, include_k=True):
                     if e0 + ee > 1:
                         continue
                     if keep(ms):
-                        out.add((ms, e0 + ee, k0), base * mult * im)
-    return out
+                        _acc(twice, (ms, e0 + ee, k0), base * mult * im)
+    return _divided(twice, 2)
 
 
 def box_keep(poscap, negcap):

@@ -50,6 +50,16 @@ def exact(c):
     return c
 
 
+def ratio(n, d):
+    """n / d exactly, for an int or Fraction n and a nonzero int d: an
+    int when the quotient is integral, else a Fraction, never a float."""
+    if type(n) is int:
+        q, r = divmod(n, d)
+        if not r:
+            return q
+    return exact(Fraction(n, d))
+
+
 def _sparse_mul(table, x, y):
     """x * y as {k: coeff} with zeros dropped; x and y are sequences of
     (basis index, coeff) pairs."""

@@ -29,7 +29,7 @@ from math import comb, factorial
 from multiprocessing import Pool
 
 from .fock import FockVector, basis_states, render_state, weight
-from .operators import (Family, SmearedOp, act_arrangement, box_keep,
+from .operators import (SmearedOp, act_arrangement, box_keep,
                         commutator_column, derive, diamond_keep, heisenberg,
                         instantiate, monomial, quadratic_sum, s_bracket,
                         s_derive, series_bracket, series_to_smeared)
@@ -38,9 +38,9 @@ from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
                        chern_families, chern_smeared, fourier,
                        fourier_families, heis_families, jay, jay_families,
-                       jay_smeared, jay_via_fields_smeared, omega,
-                       shift_families, vir_families, wbracket, wparity,
-                       wterm)
+                       jay_smeared, jay_via_fields_smeared, mult_family,
+                       omega, scaled_families, shift_families,
+                       vir_families, wbracket, wparity, wterm)
 from .hilbert import (chern_class, chern_class_closed, intersection_number,
                       intersection_number_closed, k_multisets)
 
@@ -240,6 +240,8 @@ class _Tally:
 
 def _inst_fail(delta, ring, a, b):
     """First residual term that survives instantiation at a*b, or None."""
+    if delta.is_zero():
+        return None
     ab = a * b
     for (modes, ep, kp), c in delta.sorted_items():
         cls = ab
@@ -325,8 +327,7 @@ def _euler_families(ell, total, c):
     the checked series plus this one family."""
     if ell < 1:
         return []
-    return [Family(ell, total, lambda parts, mf, ws: Q(c, 24 * mf),
-                   epow=1)]
+    return [mult_family(ell, total, lambda ws: c, 24, epow=1)]
 
 
 # -- heis: transfer operator commutators ----------------------------------
@@ -398,7 +399,7 @@ def _run_vir(spec, mut, *, m_max=3):
             pos = _sound_pos(N, m, n)
             meas = series_bracket(vir_families(m), vir_families(n), pos, N)
             exp = series_to_smeared(vir_families(m + n), pos, N).scaled(
-                Q(m - n))
+                m - n)
             if m == -n and m != 0:
                 exp.add(((), 1, 0), Q(m ** 3 - m + (1 if mut else 0), 12))
             delta = meas - exp
@@ -734,7 +735,7 @@ def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
                 dA = s_derive(A, keep, N, N, include_k=False)
                 rhs = series_to_smeared(
                     shift_families(k + 1, n, d), N, N).filter(keep)
-                rhs = rhs.scaled(Q(-n * (k + 1)))
+                rhs = rhs.scaled(-n * (k + 1))
                 c2 = -2 * n * (d + (2 if mut else 1))
                 if c2:
                     rhs = rhs + series_to_smeared(
@@ -891,7 +892,7 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
 
     for n in range(-n_max, n_max + 1):
         got = series_to_smeared(jf(0, n), N, N)
-        want = series_to_smeared(heis_families(n), N, N).scaled(Q(-1))
+        want = series_to_smeared(heis_families(n), N, N).scaled(-1)
         yield _universal_record(got - want, {"part": "a", "n": n})
     for rname in ("p2", "k3"):
         if spec.surface and spec.surface != rname:
@@ -910,10 +911,10 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         yield t.record({"part": "b", "surface": rname})
     for p in range(1, p_max + 1):
         got = series_to_smeared(jf(p, 0), N, N)
-        want = chern_smeared(p - 1, N, N).scaled(Q(factorial(p)))
+        want = chern_smeared(p - 1, N, N).scaled(factorial(p))
         yield _universal_record(got - want, {"part": "c", "p": p})
         got = series_to_smeared(jf(p, -1), N, N)
-        want = series_to_smeared(apow_families(-1, p), N, N).scaled(Q(-1))
+        want = series_to_smeared(apow_families(-1, p), N, N).scaled(-1)
         yield _universal_record(got - want, {"part": "d", "p": p})
     if not mut:
         ring = builtin_ring("k3")
@@ -1022,16 +1023,17 @@ def _thm55_expected(p, q, m, n, pos, neg, mut):
         if m == -n and m != 0:
             exp.add(((), 0, 0), Q(-m))
         return exp
-    lin = Q(q * m - p * n)
+    lin = q * m - p * n
     if lin and p + q - 1 >= 0:
-        exp.merge(series_to_smeared(jay_families(p + q - 1, m + n),
-                                    pos, neg), lin)
+        exp.merge(series_to_smeared(
+            scaled_families(jay_families(p + q - 1, m + n), lin), pos, neg))
     om = omega(p, q, m, n)
     if mut:
         om = -om
     if om and p + q - 3 >= 0:
-        exp.merge(series_to_smeared(jay_families(p + q - 3, m + n),
-                                    pos, neg).shift_euler(), Q(-om, 12))
+        exp.merge(series_to_smeared(
+            scaled_families(jay_families(p + q - 3, m + n), -om, 12),
+            pos, neg).shift_euler())
     if m == -n and m != 0:
         if (p, q) == (2, 0):
             exp.add(((), 1, 0), Q(m ** 3 - m, 6))
@@ -1175,7 +1177,7 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
             A = series_to_smeared(jay_families(p, n), N, N).filter(keep)
             dA = s_derive(A, keep, N, N, include_k=False)
             rhs = series_to_smeared(jay_families(p + 1, n), N, N)
-            rhs = rhs.filter(keep).scaled(Q(-n))
+            rhs = rhs.filter(keep).scaled(-n)
             cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
             if cc and p - 1 >= 0:
                 rhs = rhs + series_to_smeared(
@@ -1243,7 +1245,7 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
                         if m == -n and m != 0:
                             exp.add(((), 0, 0), Q(-m))
                     else:
-                        lin = Q(q * m - p * n + (1 if mut else 0))
+                        lin = q * m - p * n + (1 if mut else 0)
                         if lin:
                             exp.merge(series_to_smeared(
                                 [f for f in jay_families(p + q - 1, m + n)
@@ -1317,17 +1319,6 @@ def _thm57_spots(ring):
 # -- lem61: derivative identities of field monomials -----------------------
 
 
-_F_CACHE = {}
-
-
-def _F(orders, m, B):
-    key = (tuple(orders), m, B)
-    if key not in _F_CACHE:
-        _F_CACHE[key] = series_to_smeared(
-            fourier_families(FourierSpec(key[0], m)), B, B)
-    return _F_CACHE[key]
-
-
 def _lem61_identities(Nf, m, six):
     """(name, lhs orders, lhs scalar, rhs terms) of the five identities at
     N = Nf underived factors; a rhs term (orders, used, coefficient)
@@ -1358,15 +1349,26 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     """
     B = _cutoff(spec, 5)
     six = 5 if mut else 6
+    memo = {}
+
+    def F(orders, m):
+        """The component series of :(d^r1 a)...(d^rk a):_m on the box,
+        made once per run."""
+        key = (orders, m)
+        if key not in memo:
+            memo[key] = series_to_smeared(
+                fourier_families(FourierSpec(orders, m)), B, B)
+        return memo[key]
+
     for Nf in range(n_max + 1):
         for m in range(-m_max, m_max + 1):
             z = (0,) * Nf
             for name, orders, scale, terms in _lem61_identities(Nf, m, six):
-                lhs = _F(orders + z, m, B).scaled(Q(scale))
+                lhs = F(orders + z, m).scaled(scale)
                 rhs = SmearedOp()
                 for rorders, used, c in terms:
                     if Nf >= used:
-                        rhs.merge(_F(rorders + z[used:], m, B), Q(c))
+                        rhs.merge(F(rorders + z[used:], m), c)
                 yield _universal_record(
                     lhs - rhs, {"identity": name, "N": Nf, "m": m})
 
@@ -1511,6 +1513,10 @@ def run_suite(spec):
                          % (spec.suite, mlabel))
     if spec.cutoff < 0:
         raise ValueError("cutoff must be at least 0, got %d" % spec.cutoff)
+    if spec.cutoff == 1:
+        raise ValueError("cutoff must be 0 (the suite's default window) or "
+                         "at least 2, got 1: a window of weight 1 holds no "
+                         "two-mode term, so the checks would be vacuous")
     accepted = sorted(runner.__kwdefaults__ or ())
     unknown = sorted(set(spec.bounds) - set(accepted))
     if unknown:

@@ -15,6 +15,13 @@ with s(lam) the sum of squared parts and lam^! the multiplicity factorial.
 J^0_n = -a_n, J^1_n = L_n, J^p_0 = p! G_{p-1}, and J^p_{-1} is -1 times
 the p-th derivative of a_{-1} under the derivation operator.
 
+Each family keeps the operators.Family contract: an integer numerator
+num(parts, lam^!, s(lam)) over one integer family denominator den, so
+the smeared calculus divides once per output key.  A coefficient
+w(s(lam)) / (d lam^!) becomes num = w(s(lam)) * (l! // lam^!) over
+den = d * l! (mult_family), and scaled_families multiplies numerators
+and denominators by integers.
+
 The module also provides Fourier components of normally ordered powers of
 the free field a(z) = sum a_n z^{-n-1} and its z-derivatives, the
 structure polynomial omega(p,q,m,n) entering the W-algebra bracket, and
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from .operators import Family, instantiate, quadratic_sum, series_to_smeared
@@ -40,9 +46,28 @@ Q = Fraction
 # -- series families -------------------------------------------------------
 
 
+def mult_family(ell, total, weight, den=1, epow=0):
+    """The family weight(s(lam)) / (den lam^!) over partitions of length
+    ell and size total, for an integer-valued weight: numerator
+    weight(s(lam)) * (ell! // lam^!) over the family denominator
+    den * ell!."""
+    f = factorial(ell)
+    return Family(ell, total, lambda parts, mf, ws: weight(ws) * (f // mf),
+                  den * f, epow=epow)
+
+
+def scaled_families(fams, c, den=1, epow=None):
+    """c / den times each family, for ints c and den, with the Euler power
+    replaced by epow if given."""
+    return [Family(f.ell, f.total,
+                   lambda parts, mf, ws, num=f.num: c * num(parts, mf, ws),
+                   f.den * den, f.epow if epow is None else epow, f.kpow)
+            for f in fams]
+
+
 def heis_families(n):
     """The single-mode series a_n as a family list."""
-    return [Family(1, n, lambda parts, mf, ws: Q(1))]
+    return [Family(1, n, lambda parts, mf, ws: 1)]
 
 
 def vir_families(n):
@@ -53,14 +78,11 @@ def jay_families(p, n):
     """Families of J^p_n; the empty partition never appears."""
     if p < 0:
         raise ValueError("negative W-algebra weight %d" % p)
-    fams = [Family(p + 1, n,
-                   lambda parts, mf, ws, p=p: Q(-factorial(p), mf))]
+    fp = factorial(p)
+    fams = [mult_family(p + 1, n, lambda ws: -fp)]
     if p - 1 >= 1:
-        fams.append(Family(
-            p - 1, n,
-            lambda parts, mf, ws, p=p, n=n:
-            Q(factorial(p) * (ws + n * n - 2), 24 * mf),
-            epow=1))
+        fams.append(mult_family(p - 1, n, lambda ws: fp * (ws + n * n - 2),
+                                24, epow=1))
     return fams
 
 
@@ -68,12 +90,9 @@ def chern_families(k):
     """Families of the k-th Chern character component G_k."""
     if k < 0:
         raise ValueError("negative Chern character index %d" % k)
-    fams = [Family(k + 2, 0, lambda parts, mf, ws: Q(-1, mf))]
+    fams = [mult_family(k + 2, 0, lambda ws: -1)]
     if k >= 1:
-        fams.append(Family(
-            k, 0,
-            lambda parts, mf, ws: Q(ws - 2, 24 * mf),
-            epow=1))
+        fams.append(mult_family(k, 0, lambda ws: ws - 2, 24, epow=1))
     return fams
 
 
@@ -84,13 +103,11 @@ def apow_families(n, k):
                   - sum_{l=k-1,|lam|=n} ((s(lam)-1)/(24 lam^!))
                     a_lam(tau(e*c)) ).
     """
-    lead = Q((-n) ** k * factorial(k))
-    fams = [Family(k + 1, n, lambda parts, mf, ws, lead=lead: lead / mf)]
+    lead = (-n) ** k * factorial(k)
+    fams = [mult_family(k + 1, n, lambda ws: lead)]
     if k - 1 >= 1:
-        fams.append(Family(
-            k - 1, n,
-            lambda parts, mf, ws, lead=lead: -lead * (ws - 1) / (24 * mf),
-            epow=1))
+        fams.append(mult_family(k - 1, n, lambda ws: -lead * (ws - 1),
+                                24, epow=1))
     return fams
 
 
@@ -100,12 +117,9 @@ def shift_families(k, n, d):
         sum_{l=k+1,|lam|=n} (1/lam^!) a_lam(tau c)
         - sum_{l=k-1,|lam|=n} ((s(lam)+d)/(24 lam^!)) a_lam(tau(e*c)).
     """
-    fams = [Family(k + 1, n, lambda parts, mf, ws: Q(1, mf))]
+    fams = [mult_family(k + 1, n, lambda ws: 1)]
     if k - 1 >= 1:
-        fams.append(Family(
-            k - 1, n,
-            lambda parts, mf, ws, d=d: Q(-(ws + d), 24 * mf),
-            epow=1))
+        fams.append(mult_family(k - 1, n, lambda ws: -(ws + d), 24, epow=1))
     return fams
 
 
@@ -159,28 +173,41 @@ class FourierSpec:
 def deriv_coeff(r, i):
     """Coefficient of a_i inside the r-th z-derivative of the field:
     product of (-i - s) for s = 1..r."""
-    out = Q(1)
+    out = 1
     for s in range(1, r + 1):
-        out *= Q(-i - s)
+        out *= -i - s
     return out
 
 
 def perm_sum(parts, orders):
     """Sum over distinct orderings of the parts of the per-slot derivative
     coefficients; this is the smeared coefficient of a_lam inside the
-    normally ordered product."""
-    total = Q(0)
-    seen = set()
-    for p in permutations(parts):
-        if p in seen:
-            continue
-        seen.add(p)
-        term = Q(1)
-        for r, i in zip(orders, p):
-            if r:
-                term *= deriv_coeff(r, i)
-        total += term
-    return total
+    normally ordered product.
+
+    Only the derived slots (nonzero orders) carry a coefficient, so the
+    sum runs over the distinct values those slots take, each weighted by
+    the number of distinct orderings of the parts left over."""
+    derived = [r for r in orders if r]
+    counts = {}
+    for i in parts:
+        counts[i] = counts.get(i, 0) + 1
+    rest = factorial(len(parts) - len(derived))
+
+    def walk(slot):
+        if slot == len(derived):
+            out = rest
+            for c in counts.values():
+                out //= factorial(c)
+            return out
+        total = 0
+        for i, c in counts.items():
+            if c:
+                counts[i] = c - 1
+                total += deriv_coeff(derived[slot], i) * walk(slot + 1)
+                counts[i] = c
+        return total
+
+    return walk(0)
 
 
 def fourier_families(spec):
@@ -193,14 +220,15 @@ def fourier_families(spec):
         return []
     orders = tuple(spec.orders)
     return [Family(arity, spec.mode,
-                   lambda parts, mf, ws, orders=orders:
-                   perm_sum(parts, orders))]
+                   lambda parts, mf, ws: perm_sum(parts, orders))]
 
 
 def fourier(ring, spec, elem, cutoff):
     """Expanded Fourier component smeared against elem."""
     sm = series_to_smeared(fourier_families(spec), cutoff, cutoff)
     return instantiate(sm, ring, elem, cutoff)
+
+
 
 
 def jay_field_families(p, m):
@@ -210,26 +238,18 @@ def jay_field_families(p, m):
         + p(m^2-3m-2p)/24 :a^{p-1}:_m (tau(e*c))
         + p(p-1)/24 :(d^2 a) a^{p-2}:_m (tau(e*c)).
     """
-    fams = []
-    for fam in fourier_families(FourierSpec((0,) * (p + 1), m)):
-        fams.append(Family(fam.ell, fam.total,
-                           lambda parts, mf, ws, f=fam.coeff, p=p:
-                           -f(parts, mf, ws) / (p + 1)))
+    fams = scaled_families(
+        fourier_families(FourierSpec((0,) * (p + 1), m)), -1, p + 1)
     if p >= 1:
-        c2 = Q(p * (m * m - 3 * m - 2 * p), 24)
+        c2 = p * (m * m - 3 * m - 2 * p)
         if c2:
-            for fam in fourier_families(FourierSpec((0,) * (p - 1), m)):
-                fams.append(Family(fam.ell, fam.total,
-                                   lambda parts, mf, ws, f=fam.coeff, c2=c2:
-                                   c2 * f(parts, mf, ws),
-                                   epow=1))
+            fams += scaled_families(
+                fourier_families(FourierSpec((0,) * (p - 1), m)), c2, 24,
+                epow=1)
     if p >= 2:
-        c3 = Q(p * (p - 1), 24)
-        for fam in fourier_families(FourierSpec((2,) + (0,) * (p - 2), m)):
-            fams.append(Family(fam.ell, fam.total,
-                               lambda parts, mf, ws, f=fam.coeff, c3=c3:
-                               c3 * f(parts, mf, ws),
-                               epow=1))
+        fams += scaled_families(
+            fourier_families(FourierSpec((2,) + (0,) * (p - 2), m)),
+            p * (p - 1), 24, epow=1)
     return fams
 
 
@@ -246,7 +266,11 @@ def jay_via_fields(ring, p, m, elem, cutoff):
 
 
 def omega(p, q, m, n):
-    """The degree-six structure polynomial in the W-algebra bracket."""
+    """The degree-six structure polynomial in the W-algebra bracket,
+    defined for W-weights p, q >= 0."""
+    if p < 0 or q < 0:
+        raise ValueError("omega needs W-weights p, q >= 0, got p=%d, q=%d"
+                         % (p, q))
     return (m * p**3 * n**2
             + 3 * m * p**2 * n**2 * q
             - p**2 * n * q

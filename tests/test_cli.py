@@ -73,6 +73,24 @@ def test_verify_negative_cutoff_is_usage_error(capsys):
     assert "cutoff must be at least 0" in err
 
 
+def test_verify_cutoff_one_is_usage_error(capsys):
+    """A weight-1 window is refused for every suite: at cutoff 1 the
+    thm55, rmk56 and lem61 mutations would pass.  Cutoff 0 still means
+    the suite's default window, and the header keeps the value given."""
+    for suite in ("thm55", "rmk56", "lem61", "rmk43"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--cutoff", "1")
+        assert code == 2 and out == ""
+        assert "cutoff must be 0 (the suite's default window) or at least 2" \
+            in err and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "--suite", "rmk43", "--cutoff", "0",
+                       "--format", "jsonl")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["header"]["cutoff"] == 0
+    code, _, _ = run(capsys, "verify", "--suite", "rmk43", "--cutoff", "2")
+    assert code == 0
+
+
 def test_verify_unknown_bound_key_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "rmk43",
                          "--bound", "kmax=1")
@@ -113,6 +131,15 @@ def test_omega_value_and_jsonl(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"m": -3, "n": -3, "omega": "792", "p": 1, "q": 3}
+
+
+def test_omega_negative_weight_is_usage_error(capsys):
+    for p, q in (("-1", "2"), ("2", "-1"), ("-3", "-3")):
+        code, out, err = run(capsys, "omega", "--p", p, "--q", q,
+                             "--m", "1", "--n", "1")
+        assert code == 2 and out == ""
+        assert "omega needs W-weights p, q >= 0" in err
+        assert "Traceback" not in err
 
 
 def test_intersect_json_spot(capsys):

@@ -15,7 +15,11 @@ from hilbfock.operators import (OperatorSum, SmearedOp, apply_arrangement,
                                 series_bracket, series_to_smeared)
 from hilbfock.partitions import GenPartition
 from hilbfock.ring import builtin_ring
-from hilbfock.walgebra import jay_families
+from hilbfock.verify import _euler_families
+from hilbfock.walgebra import (FourierSpec, apow_families, chern_families,
+                               fourier_families, heis_families,
+                               jay_families, jay_field_families,
+                               shift_families)
 
 P2 = builtin_ring("p2")
 AB = builtin_ring("abelian")
@@ -152,18 +156,38 @@ def test_s_bracket_matches_commutator_action():
 
 
 def test_s_derive_matches_recursive_derivative():
+    """Also with classes c where K*c != 0 on the plane, so that the
+    K-smeared terms -v(|v|-1)/2 count."""
     N = 5
-    x = P2.elem({"x": 1})
-    for modes in ((-2, 1), (-1, -1, 2), (-3,)):
-        a = SmearedOp({(modes, 0, 0): Q(1)})
-        keep = diamond_keep(sum(map(abs, modes)) + 2)
-        der = s_derive(a, keep, N, N)
-        op = instantiate(a, P2, x, N)
-        op_der = instantiate(der, P2, x, N)
-        for s in basis_states(P2, 1):
-            vec = FockVector(P2, N, {s: Q(1)})
-            got = derivative_action(op, vec)
-            assert got == op_der.apply(vec), modes
+    for cls in ("x", "H", "1"):
+        x = P2.elem({cls: 1})
+        for modes in ((-2, 1), (-1, -1, 2), (-3,)):
+            a = SmearedOp({(modes, 0, 0): Q(1)})
+            keep = diamond_keep(sum(map(abs, modes)) + 2)
+            der = s_derive(a, keep, N, N)
+            op = instantiate(a, P2, x, N)
+            op_der = instantiate(der, P2, x, N)
+            for s in basis_states(P2, 1):
+                vec = FockVector(P2, N, {s: Q(1)})
+                got = derivative_action(op, vec)
+                assert got == op_der.apply(vec), (cls, modes)
+
+
+# Family pairs with their own num/den, including mixed denominators and
+# Euler families, for the bracket agreement and exact-scalar tests.
+FAMILY_PAIRS = {
+    "jay": (jay_families(2, -2), jay_families(2, -1)),
+    "chern-heis": (chern_families(1), heis_families(2)),
+    "chern-jay": (chern_families(2), jay_families(1, -1)),
+    "apow-jay": (apow_families(-1, 2), jay_families(2, 1)),
+    "shift": (shift_families(2, 1, -1), shift_families(1, -1, 2)),
+    "fourier": (fourier_families(FourierSpec((1, 0), 1)),
+                fourier_families(FourierSpec((2, 0, 0), -1))),
+    "fourier-derived": (fourier_families(FourierSpec((1, 2), -1)),
+                        fourier_families(FourierSpec((0, 3, 0), 0))),
+    "jay-field": (jay_field_families(2, 1), jay_field_families(3, -1)),
+    "euler-jay": (_euler_families(2, 1, 5), jay_families(2, -1)),
+}
 
 
 def test_series_bracket_agrees_with_literal_bracket():
@@ -180,6 +204,41 @@ def test_series_bracket_agrees_with_literal_bracket():
             fastf = SmearedOp({k: c for k, c in fast.terms.items()
                                if keep(k[0])})
             assert (fastf - slow).is_zero(), (p, qq, m, n, pos, neg)
+    for name, (fa, fb) in FAMILY_PAIRS.items():
+        A = series_to_smeared(fa, pad, pad)
+        B = series_to_smeared(fb, pad, pad)
+        for pos, neg in ((3, 6), (5, 4)):
+            fast = series_bracket(fa, fb, pos, neg)
+            slow = s_bracket(A, B, box_keep(pos, neg))
+            assert fast.terms and fast == slow, (name, pos, neg)
+
+
+def _assert_exact_values(sm, label):
+    """Every value an int or a non-integral Fraction: never a float, a
+    bool, an integral Fraction or a stored zero."""
+    for key, c in sm.terms.items():
+        assert (type(c) is int and c) or (
+            type(c) is Q and c.denominator != 1), (label, key, c)
+
+
+def test_smeared_values_are_exact_scalars():
+    """series_to_smeared, series_bracket, s_derive and s_bracket keep every
+    value an int when integral and a Fraction otherwise, for every family
+    constructor."""
+    keep = box_keep(4, 4)
+    for name, (fa, fb) in FAMILY_PAIRS.items():
+        A = series_to_smeared(fa, 4, 4)
+        B = series_to_smeared(fb, 4, 4)
+        assert A.terms and B.terms, name
+        for label, sm in (("smeared-a", A), ("smeared-b", B),
+                          ("bracket", series_bracket(fa, fb, 3, 4)),
+                          ("derive", s_derive(A, keep, 4, 4)),
+                          ("derive-no-k", s_derive(B, keep, 4, 4,
+                                                   include_k=False)),
+                          ("literal", s_bracket(A, B, keep)),
+                          ("difference", A - A.scaled(Q(1, 2))),
+                          ("scaled", B.scaled(Q(24)))):
+            _assert_exact_values(sm, (name, label))
 
 
 def test_series_bracket_shed_pair_regression():

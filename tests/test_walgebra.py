@@ -1,6 +1,8 @@
 """W-generator series: Virasoro, character series, structure polynomial."""
 
 from fractions import Fraction as Q
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,12 @@ from hilbfock.operators import (box_keep, commutator_action, heisenberg,
                                 series_to_smeared)
 from hilbfock.ring import builtin_ring
 from hilbfock.walgebra import (CENTRAL, FourierSpec, apow_families, chern,
-                               chern_smeared, fourier, heis_families, jay,
-                               jay_families, jay_smeared,
-                               jay_via_fields_smeared, omega, shift_families,
-                               virasoro, wbracket, wparity, wterm)
+                               chern_families, chern_smeared, deriv_coeff,
+                               fourier, heis_families, jay, jay_families,
+                               jay_field_families, jay_smeared,
+                               jay_via_fields_smeared, omega, perm_sum,
+                               shift_families, virasoro, wbracket, wparity,
+                               wterm)
 
 P2 = builtin_ring("p2")
 K3 = builtin_ring("k3")
@@ -152,6 +156,12 @@ def test_omega_frozen_spots():
     assert omega(2, 2, 1, -2) == 48
 
 
+def test_omega_refuses_negative_weights():
+    for p, q in ((-1, 0), (0, -1), (-2, -2)):
+        with pytest.raises(ValueError, match="W-weights"):
+            omega(p, q, 1, 1)
+
+
 def test_omega_vanishes_on_exceptional_cells():
     for m in range(-4, 5):
         for n in range(-4, 5):
@@ -267,3 +277,83 @@ def test_heis_families_single_term():
     assert fam.ell == 1 and fam.total == -2
     sm = series_to_smeared([fam], 4, 4)
     assert sm.terms == {((-2,), 0, 0): Q(1)}
+
+
+def _perm_sum_oracle(parts, orders):
+    """The defining sum over distinct orderings, by brute force."""
+    total = 0
+    for seq in set(permutations(parts)):
+        term = 1
+        for r, i in zip(orders, seq):
+            for s in range(1, r + 1):
+                term *= -i - s
+        total += term
+    return total
+
+
+# The derived-slot shapes that lem53 and lem61 use, padded with zeros.
+_ORDER_SHAPES = ((), (2,), (1, 1), (1, 2), (3,), (1, 1, 1))
+_PERM_PARTS = ((1,), (-2,), (-1, 1), (2, 2), (-3, -1, 2), (-1, -1, -1),
+               (-2, -2, 1, 1), (1, 1, 1, 1), (-1, 1, 1, 3, 3),
+               (-3, -1, 2, 2, 2, 4), (-2, -2, -2, 1, 1, 5))
+
+
+def test_perm_sum_matches_brute_force():
+    """perm_sum, which walks only the derived slots, equals the sum over
+    every distinct ordering of the parts, for each order shape and any
+    placement of the derived slots."""
+    for parts in _PERM_PARTS:
+        for shape in _ORDER_SHAPES:
+            if len(shape) > len(parts):
+                continue
+            orders = shape + (0,) * (len(parts) - len(shape))
+            want = _perm_sum_oracle(parts, orders)
+            for placed in (orders, orders[::-1]):
+                got = perm_sum(parts, placed)
+                assert type(got) is int and got == want, (parts, placed)
+
+
+def test_deriv_coeff_is_an_int():
+    assert deriv_coeff(0, 3) == 1
+    assert deriv_coeff(2, -1) == 0
+    got = deriv_coeff(3, 2)
+    assert type(got) is int and got == (-3) * (-4) * (-5)
+
+
+def _stats(modes):
+    mf = 1
+    for v in set(modes):
+        mf *= factorial(modes.count(v))
+    return mf, sum(v * v for v in modes)
+
+
+def test_family_coefficients_match_rational_formulas():
+    """num / den of every family equals its documented coefficient,
+    computed here with Fractions from the partition statistics."""
+    cases = [
+        (jay_families(3, -1), lambda mf, ws, e:
+         Q(factorial(3) * (ws + 1 - 2), 24 * mf) if e else Q(-6, mf)),
+        (chern_families(2), lambda mf, ws, e:
+         Q(ws - 2, 24 * mf) if e else Q(-1, mf)),
+        (apow_families(-2, 3), lambda mf, ws, e:
+         -Q(48) * (ws - 1) / (24 * mf) if e else Q(48, mf)),
+        (shift_families(3, 1, 5), lambda mf, ws, e:
+         Q(-(ws + 5), 24 * mf) if e else Q(1, mf)),
+        (heis_families(-3), lambda mf, ws, e: Q(1)),
+    ]
+    for fams, coeff in cases:
+        sm = series_to_smeared(fams, 5, 5)
+        assert sm.terms
+        for (modes, ep, kp), c in sm.terms.items():
+            assert c == coeff(*_stats(modes), ep), (modes, ep)
+    # the field route: -perm_sum / (p + 1) plus the two Euler families
+    p, m = 3, -1
+    sm = series_to_smeared(jay_field_families(p, m), 5, 5)
+    for (modes, ep, kp), c in sm.terms.items():
+        if not ep:
+            want = Q(-perm_sum(modes, (0,) * (p + 1)), p + 1)
+        else:
+            want = (Q(p * (m * m - 3 * m - 2 * p), 24)
+                    * perm_sum(modes, (0,) * (p - 1))
+                    + Q(p * (p - 1), 24) * perm_sum(modes, (2, 0)))
+        assert c == want, (modes, ep)
