@@ -9,13 +9,14 @@ match failure, 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 
-from .fock import render_vector, vector_records
-from .hilbert import (chern_class, cup_product, hilb_integral,
+from .fock import fundamental_class, render_vector, vector_records
+from .hilbert import (cup_product, hilb_integral,
                       intersection_number, intersection_number_closed,
                       k_multisets)
 from .operators import heisenberg
@@ -152,22 +153,23 @@ def _cmd_chern(args):
                          % (args.cls, ", ".join(ring.basis_names)))
     elem = ring.basis(args.cls)
     try:
-        vec = chern_class(ring, args.k, elem, args.n)
+        # hilbert.chern_class, keeping the operator for --dump-terms
+        op = chern(ring, args.k, elem, args.n)
+        vec = op.apply(fundamental_class(ring, args.n, args.n))
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "jsonl":
         doc = {"surface": ring.name, "k": args.k, "n": args.n,
                "class": args.cls, "vector": vector_records(vec)}
         if args.dump_terms:
-            doc["operator"] = _op_records(chern(ring, args.k, elem, args.n))
+            doc["operator"] = _op_records(op)
         text = _jline(doc)
     else:
         lines = ["G_%d(%s) on %d points over %s:"
                  % (args.k, args.cls, args.n, ring.name),
                  render_vector(vec)]
         if args.dump_terms:
-            lines += ["operator terms:",
-                      chern(ring, args.k, elem, args.n).render()]
+            lines += ["operator terms:", op.render()]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -408,8 +410,21 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The process's one argument parser, built on first use: building
+    the argparse tree costs far more than parsing with it, and parsing
+    leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    """Run one command line (sys.argv[1:] when argv is None) and return
+    its exit code; argparse usage errors exit 2 through SystemExit.
+
+    Calls in one process share one parser (_parser), so a stream of
+    in-process calls pays for the argparse tree once."""
+    ap = _parser()
     args = ap.parse_args(argv)
     if not getattr(args, "func", None):
         ap.print_usage(sys.stderr)

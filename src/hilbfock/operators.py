@@ -4,11 +4,16 @@ Two layers:
 
 * Expanded operators (OperatorSum): finite combinations of normal-ordered
   mode monomials a(m1;c1)...a(mk;ck) plus a scalar, acting exactly on
-  FockVector windows.  Constructors: transfer operators (heisenberg), and
-  smeared partition monomials a_lambda(tau_l(class)) (monomial).  An
-  operator caches its sparse columns, the images of single basis states,
-  per window cutoff on the operator object itself, so repeated checks on
-  the same states reuse them; there is no global cache, and the memory is
+  FockVector windows.  Constructors: transfer operators (heisenberg),
+  smeared partition monomials a_lambda(tau_l(class)) (monomial), the
+  Virasoro series (quadratic_sum), the derivation's replacement operators
+  and instantiated smeared lists (instantiate).  All but heisenberg go
+  through one int-first expansion (_expand): integer numerators over one
+  denominator per operator, each tau word brought to canonical order
+  once, and one division per word through ring.ratio.  An operator
+  caches its sparse columns, the images of single basis states, per
+  window cutoff on the operator object itself, so repeated checks on the
+  same states reuse them; there is no global cache, and the memory is
   freed with the operator.  A contraction index skips, without storing
   anything, the states an operator provably kills.  The kernels act on
   {state: coeff} dicts (OperatorSum.act and column, commutator_column,
@@ -46,7 +51,6 @@ instantiate on a concrete ring where needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
 
@@ -54,8 +58,6 @@ from .fock import (annihilate_state, canonical_factors, create_state,
                    exact, weight)
 from .partitions import GenPartition, enumerate_genpartitions
 from .ring import ratio
-
-Q = Fraction
 
 # The column of every state the contraction index rules out; read-only,
 # since it is shared.
@@ -292,28 +294,63 @@ def commutator_action(f, g, vec):
 # -- constructors ----------------------------------------------------------
 
 
+def _fits(modes, cutoff):
+    """Whether a_modes stays inside the window: it creates and annihilates
+    at most cutoff points."""
+    return (sum(m for m in modes if m > 0) <= cutoff
+            and -sum(m for m in modes if m < 0) <= cutoff)
+
+
+def _expand(ring, cutoff, items, den=1, scalar=0):
+    """The operator (scalar + sum of n * a_modes(tau_l(cls))) / den over
+    items (modes, cls, n): modes nondecreasing, n an integer numerator
+    and den a positive int.
+
+    monomial, quadratic_sum, instantiate and the replacement operators
+    all go through here.  Each tau word zip(modes, key) is brought to
+    canonical order once, numerators accumulate per canonical word, and
+    each word divides once through ratio, so integral coefficients are
+    ints."""
+    parity = ring.parity
+    even = not any(parity)
+    nums = {}
+    for modes, cls, n in items:
+        tau = ring.tau(len(modes), cls).terms
+        if even:
+            # no Koszul signs and no vanishing repeats: a plain sort
+            for key, c in tau.items():
+                _acc(nums, tuple(sorted(zip(modes, key))), n * c)
+            continue
+        for key, c in tau.items():
+            word, sign = canonical_factors(zip(modes, key), parity)
+            if word is not None:
+                _acc(nums, word, n * c if sign == 1 else -n * c)
+    op = OperatorSum(ring, cutoff)
+    op.terms = {w: ratio(v, den) for w, v in nums.items()}
+    op.scalar = ratio(scalar, den)
+    return op
+
+
 def heisenberg(ring, n, elem, cutoff):
     """Transfer operator a(n; elem); n = 0 gives the zero operator."""
-    op = OperatorSum(ring, cutoff)
-    if n == 0 or elem.is_zero():
-        return op
-    for i, c in elem.components():
-        op.add_factors(((n, i),), c)
-    return op
+    if n == 0:
+        return OperatorSum(ring, cutoff)
+    return OperatorSum(ring, cutoff,
+                       {((n, i),): c for i, c in elem.components()})
 
 
 def monomial(ring, gp, elem, cutoff):
     """Smeared monomial a_gp(tau_l(elem)); the empty partition gives 0."""
-    op = OperatorSum(ring, cutoff)
-    ell = gp.length
-    if ell == 0 or elem.is_zero():
-        return op
-    if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
-        return op
-    parts = gp.parts
-    for key, c in ring.tau(ell, elem).terms.items():
-        op.add_factors(tuple(zip(parts, key)), c)
-    return op
+    if gp.length == 0 or elem.is_zero() or not _fits(gp.parts, cutoff):
+        return OperatorSum(ring, cutoff)
+    return _expand(ring, cutoff, [(gp.parts, elem, 1)])
+
+
+def _quadratic_items(n, elem, cutoff, scale=1):
+    """Items of scale * L(n; elem) over the denominator 2: the window
+    bound keeps both totals of every partition inside the window."""
+    return [(lam.parts, elem, -scale * (2 // lam.mult_factorial))
+            for lam in enumerate_genpartitions(2, n, min(cutoff, cutoff + n))]
 
 
 def quadratic_sum(ring, n, elem, cutoff):
@@ -322,13 +359,9 @@ def quadratic_sum(ring, n, elem, cutoff):
         L_n = - sum over two-part generalized partitions of size n of
               (1 / mult!) a_lambda(tau_2(elem)).
     """
-    op = OperatorSum(ring, cutoff)
     if elem.is_zero():
-        return op
-    bound = min(cutoff, cutoff + n)
-    for lam in enumerate_genpartitions(2, n, bound):
-        op.merge(monomial(ring, lam, elem, cutoff), Q(-1, lam.mult_factorial))
-    return op
+        return OperatorSum(ring, cutoff)
+    return _expand(ring, cutoff, _quadratic_items(n, elem, cutoff), 2)
 
 
 def act_arrangement(ring, modes, elem, terms, cutoff):
@@ -343,7 +376,6 @@ def act_arrangement(ring, modes, elem, terms, cutoff):
         return out
     big = cutoff + sum(-m for m in modes if m < 0)
     for key, c0 in ring.tau(k, elem).terms.items():
-        c0 = exact(c0)
         for s, c in apply_word(ring, tuple(zip(modes, key)), terms,
                                big).items():
             if weight(s) <= cutoff:
@@ -365,12 +397,11 @@ def _replacement_op(ring, mode, i, cutoff):
     key = ("replacement", mode, i, cutoff)
     if key not in ring._cache:
         b = ring.basis(i)
-        op = quadratic_sum(ring, mode, b, cutoff).scaled(Q(mode))
+        items = _quadratic_items(mode, b, cutoff, mode)
         kb = ring.K * b
         if not kb.is_zero():
-            c = Q(-mode * (abs(mode) - 1), 2)
-            op.merge(heisenberg(ring, mode, kb, cutoff), c)
-        ring._cache[key] = op
+            items.append(((mode,), kb, -mode * (abs(mode) - 1)))
+        ring._cache[key] = _expand(ring, cutoff, items, 2)
     return ring._cache[key]
 
 
@@ -750,8 +781,11 @@ def diamond_keep(radius):
 
 
 def instantiate(smeared, ring, gamma, cutoff):
-    """Expand a smeared list against a concrete smearing class."""
-    op = OperatorSum(ring, cutoff)
+    """Expand a smeared list against a concrete smearing class, over the
+    common denominator of its coefficients."""
+    den = lcm(*[c.denominator for c in smeared.terms.values()])
+    items = []
+    scalar = 0
     for (modes, ep, kp), c in smeared.sorted_items():
         cls = gamma
         if ep:
@@ -760,11 +794,9 @@ def instantiate(smeared, ring, gamma, cutoff):
             cls = cls * ring.K
         if cls.is_zero():
             continue
+        n = c.numerator * (den // c.denominator)
         if not modes:
-            op.merge(OperatorSum(ring, cutoff, scalar=ring.integrate(cls)), c)
-            continue
-        gp = GenPartition(modes)
-        if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
-            continue
-        op.merge(monomial(ring, gp, cls, cutoff), c)
-    return op
+            scalar += n * ring.integrate(cls)
+        elif _fits(modes, cutoff):
+            items.append((modes, cls, n))
+    return _expand(ring, cutoff, items, den, scalar)

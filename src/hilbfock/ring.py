@@ -154,20 +154,23 @@ class RingElem:
 
 
 class TensorSum:
-    """Element of the k-fold tensor power of a ring, as index tuples."""
+    """Element of the k-fold tensor power of a ring, as index tuples.
+
+    Coefficients are stored through exact: an int when integral, else a
+    Fraction."""
 
     __slots__ = ("ring", "arity", "terms")
 
     def __init__(self, ring, arity, terms=None):
         self.ring = ring
         self.arity = arity
-        self.terms = dict(terms or {})
+        self.terms = {k: exact(c) for k, c in (terms or {}).items()}
 
     def add(self, key, coeff):
         c = self.terms.get(key)
         c = coeff if c is None else c + coeff
         if c:
-            self.terms[key] = c
+            self.terms[key] = exact(c)
         elif key in self.terms:
             del self.terms[key]
 
@@ -399,7 +402,7 @@ class SurfaceRing:
                 if c:
                     if degs[r] + degs[s] != target:
                         raise RingError("tau2 solve produced inhomogeneous term")
-                    out.append((c, r, s))
+                    out.append((exact(c), r, s))
         return out
 
     def tau2(self, a):

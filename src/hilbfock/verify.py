@@ -1144,14 +1144,23 @@ def _thm55_spots(spec, N):
                   + [s for s in allst if weight(s) == 2][:4])
         wtop = max(weight(s) for s in states)
         t = _Tally()
+        # cells and class pairs repeat generators: build each one once
+        jays = {}
+
+        def jay_op(p, n, c, big):
+            key = (p, n, c, big)
+            if key not in jays:
+                jays[key] = jay(ring, p, n, ring.basis(c), big)
+            return jays[key]
+
         for p, q, m, n in _THM55_SPOT_CELLS:
             pos = _sound_pos(N, m, n)
             exp = _thm55_expected(p, q, m, n, pos, N, False)
             big = wtop + abs(m) + abs(n)
             for ca, cb in _THM55_SPOT_PAIRS[rname]:
                 a, b = ring.basis(ca), ring.basis(cb)
-                ja = jay(ring, p, m, a, big)
-                jb = jay(ring, q, n, b, big)
+                ja = jay_op(p, m, ca, big)
+                jb = jay_op(q, n, cb, big)
                 rhs_op = instantiate(exp, ring, a * b, big)
                 t.states(ring, states, big,
                          lambda s: (commutator_column(ja, jb, s, big),

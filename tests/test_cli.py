@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+from hilbfock import cli
 from hilbfock.cli import main
+from hilbfock.hilbert import chern_class
+from hilbfock.fock import vector_records
 from hilbfock.ring import builtin_ring, dump_ring
 
 
@@ -300,3 +303,91 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "48\n"
+
+
+def test_chern_dump_terms_matches_dump_and_chern_class(capsys):
+    """--dump-terms prints the operator it applied: the G_k term list
+    that dump gives on the n-point window, next to G_k(c) applied to the
+    fundamental class."""
+    k3 = builtin_ring("k3")
+    code, out, _ = run(capsys, "chern", "--k", "2", "--n", "3", "--surface",
+                       "k3", "--class", "u1", "--dump-terms", "--format",
+                       "jsonl")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["vector"] == vector_records(
+        chern_class(k3, 2, k3.basis("u1"), 3))
+    code, out, _ = run(capsys, "dump", "--op", "G(2;u1)", "--surface", "k3",
+                       "--cutoff", "3", "--format", "jsonl")
+    dumped = json.loads(out)
+    assert doc["operator"] == {"scalar": dumped["scalar"],
+                               "terms": dumped["terms"]}
+    code, out, _ = run(capsys, "chern", "--k", "2", "--n", "3", "--surface",
+                       "k3", "--class", "u1", "--dump-terms")
+    _, terms = out.split("operator terms:\n")
+    code, text, _ = run(capsys, "dump", "--op", "G(2;u1)", "--surface", "k3",
+                        "--cutoff", "3")
+    assert terms == text
+
+
+# A mixed stream: append flags given, omitted and repeated, argparse
+# usage errors (SystemExit 2), command usage errors (return 2) and a
+# verification failure (1), interleaved so that state one call left in
+# a shared parser would show in a later one.
+STREAM = [
+    ["cup", "--k", "1", "--k", "1", "--n", "3", "--surface", "p2",
+     "--class", "x"],
+    ["cup", "--k", "0", "--n", "2", "--surface", "k3", "--class", "u1",
+     "--format", "jsonl"],
+    ["chern", "--n", "3"],
+    ["cup", "--n", "2"],
+    ["cup", "--k", "0", "--k", "0", "--n", "2", "--surface", "k3",
+     "--class", "u1", "--class", "u2"],
+    ["verify", "--suite", "lem53", "--bound", "p_max=1", "--bound",
+     "m_max=1", "--format", "jsonl"],
+    ["verify", "--suite", "lem53", "--bound", "p_max=2"],
+    ["intersect", "--k", "0", "--k", "0", "--n", "2", "--format", "json"],
+    ["intersect", "--k", "1", "--n", "2"],
+    ["intersect", "--n", "2", "--surface", "p2"],
+    ["chern", "--k", "1", "--n", "2", "--surface", "abelian", "--class",
+     "t1", "--dump-terms"],
+    ["chern", "--k", "1", "--n", "2", "--surface", "p2", "--class", "H"],
+    ["verify", "--suite", "rmk43", "--mutation", "shift-term"],
+    ["omega", "--p", "2", "--q", "1", "--m", "1"],
+    ["verify", "--suite", "lem53", "--bound", "m_max=1"],
+    ["dump", "--op", "J(2,-1;x)", "--cutoff", "3"],
+    [],
+    ["cup", "--k", "2", "--n", "2", "--surface", "p1xp1"],
+]
+
+
+def call(capsys, argv):
+    """(exit code, stdout) of one in-process call, SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_reuse_matches_fresh_parsers(capsys, monkeypatch):
+    """main builds the parser once per process; every call in a mixed
+    stream answers as it does with a parser built for that call alone."""
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    shared = [call(capsys, argv) for argv in STREAM]
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [call(capsys, argv) for argv in STREAM]
+    assert len(built) == 1
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 2, 2, 0, 0, 0, 0, 2, 2, 0,
+                                            2, 1, 2, 0, 0, 2, 0]
+

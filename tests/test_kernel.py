@@ -1,6 +1,7 @@
 """The factor-word apply kernel: equivalence with raw mode composition,
-exact coefficient types, the cached operator parity, and the cached
-operator columns with their contraction index."""
+exact coefficient types, the cached operator parity, the cached operator
+columns with their contraction index, and the int-first expansion that
+builds expanded operators."""
 
 from fractions import Fraction
 
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 
 from hilbfock.fock import (FockVector, annihilate_state, basis_states,
                            create_state, weight)
-from hilbfock.operators import (OperatorSum, SmearedOp, apply_arrangement,
-                                commutator_action, commutator_column,
-                                derivation_apply, heisenberg, instantiate,
-                                monomial, quadratic_sum)
-from hilbfock.partitions import GenPartition
-from hilbfock.ring import builtin_ring
-from hilbfock.walgebra import chern
+from hilbfock.operators import (OperatorSum, SmearedOp, _replacement_op,
+                                apply_arrangement, commutator_action,
+                                commutator_column, derivation_apply,
+                                heisenberg, instantiate, monomial,
+                                quadratic_sum, series_to_smeared)
+from hilbfock.partitions import GenPartition, enumerate_genpartitions
+from hilbfock.ring import SURFACE_NAMES, builtin_ring
+from hilbfock.walgebra import (FourierSpec, chern, chern_smeared, fourier,
+                               fourier_families, jay, jay_smeared, virasoro)
 
 P2 = builtin_ring("p2")
 AB = builtin_ring("abelian")
@@ -303,3 +306,175 @@ def test_scale_rejects_float_and_bool():
     for bad in (0.5, 1.0, True):
         with pytest.raises(TypeError):
             v.scale(bad)
+
+
+# -- the int-first expansion ------------------------------------------------
+
+
+ALL_RINGS = {name: builtin_ring(name) for name in SURFACE_NAMES}
+
+
+def _assert_int_first(values, what):
+    """Every value is an int or a non-integral Fraction: never an
+    integral Fraction, a float or a bool."""
+    for c in values:
+        ok = (type(c) is int
+              or (type(c) is Fraction and c.denominator != 1))
+        assert ok, (what, type(c), c)
+
+
+def _assert_op_int_first(op, what):
+    _assert_int_first(list(op.terms.values()) + [op.scalar], what)
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_operator_scalars_are_int_first(name):
+    """tau, and the terms and scalar of every constructor of expanded
+    operators, on every built-in ring."""
+    ring = ALL_RINGS[name]
+    N = 4
+    trivial = [b for b in ring.basis_elems() if (ring.K * b).is_zero()]
+    for b in ring.basis_elems():
+        what = (name, b.render())
+        for k in (1, 2, 3, 4):
+            _assert_int_first(ring.tau(k, b).terms.values(), what + (k,))
+        for n in (-2, -1, 1, 2):
+            _assert_op_int_first(heisenberg(ring, n, b, N), what)
+        for n in (-2, 0, 1):
+            _assert_op_int_first(quadratic_sum(ring, n, b, N), what)
+        for parts in ((-2, 1), (-1, -1, 2), (-1, 1, 1)):
+            _assert_op_int_first(monomial(ring, GenPartition(parts), b, N),
+                                 what + (parts,))
+        for p in (0, 1, 2, 3):
+            _assert_op_int_first(jay(ring, p, -1, b, N), what + (p,))
+    for b in trivial:
+        for k in (0, 1, 2):
+            _assert_op_int_first(chern(ring, k, b, N), (name, k))
+    # a smeared list with a constant term, instantiated
+    sm = SmearedOp({((), 0, 0): Fraction(3, 2), ((-1, 1), 0, 0): 2,
+                    ((-1,), 1, 0): Fraction(1, 24), ((), 0, 1): 4})
+    _assert_op_int_first(instantiate(sm, ring, ring.basis(0), N), name)
+
+
+# The literal reference: per-tau-key add_factors plus merge, as the
+# constructors built operators before the one-pass expansion.
+
+
+def ref_monomial(ring, gp, elem, cutoff):
+    op = OperatorSum(ring, cutoff)
+    if gp.length == 0 or elem.is_zero():
+        return op
+    if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
+        return op
+    for key, c in ring.tau(gp.length, elem).terms.items():
+        op.add_factors(tuple(zip(gp.parts, key)), c)
+    return op
+
+
+def ref_quadratic_sum(ring, n, elem, cutoff):
+    op = OperatorSum(ring, cutoff)
+    if elem.is_zero():
+        return op
+    for lam in enumerate_genpartitions(2, n, min(cutoff, cutoff + n)):
+        op.merge(ref_monomial(ring, lam, elem, cutoff),
+                 Fraction(-1, lam.mult_factorial))
+    return op
+
+
+def ref_instantiate(smeared, ring, gamma, cutoff):
+    op = OperatorSum(ring, cutoff)
+    for (modes, ep, kp), c in smeared.sorted_items():
+        cls = gamma
+        if ep:
+            cls = cls * ring.e
+        for _ in range(kp):
+            cls = cls * ring.K
+        if cls.is_zero():
+            continue
+        if not modes:
+            op.merge(OperatorSum(ring, cutoff, scalar=ring.integrate(cls)),
+                     c)
+            continue
+        op.merge(ref_monomial(ring, GenPartition(modes), cls, cutoff), c)
+    return op
+
+
+def ref_replacement(ring, mode, i, cutoff):
+    b = ring.basis(i)
+    op = ref_quadratic_sum(ring, mode, b, cutoff).scaled(Fraction(mode))
+    kb = ring.K * b
+    if not kb.is_zero():
+        op.merge(heisenberg(ring, mode, kb, cutoff),
+                 Fraction(-mode * (abs(mode) - 1), 2))
+    return op
+
+
+def _typed(op):
+    """Terms and scalar with the type of every value, so that 1 and
+    Fraction(1) differ."""
+    return ({w: (type(c), c) for w, c in op.terms.items()},
+            (type(op.scalar), op.scalar))
+
+
+@st.composite
+def expansions(draw):
+    """(kernel operator, reference operator) for one constructor call."""
+    name = draw(st.sampled_from(SURFACE_NAMES))
+    ring = ALL_RINGS[name]
+    cutoff = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("chern", "jay", "virasoro", "fourier",
+                                 "monomial", "replacement", "smeared")))
+    if kind == "replacement":
+        mode = draw(st.sampled_from(MODES))
+        i = draw(st.integers(0, ring.dim - 1))
+        ring._cache.pop(("replacement", mode, i, cutoff), None)
+        return (_replacement_op(ring, mode, i, cutoff),
+                ref_replacement(ring, mode, i, cutoff))
+    names = ring.basis_names
+    if kind == "chern":
+        names = [c for c in names if (ring.K * ring.basis(c)).is_zero()]
+    elem = ring.basis(draw(st.sampled_from(names)))
+    if kind == "chern":
+        k = draw(st.integers(0, 3))
+        return (chern(ring, k, elem, cutoff),
+                ref_instantiate(chern_smeared(k, cutoff, cutoff), ring, elem,
+                                cutoff))
+    if kind == "jay":
+        p, n = draw(st.integers(0, 3)), draw(st.integers(-2, 2))
+        return (jay(ring, p, n, elem, cutoff),
+                ref_instantiate(jay_smeared(p, n, cutoff, cutoff), ring,
+                                elem, cutoff))
+    if kind == "virasoro":
+        n = draw(st.integers(-3, 3))
+        return (virasoro(ring, n, elem, cutoff),
+                ref_quadratic_sum(ring, n, elem, cutoff))
+    if kind == "fourier":
+        orders = tuple(draw(st.lists(st.integers(0, 2), min_size=1,
+                                     max_size=3)))
+        spec = FourierSpec(orders, draw(st.integers(-2, 2)))
+        sm = series_to_smeared(fourier_families(spec), cutoff, cutoff)
+        return (fourier(ring, spec, elem, cutoff),
+                ref_instantiate(sm, ring, elem, cutoff))
+    if kind == "smeared":
+        # rational coefficients, constant terms and e- and K-smearing
+        key = st.tuples(st.lists(st.sampled_from(MODES), max_size=3).map(
+            lambda ms: tuple(sorted(ms))), st.integers(0, 1),
+            st.integers(0, 1))
+        sm = SmearedOp(draw(st.dictionaries(key, COEFFS, max_size=4)))
+        return (instantiate(sm, ring, elem, cutoff),
+                ref_instantiate(sm, ring, elem, cutoff))
+    parts = draw(st.lists(st.sampled_from(MODES), max_size=4))
+    gp = GenPartition(parts)
+    return (monomial(ring, gp, elem, cutoff),
+            ref_monomial(ring, gp, elem, cutoff))
+
+
+@KERNEL
+@given(pair=expansions())
+def test_expansion_matches_add_factors_reference(pair):
+    """The one-pass expansion gives the reference's terms and scalar,
+    value and type, with every zero dropped."""
+    op, ref = pair
+    assert _typed(op) == _typed(ref)
+    assert all(op.terms.values())
+
