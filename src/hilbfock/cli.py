@@ -346,7 +346,8 @@ def build_parser():
                    help="restrict to one built-in surface")
     p.add_argument("--cutoff", type=int, default=0,
                    help="window cutoff: 0 (the default) runs the suite's "
-                        "default window; otherwise at least 2")
+                        "default window; otherwise at least 2, and only "
+                        "for suites that read a window")
     p.add_argument("--classes", choices=["", "named", "all"], default="")
     p.add_argument("--mutation", default="",
                    help="run the suite's documented mutation; it must fail")

@@ -97,12 +97,6 @@ class FockVector:
         elif state in self.terms:
             del self.terms[state]
 
-    def add_factors(self, factors, coeff):
-        """Accumulate an unsorted factor list after canonicalization."""
-        state, sign = canonical_factors(factors, self.ring.parity)
-        if state is not None:
-            self.add_term(state, coeff * sign)
-
     def __add__(self, other):
         out = self.copy()
         for s, c in other.terms.items():
@@ -228,33 +222,33 @@ def _class_multisets(ring, count):
 
 
 def pairing(u, v):
-    """Bilinear pairing of two vectors over the same ring."""
+    """Bilinear pairing of two vectors over the same ring, an int when it
+    is integral."""
     if u.ring is not v.ring:
         raise ValueError("vectors over different rings")
     ring = u.ring
     memo = ring._cache.setdefault("state_pairing", {})
-    total = Q(0)
+    total = 0
     for s, cu in u.terms.items():
         ws = weight(s)
         for t, cv in v.terms.items():
             if weight(t) == ws:
                 total += cu * cv * _pair_states(ring, s, t, memo)
-    return total
+    return exact(total)
 
 
 def _pair_states(ring, s, t, memo):
+    """The pairing of two basis states, an int when it is integral."""
     if not s:
-        return Q(1) if not t else Q(0)
+        return 0 if t else 1
     key = (s, t)
     if key in memo:
         return memo[key]
     (m, i), rest = s[0], s[1:]
-    n = -m
-    total = Q(0)
-    for t2, c in annihilate_state(ring, n, i, t):
+    total = 0
+    for t2, c in annihilate_state(ring, -m, i, t):
         total += c * _pair_states(ring, rest, t2, memo)
-    total *= Q(-1) ** n
-    memo[key] = total
+    total = memo[key] = exact(-total if m % 2 else total)
     return total
 
 
@@ -268,13 +262,15 @@ def render_state(state, ring):
 
 
 def render_vector(vec):
-    if not vec.terms:
+    return render_terms(vec.terms, vec.ring)
+
+
+def render_terms(terms, ring):
+    """A {state: coeff} dict as text, states in sorted order."""
+    if not terms:
         return "0"
-    parts = []
-    for state in sorted(vec.terms):
-        c = vec.terms[state]
-        parts.append("%s * %s" % (c, render_state(state, vec.ring)))
-    return " + ".join(parts)
+    return " + ".join("%s * %s" % (terms[s], render_state(s, ring))
+                      for s in sorted(terms))
 
 
 def vector_records(vec):

@@ -42,18 +42,15 @@ def point_class(ring):
     return ring.basis(top[0])
 
 
-def chern_class(ring, k, elem, n, cutoff=None):
-    """G_k(elem) applied to the fundamental class of X^[n]."""
-    cutoff = n if cutoff is None else cutoff
-    op = chern(ring, k, elem, cutoff)
-    return op.apply(fundamental_class(ring, n, cutoff))
+def chern_class(ring, k, elem, n):
+    """G_k(elem) applied to the fundamental class of X^[n], window n."""
+    return chern(ring, k, elem, n).apply(fundamental_class(ring, n, n))
 
 
-def chern_class_closed(ring, k, elem, n, cutoff=None):
+def chern_class_closed(ring, k, elem, n):
     """Closed creation expansion of the same class (K-trivial elem)."""
     require_canonical_trivial(ring, elem)
-    cutoff = n if cutoff is None else cutoff
-    out = FockVector(ring, cutoff)
+    out = FockVector(ring, n)
     e_elem = ring.e * elem
     for j in range(k + 1):
         r = n - j - 1
@@ -68,8 +65,8 @@ def chern_class_closed(ring, k, elem, n, cutoff=None):
                 pieces.append((Q((-1) ** (j + 1) * (j + 1 + s - 2), 24), e_elem))
             for lead, cls in pieces:
                 coeff = lead / (lam.mult_factorial * factorial(j + 1))
-                vec = monomial(ring, lam.negate(), cls, cutoff).apply(
-                    vacuum(ring, cutoff))
+                vec = monomial(ring, lam.negate(), cls, n).apply(
+                    vacuum(ring, n))
                 vec = _unit_shift(ring, r, vec)
                 out = out + vec.scale(coeff)
     return out
@@ -83,12 +80,11 @@ def _unit_shift(ring, r, vec):
     return vec.scale(Q(1, factorial(r)))
 
 
-def cup_product(ring, ks, elems, n, cutoff=None):
+def cup_product(ring, ks, elems, n):
     """Product of character classes on X^[n], applied right to left."""
-    cutoff = n if cutoff is None else cutoff
-    vec = fundamental_class(ring, n, cutoff)
+    vec = fundamental_class(ring, n, n)
     for k, elem in reversed(list(zip(ks, elems))):
-        vec = chern(ring, k, elem, cutoff).apply(vec)
+        vec = chern(ring, k, elem, n).apply(vec)
     return vec
 
 

@@ -10,16 +10,20 @@ Two layers:
   and instantiated smeared lists (instantiate).  All but heisenberg go
   through one int-first expansion (_expand): integer numerators over one
   denominator per operator, each tau word brought to canonical order
-  once, and one division per word through ring.ratio.  An operator
-  caches its sparse columns, the images of single basis states, per
-  window cutoff on the operator object itself, so repeated checks on the
-  same states reuse them; there is no global cache, and the memory is
-  freed with the operator.  A contraction index skips, without storing
-  anything, the states an operator provably kills.  The kernels act on
-  {state: coeff} dicts (OperatorSum.act and column, commutator_column,
-  derive, act_arrangement); apply, commutator_action, derivation_apply
-  and apply_arrangement wrap them for FockVectors.  The derivation
-  operator d acts recursively through the replacement rule
+  once, and one division per word through ring.ratio.  An operator is
+  immutable and owns one window: the constructors truncate the series
+  to the window cutoff, and the operator acts on that window only.  It
+  caches its sparse columns, the images of single basis states, on
+  itself for its life, so repeated checks on the same states reuse
+  them; there is no global cache, and the memory is freed with the
+  operator.  A contraction index skips, without storing anything, the
+  states an operator provably kills.  The kernels act on {state: coeff}
+  dicts (OperatorSum.act and column, commutator_column, derive,
+  act_arrangement), each operator on its own window; apply,
+  commutator_action, derivation_apply and apply_arrangement wrap them
+  for FockVectors, and apply and commutator_action refuse a vector of
+  another window.  The derivation operator d acts recursively through
+  the replacement rule
 
       [d, a(n;c)] = n*L(n;c) - (n(|n|-1)/2) * a(n; K*c)
 
@@ -109,11 +113,14 @@ def _partners(ring, m, i):
 
 
 class OperatorSum:
-    """Scalar plus normal-ordered mode monomials with rational weights.
+    """Scalar plus normal-ordered mode monomials with rational weights, on
+    one weight window.
 
-    Coefficients are stored through fock.exact, so integral ones are ints.
-    Columns (images of single basis states) are cached on the operator,
-    one dict per window cutoff, and dropped whenever the operator changes.
+    An operator is immutable: its constructor fixes the terms, the scalar
+    and the window cutoff, and it acts on that window only.  Coefficients
+    are stored through fock.exact, so integral ones are ints.  The
+    parity, the contraction index and the columns (images of single basis
+    states) are computed on first use and kept for the operator's life.
     """
 
     __slots__ = ("ring", "cutoff", "terms", "scalar", "_parity", "_columns",
@@ -124,37 +131,8 @@ class OperatorSum:
         self.cutoff = cutoff
         self.terms = {f: exact(c) for f, c in (terms or {}).items()}
         self.scalar = exact(scalar)
+        self._parity = self._index = self._groups = None
         self._columns = {}
-        self._changed()
-
-    def _changed(self):
-        """Drop everything derived from the terms and the scalar."""
-        self._parity = None
-        self._index = self._groups = None
-        self._columns.clear()
-
-    def add_factors(self, factors, coeff):
-        """Accumulate one monomial; modes must be nondecreasing already."""
-        modes = [m for m, _ in factors]
-        if any(a > b for a, b in zip(modes, modes[1:])):
-            raise ValueError("factors must arrive in nondecreasing mode order")
-        state, sign = canonical_factors(factors, self.ring.parity)
-        if state is not None:
-            self._add(state, coeff * sign)
-
-    def merge(self, other, scale=1):
-        for f, c in other.terms.items():
-            self._add(f, c * scale)
-        self.scalar = exact(self.scalar + other.scalar * scale)
-        self._changed()
-
-    def _add(self, word, c):
-        v = exact(self.terms.get(word, 0) + c)
-        if v:
-            self.terms[word] = v
-        elif word in self.terms:
-            del self.terms[word]
-        self._changed()
 
     def scaled(self, c):
         if not c:
@@ -163,20 +141,11 @@ class OperatorSum:
                            {f: v * c for f, v in self.terms.items()},
                            self.scalar * c)
 
-    def __sub__(self, other):
-        out = OperatorSum(self.ring, self.cutoff, self.terms, self.scalar)
-        out.merge(other, -1)
-        return out
-
-    def is_zero(self):
-        return not self.terms and not self.scalar
-
     def equal_terms(self, other):
         return self.terms == other.terms and self.scalar == other.scalar
 
     def parity(self):
-        """Koszul parity of every monomial (checked), cached until the
-        operator changes."""
+        """Koszul parity of every monomial (checked), computed once."""
         if self._parity is None:
             par = self.ring.parity
             pars = {sum(par[i] for _, i in f) % 2 for f in self.terms}
@@ -196,8 +165,8 @@ class OperatorSum:
 
         Alongside it, the words grouped by their rightmost factor, each
         group with its own such factors (None for a creator), so that a
-        column skips the groups that kill its state.  Both are built once
-        until the operator changes."""
+        column skips the groups that kill its state.  Both are built
+        once."""
         if self._index is None:
             groups = {}
             for word in self.terms:
@@ -210,28 +179,26 @@ class OperatorSum:
                            else frozenset().union(*partners))
         return self._index
 
-    def column(self, state, cutoff):
-        """The image of the basis state, as act({state: 1}, cutoff) would
-        give it, kept on the operator; callers must not modify it."""
+    def column(self, state):
+        """The image of the basis state on the operator's window, as
+        act({state: 1}) would give it, kept on the operator; callers must
+        not modify it."""
         index = self._index
         if index is None:
             index = self._contractions()
         if index is not False and index.isdisjoint(state):
             return _EMPTY
-        cols = self._columns.get(cutoff)
-        if cols is None:
-            cols = self._columns[cutoff] = {}
-        col = cols.get(state)
+        col = self._columns.get(state)
         if col is None:
-            col = cols[state] = self._image(state, cutoff) or _EMPTY
+            col = self._columns[state] = self._image(state) or _EMPTY
         return col
 
-    def _image(self, state, cutoff):
+    def _image(self, state):
         """The column of state, computed word by word; needs the groups
         that _contractions builds."""
         terms = {state: 1}
         out = {state: self.scalar} if self.scalar else {}
-        ring, coeffs = self.ring, self.terms
+        ring, coeffs, cutoff = self.ring, self.terms, self.cutoff
         for partners, words in self._groups:
             if partners is not None and partners.isdisjoint(state):
                 continue
@@ -241,19 +208,20 @@ class OperatorSum:
                     _acc(out, s, c * tc)
         return out
 
-    def act(self, terms, cutoff):
-        """Image of a {state: coeff} dict, creation capped at cutoff:
-        the combination of the cached columns of its states."""
+    def act(self, terms):
+        """Image of a {state: coeff} dict on the operator's window: the
+        combination of the cached columns of its states."""
         out = {}
         for s, c in terms.items():
-            for s2, c2 in self.column(s, cutoff).items():
+            for s2, c2 in self.column(s).items():
                 _acc(out, s2, c * c2)
         return out
 
     def apply(self, vec):
-        """Exact action on a windowed vector."""
+        """Exact action on a vector of the operator's window."""
+        _same_window(vec, self)
         # vec holds no state above its cutoff, so neither does the image
-        return vec._like(self.act(vec.terms, vec.cutoff))
+        return vec._like(self.act(vec.terms))
 
     def render(self):
         names = self.ring.basis_names
@@ -266,27 +234,38 @@ class OperatorSum:
         return "\n".join(lines) if lines else "0"
 
 
-def commutator_column(f, g, state, cutoff):
+def _same_window(vec, *ops):
+    """Refuse a vector whose window is not every operator's own."""
+    for op in ops:
+        if op.cutoff != vec.cutoff:
+            raise ValueError("operator window %d does not match vector "
+                             "window %d" % (op.cutoff, vec.cutoff))
+
+
+def commutator_column(f, g, state):
     """[f, g] applied to one basis state, with the super sign from the
-    operator parities, formed from cached columns."""
+    operator parities, formed from the cached columns of f and g, each on
+    its own window."""
     out = {}
-    for s, c in g.column(state, cutoff).items():
-        for s2, c2 in f.column(s, cutoff).items():
+    for s, c in g.column(state).items():
+        for s2, c2 in f.column(s).items():
             _acc(out, s2, c * c2)
-    fcol = f.column(state, cutoff)
+    fcol = f.column(state)
     if fcol:
         odd = f.parity() and g.parity()
         for s, c in fcol.items():
-            for s2, c2 in g.column(s, cutoff).items():
+            for s2, c2 in g.column(s).items():
                 _acc(out, s2, c * c2 if odd else -c * c2)
     return out
 
 
 def commutator_action(f, g, vec):
-    """[f, g] applied to vec, with the super sign from operator parities."""
+    """[f, g] applied to a vector of their window, with the super sign
+    from operator parities."""
+    _same_window(vec, f, g)
     out = {}
     for s, c in vec.terms.items():
-        for s2, c2 in commutator_column(f, g, s, vec.cutoff).items():
+        for s2, c2 in commutator_column(f, g, s).items():
             _acc(out, s2, c * c2)
     return vec._like(out)
 
@@ -325,10 +304,8 @@ def _expand(ring, cutoff, items, den=1, scalar=0):
             word, sign = canonical_factors(zip(modes, key), parity)
             if word is not None:
                 _acc(nums, word, n * c if sign == 1 else -n * c)
-    op = OperatorSum(ring, cutoff)
-    op.terms = {w: ratio(v, den) for w, v in nums.items()}
-    op.scalar = ratio(scalar, den)
-    return op
+    terms = {w: ratio(v, den) for w, v in nums.items()}
+    return OperatorSum(ring, cutoff, terms, ratio(scalar, den))
 
 
 def heisenberg(ring, n, elem, cutoff):
@@ -414,7 +391,7 @@ def derive(ring, terms, cutoff):
         for t, (mode, i) in enumerate(state):
             rep = _replacement_op(ring, mode, i, cutoff)
             prefix = state[:t]
-            for s2, c2 in rep.column(state[t + 1:], cutoff).items():
+            for s2, c2 in rep.column(state[t + 1:]).items():
                 s3, sign = canonical_factors(prefix + s2, parity)
                 if s3 is not None and weight(s3) <= cutoff:
                     _acc(out, s3, c * c2 if sign == 1 else -c * c2)

@@ -276,15 +276,13 @@ class SurfaceRing:
         return RingElem(self, out)
 
     def integrate(self, a):
-        return sum((c * self.integral_vec[i] for i, c in a.components()), Q(0))
-
-    def pair(self, a, b):
-        return self.integrate(a * b)
+        """The integral of a, an int when it is integral."""
+        return exact(sum(c * self.integral_vec[i] for i, c in a.components()))
 
     def pairing_matrix(self):
         if self._pairing is None:
             iv = self.integral_vec
-            self._pairing = [[sum((c * iv[k] for k, c in prod), Q(0))
+            self._pairing = [[exact(sum(c * iv[k] for k, c in prod))
                               for prod in row] for row in self.table]
         return self._pairing
 

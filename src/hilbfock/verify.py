@@ -28,7 +28,7 @@ from itertools import groupby, product
 from math import comb, factorial
 from multiprocessing import Pool
 
-from .fock import FockVector, basis_states, render_state, weight
+from .fock import basis_states, render_state, render_terms, weight
 from .operators import (SmearedOp, act_arrangement, box_keep,
                         commutator_column, derive, diamond_keep, heisenberg,
                         instantiate, monomial, quadratic_sum, s_bracket,
@@ -107,8 +107,9 @@ _W_CLASSES = {"abelian": ("1", "t1", "t234", "t12"),
               "k3": ("1", "u1", "u2", "x")}
 
 
-def _cutoff(spec, default=8):
-    return spec.cutoff if spec.cutoff else default
+def _cutoff(spec):
+    """The run's window: --cutoff, else the suite's default in SUITES."""
+    return spec.cutoff or SUITES[spec.suite][3]
 
 
 def _rings(spec, defaults):
@@ -208,22 +209,21 @@ class _Tally:
             self.fail = InstanceRecord(params, "fail", 1, _show(expected),
                                        _show(actual))
 
-    def states(self, ring, states, cutoff, sides, params):
-        """Compare both sides on each basis state in the window.
+    def states(self, ring, states, sides, params):
+        """Compare both sides on each basis state.
 
         ``sides(s)`` returns (lhs, rhs), the images of the basis state s
-        as {state: coeff} dicts; the first failure adds the state to
-        params and shows rhs as expected.
+        as {state: coeff} dicts, each inside the window of the operators
+        that made it; the first failure adds the state to params and
+        shows rhs as expected.
         """
         for s in states:
             lhs, rhs = sides(s)
             self.checks += 1
             if lhs != rhs and self.fail is None:
-                p = dict(params)
-                p["state"] = render_state(s, ring)
                 self.fail = InstanceRecord(
-                    p, "fail", 1, FockVector(ring, cutoff, rhs).render(),
-                    FockVector(ring, cutoff, lhs).render())
+                    dict(params, state=render_state(s, ring)), "fail", 1,
+                    render_terms(rhs, ring), render_terms(lhs, ring))
 
     def skip(self, count):
         """Count checks that hold without computing them."""
@@ -308,16 +308,15 @@ def _lin(*pieces):
     return out
 
 
-def _iter_deriv(op, k, terms, cutoff):
-    """k-fold derivative of an operator applied to a {state: coeff} dict,
-    recursively: D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
+def _iter_deriv(op, k, terms):
+    """k-fold derivative of an operator applied to a {state: coeff} dict
+    on the operator's window, recursively:
+    D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
     if k == 0:
-        return op.act(terms, cutoff)
-    ring = op.ring
-    return _lin((1, derive(ring, _iter_deriv(op, k - 1, terms, cutoff),
-                           cutoff)),
-                (-1, _iter_deriv(op, k - 1, derive(ring, terms, cutoff),
-                                 cutoff)))
+        return op.act(terms)
+    ring, cutoff = op.ring, op.cutoff
+    return _lin((1, derive(ring, _iter_deriv(op, k - 1, terms), cutoff)),
+                (-1, _iter_deriv(op, k - 1, derive(ring, terms, cutoff))))
 
 
 def _euler_families(ell, total, c):
@@ -370,8 +369,8 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                         if m == -n and m != 0:
                             cc = (Q(-m + (1 if mut else 0))
                                   * ring.integrate(a * b))
-                        t.states(ring, live, big,
-                                 lambda s: (commutator_column(f, g, s, big),
+                        t.states(ring, live,
+                                 lambda s: (commutator_column(f, g, s),
                                             {s: cc} if cc else {}),
                                  dict(params, a=na, b=nb))
                     if t.fail:
@@ -441,10 +440,9 @@ def _vir_spots(spec, mut):
                     rhs_op = quadratic_sum(ring, m + n, ab, big)
                     f = op(quadratic_sum, m, na, a)
                     g = op(quadratic_sum, n, nb, b)
-                    t.states(ring, states, big,
-                             lambda s: (commutator_column(f, g, s, big),
-                                        _lin((Q(m - n),
-                                              rhs_op.column(s, big)),
+                    t.states(ring, states,
+                             lambda s: (commutator_column(f, g, s),
+                                        _lin((Q(m - n), rhs_op.column(s)),
                                              (cc, {s: 1}))),
                              dict(params, a=na, b=nb))
                 yield t.record(params)
@@ -459,9 +457,9 @@ def _vir_spots(spec, mut):
             cc = Q(m ** 3 - m, 12) * 24
             params = {"check": "action", "surface": "k3", "m": m, "n": -m}
             t = _Tally()
-            t.states(ring, states, big,
-                     lambda s: (commutator_column(lm, ln, s, big),
-                                _lin((Q(2 * m), l0.column(s, big)),
+            t.states(ring, states,
+                     lambda s: (commutator_column(lm, ln, s),
+                                _lin((Q(2 * m), l0.column(s)),
                                      (cc, {s: 1}))),
                      dict(params, a="1", b="1"))
             yield t.record(params)
@@ -502,10 +500,9 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                     for nb, b in small:
                         an = heisenberg(ring, n, b, big)
                         rhs_op = heisenberg(ring, m + n, a * b, big)
-                        t.states(ring, states, big,
-                                 lambda s: (commutator_column(lm, an, s, big),
-                                            _lin((Q(-n),
-                                                  rhs_op.column(s, big)))),
+                        t.states(ring, states,
+                                 lambda s: (commutator_column(lm, an, s),
+                                            _lin((Q(-n), rhs_op.column(s)))),
                                  dict(params, a=na, b=nb))
                 yield t.record(params)
         for n in range(-m_max, m_max + 1):
@@ -518,10 +515,10 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                 an = heisenberg(ring, n, b, big)
                 ln = quadratic_sum(ring, n, b, big)
                 kn = heisenberg(ring, n, ring.K * b, big)
-                t.states(ring, states, big,
-                         lambda s: (_iter_deriv(an, 1, {s: 1}, big),
-                                    _lin((Q(n), ln.column(s, big)),
-                                         (-coef, kn.column(s, big)))),
+                t.states(ring, states,
+                         lambda s: (_iter_deriv(an, 1, {s: 1}),
+                                    _lin((Q(n), ln.column(s)),
+                                         (-coef, kn.column(s)))),
                          dict(params, b=nb))
             yield t.record(params)
         kfree = _ktrivial(ring, pairs)
@@ -534,11 +531,11 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                 for nb, b in small:
                     am = op(heisenberg, -1, nb, b)
                     inner = op(heisenberg, -1, (na, nb), a * b)
-                    t.states(ring, states, big,
-                             lambda s: (commutator_column(gk, am, s, big),
+                    t.states(ring, states,
+                             lambda s: (commutator_column(gk, am, s),
                                         _lin((Q(1, factorial(k)),
-                                              _iter_deriv(inner, k, {s: 1},
-                                                          big)))),
+                                              _iter_deriv(inner, k,
+                                                          {s: 1})))),
                              dict(params, a=na, b=nb))
             yield t.record(params)
 
@@ -589,10 +586,9 @@ def _run_lem32(spec, mut):
                         for nb, b in cpairs:
                             bv = monomial(ring, gmu, b, big)
                             rhs_op = instantiate(sm, ring, a * b, big)
-                            t.states(ring, states, big,
-                                     lambda s: (commutator_column(av, bv, s,
-                                                                  big),
-                                                rhs_op.column(s, big)),
+                            t.states(ring, states,
+                                     lambda s: (commutator_column(av, bv, s),
+                                                rhs_op.column(s)),
                                      dict(params, nu=str(list(nu)),
                                           mu=str(list(mu)), a=na, b=nb))
             yield t.record(params)
@@ -605,9 +601,9 @@ def _run_lem32(spec, mut):
                 for na, a in cpairs:
                     op = monomial(ring, gnu, a, big)
                     rhs_op = instantiate(sm, ring, a, big)
-                    t.states(ring, states, big,
-                             lambda s: (_iter_deriv(op, 1, {s: 1}, big),
-                                        rhs_op.column(s, big)),
+                    t.states(ring, states,
+                             lambda s: (_iter_deriv(op, 1, {s: 1}),
+                                        rhs_op.column(s)),
                              dict(params, nu=str(list(nu)), a=na))
             yield t.record(params)
         params = {"part": "reorder", "surface": ring.name}
@@ -632,7 +628,7 @@ def _run_lem32(spec, mut):
                         rhs = _lin((1, rhs), (cc * ring.integrate(ea), one))
                     return lhs, rhs
 
-                t.states(ring, states, big, sides,
+                t.states(ring, states, sides,
                          dict(params, seq=str(list(seq)), pos=j, a=na))
         yield t.record(params)
 
@@ -702,9 +698,9 @@ def _thm42_spots(spec, mut, N):
                     big = w + abs(n) * (k + 1) + 2
                     an = heisenberg(ring, n, a, big)
                     rhs_op = instantiate(closed, ring, a, big)
-                    t.states(ring, list(same), big,
-                             lambda s: (_iter_deriv(an, k, {s: 1}, big),
-                                        rhs_op.column(s, big)), params)
+                    t.states(ring, list(same),
+                             lambda s: (_iter_deriv(an, k, {s: 1}),
+                                        rhs_op.column(s)), params)
         yield t.record(
             {"check": "action", "surface": rname, "class": cname})
 
@@ -789,10 +785,10 @@ def _thm46_spots(spec):
             gk = chern(ring, k, ring.unit, 4)
             for nb, b in _probe(ring)[:3]:
                 am = heisenberg(ring, -1, b, 5)
-                t.states(ring, states, 5,
-                         lambda s: (commutator_column(gk, am, s, 5),
+                t.states(ring, states,
+                         lambda s: (commutator_column(gk, am, s),
                                     _lin((Q(1, factorial(k)),
-                                          _iter_deriv(am, k, {s: 1}, 5)))),
+                                          _iter_deriv(am, k, {s: 1})))),
                          {"check": "action", "surface": rname, "k": k,
                           "b": nb})
         yield t.record({"check": "action", "surface": rname})
@@ -924,10 +920,10 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
             for na, a in _probe(ring)[:3]:
                 jp = jay(ring, p, -1, a, 4)
                 inner = heisenberg(ring, -1, a, 4)
-                t.states(ring, states, 4,
-                         lambda s: (jp.column(s, 4),
-                                    _lin((-1, _iter_deriv(inner, p, {s: 1},
-                                                          4)))),
+                t.states(ring, states,
+                         lambda s: (jp.column(s),
+                                    _lin((-1, _iter_deriv(inner, p,
+                                                          {s: 1})))),
                          {"part": "d-action", "surface": "k3", "p": p,
                           "a": na})
         yield t.record({"part": "d-action", "surface": "k3"})
@@ -972,10 +968,10 @@ def _lem52_spots(spec):
                     for nb, b in others:
                         an = heisenberg(ring, n, b, big)
                         jp = jay(ring, p, n, a * b, big)
-                        t.states(ring, states, big,
-                                 lambda s: (commutator_column(gp, an, s, big),
+                        t.states(ring, states,
+                                 lambda s: (commutator_column(gp, an, s),
                                             _lin((Q(n, factorial(p)),
-                                                  jp.column(s, big)))),
+                                                  jp.column(s)))),
                                  {"check": "action", "surface": rname,
                                   "p": p, "n": n, "a": na, "b": nb})
         yield t.record({"check": "action", "surface": rname})
@@ -1162,9 +1158,9 @@ def _thm55_spots(spec, N):
                 ja = jay_op(p, m, ca, big)
                 jb = jay_op(q, n, cb, big)
                 rhs_op = instantiate(exp, ring, a * b, big)
-                t.states(ring, states, big,
-                         lambda s: (commutator_column(ja, jb, s, big),
-                                    rhs_op.column(s, big)),
+                t.states(ring, states,
+                         lambda s: (commutator_column(ja, jb, s),
+                                    rhs_op.column(s)),
                          {"check": "action", "surface": rname, "p": p,
                           "q": q, "m": m, "n": n, "a": ca, "b": cb})
         yield t.record({"check": "action", "surface": rname})
@@ -1212,10 +1208,10 @@ def _rmk56_spots(spec):
                 jup = jay(ring, p + 1, n, a, big)
                 jdown = jay(ring, p - 1, n, ring.e * a, big)
                 cc = Q(-(n ** 3 - n) * p, 12)
-                t.states(ring, states, big,
-                         lambda s: (_iter_deriv(jp, 1, {s: 1}, big),
-                                    _lin((Q(-n), jup.column(s, big)),
-                                         (cc, jdown.column(s, big)))),
+                t.states(ring, states,
+                         lambda s: (_iter_deriv(jp, 1, {s: 1}),
+                                    _lin((Q(-n), jup.column(s)),
+                                         (cc, jdown.column(s)))),
                          {"check": "action", "surface": "k3", "p": p,
                           "n": n, "a": na})
     yield t.record({"check": "action", "surface": "k3"})
@@ -1316,10 +1312,10 @@ def _thm57_spots(ring):
                 def sides(s):
                     rhs = [(cc, {s: 1})]
                     if jt is not None:
-                        rhs.append((lin, jt.column(s, big)))
-                    return commutator_column(ja, jb, s, big), _lin(*rhs)
+                        rhs.append((lin, jt.column(s)))
+                    return commutator_column(ja, jb, s), _lin(*rhs)
 
-                t.states(ring, states, big, sides,
+                t.states(ring, states, sides,
                          {"check": "action", "surface": "abelian", "p": p,
                           "q": q, "m": m, "n": n, "a": ca, "b": cb})
     return t.record({"check": "action", "surface": "abelian"})
@@ -1356,7 +1352,7 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
 
     Mutation coeff-shift: the 6 C(N,2) coefficient becomes 5 C(N,2).
     """
-    B = _cutoff(spec, 5)
+    B = _cutoff(spec)
     six = 5 if mut else 6
     memo = {}
 
@@ -1467,61 +1463,67 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
 # -- registry and reports --------------------------------------------------
 
 
+# name: (runner, description, mutation label, default window): the
+# window that --cutoff 0 runs, or None for a suite that reads no window
+# and refuses a cutoff.
 SUITES = {
     "heis": (_run_heis, "transfer operator commutation relations on "
-             "basis states of every surface model", "central-shift"),
+             "basis states of every surface model", "central-shift", None),
     "vir": (_run_vir, "Virasoro bracket of the quadratic series with the "
-            "Euler-class central term", "central-shift"),
+            "Euler-class central term", "central-shift", 8),
     "thm31": (_run_thm31, "mixed Virasoro-transfer brackets, the "
               "derivative replacement rule, and the character pin",
-              "canonical-shift"),
+              "canonical-shift", None),
     "lem32": (_run_lem32, "smeared calculus rules against ground-truth "
-              "operator composition", "euler-sign"),
+              "operator composition", "euler-sign", None),
     "thm42": (_run_thm42, "closed partition expansion of iterated "
-              "derivatives of transfer operators", "euler-shift"),
+              "derivatives of transfer operators", "euler-shift", 8),
     "rmk43": (_run_rmk43, "derivative closure of the d-shifted partition "
-              "families, including n = 0", "shift-term"),
+              "families, including n = 0", "shift-term", 8),
     "thm46-unique": (_run_thm46, "characterization of the character "
                      "series: vacuum, derivation invariance, transfer "
-                     "pin", "euler-shift"),
+                     "pin", "euler-shift", 8),
     "cor48": (_run_cor48, "creation-only expansion of character classes "
-              "against the operator route", "euler-shift"),
+              "against the operator route", "euler-shift", None),
     "rmk410": (_run_rmk410, "surface-independent intersection numbers of "
-               "character classes, dual route", "sign-flip"),
+               "character classes, dual route", "sign-flip", None),
     "def51-ids": (_run_def51, "W-generator identifications at weights "
-                  "0, 1 and modes 0, -1", "euler-shift"),
+                  "0, 1 and modes 0, -1", "euler-shift", 8),
     "lem52": (_run_lem52, "character-transfer bracket producing "
-              "W-generators", "rhs-scale"),
+              "W-generators", "rhs-scale", 8),
     "lem53": (_run_lem53, "W-generators as Fourier components of field "
-              "monomials, term by term", "field-coeff-shift"),
+              "monomials, term by term", "field-coeff-shift", 8),
     "thm55": (_run_thm55, "full W-algebra bracket: linear term, "
-              "structure polynomial, central terms", "omega-negated"),
+              "structure polynomial, central terms", "omega-negated", 8),
     "rmk56": (_run_rmk56, "derivative of W-generators raising the "
-              "weight", "central-scale"),
+              "weight", "central-scale", 8),
     "thm57": (_run_thm57, "isomorphism with the abstract W-algebra on "
-              "trivial-canonical trivial-Euler surfaces", "linear-shift"),
+              "trivial-canonical trivial-Euler surfaces", "linear-shift", 8),
     "lem61": (_run_lem61, "derivative identities of normally ordered "
-              "field monomials", "coeff-shift"),
+              "field monomials", "coeff-shift", 5),
     "eq22": (_run_eq22, "abstract W-algebra: antisymmetry, Jacobi, trace "
-             "central term", "central-shift"),
+             "central term", "central-shift", None),
 }
 
 
 def list_suites():
     return [{"suite": name, "description": desc, "mutation": mlabel}
-            for name, (_, desc, mlabel) in sorted(SUITES.items())]
+            for name, (_, desc, mlabel, _) in sorted(SUITES.items())]
 
 
 def run_suite(spec):
     if spec.suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (spec.suite, ", ".join(sorted(SUITES))))
-    runner, _, mlabel = SUITES[spec.suite]
+    runner, _, mlabel, window = SUITES[spec.suite]
     if spec.mutation and spec.mutation != mlabel:
         raise ValueError("suite %s supports only mutation %r"
                          % (spec.suite, mlabel))
     if spec.cutoff < 0:
         raise ValueError("cutoff must be at least 0, got %d" % spec.cutoff)
+    if spec.cutoff and window is None:
+        raise ValueError("suite %s reads no window, so it takes no cutoff; "
+                         "got %d" % (spec.suite, spec.cutoff))
     if spec.cutoff == 1:
         raise ValueError("cutoff must be 0 (the suite's default window) or "
                          "at least 2, got 1: a window of weight 1 holds no "

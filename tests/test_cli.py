@@ -94,6 +94,17 @@ def test_verify_cutoff_one_is_usage_error(capsys):
     assert code == 0
 
 
+def test_verify_cutoff_on_windowless_suite_is_usage_error(capsys):
+    """The suites that read no window refuse --cutoff rather than write a
+    window they never used into the report header."""
+    for suite in ("heis", "thm31", "lem32", "cor48", "rmk410", "eq22"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--cutoff", "4")
+        assert code == 2 and out == "", suite
+        assert "suite %s reads no window" % suite in err, err
+        assert "Traceback" not in err
+
+
 def test_verify_unknown_bound_key_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "rmk43",
                          "--bound", "kmax=1")

@@ -99,6 +99,20 @@ def test_pairing_odd_sign():
     assert pairing(w1, w2) == Q(-1)
 
 
+def test_pairing_is_int_first():
+    """Integral pairings are ints, also through Fraction coefficients;
+    the others are Fractions."""
+    f = fundamental_class(P2, 2, 2)
+    pt = FockVector(P2, 2, {((-1, 2), (-1, 2)): 1})
+    v = chain(P2, 4, (-2, {"H": 1}))
+    w1 = chain(AB, 4, (-1, {"t1": 1}), (-1, {"t234": 1}))
+    for value, want in ((pairing(f, pt), 1), (pairing(v, v), -2),
+                        (pairing(w1, w1), 1), (pairing(pt, pt), 0)):
+        assert type(value) is int and value == want
+    third = pairing(f.scale(Q(1, 3)), pt)
+    assert type(third) is Q and third == Q(1, 3)
+
+
 def test_pairing_respects_weight_grading():
     u = chain(P2, 4, (-1, {"1": 1}))
     v = chain(P2, 4, (-2, {"1": 1}))

@@ -1,6 +1,8 @@
-"""Every name a module under src/ imports is used in that module."""
+"""Every name a module under src/ imports is used in that module, and
+every private name defined under src/ is referenced somewhere in src/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,58 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.relative_to(SRC)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def unreferenced_private_names(sources):
+    """(file, line, name) of every private name (a leading underscore,
+    not a dunder) that a def, a class or a module-level assignment in
+    sources defines and that no other node of sources references, as a
+    name, an attribute or an imported name.  sources maps file names to
+    their text."""
+    defined = {}
+    refs = Counter()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, (path, node.lineno))
+            elif isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs[node.name] += 1
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    # the defining name node is not a reference
+                    refs[t.id] -= 1
+                    defined.setdefault(t.id, (path, t.lineno))
+    return sorted((path, line, name)
+                  for name, (path, line) in defined.items()
+                  if _is_private(name) and refs[name] <= 0)
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    source = ("_LIMIT = 3\n_SPARE = 4\n"
+              "def _grow(n):\n    return min(n + 1, _LIMIT)\n"
+              "class _Box:\n"
+              "    def _peek(self):\n        return _grow(0)\n"
+              "    def _drop(self):\n        pass\n"
+              "    def __len__(self):\n        return _Box()._peek()\n")
+    assert unreferenced_private_names({"m.py": source}) == [
+        ("m.py", 2, "_SPARE"), ("m.py", 8, "_drop")]
+
+
+def test_every_private_name_is_referenced():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unreferenced_private_names(sources) == []

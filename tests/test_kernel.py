@@ -1,7 +1,7 @@
 """The factor-word apply kernel: equivalence with raw mode composition,
-exact coefficient types, the cached operator parity, the cached operator
-columns with their contraction index, and the int-first expansion that
-builds expanded operators."""
+exact coefficient types, the window each operator owns, the cached
+operator columns with their contraction index, and the int-first
+expansion that builds expanded operators."""
 
 from fractions import Fraction
 
@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock.fock import (FockVector, annihilate_state, basis_states,
-                           create_state, weight)
+                           canonical_factors, create_state, exact, weight)
 from hilbfock.operators import (OperatorSum, SmearedOp, _replacement_op,
                                 apply_arrangement, commutator_action,
                                 commutator_column, derivation_apply,
-                                heisenberg, instantiate, monomial,
-                                quadratic_sum, series_to_smeared)
+                                derivative_action, heisenberg, instantiate,
+                                monomial, quadratic_sum, series_to_smeared)
 from hilbfock.partitions import GenPartition, enumerate_genpartitions
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.walgebra import (FourierSpec, chern, chern_smeared, fourier,
@@ -53,6 +53,37 @@ def ref_word(ring, word, terms, cutoff):
                 nxt[s2] = nxt.get(s2, 0) + c * c2
         cur = {s: c for s, c in nxt.items() if c}
     return cur
+
+
+class RefSum:
+    """The literal accumulator behind the reference operators: one
+    monomial or one scaled operator at a time, every sum through exact,
+    zeros dropped."""
+
+    def __init__(self, ring, cutoff, scalar=0):
+        self.ring, self.cutoff = ring, cutoff
+        self.terms, self.scalar = {}, exact(scalar)
+
+    def add_factors(self, factors, coeff):
+        """Accumulate one monomial; modes must be nondecreasing already."""
+        modes = [m for m, _ in factors]
+        assert all(a <= b for a, b in zip(modes, modes[1:])), modes
+        state, sign = canonical_factors(factors, self.ring.parity)
+        if state is not None:
+            self._add(state, coeff * sign)
+
+    def merge(self, other, scale=1):
+        for f, c in other.terms.items():
+            self._add(f, c * scale)
+        self.scalar = exact(self.scalar + other.scalar * scale)
+        return self
+
+    def _add(self, word, c):
+        v = exact(self.terms.get(word, 0) + c)
+        if v:
+            self.terms[word] = v
+        else:
+            self.terms.pop(word, None)
 
 
 def ref_sum(pieces, cutoff):
@@ -98,9 +129,10 @@ def test_operator_apply_matches_composition(name, data):
     ring, cutoff, terms, words = data.draw(setups(name, sorted_words=True))
     coeffs = data.draw(st.lists(COEFFS, min_size=4, max_size=4))
     scalar = data.draw(st.integers(-2, 2))
-    op = OperatorSum(ring, cutoff, scalar=scalar)
+    ref = RefSum(ring, cutoff)
     for word, c in zip(words, coeffs):
-        op.add_factors(word, c)
+        ref.add_factors(word, c)
+    op = OperatorSum(ring, cutoff, ref.terms, scalar)
     vec = FockVector(ring, cutoff, terms)
     want = ref_sum([(tc, ref_word(ring, w, vec.terms, cutoff))
                     for w, tc in op.terms.items()]
@@ -135,26 +167,28 @@ def test_kernel_crosses_window_edge():
     assert ref_word(P2, word, vec.terms, 3) != {}
 
 
-def test_parity_cache_resets_on_add_factors():
+def test_mixed_parity_is_refused():
     t1, one = AB.index["t1"], AB.index["1"]
-    op = heisenberg(AB, 1, AB.basis("t1"), 4)
-    assert op.parity() == 1
-    op.add_factors(((1, one),), 1)
+    assert heisenberg(AB, 1, AB.basis("t1"), 4).parity() == 1
+    op = OperatorSum(AB, 4, {((1, t1),): 1, ((1, one),): 1})
     with pytest.raises(ValueError, match="mixed parity"):
         op.parity()
-    even = heisenberg(AB, -1, AB.basis("1"), 4)
-    assert even.parity() == 0
-    even.add_factors(((-1, t1),), Fraction(1, 2))
-    with pytest.raises(ValueError, match="mixed parity"):
-        even.parity()
 
 
-def test_parity_cache_resets_on_merge():
-    op = heisenberg(AB, 2, AB.basis("t12"), 4)
-    assert op.parity() == 0
-    op.merge(heisenberg(AB, 2, AB.basis("t1"), 4))
-    with pytest.raises(ValueError, match="mixed parity"):
-        op.parity()
+def test_mismatched_vector_window_is_refused():
+    """apply and commutator_action act on the operator's own window only;
+    a vector of another window raises instead of being truncated."""
+    narrow = heisenberg(P2, -1, P2.basis("1"), 3)
+    wide = heisenberg(P2, 1, P2.basis("x"), 4)
+    vec = FockVector(P2, 4, {((-1, 0),): 1})
+    for act in (lambda: narrow.apply(vec),
+                lambda: commutator_action(narrow, wide, vec),
+                lambda: commutator_action(wide, narrow, vec),
+                lambda: derivative_action(narrow, vec)):
+        with pytest.raises(ValueError, match="window 3 does not match "
+                                             "vector window 4"):
+            act()
+    assert wide.apply(vec).terms == {(): -1}
 
 
 # -- cached columns ---------------------------------------------------------
@@ -171,9 +205,9 @@ def ref_image(op, terms, cutoff):
 
 
 @st.composite
-def operators(draw, name, cutoff):
+def series(draw, name):
     """A transfer operator, Virasoro series, smeared monomial or Chern
-    character of one test class."""
+    character of one test class, as a function of its window."""
     ring = RINGS[name]
     kind = draw(st.sampled_from(("heisenberg", "quadratic_sum", "monomial",
                                  "chern")))
@@ -182,13 +216,21 @@ def operators(draw, name, cutoff):
         names = [c for c in names if (ring.K * ring.basis(c)).is_zero()]
     elem = ring.basis(draw(st.sampled_from(names)))
     if kind == "heisenberg":
-        return heisenberg(ring, draw(st.sampled_from(MODES)), elem, cutoff)
+        n = draw(st.sampled_from(MODES))
+        return lambda cutoff: heisenberg(ring, n, elem, cutoff)
     if kind == "quadratic_sum":
-        return quadratic_sum(ring, draw(st.integers(-2, 2)), elem, cutoff)
+        n = draw(st.integers(-2, 2))
+        return lambda cutoff: quadratic_sum(ring, n, elem, cutoff)
     if kind == "monomial":
-        return monomial(ring, GenPartition(draw(st.sampled_from(PARTS))),
-                        elem, cutoff)
-    return chern(ring, draw(st.integers(0, 1)), elem, cutoff)
+        gp = GenPartition(draw(st.sampled_from(PARTS)))
+        return lambda cutoff: monomial(ring, gp, elem, cutoff)
+    k = draw(st.integers(0, 1))
+    return lambda cutoff: chern(ring, k, elem, cutoff)
+
+
+def operators(name, cutoff):
+    """One series of series(name), built at the window cutoff."""
+    return series(name).map(lambda build: build(cutoff))
 
 
 def window_states(name, cutoff):
@@ -200,14 +242,15 @@ def window_states(name, cutoff):
             for s in basis_states(ring, w) if all(i in idx for _, i in s)]
 
 
-def assert_columns(op, states, cutoff):
-    """Every column is the uncached image, also through act, and the
-    contraction index only rules out states the operator kills."""
+def assert_columns(op, states):
+    """Every column is the uncached image on the operator's window, also
+    through act, and the contraction index only rules out states the
+    operator kills."""
     index = op._contractions()
     for s in states:
-        want = ref_image(op, {s: 1}, cutoff)
-        assert op.column(s, cutoff) == want, s
-        assert op.act({s: 1}, cutoff) == want, s
+        want = ref_image(op, {s: 1}, op.cutoff)
+        assert op.column(s) == want, s
+        assert op.act({s: 1}) == want, s
         if index is not False and index.isdisjoint(s):
             assert not want, s
 
@@ -215,21 +258,13 @@ def assert_columns(op, states, cutoff):
 @pytest.mark.parametrize("name", sorted(RINGS))
 @KERNEL
 @given(data=st.data())
-def test_columns_match_composition_and_reset(name, data):
-    ring = RINGS[name]
+def test_columns_match_composition_at_each_window(name, data):
+    """The same series built at two windows: each operator's columns are
+    the composition on its own window, never those of the other."""
     cutoff = data.draw(st.integers(1, 3))
-    states = window_states(name, cutoff)
-    op = data.draw(operators(name, cutoff))
-    # one cache per window: the wider window must not reuse the narrow one
-    assert_columns(op, states, cutoff)
-    assert_columns(op, states, cutoff + 1)
-    op.merge(data.draw(operators(name, cutoff)), data.draw(COEFFS))
-    assert_columns(op, states, cutoff)
-    idx = [ring.index[c] for c in CLASSES[name]]
-    factor = st.tuples(st.sampled_from(MODES), st.sampled_from(idx))
-    word = sorted(data.draw(st.lists(factor, min_size=1, max_size=2)))
-    op.add_factors(word, data.draw(COEFFS))
-    assert_columns(op, states, cutoff)
+    build = data.draw(series(name))
+    for w in (cutoff, cutoff + 1):
+        assert_columns(build(w), window_states(name, cutoff))
 
 
 def test_contraction_index_is_exact_for_transfer_operators():
@@ -259,9 +294,38 @@ def test_commutator_column_matches_composition(name, data):
         fg = ref_image(f, ref_image(g, one, cutoff), cutoff)
         gf = ref_image(g, ref_image(f, one, cutoff), cutoff)
         want = ref_sum([(1, fg), (sign, gf)], cutoff)
-        assert commutator_column(f, g, s, cutoff) == want, s
+        assert commutator_column(f, g, s) == want, s
         vec = FockVector(RINGS[name], cutoff, one)
         assert commutator_action(f, g, vec).terms == want, s
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_character_commutator_on_a_narrower_window(name):
+    """G_k built at w + 1 against a(-1) built at W >= w + 1, as the
+    character pins of thm31 and thm46-unique pair them: on every state
+    of weight at most w the commutator column is the composition of
+    G_k and a(-1) on the window W.  G_k preserves weight, so its own
+    narrower window loses nothing there."""
+    ring = RINGS[name]
+    w = 2
+    states = window_states(name, w)
+    trivial = [c for c in CLASSES[name]
+               if (ring.K * ring.basis(c)).is_zero()]
+    for k in (1, 2):
+        for ca in trivial[:3]:
+            gk = chern(ring, k, ring.basis(ca), w + 1)
+            for big in (w + 1, w + 3):
+                g_big = chern(ring, k, ring.basis(ca), big)
+                for cb in CLASSES[name][:3]:
+                    am = heisenberg(ring, -1, ring.basis(cb), big)
+                    sign = 1 if gk.parity() and am.parity() else -1
+                    for s in states:
+                        one = {s: 1}
+                        fg = ref_image(g_big, ref_image(am, one, big), big)
+                        gf = ref_image(am, ref_image(g_big, one, big), big)
+                        want = ref_sum([(1, fg), (sign, gf)], big)
+                        got = commutator_column(gk, am, s)
+                        assert got == want, (k, ca, big, cb, s)
 
 
 # -- exact coefficient types ----------------------------------------------
@@ -356,12 +420,12 @@ def test_operator_scalars_are_int_first(name):
     _assert_op_int_first(instantiate(sm, ring, ring.basis(0), N), name)
 
 
-# The literal reference: per-tau-key add_factors plus merge, as the
-# constructors built operators before the one-pass expansion.
+# The literal reference: per-tau-key add_factors plus merge (RefSum), as
+# the constructors built operators before the one-pass expansion.
 
 
 def ref_monomial(ring, gp, elem, cutoff):
-    op = OperatorSum(ring, cutoff)
+    op = RefSum(ring, cutoff)
     if gp.length == 0 or elem.is_zero():
         return op
     if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
@@ -372,7 +436,7 @@ def ref_monomial(ring, gp, elem, cutoff):
 
 
 def ref_quadratic_sum(ring, n, elem, cutoff):
-    op = OperatorSum(ring, cutoff)
+    op = RefSum(ring, cutoff)
     if elem.is_zero():
         return op
     for lam in enumerate_genpartitions(2, n, min(cutoff, cutoff + n)):
@@ -382,7 +446,7 @@ def ref_quadratic_sum(ring, n, elem, cutoff):
 
 
 def ref_instantiate(smeared, ring, gamma, cutoff):
-    op = OperatorSum(ring, cutoff)
+    op = RefSum(ring, cutoff)
     for (modes, ep, kp), c in smeared.sorted_items():
         cls = gamma
         if ep:
@@ -392,8 +456,7 @@ def ref_instantiate(smeared, ring, gamma, cutoff):
         if cls.is_zero():
             continue
         if not modes:
-            op.merge(OperatorSum(ring, cutoff, scalar=ring.integrate(cls)),
-                     c)
+            op.merge(RefSum(ring, cutoff, ring.integrate(cls)), c)
             continue
         op.merge(ref_monomial(ring, GenPartition(modes), cls, cutoff), c)
     return op
@@ -401,7 +464,8 @@ def ref_instantiate(smeared, ring, gamma, cutoff):
 
 def ref_replacement(ring, mode, i, cutoff):
     b = ring.basis(i)
-    op = ref_quadratic_sum(ring, mode, b, cutoff).scaled(Fraction(mode))
+    op = RefSum(ring, cutoff).merge(ref_quadratic_sum(ring, mode, b, cutoff),
+                                    Fraction(mode))
     kb = ring.K * b
     if not kb.is_zero():
         op.merge(heisenberg(ring, mode, kb, cutoff),

@@ -328,12 +328,28 @@ def _inexact(value):
     return []
 
 
+def _int_first(values):
+    """The values that are not an int or a non-integral Fraction."""
+    return [c for c in values
+            if not (type(c) is int
+                    or (type(c) is Q and c.denominator != 1))]
+
+
 def test_ring_scalars_are_exact():
     """No float or bool in the table, the distinguished classes, the Gram
     matrix and its inverse, tau2 or tau_k (k <= 4), for the built-in rings
-    and a dump/load round trip."""
+    and a dump/load round trip; integrals and the Gram matrix are
+    int-first."""
     rings = list(RINGS.values()) + [load_ring(dump_ring(RINGS["abelian"]))]
+    p2 = RINGS["p2"]
+    assert type(p2.integrate(p2.basis("x"))) is int
+    assert p2.integrate(p2.elem({"x": Q(1, 2)})) == Q(1, 2)
     for ring in rings:
+        ints = [ring.integrate(a * b) for a in ring.basis_elems()
+                for b in ring.basis_elems()]
+        ints += [ring.integrate(ring.e), ring.integrate(ring.K * ring.K)]
+        ints += [g for row in ring.pairing_matrix() for g in row]
+        assert _int_first(ints) == [], ring.name
         assert all(type(c) in (int, Q) for row in ring.table
                    for prod in row for _, c in prod)
         data = [ring.table, ring.integral_vec, ring.K, ring.e,

@@ -32,8 +32,7 @@ def test_small_runs_pass():
     specs = (
         SuiteSpec("rmk43", bounds={"k_max": 2, "n_max": 2}),
         SuiteSpec("lem53", bounds={"p_max": 3, "m_max": 2}),
-        SuiteSpec("heis", surface="p2", cutoff=4,
-                  bounds={"m_max": 2, "w_max": 1}),
+        SuiteSpec("heis", surface="p2", bounds={"m_max": 2, "w_max": 1}),
     )
     for spec in specs:
         report = run_suite(spec)
