@@ -3,8 +3,8 @@
 The Fock space of a projective surface carries transfer (Heisenberg)
 operators, a Virasoro algebra, Chern character operators of tautological
 sheaves and a full W-algebra of generators J^p_n.  Everything here is
-exact rational arithmetic on weight-truncated windows; the verify module
-checks the algebra relations and closed formulas instance by instance.
+exact rational arithmetic, without truncation; the verify module checks
+the algebra relations and closed formulas instance by instance.
 """
 
 __version__ = "0.1.0"

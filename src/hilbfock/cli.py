@@ -57,7 +57,7 @@ def _resolve_ring(surface, ring_file):
 _OP_RE = re.compile(r"^\s*([aLGJ])\(\s*([-0-9,\s]+?)\s*;\s*(\w+)\s*\)\s*$")
 
 
-def parse_operator(ring, text, cutoff):
+def parse_operator(ring, text):
     """Operator from a string like a(-2;H), L(1;x), G(2;x), J(2,-1;x)."""
     m = _OP_RE.match(text)
     if not m:
@@ -77,12 +77,12 @@ def parse_operator(ring, text, cutoff):
         raise UsageError("%s takes %d integer argument%s"
                          % (name, want, "s" if want > 1 else ""))
     if name == "a":
-        return heisenberg(ring, nums[0], elem, cutoff)
+        return heisenberg(ring, nums[0], elem)
     if name == "L":
-        return virasoro(ring, nums[0], elem, cutoff)
+        return virasoro(ring, nums[0], elem)
     if name == "G":
-        return chern(ring, nums[0], elem, cutoff)
-    return jay(ring, nums[0], nums[1], elem, cutoff)
+        return chern(ring, nums[0], elem)
+    return jay(ring, nums[0], nums[1], elem)
 
 
 def _emit(text, out):
@@ -154,22 +154,22 @@ def _cmd_chern(args):
     elem = ring.basis(args.cls)
     try:
         # hilbert.chern_class, keeping the operator for --dump-terms
-        op = chern(ring, args.k, elem, args.n)
-        vec = op.apply(fundamental_class(ring, args.n, args.n))
+        op = chern(ring, args.k, elem)
+        vec = op.apply(fundamental_class(ring, args.n))
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "jsonl":
         doc = {"surface": ring.name, "k": args.k, "n": args.n,
                "class": args.cls, "vector": vector_records(vec)}
         if args.dump_terms:
-            doc["operator"] = _op_records(op)
+            doc["operator"] = _op_records(op.terms_within(args.n))
         text = _jline(doc)
     else:
         lines = ["G_%d(%s) on %d points over %s:"
                  % (args.k, args.cls, args.n, ring.name),
                  render_vector(vec)]
         if args.dump_terms:
-            lines += ["operator terms:", op.render()]
+            lines += ["operator terms:", op.terms_within(args.n).render()]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -301,7 +301,7 @@ def _cmd_dump(args):
     if args.cutoff < 0:
         raise UsageError("--cutoff must be at least 0, got %d" % args.cutoff)
     try:
-        op = parse_operator(ring, args.op, args.cutoff)
+        op = parse_operator(ring, args.op).terms_within(args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "jsonl":
@@ -403,7 +403,9 @@ def build_parser():
     p = sub.add_parser("dump", help="term list of an operator expression")
     p.add_argument("--op", required=True,
                    help="operator string such as J(2,-1;x) or a(-2;H)")
-    p.add_argument("--cutoff", type=int, default=6)
+    p.add_argument("--cutoff", type=int, default=6,
+                   help="render window: print the terms that create and "
+                        "annihilate at most this many points each")
     _add_ring_flags(p)
     _add_out_flags(p, ["human", "jsonl"])
     p.set_defaults(func=_cmd_dump)

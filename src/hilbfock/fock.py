@@ -1,4 +1,4 @@
-"""Truncated Fock space over a surface ring.
+"""Fock space over a surface ring.
 
 A basis state is a product of creation factors applied to the vacuum,
 stored as a tuple of (mode, class index) pairs with mode <= -1, sorted
@@ -7,8 +7,9 @@ ascending by (mode, index); the tuple order is the product order, so
     ((-2, H), (-1, 1))   means   a(-2;H) a(-1;1) |0>
 
 Sorting two odd-class factors flips the sign; a repeated odd factor kills
-the state.  The weight of a state is the total point count -sum(modes);
-vectors silently drop states whose weight exceeds the window cutoff.
+the state.  The weight of a state is the total point count -sum(modes).
+A vector is a finite combination of states of any weights: nothing
+truncates it, so every image is exact.
 
 Coefficients are exact: an int where the value is integral and nothing
 forced a Fraction, a Fraction otherwise, never a float.  Both render the
@@ -62,34 +63,19 @@ def degree(state, ring):
 
 
 class FockVector:
-    """Finite rational combination of basis states, with a weight window.
+    """Finite rational combination of basis states."""
 
-    No state above the window cutoff is ever held: the constructor and
-    add_term drop them.
-    """
+    __slots__ = ("ring", "terms")
 
-    __slots__ = ("ring", "cutoff", "terms")
-
-    def __init__(self, ring, cutoff, terms=None):
+    def __init__(self, ring, terms=None):
         self.ring = ring
-        self.cutoff = cutoff
-        self.terms = ({s: c for s, c in terms.items() if weight(s) <= cutoff}
-                      if terms else {})
-
-    def _like(self, terms):
-        """A vector on this ring and window holding terms, which must lie
-        inside the window already."""
-        out = FockVector(self.ring, self.cutoff)
-        out.terms = terms
-        return out
+        self.terms = dict(terms) if terms else {}
 
     def copy(self):
-        return self._like(dict(self.terms))
+        return FockVector(self.ring, self.terms)
 
     def add_term(self, state, coeff):
-        """Accumulate one state, dropping it if outside the window."""
-        if weight(state) > self.cutoff:
-            return
+        """Accumulate one state."""
         c = self.terms.get(state)
         c = coeff if c is None else c + coeff
         if c:
@@ -114,8 +100,8 @@ class FockVector:
             raise TypeError("scale factor must be int or Fraction, not %s"
                             % type(c).__name__)
         if not c:
-            return FockVector(self.ring, self.cutoff)
-        return self._like({s: v * c for s, v in self.terms.items()})
+            return FockVector(self.ring)
+        return FockVector(self.ring, {s: v * c for s, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, FockVector) and self.ring is other.ring
@@ -131,16 +117,16 @@ class FockVector:
         return render_vector(self)
 
 
-def vacuum(ring, cutoff):
-    return FockVector(ring, cutoff, {(): 1})
+def vacuum(ring):
+    return FockVector(ring, {(): 1})
 
 
-def fundamental_class(ring, n, cutoff):
+def fundamental_class(ring, n):
     """The unit of H*(X^[n]): (1/n!) a(-1;1)^n |0>."""
-    if n < 0 or n > cutoff:
-        raise ValueError("point count %d outside window 0..%d" % (n, cutoff))
+    if n < 0:
+        raise ValueError("point count %d is negative" % n)
     state = ((-1, 0),) * n
-    return FockVector(ring, cutoff, {state: Q(1, factorial(n))})
+    return FockVector(ring, {state: Q(1, factorial(n))})
 
 
 def annihilate_state(ring, n, i, state):
@@ -168,13 +154,11 @@ def annihilate_state(ring, n, i, state):
     return out
 
 
-def create_state(ring, n, i, state, cutoff):
+def create_state(ring, n, i, state):
     """Apply the creation mode a(-n; basis i), n > 0, to one state.
 
-    Returns (state, sign) or (None, 0) when dropped (window or odd square).
+    Returns (state, sign), or (None, 0) when an odd factor repeats.
     """
-    if weight(state) + n > cutoff:
-        return None, 0
     return canonical_factors(((-n, i),) + state, ring.parity)
 
 

@@ -43,14 +43,14 @@ def point_class(ring):
 
 
 def chern_class(ring, k, elem, n):
-    """G_k(elem) applied to the fundamental class of X^[n], window n."""
-    return chern(ring, k, elem, n).apply(fundamental_class(ring, n, n))
+    """G_k(elem) applied to the fundamental class of X^[n]."""
+    return chern(ring, k, elem).apply(fundamental_class(ring, n))
 
 
 def chern_class_closed(ring, k, elem, n):
     """Closed creation expansion of the same class (K-trivial elem)."""
     require_canonical_trivial(ring, elem)
-    out = FockVector(ring, n)
+    out = FockVector(ring)
     e_elem = ring.e * elem
     for j in range(k + 1):
         r = n - j - 1
@@ -65,8 +65,7 @@ def chern_class_closed(ring, k, elem, n):
                 pieces.append((Q((-1) ** (j + 1) * (j + 1 + s - 2), 24), e_elem))
             for lead, cls in pieces:
                 coeff = lead / (lam.mult_factorial * factorial(j + 1))
-                vec = monomial(ring, lam.negate(), cls, n).apply(
-                    vacuum(ring, n))
+                vec = monomial(ring, lam.negate(), cls).apply(vacuum(ring))
                 vec = _unit_shift(ring, r, vec)
                 out = out + vec.scale(coeff)
     return out
@@ -74,7 +73,7 @@ def chern_class_closed(ring, k, elem, n):
 
 def _unit_shift(ring, r, vec):
     """Multiply by a(-1;1)^r / r!."""
-    op = heisenberg(ring, -1, ring.unit, vec.cutoff)
+    op = heisenberg(ring, -1, ring.unit)
     for _ in range(r):
         vec = op.apply(vec)
     return vec.scale(Q(1, factorial(r)))
@@ -82,9 +81,9 @@ def _unit_shift(ring, r, vec):
 
 def cup_product(ring, ks, elems, n):
     """Product of character classes on X^[n], applied right to left."""
-    vec = fundamental_class(ring, n, n)
+    vec = fundamental_class(ring, n)
     for k, elem in reversed(list(zip(ks, elems))):
-        vec = chern(ring, k, elem, n).apply(vec)
+        vec = chern(ring, k, elem).apply(vec)
     return vec
 
 
@@ -95,7 +94,7 @@ def hilb_integral(vec, n):
     pairs to 1 with the fundamental class, so the pairing extracts its
     coefficient.
     """
-    return pairing(vec, fundamental_class(vec.ring, n, vec.cutoff))
+    return pairing(vec, fundamental_class(vec.ring, n))
 
 
 def intersection_number(ring, ks, n):

@@ -1,29 +1,25 @@
-"""Operators on the truncated Fock space.
+"""Operators on the Fock space.
 
 Two layers:
 
-* Expanded operators (OperatorSum): finite combinations of normal-ordered
-  mode monomials a(m1;c1)...a(mk;ck) plus a scalar, acting exactly on
-  FockVector windows.  Constructors: transfer operators (heisenberg),
-  smeared partition monomials a_lambda(tau_l(class)) (monomial), the
-  Virasoro series (quadratic_sum), the derivation's replacement operators
-  and instantiated smeared lists (instantiate).  All but heisenberg go
-  through one int-first expansion (_expand): integer numerators over one
-  denominator per operator, each tau word brought to canonical order
-  once, and one division per word through ring.ratio.  An operator is
-  immutable and owns one window: the constructors truncate the series
-  to the window cutoff, and the operator acts on that window only.  It
-  caches its sparse columns, the images of single basis states, on
-  itself for its life, so repeated checks on the same states reuse
-  them; there is no global cache, and the memory is freed with the
-  operator.  A contraction index skips, without storing anything, the
-  states an operator provably kills.  The kernels act on {state: coeff}
-  dicts (OperatorSum.act and column, commutator_column, derive,
-  act_arrangement), each operator on its own window; apply,
-  commutator_action, derivation_apply and apply_arrangement wrap them
-  for FockVectors, and apply and commutator_action refuse a vector of
-  another window.  The derivation operator d acts recursively through
-  the replacement rule
+* Expanded operators (OperatorSum): normal-ordered mode monomials
+  a(m1;c1)...a(mk;ck) plus a scalar, acting exactly on {state: coeff}
+  dicts; nothing truncates an image.  A finite operator keeps all its
+  words: heisenberg, monomial (a_lambda(tau_l(class))) and instantiate.
+  A series (quadratic_sum, smeared_series, the derivation's replacement
+  operators) holds its words that annihilate at most w points, all that
+  act on states of weight up to w, and grows when a heavier state
+  arrives.  Every expansion is one int-first pass (_words): integer
+  numerators over one denominator per operator, each tau word brought
+  to canonical order once, one division per word through ring.ratio.
+  An operator caches its columns, the exact images of single basis
+  states, for its life (growing keeps them); a contraction index skips
+  the states it provably kills.  The kernels act on dicts
+  (OperatorSum.act and column, commutator_column, derive,
+  act_arrangement); apply, commutator_action, derivation_apply and
+  apply_arrangement wrap them for FockVectors.  Only terms_within cuts
+  an operator to a window, for term lists.  The derivation operator d
+  acts recursively through the replacement rule
 
       [d, a(n;c)] = n*L(n;c) - (n(|n|-1)/2) * a(n; K*c)
 
@@ -58,8 +54,8 @@ from __future__ import annotations
 from math import lcm
 from types import MappingProxyType
 
-from .fock import (annihilate_state, canonical_factors, create_state,
-                   exact, weight)
+from .fock import (FockVector, annihilate_state, canonical_factors,
+                   create_state, exact, weight)
 from .partitions import GenPartition, enumerate_genpartitions
 from .ring import ratio
 
@@ -77,10 +73,10 @@ def _acc(d, key, c):
         del d[key]
 
 
-def apply_word(ring, word, terms, cutoff):
+def apply_word(ring, word, terms):
     """Apply the factor word a(m1;b_i1)...a(mk;b_ik), right to left, to a
-    {state: coeff} dict, creation dropping states above cutoff; returns a
-    new dict.  Every action of mode monomials on states goes through here.
+    {state: coeff} dict; returns a new dict.  Every action of mode
+    monomials on states goes through here.
     """
     cur = terms
     for mode, i in reversed(word):
@@ -91,7 +87,7 @@ def apply_word(ring, word, terms, cutoff):
                     _acc(nxt, s2, c * c2)
         else:
             for s, c in cur.items():
-                s2, sgn = create_state(ring, -mode, i, s, cutoff)
+                s2, sgn = create_state(ring, -mode, i, s)
                 if s2 is not None:
                     _acc(nxt, s2, c if sgn == 1 else -c)
         if not nxt:
@@ -113,31 +109,49 @@ def _partners(ring, m, i):
 
 
 class OperatorSum:
-    """Scalar plus normal-ordered mode monomials with rational weights, on
-    one weight window.
+    """Scalar plus normal-ordered mode monomials with rational weights.
 
-    An operator is immutable: its constructor fixes the terms, the scalar
-    and the window cutoff, and it acts on that window only.  Coefficients
-    are stored through fock.exact, so integral ones are ints.  The
-    parity, the contraction index and the columns (images of single basis
-    states) are computed on first use and kept for the operator's life.
+    A finite operator is immutable.  A series (_series) holds the words
+    that annihilate at most _reach points and grows through _grown; its
+    parity is its class's.  Coefficients are stored through fock.exact,
+    so integral ones are ints.  The parity, the contraction index and
+    the columns are computed on first use and kept.
     """
 
-    __slots__ = ("ring", "cutoff", "terms", "scalar", "_parity", "_columns",
-                 "_groups", "_index")
+    __slots__ = ("ring", "terms", "scalar", "_parity", "_columns",
+                 "_groups", "_index", "_grow", "_reach")
 
-    def __init__(self, ring, cutoff, terms=None, scalar=0):
+    def __init__(self, ring, terms=None, scalar=0):
         self.ring = ring
-        self.cutoff = cutoff
         self.terms = {f: exact(c) for f, c in (terms or {}).items()}
         self.scalar = exact(scalar)
         self._parity = self._index = self._groups = None
+        self._grow = self._reach = None
         self._columns = {}
 
+    def _grown(self, w):
+        """Expand a series to its words that annihilate at most w points;
+        the exact columns stay, the contraction index is rebuilt."""
+        self.terms, self.scalar = self._grow(w)
+        self._reach = w
+        self._index = self._groups = None
+
+    def terms_within(self, cutoff):
+        """The finite operator of the scalar and the words that create
+        and annihilate at most cutoff points each: a term list cut to a
+        window for display and comparison."""
+        if self._reach is not None and cutoff > self._reach:
+            self._grown(cutoff)
+        keep = box_keep(cutoff, cutoff)
+        return OperatorSum(self.ring, {f: c for f, c in self.terms.items()
+                                       if keep([m for m, _ in f])},
+                           self.scalar)
+
     def scaled(self, c):
+        """c times the words held now: for a finite operator only."""
         if not c:
-            return OperatorSum(self.ring, self.cutoff)
-        return OperatorSum(self.ring, self.cutoff,
+            return OperatorSum(self.ring)
+        return OperatorSum(self.ring,
                            {f: v * c for f, v in self.terms.items()},
                            self.scalar * c)
 
@@ -166,7 +180,7 @@ class OperatorSum:
         Alongside it, the words grouped by their rightmost factor, each
         group with its own such factors (None for a creator), so that a
         column skips the groups that kill its state.  Both are built
-        once."""
+        once per expansion."""
         if self._index is None:
             groups = {}
             for word in self.terms:
@@ -180,17 +194,22 @@ class OperatorSum:
         return self._index
 
     def column(self, state):
-        """The image of the basis state on the operator's window, as
-        act({state: 1}) would give it, kept on the operator; callers must
-        not modify it."""
+        """The exact image of the basis state, as act({state: 1}) would
+        give it, kept on the operator; callers must not modify it.  A
+        series first grows to the state's weight."""
+        col = self._columns.get(state)
+        if col is not None:
+            return col
+        if self._reach is not None:
+            w = weight(state)
+            if w > self._reach:
+                self._grown(w)
         index = self._index
         if index is None:
             index = self._contractions()
         if index is not False and index.isdisjoint(state):
             return _EMPTY
-        col = self._columns.get(state)
-        if col is None:
-            col = self._columns[state] = self._image(state) or _EMPTY
+        col = self._columns[state] = self._image(state) or _EMPTY
         return col
 
     def _image(self, state):
@@ -198,19 +217,19 @@ class OperatorSum:
         that _contractions builds."""
         terms = {state: 1}
         out = {state: self.scalar} if self.scalar else {}
-        ring, coeffs, cutoff = self.ring, self.terms, self.cutoff
+        ring, coeffs = self.ring, self.terms
         for partners, words in self._groups:
             if partners is not None and partners.isdisjoint(state):
                 continue
             for word in words:
                 tc = coeffs[word]
-                for s, c in apply_word(ring, word, terms, cutoff).items():
+                for s, c in apply_word(ring, word, terms).items():
                     _acc(out, s, c * tc)
         return out
 
     def act(self, terms):
-        """Image of a {state: coeff} dict on the operator's window: the
-        combination of the cached columns of its states."""
+        """Image of a {state: coeff} dict: the combination of the cached
+        columns of its states."""
         out = {}
         for s, c in terms.items():
             for s2, c2 in self.column(s).items():
@@ -218,10 +237,8 @@ class OperatorSum:
         return out
 
     def apply(self, vec):
-        """Exact action on a vector of the operator's window."""
-        _same_window(vec, self)
-        # vec holds no state above its cutoff, so neither does the image
-        return vec._like(self.act(vec.terms))
+        """Exact action on a vector."""
+        return FockVector(vec.ring, self.act(vec.terms))
 
     def render(self):
         names = self.ring.basis_names
@@ -234,18 +251,9 @@ class OperatorSum:
         return "\n".join(lines) if lines else "0"
 
 
-def _same_window(vec, *ops):
-    """Refuse a vector whose window is not every operator's own."""
-    for op in ops:
-        if op.cutoff != vec.cutoff:
-            raise ValueError("operator window %d does not match vector "
-                             "window %d" % (op.cutoff, vec.cutoff))
-
-
 def commutator_column(f, g, state):
     """[f, g] applied to one basis state, with the super sign from the
-    operator parities, formed from the cached columns of f and g, each on
-    its own window."""
+    operator parities, formed from the cached columns of f and g."""
     out = {}
     for s, c in g.column(state).items():
         for s2, c2 in f.column(s).items():
@@ -260,36 +268,27 @@ def commutator_column(f, g, state):
 
 
 def commutator_action(f, g, vec):
-    """[f, g] applied to a vector of their window, with the super sign
-    from operator parities."""
-    _same_window(vec, f, g)
+    """[f, g] applied to a vector, with the super sign from operator
+    parities."""
     out = {}
     for s, c in vec.terms.items():
         for s2, c2 in commutator_column(f, g, s).items():
             _acc(out, s2, c * c2)
-    return vec._like(out)
+    return FockVector(vec.ring, out)
 
 
 # -- constructors ----------------------------------------------------------
 
 
-def _fits(modes, cutoff):
-    """Whether a_modes stays inside the window: it creates and annihilates
-    at most cutoff points."""
-    return (sum(m for m in modes if m > 0) <= cutoff
-            and -sum(m for m in modes if m < 0) <= cutoff)
+def _words(ring, items, den=1, scalar=0):
+    """The terms and scalar of (scalar + sum of n * a_modes(tau_l(cls)))
+    / den over items (modes, cls, n): modes nondecreasing, n an integer
+    numerator and den a positive int.
 
-
-def _expand(ring, cutoff, items, den=1, scalar=0):
-    """The operator (scalar + sum of n * a_modes(tau_l(cls))) / den over
-    items (modes, cls, n): modes nondecreasing, n an integer numerator
-    and den a positive int.
-
-    monomial, quadratic_sum, instantiate and the replacement operators
-    all go through here.  Each tau word zip(modes, key) is brought to
-    canonical order once, numerators accumulate per canonical word, and
-    each word divides once through ratio, so integral coefficients are
-    ints."""
+    Every constructor but heisenberg expands through here.  Each tau word
+    zip(modes, key) is brought to canonical order once, numerators
+    accumulate per canonical word, and each word divides once through
+    ratio, so integral coefficients are ints."""
     parity = ring.parity
     even = not any(parity)
     nums = {}
@@ -304,103 +303,102 @@ def _expand(ring, cutoff, items, den=1, scalar=0):
             word, sign = canonical_factors(zip(modes, key), parity)
             if word is not None:
                 _acc(nums, word, n * c if sign == 1 else -n * c)
-    terms = {w: ratio(v, den) for w, v in nums.items()}
-    return OperatorSum(ring, cutoff, terms, ratio(scalar, den))
+    return {w: ratio(v, den) for w, v in nums.items()}, ratio(scalar, den)
 
 
-def heisenberg(ring, n, elem, cutoff):
+def _series(ring, elem, items_at):
+    """The series over elem whose words that annihilate at most w points
+    are the _words of items_at(w) = (items, den[, scalar])."""
+    op = OperatorSum(ring)
+    op._grow = lambda w: _words(ring, *items_at(w))
+    op._reach, op._parity = -1, elem.parity()
+    return op
+
+
+def heisenberg(ring, n, elem):
     """Transfer operator a(n; elem); n = 0 gives the zero operator."""
     if n == 0:
-        return OperatorSum(ring, cutoff)
-    return OperatorSum(ring, cutoff,
-                       {((n, i),): c for i, c in elem.components()})
+        return OperatorSum(ring)
+    return OperatorSum(ring, {((n, i),): c for i, c in elem.components()})
 
 
-def monomial(ring, gp, elem, cutoff):
+def monomial(ring, gp, elem):
     """Smeared monomial a_gp(tau_l(elem)); the empty partition gives 0."""
-    if gp.length == 0 or elem.is_zero() or not _fits(gp.parts, cutoff):
-        return OperatorSum(ring, cutoff)
-    return _expand(ring, cutoff, [(gp.parts, elem, 1)])
+    if gp.length == 0 or elem.is_zero():
+        return OperatorSum(ring)
+    return OperatorSum(ring, *_words(ring, [(gp.parts, elem, 1)]))
 
 
-def _quadratic_items(n, elem, cutoff, scale=1):
-    """Items of scale * L(n; elem) over the denominator 2: the window
-    bound keeps both totals of every partition inside the window."""
+def _quadratic_items(n, elem, reach, scale=1):
+    """Items of scale * L(n; elem) over the denominator 2, for the
+    partitions that annihilate at most reach points."""
     return [(lam.parts, elem, -scale * (2 // lam.mult_factorial))
-            for lam in enumerate_genpartitions(2, n, min(cutoff, cutoff + n))]
+            for lam in enumerate_genpartitions(2, n, reach)]
 
 
-def quadratic_sum(ring, n, elem, cutoff):
-    """The Virasoro series L(n; elem) on the window,
+def quadratic_sum(ring, n, elem):
+    """The Virasoro series L(n; elem),
 
         L_n = - sum over two-part generalized partitions of size n of
               (1 / mult!) a_lambda(tau_2(elem)).
     """
-    if elem.is_zero():
-        return OperatorSum(ring, cutoff)
-    return _expand(ring, cutoff, _quadratic_items(n, elem, cutoff), 2)
+    return _series(ring, elem,
+                   lambda w: (_quadratic_items(n, elem, w), 2))
 
 
-def act_arrangement(ring, modes, elem, terms, cutoff):
+def act_arrangement(ring, modes, elem, terms):
     """Apply a_{m1}...a_{mk}(tau_k(elem)) with the modes in the given
-    (possibly unsorted) order to a {state: coeff} dict, with enough
-    headroom that intermediate states are never dropped; the image keeps
-    the states of weight at most cutoff.
-    """
+    (possibly unsorted) order to a {state: coeff} dict."""
     out = {}
     k = len(modes)
     if k == 0 or elem.is_zero():
         return out
-    big = cutoff + sum(-m for m in modes if m < 0)
     for key, c0 in ring.tau(k, elem).terms.items():
-        for s, c in apply_word(ring, tuple(zip(modes, key)), terms,
-                               big).items():
-            if weight(s) <= cutoff:
-                _acc(out, s, c * c0)
+        for s, c in apply_word(ring, tuple(zip(modes, key)), terms).items():
+            _acc(out, s, c * c0)
     return out
 
 
 def apply_arrangement(ring, modes, elem, vec):
-    """act_arrangement on a windowed vector, windowed to vec.cutoff."""
-    return vec._like(act_arrangement(ring, modes, elem, vec.terms,
-                                     vec.cutoff))
+    """act_arrangement on a vector."""
+    return FockVector(vec.ring, act_arrangement(ring, modes, elem,
+                                                vec.terms))
 
 
 # -- the derivation operator ----------------------------------------------
 
 
-def _replacement_op(ring, mode, i, cutoff):
-    """[d, a(mode; b_i)] as an expanded operator, cached on the ring."""
-    key = ("replacement", mode, i, cutoff)
+def _replacement_op(ring, mode, i):
+    """[d, a(mode; b_i)] as a series, cached on the ring for the life of
+    the process by (mode, i), together with the columns it computes."""
+    key = ("replacement", mode, i)
     if key not in ring._cache:
         b = ring.basis(i)
-        items = _quadratic_items(mode, b, cutoff, mode)
-        kb = ring.K * b
-        if not kb.is_zero():
-            items.append(((mode,), kb, -mode * (abs(mode) - 1)))
-        ring._cache[key] = _expand(ring, cutoff, items, 2)
+        kterm = [((mode,), ring.K * b, -mode * (abs(mode) - 1))]
+        ring._cache[key] = _series(ring, b, lambda w: (
+            _quadratic_items(mode, b, w, mode) + kterm, 2))
     return ring._cache[key]
 
 
-def derive(ring, terms, cutoff):
+def derive(ring, terms):
     """d applied to a {state: coeff} dict by the factorwise replacement
-    rule, dropping states above cutoff; d|0> = 0 and d is even."""
+    rule; d|0> = 0, and d is even and keeps the weight."""
     out = {}
     parity = ring.parity
     for state, c in terms.items():
         for t, (mode, i) in enumerate(state):
-            rep = _replacement_op(ring, mode, i, cutoff)
+            rep = _replacement_op(ring, mode, i)
             prefix = state[:t]
             for s2, c2 in rep.column(state[t + 1:]).items():
                 s3, sign = canonical_factors(prefix + s2, parity)
-                if s3 is not None and weight(s3) <= cutoff:
+                if s3 is not None:
                     _acc(out, s3, c * c2 if sign == 1 else -c * c2)
     return out
 
 
 def derivation_apply(vec):
     """d(vec) by the factorwise replacement rule."""
-    return vec._like(derive(vec.ring, vec.terms, vec.cutoff))
+    return FockVector(vec.ring, derive(vec.ring, vec.terms))
 
 
 def derivative_action(op, vec):
@@ -757,23 +755,36 @@ def diamond_keep(radius):
     return keep
 
 
-def instantiate(smeared, ring, gamma, cutoff):
-    """Expand a smeared list against a concrete smearing class, over the
-    common denominator of its coefficients."""
+def _smeared_items(smeared, ring, gamma):
+    """The _words arguments (items, den, scalar) of a smeared list against
+    a concrete smearing class, over the common denominator of its
+    coefficients."""
     den = lcm(*[c.denominator for c in smeared.terms.values()])
     items = []
     scalar = 0
     for (modes, ep, kp), c in smeared.sorted_items():
-        cls = gamma
-        if ep:
-            cls = cls * ring.e
+        cls = gamma * ring.e if ep else gamma
         for _ in range(kp):
             cls = cls * ring.K
         if cls.is_zero():
             continue
         n = c.numerator * (den // c.denominator)
-        if not modes:
-            scalar += n * ring.integrate(cls)
-        elif _fits(modes, cutoff):
+        if modes:
             items.append((modes, cls, n))
-    return _expand(ring, cutoff, items, den, scalar)
+        else:
+            scalar += n * ring.integrate(cls)
+    return items, den, scalar
+
+
+def instantiate(smeared, ring, gamma):
+    """The finite operator of a smeared list against a concrete smearing
+    class."""
+    return OperatorSum(ring, *_words(ring, *_smeared_items(smeared, ring,
+                                                           gamma)))
+
+
+def smeared_series(ring, smeared_at, elem):
+    """The series of a smeared list against elem, where smeared_at(w) is
+    the smeared list of its terms that annihilate at most w points."""
+    return _series(ring, elem,
+                   lambda w: _smeared_items(smeared_at(w), ring, elem))

@@ -24,7 +24,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import comb, factorial
 from multiprocessing import Pool
 
@@ -32,7 +32,8 @@ from .fock import basis_states, render_state, render_terms, weight
 from .operators import (SmearedOp, act_arrangement, box_keep,
                         commutator_column, derive, diamond_keep, heisenberg,
                         instantiate, monomial, quadratic_sum, s_bracket,
-                        s_derive, series_bracket, series_to_smeared)
+                        s_derive, series_bracket, series_to_smeared,
+                        smeared_series)
 from .partitions import GenPartition
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
@@ -162,16 +163,16 @@ def _action_states(ring, wmax=2):
     return out
 
 
-def _op_memo(ring, cutoff):
-    """op(build, m, label, elem): build(ring, m, elem, cutoff), made once
-    per (build, m, label), so that its cached columns serve every check
-    that uses it."""
+def _op_memo(ring):
+    """op(build, m, label, elem): build(ring, m, elem), made once per
+    (build, m, label), so that its cached columns serve every check that
+    uses it."""
     ops = {}
 
     def op(build, m, label, elem):
         key = (build, m, label)
         if key not in ops:
-            ops[key] = build(ring, m, elem, cutoff)
+            ops[key] = build(ring, m, elem)
         return ops[key]
 
     return op
@@ -212,10 +213,9 @@ class _Tally:
     def states(self, ring, states, sides, params):
         """Compare both sides on each basis state.
 
-        ``sides(s)`` returns (lhs, rhs), the images of the basis state s
-        as {state: coeff} dicts, each inside the window of the operators
-        that made it; the first failure adds the state to params and
-        shows rhs as expected.
+        ``sides(s)`` returns (lhs, rhs), the exact images of the basis
+        state s as {state: coeff} dicts; the first failure adds the state
+        to params and shows rhs as expected.
         """
         for s in states:
             lhs, rhs = sides(s)
@@ -309,14 +309,13 @@ def _lin(*pieces):
 
 
 def _iter_deriv(op, k, terms):
-    """k-fold derivative of an operator applied to a {state: coeff} dict
-    on the operator's window, recursively:
-    D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
+    """k-fold derivative of an operator applied to a {state: coeff} dict,
+    recursively: D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
     if k == 0:
         return op.act(terms)
-    ring, cutoff = op.ring, op.cutoff
-    return _lin((1, derive(ring, _iter_deriv(op, k - 1, terms), cutoff)),
-                (-1, _iter_deriv(op, k - 1, derive(ring, terms, cutoff))))
+    ring = op.ring
+    return _lin((1, derive(ring, _iter_deriv(op, k - 1, terms))),
+                (-1, _iter_deriv(op, k - 1, derive(ring, terms))))
 
 
 def _euler_families(ell, total, c):
@@ -348,10 +347,9 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         wmax = w_max if w_max is not None else (2 if ring.dim <= 4 else 1)
         pre = [(s, {m for m, _ in s})
                for w in range(wmax + 1) for s in basis_states(ring, w)]
-        big = wmax + 2 * m_max
         for m in range(-m_max, m_max + 1):
             # One memo per m bounds the memory of cached columns.
-            op = _op_memo(ring, big)
+            op = _op_memo(ring)
             for n in range(-m_max, m_max + 1):
                 # Off the diagonal a check holds trivially on a state
                 # unless an annihilator meets one of its modes.
@@ -425,8 +423,7 @@ def _vir_spots(spec, mut):
         ring = builtin_ring("p2")
         pairs = _probe(ring)
         states = _action_states(ring, 2)
-        big = 2 + 2 * mtop
-        op = _op_memo(ring, big)
+        op = _op_memo(ring)
 
         for m in range(-mtop, mtop + 1):
             for n in range(-mtop, mtop + 1):
@@ -437,7 +434,7 @@ def _vir_spots(spec, mut):
                     cc = Q(0)
                     if m == -n and m != 0:
                         cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
-                    rhs_op = quadratic_sum(ring, m + n, ab, big)
+                    rhs_op = quadratic_sum(ring, m + n, ab)
                     f = op(quadratic_sum, m, na, a)
                     g = op(quadratic_sum, n, nb, b)
                     t.states(ring, states,
@@ -450,10 +447,9 @@ def _vir_spots(spec, mut):
         ring = builtin_ring("k3")
         states = _action_states(ring, 2)
         for m in range(1, 4):
-            big = 2 + 2 * m
-            lm = quadratic_sum(ring, m, ring.unit, big)
-            ln = quadratic_sum(ring, -m, ring.unit, big)
-            l0 = quadratic_sum(ring, 0, ring.unit, big)
+            lm = quadratic_sum(ring, m, ring.unit)
+            ln = quadratic_sum(ring, -m, ring.unit)
+            l0 = quadratic_sum(ring, 0, ring.unit)
             cc = Q(m ** 3 - m, 12) * 24
             params = {"check": "action", "surface": "k3", "m": m, "n": -m}
             t = _Tally()
@@ -486,11 +482,9 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
         pairs = _probe(ring)
         small = pairs[:5] if ring.dim > 8 else pairs
         states = _action_states(ring, 2 if ring.dim <= 4 else 1)
-        wtop = max(weight(s) for s in states)
-        big = wtop + 2 * m_max + 1
         for m in range(-m_max, m_max + 1):
             # One memo per m bounds the memory of cached columns.
-            op = _op_memo(ring, big)
+            op = _op_memo(ring)
             for n in range(-m_max, m_max + 1):
                 params = {"part": "mixed", "surface": ring.name, "m": m,
                           "n": n}
@@ -498,8 +492,8 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                 for na, a in small:
                     lm = op(quadratic_sum, m, na, a)
                     for nb, b in small:
-                        an = heisenberg(ring, n, b, big)
-                        rhs_op = heisenberg(ring, m + n, a * b, big)
+                        an = heisenberg(ring, n, b)
+                        rhs_op = heisenberg(ring, m + n, a * b)
                         t.states(ring, states,
                                  lambda s: (commutator_column(lm, an, s),
                                             _lin((Q(-n), rhs_op.column(s)))),
@@ -512,9 +506,9 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
             params = {"part": "replacement", "surface": ring.name, "n": n}
             t = _Tally()
             for nb, b in pairs:
-                an = heisenberg(ring, n, b, big)
-                ln = quadratic_sum(ring, n, b, big)
-                kn = heisenberg(ring, n, ring.K * b, big)
+                an = heisenberg(ring, n, b)
+                ln = quadratic_sum(ring, n, b)
+                kn = heisenberg(ring, n, ring.K * b)
                 t.states(ring, states,
                          lambda s: (_iter_deriv(an, 1, {s: 1}),
                                     _lin((Q(n), ln.column(s)),
@@ -522,12 +516,12 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                          dict(params, b=nb))
             yield t.record(params)
         kfree = _ktrivial(ring, pairs)
-        op = _op_memo(ring, big)
+        op = _op_memo(ring)
         for k in range(k_max + 1):
             params = {"part": "character-pin", "surface": ring.name, "k": k}
             t = _Tally()
             for na, a in kfree:
-                gk = chern(ring, k, a, wtop + 1)
+                gk = chern(ring, k, a)
                 for nb, b in small:
                     am = op(heisenberg, -1, nb, b)
                     inner = op(heisenberg, -1, (na, nb), a * b)
@@ -551,6 +545,16 @@ _SWAPS = (((1, -1), 0), ((-1, 1), 0), ((2, -2), 0), ((-2, 2), 0),
           ((-1, 2, -2), 1))
 
 
+def _derivative_at(gp):
+    """w -> the smeared derivative of a_gp, cut to its terms that
+    annihilate at most w points.  d keeps the size t, and an Euler
+    correction sheds a pair (u, -u) with |u| at most the largest part h,
+    so the splittings run h past the kept box."""
+    one = SmearedOp({(gp.parts, 0, 0): 1})
+    h, t = max(map(abs, gp.parts)), gp.size
+    return lambda w: s_derive(one, box_keep(w, w - t), w + h, w + h - t)
+
+
 def _run_lem32(spec, mut):
     """The smeared calculus against ground-truth operator composition:
 
@@ -569,8 +573,6 @@ def _run_lem32(spec, mut):
         pairs = _probe(ring)
         cpairs = pairs if smallring else pairs[:3]
         states = _action_states(ring, 2 if smallring else 1)
-        wtop = max(weight(s) for s in states)
-        big = wtop + 8
         if not mut:
             params = {"part": "bracket", "surface": ring.name}
             t = _Tally()
@@ -582,10 +584,10 @@ def _run_lem32(spec, mut):
                         SmearedOp({(gnu.parts, 0, 0): Q(1)}),
                         SmearedOp({(gmu.parts, 0, 0): Q(1)}))
                     for na, a in cpairs:
-                        av = monomial(ring, gnu, a, big)
+                        av = monomial(ring, gnu, a)
                         for nb, b in cpairs:
-                            bv = monomial(ring, gmu, b, big)
-                            rhs_op = instantiate(sm, ring, a * b, big)
+                            bv = monomial(ring, gmu, b)
+                            rhs_op = instantiate(sm, ring, a * b)
                             t.states(ring, states,
                                      lambda s: (commutator_column(av, bv, s),
                                                 rhs_op.column(s)),
@@ -596,11 +598,9 @@ def _run_lem32(spec, mut):
             t = _Tally()
             for nu in nus:
                 gnu = GenPartition(nu)
-                sm = s_derive(SmearedOp({(gnu.parts, 0, 0): Q(1)}),
-                              box_keep(big, big), big, big)
                 for na, a in cpairs:
-                    op = monomial(ring, gnu, a, big)
-                    rhs_op = instantiate(sm, ring, a, big)
+                    op = monomial(ring, gnu, a)
+                    rhs_op = smeared_series(ring, _derivative_at(gnu), a)
                     t.states(ring, states,
                              lambda s: (_iter_deriv(op, 1, {s: 1}),
                                         rhs_op.column(s)),
@@ -619,11 +619,11 @@ def _run_lem32(spec, mut):
 
                 def sides(s):
                     one = {s: 1}
-                    lhs = act_arrangement(ring, seq, a, one, big)
-                    rhs = act_arrangement(ring, swapped, a, one, big)
+                    lhs = act_arrangement(ring, seq, a, one)
+                    rhs = act_arrangement(ring, swapped, a, one)
                     if cc and rest:
                         rhs = _lin((1, rhs), (cc, act_arrangement(
-                            ring, rest, ea, one, big)))
+                            ring, rest, ea, one)))
                     elif cc:
                         rhs = _lin((1, rhs), (cc * ring.integrate(ea), one))
                     return lhs, rhs
@@ -691,16 +691,13 @@ def _thm42_spots(spec, mut, N):
         for k in range(3):
             for n in (1, -1, -2):
                 closed = _apow_smeared(n, k, N, mut)
-                params = {"check": "action", "surface": rname, "k": k,
-                          "n": n, "a": cname}
-                # The window grows with the state's weight.
-                for w, same in groupby(states, weight):
-                    big = w + abs(n) * (k + 1) + 2
-                    an = heisenberg(ring, n, a, big)
-                    rhs_op = instantiate(closed, ring, a, big)
-                    t.states(ring, list(same),
-                             lambda s: (_iter_deriv(an, k, {s: 1}),
-                                        rhs_op.column(s)), params)
+                an = heisenberg(ring, n, a)
+                rhs_op = instantiate(closed, ring, a)
+                t.states(ring, states,
+                         lambda s: (_iter_deriv(an, k, {s: 1}),
+                                    rhs_op.column(s)),
+                         {"check": "action", "surface": rname, "k": k,
+                          "n": n, "a": cname})
         yield t.record(
             {"check": "action", "surface": rname, "class": cname})
 
@@ -782,9 +779,9 @@ def _thm46_spots(spec):
         states = _action_states(ring, 3)
         t = _Tally()
         for k in (2, 3):
-            gk = chern(ring, k, ring.unit, 4)
+            gk = chern(ring, k, ring.unit)
             for nb, b in _probe(ring)[:3]:
-                am = heisenberg(ring, -1, b, 5)
+                am = heisenberg(ring, -1, b)
                 t.states(ring, states,
                          lambda s: (commutator_column(gk, am, s),
                                     _lin((Q(1, factorial(k)),
@@ -897,10 +894,8 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         t = _Tally(total=True)
         for n in range(-2, 3):
             for na, a in _probe(ring)[:4]:
-                ja = instantiate(
-                    series_to_smeared(jf(1, n), 4, 4),
-                    ring, a, 4)
-                ln = quadratic_sum(ring, n, a, 4)
+                ja = instantiate(series_to_smeared(jf(1, n), 4, 4), ring, a)
+                ln = quadratic_sum(ring, n, a).terms_within(4)
                 t.check(ja.equal_terms(ln),
                         {"part": "b", "surface": rname, "n": n, "a": na},
                         ln, ja)
@@ -918,8 +913,8 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         t = _Tally()
         for p in range(4):
             for na, a in _probe(ring)[:3]:
-                jp = jay(ring, p, -1, a, 4)
-                inner = heisenberg(ring, -1, a, 4)
+                jp = jay(ring, p, -1, a)
+                inner = heisenberg(ring, -1, a)
                 t.states(ring, states,
                          lambda s: (jp.column(s),
                                     _lin((-1, _iter_deriv(inner, p,
@@ -962,12 +957,11 @@ def _lem52_spots(spec):
         t = _Tally()
         for p in range(3):
             for n in (-2, -1, 1, 2):
-                big = 2 + abs(n) + 1
                 for na, a in kfree[:3]:
-                    gp = chern(ring, p, a, big)
+                    gp = chern(ring, p, a)
                     for nb, b in others:
-                        an = heisenberg(ring, n, b, big)
-                        jp = jay(ring, p, n, a * b, big)
+                        an = heisenberg(ring, n, b)
+                        jp = jay(ring, p, n, a * b)
                         t.states(ring, states,
                                  lambda s: (commutator_column(gp, an, s),
                                             _lin((Q(n, factorial(p)),
@@ -1003,8 +997,8 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
         t = _Tally(total=True)
         for m in range(-2, 3):
             for na, a in _probe(ring):
-                f2 = fourier(ring, FourierSpec((0, 0), m), a, 5)
-                l2 = quadratic_sum(ring, m, a, 5).scaled(Q(-2))
+                f2 = fourier(ring, FourierSpec((0, 0), m), a).terms_within(5)
+                l2 = quadratic_sum(ring, m, a).terms_within(5).scaled(Q(-2))
                 t.check(f2.equal_terms(l2),
                         {"check": "square-field", "m": m, "a": na}, l2, f2)
         yield t.record({"check": "square-field", "surface": "p2"})
@@ -1091,7 +1085,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
                          dict(params, check="instantiate"))
     yield from _thm55_centrals(spec, N, m_max)
     if not mut:
-        yield from _thm55_spots(spec, N)
+        yield from _thm55_spots(spec)
 
 
 def _thm55_centrals(spec, N, m_max):
@@ -1129,7 +1123,7 @@ _THM55_SPOT_PAIRS = {
 }
 
 
-def _thm55_spots(spec, N):
+def _thm55_spots(spec):
     for rname in ("k3", "abelian", "p2"):
         if spec.surface and spec.surface != rname:
             continue
@@ -1138,26 +1132,24 @@ def _thm55_spots(spec, N):
         states = ([allst[0]]
                   + [s for s in allst if weight(s) == 1][:2]
                   + [s for s in allst if weight(s) == 2][:4])
-        wtop = max(weight(s) for s in states)
         t = _Tally()
         # cells and class pairs repeat generators: build each one once
         jays = {}
 
-        def jay_op(p, n, c, big):
-            key = (p, n, c, big)
-            if key not in jays:
-                jays[key] = jay(ring, p, n, ring.basis(c), big)
-            return jays[key]
+        def jay_op(p, n, c):
+            if (p, n, c) not in jays:
+                jays[p, n, c] = jay(ring, p, n, ring.basis(c))
+            return jays[p, n, c]
 
         for p, q, m, n in _THM55_SPOT_CELLS:
-            pos = _sound_pos(N, m, n)
-            exp = _thm55_expected(p, q, m, n, pos, N, False)
-            big = wtop + abs(m) + abs(n)
+            # the expected bracket as a series, of size m + n
+            exp_at = (lambda w, p=p, q=q, m=m, n=n:
+                      _thm55_expected(p, q, m, n, w, w - m - n, False))
             for ca, cb in _THM55_SPOT_PAIRS[rname]:
                 a, b = ring.basis(ca), ring.basis(cb)
-                ja = jay_op(p, m, ca, big)
-                jb = jay_op(q, n, cb, big)
-                rhs_op = instantiate(exp, ring, a * b, big)
+                ja = jay_op(p, m, ca)
+                jb = jay_op(q, n, cb)
+                rhs_op = smeared_series(ring, exp_at, a * b)
                 t.states(ring, states,
                          lambda s: (commutator_column(ja, jb, s),
                                     rhs_op.column(s)),
@@ -1202,11 +1194,10 @@ def _rmk56_spots(spec):
     t = _Tally()
     for p in range(1, 4):
         for n in (-2, -1, 1, 2):
-            big = 2 + abs(n) + 1
             for na, a in _probe(ring)[:3]:
-                jp = jay(ring, p, n, a, big)
-                jup = jay(ring, p + 1, n, a, big)
-                jdown = jay(ring, p - 1, n, ring.e * a, big)
+                jp = jay(ring, p, n, a)
+                jup = jay(ring, p + 1, n, a)
+                jdown = jay(ring, p - 1, n, ring.e * a)
                 cc = Q(-(n ** 3 - n) * p, 12)
                 t.states(ring, states,
                          lambda s: (_iter_deriv(jp, 1, {s: 1}),
@@ -1296,16 +1287,15 @@ def _thm57_spots(ring):
     t = _Tally()
     for p, q in ((0, 0), (1, 0), (1, 1), (2, 1)):
         for m, n in ((1, -1), (1, 1), (-1, -1), (2, -1)):
-            big = 1 + abs(m) + abs(n)
             for ca, cb in cpairs:
                 a, b = ring.basis(ca), ring.basis(cb)
-                ja = jay(ring, p, m, a, big)
-                jb = jay(ring, q, n, b, big)
+                ja = jay(ring, p, m, a)
+                jb = jay(ring, q, n, b)
                 ab = a * b
                 cc = (Q(-m) * ring.integrate(ab) if (p, q, m + n) == (0, 0, 0)
                       else Q(0))
                 lin = Q(q * m - p * n)
-                jt = (jay(ring, p + q - 1, m + n, ab, big)
+                jt = (jay(ring, p + q - 1, m + n, ab)
                       if (p, q) != (0, 0) and lin and not ab.is_zero()
                       else None)
 
@@ -1505,6 +1495,9 @@ SUITES = {
              "central term", "central-shift", None),
 }
 
+# The suites whose probe classes --classes chooses; the others refuse it.
+_CLASS_SUITES = ("heis", "vir", "thm55")
+
 
 def list_suites():
     return [{"suite": name, "description": desc, "mutation": mlabel}
@@ -1524,6 +1517,9 @@ def run_suite(spec):
     if spec.cutoff and window is None:
         raise ValueError("suite %s reads no window, so it takes no cutoff; "
                          "got %d" % (spec.suite, spec.cutoff))
+    if spec.classes and spec.suite not in _CLASS_SUITES:
+        raise ValueError("suite %s reads no class list, so it takes no "
+                         "--classes; got %r" % (spec.suite, spec.classes))
     if spec.cutoff == 1:
         raise ValueError("cutoff must be 0 (the suite's default window) or "
                          "at least 2, got 1: a window of weight 1 holds no "

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .operators import Family, instantiate, quadratic_sum, series_to_smeared
+from .operators import (Family, quadratic_sum, series_to_smeared,
+                        smeared_series)
 
 Q = Fraction
 
@@ -134,9 +135,17 @@ def chern_smeared(k, poscap, negcap):
 # -- expanded operators ----------------------------------------------------
 
 
-def virasoro(ring, n, elem, cutoff):
-    """The Virasoro operator L_n(elem) on the window."""
-    return quadratic_sum(ring, n, elem, cutoff)
+def _family_series(ring, families, elem):
+    """The expanded series of a family list against elem: its terms that
+    annihilate at most w points create at most w - (smallest size)."""
+    low = min((f.total for f in families), default=0)
+    return smeared_series(
+        ring, lambda w: series_to_smeared(families, w, w - low), elem)
+
+
+def virasoro(ring, n, elem):
+    """The Virasoro operator L_n(elem)."""
+    return quadratic_sum(ring, n, elem)
 
 
 def require_canonical_trivial(ring, elem):
@@ -147,15 +156,15 @@ def require_canonical_trivial(ring, elem):
             % elem.render())
 
 
-def chern(ring, k, elem, cutoff):
+def chern(ring, k, elem):
     """The Chern character operator G_k(elem); needs K * elem = 0."""
     require_canonical_trivial(ring, elem)
-    return instantiate(chern_smeared(k, cutoff, cutoff), ring, elem, cutoff)
+    return _family_series(ring, chern_families(k), elem)
 
 
-def jay(ring, p, n, elem, cutoff):
-    """The W-algebra generator J^p_n(elem) on the window."""
-    return instantiate(jay_smeared(p, n, cutoff, cutoff), ring, elem, cutoff)
+def jay(ring, p, n, elem):
+    """The W-algebra generator J^p_n(elem)."""
+    return _family_series(ring, jay_families(p, n), elem)
 
 
 # -- Fourier components of free-field monomials ---------------------------
@@ -223,12 +232,9 @@ def fourier_families(spec):
                    lambda parts, mf, ws: perm_sum(parts, orders))]
 
 
-def fourier(ring, spec, elem, cutoff):
+def fourier(ring, spec, elem):
     """Expanded Fourier component smeared against elem."""
-    sm = series_to_smeared(fourier_families(spec), cutoff, cutoff)
-    return instantiate(sm, ring, elem, cutoff)
-
-
+    return _family_series(ring, fourier_families(spec), elem)
 
 
 def jay_field_families(p, m):
@@ -257,9 +263,8 @@ def jay_via_fields_smeared(p, m, poscap, negcap):
     return series_to_smeared(jay_field_families(p, m), poscap, negcap)
 
 
-def jay_via_fields(ring, p, m, elem, cutoff):
-    return instantiate(jay_via_fields_smeared(p, m, cutoff, cutoff),
-                       ring, elem, cutoff)
+def jay_via_fields(ring, p, m, elem):
+    return _family_series(ring, jay_field_families(p, m), elem)
 
 
 # -- structure polynomial --------------------------------------------------

@@ -132,11 +132,10 @@ def test_acceptance_02_virasoro_bracket_and_central_value():
     run_ok(SuiteSpec("vir", cutoff=8, bounds={"m_max": 3}), 120)
     K3 = builtin_ring("k3")
     one = K3.elem({"1": 1})
-    N = 8
-    vac = vacuum(K3, N)
+    vac = vacuum(K3)
     for m in (2, 3):
-        got = commutator_action(virasoro(K3, m, one, N),
-                                virasoro(K3, -m, one, N), vac)
+        got = commutator_action(virasoro(K3, m, one),
+                                virasoro(K3, -m, one), vac)
         want = vac.scale(Q(m ** 3 - m, 12) * 24)
         assert got == want, m
     assert Q(2 ** 3 - 2, 12) * 24 == 12

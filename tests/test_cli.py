@@ -105,6 +105,25 @@ def test_verify_cutoff_on_windowless_suite_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
+def test_verify_classes_on_suite_without_probe_classes_is_usage_error(
+        capsys):
+    """Only heis, vir and thm55 choose their probe classes by --classes;
+    every other suite refuses it rather than write a class list it never
+    read into the report header."""
+    for suite in ("rmk43", "thm31", "lem52", "eq22"):
+        for classes in ("named", "all"):
+            code, out, err = run(capsys, "verify", "--suite", suite,
+                                 "--classes", classes)
+            assert code == 2 and out == "", (suite, classes)
+            assert "suite %s reads no class list" % suite in err, err
+            assert "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "--suite", "heis", "--surface",
+                       "p2", "--bound", "m_max=1", "--classes", "named",
+                       "--format", "jsonl")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["header"]["classes"] == "named"
+
+
 def test_verify_unknown_bound_key_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "rmk43",
                          "--bound", "kmax=1")
@@ -270,6 +289,26 @@ def test_dump_operator_bad_input(capsys):
     assert run(capsys, "dump", "--op", "Z(1;x)")[0] == 2
     assert run(capsys, "dump", "--op", "a(-2;zz)")[0] == 2
     assert run(capsys, "dump", "--op", "J(1;x)")[0] == 2
+
+
+def test_dump_cutoff_bounds_created_and_annihilated_points(capsys):
+    """dump prints the words that create and annihilate at most --cutoff
+    points each, transfer operators included."""
+    def dump(op, cutoff):
+        code, out, _ = run(capsys, "dump", "--op", op, "--surface", "p2",
+                           "--cutoff", str(cutoff))
+        assert code == 0
+        return out
+
+    assert dump("a(-8;H)", 6) == "0\n"
+    assert dump("a(-8;H)", 8) == "1 * a(-8;H)\n"
+    assert dump("a(3;x)", 2) == "0\n"
+    assert dump("a(3;x)", 3) == "1 * a(3;x)\n"
+    assert dump("J(2,-1;x)", 1) == "0\n"
+    assert dump("J(2,-1;x)", 2) != "0\n"
+    # a wider window keeps every word of a narrower one
+    narrow = set(dump("J(2,-1;x)", 3).splitlines())
+    assert narrow < set(dump("J(2,-1;x)", 5).splitlines())
 
 
 def test_dump_negative_cutoff_is_usage_error(capsys):

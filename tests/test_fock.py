@@ -16,16 +16,16 @@ K3 = builtin_ring("k3")
 AB = builtin_ring("abelian")
 
 
-def chain(ring, cutoff, *modes_and_classes):
+def chain(ring, *modes_and_classes):
     """Apply creation operators right to left to the vacuum."""
-    vec = vacuum(ring, cutoff)
+    vec = vacuum(ring)
     for n, spec in reversed(modes_and_classes):
-        vec = heisenberg(ring, n, ring.elem(spec), cutoff).apply(vec)
+        vec = heisenberg(ring, n, ring.elem(spec)).apply(vec)
     return vec
 
 
 def test_vacuum():
-    v = vacuum(P2, 4)
+    v = vacuum(P2)
     assert v.terms == {(): Q(1)}
     assert weight(()) == 0
 
@@ -52,49 +52,53 @@ def test_weight_counts_points():
 
 
 def test_creation_commutes_even():
-    a = chain(P2, 3, (-2, {"H": 1}), (-1, {"x": 1}))
-    b = chain(P2, 3, (-1, {"x": 1}), (-2, {"H": 1}))
+    a = chain(P2, (-2, {"H": 1}), (-1, {"x": 1}))
+    b = chain(P2, (-1, {"x": 1}), (-2, {"H": 1}))
     assert a == b
 
 
 def test_creation_anticommutes_odd():
-    a = chain(AB, 2, (-1, {"t1": 1}), (-1, {"t234": 1}))
-    b = chain(AB, 2, (-1, {"t234": 1}), (-1, {"t1": 1}))
+    a = chain(AB, (-1, {"t1": 1}), (-1, {"t234": 1}))
+    b = chain(AB, (-1, {"t234": 1}), (-1, {"t1": 1}))
     assert a == b.scale(Q(-1))
     # odd square kills the state
-    c = chain(AB, 2, (-1, {"t1": 1}), (-1, {"t1": 1}))
+    c = chain(AB, (-1, {"t1": 1}), (-1, {"t1": 1}))
     assert c.is_zero()
 
 
-def test_cutoff_drops_heavy_states():
-    v = chain(P2, 2, (-2, {"1": 1}), (-1, {"1": 1}))
-    assert v.is_zero()
-    w = chain(P2, 3, (-2, {"1": 1}), (-1, {"1": 1}))
-    assert not w.is_zero()
+def test_vectors_keep_heavy_states():
+    """Nothing truncates a vector: creation reaches any weight, and
+    annihilation brings a heavy state back down."""
+    v = chain(P2, (-4, {"1": 1}), (-3, {"1": 1}), (-2, {"1": 1}))
+    assert v.terms == {((-4, 0), (-3, 0), (-2, 0)): 1}
+    assert v.weights() == [9]
+    down = heisenberg(P2, 3, P2.elem({"x": 1})).apply(v)
+    assert down.terms == {((-4, 0), (-2, 0)): -3}
+    assert (v + down).weights() == [6, 9]
 
 
 def test_annihilation_of_vacuum():
     for n in (1, 2, 3):
-        assert heisenberg(P2, n, P2.elem({"H": 1}), 4) \
-            .apply(vacuum(P2, 4)).is_zero()
+        assert heisenberg(P2, n, P2.elem({"H": 1})) \
+            .apply(vacuum(P2)).is_zero()
 
 
 def test_mode_zero_is_zero():
-    v = chain(P2, 4, (-1, {"H": 1}))
-    assert heisenberg(P2, 0, P2.elem({"1": 1}), 4).apply(v).is_zero()
+    v = chain(P2, (-1, {"H": 1}))
+    assert heisenberg(P2, 0, P2.elem({"1": 1})).apply(v).is_zero()
 
 
 def test_pairing_frozen_values():
-    v = chain(P2, 4, (-2, {"H": 1}))
+    v = chain(P2, (-2, {"H": 1}))
     assert pairing(v, v) == Q(-2)
-    u = chain(P2, 4, (-1, {"1": 1}), (-1, {"x": 1}))
+    u = chain(P2, (-1, {"1": 1}), (-1, {"x": 1}))
     assert pairing(u, u) == Q(1)
-    assert pairing(u, chain(P2, 4, (-1, {"x": 1}), (-1, {"1": 1}))) == Q(1)
+    assert pairing(u, chain(P2, (-1, {"x": 1}), (-1, {"1": 1}))) == Q(1)
 
 
 def test_pairing_odd_sign():
-    w1 = chain(AB, 4, (-1, {"t1": 1}), (-1, {"t234": 1}))
-    w2 = chain(AB, 4, (-1, {"t234": 1}), (-1, {"t1": 1}))
+    w1 = chain(AB, (-1, {"t1": 1}), (-1, {"t234": 1}))
+    w2 = chain(AB, (-1, {"t234": 1}), (-1, {"t1": 1}))
     assert pairing(w1, w1) == Q(1)
     assert pairing(w1, w2) == Q(-1)
 
@@ -102,10 +106,10 @@ def test_pairing_odd_sign():
 def test_pairing_is_int_first():
     """Integral pairings are ints, also through Fraction coefficients;
     the others are Fractions."""
-    f = fundamental_class(P2, 2, 2)
-    pt = FockVector(P2, 2, {((-1, 2), (-1, 2)): 1})
-    v = chain(P2, 4, (-2, {"H": 1}))
-    w1 = chain(AB, 4, (-1, {"t1": 1}), (-1, {"t234": 1}))
+    f = fundamental_class(P2, 2)
+    pt = FockVector(P2, {((-1, 2), (-1, 2)): 1})
+    v = chain(P2, (-2, {"H": 1}))
+    w1 = chain(AB, (-1, {"t1": 1}), (-1, {"t234": 1}))
     for value, want in ((pairing(f, pt), 1), (pairing(v, v), -2),
                         (pairing(w1, w1), 1), (pairing(pt, pt), 0)):
         assert type(value) is int and value == want
@@ -114,14 +118,14 @@ def test_pairing_is_int_first():
 
 
 def test_pairing_respects_weight_grading():
-    u = chain(P2, 4, (-1, {"1": 1}))
-    v = chain(P2, 4, (-2, {"1": 1}))
+    u = chain(P2, (-1, {"1": 1}))
+    v = chain(P2, (-2, {"1": 1}))
     assert pairing(u, v) == 0
 
 
 def test_pairing_nondegenerate_weight_two():
     states = basis_states(P2, 2)
-    vecs = [FockVector(P2, 4, {s: Q(1)}) for s in states]
+    vecs = [FockVector(P2, {s: Q(1)}) for s in states]
     gram = [[pairing(a, b) for b in vecs] for a in vecs]
     # row of zeros would make the form degenerate
     for row in gram:
@@ -129,9 +133,9 @@ def test_pairing_nondegenerate_weight_two():
 
 
 def test_fundamental_class():
-    f = fundamental_class(P2, 3, 4)
+    f = fundamental_class(P2, 3)
     assert f.terms == {((-1, 0), (-1, 0), (-1, 0)): Q(1, 6)}
-    assert pairing(f, chain(P2, 4, (-1, {"x": 1}), (-1, {"x": 1}),
+    assert pairing(f, chain(P2, (-1, {"x": 1}), (-1, {"x": 1}),
                             (-1, {"x": 1}))) == Q(1)
 
 
@@ -141,7 +145,7 @@ def test_render_state():
 
 
 def test_render_vector_sorted_and_exact():
-    v = chain(P2, 4, (-2, {"H": 2}))
+    v = chain(P2, (-2, {"H": 2}))
     text = render_vector(v)
     assert "2 * a(-2;H) |0>" in text
     half = v.scale(Q(1, 4))
@@ -149,13 +153,13 @@ def test_render_vector_sorted_and_exact():
 
 
 def test_vector_records_round_trip_structure():
-    v = chain(P2, 4, (-2, {"H": 1}), (-1, {"x": 3}))
+    v = chain(P2, (-2, {"H": 1}), (-1, {"x": 3}))
     recs = vector_records(v)
     assert recs == [{"coeff": "3", "factors": [[-2, "H"], [-1, "x"]]}]
 
 
 def test_scale_zero_empties():
-    v = chain(P2, 4, (-1, {"H": 1}))
+    v = chain(P2, (-1, {"H": 1}))
     assert v.scale(Q(0)).terms == {}
     assert v.scale(Q(0)).is_zero()
 
@@ -172,7 +176,7 @@ def test_reordering_even_classes_stable(specs):
     """Applying even-class creation operators in any order agrees."""
     spec1 = [(n, {P2.basis_names[i]: 1}) for n, i in specs]
     spec2 = list(reversed(spec1))
-    assert chain(P2, 8, *spec1) == chain(P2, 8, *spec2)
+    assert chain(P2, *spec1) == chain(P2, *spec2)
 
 
 @given(st.permutations([(-1, 1), (-1, 9), (-2, 3)]))
@@ -180,12 +184,12 @@ def test_reordering_even_classes_stable(specs):
 def test_odd_reordering_alternates(order):
     """Reordering two odd factors flips the coefficient sign."""
     base = [(-1, 1), (-1, 9), (-2, 3)]
-    vec = vacuum(AB, 8)
+    vec = vacuum(AB)
     for n, i in reversed(order):
-        vec = heisenberg(AB, n, AB.basis(i), 8).apply(vec)
-    ref = vacuum(AB, 8)
+        vec = heisenberg(AB, n, AB.basis(i)).apply(vec)
+    ref = vacuum(AB)
     for n, i in reversed(base):
-        ref = heisenberg(AB, n, AB.basis(i), 8).apply(ref)
+        ref = heisenberg(AB, n, AB.basis(i)).apply(ref)
     odd = [p for p in order if AB.basis(p[1]).parity()]
     odd_ref = [p for p in base if AB.basis(p[1]).parity()]
     inversions = sum(1 for a in range(len(odd)) for b in range(a + 1, len(odd))

@@ -21,8 +21,8 @@ AB = builtin_ring("abelian")
 
 def point_power(ring, n):
     """The state a(-1;[x])^n |0>, the class of n distinct points."""
-    vec = vacuum(ring, n)
-    op = heisenberg(ring, -1, point_class(ring), n)
+    vec = vacuum(ring)
+    op = heisenberg(ring, -1, point_class(ring))
     for _ in range(n):
         vec = op.apply(vec)
     return vec
@@ -40,7 +40,7 @@ def test_degree_zero_character_counts_points():
     one = K3.elem({"1": 1})
     for n in (1, 2, 3):
         lhs = chern_class(K3, 0, one, n)
-        assert lhs == fundamental_class(K3, n, n).scale(Q(n)), n
+        assert lhs == fundamental_class(K3, n).scale(Q(n)), n
 
 
 def test_character_class_empty_scheme():
@@ -90,7 +90,7 @@ def test_point_power_integrates_to_one():
 
 def test_fundamental_class_of_positive_degree_integrates_to_zero():
     for n in (2, 3):
-        assert hilb_integral(fundamental_class(K3, n, n), n) == 0, n
+        assert hilb_integral(fundamental_class(K3, n), n) == 0, n
 
 
 def test_cup_product_hyperbolic_pair():

@@ -1,7 +1,7 @@
 """The factor-word apply kernel: equivalence with raw mode composition,
-exact coefficient types, the window each operator owns, the cached
-operator columns with their contraction index, and the int-first
-expansion that builds expanded operators."""
+exact coefficient types, exact columns of finite operators and of
+series that grow to the weight they act on, the contraction index, and
+the int-first expansion that builds expanded operators."""
 
 from fractions import Fraction
 
@@ -14,10 +14,10 @@ from hilbfock.fock import (FockVector, annihilate_state, basis_states,
 from hilbfock.operators import (OperatorSum, SmearedOp, _replacement_op,
                                 apply_arrangement, commutator_action,
                                 commutator_column, derivation_apply,
-                                derivative_action, heisenberg, instantiate,
-                                monomial, quadratic_sum, series_to_smeared)
+                                heisenberg, instantiate, monomial,
+                                quadratic_sum, series_to_smeared)
 from hilbfock.partitions import GenPartition, enumerate_genpartitions
-from hilbfock.ring import SURFACE_NAMES, builtin_ring
+from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
 from hilbfock.walgebra import (FourierSpec, chern, chern_smeared, fourier,
                                fourier_families, jay, jay_smeared, virasoro)
 
@@ -38,7 +38,7 @@ COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
                    st.fractions(-3, 3, max_denominator=4).filter(bool))
 
 
-def ref_word(ring, word, terms, cutoff):
+def ref_word(ring, word, terms):
     """Right-to-left composition of single modes, one state at a time."""
     cur = dict(terms)
     for mode, i in reversed(word):
@@ -47,7 +47,7 @@ def ref_word(ring, word, terms, cutoff):
             if mode > 0:
                 images = annihilate_state(ring, mode, i, s)
             else:
-                s2, sign = create_state(ring, -mode, i, s, cutoff)
+                s2, sign = create_state(ring, -mode, i, s)
                 images = [] if s2 is None else [(s2, sign)]
             for s2, c2 in images:
                 nxt[s2] = nxt.get(s2, 0) + c * c2
@@ -60,8 +60,8 @@ class RefSum:
     monomial or one scaled operator at a time, every sum through exact,
     zeros dropped."""
 
-    def __init__(self, ring, cutoff, scalar=0):
-        self.ring, self.cutoff = ring, cutoff
+    def __init__(self, ring, scalar=0):
+        self.ring = ring
         self.terms, self.scalar = {}, exact(scalar)
 
     def add_factors(self, factors, coeff):
@@ -86,13 +86,12 @@ class RefSum:
             self.terms.pop(word, None)
 
 
-def ref_sum(pieces, cutoff):
-    """Sum of (coefficient, {state: coeff}) pieces inside the window."""
+def ref_sum(pieces):
+    """Sum of (coefficient, {state: coeff}) pieces."""
     out = {}
     for k, terms in pieces:
         for s, c in terms.items():
-            if weight(s) <= cutoff:
-                out[s] = out.get(s, 0) + k * c
+            out[s] = out.get(s, 0) + k * c
     return {s: c for s, c in out.items() if c}
 
 
@@ -100,7 +99,6 @@ def ref_sum(pieces, cutoff):
 def setups(draw, name, sorted_words):
     ring = RINGS[name]
     idx = [ring.index[c] for c in CLASSES[name]]
-    cutoff = draw(st.integers(2, 6))
     states = [s for w in range(3)
               for s in basis_states(ring, w) if all(i in idx for _, i in s)]
     # odd-rich states first: Hypothesis draws early list entries more often
@@ -119,24 +117,24 @@ def setups(draw, name, sorted_words):
                           min_size=1, max_size=4))
     if sorted_words:
         words = [sorted(w, key=lambda f: f[0]) for w in words]
-    return ring, cutoff, terms, [tuple(w) for w in words]
+    return ring, terms, [tuple(w) for w in words]
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 @KERNEL
 @given(data=st.data())
 def test_operator_apply_matches_composition(name, data):
-    ring, cutoff, terms, words = data.draw(setups(name, sorted_words=True))
+    ring, terms, words = data.draw(setups(name, sorted_words=True))
     coeffs = data.draw(st.lists(COEFFS, min_size=4, max_size=4))
     scalar = data.draw(st.integers(-2, 2))
-    ref = RefSum(ring, cutoff)
+    ref = RefSum(ring)
     for word, c in zip(words, coeffs):
         ref.add_factors(word, c)
-    op = OperatorSum(ring, cutoff, ref.terms, scalar)
-    vec = FockVector(ring, cutoff, terms)
-    want = ref_sum([(tc, ref_word(ring, w, vec.terms, cutoff))
+    op = OperatorSum(ring, ref.terms, scalar)
+    vec = FockVector(ring, terms)
+    want = ref_sum([(tc, ref_word(ring, w, vec.terms))
                     for w, tc in op.terms.items()]
-                   + [(op.scalar, vec.terms)], cutoff)
+                   + [(op.scalar, vec.terms)])
     assert op.apply(vec).terms == want
 
 
@@ -144,51 +142,38 @@ def test_operator_apply_matches_composition(name, data):
 @KERNEL
 @given(data=st.data())
 def test_apply_arrangement_matches_composition(name, data):
-    ring, cutoff, terms, words = data.draw(setups(name, sorted_words=False))
+    ring, terms, words = data.draw(setups(name, sorted_words=False))
     modes = [m for m, _ in words[0]]
     elem = ring.basis(words[0][0][1])
-    vec = FockVector(ring, cutoff, terms)
-    big = cutoff + sum(-m for m in modes if m < 0)
-    want = ref_sum([(c0, ref_word(ring, tuple(zip(modes, key)), vec.terms,
-                                  big))
-                    for key, c0 in ring.tau(len(modes), elem).terms.items()],
-                   cutoff)
+    vec = FockVector(ring, terms)
+    want = ref_sum([(c0, ref_word(ring, tuple(zip(modes, key)), vec.terms))
+                    for key, c0 in ring.tau(len(modes), elem).terms.items()])
     assert apply_arrangement(ring, modes, elem, vec).terms == want
 
 
 def test_kernel_crosses_window_edge():
-    """Creation above the cutoff drops the state; annihilating it again
-    does not bring it back."""
-    vec = FockVector(P2, 2, {((-1, 0),): 1})
+    """A word whose creation passes through a heavier state keeps it:
+    nothing truncates creation, so the annihilator after it still
+    finds the factor it contracts with."""
+    vec = FockVector(P2, {((-1, 0),): 1})
     word = ((1, 2), (-2, 2))            # a(1;x) a(-2;x): weight 3 midway
-    op = OperatorSum(P2, 2, {word: 1})
-    assert op.apply(vec).is_zero()
-    assert ref_word(P2, word, vec.terms, 2) == {}
-    assert ref_word(P2, word, vec.terms, 3) != {}
+    op = OperatorSum(P2, {word: 1})
+    want = {((-2, 2),): -1}             # a(1;x) contracts a(-1;1)
+    assert ref_word(P2, word, vec.terms) == want
+    assert op.apply(vec).terms == want
+    assert op.column(((-1, 0),)) == want
 
 
 def test_mixed_parity_is_refused():
     t1, one = AB.index["t1"], AB.index["1"]
-    assert heisenberg(AB, 1, AB.basis("t1"), 4).parity() == 1
-    op = OperatorSum(AB, 4, {((1, t1),): 1, ((1, one),): 1})
+    assert heisenberg(AB, 1, AB.basis("t1")).parity() == 1
+    op = OperatorSum(AB, {((1, t1),): 1, ((1, one),): 1})
     with pytest.raises(ValueError, match="mixed parity"):
         op.parity()
-
-
-def test_mismatched_vector_window_is_refused():
-    """apply and commutator_action act on the operator's own window only;
-    a vector of another window raises instead of being truncated."""
-    narrow = heisenberg(P2, -1, P2.basis("1"), 3)
-    wide = heisenberg(P2, 1, P2.basis("x"), 4)
-    vec = FockVector(P2, 4, {((-1, 0),): 1})
-    for act in (lambda: narrow.apply(vec),
-                lambda: commutator_action(narrow, wide, vec),
-                lambda: commutator_action(wide, narrow, vec),
-                lambda: derivative_action(narrow, vec)):
-        with pytest.raises(ValueError, match="window 3 does not match "
-                                             "vector window 4"):
-            act()
-    assert wide.apply(vec).terms == {(): -1}
+    # a series takes its parity from its class, before it holds a word
+    assert quadratic_sum(AB, 1, AB.basis("t1")).parity() == 1
+    with pytest.raises(RingError, match="mixed-parity"):
+        quadratic_sum(AB, 1, AB.basis("t1") + AB.basis("1"))
 
 
 # -- cached columns ---------------------------------------------------------
@@ -196,18 +181,28 @@ def test_mismatched_vector_window_is_refused():
 
 PARTS = ((-1,), (1,), (2,), (-2, 1), (-1, 1), (1, 1), (-1, -1), (-2, 2))
 
+# The reference operators hold every word that creates and annihilates
+# at most REACH points: all words that act on the states below, through
+# the heaviest images of a commutator (weight 2 + 4).
+REACH = 8
 
-def ref_image(op, terms, cutoff):
-    """op applied to a {state: coeff} dict word by word, with no cache."""
-    return ref_sum([(tc, ref_word(op.ring, w, terms, cutoff))
-                    for w, tc in op.terms.items()]
-                   + [(op.scalar, terms)], cutoff)
+
+def ref_image(ref, terms):
+    """ref applied to a {state: coeff} dict word by word, with no cache;
+    a word that annihilates more points than every state holds is
+    skipped, since it kills them all."""
+    top = max(map(weight, terms), default=0)
+    return ref_sum([(tc, ref_word(ref.ring, w, terms))
+                    for w, tc in ref.terms.items()
+                    if sum(m for m, _ in w if m > 0) <= top]
+                   + [(ref.scalar, terms)])
 
 
 @st.composite
 def series(draw, name):
-    """A transfer operator, Virasoro series, smeared monomial or Chern
-    character of one test class, as a function of its window."""
+    """(build, ref): a transfer operator, Virasoro series, smeared
+    monomial or Chern character of one test class, as a function that
+    makes a fresh operator, and its add_factors reference on REACH."""
     ring = RINGS[name]
     kind = draw(st.sampled_from(("heisenberg", "quadratic_sum", "monomial",
                                  "chern")))
@@ -217,40 +212,40 @@ def series(draw, name):
     elem = ring.basis(draw(st.sampled_from(names)))
     if kind == "heisenberg":
         n = draw(st.sampled_from(MODES))
-        return lambda cutoff: heisenberg(ring, n, elem, cutoff)
+        return (lambda: heisenberg(ring, n, elem),
+                ref_monomial(ring, GenPartition((n,)), elem, REACH))
     if kind == "quadratic_sum":
         n = draw(st.integers(-2, 2))
-        return lambda cutoff: quadratic_sum(ring, n, elem, cutoff)
+        return (lambda: quadratic_sum(ring, n, elem),
+                ref_quadratic_sum(ring, n, elem, REACH))
     if kind == "monomial":
         gp = GenPartition(draw(st.sampled_from(PARTS)))
-        return lambda cutoff: monomial(ring, gp, elem, cutoff)
+        return (lambda: monomial(ring, gp, elem),
+                ref_monomial(ring, gp, elem, REACH))
     k = draw(st.integers(0, 1))
-    return lambda cutoff: chern(ring, k, elem, cutoff)
+    return (lambda: chern(ring, k, elem),
+            ref_instantiate(chern_smeared(k, REACH, REACH), ring, elem,
+                            REACH))
 
 
-def operators(name, cutoff):
-    """One series of series(name), built at the window cutoff."""
-    return series(name).map(lambda build: build(cutoff))
-
-
-def window_states(name, cutoff):
-    """Basis states on the test classes of weight up to min(cutoff, 2), so
-    creation crosses the window edge on the heaviest of them."""
+def light_states(name, wmax=2):
+    """Basis states on the test classes of weight at most wmax, lightest
+    first."""
     ring = RINGS[name]
     idx = {ring.index[c] for c in CLASSES[name]}
-    return [s for w in range(min(cutoff, 2) + 1)
+    return [s for w in range(wmax + 1)
             for s in basis_states(ring, w) if all(i in idx for _, i in s)]
 
 
-def assert_columns(op, states):
-    """Every column is the uncached image on the operator's window, also
+def assert_columns(op, ref, states):
+    """Every column is the uncached composition of the reference, also
     through act, and the contraction index only rules out states the
     operator kills."""
-    index = op._contractions()
     for s in states:
-        want = ref_image(op, {s: 1}, op.cutoff)
+        want = ref_image(ref, {s: 1})
         assert op.column(s) == want, s
         assert op.act({s: 1}) == want, s
+        index = op._contractions()
         if index is not False and index.isdisjoint(s):
             assert not want, s
 
@@ -259,12 +254,51 @@ def assert_columns(op, states):
 @KERNEL
 @given(data=st.data())
 def test_columns_match_composition_at_each_window(name, data):
-    """The same series built at two windows: each operator's columns are
-    the composition on its own window, never those of the other."""
-    cutoff = data.draw(st.integers(1, 3))
-    build = data.draw(series(name))
-    for w in (cutoff, cutoff + 1):
-        assert_columns(build(w), window_states(name, cutoff))
+    """Columns are exact on every weight: a series met by states of
+    increasing weight grows through each of their windows in turn, one
+    met first by its heaviest state grows once, and both give the
+    composition of the reference."""
+    build, ref = data.draw(series(name))
+    states = light_states(name)
+    assert_columns(build(), ref, states)
+    assert_columns(build(), ref, states[::-1])
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_series_growth_matches_fresh_columns(name):
+    """A series that has grown through states of weight 0, 1 and 3, in
+    that order, gives the columns of an operator made fresh for each
+    state, on all three weights; growing must rebuild the contraction
+    index, since a lighter expansion may hold no annihilator that a
+    heavier state meets (G_0 and G_1 hold no word on weight 0)."""
+    ring = RINGS[name]
+    idx = {ring.index[c] for c in CLASSES[name]}
+    by_weight = {w: [s for s in basis_states(ring, w)
+                     if all(i in idx for _, i in s)][:12] for w in (1, 3)}
+    states = [()] + by_weight[1] + by_weight[3]
+    trivial = [ring.basis(c) for c in CLASSES[name]
+               if (ring.K * ring.basis(c)).is_zero()]
+    first = ring.index[CLASSES[name][0]]
+    builds = [lambda: fresh_replacement(ring, -2, first)]
+    for a in trivial[:2]:
+        builds += [lambda a=a, k=k: chern(ring, k, a) for k in (0, 1)]
+        builds += [lambda a=a, n=n: quadratic_sum(ring, n, a)
+                   for n in (-1, 0, 1)]
+        builds.append(lambda a=a: jay(ring, 2, -1, a))
+    for build in builds:
+        grown = build()
+        for s in states:
+            assert grown.column(s) == build().column(s), s
+        # the columns cached on the way stay exact
+        for s in states:
+            assert grown.column(s) == build().column(s), s
+
+
+def fresh_replacement(ring, mode, i):
+    """_replacement_op(ring, mode, i) made anew, not taken from the
+    ring's cache."""
+    ring._cache.pop(("replacement", mode, i), None)
+    return _replacement_op(ring, mode, i)
 
 
 def test_contraction_index_is_exact_for_transfer_operators():
@@ -274,58 +308,71 @@ def test_contraction_index_is_exact_for_transfer_operators():
         states = [s for w in range(3) for s in basis_states(ring, w)]
         for m in (1, 2):
             for i in range(ring.dim):
-                op = heisenberg(ring, m, ring.basis(i), 3)
+                op = heisenberg(ring, m, ring.basis(i))
+                ref = ref_monomial(ring, GenPartition((m,)), ring.basis(i),
+                                   REACH)
                 index = op._contractions()
                 for s in states:
-                    killed = not ref_image(op, {s: 1}, 3)
+                    killed = not ref_image(ref, {s: 1})
                     assert index.isdisjoint(s) == killed, (m, i, s)
+
+
+def odd(ref):
+    """Whether every word of a reference operator is odd."""
+    par = ref.ring.parity
+    return {sum(par[i] for _, i in w) % 2 for w in ref.terms} == {1}
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 @KERNEL
 @given(data=st.data())
 def test_commutator_column_matches_composition(name, data):
-    cutoff = data.draw(st.integers(1, 3))
-    f = data.draw(operators(name, cutoff))
-    g = data.draw(operators(name, cutoff))
-    sign = 1 if f.parity() and g.parity() else -1
-    for s in window_states(name, cutoff):
+    fb, fr = data.draw(series(name))
+    gb, gr = data.draw(series(name))
+    f, g = fb(), gb()
+    sign = 1 if odd(fr) and odd(gr) else -1
+    for s in light_states(name):
         one = {s: 1}
-        fg = ref_image(f, ref_image(g, one, cutoff), cutoff)
-        gf = ref_image(g, ref_image(f, one, cutoff), cutoff)
-        want = ref_sum([(1, fg), (sign, gf)], cutoff)
+        fg = ref_image(fr, ref_image(gr, one))
+        gf = ref_image(gr, ref_image(fr, one))
+        want = ref_sum([(1, fg), (sign, gf)])
         assert commutator_column(f, g, s) == want, s
-        vec = FockVector(RINGS[name], cutoff, one)
+        vec = FockVector(RINGS[name], one)
         assert commutator_action(f, g, vec).terms == want, s
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_character_commutator_on_a_narrower_window(name):
-    """G_k built at w + 1 against a(-1) built at W >= w + 1, as the
-    character pins of thm31 and thm46-unique pair them: on every state
-    of weight at most w the commutator column is the composition of
-    G_k and a(-1) on the window W.  G_k preserves weight, so its own
-    narrower window loses nothing there."""
+    """G_k against a(-1), as the character pins of thm31 and
+    thm46-unique pair them, with G_k first grown on the lighter states
+    alone: a(-1) then hands it images one point heavier, and G_k must
+    grow past its narrower expansion to them, so the commutator column
+    is the exact composition on every state."""
     ring = RINGS[name]
-    w = 2
-    states = window_states(name, w)
+    states = light_states(name)
     trivial = [c for c in CLASSES[name]
                if (ring.K * ring.basis(c)).is_zero()]
     for k in (1, 2):
         for ca in trivial[:3]:
-            gk = chern(ring, k, ring.basis(ca), w + 1)
-            for big in (w + 1, w + 3):
-                g_big = chern(ring, k, ring.basis(ca), big)
-                for cb in CLASSES[name][:3]:
-                    am = heisenberg(ring, -1, ring.basis(cb), big)
-                    sign = 1 if gk.parity() and am.parity() else -1
-                    for s in states:
-                        one = {s: 1}
-                        fg = ref_image(g_big, ref_image(am, one, big), big)
-                        gf = ref_image(am, ref_image(g_big, one, big), big)
-                        want = ref_sum([(1, fg), (sign, gf)], big)
-                        got = commutator_column(gk, am, s)
-                        assert got == want, (k, ca, big, cb, s)
+            gk = chern(ring, k, ring.basis(ca))
+            for s in states:
+                gk.column(s)
+            assert gk._reach == 2
+            gref = ref_instantiate(chern_smeared(k, REACH, REACH), ring,
+                                   ring.basis(ca), REACH)
+            for cb in CLASSES[name][:3]:
+                am = heisenberg(ring, -1, ring.basis(cb))
+                aref = ref_monomial(ring, GenPartition((-1,)),
+                                    ring.basis(cb), REACH)
+                sign = 1 if odd(gref) and odd(aref) else -1
+                for s in states:
+                    one = {s: 1}
+                    fg = ref_image(gref, ref_image(aref, one))
+                    gf = ref_image(aref, ref_image(gref, one))
+                    want = ref_sum([(1, fg), (sign, gf)])
+                    got = commutator_column(gk, am, s)
+                    assert got == want, (k, ca, cb, s)
+            assert gk._reach == 3
 
 
 # -- exact coefficient types ----------------------------------------------
@@ -339,14 +386,13 @@ def _assert_exact(vec):
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_coefficients_stay_int_or_fraction(name):
     ring = RINGS[name]
-    N = 5
     states = [s for w in range(3) for s in basis_states(ring, w)]
     names = ring.basis_names
-    pairs = [(quadratic_sum(ring, 1, ring.basis(a), N),
-              heisenberg(ring, -1, ring.basis(b), N))
+    pairs = [(quadratic_sum(ring, 1, ring.basis(a)),
+              heisenberg(ring, -1, ring.basis(b)))
              for a in names[:3] for b in names[-3:]]
     for s in states:
-        v = FockVector(ring, N, {s: 1})
+        v = FockVector(ring, {s: 1})
         for f, g in pairs:
             _assert_exact(commutator_action(f, g, v))
         for a in names[:3]:
@@ -359,14 +405,14 @@ def test_coefficients_stay_int_or_fraction(name):
 def test_instantiated_scalars_are_int_first():
     k3 = builtin_ring("k3")
     x = k3.basis("x")
-    op = instantiate(SmearedOp({((), 0, 0): Fraction(-2)}), k3, x, 4)
+    op = instantiate(SmearedOp({((), 0, 0): Fraction(-2)}), k3, x)
     assert type(op.scalar) is int and op.scalar == -2
-    op = instantiate(SmearedOp({((), 0, 0): Fraction(1, 3)}), k3, x, 4)
+    op = instantiate(SmearedOp({((), 0, 0): Fraction(1, 3)}), k3, x)
     assert op.scalar == Fraction(1, 3)
 
 
 def test_scale_rejects_float_and_bool():
-    v = FockVector(P2, 2, {((-1, 0),): 1})
+    v = FockVector(P2, {((-1, 0),): 1})
     for bad in (0.5, 1.0, True):
         with pytest.raises(TypeError):
             v.scale(bad)
@@ -388,6 +434,8 @@ def _assert_int_first(values, what):
 
 
 def _assert_op_int_first(op, what):
+    """The same for the terms and scalar of an operator on the window 4."""
+    op = op.terms_within(4)
     _assert_int_first(list(op.terms.values()) + [op.scalar], what)
 
 
@@ -396,36 +444,36 @@ def test_operator_scalars_are_int_first(name):
     """tau, and the terms and scalar of every constructor of expanded
     operators, on every built-in ring."""
     ring = ALL_RINGS[name]
-    N = 4
     trivial = [b for b in ring.basis_elems() if (ring.K * b).is_zero()]
     for b in ring.basis_elems():
         what = (name, b.render())
         for k in (1, 2, 3, 4):
             _assert_int_first(ring.tau(k, b).terms.values(), what + (k,))
         for n in (-2, -1, 1, 2):
-            _assert_op_int_first(heisenberg(ring, n, b, N), what)
+            _assert_op_int_first(heisenberg(ring, n, b), what)
         for n in (-2, 0, 1):
-            _assert_op_int_first(quadratic_sum(ring, n, b, N), what)
+            _assert_op_int_first(quadratic_sum(ring, n, b), what)
         for parts in ((-2, 1), (-1, -1, 2), (-1, 1, 1)):
-            _assert_op_int_first(monomial(ring, GenPartition(parts), b, N),
+            _assert_op_int_first(monomial(ring, GenPartition(parts), b),
                                  what + (parts,))
         for p in (0, 1, 2, 3):
-            _assert_op_int_first(jay(ring, p, -1, b, N), what + (p,))
+            _assert_op_int_first(jay(ring, p, -1, b), what + (p,))
     for b in trivial:
         for k in (0, 1, 2):
-            _assert_op_int_first(chern(ring, k, b, N), (name, k))
+            _assert_op_int_first(chern(ring, k, b), (name, k))
     # a smeared list with a constant term, instantiated
     sm = SmearedOp({((), 0, 0): Fraction(3, 2), ((-1, 1), 0, 0): 2,
                     ((-1,), 1, 0): Fraction(1, 24), ((), 0, 1): 4})
-    _assert_op_int_first(instantiate(sm, ring, ring.basis(0), N), name)
+    _assert_op_int_first(instantiate(sm, ring, ring.basis(0)), name)
 
 
 # The literal reference: per-tau-key add_factors plus merge (RefSum), as
-# the constructors built operators before the one-pass expansion.
+# the constructors built operators before the one-pass expansion, each
+# holding the words that create and annihilate at most cutoff points.
 
 
 def ref_monomial(ring, gp, elem, cutoff):
-    op = RefSum(ring, cutoff)
+    op = RefSum(ring)
     if gp.length == 0 or elem.is_zero():
         return op
     if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
@@ -436,7 +484,7 @@ def ref_monomial(ring, gp, elem, cutoff):
 
 
 def ref_quadratic_sum(ring, n, elem, cutoff):
-    op = RefSum(ring, cutoff)
+    op = RefSum(ring)
     if elem.is_zero():
         return op
     for lam in enumerate_genpartitions(2, n, min(cutoff, cutoff + n)):
@@ -446,7 +494,7 @@ def ref_quadratic_sum(ring, n, elem, cutoff):
 
 
 def ref_instantiate(smeared, ring, gamma, cutoff):
-    op = RefSum(ring, cutoff)
+    op = RefSum(ring)
     for (modes, ep, kp), c in smeared.sorted_items():
         cls = gamma
         if ep:
@@ -456,7 +504,7 @@ def ref_instantiate(smeared, ring, gamma, cutoff):
         if cls.is_zero():
             continue
         if not modes:
-            op.merge(RefSum(ring, cutoff, ring.integrate(cls)), c)
+            op.merge(RefSum(ring, ring.integrate(cls)), c)
             continue
         op.merge(ref_monomial(ring, GenPartition(modes), cls, cutoff), c)
     return op
@@ -464,11 +512,11 @@ def ref_instantiate(smeared, ring, gamma, cutoff):
 
 def ref_replacement(ring, mode, i, cutoff):
     b = ring.basis(i)
-    op = RefSum(ring, cutoff).merge(ref_quadratic_sum(ring, mode, b, cutoff),
-                                    Fraction(mode))
+    op = RefSum(ring).merge(ref_quadratic_sum(ring, mode, b, cutoff),
+                            Fraction(mode))
     kb = ring.K * b
     if not kb.is_zero():
-        op.merge(heisenberg(ring, mode, kb, cutoff),
+        op.merge(ref_monomial(ring, GenPartition((mode,)), kb, cutoff),
                  Fraction(-mode * (abs(mode) - 1), 2))
     return op
 
@@ -482,7 +530,8 @@ def _typed(op):
 
 @st.composite
 def expansions(draw):
-    """(kernel operator, reference operator) for one constructor call."""
+    """(kernel operator cut to a window, reference operator on that
+    window) for one constructor call."""
     name = draw(st.sampled_from(SURFACE_NAMES))
     ring = ALL_RINGS[name]
     cutoff = draw(st.integers(2, 4))
@@ -491,8 +540,7 @@ def expansions(draw):
     if kind == "replacement":
         mode = draw(st.sampled_from(MODES))
         i = draw(st.integers(0, ring.dim - 1))
-        ring._cache.pop(("replacement", mode, i, cutoff), None)
-        return (_replacement_op(ring, mode, i, cutoff),
+        return (fresh_replacement(ring, mode, i).terms_within(cutoff),
                 ref_replacement(ring, mode, i, cutoff))
     names = ring.basis_names
     if kind == "chern":
@@ -500,24 +548,24 @@ def expansions(draw):
     elem = ring.basis(draw(st.sampled_from(names)))
     if kind == "chern":
         k = draw(st.integers(0, 3))
-        return (chern(ring, k, elem, cutoff),
+        return (chern(ring, k, elem).terms_within(cutoff),
                 ref_instantiate(chern_smeared(k, cutoff, cutoff), ring, elem,
                                 cutoff))
     if kind == "jay":
         p, n = draw(st.integers(0, 3)), draw(st.integers(-2, 2))
-        return (jay(ring, p, n, elem, cutoff),
+        return (jay(ring, p, n, elem).terms_within(cutoff),
                 ref_instantiate(jay_smeared(p, n, cutoff, cutoff), ring,
                                 elem, cutoff))
     if kind == "virasoro":
         n = draw(st.integers(-3, 3))
-        return (virasoro(ring, n, elem, cutoff),
+        return (virasoro(ring, n, elem).terms_within(cutoff),
                 ref_quadratic_sum(ring, n, elem, cutoff))
     if kind == "fourier":
         orders = tuple(draw(st.lists(st.integers(0, 2), min_size=1,
                                      max_size=3)))
         spec = FourierSpec(orders, draw(st.integers(-2, 2)))
         sm = series_to_smeared(fourier_families(spec), cutoff, cutoff)
-        return (fourier(ring, spec, elem, cutoff),
+        return (fourier(ring, spec, elem).terms_within(cutoff),
                 ref_instantiate(sm, ring, elem, cutoff))
     if kind == "smeared":
         # rational coefficients, constant terms and e- and K-smearing
@@ -525,11 +573,11 @@ def expansions(draw):
             lambda ms: tuple(sorted(ms))), st.integers(0, 1),
             st.integers(0, 1))
         sm = SmearedOp(draw(st.dictionaries(key, COEFFS, max_size=4)))
-        return (instantiate(sm, ring, elem, cutoff),
+        return (instantiate(sm, ring, elem).terms_within(cutoff),
                 ref_instantiate(sm, ring, elem, cutoff))
     parts = draw(st.lists(st.sampled_from(MODES), max_size=4))
     gp = GenPartition(parts)
-    return (monomial(ring, gp, elem, cutoff),
+    return (monomial(ring, gp, elem).terms_within(cutoff),
             ref_monomial(ring, gp, elem, cutoff))
 
 

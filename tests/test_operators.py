@@ -26,27 +26,25 @@ AB = builtin_ring("abelian")
 K3 = builtin_ring("k3")
 
 
-def st_vec(ring, cutoff, *factors):
-    vec = vacuum(ring, cutoff)
+def st_vec(ring, *factors):
+    vec = vacuum(ring)
     for n, spec in reversed(factors):
-        vec = heisenberg(ring, n, ring.elem(spec), cutoff).apply(vec)
+        vec = heisenberg(ring, n, ring.elem(spec)).apply(vec)
     return vec
 
 
 def test_heisenberg_relation_on_states():
     """[a_m(a), a_n(b)] = -m delta (integral ab) id on sample states.
 
-    The cutoff leaves headroom above the sample weights, so both sides
-    are exact and compared with plain equality.
+    Both sides are exact and compared with plain equality.
     """
-    N = 8
-    samples = [vacuum(P2, N),
-               st_vec(P2, N, (-1, {"H": 1})),
-               st_vec(P2, N, (-2, {"1": 1}), (-1, {"x": 1}))]
+    samples = [vacuum(P2),
+               st_vec(P2, (-1, {"H": 1})),
+               st_vec(P2, (-2, {"1": 1}), (-1, {"x": 1}))]
     for m in (-2, -1, 1, 2):
         for n in (-2, -1, 1, 2):
-            f = heisenberg(P2, m, P2.elem({"H": 1}), N)
-            g = heisenberg(P2, n, P2.elem({"H": 1}), N)
+            f = heisenberg(P2, m, P2.elem({"H": 1}))
+            g = heisenberg(P2, n, P2.elem({"H": 1}))
             central = Q(-m) if m == -n else Q(0)
             for v in samples:
                 got = commutator_action(f, g, v)
@@ -57,12 +55,11 @@ def test_heisenberg_relation_on_states():
 
 def test_heisenberg_odd_anticommutator():
     """Odd-class transfer operators anticommute up to the central term."""
-    N = 4
     t1 = AB.elem({"t1": 1})
     t234 = AB.elem({"t234": 1})
-    f = heisenberg(AB, 1, t1, N)
-    g = heisenberg(AB, -1, t234, N)
-    v = st_vec(AB, N, (-1, {"t2": 1}))
+    f = heisenberg(AB, 1, t1)
+    g = heisenberg(AB, -1, t234)
+    v = st_vec(AB, (-1, {"t2": 1}))
     anti = f.apply(g.apply(v)) + g.apply(f.apply(v))
     # {a_1(t1), a_-1(t234)} = -integral(t1 t234) id = -1
     assert anti == v.scale(Q(-1) * AB.integrate(t1 * t234))
@@ -70,47 +67,46 @@ def test_heisenberg_odd_anticommutator():
 
 def test_monomial_orders_factors():
     gp = GenPartition((-2, 1))
-    op = monomial(P2, gp, P2.elem({"x": 1}), 4)
-    v = st_vec(P2, 4, (-1, {"x": 1}))
-    direct = heisenberg(P2, -2, P2.elem({"x": 1}), 4).apply(
-        heisenberg(P2, 1, P2.elem({"x": 1}), 4).apply(v))
+    op = monomial(P2, gp, P2.elem({"x": 1}))
+    v = st_vec(P2, (-1, {"x": 1}))
+    direct = heisenberg(P2, -2, P2.elem({"x": 1})).apply(
+        heisenberg(P2, 1, P2.elem({"x": 1})).apply(v))
     assert op.apply(v) == direct
 
 
 def test_quadratic_sum_annihilates_vacuum():
     for n in (0, 1, 2):
-        L = quadratic_sum(P2, n, P2.elem({"1": 1}), 6)
-        assert L.apply(vacuum(P2, 6)).is_zero()
+        L = quadratic_sum(P2, n, P2.elem({"1": 1}))
+        assert L.apply(vacuum(P2)).is_zero()
 
 
 def test_derivation_frozen_plane_value():
     """d(a_-2(1)|0>) = -3 a_-2(H)|0> + 2 a_-1(1)a_-1(x)|0> + a_-1(H)^2|0>."""
-    v = st_vec(P2, 4, (-2, {"1": 1}))
+    v = st_vec(P2, (-2, {"1": 1}))
     got = derivation_apply(v)
-    want = (st_vec(P2, 4, (-2, {"H": -3}))
-            + st_vec(P2, 4, (-1, {"1": 1}), (-1, {"x": 1})).scale(Q(2))
-            + st_vec(P2, 4, (-1, {"H": 1}), (-1, {"H": 1})))
+    want = (st_vec(P2, (-2, {"H": -3}))
+            + st_vec(P2, (-1, {"1": 1}), (-1, {"x": 1})).scale(Q(2))
+            + st_vec(P2, (-1, {"H": 1}), (-1, {"H": 1})))
     assert got == want
 
 
 def test_derivation_vacuum_and_weight_one():
-    assert derivation_apply(vacuum(P2, 4)).is_zero()
+    assert derivation_apply(vacuum(P2)).is_zero()
     # a_-1 states are exact point configurations; d acts by K only
-    v = st_vec(P2, 4, (-1, {"1": 1}))
+    v = st_vec(P2, (-1, {"1": 1}))
     assert derivation_apply(v).is_zero()
 
 
 def test_replacement_rule_of_derivative():
     """a_n'(a) = n L_n(a) - n(|n|-1)/2 a_n(K a) as an action identity."""
-    N = 6
     for n in (-2, -1, 1, 2):
         a = P2.elem({"H": 1})
-        op = heisenberg(P2, n, a, N)
-        L = quadratic_sum(P2, n, a, N)
-        K_term = heisenberg(P2, n, P2.K * a, N)
+        op = heisenberg(P2, n, a)
+        L = quadratic_sum(P2, n, a)
+        K_term = heisenberg(P2, n, P2.K * a)
         coef = Q(n * (abs(n) - 1), 2)
         for v in basis_states(P2, 2):
-            vec = FockVector(P2, N, {v: Q(1)})
+            vec = FockVector(P2, {v: Q(1)})
             got = derivative_action(op, vec)
             want = L.apply(vec).scale(Q(n)) - K_term.apply(vec).scale(coef)
             assert got == want, n
@@ -138,7 +134,6 @@ def test_s_bracket_matches_commutator_action():
     property makes the bracket the same arrangement list smeared with
     the cup product ab.
     """
-    N = 8
     x = P2.elem({"x": 1})
     one = P2.elem({"1": 1})
     arrs = [((-2, 1), (-1, 2)), ((1, 1), (-1, -1)), ((-1, 2), (-2, -1, 1))]
@@ -146,11 +141,11 @@ def test_s_bracket_matches_commutator_action():
         a = SmearedOp({(modes_a, 0, 0): Q(1)})
         b = SmearedOp({(modes_b, 0, 0): Q(1)})
         br = s_bracket(a, b)
-        op_a = instantiate(a, P2, x, N)
-        op_b = instantiate(b, P2, one, N)
-        op_br = instantiate(br, P2, x * one, N)
+        op_a = instantiate(a, P2, x)
+        op_b = instantiate(b, P2, one)
+        op_br = instantiate(br, P2, x * one)
         for s in basis_states(P2, 2):
-            vec = FockVector(P2, N, {s: Q(1)})
+            vec = FockVector(P2, {s: Q(1)})
             got = commutator_action(op_a, op_b, vec)
             assert got == op_br.apply(vec), (modes_a, modes_b)
 
@@ -165,10 +160,10 @@ def test_s_derive_matches_recursive_derivative():
             a = SmearedOp({(modes, 0, 0): Q(1)})
             keep = diamond_keep(sum(map(abs, modes)) + 2)
             der = s_derive(a, keep, N, N)
-            op = instantiate(a, P2, x, N)
-            op_der = instantiate(der, P2, x, N)
+            op = instantiate(a, P2, x)
+            op_der = instantiate(der, P2, x)
             for s in basis_states(P2, 1):
-                vec = FockVector(P2, N, {s: Q(1)})
+                vec = FockVector(P2, {s: Q(1)})
                 got = derivative_action(op, vec)
                 assert got == op_der.apply(vec), (cls, modes)
 
@@ -254,7 +249,7 @@ def test_series_bracket_shed_pair_regression():
 
 
 def test_scaled_zero_is_empty():
-    op = heisenberg(P2, -1, P2.elem({"H": 1}), 4)
+    op = heisenberg(P2, -1, P2.elem({"H": 1}))
     assert op.scaled(Q(0)).terms == {}
     sm = SmearedOp({((-1, 1), 0, 0): Q(2)})
     assert sm.scaled(Q(0)).terms == {}
@@ -263,18 +258,18 @@ def test_scaled_zero_is_empty():
 
 def test_apply_arrangement_matches_composition():
     x = P2.elem({"x": 1})
-    v = st_vec(P2, 5, (-1, {"H": 1}), (-1, {"x": 1}))
+    v = st_vec(P2, (-1, {"H": 1}), (-1, {"x": 1}))
     got = apply_arrangement(P2, (-2, 1), x, v)
-    want = heisenberg(P2, -2, x, 5).apply(heisenberg(P2, 1, x, 5).apply(v))
+    want = heisenberg(P2, -2, x).apply(heisenberg(P2, 1, x).apply(v))
     assert got == want
 
 
 def test_instantiate_euler_and_canonical_tags():
     sm = SmearedOp({((-1,), 1, 0): Q(1), ((-2,), 0, 1): Q(1)})
-    op = instantiate(sm, P2, P2.elem({"1": 1}), 4)
-    v = vacuum(P2, 4)
-    want = (heisenberg(P2, -1, P2.e, 4).apply(v)
-            + heisenberg(P2, -2, P2.K, 4).apply(v))
+    op = instantiate(sm, P2, P2.elem({"1": 1}))
+    v = vacuum(P2)
+    want = (heisenberg(P2, -1, P2.e).apply(v)
+            + heisenberg(P2, -2, P2.K).apply(v))
     assert op.apply(v) == want
 
 

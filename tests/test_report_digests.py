@@ -1,30 +1,27 @@
-"""Report-digest lock: cheap suite jobs reproduce their frozen reports.
+"""Report-digest lock: every frozen benchmark output is reproduced.
 
-The benchmark freezes the sha256 of every suite job's jsonl report in
-perfbench/refs.json.  This test re-runs the cheap jobs of the action
-workload and the symbolic jobs other than thm55, plain and mutated, with
-the job specs taken from perfbench/workloads.py, and requires every
-report byte to match.  It reads both files and changes neither.
+The benchmark freezes, in perfbench/refs.json, the sha256 of every suite
+job's jsonl report and the exit code and stdout sha256 of every CLI
+query.  This test re-runs all of them: each suite job of the action and
+symbolic workloads, plain and mutated, with the job specs taken from
+perfbench/workloads.py, and each request of the query universe once,
+and requires every byte to match.  It reads both files and changes
+neither.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from hilbfock.cli import main
 from hilbfock.verify import SuiteSpec, list_suites, run_suite, serialize_report
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-# (job id, mutated): the action jobs that finish in well under a second,
-# and the symbolic jobs that take a few seconds at most.
-CHEAP = (("heis-p2", False), ("heis-p1xp1", False),
-         ("lem32-p1xp1", True), ("thm31-p1xp1", True))
-SYMBOLIC = tuple((job, mutated)
-                 for job in ("eq22", "lem53", "lem61", "rmk43", "thm57")
-                 for mutated in (False, True))
 
 
 def _load_workloads():
@@ -35,19 +32,41 @@ def _load_workloads():
     return module
 
 
-REFS = json.loads((BENCH / "refs.json").read_text())["suites"]
+REFS = json.loads((BENCH / "refs.json").read_text())
 WORKLOADS = _load_workloads()
 JOBS = dict(WORKLOADS.ACTION + WORKLOADS.SYMBOLIC)
+QUERIES = {qid: text.split() for qid, text, _ in WORKLOADS.QUERIES}
 MUTATION = {row["suite"]: row["mutation"] for row in list_suites()}
 
 
-@pytest.mark.parametrize("job,mutated", CHEAP + SYMBOLIC)
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_frozen_output_is_run():
+    """The parametrizations below cover refs.json exactly."""
+    jobs = {job + ("+mutation" if mutated else "")
+            for job in JOBS for mutated in (False, True)}
+    assert jobs == set(REFS["suites"])
+    assert set(QUERIES) == set(REFS["queries"])
+
+
+@pytest.mark.parametrize("mutated", (False, True))
+@pytest.mark.parametrize("job", sorted(JOBS))
 def test_report_matches_frozen_digest(job, mutated):
     spec = SuiteSpec(**JOBS[job], jobs=1)
     if mutated:
         spec.mutation = MUTATION[spec.suite]
     report = run_suite(spec)
     assert report.ok != mutated
-    text = serialize_report(report, "jsonl")
     key = job + ("+mutation" if mutated else "")
-    assert hashlib.sha256(text.encode()).hexdigest() == REFS[key], key
+    text = serialize_report(report, "jsonl")
+    assert _sha256(text) == REFS["suites"][key], key
+
+
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_query_matches_frozen_output(qid):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(QUERIES[qid])
+    assert [code, _sha256(out.getvalue())] == REFS["queries"][qid], qid

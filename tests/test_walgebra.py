@@ -28,43 +28,41 @@ AB = builtin_ring("abelian")
 
 def test_virasoro_annihilates_vacuum():
     for n in (-1, 0, 1, 2, 3):
-        L = virasoro(P2, n, P2.elem({"1": 1}), 6)
-        assert L.apply(vacuum(P2, 6)).is_zero(), n
+        L = virasoro(P2, n, P2.elem({"1": 1}))
+        assert L.apply(vacuum(P2)).is_zero(), n
 
 
 def test_virasoro_weight_shift():
-    v = heisenberg(P2, -2, P2.elem({"1": 1}), 6).apply(vacuum(P2, 6))
-    moved = virasoro(P2, 1, P2.elem({"1": 1}), 6).apply(v)
+    v = heisenberg(P2, -2, P2.elem({"1": 1})).apply(vacuum(P2))
+    moved = virasoro(P2, 1, P2.elem({"1": 1})).apply(v)
     assert set(moved.weights()) <= {1}
 
 
 def test_virasoro_central_value_k3():
     """[L_m(1), L_-m(1)] on the vacuum is 2m L_0 + (m^3-m)/12 integral(e)."""
-    N = 6
     one = K3.elem({"1": 1})
     for m in (2, 3):
-        lm = virasoro(K3, m, one, N)
-        lmm = virasoro(K3, -m, one, N)
-        got = commutator_action(lm, lmm, vacuum(K3, N))
-        want = vacuum(K3, N).scale(Q(m ** 3 - m, 12) * 24)
+        lm = virasoro(K3, m, one)
+        lmm = virasoro(K3, -m, one)
+        got = commutator_action(lm, lmm, vacuum(K3))
+        want = vacuum(K3).scale(Q(m ** 3 - m, 12) * 24)
         assert got == want, m
     # the canonical spot value: 12 at m = 2
-    got = commutator_action(virasoro(K3, 2, one, N), virasoro(K3, -2, one, N),
-                            vacuum(K3, N))
-    assert got == vacuum(K3, N).scale(Q(12))
+    got = commutator_action(virasoro(K3, 2, one), virasoro(K3, -2, one),
+                            vacuum(K3))
+    assert got == vacuum(K3).scale(Q(12))
 
 
 def test_virasoro_bracket_on_plane_states():
     """[L_m, L_n] = (m-n) L_{m+n} away from the central diagonal."""
-    N = 7
     one = P2.elem({"1": 1})
     x = P2.elem({"x": 1})
     for m, n in ((1, 2), (-1, 2), (2, -1)):
         for s in basis_states(P2, 2):
-            vec = FockVector(P2, N, {s: Q(1)})
-            got = commutator_action(virasoro(P2, m, one, N),
-                                    virasoro(P2, n, x, N), vec)
-            want = virasoro(P2, m + n, x, N).apply(vec).scale(Q(m - n))
+            vec = FockVector(P2, {s: Q(1)})
+            got = commutator_action(virasoro(P2, m, one),
+                                    virasoro(P2, n, x), vec)
+            want = virasoro(P2, m + n, x).apply(vec).scale(Q(m - n))
             assert got == want, (m, n, s)
 
 
@@ -125,26 +123,26 @@ def test_apow_main_coefficients():
 def test_chern_annihilates_vacuum_and_point_count():
     x = P2.elem({"x": 1})
     for k in (1, 2):
-        G = chern(P2, k, x, 4)
-        assert G.apply(vacuum(P2, 4)).is_zero(), k
+        G = chern(P2, k, x)
+        assert G.apply(vacuum(P2)).is_zero(), k
     # with the unit smearing the degree-zero component counts points;
     # the unit is only admissible where the canonical class vanishes
-    G0 = chern(K3, 0, K3.elem({"1": 1}), 3)
+    G0 = chern(K3, 0, K3.elem({"1": 1}))
     for w in (1, 2, 3):
         for s in basis_states(K3, w)[:6]:
-            vec = FockVector(K3, 3, {s: Q(1)})
+            vec = FockVector(K3, {s: Q(1)})
             assert G0.apply(vec) == vec.scale(Q(w)), (w, s)
 
 
 def test_chern_gate_requires_canonical_trivial():
     with pytest.raises(ValueError):
-        chern(P2, 1, P2.elem({"H": 1}), 4)
+        chern(P2, 1, P2.elem({"H": 1}))
     # K3 has trivial canonical class, so every class is allowed
-    chern(K3, 1, K3.elem({"u1": 1}), 4)
+    chern(K3, 1, K3.elem({"u1": 1}))
 
 
 def test_jay_is_ungated():
-    op = jay(P2, 2, 1, P2.elem({"H": 1}), 4)
+    op = jay(P2, 2, 1, P2.elem({"H": 1}))
     assert op is not None
 
 
@@ -260,15 +258,15 @@ def test_wbracket_central_term_is_heisenberg_scalar():
     scalar [a_m(b_i), a_-m(b_j)] leaves on the vacuum (trace = -integral),
     for every pair of basis classes, odd ones included."""
     for ring in (P2, AB):
-        vac = vacuum(ring, 3)
+        vac = vacuum(ring)
         for m in (1, 2, 3):
             for i in range(ring.dim):
                 for j in range(ring.dim):
                     got = wbracket(ring, {("L", 0, m, i): 1},
                                    {("L", 0, -m, j): 1}).get(CENTRAL, 0)
                     act = commutator_action(
-                        heisenberg(ring, m, ring.basis(i), 3),
-                        heisenberg(ring, -m, ring.basis(j), 3), vac)
+                        heisenberg(ring, m, ring.basis(i)),
+                        heisenberg(ring, -m, ring.basis(j)), vac)
                     assert set(act.terms) <= {()}
                     assert got == act.terms.get((), 0), (ring.name, m, i, j)
 
