@@ -15,8 +15,8 @@ import os
 import re
 import sys
 
-from .fock import fundamental_class, render_vector, vector_records
-from .hilbert import (cup_product, hilb_integral,
+from .fock import render_vector, vector_records
+from .hilbert import (chern_class, cup_product, hilb_integral,
                       intersection_number, intersection_number_closed,
                       k_multisets)
 from .operators import heisenberg
@@ -153,9 +153,8 @@ def _cmd_chern(args):
                          % (args.cls, ", ".join(ring.basis_names)))
     elem = ring.basis(args.cls)
     try:
-        # hilbert.chern_class, keeping the operator for --dump-terms
+        vec = chern_class(ring, args.k, elem, args.n)
         op = chern(ring, args.k, elem)
-        vec = op.apply(fundamental_class(ring, args.n))
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "jsonl":

@@ -130,9 +130,11 @@ class OperatorSum:
         self._columns = {}
 
     def _grown(self, w):
-        """Expand a series to its words that annihilate at most w points;
-        the exact columns stay, the contraction index is rebuilt."""
-        self.terms, self.scalar = self._grow(w)
+        """Grow a series to its words that annihilate at most w points,
+        expanding the new ones only; the exact columns stay."""
+        terms, scalar = self._grow(self._reach, w)
+        self.terms.update(terms)
+        self.scalar += scalar
         self._reach = w
         self._index = self._groups = None
 
@@ -308,9 +310,18 @@ def _words(ring, items, den=1, scalar=0):
 
 def _series(ring, elem, items_at):
     """The series over elem whose words that annihilate at most w points
-    are the _words of items_at(w) = (items, den[, scalar])."""
+    are the _words of items_at(w) = (items, den[, scalar]).  Growing
+    from lo to hi points expands only the items that annihilate more
+    than lo, as a word annihilates what its item does; the scalar comes
+    with the first band."""
+    def band(lo, hi):
+        items, den, *scalar = items_at(hi)
+        return _words(ring, [it for it in items
+                             if sum(m for m in it[0] if m > 0) > lo],
+                      den, *(scalar if lo < 0 else ()))
+
     op = OperatorSum(ring)
-    op._grow = lambda w: _words(ring, *items_at(w))
+    op._grow = band
     op._reach, op._parity = -1, elem.parity()
     return op
 

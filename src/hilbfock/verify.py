@@ -1133,22 +1133,14 @@ def _thm55_spots(spec):
                   + [s for s in allst if weight(s) == 1][:2]
                   + [s for s in allst if weight(s) == 2][:4])
         t = _Tally()
-        # cells and class pairs repeat generators: build each one once
-        jays = {}
-
-        def jay_op(p, n, c):
-            if (p, n, c) not in jays:
-                jays[p, n, c] = jay(ring, p, n, ring.basis(c))
-            return jays[p, n, c]
-
         for p, q, m, n in _THM55_SPOT_CELLS:
             # the expected bracket as a series, of size m + n
             exp_at = (lambda w, p=p, q=q, m=m, n=n:
                       _thm55_expected(p, q, m, n, w, w - m - n, False))
             for ca, cb in _THM55_SPOT_PAIRS[rname]:
                 a, b = ring.basis(ca), ring.basis(cb)
-                ja = jay_op(p, m, ca)
-                jb = jay_op(q, n, cb)
+                ja = jay(ring, p, m, a)
+                jb = jay(ring, q, n, b)
                 rhs_op = smeared_series(ring, exp_at, a * b)
                 t.states(ring, states,
                          lambda s: (commutator_column(ja, jb, s),

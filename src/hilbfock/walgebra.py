@@ -15,6 +15,10 @@ with s(lam) the sum of squared parts and lam^! the multiplicity factorial.
 J^0_n = -a_n, J^1_n = L_n, J^p_0 = p! G_{p-1}, and J^p_{-1} is -1 times
 the p-th derivative of a_{-1} under the derivation operator.
 
+virasoro, chern and jay keep their series in a per-ring LRU memo of at
+most _NAMED_CAP (32) entries, keyed by name, indices and class
+coefficients, so a repeat reuses the words and columns already expanded.
+
 Each family keeps the operators.Family contract: an integer numerator
 num(parts, lam^!, s(lam)) over one integer family denominator den, so
 the smeared calculus divides once per output key.  A coefficient
@@ -34,6 +38,7 @@ the abstract W-algebra with bracket
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -143,9 +148,25 @@ def _family_series(ring, families, elem):
         ring, lambda w: series_to_smeared(families, w, w - low), elem)
 
 
+_NAMED_CAP = 32
+
+
+def _named(ring, key, build):
+    """The series build() under key in the ring's LRU memo, shared safely:
+    a series' words never change once expanded and its columns are
+    exact.  A build that raises stores nothing."""
+    memo = ring._cache.setdefault("named", OrderedDict())
+    op = memo.pop(key, None) or build()
+    memo[key] = op
+    if len(memo) > _NAMED_CAP:
+        memo.popitem(last=False)
+    return op
+
+
 def virasoro(ring, n, elem):
     """The Virasoro operator L_n(elem)."""
-    return quadratic_sum(ring, n, elem)
+    return _named(ring, ("L", n, elem.coeffs),
+                  lambda: quadratic_sum(ring, n, elem))
 
 
 def require_canonical_trivial(ring, elem):
@@ -159,12 +180,14 @@ def require_canonical_trivial(ring, elem):
 def chern(ring, k, elem):
     """The Chern character operator G_k(elem); needs K * elem = 0."""
     require_canonical_trivial(ring, elem)
-    return _family_series(ring, chern_families(k), elem)
+    return _named(ring, ("G", k, elem.coeffs),
+                  lambda: _family_series(ring, chern_families(k), elem))
 
 
 def jay(ring, p, n, elem):
     """The W-algebra generator J^p_n(elem)."""
-    return _family_series(ring, jay_families(p, n), elem)
+    return _named(ring, ("J", p, n, elem.coeffs),
+                  lambda: _family_series(ring, jay_families(p, n), elem))
 
 
 # -- Fourier components of free-field monomials ---------------------------

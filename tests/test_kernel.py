@@ -15,7 +15,8 @@ from hilbfock.operators import (OperatorSum, SmearedOp, _replacement_op,
                                 apply_arrangement, commutator_action,
                                 commutator_column, derivation_apply,
                                 heisenberg, instantiate, monomial,
-                                quadratic_sum, series_to_smeared)
+                                quadratic_sum, series_to_smeared,
+                                smeared_series)
 from hilbfock.partitions import GenPartition, enumerate_genpartitions
 from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
 from hilbfock.walgebra import (FourierSpec, chern, chern_smeared, fourier,
@@ -223,7 +224,7 @@ def series(draw, name):
         return (lambda: monomial(ring, gp, elem),
                 ref_monomial(ring, gp, elem, REACH))
     k = draw(st.integers(0, 1))
-    return (lambda: chern(ring, k, elem),
+    return (lambda: fresh_named(chern, ring, k, elem),
             ref_instantiate(chern_smeared(k, REACH, REACH), ring, elem,
                             REACH))
 
@@ -281,10 +282,11 @@ def test_series_growth_matches_fresh_columns(name):
     first = ring.index[CLASSES[name][0]]
     builds = [lambda: fresh_replacement(ring, -2, first)]
     for a in trivial[:2]:
-        builds += [lambda a=a, k=k: chern(ring, k, a) for k in (0, 1)]
+        builds += [lambda a=a, k=k: fresh_named(chern, ring, k, a)
+                   for k in (0, 1)]
         builds += [lambda a=a, n=n: quadratic_sum(ring, n, a)
                    for n in (-1, 0, 1)]
-        builds.append(lambda a=a: jay(ring, 2, -1, a))
+        builds.append(lambda a=a: fresh_named(jay, ring, 2, -1, a))
     for build in builds:
         grown = build()
         for s in states:
@@ -294,11 +296,38 @@ def test_series_growth_matches_fresh_columns(name):
             assert grown.column(s) == build().column(s), s
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_series_scalar_comes_with_the_first_band(name):
+    """A series grows band by band, and its scalar, which annihilates
+    nothing, belongs to the first band alone: grown through weights 0,
+    1 and 3 it gives the columns of a fresh series, and the vacuum
+    column is the integral of the class once."""
+    ring = RINGS[name]
+    top = ring.basis(list(ring.degrees).index(4))
+    smeared = SmearedOp({((), 0, 0): 1, ((-1, 1), 0, 0): 1})
+    states = [()] + light_states(name, 1)[1:] + basis_states(ring, 3)[:12]
+
+    def build():
+        return smeared_series(ring, lambda w: smeared, top)
+
+    grown = build()
+    assert grown.column(()) == {(): 1}
+    for s in states:
+        assert grown.column(s) == build().column(s), s
+
+
 def fresh_replacement(ring, mode, i):
     """_replacement_op(ring, mode, i) made anew, not taken from the
     ring's cache."""
     ring._cache.pop(("replacement", mode, i), None)
     return _replacement_op(ring, mode, i)
+
+
+def fresh_named(build, ring, *args):
+    """build(ring, *args), for chern, jay or virasoro, made anew, not
+    taken from the ring's memo of named series."""
+    ring._cache.pop("named", None)
+    return build(ring, *args)
 
 
 def test_contraction_index_is_exact_for_transfer_operators():
@@ -354,7 +383,7 @@ def test_character_commutator_on_a_narrower_window(name):
                if (ring.K * ring.basis(c)).is_zero()]
     for k in (1, 2):
         for ca in trivial[:3]:
-            gk = chern(ring, k, ring.basis(ca))
+            gk = fresh_named(chern, ring, k, ring.basis(ca))
             for s in states:
                 gk.column(s)
             assert gk._reach == 2

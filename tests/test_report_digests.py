@@ -4,9 +4,9 @@ The benchmark freezes, in perfbench/refs.json, the sha256 of every suite
 job's jsonl report and the exit code and stdout sha256 of every CLI
 query.  This test re-runs all of them: each suite job of the action and
 symbolic workloads, plain and mutated, with the job specs taken from
-perfbench/workloads.py, and each request of the query universe once,
-and requires every byte to match.  It reads both files and changes
-neither.
+perfbench/workloads.py, and each request of the query universe once
+and again in one process forward and reversed, and requires every byte
+to match.  It reads both files and changes neither.
 """
 
 import contextlib
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from hilbfock.cli import main
+from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import SuiteSpec, list_suites, run_suite, serialize_report
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,9 +65,26 @@ def test_report_matches_frozen_digest(job, mutated):
     assert _sha256(text) == REFS["suites"][key], key
 
 
-@pytest.mark.parametrize("qid", sorted(QUERIES))
-def test_query_matches_frozen_output(qid):
+def _run_query(qid):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(QUERIES[qid])
-    assert [code, _sha256(out.getvalue())] == REFS["queries"][qid], qid
+    return [code, _sha256(out.getvalue())]
+
+
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_query_matches_frozen_output(qid):
+    assert _run_query(qid) == REFS["queries"][qid], qid
+
+
+def test_query_outputs_do_not_depend_on_history():
+    """The whole query universe in one process, forward and then
+    reversed, from empty memos of named series: how far an earlier
+    request grew a shared series must not change a later output (G_2(x)
+    on p1xp1 meets a four-point chern and then a cutoff-5 dump, and
+    then the two again in the other order)."""
+    for name in SURFACE_NAMES:
+        builtin_ring(name)._cache.pop("named", None)
+    order = [qid for qid, _, _ in WORKLOADS.QUERIES]
+    for qid in order + order[::-1]:
+        assert _run_query(qid) == REFS["queries"][qid], qid

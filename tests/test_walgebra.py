@@ -12,10 +12,11 @@ from hilbfock.fock import FockVector, basis_states, vacuum
 from hilbfock.operators import (box_keep, commutator_action, heisenberg,
                                 instantiate, series_bracket,
                                 series_to_smeared)
-from hilbfock.ring import builtin_ring
-from hilbfock.walgebra import (CENTRAL, FourierSpec, apow_families, chern,
-                               chern_families, chern_smeared, deriv_coeff,
-                               fourier, heis_families, jay, jay_families,
+from hilbfock.ring import builtin_ring, dump_ring, load_ring
+from hilbfock.walgebra import (_NAMED_CAP, CENTRAL, FourierSpec,
+                               apow_families, chern, chern_families,
+                               chern_smeared, deriv_coeff, fourier,
+                               heis_families, jay, jay_families,
                                jay_field_families, jay_smeared,
                                jay_via_fields_smeared, omega, perm_sum,
                                shift_families, virasoro, wbracket, wparity,
@@ -144,6 +145,70 @@ def test_chern_gate_requires_canonical_trivial():
 def test_jay_is_ungated():
     op = jay(P2, 2, 1, P2.elem({"H": 1}))
     assert op is not None
+
+
+# -- the memo of named series ------------------------------------------------
+
+
+def _own_ring(name):
+    """A copy of a built-in ring with a memo of its own."""
+    return load_ring(dump_ring(builtin_ring(name)))
+
+
+def test_named_series_repeat_is_the_same_object():
+    ring = _own_ring("k3")
+    one, u1 = ring.basis("1"), ring.basis("u1")
+    builds = [lambda: chern(ring, 2, one), lambda: jay(ring, 2, -1, u1),
+              lambda: virasoro(ring, 1, one)]
+    for build in builds:
+        assert build() is build()
+    # the key is the class's coefficients, not the element object
+    assert chern(ring, 2, ring.elem({"1": 1})) is chern(ring, 2, one)
+
+
+def test_named_series_differ_by_name_index_and_class():
+    ring = _own_ring("k3")
+    one, u1 = ring.basis("1"), ring.basis("u1")
+    ops = [chern(ring, 1, one), chern(ring, 2, one), chern(ring, 1, u1),
+           chern(ring, 1, one * 2), jay(ring, 2, 1, one),
+           jay(ring, 3, 1, one), jay(ring, 2, -1, one),
+           jay(ring, 2, 1, u1), virasoro(ring, 1, one),
+           virasoro(ring, -1, one), virasoro(ring, 1, u1)]
+    assert len({id(op) for op in ops}) == len(ops)
+    # J^1_1 and L_1 are the same series under two names
+    assert jay(ring, 1, 1, one) is not virasoro(ring, 1, one)
+
+
+def test_named_memo_is_bounded():
+    ring = _own_ring("p2")
+    x = ring.basis("x")
+    states = [s for w in range(3) for s in basis_states(ring, w)]
+    first = virasoro(ring, 1, x)
+    cols = [first.column(s) for s in states]
+    assert any(cols)
+    for n in range(2, _NAMED_CAP + 8):
+        virasoro(ring, n, x)
+    assert len(ring._cache["named"]) == _NAMED_CAP
+    again = virasoro(ring, 1, x)
+    assert again is not first
+    assert [again.column(s) for s in states] == cols
+    # a hit moves its entry to the recent end, away from eviction
+    kept = virasoro(ring, 10, x)
+    for n in range(_NAMED_CAP + 8, 2 * _NAMED_CAP + 6):
+        virasoro(ring, n, x)
+        assert virasoro(ring, 10, x) is kept
+    assert len(ring._cache["named"]) == _NAMED_CAP
+
+
+def test_failed_named_build_stores_nothing():
+    ring = _own_ring("p2")
+    with pytest.raises(ValueError, match="K \\* class"):
+        chern(ring, 1, ring.basis("H"))
+    with pytest.raises(ValueError, match="negative W-algebra weight"):
+        jay(ring, -1, 1, ring.basis("x"))
+    with pytest.raises(ValueError, match="negative Chern"):
+        chern(ring, -1, ring.basis("x"))
+    assert not ring._cache.get("named")
 
 
 def test_omega_frozen_spots():
