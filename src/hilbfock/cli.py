@@ -246,7 +246,7 @@ def _cmd_intersect(args):
         raise UsageError(str(exc))
     oracle = intersection_number_closed(ks, args.n)
     match = value == oracle
-    if args.format == "json":
+    if args.format in ("json", "jsonl"):
         text = _jline({"match": match, "oracle": str(oracle),
                        "value": str(value)})
     elif args.format == "csv":

@@ -16,8 +16,9 @@ forced a Fraction, a Fraction otherwise, never a float.  Both render the
 same way (str(3) == str(Fraction(3))).
 
 The bilinear pairing peels creation factors using the adjoint rule
-a(-n;c)^dagger = (-1)^n a(n;c) and is the ingredient for intersection
-numbers downstream.
+a(-n;c)^dagger = (-1)^n a(n;c), with the Koszul sign of moving an odd
+factor past the rest of the state, and is the ingredient for
+intersection numbers downstream.
 """
 
 from __future__ import annotations
@@ -232,7 +233,10 @@ def _pair_states(ring, s, t, memo):
     total = 0
     for t2, c in annihilate_state(ring, -m, i, t):
         total += c * _pair_states(ring, rest, t2, memo)
-    total = memo[key] = exact(-total if m % 2 else total)
+    # (-1)^m from the adjoint, and the Koszul sign of moving an odd
+    # a(m;b_i) past the odd factors of the rest of the state.
+    odd = m + (ring.parity[i] and sum(ring.parity[j] for _, j in rest))
+    total = memo[key] = exact(-total if odd % 2 else total)
     return total
 
 

@@ -412,11 +412,6 @@ def derivation_apply(vec):
     return FockVector(vec.ring, derive(vec.ring, vec.terms))
 
 
-def derivative_action(op, vec):
-    """[d, op] applied to vec, with d acting recursively."""
-    return derivation_apply(op.apply(vec)) - op.apply(derivation_apply(vec))
-
-
 # -- smeared calculus ------------------------------------------------------
 
 

@@ -10,7 +10,11 @@ calculus itself is cross-checked against raw operator composition.
 Checks are counted in record groups by one tally (`_Tally`): a group
 reports a pass over all its checks, or its first failure.  Each runner
 declares its grid bounds, with their defaults, as keyword-only
-parameters; `run_suite` rejects any other --bound key.
+parameters; `run_suite` rejects any other --bound key.  The registry
+(`SUITES`) declares the rest a suite reads (its window, its surfaces,
+whether --classes applies) and `run_suite` refuses any other value; every
+part of a runner takes its rings from `_rings`, so a report header never
+names a window, a class list or a surface the run did not use.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -27,6 +31,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from .fock import basis_states, render_state, render_terms, weight
 from .operators import (SmearedOp, act_arrangement, box_keep,
@@ -110,12 +115,12 @@ _W_CLASSES = {"abelian": ("1", "t1", "t234", "t12"),
 
 def _cutoff(spec):
     """The run's window: --cutoff, else the suite's default in SUITES."""
-    return spec.cutoff or SUITES[spec.suite][3]
+    return spec.cutoff or SUITES[spec.suite].window
 
 
-def _rings(spec, defaults):
-    names = (spec.surface,) if spec.surface else defaults
-    return [builtin_ring(n) for n in names]
+def _rings(spec, names):
+    """The built-in rings among names that --surface allows, in order."""
+    return [builtin_ring(n) for n in names if spec.surface in ("", n)]
 
 
 def _probe(ring, mode="named"):
@@ -135,8 +140,9 @@ def _st(ring, *factors):
 
 
 def _action_states(ring, wmax=2):
-    """Vacuum, all weight-1 states, and a spread of heavier states, in
-    order of nondecreasing weight."""
+    """Vacuum, all weight-1 states and heavier ones, by nondecreasing
+    weight: all states of weight at most wmax on rings of dimension at
+    most 4, else a hand list that reaches weight 2 (3 for wmax >= 3)."""
     out = [()]
     out.extend(basis_states(ring, 1))
     if ring.dim <= 4:
@@ -264,6 +270,12 @@ def _pair_cases(ring, probes):
             for nb, b in probes]
 
 
+def _verdict(ok, params, checks, expected, actual):
+    """A one-shot record: pass or fail with both sides' text."""
+    return InstanceRecord(params, "pass" if ok else "fail", checks,
+                          expected, actual)
+
+
 def _sweep(delta, ring, cases, params):
     """Instantiation sweep of a residual over (label, a, b) cases on one
     ring: one record counting every case, naming the first failure."""
@@ -273,17 +285,14 @@ def _sweep(delta, ring, cases, params):
         if msg:
             fail = "%s: %s" % (label, msg)
             break
-    p = dict(params)
-    p["surface"] = ring.name
-    return InstanceRecord(p, "fail" if fail else "pass", len(cases), "0",
-                          fail or "0")
+    return _verdict(not fail, dict(params, surface=ring.name), len(cases),
+                    "0", fail or "0")
 
 
 def _universal_record(delta, params):
     ok = delta.is_zero()
-    return InstanceRecord(dict(params), "pass" if ok else "fail",
-                          max(len(delta.terms), 1), "0",
-                          "0" if ok else delta.render())
+    return _verdict(ok, params, max(len(delta.terms), 1), "0",
+                    "0" if ok else delta.render())
 
 
 def _scalar_part(meas, ring):
@@ -388,70 +397,60 @@ def _run_vir(spec, mut, *, m_max=3):
     N = _cutoff(spec)
     cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
              for r in _rings(spec, SURFACE_NAMES)]
-    k3 = builtin_ring("k3")
     if mut:
         m_max = min(m_max, 2)
-    for m in range(-m_max, m_max + 1):
-        for n in range(-m_max, m_max + 1):
-            pos = _sound_pos(N, m, n)
-            meas = series_bracket(vir_families(m), vir_families(n), pos, N)
-            exp = series_to_smeared(vir_families(m + n), pos, N).scaled(
-                m - n)
-            if m == -n and m != 0:
-                exp.add(((), 1, 0), Q(m ** 3 - m + (1 if mut else 0), 12))
-            delta = meas - exp
-            yield _universal_record(
-                delta, {"check": "universal", "m": m, "n": n})
-            for ring, rcases in cases:
-                yield _sweep(delta, ring, rcases,
-                             {"check": "instantiate", "m": m, "n": n})
-            if m == -n and m != 0 and spec.surface in ("", "k3"):
-                val = _scalar_part(meas, k3)
-                expect = Q(24) * Q(m ** 3 - m, 12)
-                yield InstanceRecord(
-                    {"check": "central", "surface": "k3", "m": m},
-                    "pass" if val == expect else "fail", 1,
-                    str(expect), str(val))
+    for m, n in product(range(-m_max, m_max + 1), repeat=2):
+        pos = _sound_pos(N, m, n)
+        meas = series_bracket(vir_families(m), vir_families(n), pos, N)
+        exp = series_to_smeared(vir_families(m + n), pos, N).scaled(m - n)
+        if m == -n and m != 0:
+            exp.add(((), 1, 0), Q(m ** 3 - m + (1 if mut else 0), 12))
+        delta = meas - exp
+        yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
+        for ring, rcases in cases:
+            yield _sweep(delta, ring, rcases,
+                         {"check": "instantiate", "m": m, "n": n})
+        for k3 in _rings(spec, ("k3",) if m == -n and m != 0 else ()):
+            val = _scalar_part(meas, k3)
+            expect = Q(24) * Q(m ** 3 - m, 12)
+            yield _verdict(val == expect, {"check": "central",
+                                           "surface": k3.name, "m": m},
+                           1, str(expect), str(val))
     yield from _vir_spots(spec, mut)
 
 
 def _vir_spots(spec, mut):
     """Apply both sides to explicit states on small surfaces."""
-    names = (spec.surface,) if spec.surface else ("p2", "k3")
     mtop = 2
-    if "p2" in names:
-        ring = builtin_ring("p2")
+    for ring in _rings(spec, ("p2",)):
         pairs = _probe(ring)
-        states = _action_states(ring, 2)
+        states = _action_states(ring)
         op = _op_memo(ring)
-
-        for m in range(-mtop, mtop + 1):
-            for n in range(-mtop, mtop + 1):
-                params = {"check": "action", "surface": "p2", "m": m, "n": n}
-                t = _Tally()
-                for (na, a), (nb, b) in product(pairs, pairs):
-                    ab = a * b
-                    cc = Q(0)
-                    if m == -n and m != 0:
-                        cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
-                    rhs_op = quadratic_sum(ring, m + n, ab)
-                    f = op(quadratic_sum, m, na, a)
-                    g = op(quadratic_sum, n, nb, b)
-                    t.states(ring, states,
-                             lambda s: (commutator_column(f, g, s),
-                                        _lin((Q(m - n), rhs_op.column(s)),
-                                             (cc, {s: 1}))),
-                             dict(params, a=na, b=nb))
-                yield t.record(params)
-    if "k3" in names and not mut:
-        ring = builtin_ring("k3")
-        states = _action_states(ring, 2)
+        for m, n in product(range(-mtop, mtop + 1), repeat=2):
+            params = {"check": "action", "surface": ring.name, "m": m, "n": n}
+            t = _Tally()
+            for (na, a), (nb, b) in product(pairs, pairs):
+                ab = a * b
+                cc = Q(0)
+                if m == -n and m != 0:
+                    cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
+                rhs_op = quadratic_sum(ring, m + n, ab)
+                f = op(quadratic_sum, m, na, a)
+                g = op(quadratic_sum, n, nb, b)
+                t.states(ring, states,
+                         lambda s: (commutator_column(f, g, s),
+                                    _lin((Q(m - n), rhs_op.column(s)),
+                                         (cc, {s: 1}))),
+                         dict(params, a=na, b=nb))
+            yield t.record(params)
+    for ring in _rings(spec, () if mut else ("k3",)):
+        states = _action_states(ring)
         for m in range(1, 4):
             lm = quadratic_sum(ring, m, ring.unit)
             ln = quadratic_sum(ring, -m, ring.unit)
             l0 = quadratic_sum(ring, 0, ring.unit)
             cc = Q(m ** 3 - m, 12) * 24
-            params = {"check": "action", "surface": "k3", "m": m, "n": -m}
+            params = {"check": "action", "surface": ring.name, "m": m, "n": -m}
             t = _Tally()
             t.states(ring, states,
                      lambda s: (commutator_column(lm, ln, s),
@@ -477,11 +476,12 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
     if mut:
         m_max = min(m_max, 2)
         k_max = 0
+        # Frozen in perfbench/refs.json: on p2 whatever --surface says.
         rings = [builtin_ring("p2")]
     for ring in rings:
         pairs = _probe(ring)
         small = pairs[:5] if ring.dim > 8 else pairs
-        states = _action_states(ring, 2 if ring.dim <= 4 else 1)
+        states = _action_states(ring)
         for m in range(-m_max, m_max + 1):
             # One memo per m bounds the memory of cached columns.
             op = _op_memo(ring)
@@ -566,13 +566,14 @@ def _run_lem32(spec, mut):
     """
     rings = _rings(spec, SURFACE_NAMES)
     if mut:
+        # Frozen in perfbench/refs.json: on p2 whatever --surface says.
         rings = [builtin_ring("p2")]
     for ring in rings:
         smallring = ring.dim <= 4
         nus = _NUS_FULL if smallring else _NUS_SMALL
         pairs = _probe(ring)
         cpairs = pairs if smallring else pairs[:3]
-        states = _action_states(ring, 2 if smallring else 1)
+        states = _action_states(ring)
         if not mut:
             params = {"part": "bracket", "surface": ring.name}
             t = _Tally()
@@ -656,50 +657,43 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     if mut:
         k_max = min(k_max, 2)
     rcases = []
-    for rname in ("k3", "abelian", "p2"):
-        if spec.surface and spec.surface != rname:
-            continue
-        ring = builtin_ring(rname)
-        cls = ([("x", ring.basis("x"))] if rname == "p2"
+    for ring in _rings(spec, ("k3", "abelian", "p2")):
+        cls = ([("x", ring.basis("x"))] if ring.name == "p2"
                else _probe(ring, "all"))
         rcases.append((ring, [(na, a, ring.unit) for na, a in cls]))
-    for k in range(k_max + 1):
-        for n in [v for a in range(1, n_max + 1) for v in (a, -a)]:
-            cur = series_to_smeared(heis_families(n), N, N).filter(keep)
-            for _ in range(k):
-                cur = s_derive(cur, keep, N, N, include_k=False)
-            delta = cur - _apow_smeared(n, k, N, mut)
-            yield _universal_record(
-                delta, {"check": "universal", "k": k, "n": n})
-            for ring, cases in rcases:
-                yield _sweep(delta, ring, cases,
-                             {"check": "classes", "k": k, "n": n})
+    ns = [v for a in range(1, n_max + 1) for v in (a, -a)]
+    for k, n in product(range(k_max + 1), ns):
+        cur = series_to_smeared(heis_families(n), N, N).filter(keep)
+        for _ in range(k):
+            cur = s_derive(cur, keep, N, N, include_k=False)
+        delta = cur - _apow_smeared(n, k, N, mut)
+        yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
+        for ring, cases in rcases:
+            yield _sweep(delta, ring, cases,
+                         {"check": "classes", "k": k, "n": n})
     yield from _thm42_spots(spec, mut, N)
 
 
 def _thm42_spots(spec, mut, N):
-    cases = [("p2", "x"), ("k3", "1"), ("k3", "x")]
-    if spec.surface:
-        cases = [c for c in cases if c[0] == spec.surface]
+    cases = [(ring, cname) for ring in _rings(spec, ("p2", "k3"))
+             for cname in (("x",) if ring.name == "p2" else ("1", "x"))]
     if mut:
         cases = cases[1:2]
-    for rname, cname in cases:
-        ring = builtin_ring(rname)
+    for ring, cname in cases:
         a = ring.basis(cname)
-        states = _action_states(ring, 2 if ring.dim <= 4 else 1)
+        states = _action_states(ring)
         t = _Tally()
-        for k in range(3):
-            for n in (1, -1, -2):
-                closed = _apow_smeared(n, k, N, mut)
-                an = heisenberg(ring, n, a)
-                rhs_op = instantiate(closed, ring, a)
-                t.states(ring, states,
-                         lambda s: (_iter_deriv(an, k, {s: 1}),
-                                    rhs_op.column(s)),
-                         {"check": "action", "surface": rname, "k": k,
-                          "n": n, "a": cname})
+        for k, n in product(range(3), (1, -1, -2)):
+            closed = _apow_smeared(n, k, N, mut)
+            an = heisenberg(ring, n, a)
+            rhs_op = instantiate(closed, ring, a)
+            t.states(ring, states,
+                     lambda s: (_iter_deriv(an, k, {s: 1}),
+                                rhs_op.column(s)),
+                     {"check": "action", "surface": ring.name, "k": k,
+                      "n": n, "a": cname})
         yield t.record(
-            {"check": "action", "surface": rname, "class": cname})
+            {"check": "action", "surface": ring.name, "class": cname})
 
 
 # -- rmk43: derivative closure of shifted families -------------------------
@@ -717,24 +711,22 @@ def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
     """
     N = _cutoff(spec)
     keep = diamond_keep(N)
-    for k in range(k_max + 1):
-        for n in range(-n_max, n_max + 1):
-            dvals = [-1]
-            if n * n - 2 != -1:
-                dvals.append(n * n - 2)
-            for d in dvals:
-                A = series_to_smeared(shift_families(k, n, d), N, N)
-                A = A.filter(keep)
-                dA = s_derive(A, keep, N, N, include_k=False)
-                rhs = series_to_smeared(
-                    shift_families(k + 1, n, d), N, N).filter(keep)
-                rhs = rhs.scaled(-n * (k + 1))
-                c2 = -2 * n * (d + (2 if mut else 1))
-                if c2:
-                    rhs = rhs + series_to_smeared(
-                        _euler_families(k, n, c2), N, N).filter(keep)
-                yield _universal_record(
-                    dA - rhs, {"k": k, "n": n, "d": d})
+    for k, n in product(range(k_max + 1), range(-n_max, n_max + 1)):
+        dvals = [-1]
+        if n * n - 2 != -1:
+            dvals.append(n * n - 2)
+        for d in dvals:
+            A = series_to_smeared(shift_families(k, n, d), N, N)
+            A = A.filter(keep)
+            dA = s_derive(A, keep, N, N, include_k=False)
+            rhs = series_to_smeared(
+                shift_families(k + 1, n, d), N, N).filter(keep)
+            rhs = rhs.scaled(-n * (k + 1))
+            c2 = -2 * n * (d + (2 if mut else 1))
+            if c2:
+                rhs = rhs + series_to_smeared(
+                    _euler_families(k, n, c2), N, N).filter(keep)
+            yield _universal_record(dA - rhs, {"k": k, "n": n, "d": d})
 
 
 # -- thm46-unique: characterization of the character series ----------------
@@ -755,10 +747,10 @@ def _run_thm46(spec, mut, *, k_max=3):
             fams += _euler_families(k, 0, 1)
         A = series_to_smeared(fams, N, N).filter(keep)
         bad = [m for (m, _, _) in A.terms if not m or max(m) <= 0]
-        yield InstanceRecord(
-            {"check": "vacuum", "k": k},
-            "pass" if not bad else "fail", max(len(A.terms), 1),
-            "every term has an annihilation mode", str(bad) if bad else "")
+        yield _verdict(not bad, {"check": "vacuum", "k": k},
+                       max(len(A.terms), 1),
+                       "every term has an annihilation mode",
+                       str(bad) if bad else "")
         dA = s_derive(A, keep, N, N, include_k=False)
         yield _universal_record(dA, {"check": "derivation", "k": k})
         pos = _sound_pos(N, 0, -1)
@@ -772,10 +764,7 @@ def _run_thm46(spec, mut, *, k_max=3):
 
 
 def _thm46_spots(spec):
-    for rname in ("k3", "abelian"):
-        if spec.surface and spec.surface != rname:
-            continue
-        ring = builtin_ring(rname)
+    for ring in _rings(spec, ("k3", "abelian")):
         states = _action_states(ring, 3)
         t = _Tally()
         for k in (2, 3):
@@ -786,9 +775,9 @@ def _thm46_spots(spec):
                          lambda s: (commutator_column(gk, am, s),
                                     _lin((Q(1, factorial(k)),
                                           _iter_deriv(am, k, {s: 1})))),
-                         {"check": "action", "surface": rname, "k": k,
+                         {"check": "action", "surface": ring.name, "k": k,
                           "b": nb})
-        yield t.record({"check": "action", "surface": rname})
+        yield t.record({"check": "action", "surface": ring.name})
 
 
 # -- cor48: creation-only expansion of character classes -------------------
@@ -800,14 +789,18 @@ def _run_cor48(spec, mut, *, n_max=4):
 
     Mutation euler-shift: the closed Euler weight (j+1+s-2) gains +1,
     which adds -(1/24) G_{k-2}(e a, n) by the closed expansion (e*e = 0).
+    It needs e != 0, so a mutated run refuses any surface but k3 as soon
+    as it is called, ahead of run_suite's refusal.
     """
-    rings = _rings(spec, ("abelian", "k3"))
-    if mut:
-        if spec.surface not in ("", "k3"):
-            raise ValueError("the cor48 mutation needs e != 0 and runs on "
-                             "k3, not %s" % spec.surface)
-        rings = [builtin_ring("k3")]
-        n_max = min(n_max, 3)
+    if not mut:
+        return _cor48_records(_rings(spec, ("abelian", "k3")), False, n_max)
+    if spec.surface not in ("", "k3"):
+        raise ValueError("the cor48 mutation needs e != 0 and runs on "
+                         "k3, not %s" % spec.surface)
+    return _cor48_records(_rings(spec, ("k3",)), True, min(n_max, 3))
+
+
+def _cor48_records(rings, mut, n_max):
     for ring in rings:
         for n in range(n_max + 1):
             for k in range(n):
@@ -849,19 +842,17 @@ def _run_rmk410(spec, mut, *, n_max=4):
         for ks in k_multisets(n):
             oracle = closed(ks, n)
             vals = [(r.name, intersection_number(r, ks, n)) for r in rings]
-            ok = all(v == oracle for _, v in vals)
-            yield InstanceRecord(
-                {"n": n, "ks": ",".join(map(str, ks))},
-                "pass" if ok else "fail", len(vals), str(oracle),
-                "; ".join("%s=%s" % (nm, v) for nm, v in vals))
+            yield _verdict(all(v == oracle for _, v in vals),
+                           {"n": n, "ks": ",".join(map(str, ks))},
+                           len(vals), str(oracle),
+                           "; ".join("%s=%s" % (nm, v) for nm, v in vals))
     for ks, n, frozen in _RMK410_SPOTS:
         if n > n_max:
             continue
         oracle = closed(ks, n)
-        yield InstanceRecord(
-            {"check": "frozen", "n": n, "ks": ",".join(map(str, ks))},
-            "pass" if oracle == frozen else "fail", 1, str(frozen),
-            str(oracle))
+        yield _verdict(oracle == frozen, {"check": "frozen", "n": n,
+                                          "ks": ",".join(map(str, ks))},
+                       1, str(frozen), str(oracle))
 
 
 # -- def51-ids: W-generator identifications --------------------------------
@@ -887,19 +878,15 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         got = series_to_smeared(jf(0, n), N, N)
         want = series_to_smeared(heis_families(n), N, N).scaled(-1)
         yield _universal_record(got - want, {"part": "a", "n": n})
-    for rname in ("p2", "k3"):
-        if spec.surface and spec.surface != rname:
-            continue
-        ring = builtin_ring(rname)
+    for ring in _rings(spec, ("p2", "k3")):
         t = _Tally(total=True)
-        for n in range(-2, 3):
-            for na, a in _probe(ring)[:4]:
-                ja = instantiate(series_to_smeared(jf(1, n), 4, 4), ring, a)
-                ln = quadratic_sum(ring, n, a).terms_within(4)
-                t.check(ja.equal_terms(ln),
-                        {"part": "b", "surface": rname, "n": n, "a": na},
-                        ln, ja)
-        yield t.record({"part": "b", "surface": rname})
+        for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
+            ja = instantiate(series_to_smeared(jf(1, n), 4, 4), ring, a)
+            ln = quadratic_sum(ring, n, a).terms_within(4)
+            t.check(ja.equal_terms(ln),
+                    {"part": "b", "surface": ring.name, "n": n, "a": na},
+                    ln, ja)
+        yield t.record({"part": "b", "surface": ring.name})
     for p in range(1, p_max + 1):
         got = series_to_smeared(jf(p, 0), N, N)
         want = chern_smeared(p - 1, N, N).scaled(factorial(p))
@@ -907,21 +894,18 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         got = series_to_smeared(jf(p, -1), N, N)
         want = series_to_smeared(apow_families(-1, p), N, N).scaled(-1)
         yield _universal_record(got - want, {"part": "d", "p": p})
-    if not mut:
-        ring = builtin_ring("k3")
-        states = _action_states(ring, 2)
+    for ring in _rings(spec, () if mut else ("k3",)):
+        states = _action_states(ring)
         t = _Tally()
-        for p in range(4):
-            for na, a in _probe(ring)[:3]:
-                jp = jay(ring, p, -1, a)
-                inner = heisenberg(ring, -1, a)
-                t.states(ring, states,
-                         lambda s: (jp.column(s),
-                                    _lin((-1, _iter_deriv(inner, p,
-                                                          {s: 1})))),
-                         {"part": "d-action", "surface": "k3", "p": p,
-                          "a": na})
-        yield t.record({"part": "d-action", "surface": "k3"})
+        for p, (na, a) in product(range(4), _probe(ring)[:3]):
+            jp = jay(ring, p, -1, a)
+            inner = heisenberg(ring, -1, a)
+            t.states(ring, states,
+                     lambda s: (jp.column(s),
+                                _lin((-1, _iter_deriv(inner, p, {s: 1})))),
+                     {"part": "d-action", "surface": ring.name, "p": p,
+                      "a": na})
+        yield t.record({"part": "d-action", "surface": ring.name})
 
 
 # -- lem52: character-transfer bracket gives W-generators ------------------
@@ -933,42 +917,36 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
     Mutation rhs-scale: the factor n/p! becomes (n+1)/p!.
     """
     N = _cutoff(spec)
-    for p in range(p_max + 1):
-        for n in range(-n_max, n_max + 1):
-            pos = _sound_pos(N, 0, n)
-            meas = series_bracket(chern_families(p), heis_families(n),
-                                  pos, N)
-            scale = Q(n + (1 if mut else 0), factorial(p))
-            rhs = series_to_smeared(jay_families(p, n), pos, N).scaled(scale)
-            yield _universal_record(
-                meas - rhs, {"check": "universal", "p": p, "n": n})
+    for p, n in product(range(p_max + 1), range(-n_max, n_max + 1)):
+        pos = _sound_pos(N, 0, n)
+        meas = series_bracket(chern_families(p), heis_families(n), pos, N)
+        scale = Q(n + (1 if mut else 0), factorial(p))
+        rhs = series_to_smeared(jay_families(p, n), pos, N).scaled(scale)
+        yield _universal_record(
+            meas - rhs, {"check": "universal", "p": p, "n": n})
     if not mut:
         yield from _lem52_spots(spec)
 
 
 def _lem52_spots(spec):
-    for rname in ("k3", "p1xp1"):
-        if spec.surface and spec.surface != rname:
-            continue
-        ring = builtin_ring(rname)
+    for ring in _rings(spec, ("k3", "p1xp1")):
         kfree = _ktrivial(ring, _probe(ring))
         others = _probe(ring)[:3]
-        states = _action_states(ring, 2)
+        states = _action_states(ring)
         t = _Tally()
-        for p in range(3):
-            for n in (-2, -1, 1, 2):
-                for na, a in kfree[:3]:
-                    gp = chern(ring, p, a)
-                    for nb, b in others:
-                        an = heisenberg(ring, n, b)
-                        jp = jay(ring, p, n, a * b)
-                        t.states(ring, states,
-                                 lambda s: (commutator_column(gp, an, s),
-                                            _lin((Q(n, factorial(p)),
-                                                  jp.column(s)))),
-                                 {"check": "action", "surface": rname,
-                                  "p": p, "n": n, "a": na, "b": nb})
-        yield t.record({"check": "action", "surface": rname})
+        for p, n in product(range(3), (-2, -1, 1, 2)):
+            for na, a in kfree[:3]:
+                gp = chern(ring, p, a)
+                for nb, b in others:
+                    an = heisenberg(ring, n, b)
+                    jp = jay(ring, p, n, a * b)
+                    t.states(ring, states,
+                             lambda s: (commutator_column(gp, an, s),
+                                        _lin((Q(n, factorial(p)),
+                                              jp.column(s)))),
+                             {"check": "action", "surface": ring.name,
+                              "p": p, "n": n, "a": na, "b": nb})
+        yield t.record({"check": "action", "surface": ring.name})
 
 
 # -- lem53: W-generators as field monomial components ----------------------
@@ -983,17 +961,15 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     Mutation field-coeff-shift: the middle coefficient gains p/24.
     """
     N = _cutoff(spec)
-    for p in range(p_max + 1):
-        for m in range(-m_max, m_max + 1):
-            A = jay_smeared(p, m, N, N)
-            B = jay_via_fields_smeared(p, m, N, N)
-            if mut and p >= 1:
-                extra = series_to_smeared(
-                    fourier_families(FourierSpec((0,) * (p - 1), m)), N, N)
-                B = B + extra.shift_euler().scaled(Q(p, 24))
-            yield _universal_record(A - B, {"p": p, "m": m})
-    if not mut:
-        ring = builtin_ring("p2")
+    for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
+        A = jay_smeared(p, m, N, N)
+        B = jay_via_fields_smeared(p, m, N, N)
+        if mut and p >= 1:
+            extra = series_to_smeared(
+                fourier_families(FourierSpec((0,) * (p - 1), m)), N, N)
+            B = B + extra.shift_euler().scaled(Q(p, 24))
+        yield _universal_record(A - B, {"p": p, "m": m})
+    for ring in _rings(spec, () if mut else ("p2",)):
         t = _Tally(total=True)
         for m in range(-2, 3):
             for na, a in _probe(ring):
@@ -1001,7 +977,7 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
                 l2 = quadratic_sum(ring, m, a).terms_within(5).scaled(Q(-2))
                 t.check(f2.equal_terms(l2),
                         {"check": "square-field", "m": m, "a": na}, l2, f2)
-        yield t.record({"check": "square-field", "surface": "p2"})
+        yield t.record({"check": "square-field", "surface": ring.name})
 
 
 # -- thm55: the full W-algebra bracket -------------------------------------
@@ -1090,27 +1066,25 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
 
 def _thm55_centrals(spec, N, m_max):
     """Explicit central values on the K3 model."""
-    if spec.surface and spec.surface != "k3":
-        return
-    ring = builtin_ring("k3")
-    u1u2 = ring.integrate(ring.basis("u1") * ring.basis("u2"))
-    for p, q in ((0, 0), (1, 1), (2, 0), (0, 2)):
-        for m in range(1, m_max + 1):
-            pos = _sound_pos(N, m, -m)
-            meas = series_bracket(jay_families(p, m), jay_families(q, -m),
-                                  pos, N)
-            if (p, q) == (0, 0):
-                got = meas.terms.get(((), 0, 0), Q(0)) * u1u2
-                want = Q(-m)
-                label = "-m * integral(ab)"
-            else:
-                den = 12 if (p, q) == (1, 1) else 6
-                got = _scalar_part(meas, ring)
-                want = Q(m ** 3 - m, den) * 24
-                label = "(m^3-m)/%d * integral(e)" % den
-            yield InstanceRecord(
-                {"check": "central", "p": p, "q": q, "m": m, "label": label},
-                "pass" if got == want else "fail", 1, str(want), str(got))
+    for ring in _rings(spec, ("k3",)):
+        u1u2 = ring.integrate(ring.basis("u1") * ring.basis("u2"))
+        for p, q in ((0, 0), (1, 1), (2, 0), (0, 2)):
+            for m in range(1, m_max + 1):
+                pos = _sound_pos(N, m, -m)
+                meas = series_bracket(jay_families(p, m),
+                                      jay_families(q, -m), pos, N)
+                if (p, q) == (0, 0):
+                    got = meas.terms.get(((), 0, 0), Q(0)) * u1u2
+                    want = Q(-m)
+                    label = "-m * integral(ab)"
+                else:
+                    den = 12 if (p, q) == (1, 1) else 6
+                    got = _scalar_part(meas, ring)
+                    want = Q(m ** 3 - m, den) * 24
+                    label = "(m^3-m)/%d * integral(e)" % den
+                yield _verdict(got == want, {"check": "central", "p": p,
+                                             "q": q, "m": m, "label": label},
+                               1, str(want), str(got))
 
 
 _THM55_SPOT_CELLS = ((1, 1, 1, -1), (2, 1, 1, -1), (2, 1, 2, -1),
@@ -1124,11 +1098,8 @@ _THM55_SPOT_PAIRS = {
 
 
 def _thm55_spots(spec):
-    for rname in ("k3", "abelian", "p2"):
-        if spec.surface and spec.surface != rname:
-            continue
-        ring = builtin_ring(rname)
-        allst = _action_states(ring, 2)
+    for ring in _rings(spec, ("k3", "abelian", "p2")):
+        allst = _action_states(ring)
         states = ([allst[0]]
                   + [s for s in allst if weight(s) == 1][:2]
                   + [s for s in allst if weight(s) == 2][:4])
@@ -1137,7 +1108,7 @@ def _thm55_spots(spec):
             # the expected bracket as a series, of size m + n
             exp_at = (lambda w, p=p, q=q, m=m, n=n:
                       _thm55_expected(p, q, m, n, w, w - m - n, False))
-            for ca, cb in _THM55_SPOT_PAIRS[rname]:
+            for ca, cb in _THM55_SPOT_PAIRS[ring.name]:
                 a, b = ring.basis(ca), ring.basis(cb)
                 ja = jay(ring, p, m, a)
                 jb = jay(ring, q, n, b)
@@ -1145,9 +1116,9 @@ def _thm55_spots(spec):
                 t.states(ring, states,
                          lambda s: (commutator_column(ja, jb, s),
                                     rhs_op.column(s)),
-                         {"check": "action", "surface": rname, "p": p,
+                         {"check": "action", "surface": ring.name, "p": p,
                           "q": q, "m": m, "n": n, "a": ca, "b": cb})
-        yield t.record({"check": "action", "surface": rname})
+        yield t.record({"check": "action", "surface": ring.name})
 
 
 # -- rmk56: derivative of W-generators -------------------------------------
@@ -1161,31 +1132,27 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
     """
     N = _cutoff(spec)
     keep = diamond_keep(N)
-    for p in range(1, p_max + 1):
-        for n in range(-n_max, n_max + 1):
-            A = series_to_smeared(jay_families(p, n), N, N).filter(keep)
-            dA = s_derive(A, keep, N, N, include_k=False)
-            rhs = series_to_smeared(jay_families(p + 1, n), N, N)
-            rhs = rhs.filter(keep).scaled(-n)
-            cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
-            if cc and p - 1 >= 0:
-                rhs = rhs + series_to_smeared(
-                    jay_families(p - 1, n), N, N).shift_euler().filter(
-                        keep).scaled(cc)
-            yield _universal_record(
-                dA - rhs, {"check": "universal", "p": p, "n": n})
+    for p, n in product(range(1, p_max + 1), range(-n_max, n_max + 1)):
+        A = series_to_smeared(jay_families(p, n), N, N).filter(keep)
+        dA = s_derive(A, keep, N, N, include_k=False)
+        rhs = series_to_smeared(jay_families(p + 1, n), N, N)
+        rhs = rhs.filter(keep).scaled(-n)
+        cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
+        if cc and p - 1 >= 0:
+            rhs = rhs + series_to_smeared(
+                jay_families(p - 1, n), N, N).shift_euler().filter(
+                    keep).scaled(cc)
+        yield _universal_record(
+            dA - rhs, {"check": "universal", "p": p, "n": n})
     if not mut:
         yield from _rmk56_spots(spec)
 
 
 def _rmk56_spots(spec):
-    if spec.surface and spec.surface != "k3":
-        return
-    ring = builtin_ring("k3")
-    states = _action_states(ring, 2)[:6]
-    t = _Tally()
-    for p in range(1, 4):
-        for n in (-2, -1, 1, 2):
+    for ring in _rings(spec, ("k3",)):
+        states = _action_states(ring)[:6]
+        t = _Tally()
+        for p, n in product(range(1, 4), (-2, -1, 1, 2)):
             for na, a in _probe(ring)[:3]:
                 jp = jay(ring, p, n, a)
                 jup = jay(ring, p + 1, n, a)
@@ -1195,9 +1162,9 @@ def _rmk56_spots(spec):
                          lambda s: (_iter_deriv(jp, 1, {s: 1}),
                                     _lin((Q(-n), jup.column(s)),
                                          (cc, jdown.column(s)))),
-                         {"check": "action", "surface": "k3", "p": p,
+                         {"check": "action", "surface": ring.name, "p": p,
                           "n": n, "a": na})
-    yield t.record({"check": "action", "surface": "k3"})
+        yield t.record({"check": "action", "surface": ring.name})
 
 
 # -- thm57: isomorphism with the abstract W-algebra ------------------------
@@ -1221,40 +1188,36 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         m_max = min(m_max, 1)
     for p in range(pq_max + 1):
         for q in range(pq_max + 1 - p):
-            for m in range(-m_max, m_max + 1):
-                for n in range(-m_max, m_max + 1):
-                    pos = _sound_pos(N, m, n)
-                    meas = series_bracket(
-                        [f for f in jay_families(p, m) if not f.epow],
-                        [f for f in jay_families(q, n) if not f.epow],
-                        pos, N)
-                    exp = SmearedOp()
-                    if (p, q) == (0, 0):
-                        if m == -n and m != 0:
-                            exp.add(((), 0, 0), Q(-m))
-                    else:
-                        lin = q * m - p * n + (1 if mut else 0)
-                        if lin:
-                            exp.merge(series_to_smeared(
-                                [f for f in jay_families(p + q - 1, m + n)
-                                 if not f.epow], pos, N), lin)
-                    delta = SmearedOp(
-                        {k: c for k, c in (meas - exp).terms.items()
-                         if not k[1] and not k[2]})
-                    yield _universal_record(
-                        delta, {"check": "universal", "p": p, "q": q,
-                                "m": m, "n": n})
-    ring = builtin_ring("abelian")
-    yield _thm57_symbolic(ring)
-    if not mut:
-        yield _thm57_spots(ring)
+            for m, n in product(range(-m_max, m_max + 1), repeat=2):
+                pos = _sound_pos(N, m, n)
+                meas = series_bracket(
+                    [f for f in jay_families(p, m) if not f.epow],
+                    [f for f in jay_families(q, n) if not f.epow], pos, N)
+                exp = SmearedOp()
+                if (p, q) == (0, 0):
+                    if m == -n and m != 0:
+                        exp.add(((), 0, 0), Q(-m))
+                else:
+                    lin = q * m - p * n + (1 if mut else 0)
+                    if lin:
+                        exp.merge(series_to_smeared(
+                            [f for f in jay_families(p + q - 1, m + n)
+                             if not f.epow], pos, N), lin)
+                delta = SmearedOp({k: c for k, c in (meas - exp).terms.items()
+                                   if not k[1] and not k[2]})
+                yield _universal_record(delta, {"check": "universal", "p": p,
+                                                "q": q, "m": m, "n": n})
+    for ring in _rings(spec, ("abelian",)):
+        yield _thm57_symbolic(ring)
+        if not mut:
+            yield _thm57_spots(ring)
 
 
 def _thm57_symbolic(ring):
     """The symbolic W-algebra bracket against the measured constants."""
     t = _Tally(total=True)
     gram = ring.pairing_matrix()
-    cls = [(c, ring.basis(c)) for c in _W_CLASSES["abelian"]]
+    cls = [(c, ring.basis(c)) for c in _W_CLASSES[ring.name]]
     for p, q, m, n in product(range(3), range(3), (-2, 0, 1), (-1, 1, 2)):
         for (ca, a), (cb, b) in product(cls, cls):
             got = wbracket(ring, wterm(p, m, a), wterm(q, n, b))
@@ -1273,7 +1236,7 @@ def _thm57_symbolic(ring):
 
 def _thm57_spots(ring):
     """Action checks on the abelian model, including odd classes."""
-    states = _action_states(ring, 1)
+    states = _action_states(ring)
     cpairs = [("1", "1"), ("t1", "t2"), ("t1", "t234"), ("t12", "t34"),
               ("t123", "t4")]
     t = _Tally()
@@ -1298,9 +1261,9 @@ def _thm57_spots(ring):
                     return commutator_column(ja, jb, s), _lin(*rhs)
 
                 t.states(ring, states, sides,
-                         {"check": "action", "surface": "abelian", "p": p,
+                         {"check": "action", "surface": ring.name, "p": p,
                           "q": q, "m": m, "n": n, "a": ca, "b": cb})
-    return t.record({"check": "action", "surface": "abelian"})
+    return t.record({"check": "action", "surface": ring.name})
 
 
 # -- lem61: derivative identities of field monomials -----------------------
@@ -1347,17 +1310,16 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
                 fourier_families(FourierSpec(orders, m)), B, B)
         return memo[key]
 
-    for Nf in range(n_max + 1):
-        for m in range(-m_max, m_max + 1):
-            z = (0,) * Nf
-            for name, orders, scale, terms in _lem61_identities(Nf, m, six):
-                lhs = F(orders + z, m).scaled(scale)
-                rhs = SmearedOp()
-                for rorders, used, c in terms:
-                    if Nf >= used:
-                        rhs.merge(F(rorders + z[used:], m), c)
-                yield _universal_record(
-                    lhs - rhs, {"identity": name, "N": Nf, "m": m})
+    for Nf, m in product(range(n_max + 1), range(-m_max, m_max + 1)):
+        z = (0,) * Nf
+        for name, orders, scale, terms in _lem61_identities(Nf, m, six):
+            lhs = F(orders + z, m).scaled(scale)
+            rhs = SmearedOp()
+            for rorders, used, c in terms:
+                if Nf >= used:
+                    rhs.merge(F(rorders + z[used:], m), c)
+            yield _universal_record(
+                lhs - rhs, {"identity": name, "N": Nf, "m": m})
 
 
 # -- eq22: the abstract W-algebra ------------------------------------------
@@ -1370,9 +1332,6 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
 
     Mutation central-shift: the central factor m becomes m + 1.
     """
-    if spec.surface not in ("", "abelian", "k3"):
-        raise ValueError("suite eq22 runs on abelian or k3, not %s"
-                         % spec.surface)
     rings = _rings(spec, ("abelian", "k3"))
     if mut:
         p_max = min(p_max, 1)
@@ -1445,78 +1404,97 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
 # -- registry and reports --------------------------------------------------
 
 
-# name: (runner, description, mutation label, default window): the
-# window that --cutoff 0 runs, or None for a suite that reads no window
-# and refuses a cutoff.
-SUITES = {
-    "heis": (_run_heis, "transfer operator commutation relations on "
-             "basis states of every surface model", "central-shift", None),
-    "vir": (_run_vir, "Virasoro bracket of the quadratic series with the "
-            "Euler-class central term", "central-shift", 8),
-    "thm31": (_run_thm31, "mixed Virasoro-transfer brackets, the "
-              "derivative replacement rule, and the character pin",
-              "canonical-shift", None),
-    "lem32": (_run_lem32, "smeared calculus rules against ground-truth "
-              "operator composition", "euler-sign", None),
-    "thm42": (_run_thm42, "closed partition expansion of iterated "
-              "derivatives of transfer operators", "euler-shift", 8),
-    "rmk43": (_run_rmk43, "derivative closure of the d-shifted partition "
-              "families, including n = 0", "shift-term", 8),
-    "thm46-unique": (_run_thm46, "characterization of the character "
-                     "series: vacuum, derivation invariance, transfer "
-                     "pin", "euler-shift", 8),
-    "cor48": (_run_cor48, "creation-only expansion of character classes "
-              "against the operator route", "euler-shift", None),
-    "rmk410": (_run_rmk410, "surface-independent intersection numbers of "
-               "character classes, dual route", "sign-flip", None),
-    "def51-ids": (_run_def51, "W-generator identifications at weights "
-                  "0, 1 and modes 0, -1", "euler-shift", 8),
-    "lem52": (_run_lem52, "character-transfer bracket producing "
-              "W-generators", "rhs-scale", 8),
-    "lem53": (_run_lem53, "W-generators as Fourier components of field "
-              "monomials, term by term", "field-coeff-shift", 8),
-    "thm55": (_run_thm55, "full W-algebra bracket: linear term, "
-              "structure polynomial, central terms", "omega-negated", 8),
-    "rmk56": (_run_rmk56, "derivative of W-generators raising the "
-              "weight", "central-scale", 8),
-    "thm57": (_run_thm57, "isomorphism with the abstract W-algebra on "
-              "trivial-canonical trivial-Euler surfaces", "linear-shift", 8),
-    "lem61": (_run_lem61, "derivative identities of normally ordered "
-              "field monomials", "coeff-shift", 5),
-    "eq22": (_run_eq22, "abstract W-algebra: antisymmetry, Jacobi, trace "
-             "central term", "central-shift", None),
-}
+class Suite(NamedTuple):
+    """A registry entry: the runner and every option the suite reads."""
 
-# The suites whose probe classes --classes chooses; the others refuse it.
-_CLASS_SUITES = ("heis", "vir", "thm55")
+    runner: object
+    description: str
+    mutation: str  # the label of its one mutation
+    window: int | None  # the window --cutoff 0 runs; None: reads none
+    surfaces: tuple  # the built-in surfaces its records name
+    classes: bool = False  # whether --classes chooses its probe classes
+
+
+SUITES = {
+    "heis": Suite(_run_heis, "transfer operator commutation relations on "
+                  "basis states of every surface model", "central-shift",
+                  None, SURFACE_NAMES, True),
+    "vir": Suite(_run_vir, "Virasoro bracket of the quadratic series with "
+                 "the Euler-class central term", "central-shift", 8,
+                 SURFACE_NAMES, True),
+    "thm31": Suite(_run_thm31, "mixed Virasoro-transfer brackets, the "
+                   "derivative replacement rule, and the character pin",
+                   "canonical-shift", None, SURFACE_NAMES),
+    "lem32": Suite(_run_lem32, "smeared calculus rules against "
+                   "ground-truth operator composition", "euler-sign", None,
+                   SURFACE_NAMES),
+    "thm42": Suite(_run_thm42, "closed partition expansion of iterated "
+                   "derivatives of transfer operators", "euler-shift", 8,
+                   ("k3", "abelian", "p2")),
+    "rmk43": Suite(_run_rmk43, "derivative closure of the d-shifted "
+                   "partition families, including n = 0", "shift-term", 8,
+                   ()),
+    "thm46-unique": Suite(_run_thm46, "characterization of the character "
+                          "series: vacuum, derivation invariance, "
+                          "transfer pin", "euler-shift", 8,
+                          ("k3", "abelian")),
+    "cor48": Suite(_run_cor48, "creation-only expansion of character "
+                   "classes against the operator route", "euler-shift",
+                   None, ("abelian", "k3")),
+    "rmk410": Suite(_run_rmk410, "surface-independent intersection numbers "
+                    "of character classes, dual route", "sign-flip", None,
+                    SURFACE_NAMES),
+    "def51-ids": Suite(_run_def51, "W-generator identifications at weights "
+                       "0, 1 and modes 0, -1", "euler-shift", 8,
+                       ("p2", "k3")),
+    "lem52": Suite(_run_lem52, "character-transfer bracket producing "
+                   "W-generators", "rhs-scale", 8, ("k3", "p1xp1")),
+    "lem53": Suite(_run_lem53, "W-generators as Fourier components of field "
+                   "monomials, term by term", "field-coeff-shift", 8,
+                   ("p2",)),
+    "thm55": Suite(_run_thm55, "full W-algebra bracket: linear term, "
+                   "structure polynomial, central terms", "omega-negated",
+                   8, ("abelian", "k3", "p2"), True),
+    "rmk56": Suite(_run_rmk56, "derivative of W-generators raising the "
+                   "weight", "central-scale", 8, ("k3",)),
+    "thm57": Suite(_run_thm57, "isomorphism with the abstract W-algebra on "
+                   "trivial-canonical trivial-Euler surfaces",
+                   "linear-shift", 8, ("abelian",)),
+    "lem61": Suite(_run_lem61, "derivative identities of normally ordered "
+                   "field monomials", "coeff-shift", 5, ()),
+    "eq22": Suite(_run_eq22, "abstract W-algebra: antisymmetry, Jacobi, "
+                  "trace central term", "central-shift", None,
+                  ("abelian", "k3")),
+}
 
 
 def list_suites():
-    return [{"suite": name, "description": desc, "mutation": mlabel}
-            for name, (_, desc, mlabel, _) in sorted(SUITES.items())]
+    return [{"suite": name, "description": suite.description,
+             "mutation": suite.mutation}
+            for name, suite in sorted(SUITES.items())]
 
 
 def run_suite(spec):
     if spec.suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (spec.suite, ", ".join(sorted(SUITES))))
-    runner, _, mlabel, window = SUITES[spec.suite]
-    if spec.mutation and spec.mutation != mlabel:
+    suite = SUITES[spec.suite]
+    if spec.mutation and spec.mutation != suite.mutation:
         raise ValueError("suite %s supports only mutation %r"
-                         % (spec.suite, mlabel))
+                         % (spec.suite, suite.mutation))
     if spec.cutoff < 0:
         raise ValueError("cutoff must be at least 0, got %d" % spec.cutoff)
-    if spec.cutoff and window is None:
+    if spec.cutoff and suite.window is None:
         raise ValueError("suite %s reads no window, so it takes no cutoff; "
                          "got %d" % (spec.suite, spec.cutoff))
-    if spec.classes and spec.suite not in _CLASS_SUITES:
+    if spec.classes and not suite.classes:
         raise ValueError("suite %s reads no class list, so it takes no "
                          "--classes; got %r" % (spec.suite, spec.classes))
     if spec.cutoff == 1:
         raise ValueError("cutoff must be 0 (the suite's default window) or "
                          "at least 2, got 1: a window of weight 1 holds no "
                          "two-mode term, so the checks would be vacuous")
-    accepted = sorted(runner.__kwdefaults__ or ())
+    accepted = sorted(suite.runner.__kwdefaults__ or ())
     unknown = sorted(set(spec.bounds) - set(accepted))
     if unknown:
         raise ValueError("suite %s has no bound %s; it accepts %s"
@@ -1528,7 +1506,17 @@ def run_suite(spec):
             raise ValueError("bound %s must be at least 0, got %d"
                              % (k, bounds[k]))
     t0 = time.perf_counter()
-    records = list(runner(spec, bool(spec.mutation), **bounds))
+    # Calling a runner checks nothing yet; only the cor48 mutation may
+    # refuse its surface here, in its own words.
+    records = suite.runner(spec, bool(spec.mutation), **bounds)
+    if spec.surface and not suite.surfaces:
+        raise ValueError("suite %s reads no surface, so it takes no "
+                         "--surface; got %r" % (spec.suite, spec.surface))
+    if spec.surface and spec.surface not in suite.surfaces:
+        raise ValueError("suite %s runs on %s, not %s"
+                         % (spec.suite, " or ".join(suite.surfaces),
+                            spec.surface))
+    records = list(records)
     wall = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(spec.suite, spec, records, wall)
 

@@ -260,8 +260,8 @@ def test_acceptance_12_every_mutation_is_detected():
     """Harness integrity: each suite's documented single-coefficient
     mutation produces at least one counterexample."""
     t0 = time.perf_counter()
-    for name, (_, _, label, _) in sorted(SUITES.items()):
-        report = run_suite(SuiteSpec(name, mutation=label))
+    for name, suite in sorted(SUITES.items()):
+        report = run_suite(SuiteSpec(name, mutation=suite.mutation))
         assert report.failed >= 1, name
         assert report_sha256(report) == MUTATED_SHA256[name], name
     assert time.perf_counter() - t0 < 120

@@ -8,7 +8,8 @@ from hilbfock import cli
 from hilbfock.cli import main
 from hilbfock.hilbert import chern_class
 from hilbfock.fock import vector_records
-from hilbfock.ring import builtin_ring, dump_ring
+from hilbfock.ring import SURFACE_NAMES, builtin_ring, dump_ring
+from hilbfock.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -146,6 +147,18 @@ def test_verify_eq22_unsupported_surface_is_usage_error(capsys):
         assert "abelian or k3" in err and "Traceback" not in err
 
 
+def test_verify_refuses_undeclared_surfaces(capsys):
+    """Every suite refuses a surface its registry entry does not declare,
+    so a report header never names a surface the run did not use."""
+    for name, suite in sorted(SUITES.items()):
+        for surface in sorted(set(SURFACE_NAMES) - set(suite.surfaces)):
+            code, out, err = run(capsys, "verify", "--suite", name,
+                                 "--surface", surface)
+            assert code == 2 and out == "", (name, surface)
+            assert err.startswith("error: suite %s " % name), err
+            assert surface in err and "Traceback" not in err
+
+
 def test_verify_cor48_mutation_off_k3_is_usage_error(capsys):
     for surface in ("abelian", "p2"):
         code, out, err = run(capsys, "verify", "--suite", "cor48",
@@ -179,6 +192,16 @@ def test_intersect_json_spot(capsys):
     code, out, _ = run(capsys, "intersect", "--k", "2", "--n", "2",
                        "--format", "json")
     assert code == 0
+    assert json.loads(out) == {"match": True, "oracle": "-1/4",
+                               "value": "-1/4"}
+
+
+def test_intersect_jsonl_is_the_json_line(capsys):
+    """A single tuple prints under jsonl the JSON line of json."""
+    argv = ("intersect", "--k", "2", "--n", "2", "--surface", "k3")
+    _, want, _ = run(capsys, *argv, "--format", "json")
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0 and out == want
     assert json.loads(out) == {"match": True, "oracle": "-1/4",
                                "value": "-1/4"}
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from hilbfock import operators, partitions
 from hilbfock.cli import main
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import SuiteSpec, list_suites, run_suite, serialize_report
@@ -52,9 +53,7 @@ def test_every_frozen_output_is_run():
     assert set(QUERIES) == set(REFS["queries"])
 
 
-@pytest.mark.parametrize("mutated", (False, True))
-@pytest.mark.parametrize("job", sorted(JOBS))
-def test_report_matches_frozen_digest(job, mutated):
+def _check_job(job, mutated):
     spec = SuiteSpec(**JOBS[job], jobs=1)
     if mutated:
         spec.mutation = MUTATION[spec.suite]
@@ -63,6 +62,12 @@ def test_report_matches_frozen_digest(job, mutated):
     key = job + ("+mutation" if mutated else "")
     text = serialize_report(report, "jsonl")
     assert _sha256(text) == REFS["suites"][key], key
+
+
+@pytest.mark.parametrize("mutated", (False, True))
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_report_matches_frozen_digest(job, mutated):
+    _check_job(job, mutated)
 
 
 def _run_query(qid):
@@ -88,3 +93,19 @@ def test_query_outputs_do_not_depend_on_history():
     order = [qid for qid, _, _ in WORKLOADS.QUERIES]
     for qid in order + order[::-1]:
         assert _run_query(qid) == REFS["queries"][qid], qid
+
+
+def test_outputs_survive_clearing_every_process_cache():
+    """The caches that live as long as the process only save work: with
+    each of them emptied, the query universe and two suite jobs give
+    their frozen bytes again."""
+    operators._stats_cache.clear()
+    partitions._exact_partitions.cache_clear()
+    for name in SURFACE_NAMES:
+        ring = builtin_ring(name)
+        ring._cache.clear()
+        ring._tau2_cache.clear()
+    for qid in sorted(QUERIES):
+        assert _run_query(qid) == REFS["queries"][qid], qid
+    for job in ("heis-p1xp1", "thm57"):
+        _check_job(job, False)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hilbfock.ring import SURFACE_NAMES
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
                              VerificationReport, list_suites, pool_size,
                              report_lines, run_suite, serialize_report)
@@ -133,3 +134,40 @@ def test_eq22_rejects_surfaces_without_its_classes():
     for surface in ("p2", "p1xp1"):
         with pytest.raises(ValueError, match="abelian or k3"):
             run_suite(SuiteSpec("eq22", surface=surface))
+
+
+# Small grids for every suite: the surface tests below run each suite
+# once per declared surface and once without --surface.
+SMALL = {
+    "heis": {"m_max": 1, "w_max": 1}, "vir": {"m_max": 1},
+    "thm31": {"m_max": 1, "k_max": 1}, "lem32": {},
+    "thm42": {"k_max": 1, "n_max": 1}, "rmk43": {"k_max": 1, "n_max": 1},
+    "thm46-unique": {"k_max": 1}, "cor48": {"n_max": 2},
+    "rmk410": {"n_max": 2}, "def51-ids": {"p_max": 1, "n_max": 1},
+    "lem52": {"p_max": 1, "n_max": 1}, "lem53": {"p_max": 1, "m_max": 1},
+    "thm55": {"pq_max": 1, "m_max": 1}, "rmk56": {"p_max": 1, "n_max": 1},
+    "thm57": {"pq_max": 1, "m_max": 1}, "lem61": {"n_max": 1, "m_max": 1},
+    "eq22": {"p_max": 0, "m_max": 1},
+}
+
+
+def _named_surfaces(report):
+    return {r.params["surface"] for r in report.records
+            if "surface" in r.params}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_records_name_only_the_surface_asked_for(name):
+    """A run on a declared surface names no other surface in any record,
+    and a run without --surface names exactly the declared ones (rmk410
+    names its surfaces in the compared values, not in params)."""
+    declared = SUITES[name].surfaces
+    assert set(declared) <= set(SURFACE_NAMES)
+    for surface in declared:
+        report = run_suite(SuiteSpec(name, surface=surface,
+                                     bounds=SMALL[name]))
+        assert report.ok and _named_surfaces(report) <= {surface}, surface
+    report = run_suite(SuiteSpec(name, bounds=SMALL[name]))
+    assert report.ok
+    if name != "rmk410":
+        assert _named_surfaces(report) == set(declared)
