@@ -351,7 +351,8 @@ def build_parser():
     p.add_argument("--mutation", default="",
                    help="run the suite's documented mutation; it must fail")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for thm55, at most the CPU count")
+                   help="worker processes for the W-bracket cells of vir, "
+                        "thm55 and thm57, at most the CPU count")
     p.add_argument("--bound", action="append", default=[],
                    metavar="KEY=INT", help="override a grid bound")
     _add_out_flags(p, ["human", "jsonl", "csv"])

@@ -14,7 +14,15 @@ parameters; `run_suite` rejects any other --bound key.  The registry
 (`SUITES`) declares the rest a suite reads (its window, its surfaces,
 whether --classes applies) and `run_suite` refuses any other value; every
 part of a runner takes its rings from `_rings`, so a report header never
-names a window, a class list or a surface the run did not use.
+names a window, a class list or a surface the run did not use.  A window
+too small to hold a bracket cell (`_sound_pos`), or bounds that leave a
+run without a record, are refused rather than passed vacuously.
+
+The W-bracket of Theorem 5.5 is stated once (`_w_expected`).  vir (its
+p = q = 1 cells), thm55 and thm57 (its untagged part) measure their
+cells through one runner, `_w_grid`, which --jobs spreads over worker
+processes without changing a byte, and ground them on states against
+its series (`_w_op`); each mutation adds one term to that side.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -42,11 +50,10 @@ from .operators import (SmearedOp, act_arrangement, box_keep,
 from .partitions import GenPartition
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
-                       chern_families, chern_smeared, fourier,
-                       fourier_families, heis_families, jay, jay_families,
-                       jay_smeared, jay_via_fields_smeared, mult_family,
-                       omega, scaled_families, shift_families,
-                       vir_families, wbracket, wparity, wterm)
+                       chern_families, fourier, fourier_families,
+                       heis_families, jay, jay_families, jay_field_families,
+                       mult_family, omega, scaled_families, shift_families,
+                       wbracket, wparity, wterm)
 from .hilbert import (chern_class, chern_class_closed, intersection_number,
                       intersection_number_closed, k_multisets)
 
@@ -185,8 +192,14 @@ def _op_memo(ring):
 
 
 def _sound_pos(N, size_a, size_b):
-    """Largest creation total with no intermediate window loss."""
-    return N - max(0, -size_a, -size_b, -size_a - size_b)
+    """Largest creation total with no intermediate window loss; a window
+    too small to hold the bracket of these sizes is refused, since its
+    empty box would compare nothing."""
+    need = max(0, -size_a, -size_b, -size_a - size_b)
+    if N < need:
+        raise ValueError("a bracket of sizes %d and %d needs a cutoff of at "
+                         "least %d, got %d" % (size_a, size_b, need, N))
+    return N - need
 
 
 def _show(value):
@@ -385,12 +398,100 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                 yield t.record(params)
 
 
+# -- the W-bracket of Theorem 5.5, shared by vir, thm55 and thm57 ----------
+
+
+def _omega_part(p, q, m, n, pos, neg):
+    """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .)."""
+    om = omega(p, q, m, n)
+    if not om or p + q < 3:
+        return SmearedOp()
+    return series_to_smeared(
+        scaled_families(jay_families(p + q - 3, m + n), -om, 12),
+        pos, neg).shift_euler()
+
+
+def _w_expected(p, q, m, n, pos, neg):
+    """The right side of [J^p_m(a), J^q_n(b)] on the box window: the trace
+    central term at p = q = 0, else (qm-pn) J^{p+q-1}_{m+n}(ab), the
+    Omega term and the low-weight Euler central terms."""
+    exp = SmearedOp()
+    if (p, q) == (0, 0):
+        if m == -n and m != 0:
+            exp.add(((), 0, 0), Q(-m))
+        return exp
+    lin = q * m - p * n
+    if lin:
+        exp.merge(series_to_smeared(
+            scaled_families(jay_families(p + q - 1, m + n), lin), pos, neg))
+    exp.merge(_omega_part(p, q, m, n, pos, neg))
+    if m == -n and m != 0 and (p, q) in ((2, 0), (0, 2), (1, 1)):
+        exp.add(((), 1, 0), Q(m ** 3 - m, 12 if p == q else 6))
+    return exp
+
+
+def _w_op(ring, cell, ab):
+    """The expected bracket of a (p, q, m, n) cell as a series against ab."""
+    p, q, m, n = cell
+    return smeared_series(
+        ring, lambda w: _w_expected(p, q, m, n, w, w - m - n), ab)
+
+
+def _w_cells(pq_max, m_max):
+    """The (p, q, m, n) cells with p + q <= pq_max and |m|, |n| <= m_max."""
+    return [(p, q, m, n) for p in range(pq_max + 1)
+            for q in range(pq_max + 1 - p)
+            for m, n in product(range(-m_max, m_max + 1), repeat=2)]
+
+
+def _w_cell(args):
+    """The measured bracket [J^p_m, J^q_n] of one cell on window N."""
+    p, q, m, n, N = args
+    return series_bracket(jay_families(p, m), jay_families(q, n),
+                          _sound_pos(N, m, n), N)
+
+
+def pool_size(jobs):
+    """Worker processes for --jobs: jobs, clamped to 1..CPU count."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
+def _w_grid(spec, cells):
+    """(cell, measured bracket) for each cell, in order: computed lazily,
+    or streamed from --jobs worker processes."""
+    args = [cell + (_cutoff(spec),) for cell in cells]
+    workers = pool_size(spec.jobs)
+    if workers == 1:
+        yield from zip(cells, map(_w_cell, args))
+        return
+    with Pool(workers) as pool:
+        yield from zip(cells, pool.imap(_w_cell, args, chunksize=16))
+
+
+def _w_spots(ring, states, cells, pairs):
+    """One record: [J^p_m(a), J^q_n(b)] against _w_op on each state, for
+    every cell and (a, b) class-name pair."""
+    t = _Tally()
+    for cell, (ca, cb) in product(cells, pairs):
+        p, q, m, n = cell
+        a, b = ring.basis(ca), ring.basis(cb)
+        ja, jb = jay(ring, p, m, a), jay(ring, q, n, b)
+        rhs_op = _w_op(ring, cell, a * b)
+        t.states(ring, states,
+                 lambda s: (commutator_column(ja, jb, s), rhs_op.column(s)),
+                 {"check": "action", "surface": ring.name, "p": p, "q": q,
+                  "m": m, "n": n, "a": ca, "b": cb})
+    return t.record({"check": "action", "surface": ring.name})
+
+
 # -- vir: Virasoro bracket -------------------------------------------------
 
 
 def _run_vir(spec, mut, *, m_max=3):
     """[L_m(a), L_n(b)] = (m-n) L_{m+n}(ab)
-                          + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id.
+                          + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id,
+
+    the p = q = 1 cells of the W-bracket.
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
@@ -399,12 +500,12 @@ def _run_vir(spec, mut, *, m_max=3):
              for r in _rings(spec, SURFACE_NAMES)]
     if mut:
         m_max = min(m_max, 2)
-    for m, n in product(range(-m_max, m_max + 1), repeat=2):
-        pos = _sound_pos(N, m, n)
-        meas = series_bracket(vir_families(m), vir_families(n), pos, N)
-        exp = series_to_smeared(vir_families(m + n), pos, N).scaled(m - n)
-        if m == -n and m != 0:
-            exp.add(((), 1, 0), Q(m ** 3 - m + (1 if mut else 0), 12))
+    cells = [(1, 1, m, n)
+             for m, n in product(range(-m_max, m_max + 1), repeat=2)]
+    for (_, _, m, n), meas in _w_grid(spec, cells):
+        exp = _w_expected(1, 1, m, n, _sound_pos(N, m, n), N)
+        if mut and m == -n and m != 0:
+            exp.add(((), 1, 0), Q(1, 12))
         delta = meas - exp
         yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
         for ring, rcases in cases:
@@ -419,44 +520,30 @@ def _run_vir(spec, mut, *, m_max=3):
     yield from _vir_spots(spec, mut)
 
 
+# Spot cells (m, n) and the number of named probe classes paired.
+_VIR_SPOTS = {"p2": (tuple(product(range(-2, 3), repeat=2)), 3),
+              "k3": (((1, -1), (2, -2), (3, -3)), 1)}
+
+
 def _vir_spots(spec, mut):
-    """Apply both sides to explicit states on small surfaces."""
-    mtop = 2
-    for ring in _rings(spec, ("p2",)):
-        pairs = _probe(ring)
+    """Apply both sides to explicit states: the quadratic series on the
+    left, the W-bracket on the right."""
+    for ring in _rings(spec, ("p2",) if mut else ("p2", "k3")):
+        grid, width = _VIR_SPOTS[ring.name]
+        pairs = _probe(ring)[:width]
         states = _action_states(ring)
         op = _op_memo(ring)
-        for m, n in product(range(-mtop, mtop + 1), repeat=2):
+        for m, n in grid:
             params = {"check": "action", "surface": ring.name, "m": m, "n": n}
             t = _Tally()
             for (na, a), (nb, b) in product(pairs, pairs):
-                ab = a * b
-                cc = Q(0)
-                if m == -n and m != 0:
-                    cc = Q(m ** 3 - m, 12) * ring.integrate(ring.e * ab)
-                rhs_op = quadratic_sum(ring, m + n, ab)
                 f = op(quadratic_sum, m, na, a)
                 g = op(quadratic_sum, n, nb, b)
+                rhs_op = _w_op(ring, (1, 1, m, n), a * b)
                 t.states(ring, states,
                          lambda s: (commutator_column(f, g, s),
-                                    _lin((Q(m - n), rhs_op.column(s)),
-                                         (cc, {s: 1}))),
+                                    rhs_op.column(s)),
                          dict(params, a=na, b=nb))
-            yield t.record(params)
-    for ring in _rings(spec, () if mut else ("k3",)):
-        states = _action_states(ring)
-        for m in range(1, 4):
-            lm = quadratic_sum(ring, m, ring.unit)
-            ln = quadratic_sum(ring, -m, ring.unit)
-            l0 = quadratic_sum(ring, 0, ring.unit)
-            cc = Q(m ** 3 - m, 12) * 24
-            params = {"check": "action", "surface": ring.name, "m": m, "n": -m}
-            t = _Tally()
-            t.states(ring, states,
-                     lambda s: (commutator_column(lm, ln, s),
-                                _lin((Q(2 * m), l0.column(s)),
-                                     (cc, {s: 1}))),
-                     dict(params, a="1", b="1"))
             yield t.record(params)
 
 
@@ -889,7 +976,8 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         yield t.record({"part": "b", "surface": ring.name})
     for p in range(1, p_max + 1):
         got = series_to_smeared(jf(p, 0), N, N)
-        want = chern_smeared(p - 1, N, N).scaled(factorial(p))
+        want = series_to_smeared(chern_families(p - 1), N, N).scaled(
+            factorial(p))
         yield _universal_record(got - want, {"part": "c", "p": p})
         got = series_to_smeared(jf(p, -1), N, N)
         want = series_to_smeared(apow_families(-1, p), N, N).scaled(-1)
@@ -962,8 +1050,8 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """
     N = _cutoff(spec)
     for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
-        A = jay_smeared(p, m, N, N)
-        B = jay_via_fields_smeared(p, m, N, N)
+        A = series_to_smeared(jay_families(p, m), N, N)
+        B = series_to_smeared(jay_field_families(p, m), N, N)
         if mut and p >= 1:
             extra = series_to_smeared(
                 fourier_families(FourierSpec((0,) * (p - 1), m)), N, N)
@@ -983,46 +1071,6 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
 # -- thm55: the full W-algebra bracket -------------------------------------
 
 
-def _thm55_expected(p, q, m, n, pos, neg, mut):
-    exp = SmearedOp()
-    if (p, q) == (0, 0):
-        if m == -n and m != 0:
-            exp.add(((), 0, 0), Q(-m))
-        return exp
-    lin = q * m - p * n
-    if lin and p + q - 1 >= 0:
-        exp.merge(series_to_smeared(
-            scaled_families(jay_families(p + q - 1, m + n), lin), pos, neg))
-    om = omega(p, q, m, n)
-    if mut:
-        om = -om
-    if om and p + q - 3 >= 0:
-        exp.merge(series_to_smeared(
-            scaled_families(jay_families(p + q - 3, m + n), -om, 12),
-            pos, neg).shift_euler())
-    if m == -n and m != 0:
-        if (p, q) == (2, 0):
-            exp.add(((), 1, 0), Q(m ** 3 - m, 6))
-        elif (p, q) == (0, 2):
-            exp.add(((), 1, 0), Q(-(n ** 3 - n), 6))
-        elif (p, q) == (1, 1):
-            exp.add(((), 1, 0), Q(m ** 3 - m, 12))
-    return exp
-
-
-def _thm55_cell(args):
-    p, q, m, n, N, mut = args
-    pos = _sound_pos(N, m, n)
-    meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
-    exp = _thm55_expected(p, q, m, n, pos, N, mut)
-    return (p, q, m, n), (meas - exp).terms
-
-
-def pool_size(jobs):
-    """Worker processes for --jobs: jobs, clamped to 1..CPU count."""
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
 def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
     """[J^p_m(a), J^q_n(b)] = (qm-pn) J^{p+q-1}_{m+n}(ab)
                               - (Omega(p,q,m,n)/12) J^{p+q-3}_{m+n}(e a b)
@@ -1039,52 +1087,49 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         pq_max = min(pq_max, 3)
         m_max = min(m_max, 1)
         rings = rings[:1]
-    cells = [(p, q, m, n, N, mut)
-             for p in range(pq_max + 1)
-             for q in range(pq_max + 1 - p)
-             for m in range(-m_max, m_max + 1)
-             for n in range(-m_max, m_max + 1)]
-    workers = pool_size(spec.jobs)
-    if workers > 1:
-        with Pool(workers) as pool:
-            results = pool.map(_thm55_cell, cells, chunksize=16)
-    else:
-        results = [_thm55_cell(c) for c in cells]
     cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
              for r in rings]
-    for (p, q, m, n), terms in results:
-        delta = SmearedOp(terms)
+    for (p, q, m, n), meas in _w_grid(spec, _w_cells(pq_max, m_max)):
+        pos = _sound_pos(N, m, n)
+        exp = _w_expected(p, q, m, n, pos, N)
+        if mut:
+            exp.merge(_omega_part(p, q, m, n, pos, N), -2)
+        delta = meas - exp
         params = {"p": p, "q": q, "m": m, "n": n}
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
                          dict(params, check="instantiate"))
-    yield from _thm55_centrals(spec, N, m_max)
+    yield from _thm55_centrals(spec, m_max)
     if not mut:
-        yield from _thm55_spots(spec)
+        for ring in _rings(spec, ("k3", "abelian", "p2")):
+            allst = _action_states(ring)
+            states = ([allst[0]]
+                      + [s for s in allst if weight(s) == 1][:2]
+                      + [s for s in allst if weight(s) == 2][:4])
+            yield _w_spots(ring, states, _THM55_SPOT_CELLS,
+                           _THM55_SPOT_PAIRS[ring.name])
 
 
-def _thm55_centrals(spec, N, m_max):
+def _thm55_centrals(spec, m_max):
     """Explicit central values on the K3 model."""
     for ring in _rings(spec, ("k3",)):
         u1u2 = ring.integrate(ring.basis("u1") * ring.basis("u2"))
-        for p, q in ((0, 0), (1, 1), (2, 0), (0, 2)):
-            for m in range(1, m_max + 1):
-                pos = _sound_pos(N, m, -m)
-                meas = series_bracket(jay_families(p, m),
-                                      jay_families(q, -m), pos, N)
-                if (p, q) == (0, 0):
-                    got = meas.terms.get(((), 0, 0), Q(0)) * u1u2
-                    want = Q(-m)
-                    label = "-m * integral(ab)"
-                else:
-                    den = 12 if (p, q) == (1, 1) else 6
-                    got = _scalar_part(meas, ring)
-                    want = Q(m ** 3 - m, den) * 24
-                    label = "(m^3-m)/%d * integral(e)" % den
-                yield _verdict(got == want, {"check": "central", "p": p,
-                                             "q": q, "m": m, "label": label},
-                               1, str(want), str(got))
+        cells = [(p, q, m, -m) for p, q in ((0, 0), (1, 1), (2, 0), (0, 2))
+                 for m in range(1, m_max + 1)]
+        for (p, q, m, _), meas in _w_grid(spec, cells):
+            if (p, q) == (0, 0):
+                got = meas.terms.get(((), 0, 0), Q(0)) * u1u2
+                want = Q(-m)
+                label = "-m * integral(ab)"
+            else:
+                den = 12 if (p, q) == (1, 1) else 6
+                got = _scalar_part(meas, ring)
+                want = Q(m ** 3 - m, den) * 24
+                label = "(m^3-m)/%d * integral(e)" % den
+            yield _verdict(got == want, {"check": "central", "p": p,
+                                         "q": q, "m": m, "label": label},
+                           1, str(want), str(got))
 
 
 _THM55_SPOT_CELLS = ((1, 1, 1, -1), (2, 1, 1, -1), (2, 1, 2, -1),
@@ -1095,30 +1140,6 @@ _THM55_SPOT_PAIRS = {
     "abelian": (("1", "1"), ("t1", "t2"), ("t1", "t234"), ("t12", "t34")),
     "p2": (("1", "1"), ("H", "H"), ("1", "x")),
 }
-
-
-def _thm55_spots(spec):
-    for ring in _rings(spec, ("k3", "abelian", "p2")):
-        allst = _action_states(ring)
-        states = ([allst[0]]
-                  + [s for s in allst if weight(s) == 1][:2]
-                  + [s for s in allst if weight(s) == 2][:4])
-        t = _Tally()
-        for p, q, m, n in _THM55_SPOT_CELLS:
-            # the expected bracket as a series, of size m + n
-            exp_at = (lambda w, p=p, q=q, m=m, n=n:
-                      _thm55_expected(p, q, m, n, w, w - m - n, False))
-            for ca, cb in _THM55_SPOT_PAIRS[ring.name]:
-                a, b = ring.basis(ca), ring.basis(cb)
-                ja = jay(ring, p, m, a)
-                jb = jay(ring, q, n, b)
-                rhs_op = smeared_series(ring, exp_at, a * b)
-                t.states(ring, states,
-                         lambda s: (commutator_column(ja, jb, s),
-                                    rhs_op.column(s)),
-                         {"check": "action", "surface": ring.name, "p": p,
-                          "q": q, "m": m, "n": n, "a": ca, "b": cb})
-        yield t.record({"check": "action", "surface": ring.name})
 
 
 # -- rmk56: derivative of W-generators -------------------------------------
@@ -1186,31 +1207,31 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
     if mut:
         pq_max = min(pq_max, 2)
         m_max = min(m_max, 1)
-    for p in range(pq_max + 1):
-        for q in range(pq_max + 1 - p):
-            for m, n in product(range(-m_max, m_max + 1), repeat=2):
-                pos = _sound_pos(N, m, n)
-                meas = series_bracket(
-                    [f for f in jay_families(p, m) if not f.epow],
-                    [f for f in jay_families(q, n) if not f.epow], pos, N)
-                exp = SmearedOp()
-                if (p, q) == (0, 0):
-                    if m == -n and m != 0:
-                        exp.add(((), 0, 0), Q(-m))
-                else:
-                    lin = q * m - p * n + (1 if mut else 0)
-                    if lin:
-                        exp.merge(series_to_smeared(
-                            [f for f in jay_families(p + q - 1, m + n)
-                             if not f.epow], pos, N), lin)
-                delta = SmearedOp({k: c for k, c in (meas - exp).terms.items()
-                                   if not k[1] and not k[2]})
-                yield _universal_record(delta, {"check": "universal", "p": p,
-                                                "q": q, "m": m, "n": n})
+    for (p, q, m, n), meas in _w_grid(spec, _w_cells(pq_max, m_max)):
+        pos = _sound_pos(N, m, n)
+        exp = _w_expected(p, q, m, n, pos, N)
+        if mut and (p, q) != (0, 0):
+            exp.merge(series_to_smeared(jay_families(p + q - 1, m + n),
+                                        pos, N))
+        # Untagged keys come only from the untagged families' plain events.
+        delta = SmearedOp({k: c for k, c in (meas - exp).terms.items()
+                           if not k[1] and not k[2]})
+        yield _universal_record(delta, {"check": "universal", "p": p,
+                                        "q": q, "m": m, "n": n})
     for ring in _rings(spec, ("abelian",)):
         yield _thm57_symbolic(ring)
         if not mut:
-            yield _thm57_spots(ring)
+            yield _w_spots(ring, _action_states(ring), _THM57_SPOT_CELLS,
+                           _THM57_SPOT_PAIRS)
+
+
+_THM57_SPOT_CELLS = tuple(
+    pq + mn for pq, mn in product(((0, 0), (1, 0), (1, 1), (2, 1)),
+                                  ((1, -1), (1, 1), (-1, -1), (2, -1))))
+
+# Class pairs of the abelian model, odd classes included.
+_THM57_SPOT_PAIRS = (("1", "1"), ("t1", "t2"), ("t1", "t234"),
+                     ("t12", "t34"), ("t123", "t4"))
 
 
 def _thm57_symbolic(ring):
@@ -1232,38 +1253,6 @@ def _thm57_symbolic(ring):
                     {"check": "symbolic", "p": p, "q": q, "m": m, "n": n,
                      "a": ca, "b": cb}, want, got)
     return t.record({"check": "symbolic"})
-
-
-def _thm57_spots(ring):
-    """Action checks on the abelian model, including odd classes."""
-    states = _action_states(ring)
-    cpairs = [("1", "1"), ("t1", "t2"), ("t1", "t234"), ("t12", "t34"),
-              ("t123", "t4")]
-    t = _Tally()
-    for p, q in ((0, 0), (1, 0), (1, 1), (2, 1)):
-        for m, n in ((1, -1), (1, 1), (-1, -1), (2, -1)):
-            for ca, cb in cpairs:
-                a, b = ring.basis(ca), ring.basis(cb)
-                ja = jay(ring, p, m, a)
-                jb = jay(ring, q, n, b)
-                ab = a * b
-                cc = (Q(-m) * ring.integrate(ab) if (p, q, m + n) == (0, 0, 0)
-                      else Q(0))
-                lin = Q(q * m - p * n)
-                jt = (jay(ring, p + q - 1, m + n, ab)
-                      if (p, q) != (0, 0) and lin and not ab.is_zero()
-                      else None)
-
-                def sides(s):
-                    rhs = [(cc, {s: 1})]
-                    if jt is not None:
-                        rhs.append((lin, jt.column(s)))
-                    return commutator_column(ja, jb, s), _lin(*rhs)
-
-                t.states(ring, states, sides,
-                         {"check": "action", "surface": ring.name, "p": p,
-                          "q": q, "m": m, "n": n, "a": ca, "b": cb})
-    return t.record({"check": "action", "surface": ring.name})
 
 
 # -- lem61: derivative identities of field monomials -----------------------
@@ -1517,6 +1506,9 @@ def run_suite(spec):
                          % (spec.suite, " or ".join(suite.surfaces),
                             spec.surface))
     records = list(records)
+    if not records:
+        raise ValueError("suite %s has nothing to check at these bounds: "
+                         "the run yields no record" % spec.suite)
     wall = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(spec.suite, spec, records, wall)
 

@@ -76,10 +76,6 @@ def heis_families(n):
     return [Family(1, n, lambda parts, mf, ws: 1)]
 
 
-def vir_families(n):
-    return jay_families(1, n)
-
-
 def jay_families(p, n):
     """Families of J^p_n; the empty partition never appears."""
     if p < 0:
@@ -127,14 +123,6 @@ def shift_families(k, n, d):
     if k - 1 >= 1:
         fams.append(mult_family(k - 1, n, lambda ws: -(ws + d), 24, epow=1))
     return fams
-
-
-def jay_smeared(p, n, poscap, negcap):
-    return series_to_smeared(jay_families(p, n), poscap, negcap)
-
-
-def chern_smeared(k, poscap, negcap):
-    return series_to_smeared(chern_families(k), poscap, negcap)
 
 
 # -- expanded operators ----------------------------------------------------
@@ -280,10 +268,6 @@ def jay_field_families(p, m):
             fourier_families(FourierSpec((2,) + (0,) * (p - 2), m)),
             p * (p - 1), 24, epow=1)
     return fams
-
-
-def jay_via_fields_smeared(p, m, poscap, negcap):
-    return series_to_smeared(jay_field_families(p, m), poscap, negcap)
 
 
 def jay_via_fields(ring, p, m, elem):

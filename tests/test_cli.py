@@ -168,6 +168,30 @@ def test_verify_cor48_mutation_off_k3_is_usage_error(capsys):
         assert "runs on k3" in err and "Traceback" not in err
 
 
+def test_verify_window_too_small_for_a_cell_is_usage_error(capsys):
+    """A bracket cell whose window cannot hold it would compare an empty
+    box (passing vacuously) against central terms (failing correct
+    code); the run is refused and names the cutoff the cell needs."""
+    for argv, need in ((("vir", "--cutoff", "2"), "at least 6, got 2"),
+                       (("vir", "--bound", "m_max=6"), "at least 12, got 8"),
+                       (("thm57", "--cutoff", "4"), "at least 6, got 4"),
+                       (("lem52", "--bound", "n_max=10"),
+                        "at least 10, got 8")):
+        code, out, err = run(capsys, "verify", "--suite", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: a bracket of sizes") and need in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_bounds_with_nothing_to_check_are_usage_error(capsys):
+    for suite in ("cor48", "rmk410"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--bound", "n_max=0")
+        assert code == 2 and out == "", suite
+        assert err == ("error: suite %s has nothing to check at these "
+                       "bounds: the run yields no record\n" % suite)
+
+
 def test_omega_value_and_jsonl(capsys):
     code, out, _ = run(capsys, "omega", "--p", "2", "--q", "1",
                        "--m", "1", "--n", "1")

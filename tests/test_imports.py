@@ -97,3 +97,63 @@ def test_checker_flags_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
     assert unreferenced_private_names(sources) == []
+
+
+TRACER = SRC.parent / "perfbench" / "tracer.py"
+
+
+def unreferenced_public_names(sources, held=()):
+    """(file, line, name) of every public top-level def or class in
+    sources that no node of sources references, as a name, an attribute
+    or an imported name, and that held does not name."""
+    defined = {}
+    refs = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.setdefault(node.name, (path, node.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return sorted((path, line, name)
+                  for name, (path, line) in defined.items()
+                  if name not in refs and name not in held)
+
+
+def test_checker_flags_an_unreferenced_public_name():
+    sources = {"a.py": "def grow(n):\n    return n\n"
+                       "def spare():\n    pass\nclass Box:\n    pass\n"
+                       "def traced():\n    pass\n",
+               "b.py": "from a import grow\nprint(grow(1))\n"}
+    assert unreferenced_public_names(sources, {"traced"}) == [
+        ("a.py", 3, "spare"), ("a.py", 5, "Box")]
+
+
+def _tracer_names():
+    """The function names the benchmark tracer wraps: the (module, path)
+    pairs of its GROUPS and COUNT_ONLY tables, read as literals; a
+    "Class.method" path names its class."""
+    pairs = []
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None)
+                in ("GROUPS", "COUNT_ONLY")):
+            table = ast.literal_eval(node.value)
+            for value in table.values():
+                pairs += value if isinstance(value, list) else [value]
+    return {path.split(".")[0] for _, path in pairs}
+
+
+def test_every_public_name_is_referenced_or_traced():
+    """A public function or class under src/ that src/ never uses is dead
+    code unless the benchmark's layer tracer wraps it; the tracer file is
+    only read here."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unreferenced_public_names(sources, _tracer_names()) == []

@@ -19,8 +19,8 @@ from hilbfock.operators import (OperatorSum, SmearedOp, _replacement_op,
                                 smeared_series)
 from hilbfock.partitions import GenPartition, enumerate_genpartitions
 from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
-from hilbfock.walgebra import (FourierSpec, chern, chern_smeared, fourier,
-                               fourier_families, jay, jay_smeared, virasoro)
+from hilbfock.walgebra import (FourierSpec, chern, chern_families, fourier,
+                               fourier_families, jay, jay_families, virasoro)
 
 P2 = builtin_ring("p2")
 AB = builtin_ring("abelian")
@@ -225,8 +225,8 @@ def series(draw, name):
                 ref_monomial(ring, gp, elem, REACH))
     k = draw(st.integers(0, 1))
     return (lambda: fresh_named(chern, ring, k, elem),
-            ref_instantiate(chern_smeared(k, REACH, REACH), ring, elem,
-                            REACH))
+            ref_instantiate(series_to_smeared(chern_families(k), REACH, REACH),
+                            ring, elem, REACH))
 
 
 def light_states(name, wmax=2):
@@ -387,8 +387,9 @@ def test_character_commutator_on_a_narrower_window(name):
             for s in states:
                 gk.column(s)
             assert gk._reach == 2
-            gref = ref_instantiate(chern_smeared(k, REACH, REACH), ring,
-                                   ring.basis(ca), REACH)
+            gref = ref_instantiate(
+                series_to_smeared(chern_families(k), REACH, REACH), ring,
+                ring.basis(ca), REACH)
             for cb in CLASSES[name][:3]:
                 am = heisenberg(ring, -1, ring.basis(cb))
                 aref = ref_monomial(ring, GenPartition((-1,)),
@@ -578,13 +579,15 @@ def expansions(draw):
     if kind == "chern":
         k = draw(st.integers(0, 3))
         return (chern(ring, k, elem).terms_within(cutoff),
-                ref_instantiate(chern_smeared(k, cutoff, cutoff), ring, elem,
-                                cutoff))
+                ref_instantiate(
+                    series_to_smeared(chern_families(k), cutoff, cutoff),
+                    ring, elem, cutoff))
     if kind == "jay":
         p, n = draw(st.integers(0, 3)), draw(st.integers(-2, 2))
         return (jay(ring, p, n, elem).terms_within(cutoff),
-                ref_instantiate(jay_smeared(p, n, cutoff, cutoff), ring,
-                                elem, cutoff))
+                ref_instantiate(
+                    series_to_smeared(jay_families(p, n), cutoff, cutoff),
+                    ring, elem, cutoff))
     if kind == "virasoro":
         n = draw(st.integers(-3, 3))
         return (virasoro(ring, n, elem).terms_within(cutoff),

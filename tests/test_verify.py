@@ -130,6 +130,25 @@ def test_unknown_bound_key_rejected():
         run_suite(SuiteSpec("lem32", bounds={"m_max": 1}))
 
 
+def test_run_without_records_rejected():
+    with pytest.raises(ValueError, match="cor48 has nothing to check"):
+        run_suite(SuiteSpec("cor48", bounds={"n_max": 0}))
+
+
+@pytest.mark.parametrize("name,bounds", [
+    ("vir", {"m_max": 2}), ("thm55", {"pq_max": 2, "m_max": 1}),
+    ("thm57", {"pq_max": 2, "m_max": 2})])
+def test_w_grid_jobs_keep_every_byte(monkeypatch, name, bounds):
+    """The W-bracket cells stream from worker processes under --jobs in
+    the serial order; the pool runs whatever the host's CPU count."""
+    monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: 2)
+    for mutation in ("", SUITES[name].mutation):
+        serial, pooled = (serialize_report(run_suite(SuiteSpec(
+            name, bounds=bounds, mutation=mutation, jobs=jobs)), "jsonl")
+            for jobs in (1, 2))
+        assert pooled == serial, mutation
+
+
 def test_eq22_rejects_surfaces_without_its_classes():
     for surface in ("p2", "p1xp1"):
         with pytest.raises(ValueError, match="abelian or k3"):

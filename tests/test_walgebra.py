@@ -15,12 +15,10 @@ from hilbfock.operators import (box_keep, commutator_action, heisenberg,
 from hilbfock.ring import builtin_ring, dump_ring, load_ring
 from hilbfock.walgebra import (_NAMED_CAP, CENTRAL, FourierSpec,
                                apow_families, chern, chern_families,
-                               chern_smeared, deriv_coeff, fourier,
-                               heis_families, jay, jay_families,
-                               jay_field_families, jay_smeared,
-                               jay_via_fields_smeared, omega, perm_sum,
-                               shift_families, virasoro, wbracket, wparity,
-                               wterm)
+                               deriv_coeff, fourier, heis_families, jay,
+                               jay_families, jay_field_families, omega,
+                               perm_sum, shift_families, virasoro, wbracket,
+                               wparity, wterm)
 
 P2 = builtin_ring("p2")
 K3 = builtin_ring("k3")
@@ -69,7 +67,7 @@ def test_virasoro_bracket_on_plane_states():
 
 def test_jay_zero_is_minus_heisenberg():
     for n in (-3, -1, 2):
-        sm = jay_smeared(0, n, 5, 5)
+        sm = series_to_smeared(jay_families(0, n), 5, 5)
         assert sm.terms == {((n,), 0, 0): Q(-1)}
 
 
@@ -90,8 +88,8 @@ def test_jay_weight_zero_is_scaled_character():
     """J^p_0 = p! G_{p-1} as smeared series."""
     from math import factorial
     for p in (1, 2, 3):
-        jp = jay_smeared(p, 0, 4, 4)
-        gk = chern_smeared(p - 1, 4, 4)
+        jp = series_to_smeared(jay_families(p, 0), 4, 4)
+        gk = series_to_smeared(chern_families(p - 1), 4, 4)
         assert jp.terms == gk.scaled(Q(factorial(p))).terms, p
 
 
@@ -99,7 +97,7 @@ def test_jay_creation_identification():
     """J^p_{-1} = -(iterated derivative of a_{-1}) as smeared series."""
     from math import factorial
     for p in (1, 2, 3):
-        jp = jay_smeared(p, -1, 5, 5)
+        jp = series_to_smeared(jay_families(p, -1), 5, 5)
         ap = series_to_smeared(apow_families(-1, p), 5, 5)
         assert jp.terms == ap.scaled(Q(-1)).terms, p
 
@@ -258,8 +256,8 @@ def test_fourier_square_is_twice_virasoro():
 
 def test_jay_via_fields_matches_partition_route():
     for p, m in ((1, -2), (2, 1), (3, 0), (2, -3)):
-        lhs = jay_via_fields_smeared(p, m, 4, 5)
-        rhs = jay_smeared(p, m, 4, 5)
+        lhs = series_to_smeared(jay_field_families(p, m), 4, 5)
+        rhs = series_to_smeared(jay_families(p, m), 4, 5)
         assert lhs.terms == rhs.terms, (p, m)
 
 
