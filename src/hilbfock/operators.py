@@ -14,7 +14,8 @@ Two layers:
   to canonical order once, one division per word through ring.ratio.
   An operator caches its columns, the exact images of single basis
   states, for its life (growing keeps them); a contraction index skips
-  the states it provably kills.  The kernels act on dicts
+  the states it provably kills, and their shared empty column is
+  remembered, so a second ask is one lookup.  The kernels act on dicts
   (OperatorSum.act and column, commutator_column, derive,
   act_arrangement); apply, commutator_action, derivation_apply and
   apply_arrangement wrap them for FockVectors.  Only terms_within cuts
@@ -210,8 +211,12 @@ class OperatorSum:
         if index is None:
             index = self._contractions()
         if index is not False and index.isdisjoint(state):
-            return _EMPTY
-        col = self._columns[state] = self._image(state) or _EMPTY
+            # Exact for a series too: it has grown to the state's
+            # weight, and every later band annihilates more points.
+            col = _EMPTY
+        else:
+            col = self._image(state) or _EMPTY
+        self._columns[state] = col
         return col
 
     def _image(self, state):
@@ -256,11 +261,13 @@ class OperatorSum:
 def commutator_column(f, g, state):
     """[f, g] applied to one basis state, with the super sign from the
     operator parities, formed from the cached columns of f and g."""
+    gcol, fcol = g.column(state), f.column(state)
+    if not (gcol or fcol):
+        return {}
     out = {}
-    for s, c in g.column(state).items():
+    for s, c in gcol.items():
         for s2, c2 in f.column(s).items():
             _acc(out, s2, c * c2)
-    fcol = f.column(state)
     if fcol:
         odd = f.parity() and g.parity()
         for s, c in fcol.items():

@@ -177,13 +177,13 @@ def _action_states(ring, wmax=2):
 
 
 def _op_memo(ring):
-    """op(build, m, label, elem): build(ring, m, elem), made once per
-    (build, m, label), so that its cached columns serve every check that
-    uses it."""
+    """op(build, m, elem): build(ring, m, elem), made once per (build, m,
+    class), so that its cached columns serve every check that uses it.
+    The memo and its columns live as long as the caller keeps it."""
     ops = {}
 
-    def op(build, m, label, elem):
-        key = (build, m, label)
+    def op(build, m, elem):
+        key = (build, m, elem.coeffs)
         if key not in ops:
             ops[key] = build(ring, m, elem)
         return ops[key]
@@ -383,8 +383,8 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                 for (na, a), (nb, b) in product(pairs, pairs):
                     t.skip(len(pre) - len(live))
                     if live:
-                        f = op(heisenberg, m, na, a)
-                        g = op(heisenberg, n, nb, b)
+                        f = op(heisenberg, m, a)
+                        g = op(heisenberg, n, b)
                         cc = Q(0)
                         if m == -n and m != 0:
                             cc = (Q(-m + (1 if mut else 0))
@@ -537,8 +537,8 @@ def _vir_spots(spec, mut):
             params = {"check": "action", "surface": ring.name, "m": m, "n": n}
             t = _Tally()
             for (na, a), (nb, b) in product(pairs, pairs):
-                f = op(quadratic_sum, m, na, a)
-                g = op(quadratic_sum, n, nb, b)
+                f = op(quadratic_sum, m, a)
+                g = op(quadratic_sum, n, b)
                 rhs_op = _w_op(ring, (1, 1, m, n), a * b)
                 t.states(ring, states,
                          lambda s: (commutator_column(f, g, s),
@@ -577,7 +577,7 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                           "n": n}
                 t = _Tally()
                 for na, a in small:
-                    lm = op(quadratic_sum, m, na, a)
+                    lm = op(quadratic_sum, m, a)
                     for nb, b in small:
                         an = heisenberg(ring, n, b)
                         rhs_op = heisenberg(ring, m + n, a * b)
@@ -610,8 +610,8 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
             for na, a in kfree:
                 gk = chern(ring, k, a)
                 for nb, b in small:
-                    am = op(heisenberg, -1, nb, b)
-                    inner = op(heisenberg, -1, (na, nb), a * b)
+                    am = op(heisenberg, -1, b)
+                    inner = op(heisenberg, -1, a * b)
                     t.states(ring, states,
                              lambda s: (commutator_column(gk, am, s),
                                         _lin((Q(1, factorial(k)),
@@ -664,6 +664,9 @@ def _run_lem32(spec, mut):
         if not mut:
             params = {"part": "bracket", "surface": ring.name}
             t = _Tally()
+            # One operator per (partition, class) for this ring's
+            # bracket part; its columns serve every cell.
+            op = _op_memo(ring)
             for nu in nus:
                 gnu = GenPartition(nu)
                 for mu in nus:
@@ -671,11 +674,16 @@ def _run_lem32(spec, mut):
                     sm = s_bracket(
                         SmearedOp({(gnu.parts, 0, 0): Q(1)}),
                         SmearedOp({(gmu.parts, 0, 0): Q(1)}))
+                    rhs = {}
                     for na, a in cpairs:
-                        av = monomial(ring, gnu, a)
+                        av = op(monomial, gnu, a)
                         for nb, b in cpairs:
-                            bv = monomial(ring, gmu, b)
-                            rhs_op = instantiate(sm, ring, a * b)
+                            bv = op(monomial, gmu, b)
+                            ab = a * b
+                            rhs_op = rhs.get(ab.coeffs)
+                            if rhs_op is None:
+                                rhs_op = rhs[ab.coeffs] = instantiate(
+                                    sm, ring, ab)
                             t.states(ring, states,
                                      lambda s: (commutator_column(av, bv, s),
                                                 rhs_op.column(s)),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hilbfock.fock import (FockVector, annihilate_state, basis_states,
                            canonical_factors, create_state, exact, weight)
-from hilbfock.operators import (OperatorSum, SmearedOp, _replacement_op,
-                                apply_arrangement, commutator_action,
+from hilbfock.operators import (_EMPTY, OperatorSum, SmearedOp,
+                                _replacement_op, apply_arrangement, commutator_action,
                                 commutator_column, derivation_apply,
                                 heisenberg, instantiate, monomial,
                                 quadratic_sum, series_to_smeared,
@@ -287,6 +287,7 @@ def test_series_growth_matches_fresh_columns(name):
         builds += [lambda a=a, n=n: quadratic_sum(ring, n, a)
                    for n in (-1, 0, 1)]
         builds.append(lambda a=a: fresh_named(jay, ring, 2, -1, a))
+    kept_empty = 0
     for build in builds:
         grown = build()
         for s in states:
@@ -294,6 +295,13 @@ def test_series_growth_matches_fresh_columns(name):
         # the columns cached on the way stay exact
         for s in states:
             assert grown.column(s) == build().column(s), s
+        # so do the empty ones kept at a lighter reach, ruled out by the
+        # index or computed: no later band meets their states
+        for s, col in grown._columns.items():
+            if col is _EMPTY:
+                kept_empty += 1
+                assert build().column(s) == {}, s
+    assert kept_empty
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -344,6 +352,50 @@ def test_contraction_index_is_exact_for_transfer_operators():
                 for s in states:
                     killed = not ref_image(ref, {s: 1})
                     assert index.isdisjoint(s) == killed, (m, i, s)
+
+
+def test_ruled_out_column_is_the_shared_empty_and_is_kept():
+    """A state the contraction index rules out gets the shared read-only
+    empty column, and the operator keeps it, so asking again is one
+    lookup."""
+    with pytest.raises(TypeError):
+        _EMPTY[()] = 1
+    for ring in (P2, AB):
+        states = [s for w in range(3) for s in basis_states(ring, w)]
+        for m in (1, 2):
+            for i in range(ring.dim):
+                op = heisenberg(ring, m, ring.basis(i))
+                index = op._contractions()
+                out = [s for s in states if index.isdisjoint(s)]
+                assert () in out
+                for s in out:
+                    assert op.column(s) is _EMPTY, (m, i, s)
+                    assert op._columns[s] is _EMPTY, (m, i, s)
+                    assert op.column(s) is _EMPTY, (m, i, s)
+
+
+def test_commutator_column_with_both_columns_empty():
+    """Where both operators kill the state, commutator_column returns a
+    fresh empty image, which is the composition."""
+    for ring in (P2, AB):
+        states = [s for w in range(3) for s in basis_states(ring, w)]
+        ops = [(heisenberg(ring, m, ring.basis(i)),
+                ref_monomial(ring, GenPartition((m,)), ring.basis(i), REACH))
+               for m in (1, 2) for i in range(ring.dim)]
+        seen = 0
+        for (f, fr), (g, gr) in zip(ops, ops[::-1]):
+            sign = 1 if odd(fr) and odd(gr) else -1
+            for s in states:
+                if f.column(s) or g.column(s):
+                    continue
+                seen += 1
+                one = {s: 1}
+                want = ref_sum([(1, ref_image(fr, ref_image(gr, one))),
+                                (sign, ref_image(gr, ref_image(fr, one)))])
+                got = commutator_column(f, g, s)
+                assert got == want == {}, s
+                assert got is not _EMPTY
+        assert seen
 
 
 def odd(ref):

@@ -1,9 +1,14 @@
 """Suite registry, run plumbing, and report serialization."""
 
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hilbfock import verify
 from hilbfock.ring import SURFACE_NAMES
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
                              VerificationReport, list_suites, pool_size,
@@ -190,3 +195,54 @@ def test_records_name_only_the_surface_asked_for(name):
     assert report.ok
     if name != "rmk410":
         assert _named_surfaces(report) == set(declared)
+
+
+REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                   / "refs.json").read_text())
+
+
+def test_lem32_builds_each_bracket_operator_once(monkeypatch):
+    """lem32's bracket part takes each a_nu(tau a) from one memo per ring
+    and each instantiated right side from one memo per (nu, mu), so on
+    p1xp1 it builds 48 monomials there and 48 in the derivative part
+    (2,928 when every cell built its own) and at most 720 right sides
+    (2,304), and its report keeps its frozen bytes."""
+    counts = {"monomial": 0, "instantiate": 0}
+
+    def counted(name):
+        build = getattr(verify, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return build(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counted(name))
+    report = run_suite(SuiteSpec("lem32", surface="p1xp1", jobs=1))
+    text = serialize_report(report, "jsonl")
+    assert report.ok
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REFS["suites"]["lem32-p1xp1"]
+    assert counts["monomial"] <= 96, counts
+    assert counts["instantiate"] <= 720, counts
+
+
+def test_lem32_memo_memory_stays_bounded():
+    """The bracket part's operators and their columns live for one
+    ring's bracket part.  In a fresh process the p1xp1 job's traced peak
+    stays below 6 MB (about 3 MB measured), and what it leaves behind,
+    the ring's caches, below 2 MB (about 0.8 MB); a memo kept for the
+    process would leave its 2 MB of operators behind."""
+    code = ("import tracemalloc\n"
+            "from hilbfock.verify import SuiteSpec, run_suite\n"
+            "tracemalloc.start()\n"
+            "ok = run_suite(SuiteSpec('lem32', surface='p1xp1')).ok\n"
+            "print(ok, *tracemalloc.get_traced_memory())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    ok, kept, peak = proc.stdout.split()
+    kept, peak = int(kept) / 2**20, int(peak) / 2**20
+    assert ok == "True"
+    assert peak < 6, "lem32-p1xp1 traced peak %.2f MB" % peak
+    assert kept < 2, "lem32-p1xp1 left %.2f MB traced" % kept
