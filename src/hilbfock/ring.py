@@ -7,6 +7,12 @@ canonical class K in degree 2 and the Euler class e in degree 4 with
 e*e = 0.  The intersection pairing (a, b) -> integrate(a*b) must be
 nondegenerate.
 
+Validation checks associativity only on the triples of non-unit basis
+classes of total degree at most 4.  It runs after the unit law,
+super-commutativity and homogeneity have passed, so a triple with the
+unit has the same product on both sides, and a triple of degree above 4
+has both sides in a degree with no class, hence 0.
+
 The multiplication table is sparse and exact: table[i][j] is the product
 of basis classes i and j as a tuple of (k, coeff) pairs sorted by k, with
 zero coefficients dropped and each coefficient an int, or a Fraction when
@@ -334,11 +340,20 @@ class SurfaceRing:
                     errors.append("product (%r, %r) not homogeneous of degree %d"
                                   % (names[i], names[j], target))
         if not errors:
-            # (b_i b_j) b_k against b_i (b_j b_k), as sparse dicts
-            for i in range(self.dim):
-                for j in range(self.dim):
+            # (b_i b_j) b_k against b_i (b_j b_k), as sparse dicts, on the
+            # triples the checks above leave open: a triple with the unit
+            # is one product on both sides, and one of degree above 4 is 0
+            degs = self.degrees
+            rest = range(1, self.dim)
+            for i in rest:
+                for j in rest:
+                    dij = degs[i] + degs[j]
+                    if dij > 4:
+                        continue
                     ij = table[i][j]
-                    for k in range(self.dim):
+                    for k in rest:
+                        if dij + degs[k] > 4:
+                            continue
                         if (_sparse_mul(table, ij, ((k, 1),))
                                 != _sparse_mul(table, ((i, 1),), table[j][k])):
                             errors.append(

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from multiprocessing import Pool
 from typing import NamedTuple
 
 from .fock import basis_states, render_state, render_terms, weight
@@ -458,12 +457,15 @@ def pool_size(jobs):
 
 def _w_grid(spec, cells):
     """(cell, measured bracket) for each cell, in order: computed lazily,
-    or streamed from --jobs worker processes."""
+    or streamed from --jobs worker processes, whose pool (and
+    multiprocessing) is imported only then."""
     args = [cell + (_cutoff(spec),) for cell in cells]
     workers = pool_size(spec.jobs)
     if workers == 1:
         yield from zip(cells, map(_w_cell, args))
         return
+    from multiprocessing import Pool
+
     with Pool(workers) as pool:
         yield from zip(cells, pool.imap(_w_cell, args, chunksize=16))
 
@@ -579,8 +581,8 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                 for na, a in small:
                     lm = op(quadratic_sum, m, a)
                     for nb, b in small:
-                        an = heisenberg(ring, n, b)
-                        rhs_op = heisenberg(ring, m + n, a * b)
+                        an = op(heisenberg, n, b)
+                        rhs_op = op(heisenberg, m + n, a * b)
                         t.states(ring, states,
                                  lambda s: (commutator_column(lm, an, s),
                                             _lin((Q(-n), rhs_op.column(s)))),

@@ -286,18 +286,24 @@ def test_ring_file_and_surface_conflict(tmp_path, capsys):
 
 
 def test_ring_file_malformed_is_usage_error(tmp_path, capsys):
+    """A ring is validated when it is loaded, so --validate too exits 2
+    on a bad file, a degenerate pairing included, before printing."""
     doc = json.loads(dump_ring(builtin_ring("p2")))
     bad = [dict(doc, integral=[1]),
            dict(doc, products=[["H", "H", ["x", "1"]]]),
            dict(doc, integral={"x": "1/0"}),
            dict(doc, basis=[]),
-           dict(doc, integral={"x": 0.1})]
+           dict(doc, integral={"x": 0.1}),
+           dict(doc, products=[])]
     for i, d in enumerate(bad):
         path = tmp_path / ("bad%d.json" % i)
         path.write_text(json.dumps(d))
-        code, out, err = run(capsys, "ring", "--ring-file", str(path))
-        assert code == 2 and out == "", d
-        assert err.startswith("ring error: ") and "Traceback" not in err
+        for flags in ((), ("--validate",)):
+            code, out, err = run(capsys, "ring", "--ring-file", str(path),
+                                 *flags)
+            assert code == 2 and out == "", (d, flags)
+            assert err.startswith("ring error: ") and "Traceback" not in err
+    assert err == "ring error: intersection pairing is degenerate\n"
 
 def test_ring_file_bad_degree_or_repeated_product_is_usage_error(tmp_path,
                                                                 capsys):

@@ -2,6 +2,9 @@
 every private name defined under src/ is referenced somewhere in src/."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -157,3 +160,25 @@ def test_every_public_name_is_referenced_or_traced():
     only read here."""
     sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
     assert unreferenced_public_names(sources, _tracer_names()) == []
+
+
+def _module_name(path):
+    """The dotted import name of a module file under src/."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    """Only a --jobs pool needs multiprocessing, so a fresh interpreter
+    that imports hilbfock and every submodule has not loaded it."""
+    names = [_module_name(p) for p in MODULES]
+    assert {"hilbfock", "hilbfock.cli", "hilbfock.verify"} <= set(names)
+    code = ("import importlib, sys\n"
+            "for name in %r:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'))\n" % names)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,59 @@ VALIDATION_CASES = [
 def test_validate_rejects_each_rule(build, message):
     with pytest.raises(RingError, match=message):
         build()
+
+
+def _validate_errors(ring):
+    """The error list of ring.validate(), empty when it passes."""
+    try:
+        ring.validate()
+    except RingError as exc:
+        return str(exc).split("; ")
+    return []
+
+
+def _nonassociative_triples(ring):
+    """Every basis triple (i, j, k), the unit and every degree included,
+    on which (b_i b_j) b_k differs from b_i (b_j b_k)."""
+    b = ring.basis_elems()
+    return [(i, j, k) for i, j, k in product(range(ring.dim), repeat=3)
+            if (b[i] * b[j]) * b[k] != b[i] * (b[j] * b[k])]
+
+
+def _associativity_oracle(ring):
+    """validate's associativity messages, read off all dim^3 triples."""
+    names = ring.basis_names
+    return ["product not associative on triple (%r, %r, %r)"
+            % tuple(names[x] for x in t) for t in _nonassociative_triples(ring)]
+
+
+def _abelian_reweighted():
+    """The abelian ring with t12 t34 = t34 t12 = 2 t1234: every check but
+    associativity passes, the degree-3 triples all associate, and the
+    failures are the triples of degrees 1, 1 and 2 that form t12 t34."""
+    ab = RINGS["abelian"]
+    prod = {(i, j): dict(ab.table[i][j])
+            for i in range(ab.dim) for j in range(ab.dim)}
+    t12, t34, top = ab.index["t12"], ab.index["t34"], ab.index["t1234"]
+    prod[(t12, t34)] = prod[(t34, t12)] = {top: 2}
+    return SurfaceRing("bad", ab.basis_names, ab.degrees, prod, {top: 1},
+                       {}, {}, validate=False)
+
+
+def test_validate_associativity_matches_all_triples():
+    """validate checks only the non-unit triples of total degree at most
+    4; on every ring here its errors are those of all dim^3 triples."""
+    for ring in RINGS.values():
+        assert _validate_errors(ring) == _associativity_oracle(ring) == []
+    nonassociative = SurfaceRing(
+        "bad", ["1", "t1", "t2", "u", "x"], [0, 1, 1, 2, 4],
+        _products(5, _NONASSOCIATIVE), {4: 1}, {}, {}, validate=False)
+    reweighted = _abelian_reweighted()
+    for ring in (nonassociative, reweighted):
+        errors = _associativity_oracle(ring)
+        assert errors and _validate_errors(ring) == errors
+    assert {tuple(sorted(reweighted.degrees[x] for x in t))
+            for t in _nonassociative_triples(reweighted)} == {(1, 1, 2)}
 
 
 def _plane_doc(**changes):

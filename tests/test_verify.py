@@ -228,6 +228,27 @@ def test_lem32_builds_each_bracket_operator_once(monkeypatch):
     assert counts["instantiate"] <= 720, counts
 
 
+def test_thm31_builds_each_transfer_operator_once(monkeypatch):
+    """thm31's mixed part takes a_n(b) and a_{m+n}(ab) from its per-m
+    memo, so on p1xp1 the suite builds 346 transfer operators (1,621
+    when every (m, a, b) built its own), and its report keeps its frozen
+    bytes."""
+    calls = []
+    build = verify.heisenberg
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(verify, "heisenberg", counted)
+    report = run_suite(SuiteSpec("thm31", surface="p1xp1", jobs=1))
+    text = serialize_report(report, "jsonl")
+    assert report.ok
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REFS["suites"]["thm31-p1xp1"]
+    assert len(calls) <= 346, len(calls)
+
+
 def test_lem32_memo_memory_stays_bounded():
     """The bracket part's operators and their columns live for one
     ring's bracket part.  In a fresh process the p1xp1 job's traced peak
