@@ -30,15 +30,22 @@ class UsageError(Exception):
     pass
 
 
+def _read_ring(path):
+    """The ring in the JSON file at path; an unreadable file is a
+    UsageError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError("cannot read %s: %s" % (path, exc))
+    return load_ring(text)
+
+
 def _resolve_ring(surface, ring_file):
     if surface and ring_file:
         raise UsageError("give either --surface or --ring-file, not both")
     if ring_file:
-        try:
-            with open(ring_file) as fh:
-                return load_ring(fh.read())
-        except OSError as exc:
-            raise UsageError("cannot read %s: %s" % (ring_file, exc))
+        return _read_ring(ring_file)
     name = surface or "p2"
     if name in SURFACE_NAMES:
         return builtin_ring(name)
@@ -46,8 +53,7 @@ def _resolve_ring(surface, ring_file):
     if dirname:
         path = os.path.join(dirname, name + ".json")
         if os.path.exists(path):
-            with open(path) as fh:
-                return load_ring(fh.read())
+            return _read_ring(path)
     raise UsageError(
         "unknown surface %r; built in: %s%s"
         % (name, ", ".join(SURFACE_NAMES),

@@ -297,12 +297,17 @@ def _words(ring, items, den=1, scalar=0):
     Every constructor but heisenberg expands through here.  Each tau word
     zip(modes, key) is brought to canonical order once, numerators
     accumulate per canonical word, and each word divides once through
-    ratio, so integral coefficients are ints."""
+    ratio, so integral coefficients are ints.  tau is looked up once per
+    (arity, class)."""
     parity = ring.parity
     even = not any(parity)
     nums = {}
+    taus = {}
     for modes, cls, n in items:
-        tau = ring.tau(len(modes), cls).terms
+        at = (len(modes), cls.coeffs)
+        tau = taus.get(at)
+        if tau is None:
+            tau = taus[at] = ring.tau(len(modes), cls)
         if even:
             # no Koszul signs and no vanishing repeats: a plain sort
             for key, c in tau.items():
@@ -371,7 +376,7 @@ def act_arrangement(ring, modes, elem, terms):
     k = len(modes)
     if k == 0 or elem.is_zero():
         return out
-    for key, c0 in ring.tau(k, elem).terms.items():
+    for key, c0 in ring.tau(k, elem).items():
         for s, c in apply_word(ring, tuple(zip(modes, key)), terms).items():
             _acc(out, s, c * c0)
     return out

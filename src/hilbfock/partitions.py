@@ -16,7 +16,6 @@ package skips it.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from math import factorial, prod
 
@@ -85,36 +84,6 @@ class GenPartition:
 
     def negative_total(self):
         return -sum(p for p in self.parts if p < 0)
-
-    def text(self):
-        """Render as multiplicity groups, e.g. "(-2)^1 (-1)^2 1^3 4^1"."""
-        groups = []
-        for p in sorted(self.multiplicities()):
-            m = self.multiplicities()[p]
-            base = "(%d)" % p if p < 0 else "%d" % p
-            groups.append("%s^%d" % (base, m))
-        return " ".join(groups) if groups else "()"
-
-    @classmethod
-    def parse(cls, text):
-        """Inverse of text(); also accepts bare comma-separated parts."""
-        s = text.strip()
-        if s in ("", "()"):
-            return cls(())
-        if "^" not in s and ("," in s or re.fullmatch(r"-?\d+", s)):
-            return cls(int(p) for p in s.replace("(", " ").replace(")", " ")
-                       .replace(",", " ").split())
-        parts = []
-        for group in s.split():
-            m = re.fullmatch(r"\((-?\d+)\)\^(\d+)|(-?\d+)\^(\d+)", group)
-            if not m:
-                raise ValueError("bad partition group %r" % group)
-            if m.group(1) is not None:
-                part, mult = int(m.group(1)), int(m.group(2))
-            else:
-                part, mult = int(m.group(3)), int(m.group(4))
-            parts.extend([part] * mult)
-        return cls(parts)
 
 
 @lru_cache(maxsize=None)

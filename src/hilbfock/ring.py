@@ -4,7 +4,8 @@ A SurfaceRing is a finite graded super-commutative algebra over Q with
 degrees in {0,...,4}, a one-dimensional top piece, an integration
 functional supported in top degree, and two distinguished classes: the
 canonical class K in degree 2 and the Euler class e in degree 4 with
-e*e = 0.  The intersection pairing (a, b) -> integrate(a*b) must be
+e*e = 0 and integral the Euler number sum_i (-1)^{deg b_i}.  The
+intersection pairing (a, b) -> integrate(a*b) must be
 nondegenerate.
 
 Validation checks associativity only on the triples of non-unit basis
@@ -16,17 +17,22 @@ has both sides in a degree with no class, hence 0.
 The multiplication table is sparse and exact: table[i][j] is the product
 of basis classes i and j as a tuple of (k, coeff) pairs sorted by k, with
 zero coefficients dropped and each coefficient an int, or a Fraction when
-it is not integral.  Validation, the Gram matrix and tau2 read the table
+it is not integral.  Validation, the Gram matrix and tau read the table
 directly.
 
-The module also computes the adjoints tau_k of the k-fold cup product,
-characterized by
+The module also computes the diagonal pushforwards tau_k, the adjoints of
+the k-fold cup product.  With G the Gram matrix and b^s = sum_r
+G^-1[s][r] b_r the dual basis (integrate(b^s b_t) = delta_st),
 
-    integrate_slots((b (x) c) * tau2(a)) = integrate(b*c*a)
+    tau2(b_i) = sum_s sum_{(q, c) in b_i b_s} (-1)^{|s||q|} c b^s (x) b_q,
 
-with Koszul signs from moving classes past tensor factors, and iterated
-via tau_k = (tau_{k-1} (x) id) o tau2.  These smearing tensors are what
-the Fock-space operators consume.
+which satisfies integrate_slots((b (x) c) * tau2(a)) = integrate(b*c*a)
+with Koszul signs from moving classes past tensor factors, and
+tau_k(b_i) = sum c tau_{k-1}(b_p) (x) b_q over the terms c b_p (x) b_q of
+tau2(b_i).  Each tau_k(b_i) is one read-only {index tuple: coeff} table,
+built once per (arity, basis class); tau_k is linear, so the tau of any
+other class is the combination of these tables.  These smearing tensors
+are what the Fock-space operators consume.
 
 Built-in models: the projective plane, the quadric (product of two
 projective lines), a K3 model with eleven hyperbolic blocks in the middle
@@ -38,6 +44,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .linalg import LinAlgError, mat_inv
 
@@ -148,76 +155,12 @@ class RingElem:
             raise RingError("mixed-parity class has no Koszul parity")
         return pars.pop()
 
-    def integral(self):
-        return self.ring.integrate(self)
-
     def render(self):
         parts = []
         for i, c in self.components():
             name = self.ring.basis_names[i]
             parts.append("%s*%s" % (c, name))
         return " + ".join(parts) if parts else "0"
-
-
-class TensorSum:
-    """Element of the k-fold tensor power of a ring, as index tuples.
-
-    Coefficients are stored through exact: an int when integral, else a
-    Fraction."""
-
-    __slots__ = ("ring", "arity", "terms")
-
-    def __init__(self, ring, arity, terms=None):
-        self.ring = ring
-        self.arity = arity
-        self.terms = {k: exact(c) for k, c in (terms or {}).items()}
-
-    def add(self, key, coeff):
-        c = self.terms.get(key)
-        c = coeff if c is None else c + coeff
-        if c:
-            self.terms[key] = exact(c)
-        elif key in self.terms:
-            del self.terms[key]
-
-    def scale(self, c):
-        return TensorSum(self.ring, self.arity,
-                         {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSum) and self.ring is other.ring
-                and self.arity == other.arity and self.terms == other.terms)
-
-    def contract(self):
-        """Multiply all slots; for tau2(a) this returns e*a."""
-        out = [Q(0)] * self.ring.dim
-        for key, c in self.terms.items():
-            prod = self.ring.unit
-            for i in key:
-                prod = prod * self.ring.basis(i)
-            for i, v in prod.components():
-                out[i] += c * v
-        return RingElem(self.ring, out)
-
-    def superswap(self, pos):
-        """Swap adjacent slots pos, pos+1 with the Koszul sign."""
-        degs = self.ring.degrees
-        out = TensorSum(self.ring, self.arity)
-        for key, c in self.terms.items():
-            a, b = key[pos], key[pos + 1]
-            sign = -1 if (degs[a] % 2 and degs[b] % 2) else 1
-            nk = key[:pos] + (b, a) + key[pos + 2:]
-            out.add(nk, c * sign)
-        return out
-
-    def expand_slot(self, pos):
-        """Apply tau2 to one slot, producing an arity+1 tensor."""
-        out = TensorSum(self.ring, self.arity + 1)
-        for key, c in self.terms.items():
-            for c2, p, q in self.ring.tau2_basis(key[pos]):
-                nk = key[:pos] + (p, q) + key[pos + 1:]
-                out.add(nk, c * c2)
-        return out
 
 
 class SurfaceRing:
@@ -243,7 +186,6 @@ class SurfaceRing:
         self.unit = self.basis(0)
         self.K = self._vector(canonical)
         self.e = self._vector(euler)
-        self._tau2_cache = {}
         self._cache = {}
         self._pairing = None
         self._pairing_inv = None
@@ -361,8 +303,12 @@ class SurfaceRing:
                                 % (names[i], names[j], names[k]))
         if not (self.K.is_zero() or self.K.degree() == 2):
             errors.append("canonical class must be homogeneous of degree 2")
+        chi = sum((-1) ** d for d in self.degrees)
         if not (self.e.is_zero() or self.e.degree() == 4):
             errors.append("Euler class must be homogeneous of degree 4")
+        elif self.integrate(self.e) != chi:
+            errors.append("Euler class integrates to %s, not to the Euler "
+                          "number %d" % (self.integrate(self.e), chi))
         if not (self.e * self.e).is_zero():
             errors.append("Euler class must square to zero")
         if not errors:
@@ -375,73 +321,60 @@ class SurfaceRing:
 
     # -- diagonal pushforward ---------------------------------------------
 
-    def tau2_basis(self, i):
-        """tau2 of the i-th basis class, as (coeff, p, q) triples."""
-        if i not in self._tau2_cache:
-            self._tau2_cache[i] = self._solve_tau2(i)
-        return self._tau2_cache[i]
+    def _tau_table(self, k, i):
+        """tau_k(b_i), built once per (k, i) and kept read-only in _cache."""
+        key = ("tau", k, i)
+        table = self._cache.get(key)
+        if table is None:
+            if k == 1:
+                out = {(i,): 1}
+            elif k == 2:
+                out = self._tau2(i)
+            else:
+                out = {}
+                for (p, q), c in self._tau_table(2, i).items():
+                    for rest, v in self._tau_table(k - 1, p).items():
+                        t = rest + (q,)
+                        out[t] = out.get(t, 0) + c * v
+            table = self._cache[key] = MappingProxyType(
+                {t: exact(v) for t, v in out.items() if v})
+        return table
 
-    def _solve_tau2(self, i):
-        """With rhs[p][q] = integral(b_p b_q b_i), read from the table, and
-        G the Gram matrix: z = G^-1 rhs with the Koszul sign of (r, q),
-        and tau2(b_i) = z (G^T)^-1, whose entries are those of G^-1
-        transposed."""
-        n = self.dim
+    def _tau2(self, i):
+        """tau2(b_i) from the dual basis, keys in sorted order."""
         degs = self.degrees
         par = self.parity
-        gram = self.pairing_matrix()
         ginv = self._pairing_inverse()
-        rhs = []
-        for row in self.table:
-            cubic = {}
-            for q, prod in enumerate(row):
-                v = sum(c * gram[l][i] for l, c in prod)
-                if v:
-                    cubic[q] = v
-            rhs.append(cubic)
-        out = []
         target = degs[i] + 4
-        for r in range(n):
-            z = {}
-            for p, g in enumerate(ginv[r]):
-                if g:
-                    for q, v in rhs[p].items():
-                        z[q] = z.get(q, 0) + g * v
-            if par[r]:
-                z = {q: -v if par[q] else v for q, v in z.items()}
-            for s in range(n):
-                gs = ginv[s]
-                c = sum(v * gs[t] for t, v in z.items())
-                if c:
-                    if degs[r] + degs[s] != target:
-                        raise RingError("tau2 solve produced inhomogeneous term")
-                    out.append((exact(c), r, s))
-        return out
+        out = {}
+        for s, prod in enumerate(self.table[i]):
+            for q, c in prod:
+                if par[s] and par[q]:
+                    c = -c
+                for r, g in enumerate(ginv[s]):
+                    if g:
+                        if degs[r] + degs[q] != target:
+                            raise RingError("tau2 produced inhomogeneous term")
+                        out[r, q] = out.get((r, q), 0) + g * c
+        return dict(sorted(out.items()))
 
     def tau2(self, a):
-        out = TensorSum(self, 2)
-        for i, c in a.components():
-            for c2, p, q in self.tau2_basis(i):
-                out.add((p, q), c * c2)
-        return out
+        return self.tau(2, a)
 
     def tau(self, k, a):
-        """k-fold diagonal pushforward; tau(1, a) is a itself."""
+        """k-fold diagonal pushforward as {index tuple: coeff}: the shared
+        read-only table for a basis class with coefficient 1, else the new
+        combination sum a_i tau_k(b_i); tau(1, a) is a itself."""
         if k < 1:
             raise RingError("tau arity must be at least 1")
-        key = ("tau", k, a.coeffs)
-        if key in self._cache:
-            return self._cache[key]
-        if k == 1:
-            out = TensorSum(self, 1)
-            for i, c in a.components():
-                out.add((i,), c)
-        else:
-            out = self.tau2(a)
-            while out.arity < k:
-                out = out.expand_slot(0)
-        self._cache[key] = out
-        return out
+        comps = a.components()
+        if len(comps) == 1 and comps[0][1] == 1:
+            return self._tau_table(k, comps[0][0])
+        out = {}
+        for i, c in comps:
+            for t, v in self._tau_table(k, i).items():
+                out[t] = out.get(t, 0) + c * v
+        return {t: exact(v) for t, v in out.items() if v}
 
 
 # -- built-in models ------------------------------------------------------

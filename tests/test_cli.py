@@ -318,6 +318,39 @@ def test_ring_file_bad_degree_or_repeated_product_is_usage_error(tmp_path,
         assert err.startswith("ring error: ") and "Traceback" not in err
 
 
+def test_ring_file_with_wrong_euler_number_is_usage_error(tmp_path, capsys):
+    """A p2 whose Euler class is 5x fails validation: the Euler class must
+    integrate to the Euler number, 3 on p2."""
+    doc = json.loads(dump_ring(builtin_ring("p2")))
+    path = tmp_path / "e5.json"
+    path.write_text(json.dumps(dict(doc, e={"x": 5})))
+    for argv in (("ring", "--ring-file", str(path), "--validate"),
+                 ("chern", "--ring-file", str(path), "--k", "1",
+                  "--n", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == ("ring error: Euler class integrates to 5, not to "
+                       "the Euler number 3\n"), argv
+
+
+def test_unreadable_ring_file_or_surface_entry_is_usage_error(
+        tmp_path, capsys, monkeypatch):
+    """A ring file that is not UTF-8 and a surface-directory entry that is
+    a directory each exit 2 with one line, through either route."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    (tmp_path / "foo.json").mkdir()
+    (tmp_path / "bar.json").write_bytes(b"\xff\xfe{}")
+    monkeypatch.setenv("HILBFOCK_SURFACE_DIR", str(tmp_path))
+    for argv in (("ring", "--ring-file", str(binary)),
+                 ("ring", "--surface", "foo"),
+                 ("ring", "--surface", "bar")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot read "), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
 def test_surface_dir_lookup(tmp_path, capsys, monkeypatch):
     (tmp_path / "myplane.json").write_text(dump_ring(builtin_ring("p2")))
     monkeypatch.setenv("HILBFOCK_SURFACE_DIR", str(tmp_path))

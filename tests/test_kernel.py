@@ -148,7 +148,7 @@ def test_apply_arrangement_matches_composition(name, data):
     elem = ring.basis(words[0][0][1])
     vec = FockVector(ring, terms)
     want = ref_sum([(c0, ref_word(ring, tuple(zip(modes, key)), vec.terms))
-                    for key, c0 in ring.tau(len(modes), elem).terms.items()])
+                    for key, c0 in ring.tau(len(modes), elem).items()])
     assert apply_arrangement(ring, modes, elem, vec).terms == want
 
 
@@ -530,7 +530,7 @@ def test_operator_scalars_are_int_first(name):
     for b in ring.basis_elems():
         what = (name, b.render())
         for k in (1, 2, 3, 4):
-            _assert_int_first(ring.tau(k, b).terms.values(), what + (k,))
+            _assert_int_first(ring.tau(k, b).values(), what + (k,))
         for n in (-2, -1, 1, 2):
             _assert_op_int_first(heisenberg(ring, n, b), what)
         for n in (-2, 0, 1):
@@ -560,7 +560,7 @@ def ref_monomial(ring, gp, elem, cutoff):
         return op
     if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
         return op
-    for key, c in ring.tau(gp.length, elem).terms.items():
+    for key, c in ring.tau(gp.length, elem).items():
         op.add_factors(tuple(zip(gp.parts, key)), c)
     return op
 

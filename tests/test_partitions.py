@@ -77,22 +77,9 @@ def test_ordinary_partitions():
     assert sorted(twos) == [(1, 3), (2, 2)]
 
 
-def test_text_round_trip_example():
-    gp = GenPartition((-2, -1, -1, 1, 1, 1, 4))
-    assert gp.text() == "(-2)^1 (-1)^2 1^3 4^1"
-    assert GenPartition.parse(gp.text()) == gp
-
-
 parts_strategy = st.lists(
     st.integers(min_value=-6, max_value=6).filter(lambda v: v != 0),
     min_size=0, max_size=6)
-
-
-@given(parts_strategy)
-@settings(max_examples=200)
-def test_text_round_trip(parts):
-    gp = GenPartition(tuple(sorted(parts)))
-    assert GenPartition.parse(gp.text()) == gp
 
 
 @given(parts_strategy)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hilbfock.ring import (RingError, SURFACE_NAMES, SurfaceRing, builtin_ring,
                            dump_ring, load_ring)
+from hilbfock.verify import SuiteSpec, run_suite
 
 RINGS = {name: builtin_ring(name) for name in SURFACE_NAMES}
 
@@ -109,20 +110,21 @@ def test_tau2_frozen_plane():
     """The degree-4 diagonal of the plane: 1 (x) x + H (x) H + x (x) 1."""
     p2 = RINGS["p2"]
     tau = p2.tau(2, p2.elem({"1": 1}))
-    assert sorted(tau.terms.items()) == [
+    assert sorted(tau.items()) == [
         ((0, 2), Q(1)), ((1, 1), Q(1)), ((2, 0), Q(1))]
 
 
 def test_tau2_adjoint_to_product():
     """integral over the square of tau2(a) . (b (x) c) equals
-    integral(a b c); the Koszul sign moves b past the second slot."""
+    integral(a b c); the Koszul sign moves b past the second slot.  This
+    checks the dual-basis formula for tau2 independently of it."""
     for ring in RINGS.values():
         for a in ring.basis_elems():
             tau = ring.tau2(a)
             for b, c in basis_pairs(ring):
                 lhs = Q(0)
                 pb = b.parity()
-                for (i, j), coeff in tau.terms.items():
+                for (i, j), coeff in tau.items():
                     bi = ring.basis(i)
                     bj = ring.basis(j)
                     sign = -1 if (pb and bj.parity()) else 1
@@ -132,10 +134,52 @@ def test_tau2_adjoint_to_product():
                     (ring.name, a.render(), b.render(), c.render())
 
 
+def test_tau2_refuses_an_inhomogeneous_table():
+    """H H = H + x passes the pairing but not homogeneity, which tau2
+    checks again on the rings built without validation."""
+    ring = SurfaceRing("bad", ["1", "H", "x"], [0, 2, 4],
+                       _products(3, {(1, 1): {1: 1, 2: 1}}), {2: 1}, {},
+                       {2: 3}, validate=False)
+    with pytest.raises(RingError, match="tau2 produced inhomogeneous term"):
+        ring.tau2(ring.basis("H"))
+
+
+def _contract(ring, tau):
+    """Multiply all slots of a {index tuple: coeff} tensor."""
+    out = ring.zero()
+    for key, c in tau.items():
+        prod = ring.unit
+        for i in key:
+            prod = prod * ring.basis(i)
+        out = out + prod * c
+    return out
+
+
+def _expand_slot(ring, tau, pos):
+    """Apply tau2 to one slot, giving a tensor of one more slot."""
+    out = {}
+    for key, c in tau.items():
+        for (p, q), c2 in ring.tau2(ring.basis(key[pos])).items():
+            nk = key[:pos] + (p, q) + key[pos + 1:]
+            out[nk] = out.get(nk, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _superswap(ring, tau, pos):
+    """Swap slots pos and pos + 1 with the Koszul sign."""
+    par = ring.parity
+    out = {}
+    for key, c in tau.items():
+        a, b = key[pos], key[pos + 1]
+        nk = key[:pos] + (b, a) + key[pos + 2:]
+        out[nk] = out.get(nk, 0) + (-c if par[a] and par[b] else c)
+    return {k: v for k, v in out.items() if v}
+
+
 def test_tau2_contract_gives_euler():
     for ring in RINGS.values():
         for a in ring.basis_elems():
-            assert ring.tau2(a).contract() == ring.e * a
+            assert _contract(ring, ring.tau2(a)) == ring.e * a
 
 
 def test_tau_point_class_stays_single():
@@ -143,7 +187,7 @@ def test_tau_point_class_stays_single():
         pt = ring.basis(ring.dim - 1)
         assert ring.degrees[ring.dim - 1] == 4
         for k in (2, 3, 4):
-            terms = ring.tau(k, pt).terms
+            terms = ring.tau(k, pt)
             assert list(terms.values()) == [Q(1)]
             (key,) = terms
             assert key == (ring.dim - 1,) * k
@@ -154,9 +198,9 @@ def test_tau_coassociative():
     for ring in ("p2", "p1xp1"):
         r = RINGS[ring]
         for a in r.basis_elems():
-            left = r.tau2(a).expand_slot(0)
-            right = r.tau2(a).expand_slot(1)
-            assert left.terms == right.terms == r.tau(3, a).terms
+            left = _expand_slot(r, r.tau2(a), 0)
+            right = _expand_slot(r, r.tau2(a), 1)
+            assert left == right == r.tau(3, a)
 
 
 def test_superswap_symmetry_of_diagonal():
@@ -164,7 +208,44 @@ def test_superswap_symmetry_of_diagonal():
     for ring in RINGS.values():
         for a in ring.basis_elems():
             tau = ring.tau2(a)
-            assert tau.superswap(0).terms == tau.terms
+            assert _superswap(ring, tau, 0) == tau
+
+
+def _composite_cases():
+    p2 = RINGS["p2"]
+    ab = RINGS["abelian"]
+    ab_copy = load_ring(dump_ring(ab))
+    yield p2, p2.elem({"H": 2, "x": 1})
+    for ring in (ab, ab_copy):
+        yield ring, ring.elem({"t1": 1, "t234": 1})
+
+
+def test_tau_of_composite_class_is_linear():
+    """tau_k(a) = sum a_i tau_k(b_i), k <= 4, for a class that is not a
+    basis class, on p2, abelian and a dump/load copy of abelian."""
+    for ring, a in _composite_cases():
+        for k in (1, 2, 3, 4):
+            want = {}
+            for i, c in a.components():
+                for key, v in ring.tau(k, ring.basis(i)).items():
+                    want[key] = want.get(key, 0) + c * v
+            assert ring.tau(k, a) == {t: v for t, v in want.items() if v}, \
+                (ring.name, k)
+
+
+def test_tau_tables_are_bounded_by_basis_and_arity():
+    """After heis and thm31 on k3 the ring holds at most one tau table per
+    (arity, basis class), and none keyed by a class's coefficients."""
+    ring = RINGS["k3"]
+    for suite, bounds in (("heis", {"m_max": 1}),
+                          ("thm31", {"m_max": 1, "k_max": 1})):
+        report = run_suite(SuiteSpec(suite, surface="k3", bounds=bounds))
+        assert report.passed and not report.failed, suite
+    keys = [key for key in ring._cache
+            if isinstance(key, tuple) and key[0] == "tau"]
+    assert keys
+    assert len(keys) <= ring.dim * max(key[1] for key in keys)
+    assert all(type(key[2]) is int for key in keys)
 
 
 def test_dump_load_round_trip():
@@ -231,7 +312,7 @@ def _products(dim, extra):
 
 def _plane(extra, euler=None):
     return SurfaceRing("bad", ["1", "H", "x"], [0, 2, 4],
-                       _products(3, extra), {2: 1}, {}, euler or {})
+                       _products(3, extra), {2: 1}, {}, euler or {2: 3})
 
 
 # 1, t1, t2 (degree 1), u (degree 2), x: t1 t2 = u and u u = x, so
@@ -243,16 +324,19 @@ VALIDATION_CASES = [
      r"unit law fails on pair \('1', 'H'\)"),
     ("super-commutativity",
      lambda: SurfaceRing("bad", ["1", "f1", "f2", "x"], [0, 2, 2, 4],
-                         _products(4, {(1, 2): {3: 1}}), {3: 1}, {}, {}),
+                         _products(4, {(1, 2): {3: 1}}), {3: 1}, {},
+                         {3: 4}),
      r"product not super-commutative on pair \('f1', 'f2'\)"),
     ("homogeneity", lambda: _plane({(1, 1): {1: 1}}),
      r"product \('H', 'H'\) not homogeneous of degree 4"),
     ("associativity",
      lambda: SurfaceRing("bad", ["1", "t1", "t2", "u", "x"], [0, 1, 1, 2, 4],
-                         _products(5, _NONASSOCIATIVE), {4: 1}, {}, {}),
+                         _products(5, _NONASSOCIATIVE), {4: 1}, {}, {4: 1}),
      r"product not associative on triple \('t1', 't2', 'u'\)"),
     ("euler square", lambda: _plane({(1, 1): {2: 1}}, euler={1: 1}),
      r"Euler class must square to zero"),
+    ("euler number", lambda: _plane({(1, 1): {2: 1}}, euler={2: 5}),
+     r"^Euler class integrates to 5, not to the Euler number 3$"),
     ("degenerate pairing", lambda: _plane({}),
      r"intersection pairing is degenerate"),
 ]
@@ -310,7 +394,7 @@ def test_validate_associativity_matches_all_triples():
         assert _validate_errors(ring) == _associativity_oracle(ring) == []
     nonassociative = SurfaceRing(
         "bad", ["1", "t1", "t2", "u", "x"], [0, 1, 1, 2, 4],
-        _products(5, _NONASSOCIATIVE), {4: 1}, {}, {}, validate=False)
+        _products(5, _NONASSOCIATIVE), {4: 1}, {}, {4: 1}, validate=False)
     reweighted = _abelian_reweighted()
     for ring in (nonassociative, reweighted):
         errors = _associativity_oracle(ring)
@@ -408,7 +492,6 @@ def test_ring_scalars_are_exact():
                    for prod in row for _, c in prod)
         data = [ring.table, ring.integral_vec, ring.K, ring.e,
                 ring.pairing_matrix(), ring._pairing_inverse()]
-        data += [ring.tau2_basis(i) for i in range(ring.dim)]
-        data += [ring.tau(k, b) for k in (1, 2, 3, 4)
+        data += [dict(ring.tau(k, b)) for k in (1, 2, 3, 4)
                  for b in ring.basis_elems()]
         assert _inexact(data) == [], ring.name
