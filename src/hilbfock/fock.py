@@ -23,6 +23,7 @@ intersection numbers downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
@@ -156,11 +157,21 @@ def annihilate_state(ring, n, i, state):
 
 
 def create_state(ring, n, i, state):
-    """Apply the creation mode a(-n; basis i), n > 0, to one state.
+    """Apply the creation mode a(-n; basis i), n > 0, to one canonical
+    state: the factor is inserted in sorted position, passing the odd
+    factors before it when b_i is odd.
 
     Returns (state, sign), or (None, 0) when an odd factor repeats.
     """
-    return canonical_factors(((-n, i),) + state, ring.parity)
+    f = (-n, i)
+    pos = bisect_left(state, f)
+    parity = ring.parity
+    if not parity[i]:
+        return state[:pos] + (f,) + state[pos:], 1
+    if pos < len(state) and state[pos] == f:
+        return None, 0
+    odd = sum(parity[j] for _, j in state[:pos])
+    return state[:pos] + (f,) + state[pos:], -1 if odd & 1 else 1
 
 
 def basis_states(ring, w):

@@ -57,7 +57,7 @@ from types import MappingProxyType
 
 from .fock import (FockVector, annihilate_state, canonical_factors,
                    create_state, exact, weight)
-from .partitions import GenPartition, enumerate_genpartitions
+from .partitions import enumerate_genpartitions
 from .ring import ratio
 
 # The column of every state the contraction index rules out; read-only,
@@ -681,7 +681,7 @@ def _swap_events(fa, fb, poscap, negcap, keep):
     left family total and the left remainder total.
     """
     tsum = fa.total + fb.total
-    cands = set()
+    cands = {}
     for ta in range(-negcap, poscap + 1):
         surv_a = _stats_list(fa.ell - 2, ta, poscap, negcap)
         if not surv_a:
@@ -690,33 +690,29 @@ def _swap_events(fa, fb, poscap, negcap, keep):
         if not surv_b:
             continue
         gap = fa.total - ta
-        for sa, posa, nega, _, _ in surv_a:
-            for sb, posb, negb, _, _ in surv_b:
+        for sa, posa, nega, mfa, wsa in surv_a:
+            for sb, posb, negb, mfb, wsb in surv_b:
                 if posa + posb > poscap or nega + negb > negcap:
                     continue
                 for w in range(1, gap // 2 + 1):
-                    cands.add((tuple(sorted(sa + (w,))),
-                               tuple(sorted(sb + (-w,))),
-                               gap - w))
+                    _add_cand(cands, sa, mfa, wsa, w, sb, mfb, wsb, gap - w)
                 for w in range(1, -gap // 2 + 1):
-                    cands.add((tuple(sorted(sa + (-w,))),
-                               tuple(sorted(sb + (w,))),
-                               gap + w))
+                    _add_cand(cands, sa, mfa, wsa, -w, sb, mfb, wsb, gap + w)
     nums = {}
     side_a, side_b = {}, {}
-    for pa, pb, v in cands:
+    for (pa, pb, v), (mfa, wsa, mfb, wsb) in cands.items():
         ca = side_a.get((pa, v))
         if ca is None:
-            g = GenPartition(pa + (v,))
-            ca = side_a[pa, v] = (-v * g.parts.count(v) * fa.num(
-                g.parts, g.mult_factorial, g.weighted_square))
+            cnt = pa.count(v) + 1
+            ca = side_a[pa, v] = -v * cnt * fa.num(
+                tuple(sorted(pa + (v,))), mfa * cnt, wsa + v * v)
         if not ca:
             continue
         mu_cb = side_b.get((pb, v))
         if mu_cb is None:
-            g = GenPartition(pb + (-v,))
-            mu_cb = side_b[pb, v] = (g.parts, fb.num(
-                g.parts, g.mult_factorial, g.weighted_square))
+            cnt = pb.count(-v) + 1
+            mu = tuple(sorted(pb + (-v,)))
+            mu_cb = side_b[pb, v] = (mu, fb.num(mu, mfb * cnt, wsb + v * v))
         mu, cb = mu_cb
         if not cb:
             continue
@@ -728,6 +724,17 @@ def _swap_events(fa, fb, poscap, negcap, keep):
                 if keep(ms):
                     nums[ms] = nums.get(ms, 0) + coeff * im
     return nums
+
+
+def _add_cand(cands, sa, mfa, wsa, x, sb, mfb, wsb, v):
+    """Record the candidate (sa + (x,), sb + (-x,), v) of _swap_events
+    with the (mult!, sum of squares) of both sides, updated from the
+    remainders' statistics for the shed part x."""
+    pa = tuple(sorted(sa + (x,)))
+    pb = tuple(sorted(sb + (-x,)))
+    if (pa, pb, v) not in cands:
+        cands[pa, pb, v] = (mfa * (sa.count(x) + 1), wsa + x * x,
+                            mfb * (sb.count(-x) + 1), wsb + x * x)
 
 
 def s_derive(a, keep, poscap, negcap, include_k=True):

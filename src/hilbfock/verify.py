@@ -22,7 +22,10 @@ The W-bracket of Theorem 5.5 is stated once (`_w_expected`).  vir (its
 p = q = 1 cells), thm55 and thm57 (its untagged part) measure their
 cells through one runner, `_w_grid`, which --jobs spreads over worker
 processes without changing a byte, and ground them on states against
-its series (`_w_op`); each mutation adds one term to that side.
+its series (`_w_op`).  Each cell is measured once per process and kept
+only as its residual against `_w_expected` (empty when the identity
+holds) and its scalar terms, which the central checks read; each
+mutation adds its one term to a copy of the residual.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -444,10 +447,14 @@ def _w_cells(pq_max, m_max):
 
 
 def _w_cell(args):
-    """The measured bracket [J^p_m, J^q_n] of one cell on window N."""
+    """One (p, q, m, n) cell on window N, measured: the residual of the
+    bracket [J^p_m, J^q_n] against _w_expected, and the bracket's scalar
+    terms (modes ()), which the central checks read without _w_expected."""
     p, q, m, n, N = args
-    return series_bracket(jay_families(p, m), jay_families(q, n),
-                          _sound_pos(N, m, n), N)
+    pos = _sound_pos(N, m, n)
+    meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
+    scalars = SmearedOp({k: c for k, c in meas.terms.items() if not k[0]})
+    return meas - _w_expected(p, q, m, n, pos, N), scalars
 
 
 def pool_size(jobs):
@@ -455,19 +462,40 @@ def pool_size(jobs):
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
+# The measured W-bracket cells of this process, (p, q, m, n, N) ->
+# _w_cell's (residual, scalar terms): one entry per distinct cell and
+# window, whose residual is empty when the identity holds.  Entries are
+# shared by every suite, so no caller changes one.
+_W_MEMO = {}
+
+
 def _w_grid(spec, cells):
-    """(cell, measured bracket) for each cell, in order: computed lazily,
-    or streamed from --jobs worker processes, whose pool (and
-    multiprocessing) is imported only then."""
-    args = [cell + (_cutoff(spec),) for cell in cells]
+    """(cell, (residual, scalar terms)) for each cell, in order.  A cell
+    this process has not measured yet is computed lazily, or streamed
+    from --jobs worker processes, whose pool (and multiprocessing) is
+    imported only when some cell is missing; either way it is stored in
+    _W_MEMO."""
+    keys = [cell + (_cutoff(spec),) for cell in cells]
+    missing = [k for k in keys if k not in _W_MEMO]
     workers = pool_size(spec.jobs)
-    if workers == 1:
-        yield from zip(cells, map(_w_cell, args))
+    if workers == 1 or not missing:
+        yield from _w_stored(cells, keys, zip(missing, map(_w_cell, missing)))
         return
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        yield from zip(cells, pool.imap(_w_cell, args, chunksize=16))
+        yield from _w_stored(cells, keys, zip(
+            missing, pool.imap(_w_cell, missing, chunksize=16)))
+
+
+def _w_stored(cells, keys, fresh):
+    """Yield each cell's memo entry, storing the (key, entry) pairs of
+    the ordered iterator fresh until the cell's key is in."""
+    for cell, key in zip(cells, keys):
+        while key not in _W_MEMO:
+            k, entry = next(fresh)
+            _W_MEMO[k] = entry
+        yield cell, _W_MEMO[key]
 
 
 def _w_spots(ring, states, cells, pairs):
@@ -497,24 +525,22 @@ def _run_vir(spec, mut, *, m_max=3):
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
-    N = _cutoff(spec)
     cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
              for r in _rings(spec, SURFACE_NAMES)]
     if mut:
         m_max = min(m_max, 2)
     cells = [(1, 1, m, n)
              for m, n in product(range(-m_max, m_max + 1), repeat=2)]
-    for (_, _, m, n), meas in _w_grid(spec, cells):
-        exp = _w_expected(1, 1, m, n, _sound_pos(N, m, n), N)
+    for (_, _, m, n), (delta, scalars) in _w_grid(spec, cells):
         if mut and m == -n and m != 0:
-            exp.add(((), 1, 0), Q(1, 12))
-        delta = meas - exp
+            delta = SmearedOp(delta.terms)
+            delta.add(((), 1, 0), Q(-1, 12))
         yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
                          {"check": "instantiate", "m": m, "n": n})
         for k3 in _rings(spec, ("k3",) if m == -n and m != 0 else ()):
-            val = _scalar_part(meas, k3)
+            val = _scalar_part(scalars, k3)
             expect = Q(24) * Q(m ** 3 - m, 12)
             yield _verdict(val == expect, {"check": "central",
                                            "surface": k3.name, "m": m},
@@ -1099,12 +1125,10 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         rings = rings[:1]
     cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
              for r in rings]
-    for (p, q, m, n), meas in _w_grid(spec, _w_cells(pq_max, m_max)):
-        pos = _sound_pos(N, m, n)
-        exp = _w_expected(p, q, m, n, pos, N)
+    for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut:
-            exp.merge(_omega_part(p, q, m, n, pos, N), -2)
-        delta = meas - exp
+            delta = SmearedOp(delta.terms).merge(
+                _omega_part(p, q, m, n, _sound_pos(N, m, n), N), 2)
         params = {"p": p, "q": q, "m": m, "n": n}
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
@@ -1127,14 +1151,14 @@ def _thm55_centrals(spec, m_max):
         u1u2 = ring.integrate(ring.basis("u1") * ring.basis("u2"))
         cells = [(p, q, m, -m) for p, q in ((0, 0), (1, 1), (2, 0), (0, 2))
                  for m in range(1, m_max + 1)]
-        for (p, q, m, _), meas in _w_grid(spec, cells):
+        for (p, q, m, _), (_, scalars) in _w_grid(spec, cells):
             if (p, q) == (0, 0):
-                got = meas.terms.get(((), 0, 0), Q(0)) * u1u2
+                got = scalars.terms.get(((), 0, 0), Q(0)) * u1u2
                 want = Q(-m)
                 label = "-m * integral(ab)"
             else:
                 den = 12 if (p, q) == (1, 1) else 6
-                got = _scalar_part(meas, ring)
+                got = _scalar_part(scalars, ring)
                 want = Q(m ** 3 - m, den) * 24
                 label = "(m^3-m)/%d * integral(e)" % den
             yield _verdict(got == want, {"check": "central", "p": p,
@@ -1217,14 +1241,12 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
     if mut:
         pq_max = min(pq_max, 2)
         m_max = min(m_max, 1)
-    for (p, q, m, n), meas in _w_grid(spec, _w_cells(pq_max, m_max)):
-        pos = _sound_pos(N, m, n)
-        exp = _w_expected(p, q, m, n, pos, N)
+    for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut and (p, q) != (0, 0):
-            exp.merge(series_to_smeared(jay_families(p + q - 1, m + n),
-                                        pos, N))
+            delta = SmearedOp(delta.terms).merge(series_to_smeared(
+                jay_families(p + q - 1, m + n), _sound_pos(N, m, n), N), -1)
         # Untagged keys come only from the untagged families' plain events.
-        delta = SmearedOp({k: c for k, c in (meas - exp).terms.items()
+        delta = SmearedOp({k: c for k, c in delta.terms.items()
                            if not k[1] and not k[2]})
         yield _universal_record(delta, {"check": "universal", "p": p,
                                         "q": q, "m": m, "n": n})

@@ -6,11 +6,12 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock.fock import (FockVector, basis_states, fundamental_class,
-                           pairing, render_state, render_vector, vacuum,
+from hilbfock.fock import (FockVector, basis_states, canonical_factors,
+                           create_state, fundamental_class, pairing,
+                           render_state, render_vector, vacuum,
                            vector_records, weight)
 from hilbfock.operators import heisenberg
-from hilbfock.ring import builtin_ring
+from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.walgebra import chern
 
 P2 = builtin_ring("p2")
@@ -30,6 +31,19 @@ def test_vacuum():
     v = vacuum(P2)
     assert v.terms == {(): Q(1)}
     assert weight(()) == 0
+
+
+def test_create_state_matches_canonical_factors():
+    """The bisect insertion agrees with sorting the new factor in, sign
+    and repeated odd factor included, for a(-n; b_i), n <= 3, every i,
+    on every state of weight at most 2 (at most 1 on k3)."""
+    for name in SURFACE_NAMES:
+        ring = builtin_ring(name)
+        states = [s for w in range(2 if name == "k3" else 3)
+                  for s in basis_states(ring, w)]
+        for s, n, i in product(states, (1, 2, 3), range(ring.dim)):
+            assert create_state(ring, n, i, s) == canonical_factors(
+                ((-n, i),) + s, ring.parity), (name, s, n, i)
 
 
 def test_basis_counts_plane():

@@ -140,18 +140,122 @@ def test_run_without_records_rejected():
         run_suite(SuiteSpec("cor48", bounds={"n_max": 0}))
 
 
-@pytest.mark.parametrize("name,bounds", [
-    ("vir", {"m_max": 2}), ("thm55", {"pq_max": 2, "m_max": 1}),
-    ("thm57", {"pq_max": 2, "m_max": 2})])
-def test_w_grid_jobs_keep_every_byte(monkeypatch, name, bounds):
-    """The W-bracket cells stream from worker processes under --jobs in
-    the serial order; the pool runs whatever the host's CPU count."""
+@pytest.fixture
+def w_memo(monkeypatch):
+    """An empty W-bracket memo for one test; the process's own memo is
+    put back afterwards."""
+    memo = {}
+    monkeypatch.setattr(verify, "_W_MEMO", memo)
+    return memo
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """multiprocessing.Pool, logged: the pools made and the cells sent."""
+    import multiprocessing
+    import multiprocessing.pool
+
+    log = {"pools": 0, "cells": []}
+
+    class LoggedPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            log["pools"] += 1
+            super().__init__(*args, **kwargs)
+
+        def imap(self, func, iterable, chunksize=1):
+            iterable = list(iterable)
+            log["cells"].extend(iterable)
+            return super().imap(func, iterable, chunksize)
+
+    monkeypatch.setattr(multiprocessing, "Pool", LoggedPool)
     monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: 2)
+    return log
+
+
+def _jsonl(name, bounds, mutation="", jobs=1):
+    return serialize_report(run_suite(SuiteSpec(
+        name, bounds=bounds, mutation=mutation, jobs=jobs)), "jsonl")
+
+
+@pytest.mark.parametrize("name,bounds", [
+    ("vir", {"m_max": 2}), ("thm55", {"pq_max": 3, "m_max": 1}),
+    ("thm57", {"pq_max": 2, "m_max": 2})])
+def test_w_grid_jobs_keep_every_byte(w_memo, pool_log, name, bounds):
+    """The W-bracket cells stream from worker processes under --jobs in
+    the serial order; the pool runs whatever the host's CPU count.  Each
+    run starts from an empty memo, so the pooled run measures every one
+    of its cells in the pool.  The bounds let every mutation fail."""
     for mutation in ("", SUITES[name].mutation):
-        serial, pooled = (serialize_report(run_suite(SuiteSpec(
-            name, bounds=bounds, mutation=mutation, jobs=jobs)), "jsonl")
-            for jobs in (1, 2))
+        w_memo.clear()
+        serial = _jsonl(name, bounds, mutation)
+        assert ('"ok": false' in serial) == bool(mutation), mutation
+        w_memo.clear()
+        del pool_log["cells"][:]
+        pooled = _jsonl(name, bounds, mutation, jobs=2)
         assert pooled == serial, mutation
+        assert sorted(pool_log["cells"]) == sorted(w_memo), mutation
+
+
+def test_w_grid_pool_gets_only_missing_cells(w_memo, pool_log):
+    """With the memo partly warm (vir's p = q = 1 cells), a --jobs 2 run
+    of thm55 sends the pool exactly the cells the memo lacks and keeps
+    its cold serial bytes; a fully warm run makes no pool."""
+    bounds = {"pq_max": 2, "m_max": 1}
+    cold = _jsonl("thm55", bounds)
+    w_memo.clear()
+    assert run_suite(SuiteSpec("vir", bounds={"m_max": 1})).ok
+    warm = set(w_memo)
+    assert warm and all(key[:2] == (1, 1) for key in warm)
+    assert _jsonl("thm55", bounds, jobs=2) == cold
+    sent = pool_log["cells"]
+    assert pool_log["pools"] == 1 and len(sent) == len(set(sent))
+    assert set(sent) == set(w_memo) - warm
+    assert _jsonl("thm55", bounds, jobs=2) == cold
+    assert pool_log["pools"] == 1
+
+
+def test_w_cells_are_measured_once_per_process(monkeypatch, w_memo):
+    """thm55 and then thm57 in one process measure each (cell, window)
+    once, and after their passing runs every stored residual is empty."""
+    calls = []
+    measure = verify.series_bracket
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(verify, "series_bracket", counted)
+    bounds = {"pq_max": 2, "m_max": 1}
+    assert run_suite(SuiteSpec("thm55", surface="p2", bounds=bounds)).ok
+    assert run_suite(SuiteSpec("thm57", bounds=bounds)).ok
+    keys = {cell + (SUITES[name].window,) for name in ("thm55", "thm57")
+            for cell in verify._w_cells(2, 1)}
+    assert len(calls) == len(keys) == len(w_memo)
+    assert set(w_memo) == keys
+    assert all(not residual.terms for residual, _ in w_memo.values())
+
+
+@pytest.mark.parametrize("name,bounds", [
+    ("vir", {"m_max": 1}), ("thm55", {"pq_max": 3, "m_max": 1}),
+    ("thm57", {"pq_max": 2, "m_max": 1})])
+def test_w_memo_keeps_every_byte(w_memo, name, bounds):
+    """A report from an empty memo and one from a warm memo are
+    byte-identical, plain and mutated.  The mutation fails cold and after
+    the plain run, and adds its term to a copy: the stored residuals stay
+    empty."""
+    def run(mutation):
+        report = run_suite(SuiteSpec(name, bounds=bounds, mutation=mutation))
+        return report.ok, serialize_report(report, "jsonl")
+
+    mutation = SUITES[name].mutation
+    cold_mutated = run(mutation)
+    w_memo.clear()
+    cold = run("")
+    assert cold[0] and not cold_mutated[0]
+    assert run(mutation) == cold_mutated
+    assert run("") == cold
+    assert w_memo and all(not residual.terms
+                          for residual, _ in w_memo.values())
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
