@@ -138,12 +138,9 @@ def _cmd_verify(args):
     if args.surface and args.surface not in SURFACE_NAMES:
         raise UsageError("unknown surface %r; built in: %s"
                          % (args.surface, ", ".join(SURFACE_NAMES)))
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     spec = SuiteSpec(suite=args.suite, surface=args.surface,
                      cutoff=args.cutoff, bounds=bounds,
-                     classes=args.classes, mutation=args.mutation,
-                     jobs=args.jobs)
+                     classes=args.classes, mutation=args.mutation)
     try:
         report = run_suite(spec)
     except ValueError as exc:
@@ -352,9 +349,6 @@ def build_parser():
     p.add_argument("--classes", choices=["", "named", "all"], default="")
     p.add_argument("--mutation", default="",
                    help="run the suite's documented mutation; it must fail")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the W-bracket cells of vir, "
-                        "thm55 and thm57, at most the CPU count")
     p.add_argument("--bound", action="append", default=[],
                    metavar="KEY=INT", help="override a grid bound")
     _add_out_flags(p, ["human", "jsonl", "csv"])

@@ -99,14 +99,9 @@ def apply_word(ring, word, terms):
 
 def _partners(ring, m, i):
     """The creation factors (-m, j) that a(m; b_i), m > 0, contracts
-    with (pairing[i][j] != 0), cached on the ring."""
-    key = ("partners", m, i)
-    out = ring._cache.get(key)
-    if out is None:
-        gram = ring.pairing_matrix()
-        out = ring._cache[key] = frozenset((-m, j) for j, g in
-                                           enumerate(gram[i]) if g)
-    return out
+    with (pairing[i][j] != 0)."""
+    return frozenset((-m, j) for j, g in
+                     enumerate(ring.pairing_matrix()[i]) if g)
 
 
 class OperatorSum:

@@ -15,17 +15,18 @@ parameters; `run_suite` rejects any other --bound key.  The registry
 whether --classes applies) and `run_suite` refuses any other value; every
 part of a runner takes its rings from `_rings`, so a report header never
 names a window, a class list or a surface the run did not use.  A window
-too small to hold a bracket cell (`_sound_pos`), or bounds that leave a
-run without a record, are refused rather than passed vacuously.
+too small to hold a bracket cell (`_sound_pos`), bounds that leave a
+run without a record, or a mutated run that no check fails, are refused
+rather than passed vacuously.
 
 The W-bracket of Theorem 5.5 is stated once (`_w_expected`).  vir (its
 p = q = 1 cells), thm55 and thm57 (its untagged part) measure their
-cells through one runner, `_w_grid`, which --jobs spreads over worker
-processes without changing a byte, and ground them on states against
-its series (`_w_op`).  Each cell is measured once per process and kept
-only as its residual against `_w_expected` (empty when the identity
-holds) and its scalar terms, which the central checks read; each
-mutation adds its one term to a copy of the residual.
+cells through one runner, `_w_grid`, in order and in this process, and
+ground them on states against its series (`_w_op`).  Each cell is
+measured once per process and kept only as its residual against
+`_w_expected` (empty when the identity holds) and its scalar terms,
+which the central checks read; each mutation adds its one term to a
+copy of the residual.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -35,7 +36,6 @@ use reduced grids; the mutation is rejected unless its label matches.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,6 +75,9 @@ class SuiteSpec:
     bounds: dict = field(default_factory=dict)
     classes: str = ""
     mutation: str = ""
+    # Read by nothing: every suite runs in this process.  Kept because
+    # the benchmark worker (perfbench/worker.py) builds SuiteSpec(...,
+    # jobs=1).
     jobs: int = 1
 
 
@@ -457,44 +460,22 @@ def _w_cell(args):
     return meas - _w_expected(p, q, m, n, pos, N), scalars
 
 
-def pool_size(jobs):
-    """Worker processes for --jobs: jobs, clamped to 1..CPU count."""
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
 # The measured W-bracket cells of this process, (p, q, m, n, N) ->
 # _w_cell's (residual, scalar terms): one entry per distinct cell and
-# window, whose residual is empty when the identity holds.  Entries are
-# shared by every suite, so no caller changes one.
+# window, whose residual is empty when the identity holds.  vir, thm55
+# and thm57 all read it, so no caller changes an entry.
 _W_MEMO = {}
 
 
 def _w_grid(spec, cells):
-    """(cell, (residual, scalar terms)) for each cell, in order.  A cell
-    this process has not measured yet is computed lazily, or streamed
-    from --jobs worker processes, whose pool (and multiprocessing) is
-    imported only when some cell is missing; either way it is stored in
+    """(cell, (residual, scalar terms)) for each cell, in order; a cell
+    this process has not measured yet is measured and stored in
     _W_MEMO."""
-    keys = [cell + (_cutoff(spec),) for cell in cells]
-    missing = [k for k in keys if k not in _W_MEMO]
-    workers = pool_size(spec.jobs)
-    if workers == 1 or not missing:
-        yield from _w_stored(cells, keys, zip(missing, map(_w_cell, missing)))
-        return
-    from multiprocessing import Pool
-
-    with Pool(workers) as pool:
-        yield from _w_stored(cells, keys, zip(
-            missing, pool.imap(_w_cell, missing, chunksize=16)))
-
-
-def _w_stored(cells, keys, fresh):
-    """Yield each cell's memo entry, storing the (key, entry) pairs of
-    the ordered iterator fresh until the cell's key is in."""
-    for cell, key in zip(cells, keys):
-        while key not in _W_MEMO:
-            k, entry = next(fresh)
-            _W_MEMO[k] = entry
+    window = _cutoff(spec)
+    for cell in cells:
+        key = cell + (window,)
+        if key not in _W_MEMO:
+            _W_MEMO[key] = _w_cell(key)
         yield cell, _W_MEMO[key]
 
 
@@ -1541,6 +1522,10 @@ def run_suite(spec):
     if not records:
         raise ValueError("suite %s has nothing to check at these bounds: "
                          "the run yields no record" % spec.suite)
+    if spec.mutation and all(r.status == "pass" for r in records):
+        raise ValueError("suite %s passes with mutation %s: these bounds "
+                         "leave the mutation nothing to change"
+                         % (spec.suite, spec.mutation))
     wall = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(spec.suite, spec, records, wall)
 

@@ -7,7 +7,6 @@ tolerances anywhere.
 """
 
 import hashlib
-import os
 import time
 from fractions import Fraction as Q
 
@@ -17,8 +16,6 @@ from hilbfock.operators import commutator_action
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import SUITES, SuiteSpec, run_suite, serialize_report
 from hilbfock.walgebra import virasoro
-
-JOBS = max(1, os.cpu_count() or 1)
 
 # Frozen sha256 of the jsonl report of every battery run, by suite: the
 # plain runs below and the mutated runs of test 12.  A change to any
@@ -213,7 +210,7 @@ def test_acceptance_08_w_algebra_grand_grid():
     p + q <= 6 including the four exceptional pairs, m, n in [-3, 3],
     all basis classes on K3, abelian, and the plane, window 8, exact
     equality including structure-polynomial and central terms."""
-    report = run_ok(SuiteSpec("thm55", cutoff=8, jobs=JOBS,
+    report = run_ok(SuiteSpec("thm55", cutoff=8,
                               bounds={"pq_max": 6, "m_max": 3}), 900)
     cells = {(r.params["p"], r.params["q"]) for r in report.records
              if "p" in r.params and "q" in r.params}

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hilbfock import cli
 from hilbfock.cli import main
 from hilbfock.hilbert import chern_class
@@ -62,12 +64,23 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify")[0] == 2
 
 
-def test_verify_jobs_below_one_is_usage_error(capsys):
-    for bad in ("0", "-3"):
-        code, out, err = run(capsys, "verify", "--suite", "rmk43",
-                             "--jobs", bad)
-        assert code == 2 and out == ""
-        assert "--jobs must be at least 1" in err
+def test_verify_mutation_that_no_check_fails_is_usage_error(capsys):
+    for suite, bound, mutation in (("thm55", "pq_max=2", "omega-negated"),
+                                   ("thm57", "pq_max=0", "linear-shift"),
+                                   ("heis", "m_max=0", "central-shift")):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--bound", bound, "--mutation", mutation)
+        assert code == 2 and out == "", suite
+        assert err == ("error: suite %s passes with mutation %s: these "
+                       "bounds leave the mutation nothing to change\n"
+                       % (suite, mutation)), err
+
+
+def test_verify_jobs_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "thm55", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_verify_negative_cutoff_is_usage_error(capsys):

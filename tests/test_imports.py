@@ -168,9 +168,46 @@ def _module_name(path):
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+CONCURRENCY = ("multiprocessing", "concurrent", "threading")
+
+
+def concurrency_imports(source):
+    """(line, module) of every import statement in source, at any depth,
+    that reaches multiprocessing, concurrent.futures or threading."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] in CONCURRENCY]
+    return sorted(found)
+
+
+def test_checker_flags_a_concurrency_import():
+    source = ("import os, threading\n"
+              "def run():\n    from multiprocessing import Pool\n"
+              "    import concurrent.futures as cf\n"
+              "from . import threads\n")
+    assert concurrency_imports(source) == [
+        (1, "threading"), (3, "multiprocessing"), (4, "concurrent.futures")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_worker_pool(path):
+    """Every run does its work in the process that reports it, where the
+    benchmark's tracer sees it; a lazy import inside a function counts,
+    which the import-time test below cannot see."""
+    assert concurrency_imports(path.read_text()) == [], path.relative_to(SRC)
+
+
 def test_importing_the_package_loads_no_multiprocessing():
-    """Only a --jobs pool needs multiprocessing, so a fresh interpreter
-    that imports hilbfock and every submodule has not loaded it."""
+    """A fresh interpreter that imports hilbfock and every submodule has
+    not loaded multiprocessing: importing the package starts no
+    process."""
     names = [_module_name(p) for p in MODULES]
     assert {"hilbfock", "hilbfock.cli", "hilbfock.verify"} <= set(names)
     code = ("import importlib, sys\n"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbfock import operators, partitions
+from hilbfock import operators, partitions, verify
 from hilbfock.cli import main
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import SuiteSpec, list_suites, run_suite, serialize_report
@@ -98,8 +98,9 @@ def test_query_outputs_do_not_depend_on_history():
 def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
     each of them emptied, the query universe and two suite jobs give
-    their frozen bytes again."""
+    their frozen bytes again; thm57 measures its W-bracket cells anew."""
     operators._stats_cache.clear()
+    verify._W_MEMO.clear()
     partitions._exact_partitions.cache_clear()
     for name in SURFACE_NAMES:
         builtin_ring(name)._cache.clear()

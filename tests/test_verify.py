@@ -11,8 +11,8 @@ import pytest
 from hilbfock import verify
 from hilbfock.ring import SURFACE_NAMES
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
-                             VerificationReport, list_suites, pool_size,
-                             report_lines, run_suite, serialize_report)
+                             VerificationReport, list_suites, report_lines,
+                             run_suite, serialize_report)
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -25,13 +25,6 @@ def test_registry_names_frozen():
     assert [d["suite"] for d in listed] == list(SUITE_NAMES)
     for d in listed:
         assert d["description"] and d["mutation"]
-
-
-def test_pool_size_clamps_to_cpu_count(monkeypatch):
-    monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: 4)
-    assert [pool_size(j) for j in (1, 2, 4, 5, 10**6)] == [1, 2, 4, 4, 4]
-    monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: None)
-    assert pool_size(8) == 1
 
 
 def test_small_runs_pass():
@@ -140,6 +133,21 @@ def test_run_without_records_rejected():
         run_suite(SuiteSpec("cor48", bounds={"n_max": 0}))
 
 
+@pytest.mark.parametrize("name,bounds", [
+    ("thm55", {"pq_max": 2}), ("thm57", {"pq_max": 0}),
+    ("heis", {"m_max": 0})])
+def test_mutated_run_that_no_check_fails_rejected(name, bounds):
+    """Bounds that leave the mutated term out of every check (Omega
+    enters thm55 only at p + q >= 3) would pass the mutated run; it is
+    refused, while the plain run at those bounds passes."""
+    mutation = SUITES[name].mutation
+    with pytest.raises(ValueError, match="^suite %s passes with mutation %s: "
+                       "these bounds leave the mutation nothing to change$"
+                       % (name, mutation)):
+        run_suite(SuiteSpec(name, bounds=bounds, mutation=mutation))
+    assert run_suite(SuiteSpec(name, bounds=bounds)).ok
+
+
 @pytest.fixture
 def w_memo(monkeypatch):
     """An empty W-bracket memo for one test; the process's own memo is
@@ -147,71 +155,6 @@ def w_memo(monkeypatch):
     memo = {}
     monkeypatch.setattr(verify, "_W_MEMO", memo)
     return memo
-
-
-@pytest.fixture
-def pool_log(monkeypatch):
-    """multiprocessing.Pool, logged: the pools made and the cells sent."""
-    import multiprocessing
-    import multiprocessing.pool
-
-    log = {"pools": 0, "cells": []}
-
-    class LoggedPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            log["pools"] += 1
-            super().__init__(*args, **kwargs)
-
-        def imap(self, func, iterable, chunksize=1):
-            iterable = list(iterable)
-            log["cells"].extend(iterable)
-            return super().imap(func, iterable, chunksize)
-
-    monkeypatch.setattr(multiprocessing, "Pool", LoggedPool)
-    monkeypatch.setattr("hilbfock.verify.os.cpu_count", lambda: 2)
-    return log
-
-
-def _jsonl(name, bounds, mutation="", jobs=1):
-    return serialize_report(run_suite(SuiteSpec(
-        name, bounds=bounds, mutation=mutation, jobs=jobs)), "jsonl")
-
-
-@pytest.mark.parametrize("name,bounds", [
-    ("vir", {"m_max": 2}), ("thm55", {"pq_max": 3, "m_max": 1}),
-    ("thm57", {"pq_max": 2, "m_max": 2})])
-def test_w_grid_jobs_keep_every_byte(w_memo, pool_log, name, bounds):
-    """The W-bracket cells stream from worker processes under --jobs in
-    the serial order; the pool runs whatever the host's CPU count.  Each
-    run starts from an empty memo, so the pooled run measures every one
-    of its cells in the pool.  The bounds let every mutation fail."""
-    for mutation in ("", SUITES[name].mutation):
-        w_memo.clear()
-        serial = _jsonl(name, bounds, mutation)
-        assert ('"ok": false' in serial) == bool(mutation), mutation
-        w_memo.clear()
-        del pool_log["cells"][:]
-        pooled = _jsonl(name, bounds, mutation, jobs=2)
-        assert pooled == serial, mutation
-        assert sorted(pool_log["cells"]) == sorted(w_memo), mutation
-
-
-def test_w_grid_pool_gets_only_missing_cells(w_memo, pool_log):
-    """With the memo partly warm (vir's p = q = 1 cells), a --jobs 2 run
-    of thm55 sends the pool exactly the cells the memo lacks and keeps
-    its cold serial bytes; a fully warm run makes no pool."""
-    bounds = {"pq_max": 2, "m_max": 1}
-    cold = _jsonl("thm55", bounds)
-    w_memo.clear()
-    assert run_suite(SuiteSpec("vir", bounds={"m_max": 1})).ok
-    warm = set(w_memo)
-    assert warm and all(key[:2] == (1, 1) for key in warm)
-    assert _jsonl("thm55", bounds, jobs=2) == cold
-    sent = pool_log["cells"]
-    assert pool_log["pools"] == 1 and len(sent) == len(set(sent))
-    assert set(sent) == set(w_memo) - warm
-    assert _jsonl("thm55", bounds, jobs=2) == cold
-    assert pool_log["pools"] == 1
 
 
 def test_w_cells_are_measured_once_per_process(monkeypatch, w_memo):
@@ -323,7 +266,7 @@ def test_lem32_builds_each_bracket_operator_once(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(verify, name, counted(name))
-    report = run_suite(SuiteSpec("lem32", surface="p1xp1", jobs=1))
+    report = run_suite(SuiteSpec("lem32", surface="p1xp1"))
     text = serialize_report(report, "jsonl")
     assert report.ok
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -345,7 +288,7 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(verify, "heisenberg", counted)
-    report = run_suite(SuiteSpec("thm31", surface="p1xp1", jobs=1))
+    report = run_suite(SuiteSpec("thm31", surface="p1xp1"))
     text = serialize_report(report, "jsonl")
     assert report.ok
     assert hashlib.sha256(text.encode()).hexdigest() == \
