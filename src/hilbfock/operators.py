@@ -52,6 +52,7 @@ instantiate on a concrete ring where needed.
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 from types import MappingProxyType
 
@@ -510,7 +511,7 @@ def normalize_arrangement(seq):
         (ms, 1, im) for ms, im in _euler_corrections(seq)]
 
 
-def s_bracket(a, b, keep=None):
+def s_bracket(a, b):
     """Bracket of two explicit smeared lists by single contractions."""
     out = SmearedOp()
     for (nu, ea, ka), ca in a.terms.items():
@@ -527,8 +528,7 @@ def s_bracket(a, b, keep=None):
                     for ms, ee, im in normalize_arrangement(arr):
                         if e0 + ee > 1:
                             continue
-                        if keep is None or keep(ms):
-                            out.add((ms, e0 + ee, k0), coeff * im)
+                        out.add((ms, e0 + ee, k0), coeff * im)
     return out
 
 
@@ -546,33 +546,26 @@ class Family:
     inner loops allocates nothing extra.
     """
 
-    __slots__ = ("ell", "total", "num", "den", "epow", "kpow")
+    __slots__ = ("ell", "total", "num", "den", "epow")
 
-    def __init__(self, ell, total, num, den=1, epow=0, kpow=0):
+    def __init__(self, ell, total, num, den=1, epow=0):
         self.ell = ell
         self.total = total
         self.num = num
         self.den = den
         self.epow = epow
-        self.kpow = kpow
 
 
+@cache
 def _stats_list(ell, total, poscap, negcap):
-    """Cached (parts, pos, neg, mult!, sum of squares) for a window."""
-    key = (ell, total, poscap, negcap)
-    if key in _stats_cache:
-        return _stats_cache[key]
+    """(parts, pos, neg, mult!, sum of squares) of each partition on a
+    window, kept for the process; a tuple, since every caller shares it."""
     bound = min(poscap, negcap + total)
-    out = []
-    if bound >= 0:
-        for lam in enumerate_genpartitions(ell, total, bound):
-            out.append((lam.parts, lam.positive_total(), lam.negative_total(),
-                        lam.mult_factorial, lam.weighted_square))
-    _stats_cache[key] = out
-    return out
-
-
-_stats_cache = {}
+    if bound < 0:
+        return ()
+    return tuple((lam.parts, lam.positive_total(), lam.negative_total(),
+                  lam.mult_factorial, lam.weighted_square)
+                 for lam in enumerate_genpartitions(ell, total, bound))
 
 
 def _divided(nums, den):
@@ -591,7 +584,7 @@ def series_to_smeared(families, poscap, negcap):
         num, scale = fam.num, den // fam.den
         for parts, _, _, mf, ws in _stats_list(fam.ell, fam.total, poscap,
                                                negcap):
-            _acc(nums, (parts, fam.epow, fam.kpow), num(parts, mf, ws) * scale)
+            _acc(nums, (parts, fam.epow, 0), num(parts, mf, ws) * scale)
     return _divided(nums, den)
 
 
@@ -618,12 +611,12 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
     nums = {}
     for fa, fb in pairs:
         scale = den // (fa.den * fb.den)
-        e0, k0 = fa.epow + fb.epow, fa.kpow + fb.kpow
+        e0 = fa.epow + fb.epow
         for ms, n in _plain_events(fa, fb, poscap, negcap).items():
-            _acc(nums, (ms, e0, k0), n * scale)
+            _acc(nums, (ms, e0, 0), n * scale)
         if e0 == 0 and fa.ell >= 2 and fb.ell >= 2:
             for ms, n in _swap_events(fa, fb, poscap, negcap, keep).items():
-                _acc(nums, (ms, 1, k0), n * scale)
+                _acc(nums, (ms, 1, 0), n * scale)
     return _divided(nums, den)
 
 

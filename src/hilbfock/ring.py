@@ -42,6 +42,7 @@ cohomology, and an abelian (exterior-algebra) model with odd classes.
 from __future__ import annotations
 
 import json
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -440,7 +441,6 @@ def _abelian():
 
 
 _BUILTIN = {"p2": _p2, "p1xp1": _p1xp1, "k3": _k3, "abelian": _abelian}
-_builtin_cache = {}
 
 SURFACE_NAMES = tuple(sorted(_BUILTIN))
 
@@ -451,9 +451,14 @@ def builtin_ring(name):
     if key not in _BUILTIN:
         raise RingError("unknown built-in surface %r (choose from %s)"
                         % (name, ", ".join(SURFACE_NAMES)))
-    if key not in _builtin_cache:
-        _builtin_cache[key] = _BUILTIN[key]()
-    return _builtin_cache[key]
+    return _built(key)
+
+
+@cache
+def _built(key):
+    """The one ring object of a built-in surface in this process: callers
+    compare rings by identity (u.ring is v.ring)."""
+    return _BUILTIN[key]()
 
 
 # -- serialization --------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -185,15 +186,7 @@ def _op_memo(ring):
     """op(build, m, elem): build(ring, m, elem), made once per (build, m,
     class), so that its cached columns serve every check that uses it.
     The memo and its columns live as long as the caller keeps it."""
-    ops = {}
-
-    def op(build, m, elem):
-        key = (build, m, elem.coeffs)
-        if key not in ops:
-            ops[key] = build(ring, m, elem)
-        return ops[key]
-
-    return op
+    return cache(lambda build, m, elem: build(ring, m, elem))
 
 
 def _sound_pos(N, size_a, size_b):
@@ -449,10 +442,15 @@ def _w_cells(pq_max, m_max):
             for m, n in product(range(-m_max, m_max + 1), repeat=2)]
 
 
+@cache
 def _w_cell(args):
     """One (p, q, m, n) cell on window N, measured: the residual of the
     bracket [J^p_m, J^q_n] against _w_expected, and the bracket's scalar
-    terms (modes ()), which the central checks read without _w_expected."""
+    terms (modes ()), which the central checks read without _w_expected.
+
+    Kept for the process, one entry per distinct cell and window, whose
+    residual is empty when the identity holds.  vir, thm55 and thm57 all
+    read it, so no caller changes an entry."""
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
     meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
@@ -460,23 +458,12 @@ def _w_cell(args):
     return meas - _w_expected(p, q, m, n, pos, N), scalars
 
 
-# The measured W-bracket cells of this process, (p, q, m, n, N) ->
-# _w_cell's (residual, scalar terms): one entry per distinct cell and
-# window, whose residual is empty when the identity holds.  vir, thm55
-# and thm57 all read it, so no caller changes an entry.
-_W_MEMO = {}
-
-
 def _w_grid(spec, cells):
-    """(cell, (residual, scalar terms)) for each cell, in order; a cell
-    this process has not measured yet is measured and stored in
-    _W_MEMO."""
+    """(cell, _w_cell's (residual, scalar terms)) for each cell, in
+    order, on the run's window."""
     window = _cutoff(spec)
     for cell in cells:
-        key = cell + (window,)
-        if key not in _W_MEMO:
-            _W_MEMO[key] = _w_cell(key)
-        yield cell, _W_MEMO[key]
+        yield cell, _w_cell(cell + (window,))
 
 
 def _w_spots(ring, states, cells, pairs):
@@ -683,16 +670,12 @@ def _run_lem32(spec, mut):
                     sm = s_bracket(
                         SmearedOp({(gnu.parts, 0, 0): Q(1)}),
                         SmearedOp({(gmu.parts, 0, 0): Q(1)}))
-                    rhs = {}
+                    rhs = cache(partial(instantiate, sm, ring))
                     for na, a in cpairs:
                         av = op(monomial, gnu, a)
                         for nb, b in cpairs:
                             bv = op(monomial, gmu, b)
-                            ab = a * b
-                            rhs_op = rhs.get(ab.coeffs)
-                            if rhs_op is None:
-                                rhs_op = rhs[ab.coeffs] = instantiate(
-                                    sm, ring, ab)
+                            rhs_op = rhs(a * b)
                             t.states(ring, states,
                                      lambda s: (commutator_column(av, bv, s),
                                                 rhs_op.column(s)),
@@ -741,13 +724,13 @@ def _run_lem32(spec, mut):
 # -- thm42: closed iterated derivatives of transfer operators --------------
 
 
-def _apow_smeared(n, k, N, mut):
-    """apow_families(n, k) on the window; the mutation adds
+def _apow_families(n, k, mut):
+    """apow_families(n, k); the mutation adds
     -2 (-n)^k k! / (24 lam^!) a_lam(tau(e c)), turning (s-1) into (s+1)."""
     fams = apow_families(n, k)
     if mut:
         fams += _euler_families(k - 1, n, -2 * (-n) ** k * factorial(k))
-    return series_to_smeared(fams, N, N).filter(diamond_keep(N))
+    return fams
 
 
 def _run_thm42(spec, mut, *, k_max=3, n_max=3):
@@ -770,15 +753,18 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
         cur = series_to_smeared(heis_families(n), N, N).filter(keep)
         for _ in range(k):
             cur = s_derive(cur, keep, N, N, include_k=False)
-        delta = cur - _apow_smeared(n, k, N, mut)
+        delta = cur - series_to_smeared(
+            _apow_families(n, k, mut), N, N).filter(keep)
         yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
         for ring, cases in rcases:
             yield _sweep(delta, ring, cases,
                          {"check": "classes", "k": k, "n": n})
-    yield from _thm42_spots(spec, mut, N)
+    yield from _thm42_spots(spec, mut)
 
 
-def _thm42_spots(spec, mut, N):
+def _thm42_spots(spec, mut):
+    """D^k(a_n) on states against the closed series, grown with the state
+    as lem32's derivative part grows its right side."""
     cases = [(ring, cname) for ring in _rings(spec, ("p2", "k3"))
              for cname in (("x",) if ring.name == "p2" else ("1", "x"))]
     if mut:
@@ -788,9 +774,10 @@ def _thm42_spots(spec, mut, N):
         states = _action_states(ring)
         t = _Tally()
         for k, n in product(range(3), (1, -1, -2)):
-            closed = _apow_smeared(n, k, N, mut)
+            fams = _apow_families(n, k, mut)
             an = heisenberg(ring, n, a)
-            rhs_op = instantiate(closed, ring, a)
+            rhs_op = smeared_series(
+                ring, lambda w: series_to_smeared(fams, w, w - n), a)
             t.states(ring, states,
                      lambda s: (_iter_deriv(an, k, {s: 1}),
                                 rhs_op.column(s)),
@@ -1301,16 +1288,13 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     """
     B = _cutoff(spec)
     six = 5 if mut else 6
-    memo = {}
 
+    @cache
     def F(orders, m):
         """The component series of :(d^r1 a)...(d^rk a):_m on the box,
         made once per run."""
-        key = (orders, m)
-        if key not in memo:
-            memo[key] = series_to_smeared(
-                fourier_families(FourierSpec(orders, m)), B, B)
-        return memo[key]
+        return series_to_smeared(fourier_families(FourierSpec(orders, m)),
+                                 B, B)
 
     for Nf, m in product(range(n_max + 1), range(-m_max, m_max + 1)):
         z = (0,) * Nf

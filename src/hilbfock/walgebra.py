@@ -67,7 +67,7 @@ def scaled_families(fams, c, den=1, epow=None):
     replaced by epow if given."""
     return [Family(f.ell, f.total,
                    lambda parts, mf, ws, num=f.num: c * num(parts, mf, ws),
-                   f.den * den, f.epow if epow is None else epow, f.kpow)
+                   f.den * den, f.epow if epow is None else epow)
             for f in fams]
 
 

@@ -219,3 +219,52 @@ def test_importing_the_package_loads_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+EMPTY_CONTAINERS = ("set", "dict", "OrderedDict")
+
+
+def module_level_empty_containers(source):
+    """(line, name) of every module-level name bound to an empty {}, [],
+    set(), dict() or OrderedDict(): a container that lives as long as the
+    process and that nothing bounds or clears."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        empty = ((isinstance(value, ast.Dict) and not value.keys)
+                 or (isinstance(value, ast.List) and not value.elts)
+                 or (isinstance(value, ast.Call) and not value.args
+                     and not value.keywords
+                     and getattr(value.func, "id",
+                                 getattr(value.func, "attr", None))
+                     in EMPTY_CONTAINERS))
+        if empty:
+            found += [(node.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_checker_flags_a_module_level_empty_container():
+    source = ("import collections\n_MEMO = {}\n_stats = {}\n"
+              "_rings = {}\n_seen: list = []\n_ids = set()\n"
+              "_named = collections.OrderedDict()\n_kw = dict()\n"
+              "_TABLE = {'p2': 1}\n_FROZEN = frozenset()\n"
+              "def run():\n    memo = {}\n    return memo\n")
+    assert module_level_empty_containers(source) == [
+        (2, "_MEMO"), (3, "_stats"), (4, "_rings"),
+        (5, "_seen"), (6, "_ids"), (7, "_named"), (8, "_kw")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_memo_container(path):
+    """A memo that lives as long as the process goes through functools
+    (functools.cache, which cache_clear() empties), a ring's _cache or an
+    operator's own columns, not through a hand-rolled module dict."""
+    assert module_level_empty_containers(path.read_text()) == [], \
+        path.relative_to(SRC)

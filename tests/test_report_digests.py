@@ -99,8 +99,8 @@ def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
     each of them emptied, the query universe and two suite jobs give
     their frozen bytes again; thm57 measures its W-bracket cells anew."""
-    operators._stats_cache.clear()
-    verify._W_MEMO.clear()
+    operators._stats_list.cache_clear()
+    verify._w_cell.cache_clear()
     partitions._exact_partitions.cache_clear()
     for name in SURFACE_NAMES:
         builtin_ring(name)._cache.clear()

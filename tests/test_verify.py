@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,13 +149,60 @@ def test_mutated_run_that_no_check_fails_rejected(name, bounds):
     assert run_suite(SuiteSpec(name, bounds=bounds)).ok
 
 
+# Small bounds for each suite that reads a window.
+WINDOWED_BOUNDS = {
+    "vir": {"m_max": 2}, "thm42": {"k_max": 2, "n_max": 2},
+    "rmk43": {"k_max": 2, "n_max": 2}, "thm46-unique": {"k_max": 2},
+    "def51-ids": {"p_max": 2, "n_max": 2}, "lem52": {"p_max": 2, "n_max": 2},
+    "lem53": {"p_max": 2, "m_max": 2}, "thm55": {"pq_max": 3, "m_max": 2},
+    "rmk56": {"p_max": 2, "n_max": 2}, "thm57": {"pq_max": 3, "m_max": 2},
+    "lem61": {"n_max": 2, "m_max": 2}}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, suite in SUITES.items() if suite.window is not None))
+def test_windowed_suite_passes_at_its_smallest_window(name):
+    """A true identity holds on every window: each suite that reads a
+    window passes at cutoff 2, or at the least cutoff a refusal names
+    when a bracket needs more (vir, thm55 and thm57 need 4)."""
+    bounds = WINDOWED_BOUNDS[name]
+    try:
+        report = run_suite(SuiteSpec(name, cutoff=2, bounds=bounds))
+    except ValueError as exc:
+        need = re.search(r"needs a cutoff of at least (\d+), got 2$",
+                         str(exc))
+        assert need, exc
+        report = run_suite(SuiteSpec(name, cutoff=int(need.group(1)),
+                                     bounds=bounds))
+    assert report.ok, [r for r in report.records if r.status != "pass"][:1]
+
+
+# The W-bracket memo of this process.
+W_CELL = verify._w_cell
+
+
 @pytest.fixture
 def w_memo(monkeypatch):
-    """An empty W-bracket memo for one test; the process's own memo is
-    put back afterwards."""
-    memo = {}
-    monkeypatch.setattr(verify, "_W_MEMO", memo)
-    return memo
+    """The W-bracket memo, cleared before and after one test; the list it
+    yields records each key the runners ask of it."""
+    W_CELL.cache_clear()
+    keys = []
+
+    def recorded(key):
+        keys.append(key)
+        return W_CELL(key)
+
+    monkeypatch.setattr(verify, "_w_cell", recorded)
+    yield keys
+    W_CELL.cache_clear()
+
+
+def _stored_residuals_empty(keys):
+    """Every residual the memo holds for keys is empty; re-reading them
+    measures nothing anew."""
+    misses = W_CELL.cache_info().misses
+    empty = all(not W_CELL(key)[0].terms for key in keys)
+    return empty and W_CELL.cache_info().misses == misses
 
 
 def test_w_cells_are_measured_once_per_process(monkeypatch, w_memo):
@@ -173,9 +221,10 @@ def test_w_cells_are_measured_once_per_process(monkeypatch, w_memo):
     assert run_suite(SuiteSpec("thm57", bounds=bounds)).ok
     keys = {cell + (SUITES[name].window,) for name in ("thm55", "thm57")
             for cell in verify._w_cells(2, 1)}
-    assert len(calls) == len(keys) == len(w_memo)
+    info = W_CELL.cache_info()
+    assert len(calls) == len(keys) == info.currsize == info.misses
     assert set(w_memo) == keys
-    assert all(not residual.terms for residual, _ in w_memo.values())
+    assert _stored_residuals_empty(keys)
 
 
 @pytest.mark.parametrize("name,bounds", [
@@ -192,13 +241,12 @@ def test_w_memo_keeps_every_byte(w_memo, name, bounds):
 
     mutation = SUITES[name].mutation
     cold_mutated = run(mutation)
-    w_memo.clear()
+    W_CELL.cache_clear()
     cold = run("")
     assert cold[0] and not cold_mutated[0]
     assert run(mutation) == cold_mutated
     assert run("") == cold
-    assert w_memo and all(not residual.terms
-                          for residual, _ in w_memo.values())
+    assert w_memo and _stored_residuals_empty(w_memo)
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
