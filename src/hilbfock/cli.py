@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 
@@ -20,8 +19,7 @@ from .hilbert import (chern_class, cup_product, hilb_integral,
                       intersection_number, intersection_number_closed,
                       k_multisets)
 from .operators import heisenberg
-from .ring import (RingError, SURFACE_NAMES, builtin_ring, dump_ring,
-                   load_ring)
+from .ring import RingError, builtin_ring, dump_ring, load_ring
 from .verify import SuiteSpec, list_suites, run_suite, serialize_report
 from .walgebra import chern, jay, omega, virasoro
 
@@ -30,34 +28,20 @@ class UsageError(Exception):
     pass
 
 
-def _read_ring(path):
-    """The ring in the JSON file at path; an unreadable file is a
-    UsageError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError("cannot read %s: %s" % (path, exc))
-    return load_ring(text)
-
-
 def _resolve_ring(surface, ring_file):
+    """The ring in the JSON file ring_file, else the built-in surface
+    (p2 by default); an unreadable file is a UsageError, an unknown
+    surface a RingError."""
     if surface and ring_file:
         raise UsageError("give either --surface or --ring-file, not both")
-    if ring_file:
-        return _read_ring(ring_file)
-    name = surface or "p2"
-    if name in SURFACE_NAMES:
-        return builtin_ring(name)
-    dirname = os.environ.get("HILBFOCK_SURFACE_DIR", "")
-    if dirname:
-        path = os.path.join(dirname, name + ".json")
-        if os.path.exists(path):
-            return _read_ring(path)
-    raise UsageError(
-        "unknown surface %r; built in: %s%s"
-        % (name, ", ".join(SURFACE_NAMES),
-           "; also searched " + dirname if dirname else ""))
+    if not ring_file:
+        return builtin_ring(surface or "p2")
+    try:
+        with open(ring_file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError("cannot read %s: %s" % (ring_file, exc))
+    return load_ring(text)
 
 
 _OP_RE = re.compile(r"^\s*([aLGJ])\(\s*([-0-9,\s]+?)\s*;\s*(\w+)\s*\)\s*$")
@@ -135,12 +119,9 @@ def _cmd_verify(args):
             bounds[key] = int(val)
         except ValueError:
             raise UsageError("--bound expects KEY=INT, got %r" % item)
-    if args.surface and args.surface not in SURFACE_NAMES:
-        raise UsageError("unknown surface %r; built in: %s"
-                         % (args.surface, ", ".join(SURFACE_NAMES)))
     spec = SuiteSpec(suite=args.suite, surface=args.surface,
                      cutoff=args.cutoff, bounds=bounds,
-                     classes=args.classes, mutation=args.mutation)
+                     mutation=args.mutation)
     try:
         report = run_suite(spec)
     except ValueError as exc:
@@ -318,8 +299,7 @@ def _cmd_dump(args):
 
 def _add_ring_flags(p):
     p.add_argument("--surface", default="",
-                   help="built-in surface name or one under "
-                        "HILBFOCK_SURFACE_DIR (default p2)")
+                   help="built-in surface name (default p2)")
     p.add_argument("--ring-file", default="",
                    help="JSON file with an explicit ring")
 
@@ -346,7 +326,6 @@ def build_parser():
                    help="window cutoff: 0 (the default) runs the suite's "
                         "default window; otherwise at least 2, and only "
                         "for suites that read a window")
-    p.add_argument("--classes", choices=["", "named", "all"], default="")
     p.add_argument("--mutation", default="",
                    help="run the suite's documented mutation; it must fail")
     p.add_argument("--bound", action="append", default=[],

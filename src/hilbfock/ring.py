@@ -447,11 +447,10 @@ SURFACE_NAMES = tuple(sorted(_BUILTIN))
 
 def builtin_ring(name):
     """One of the built-in surface models: p2, p1xp1, k3, abelian."""
-    key = name.lower()
-    if key not in _BUILTIN:
+    if name not in _BUILTIN:
         raise RingError("unknown built-in surface %r (choose from %s)"
                         % (name, ", ".join(SURFACE_NAMES)))
-    return _built(key)
+    return _built(name)
 
 
 @cache

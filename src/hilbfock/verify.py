@@ -11,13 +11,12 @@ Checks are counted in record groups by one tally (`_Tally`): a group
 reports a pass over all its checks, or its first failure.  Each runner
 declares its grid bounds, with their defaults, as keyword-only
 parameters; `run_suite` rejects any other --bound key.  The registry
-(`SUITES`) declares the rest a suite reads (its window, its surfaces,
-whether --classes applies) and `run_suite` refuses any other value; every
-part of a runner takes its rings from `_rings`, so a report header never
-names a window, a class list or a surface the run did not use.  A window
-too small to hold a bracket cell (`_sound_pos`), bounds that leave a
-run without a record, or a mutated run that no check fails, are refused
-rather than passed vacuously.
+(`SUITES`) declares the rest a suite reads (its window and its surfaces)
+and `run_suite` refuses any other value; every part of a runner takes its
+rings from `_rings`, so a report header never names a window or a surface
+the run did not use.  A window too small to hold a bracket cell
+(`_sound_pos`), bounds that leave a run without a record, or a mutated
+run that no check fails, are refused rather than passed vacuously.
 
 The W-bracket of Theorem 5.5 is stated once (`_w_expected`).  vir (its
 p = q = 1 cells), thm55 and thm57 (its untagged part) measure their
@@ -36,7 +35,6 @@ use reduced grids; the mutation is rejected unless its label matches.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from functools import cache, partial
 from fractions import Fraction
@@ -74,7 +72,6 @@ class SuiteSpec:
     surface: str = ""
     cutoff: int = 0
     bounds: dict = field(default_factory=dict)
-    classes: str = ""
     mutation: str = ""
     # Read by nothing: every suite runs in this process.  Kept because
     # the benchmark worker (perfbench/worker.py) builds SuiteSpec(...,
@@ -96,7 +93,6 @@ class VerificationReport:
     suite: str
     spec: SuiteSpec
     records: list
-    wall_ms: float = 0.0
 
     @property
     def passed(self):
@@ -363,7 +359,7 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         m_max = min(m_max, 2)
         rings = rings[:1]
     for ring in rings:
-        pairs = _probe(ring, spec.classes or "all")
+        pairs = _probe(ring, "all")
         wmax = w_max if w_max is not None else (2 if ring.dim <= 4 else 1)
         pre = [(s, {m for m, _ in s})
                for w in range(wmax + 1) for s in basis_states(ring, w)]
@@ -493,7 +489,7 @@ def _run_vir(spec, mut, *, m_max=3):
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
-    cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
+    cases = [(r, _pair_cases(r, _probe(r)))
              for r in _rings(spec, SURFACE_NAMES)]
     if mut:
         m_max = min(m_max, 2)
@@ -1091,8 +1087,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         pq_max = min(pq_max, 3)
         m_max = min(m_max, 1)
         rings = rings[:1]
-    cases = [(r, _pair_cases(r, _probe(r, spec.classes or "named")))
-             for r in rings]
+    cases = [(r, _pair_cases(r, _probe(r))) for r in rings]
     for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut:
             delta = SmearedOp(delta.terms).merge(
@@ -1398,16 +1393,15 @@ class Suite(NamedTuple):
     mutation: str  # the label of its one mutation
     window: int | None  # the window --cutoff 0 runs; None: reads none
     surfaces: tuple  # the built-in surfaces its records name
-    classes: bool = False  # whether --classes chooses its probe classes
 
 
 SUITES = {
     "heis": Suite(_run_heis, "transfer operator commutation relations on "
                   "basis states of every surface model", "central-shift",
-                  None, SURFACE_NAMES, True),
+                  None, SURFACE_NAMES),
     "vir": Suite(_run_vir, "Virasoro bracket of the quadratic series with "
                  "the Euler-class central term", "central-shift", 8,
-                 SURFACE_NAMES, True),
+                 SURFACE_NAMES),
     "thm31": Suite(_run_thm31, "mixed Virasoro-transfer brackets, the "
                    "derivative replacement rule, and the character pin",
                    "canonical-shift", None, SURFACE_NAMES),
@@ -1440,7 +1434,7 @@ SUITES = {
                    ("p2",)),
     "thm55": Suite(_run_thm55, "full W-algebra bracket: linear term, "
                    "structure polynomial, central terms", "omega-negated",
-                   8, ("abelian", "k3", "p2"), True),
+                   8, ("abelian", "k3", "p2")),
     "rmk56": Suite(_run_rmk56, "derivative of W-generators raising the "
                    "weight", "central-scale", 8, ("k3",)),
     "thm57": Suite(_run_thm57, "isomorphism with the abstract W-algebra on "
@@ -1468,14 +1462,14 @@ def run_suite(spec):
     if spec.mutation and spec.mutation != suite.mutation:
         raise ValueError("suite %s supports only mutation %r"
                          % (spec.suite, suite.mutation))
+    for key, value in [("cutoff", spec.cutoff), *spec.bounds.items()]:
+        if type(value) is not int:  # refuses bools and floats too
+            raise ValueError("%s must be an integer, got %r" % (key, value))
     if spec.cutoff < 0:
         raise ValueError("cutoff must be at least 0, got %d" % spec.cutoff)
     if spec.cutoff and suite.window is None:
         raise ValueError("suite %s reads no window, so it takes no cutoff; "
                          "got %d" % (spec.suite, spec.cutoff))
-    if spec.classes and not suite.classes:
-        raise ValueError("suite %s reads no class list, so it takes no "
-                         "--classes; got %r" % (spec.suite, spec.classes))
     if spec.cutoff == 1:
         raise ValueError("cutoff must be 0 (the suite's default window) or "
                          "at least 2, got 1: a window of weight 1 holds no "
@@ -1486,15 +1480,13 @@ def run_suite(spec):
         raise ValueError("suite %s has no bound %s; it accepts %s"
                          % (spec.suite, ", ".join(unknown),
                             ", ".join(accepted) or "none"))
-    bounds = {k: int(v) for k, v in spec.bounds.items()}
-    for k in sorted(bounds):
-        if bounds[k] < 0:
+    for k in sorted(spec.bounds):
+        if spec.bounds[k] < 0:
             raise ValueError("bound %s must be at least 0, got %d"
-                             % (k, bounds[k]))
-    t0 = time.perf_counter()
+                             % (k, spec.bounds[k]))
     # Calling a runner checks nothing yet; only the cor48 mutation may
     # refuse its surface here, in its own words.
-    records = suite.runner(spec, bool(spec.mutation), **bounds)
+    records = suite.runner(spec, bool(spec.mutation), **spec.bounds)
     if spec.surface and not suite.surfaces:
         raise ValueError("suite %s reads no surface, so it takes no "
                          "--surface; got %r" % (spec.suite, spec.surface))
@@ -1510,8 +1502,7 @@ def run_suite(spec):
         raise ValueError("suite %s passes with mutation %s: these bounds "
                          "leave the mutation nothing to change"
                          % (spec.suite, spec.mutation))
-    wall = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(spec.suite, spec, records, wall)
+    return VerificationReport(spec.suite, spec, records)
 
 
 def report_lines(report):
@@ -1522,7 +1513,7 @@ def report_lines(report):
         "surface": spec.surface,
         "cutoff": spec.cutoff,
         "bounds": {k: spec.bounds[k] for k in sorted(spec.bounds)},
-        "classes": spec.classes,
+        "classes": "",  # constant, so that frozen reports keep their bytes
         "mutation": spec.mutation,
     }}
     lines = [head]

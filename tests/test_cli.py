@@ -119,23 +119,17 @@ def test_verify_cutoff_on_windowless_suite_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
-def test_verify_classes_on_suite_without_probe_classes_is_usage_error(
-        capsys):
-    """Only heis, vir and thm55 choose their probe classes by --classes;
-    every other suite refuses it rather than write a class list it never
-    read into the report header."""
-    for suite in ("rmk43", "thm31", "lem52", "eq22"):
-        for classes in ("named", "all"):
-            code, out, err = run(capsys, "verify", "--suite", suite,
-                                 "--classes", classes)
-            assert code == 2 and out == "", (suite, classes)
-            assert "suite %s reads no class list" % suite in err, err
-            assert "Traceback" not in err
+def test_verify_classes_is_not_an_option(capsys):
+    """Each suite fixes its own probe classes; the report header keeps an
+    empty "classes" field."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "heis", "--classes", "all"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --classes all" in capsys.readouterr().err
     code, out, _ = run(capsys, "verify", "--suite", "heis", "--surface",
-                       "p2", "--bound", "m_max=1", "--classes", "named",
-                       "--format", "jsonl")
+                       "p2", "--bound", "m_max=1", "--format", "jsonl")
     assert code == 0
-    assert json.loads(out.splitlines()[0])["header"]["classes"] == "named"
+    assert json.loads(out.splitlines()[0])["header"]["classes"] == ""
 
 
 def test_verify_unknown_bound_key_is_usage_error(capsys):
@@ -347,30 +341,52 @@ def test_ring_file_with_wrong_euler_number_is_usage_error(tmp_path, capsys):
 
 
 def test_unreadable_ring_file_or_surface_entry_is_usage_error(
-        tmp_path, capsys, monkeypatch):
-    """A ring file that is not UTF-8 and a surface-directory entry that is
-    a directory each exit 2 with one line, through either route."""
+        tmp_path, capsys):
+    """A ring file that is a directory or holds bytes that are not UTF-8
+    exits 2 with one line."""
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     (tmp_path / "foo.json").mkdir()
-    (tmp_path / "bar.json").write_bytes(b"\xff\xfe{}")
-    monkeypatch.setenv("HILBFOCK_SURFACE_DIR", str(tmp_path))
-    for argv in (("ring", "--ring-file", str(binary)),
-                 ("ring", "--surface", "foo"),
-                 ("ring", "--surface", "bar")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "", argv
-        assert err.startswith("error: cannot read "), argv
-        assert err.count("\n") == 1 and "Traceback" not in err, argv
+    for path in (binary, tmp_path / "foo.json"):
+        code, out, err = run(capsys, "ring", "--ring-file", str(path))
+        assert code == 2 and out == "", path
+        assert err.startswith("error: cannot read "), path
+        assert err.count("\n") == 1 and "Traceback" not in err, path
 
 
-def test_surface_dir_lookup(tmp_path, capsys, monkeypatch):
-    (tmp_path / "myplane.json").write_text(dump_ring(builtin_ring("p2")))
+def test_surface_dir_is_not_read(tmp_path, capsys, monkeypatch):
+    """A ring file loads only through --ring-file: --surface names a
+    built-in surface, whatever the environment holds."""
+    path = tmp_path / "myplane.json"
+    path.write_text(dump_ring(builtin_ring("p2")))
     monkeypatch.setenv("HILBFOCK_SURFACE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "ring", "--surface", "myplane", "--validate")
+    code, out, err = run(capsys, "ring", "--surface", "myplane")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown built-in surface" in err
+    code, out, _ = run(capsys, "ring", "--ring-file", str(path),
+                       "--validate")
     assert code == 0 and "dim 3" in out
-    monkeypatch.delenv("HILBFOCK_SURFACE_DIR")
-    assert run(capsys, "ring", "--surface", "myplane")[0] == 2
+
+
+RING_COMMANDS = (("ring",), ("chern", "--k", "1", "--n", "2"),
+                 ("dump", "--op", "a(-1;x)"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (cmd + ("--surface", name), "unknown built-in surface %r" % name)
+    for cmd in RING_COMMANDS for name in ("P2", "foo")] + [
+    (("verify", "--suite", "heis", "--surface", "foo"),
+     "suite heis runs on abelian or k3 or p1xp1 or p2, not foo"),
+    (("verify", "--suite", "rmk43", "--surface", "foo"),
+     "suite rmk43 reads no surface"),
+])
+def test_unknown_surface_is_usage_error(capsys, argv, message):
+    """Every command refuses a surface name it does not know in one line:
+    a ring command names the built-in surfaces, verify the suite's."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_dump_operator_deterministic(capsys):

@@ -221,6 +221,39 @@ def test_importing_the_package_loads_no_multiprocessing():
     assert out == "[]\n"
 
 
+ENVIRONMENT = ("environ", "environb", "getenv")
+
+
+def environment_reads(source):
+    """(line, name) of every read of the process environment in source:
+    an attribute environ, environb or getenv (os.environ.get, os.getenv)
+    or a from-import of one of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ENVIRONMENT]
+    return sorted(found)
+
+
+def test_checker_flags_an_environment_read():
+    source = ("import os\nfrom os import getenv as g\n"
+              "def where():\n    return os.environ.get('HOME')\n"
+              "x = os.getenv('A') or os.environb[b'B']\n"
+              "environ = {}\nprint(environ)\n")
+    assert environment_reads(source) == [
+        (2, "getenv"), (4, "environ"), (5, "environb"), (5, "getenv")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Every input of a run is a command-line option or an argument, so
+    the same command line gives the same output in any environment."""
+    assert environment_reads(path.read_text()) == [], path.relative_to(SRC)
+
+
 EMPTY_CONTAINERS = ("set", "dict", "OrderedDict")
 
 
