@@ -2,15 +2,16 @@
 
 The Fock space of a projective surface carries transfer (Heisenberg)
 operators, a Virasoro algebra, Chern character operators of tautological
-sheaves and a full W-algebra of generators J^p_n.  Everything here is
-exact rational arithmetic, without truncation; the verify module checks
-the algebra relations and closed formulas instance by instance.
+sheaves and a full W-algebra of generators J^p_n.  A vector of the Fock
+space is a {state: coeff} dict.  Everything here is exact rational
+arithmetic, without truncation; the verify module checks the algebra
+relations and closed formulas instance by instance.
 """
 
 __version__ = "0.1.0"
 
 from .ring import SURFACE_NAMES, SurfaceRing, builtin_ring, load_ring
-from .fock import FockVector, basis_states, pairing, vacuum
+from .fock import basis_states, combine, pairing, vacuum
 from .partitions import GenPartition
 
 __all__ = [
@@ -18,8 +19,8 @@ __all__ = [
     "SurfaceRing",
     "builtin_ring",
     "load_ring",
-    "FockVector",
     "basis_states",
+    "combine",
     "pairing",
     "vacuum",
     "GenPartition",

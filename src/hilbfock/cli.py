@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .fock import render_vector, vector_records
+from .fock import render_terms, vector_records
 from .hilbert import (chern_class, cup_product, hilb_integral,
                       intersection_number, intersection_number_closed,
                       k_multisets)
@@ -143,14 +143,14 @@ def _cmd_chern(args):
         raise UsageError(str(exc))
     if args.format == "jsonl":
         doc = {"surface": ring.name, "k": args.k, "n": args.n,
-               "class": args.cls, "vector": vector_records(vec)}
+               "class": args.cls, "vector": vector_records(vec, ring)}
         if args.dump_terms:
             doc["operator"] = _op_records(op.terms_within(args.n))
         text = _jline(doc)
     else:
         lines = ["G_%d(%s) on %d points over %s:"
                  % (args.k, args.cls, args.n, ring.name),
-                 render_vector(vec)]
+                 render_terms(vec, ring)]
         if args.dump_terms:
             lines += ["operator terms:", op.terms_within(args.n).render()]
         text = "\n".join(lines) + "\n"
@@ -177,17 +177,17 @@ def _cmd_cup(args):
         vec = cup_product(ring, list(args.k), elems, args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    integral = hilb_integral(vec, args.n)
+    integral = hilb_integral(ring, vec, args.n)
     if args.format == "jsonl":
         text = _jline({"surface": ring.name, "n": args.n,
                        "ks": list(args.k), "classes": classes,
                        "integral": str(integral),
-                       "vector": vector_records(vec)})
+                       "vector": vector_records(vec, ring)})
     else:
         text = ("cup of %s on %d points over %s:\n%s\nintegral: %s\n"
                 % (" ".join("G_%d(%s)" % (k, c)
                             for k, c in zip(args.k, classes)),
-                   args.n, ring.name, render_vector(vec), integral))
+                   args.n, ring.name, render_terms(vec, ring), integral))
     _emit(text, args.out)
     return 0
 

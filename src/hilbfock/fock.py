@@ -8,8 +8,9 @@ ascending by (mode, index); the tuple order is the product order, so
 
 Sorting two odd-class factors flips the sign; a repeated odd factor kills
 the state.  The weight of a state is the total point count -sum(modes).
-A vector is a finite combination of states of any weights: nothing
-truncates it, so every image is exact.
+A vector is a plain {state: coeff} dict with no zero coefficients: a
+finite combination of states of any weights.  Nothing truncates it, so
+every image is exact; combine forms linear combinations of vectors.
 
 Coefficients are exact: an int where the value is integral and nothing
 forced a Fraction, a Fraction otherwise, never a float.  Both render the
@@ -64,71 +65,35 @@ def degree(state, ring):
     return sum(2 * (-m - 1) + ring.degrees[i] for m, i in state)
 
 
-class FockVector:
-    """Finite rational combination of basis states."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms=None):
-        self.ring = ring
-        self.terms = dict(terms) if terms else {}
-
-    def copy(self):
-        return FockVector(self.ring, self.terms)
-
-    def add_term(self, state, coeff):
-        """Accumulate one state."""
-        c = self.terms.get(state)
-        c = coeff if c is None else c + coeff
-        if c:
-            self.terms[state] = c
-        elif state in self.terms:
-            del self.terms[state]
-
-    def __add__(self, other):
-        out = self.copy()
-        for s, c in other.terms.items():
-            out.add_term(s, c)
-        return out
-
-    def __sub__(self, other):
-        out = self.copy()
-        for s, c in other.terms.items():
-            out.add_term(s, -c)
-        return out
-
-    def scale(self, c):
-        if type(c) is not int and type(c) is not Fraction:
-            raise TypeError("scale factor must be int or Fraction, not %s"
-                            % type(c).__name__)
-        if not c:
-            return FockVector(self.ring)
-        return FockVector(self.ring, {s: v * c for s, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, FockVector) and self.ring is other.ring
-                and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def weights(self):
-        return sorted({weight(s) for s in self.terms})
-
-    def render(self):
-        return render_vector(self)
+def vacuum():
+    """The vacuum |0>, the unit of H*(X^[0])."""
+    return {(): 1}
 
 
-def vacuum(ring):
-    return FockVector(ring, {(): 1})
-
-
-def fundamental_class(ring, n):
+def fundamental_class(n):
     """The unit of H*(X^[n]): (1/n!) a(-1;1)^n |0>."""
     if n < 0:
         raise ValueError("point count %d is negative" % n)
-    state = ((-1, 0),) * n
-    return FockVector(ring, {state: Q(1, factorial(n))})
+    return {((-1, 0),) * n: Q(1, factorial(n))}
+
+
+def combine(*pieces):
+    """The combination of (scalar, {state: coeff}) pieces, as a new dict
+    without zero coefficients; a scalar is an int or a Fraction."""
+    out = {}
+    for c, terms in pieces:
+        if type(c) is not int and type(c) is not Fraction:
+            raise TypeError("scalar must be int or Fraction, not %s"
+                            % type(c).__name__)
+        if not c:
+            continue
+        for s, v in terms.items():
+            v = out.get(s, 0) + c * v
+            if v:
+                out[s] = v
+            else:
+                out.pop(s, None)
+    return out
 
 
 def annihilate_state(ring, n, i, state):
@@ -217,17 +182,14 @@ def _class_multisets(ring, count):
     return out
 
 
-def pairing(u, v):
-    """Bilinear pairing of two vectors over the same ring, an int when it
-    is integral."""
-    if u.ring is not v.ring:
-        raise ValueError("vectors over different rings")
-    ring = u.ring
+def pairing(ring, u, v):
+    """Bilinear pairing of two vectors over ring, an int when it is
+    integral."""
     memo = ring._cache.setdefault("state_pairing", {})
     total = 0
-    for s, cu in u.terms.items():
+    for s, cu in u.items():
         ws = weight(s)
-        for t, cv in v.terms.items():
+        for t, cv in v.items():
             if weight(t) == ws:
                 total += cu * cv * _pair_states(ring, s, t, memo)
     return exact(total)
@@ -260,10 +222,6 @@ def render_state(state, ring):
     return " ".join(parts)
 
 
-def render_vector(vec):
-    return render_terms(vec.terms, vec.ring)
-
-
 def render_terms(terms, ring):
     """A {state: coeff} dict as text, states in sorted order."""
     if not terms:
@@ -272,13 +230,9 @@ def render_terms(terms, ring):
                       for s in sorted(terms))
 
 
-def vector_records(vec):
-    """JSON-ready records, one per state, deterministically ordered."""
-    names = vec.ring.basis_names
-    out = []
-    for state in sorted(vec.terms):
-        out.append({
-            "coeff": str(vec.terms[state]),
-            "factors": [[m, names[i]] for m, i in state],
-        })
-    return out
+def vector_records(terms, ring):
+    """JSON-ready records of a {state: coeff} dict, one per state, in
+    sorted order."""
+    names = ring.basis_names
+    return [{"coeff": str(terms[s]), "factors": [[m, names[i]] for m, i in s]}
+            for s in sorted(terms)]

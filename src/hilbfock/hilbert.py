@@ -1,9 +1,10 @@
 """Cohomology classes and intersection numbers on Hilbert schemes.
 
-The weight-n part of the Fock space is H*(X^[n]).  Chern character
+The weight-n part of the Fock space is H*(X^[n]), and a class is a
+{state: coeff} dict, as everywhere in the package.  Chern character
 classes are obtained by applying the character operators to the
-fundamental class; intersection numbers integrate cup products of such
-classes against the point class.
+fundamental class; hilb_integral integrates any class, and intersection
+numbers integrate cup products of character classes of the point class.
 
 For K-trivial arguments the character class also has a closed creation
 expansion: with 1_{-r} = a(-1;1)^r / r! for r >= 0 (zero otherwise),
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .fock import FockVector, fundamental_class, pairing, vacuum
+from .fock import combine, fundamental_class, pairing, vacuum
 from .operators import heisenberg, monomial
 from .partitions import enumerate_ordinary
 from .walgebra import chern, require_canonical_trivial
@@ -44,64 +45,65 @@ def point_class(ring):
 
 def chern_class(ring, k, elem, n):
     """G_k(elem) applied to the fundamental class of X^[n]."""
-    return chern(ring, k, elem).apply(fundamental_class(ring, n))
+    return chern(ring, k, elem).act(fundamental_class(n))
 
 
 def chern_class_closed(ring, k, elem, n):
     """Closed creation expansion of the same class (K-trivial elem)."""
     require_canonical_trivial(ring, elem)
-    out = FockVector(ring)
+    pieces = []
     e_elem = ring.e * elem
     for j in range(k + 1):
         r = n - j - 1
         if r < 0:
             continue
         for lam in enumerate_ordinary(j + 1):
-            pieces = []
+            leads = []
             if lam.length == k - j + 1:
-                pieces.append((Q((-1) ** j), elem))
+                leads.append((Q((-1) ** j), elem))
             if lam.length == k - j - 1 and not e_elem.is_zero():
                 s = lam.weighted_square
-                pieces.append((Q((-1) ** (j + 1) * (j + 1 + s - 2), 24), e_elem))
-            for lead, cls in pieces:
+                leads.append((Q((-1) ** (j + 1) * (j + 1 + s - 2), 24),
+                              e_elem))
+            for lead, cls in leads:
                 coeff = lead / (lam.mult_factorial * factorial(j + 1))
-                vec = monomial(ring, lam.negate(), cls).apply(vacuum(ring))
-                vec = _unit_shift(ring, r, vec)
-                out = out + vec.scale(coeff)
-    return out
+                vec = monomial(ring, lam.negate(), cls).act(vacuum())
+                pieces.append((coeff, _unit_shift(ring, r, vec)))
+    return combine(*pieces)
 
 
 def _unit_shift(ring, r, vec):
     """Multiply by a(-1;1)^r / r!."""
     op = heisenberg(ring, -1, ring.unit)
     for _ in range(r):
-        vec = op.apply(vec)
-    return vec.scale(Q(1, factorial(r)))
+        vec = op.act(vec)
+    return combine((Q(1, factorial(r)), vec))
 
 
 def cup_product(ring, ks, elems, n):
     """Product of character classes on X^[n], applied right to left."""
-    vec = fundamental_class(ring, n)
+    vec = fundamental_class(n)
     for k, elem in reversed(list(zip(ks, elems))):
-        vec = chern(ring, k, elem).apply(vec)
+        vec = chern(ring, k, elem).act(vec)
     return vec
 
 
-def hilb_integral(vec, n):
-    """Integrate a weight-n vector over X^[n].
+def hilb_integral(ring, vec, n):
+    """Integrate a vector over X^[n]: any {state: coeff} dict, whose
+    states of weight other than n do not count.
 
     The point state a(-1;[x])^n |0> is the unique top-degree state and
     pairs to 1 with the fundamental class, so the pairing extracts its
     coefficient.
     """
-    return pairing(vec, fundamental_class(vec.ring, n))
+    return pairing(ring, vec, fundamental_class(n))
 
 
 def intersection_number(ring, ks, n):
     """Integral over X^[n] of the product of G_{k_i}([x])."""
     pt = point_class(ring)
     vec = cup_product(ring, ks, [pt] * len(ks), n)
-    return hilb_integral(vec, n)
+    return hilb_integral(ring, vec, n)
 
 
 def intersection_number_closed(ks, n):

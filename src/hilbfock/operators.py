@@ -15,12 +15,15 @@ Two layers:
   An operator caches its columns, the exact images of single basis
   states, for its life (growing keeps them); a contraction index skips
   the states it provably kills, and their shared empty column is
-  remembered, so a second ask is one lookup.  The kernels act on dicts
-  (OperatorSum.act and column, commutator_column, derive,
-  act_arrangement); apply, commutator_action, derivation_apply and
-  apply_arrangement wrap them for FockVectors.  Only terms_within cuts
-  an operator to a window, for term lists.  The derivation operator d
-  acts recursively through the replacement rule
+  remembered, so a second ask is one lookup.  Vectors are {state:
+  coeff} dicts, and the kernels act on them (OperatorSum.act and column,
+  commutator_column, derive, act_arrangement).  OperatorSum.apply,
+  commutator_action, derivation_apply and apply_arrangement only pass
+  a dict on to them, as the names perfbench/tracer.py wraps; the
+  package never calls them.  Each is a function of its own: the tracer
+  rebinds every global holding a function it wraps, alias or not.
+  Only terms_within cuts an operator to a window, for term lists.  The
+  derivation operator d acts recursively through the replacement rule
 
       [d, a(n;c)] = n*L(n;c) - (n(|n|-1)/2) * a(n; K*c)
 
@@ -56,7 +59,7 @@ from functools import cache
 from math import lcm
 from types import MappingProxyType
 
-from .fock import (FockVector, annihilate_state, canonical_factors,
+from .fock import (annihilate_state, canonical_factors, combine,
                    create_state, exact, weight)
 from .partitions import enumerate_genpartitions
 from .ring import ratio
@@ -239,9 +242,8 @@ class OperatorSum:
                 _acc(out, s2, c * c2)
         return out
 
-    def apply(self, vec):
-        """Exact action on a vector."""
-        return FockVector(vec.ring, self.act(vec.terms))
+    def apply(self, terms):
+        return self.act(terms)
 
     def render(self):
         names = self.ring.basis_names
@@ -272,14 +274,10 @@ def commutator_column(f, g, state):
     return out
 
 
-def commutator_action(f, g, vec):
-    """[f, g] applied to a vector, with the super sign from operator
-    parities."""
-    out = {}
-    for s, c in vec.terms.items():
-        for s2, c2 in commutator_column(f, g, s).items():
-            _acc(out, s2, c * c2)
-    return FockVector(vec.ring, out)
+def commutator_action(f, g, terms):
+    """[f, g] applied to a {state: coeff} dict."""
+    return combine(*((c, commutator_column(f, g, s))
+                     for s, c in terms.items()))
 
 
 # -- constructors ----------------------------------------------------------
@@ -378,10 +376,8 @@ def act_arrangement(ring, modes, elem, terms):
     return out
 
 
-def apply_arrangement(ring, modes, elem, vec):
-    """act_arrangement on a vector."""
-    return FockVector(vec.ring, act_arrangement(ring, modes, elem,
-                                                vec.terms))
+def apply_arrangement(ring, modes, elem, terms):
+    return act_arrangement(ring, modes, elem, terms)
 
 
 # -- the derivation operator ----------------------------------------------
@@ -415,9 +411,8 @@ def derive(ring, terms):
     return out
 
 
-def derivation_apply(vec):
-    """d(vec) by the factorwise replacement rule."""
-    return FockVector(vec.ring, derive(vec.ring, vec.terms))
+def derivation_apply(ring, terms):
+    return derive(ring, terms)
 
 
 # -- smeared calculus ------------------------------------------------------

@@ -524,7 +524,7 @@ def load_ring(text):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or too deep
         raise RingError("invalid JSON: %s" % exc)
     try:
         names = [str(b[0]) for b in doc["basis"]]

@@ -311,6 +311,14 @@ def test_ring_file_malformed_is_usage_error(tmp_path, capsys):
             assert code == 2 and out == "", (d, flags)
             assert err.startswith("ring error: ") and "Traceback" not in err
     assert err == "ring error: intersection pairing is degenerate\n"
+    # nested deeper than the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    for argv in (("ring",), ("chern", "--k", "1", "--n", "2")):
+        code, out, err = run(capsys, *argv, "--ring-file", str(path))
+        assert code == 2 and out == "", argv
+        assert err.startswith("ring error: invalid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 def test_ring_file_bad_degree_or_repeated_product_is_usage_error(tmp_path,
                                                                 capsys):
@@ -481,7 +489,7 @@ def test_chern_dump_terms_matches_dump_and_chern_class(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["vector"] == vector_records(
-        chern_class(k3, 2, k3.basis("u1"), 3))
+        chern_class(k3, 2, k3.basis("u1"), 3), k3)
     code, out, _ = run(capsys, "dump", "--op", "G(2;u1)", "--surface", "k3",
                        "--cutoff", "3", "--format", "jsonl")
     dumped = json.loads(out)

@@ -162,6 +162,37 @@ def test_every_public_name_is_referenced_or_traced():
     assert unreferenced_public_names(sources, _tracer_names()) == []
 
 
+# Kept only for the tracer's operators.apply layer, whose counter reads
+# args[-1].terms: a dict has none, so a traced call from src/ would raise.
+TRACER_ONLY = ("apply", "commutator_action", "derivation_apply",
+               "apply_arrangement")
+
+
+def tracer_only_calls(source):
+    """(line, name) of every call in source to a TRACER_ONLY name, as a
+    plain name or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in TRACER_ONLY:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_checker_flags_a_tracer_only_call():
+    source = ("op.apply(v)\nops.apply_arrangement(r, m, e, t)\n"
+              "op.act(v)\napply = op.act\n")
+    assert tracer_only_calls(source) == [(1, "apply"),
+                                         (2, "apply_arrangement")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_a_tracer_only_name(path):
+    assert tracer_only_calls(path.read_text()) == [], path.relative_to(SRC)
+
+
 def _module_name(path):
     """The dotted import name of a module file under src/."""
     parts = path.relative_to(SRC).with_suffix("").parts

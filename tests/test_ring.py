@@ -433,6 +433,7 @@ LOAD_CASES = [
     ("repeated product",
      _plane_doc(products=[["H", "H", {"x": 1}], ["H", "H", {"x": 2}]]),
      r"product \(H, H\) is listed twice"),
+    ("nested too deep", "[" * 100000, "invalid JSON: maximum recursion"),
 ]
 
 

@@ -8,6 +8,9 @@ The tracer file is only read here, never changed.
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 import hilbfock
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKER = TRACER.with_name("worker.py")
 
 
 def _tracer():
@@ -47,3 +51,17 @@ def test_tracer_target_resolves(module, path):
     for part in path.split("."):
         obj = getattr(obj, part)
     assert callable(obj), (module, path)
+
+
+def test_traced_queries_run_has_no_failed_operation():
+    """A traced queries run wraps every target; a wrapped function that a
+    request reaches with arguments its counter cannot read (the
+    operators.apply counter reads args[-1].terms) would fail that
+    request."""
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), "--workload", "queries", "--seed", "1",
+         "--trace"], capture_output=True, text=True, timeout=120,
+        check=True)
+    rep = json.loads(proc.stdout.strip().splitlines()[-1])["rep"]
+    assert rep["failed"] == []
+    assert rep["self_test_ok"]
