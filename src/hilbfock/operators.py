@@ -15,7 +15,10 @@ Two layers:
   An operator caches its columns, the exact images of single basis
   states, for its life (growing keeps them); a contraction index skips
   the states it provably kills, and their shared empty column is
-  remembered, so a second ask is one lookup.  Vectors are {state:
+  remembered, so a second ask is one lookup.  A family index
+  (OperatorFamily) lifts it to a list of operators, and
+  commutator_block composes, on one state, only the brackets of two
+  families that it cannot rule out.  Vectors are {state:
   coeff} dicts, and the kernels act on them (OperatorSum.act and column,
   commutator_column, derive, act_arrangement).  OperatorSum.apply,
   commutator_action, derivation_apply and apply_arrangement only pass
@@ -272,6 +275,56 @@ def commutator_column(f, g, state):
             for s2, c2 in g.column(s).items():
                 _acc(out, s2, c * c2 if odd else -c * c2)
     return out
+
+
+class OperatorFamily:
+    """Operators f_0, f_1, ... with one contraction index for all of them:
+    each creation factor maps to the positions of the operators whose
+    index holds it, and the positions whose index is False always meet.
+    A series counts as False, since its index grows with it."""
+
+    __slots__ = ("ops", "_holds", "_always")
+
+    def __init__(self, ops):
+        self.ops = tuple(ops)
+        holds, always = {}, []
+        for k, op in enumerate(self.ops):
+            index = False if op._reach is not None else op._contractions()
+            if index is False:
+                always.append(k)
+            else:
+                for factor in index:
+                    holds.setdefault(factor, []).append(k)
+        self._holds, self._always = holds, always
+
+    def meeting(self, col):
+        """The positions whose index meets a state of the column col;
+        every other operator's column of each of its states is empty."""
+        if not col:
+            return ()
+        out = set(self._always)
+        holds = self._holds
+        for s in col:
+            for factor in s:
+                hit = holds.get(factor)
+                if hit:
+                    out.update(hit)
+        return out
+
+
+def commutator_block(fs, gs, state):
+    """{(i, j): commutator_column(f_i, g_j, state)} over two
+    OperatorFamily objects, for just the pairs where f_i's index meets a
+    state of g_j state or g_j's index meets a state of f_i state.  Every
+    other pair's bracket on this state is {}: both its compositions read
+    only columns that the index rules out."""
+    f, g = fs.ops, gs.ops
+    keep = set()
+    for j, gj in enumerate(g):
+        keep.update((i, j) for i in fs.meeting(gj.column(state)))
+    for i, fi in enumerate(f):
+        keep.update((i, j) for j in gs.meeting(fi.column(state)))
+    return {(i, j): commutator_column(f[i], g[j], state) for i, j in keep}
 
 
 def commutator_action(f, g, terms):

@@ -7,8 +7,10 @@ then instantiated on concrete surfaces, and a sample of instances is
 grounded by applying both sides to explicit states, so the smeared
 calculus itself is cross-checked against raw operator composition.
 
-Checks are counted in record groups by one tally (`_Tally`): a group
-reports a pass over all its checks, or its first failure.  Each runner
+Checks are counted in record groups: a group reports a pass over all
+its checks, or its first failure.  Every suite counts them through one
+tally (`_Tally`) but heis, which checks each cell as one block of class
+pairs and states (`_heis_failure`) with the same counts.  Each runner
 declares its grid bounds, with their defaults, as keyword-only
 parameters; `run_suite` rejects any other --bound key.  The registry
 (`SUITES`) declares the rest a suite reads (its window and its surfaces)
@@ -44,11 +46,11 @@ from typing import NamedTuple
 
 from .fock import (basis_states, combine, render_state, render_terms,
                    weight)
-from .operators import (SmearedOp, act_arrangement, box_keep,
-                        commutator_column, derive, diamond_keep, heisenberg,
-                        instantiate, monomial, quadratic_sum, s_bracket,
-                        s_derive, series_bracket, series_to_smeared,
-                        smeared_series)
+from .operators import (OperatorFamily, SmearedOp, act_arrangement,
+                        box_keep, commutator_block, commutator_column, derive,
+                        diamond_keep, heisenberg, instantiate, monomial,
+                        quadratic_sum, s_bracket, s_derive, series_bracket,
+                        series_to_smeared, smeared_series)
 from .partitions import GenPartition
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
@@ -207,7 +209,7 @@ class _Tally:
 
     A group reports a pass over all its checks, or its first failure.
     The failure reports one check or, with ``total`` set, every check
-    counted when the group ends; heis ends a group at its first failure.
+    counted when the group ends.
     """
 
     __slots__ = ("checks", "fail", "total")
@@ -247,10 +249,6 @@ class _Tally:
                 self.fail = InstanceRecord(
                     dict(params, state=render_state(s, ring)), "fail", 1,
                     render_terms(rhs, ring), render_terms(lhs, ring))
-
-    def skip(self, count):
-        """Count checks that hold without computing them."""
-        self.checks += count
 
     def record(self, params):
         """The group's record; params name the group when it passes."""
@@ -342,10 +340,35 @@ def _euler_families(ell, total, c):
 # -- heis: transfer operator commutators ----------------------------------
 
 
+def _heis_failure(fs, gs, live, central):
+    """The first failure ((i, j), state, lhs, rhs) of a heis cell: its
+    first failing class pair in product order, at that pair's first
+    failing state, or None.  central maps the pairs with a nonzero
+    central term to it; a pair that commutator_block leaves out has the
+    empty bracket."""
+    first = None
+    for s in live:
+        block = commutator_block(fs, gs, s)
+        for ij in block.keys() | central.keys():
+            if first is not None and ij >= first[0]:
+                continue
+            lhs = block.get(ij, {})
+            cc = central.get(ij)
+            rhs = {s: cc} if cc else {}
+            if lhs != rhs:
+                first = (ij, s, lhs, rhs)
+    return first
+
+
 def _run_heis(spec, mut, *, m_max=4, w_max=None):
     """[a_m(a), a_n(b)] = -m delta_{m,-n} integral(ab) Id on basis states
     of weight at most w_max (default 2 on rings of dimension at most 4,
     else 1).
+
+    Each (m, n) cell is one record over every class pair (a, b) and
+    state, checked as one block (_heis_failure).  A failing cell reports
+    its first failing pair at its first failing state, with the checks
+    of every pair up to it.
 
     Mutation central-shift: the central coefficient -m becomes -m + 1.
     """
@@ -355,36 +378,46 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         rings = rings[:1]
     for ring in rings:
         pairs = _probe(ring, "all")
+        size = len(pairs)
         wmax = w_max if w_max is not None else (2 if ring.dim <= 4 else 1)
         pre = [(s, {m for m, _ in s})
                for w in range(wmax + 1) for s in basis_states(ring, w)]
+        # integral(ab) of the class pairs where it is nonzero
+        paired = {}
+        for (i, (_, a)), (j, (_, b)) in product(enumerate(pairs), repeat=2):
+            v = ring.integrate(a * b)
+            if v:
+                paired[i, j] = v
         for m in range(-m_max, m_max + 1):
             # One memo per m bounds the memory of cached columns.
             op = _op_memo(ring)
+            fs = OperatorFamily(op(heisenberg, m, a) for _, a in pairs)
             for n in range(-m_max, m_max + 1):
-                # Off the diagonal a check holds trivially on a state
-                # unless an annihilator meets one of its modes.
+                # The mode rule: off the diagonal, the checks on a state
+                # that no annihilator meets are counted, not computed.
+                # For two creators (m, n < 0) that is every state, so
+                # the Koszul sign of create_state goes unchecked here.
                 live = [s for s, modes in pre
                         if m == -n or (m > 0 and -m in modes)
                         or (n > 0 and -n in modes)]
                 params = {"surface": ring.name, "m": m, "n": n}
-                t = _Tally(total=True)
-                for (na, a), (nb, b) in product(pairs, pairs):
-                    t.skip(len(pre) - len(live))
-                    if live:
-                        f = op(heisenberg, m, a)
-                        g = op(heisenberg, n, b)
-                        cc = Q(0)
-                        if m == -n and m != 0:
-                            cc = (Q(-m + (1 if mut else 0))
-                                  * ring.integrate(a * b))
-                        t.states(ring, live,
-                                 lambda s: (commutator_column(f, g, s),
-                                            {s: cc} if cc else {}),
-                                 dict(params, a=na, b=nb))
-                    if t.fail:
-                        break
-                yield t.record(params)
+                fail = None
+                if live:
+                    gs = OperatorFamily(op(heisenberg, n, b)
+                                        for _, b in pairs)
+                    c = Q(-m + (1 if mut else 0)) if m == -n != 0 else 0
+                    fail = _heis_failure(fs, gs, live, {
+                        ij: c * v for ij, v in paired.items()} if c else {})
+                if fail is None:
+                    yield InstanceRecord(params, "pass",
+                                         size * size * len(pre))
+                    continue
+                (i, j), s, lhs, rhs = fail
+                yield InstanceRecord(
+                    dict(params, a=pairs[i][0], b=pairs[j][0],
+                         state=render_state(s, ring)),
+                    "fail", (i * size + j + 1) * len(pre),
+                    render_terms(rhs, ring), render_terms(lhs, ring))
 
 
 # -- the W-bracket of Theorem 5.5, shared by vir, thm55 and thm57 ----------

@@ -4,6 +4,7 @@ series that grow to the weight they act on, the contraction index, and
 the int-first expansion that builds expanded operators."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 from hilbfock import operators
 from hilbfock.fock import (annihilate_state, basis_states, canonical_factors,
                            combine, create_state, exact, weight)
-from hilbfock.operators import (_EMPTY, OperatorSum, SmearedOp,
-                                _replacement_op, act_arrangement,
-                                commutator_action, commutator_column, derive,
-                                heisenberg, instantiate, monomial,
-                                quadratic_sum, series_to_smeared,
-                                smeared_series)
+from hilbfock.operators import (_EMPTY, OperatorFamily, OperatorSum,
+                                SmearedOp, _replacement_op, act_arrangement,
+                                commutator_action, commutator_block,
+                                commutator_column, derive, heisenberg,
+                                instantiate, monomial, quadratic_sum,
+                                series_to_smeared, smeared_series)
 from hilbfock.partitions import GenPartition, enumerate_genpartitions
 from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
 from hilbfock.walgebra import (FourierSpec, chern, chern_families, fourier,
@@ -395,6 +396,46 @@ def test_commutator_column_with_both_columns_empty():
                 assert got == want == {}, s
                 assert got is not _EMPTY
         assert seen
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_commutator_block_leaves_out_only_empty_brackets(name):
+    """For m, n in [-2, 2], every class pair and every state of weight at
+    most 2 (1 on k3), a pair commutator_block keeps has the column of
+    commutator_column and a pair it leaves out has the empty bracket;
+    on the abelian surface the odd classes are among the pairs."""
+    ring = builtin_ring(name)
+    wmax = 1 if name == "k3" else 2
+    states = [s for w in range(wmax + 1) for s in basis_states(ring, w)]
+    fams = {m: OperatorFamily(heisenberg(ring, m, ring.basis(i))
+                              for i in range(ring.dim))
+            for m in range(-2, 3)}
+    kept = left = odd_kept = 0
+    for m, n in product(fams, repeat=2):
+        if m > n:
+            continue
+        fs, gs = fams[m], fams[n]
+        for s in states:
+            # [g, f] is [f, g] for two odd operators, else -[f, g], so one
+            # reference column checks the block in both orders.
+            fg = commutator_block(fs, gs, s)
+            gf = commutator_block(gs, fs, s)
+            for (i, f), (j, g) in product(enumerate(fs.ops),
+                                          enumerate(gs.ops)):
+                want = commutator_column(f, g, s)
+                back = (want if f.parity() and g.parity()
+                        else {t: -c for t, c in want.items()})
+                for got, ref in ((fg.get((i, j)), want),
+                                 (gf.get((j, i)), back)):
+                    if got is None:
+                        assert ref == {}, (m, n, i, j, s)
+                        left += 1
+                    else:
+                        assert got == ref, (m, n, i, j, s)
+                        kept += 1
+                        odd_kept += ring.parity[i] and ring.parity[j]
+    assert kept and left
+    assert odd_kept or not any(ring.parity)
 
 
 def odd(ref):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbfock import verify
+from hilbfock import operators, verify
 from hilbfock.ring import SURFACE_NAMES
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
                              VerificationReport, list_suites, report_lines,
@@ -354,6 +354,29 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == \
         REFS["suites"]["thm31-p1xp1"]
     assert len(calls) <= 346, len(calls)
+
+
+def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch):
+    """heis checks each (m, n) cell as one block, so on k3 at m_max=2 it
+    composes at most the 4,656 brackets that the family index keeps
+    (168,768 when every (a, b, state) triple the mode rule leaves live
+    was composed), and its report keeps its frozen bytes."""
+    calls = 0
+    bracket = operators.commutator_column
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(operators, "commutator_column", counted)
+    monkeypatch.setattr(verify, "commutator_column", counted)
+    report = run_suite(SuiteSpec("heis", surface="k3", bounds={"m_max": 2}))
+    text = serialize_report(report, "jsonl")
+    assert report.ok
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REFS["suites"]["heis-k3"]
+    assert 0 < calls <= 4656, calls
 
 
 def test_lem32_memo_memory_stays_bounded():
