@@ -10,24 +10,28 @@ calculus itself is cross-checked against raw operator composition.
 Checks are counted in record groups: a group reports a pass over all
 its checks, or its first failure.  Every suite counts them through one
 tally (`_Tally`) but heis, which checks each cell as one block of class
-pairs and states (`_heis_failure`) with the same counts.  Each runner
-declares its grid bounds, with their defaults, as keyword-only
-parameters; `run_suite` rejects any other --bound key.  The registry
-(`SUITES`) declares the rest a suite reads (its window and its surfaces)
-and `run_suite` refuses any other value; every part of a runner takes its
-rings from `_rings`, so a report header never names a window or a surface
-the run did not use.  A window too small to hold a bracket cell
+pairs and states (`_heis_residual`, `_heis_failure`) with the same
+counts.  Each runner declares its grid bounds, with their defaults, as
+keyword-only parameters; `run_suite` rejects any other --bound key.  The
+registry (`SUITES`) declares the rest a suite reads (its window and its
+surfaces) and `run_suite` refuses any other value; every part of a runner
+takes its rings from `_rings`, so a report header never names a window or
+a surface the run did not use.  A window too small to hold a bracket cell
 (`_sound_pos`), bounds that leave a run without a record, or a mutated
 run that no check fails, are refused rather than passed vacuously.
 
 The W-bracket of Theorem 5.5 is stated once (`_w_expected`).  vir (its
 p = q = 1 cells), thm55 and thm57 (its untagged part) measure their
 cells through one runner, `_w_grid`, in order and in this process, and
-ground them on states against its series (`_w_op`).  Each cell is
-measured once per process and kept only as its residual against
-`_w_expected` (empty when the identity holds) and its scalar terms,
-which the central checks read; each mutation adds its one term to a
-copy of the residual.
+ground them on states against its series (`_w_op`).
+
+Two kinds of cell are measured once per process and kept only as their
+residual against the unmutated identity, empty when it holds: each
+W-bracket cell (`_w_cell`, with its scalar terms, which the central
+checks read) and each heis (m, n, w_max) cell of a ring (in
+`ring._cache`).  A run, plain or mutated and in either order, reads the
+stored residual; a W-bracket mutation adds its one term to a copy of
+it, and a heis run checks it against its own central term.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -340,24 +344,39 @@ def _euler_families(ell, total, c):
 # -- heis: transfer operator commutators ----------------------------------
 
 
-def _heis_failure(fs, gs, live, central):
-    """The first failure ((i, j), state, lhs, rhs) of a heis cell: its
-    first failing class pair in product order, at that pair's first
-    failing state, or None.  central maps the pairs with a nonzero
-    central term to it; a pair that commutator_block leaves out has the
-    empty bracket."""
-    first = None
+def _heis_residual(fs, gs, live, central):
+    """{((i, j), state): bracket} of a heis cell over the live states: the
+    entries whose bracket differs from its expected side, {state: cc} for
+    the class pairs that central maps to cc and {} for the rest, so it is
+    empty when the identity holds.  A pair that commutator_block leaves
+    out has the empty bracket."""
+    out = {}
     for s in live:
         block = commutator_block(fs, gs, s)
         for ij in block.keys() | central.keys():
-            if first is not None and ij >= first[0]:
-                continue
             lhs = block.get(ij, {})
             cc = central.get(ij)
+            if lhs != ({s: cc} if cc else {}):
+                out[ij, s] = lhs
+    return out
+
+
+def _heis_failure(resid, live, plain, central):
+    """The first failure ((i, j), state, lhs, rhs) of a heis cell checked
+    against the central terms central, from its residual resid against
+    the central terms plain: its first failing class pair in product
+    order, at that pair's first failing state, or None.  Only a pair in
+    the residual or one whose central term moved can fail."""
+    moved = {ij for ij in plain.keys() | central.keys()
+             if plain.get(ij) != central.get(ij)}
+    for ij in sorted(moved.union(ij for ij, _ in resid)):
+        cp, cc = plain.get(ij), central.get(ij)
+        for s in live:
+            lhs = resid.get((ij, s), {s: cp} if cp else {})
             rhs = {s: cc} if cc else {}
             if lhs != rhs:
-                first = (ij, s, lhs, rhs)
-    return first
+                return ij, s, lhs, rhs
+    return None
 
 
 def _run_heis(spec, mut, *, m_max=4, w_max=None):
@@ -366,9 +385,14 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
     else 1).
 
     Each (m, n) cell is one record over every class pair (a, b) and
-    state, checked as one block (_heis_failure).  A failing cell reports
-    its first failing pair at its first failing state, with the checks
-    of every pair up to it.
+    state.  A failing cell reports its first failing pair at its first
+    failing state, with the checks of every pair up to it.  Each (m, n,
+    w_max) cell of a ring is composed once per process, as one block
+    per state (_heis_residual), and kept in ring._cache as its residual
+    against the unmutated central term; every run, plain or mutated,
+    rebuilds its record from that residual and its own central term
+    (_heis_failure).  The a_n(b) operators a ring's cells compose are
+    built once per run and ring, with their columns.
 
     Mutation central-shift: the central coefficient -m becomes -m + 1.
     """
@@ -388,10 +412,9 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
             v = ring.integrate(a * b)
             if v:
                 paired[i, j] = v
+        family = cache(lambda n: OperatorFamily(
+            heisenberg(ring, n, b) for _, b in pairs))
         for m in range(-m_max, m_max + 1):
-            # One memo per m bounds the memory of cached columns.
-            op = _op_memo(ring)
-            fs = OperatorFamily(op(heisenberg, m, a) for _, a in pairs)
             for n in range(-m_max, m_max + 1):
                 # The mode rule: off the diagonal, the checks on a state
                 # that no annihilator meets are counted, not computed.
@@ -400,14 +423,17 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                 live = [s for s, modes in pre
                         if m == -n or (m > 0 and -m in modes)
                         or (n > 0 and -n in modes)]
+                c0 = Q(-m) if m == -n != 0 else 0
+                plain = {ij: c0 * v for ij, v in paired.items()} if c0 else {}
+                key = ("heis", m, n, wmax)
+                resid = ring._cache.get(key)
+                if resid is None:
+                    resid = ring._cache[key] = _heis_residual(
+                        family(m), family(n), live, plain) if live else {}
+                c = c0 + 1 if mut and c0 else c0
+                fail = _heis_failure(resid, live, plain, {
+                    ij: c * v for ij, v in paired.items()} if c else {})
                 params = {"surface": ring.name, "m": m, "n": n}
-                fail = None
-                if live:
-                    gs = OperatorFamily(op(heisenberg, n, b)
-                                        for _, b in pairs)
-                    c = Q(-m + (1 if mut else 0)) if m == -n != 0 else 0
-                    fail = _heis_failure(fs, gs, live, {
-                        ij: c * v for ij, v in paired.items()} if c else {})
                 if fail is None:
                     yield InstanceRecord(params, "pass",
                                          size * size * len(pre))
@@ -478,8 +504,11 @@ def _w_cell(args):
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
     meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
-    scalars = SmearedOp({k: c for k, c in meas.terms.items() if not k[0]})
-    return meas - _w_expected(p, q, m, n, pos, N), scalars
+    delta = meas - _w_expected(p, q, m, n, pos, N)
+    # Both are kept as fresh dicts: delta's table keeps the size of
+    # meas's after the matched keys are popped.
+    return SmearedOp(delta.terms), SmearedOp(
+        {k: c for k, c in meas.terms.items() if not k[0]})
 
 
 def _w_grid(spec, cells):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hilbfock import operators, verify
-from hilbfock.ring import SURFACE_NAMES
+from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
                              VerificationReport, list_suites, report_lines,
                              run_suite, serialize_report)
@@ -356,11 +356,36 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
     assert len(calls) <= 346, len(calls)
 
 
-def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch):
+def _heis_cells(name):
+    """{key: residual} of the heis cells that ring name keeps."""
+    memo = builtin_ring(name)._cache
+    return {k: v for k, v in memo.items() if k[:1] == ("heis",)}
+
+
+def _clear_heis():
+    """Drop the heis cells that the built-in rings keep."""
+    for name in SURFACE_NAMES:
+        for key in _heis_cells(name):
+            del builtin_ring(name)._cache[key]
+
+
+@pytest.fixture
+def heis_memo():
+    """The heis cells of the built-in rings, cleared before and after one
+    test, so that no cell a test measures under a patched fault outlives
+    it; the fixture yields the function that clears them."""
+    _clear_heis()
+    yield _clear_heis
+    _clear_heis()
+
+
+def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch,
+                                                         heis_memo):
     """heis checks each (m, n) cell as one block, so on k3 at m_max=2 it
     composes at most the 4,656 brackets that the family index keeps
     (168,768 when every (a, b, state) triple the mode rule leaves live
-    was composed), and its report keeps its frozen bytes."""
+    was composed), and its report keeps its frozen bytes.  The mutated
+    run after it reads the stored cells and composes no bracket."""
     calls = 0
     bracket = operators.commutator_column
 
@@ -371,12 +396,86 @@ def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch):
 
     monkeypatch.setattr(operators, "commutator_column", counted)
     monkeypatch.setattr(verify, "commutator_column", counted)
-    report = run_suite(SuiteSpec("heis", surface="k3", bounds={"m_max": 2}))
-    text = serialize_report(report, "jsonl")
-    assert report.ok
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        REFS["suites"]["heis-k3"]
-    assert 0 < calls <= 4656, calls
+    for mutation, ok in (("", True), ("central-shift", False)):
+        report = run_suite(SuiteSpec("heis", surface="k3",
+                                     bounds={"m_max": 2}, mutation=mutation))
+        text = serialize_report(report, "jsonl")
+        assert report.ok is ok
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REFS["suites"]["heis-k3" + ("+mutation" if mutation else "")]
+        if not mutation:
+            plain_calls = calls
+    assert 0 < plain_calls <= 4656, plain_calls
+    assert calls == plain_calls, calls - plain_calls
+
+
+def _heis_pair(surface, bounds, first):
+    """The jsonl reports of the plain and the mutated heis run, run in
+    the order first names."""
+    out = {}
+    for mutation in (first, "central-shift" if not first else ""):
+        report = run_suite(SuiteSpec("heis", surface=surface, bounds=bounds,
+                                     mutation=mutation))
+        out[mutation] = (report.ok, serialize_report(report, "jsonl"))
+    return out[""], out["central-shift"]
+
+
+@pytest.mark.parametrize("surface", SURFACE_NAMES)
+def test_heis_memo_keeps_every_byte(heis_memo, surface):
+    """heis reports at m_max 1 and 2, w_max default and 2, are
+    byte-identical with the plain run first from cleared heis cells
+    (m_max 1, then 2 over the cells m_max 1 left) and with the mutated
+    run first from cleared cells (m_max 2, then 1 over its cells); the
+    plain run passes and the mutated run fails."""
+    for w_max in ({}, {"w_max": 2}):
+        grids = [dict(w_max, m_max=m_max) for m_max in (1, 2)]
+        heis_memo()
+        pairs = [_heis_pair(surface, bounds, "") for bounds in grids]
+        assert all(plain[0] and not mutated[0] for plain, mutated in pairs)
+        heis_memo()
+        assert [_heis_pair(surface, bounds, "central-shift")
+                for bounds in reversed(grids)] == pairs[::-1]
+
+
+@pytest.mark.parametrize("surface, bounds", [
+    ("p2", {"m_max": 2}), ("p1xp1", {"m_max": 2}),
+    ("abelian", {"m_max": 1, "w_max": 2})])
+def test_heis_memo_reports_a_fault_alike_cold_and_warm(monkeypatch,
+                                                       heis_memo, surface,
+                                                       bounds):
+    """A fault in the contractions (the last one on a state of two or
+    more factors doubled) fails the plain run, and its plain and mutated
+    reports are the same from cleared cells in either order and from the
+    cells the fault left."""
+    annihilate = operators.annihilate_state
+
+    def doubled(ring, n, i, state):
+        out = annihilate(ring, n, i, state)
+        if len(state) > 1 and out:
+            out[-1] = (out[-1][0], 2 * out[-1][1])
+        return out
+
+    monkeypatch.setattr(operators, "annihilate_state", doubled)
+    plain, mutated = _heis_pair(surface, bounds, "")
+    assert not plain[0] and not mutated[0]
+    assert _heis_pair(surface, bounds, "") == (plain, mutated)
+    heis_memo()
+    assert _heis_pair(surface, bounds, "central-shift") == (plain, mutated)
+    assert _heis_pair(surface, bounds, "") == (plain, mutated)
+
+
+def test_heis_memo_holds_one_empty_residual_per_cell(heis_memo):
+    """After the default plain and mutated runs each ring keeps exactly
+    one heis entry per (m, n, w_max) cell of the default grid, and every
+    stored residual is empty: the mutation never reaches the memo."""
+    assert run_suite(SuiteSpec("heis")).ok
+    assert not run_suite(SuiteSpec("heis", mutation="central-shift")).ok
+    for name in SURFACE_NAMES:
+        wmax = 2 if builtin_ring(name).dim <= 4 else 1
+        cells = _heis_cells(name)
+        assert set(cells) == {("heis", m, n, wmax) for m in range(-4, 5)
+                              for n in range(-4, 5)}, name
+        assert not any(cells.values()), name
 
 
 def test_lem32_memo_memory_stays_bounded():
