@@ -44,6 +44,16 @@ def _resolve_ring(surface, ring_file):
     return load_ring(text)
 
 
+def _class(ring, name):
+    """(name, element) of the basis class called name; an empty name is
+    the point class, the degree-4 basis class (hilbert.point_class)."""
+    name = name or ring.basis_names[ring.degrees.index(4)]
+    if name not in ring.index:
+        raise UsageError("unknown class %r on surface %s; classes: %s"
+                         % (name, ring.name, ", ".join(ring.basis_names)))
+    return name, ring.basis(name)
+
+
 _OP_RE = re.compile(r"^\s*([aLGJ])\(\s*([-0-9,\s]+?)\s*;\s*(\w+)\s*\)\s*$")
 
 
@@ -58,10 +68,7 @@ def parse_operator(ring, text):
         nums = [int(x) for x in argstr.split(",")]
     except ValueError:
         raise UsageError("bad integer arguments in %r" % text)
-    if clsname not in ring.index:
-        raise UsageError("unknown class %r on surface %s; classes: %s"
-                         % (clsname, ring.name, ", ".join(ring.basis_names)))
-    elem = ring.basis(clsname)
+    _, elem = _class(ring, clsname)
     want = 2 if name == "J" else 1
     if len(nums) != want:
         raise UsageError("%s takes %d integer argument%s"
@@ -87,13 +94,12 @@ def _jline(doc):
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def _op_records(op):
-    names = op.ring.basis_names
-    recs = []
-    for f in sorted(op.terms):
-        recs.append({"coeff": str(op.terms[f]),
-                     "factors": [[m, names[i]] for m, i in f]})
-    return {"scalar": str(op.scalar), "terms": recs}
+def _csv(rows):
+    """The intersect CSV of (ks, n, value, oracle) rows."""
+    return "".join(["ks,n,value,oracle,match\n"] + [
+        "%s,%d,%s,%s,%s\n" % ("+".join(map(str, ks)), n, value, oracle,
+                              str(value == oracle).lower())
+        for ks, n, value, oracle in rows])
 
 
 # -- subcommands -----------------------------------------------------------
@@ -132,28 +138,17 @@ def _cmd_verify(args):
 
 def _cmd_chern(args):
     ring = _resolve_ring(args.surface, args.ring_file)
-    if args.cls not in ring.index:
-        raise UsageError("unknown class %r; classes: %s"
-                         % (args.cls, ", ".join(ring.basis_names)))
-    elem = ring.basis(args.cls)
+    cls, elem = _class(ring, args.cls)
     try:
         vec = chern_class(ring, args.k, elem, args.n)
-        op = chern(ring, args.k, elem)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "jsonl":
-        doc = {"surface": ring.name, "k": args.k, "n": args.n,
-               "class": args.cls, "vector": vector_records(vec, ring)}
-        if args.dump_terms:
-            doc["operator"] = _op_records(op.terms_within(args.n))
-        text = _jline(doc)
+        text = _jline({"surface": ring.name, "k": args.k, "n": args.n,
+                       "class": cls, "vector": vector_records(vec, ring)})
     else:
-        lines = ["G_%d(%s) on %d points over %s:"
-                 % (args.k, args.cls, args.n, ring.name),
-                 render_terms(vec, ring)]
-        if args.dump_terms:
-            lines += ["operator terms:", op.terms_within(args.n).render()]
-        text = "\n".join(lines) + "\n"
+        text = ("G_%d(%s) on %d points over %s:\n%s\n"
+                % (args.k, cls, args.n, ring.name, render_terms(vec, ring)))
     _emit(text, args.out)
     return 0
 
@@ -162,17 +157,12 @@ def _cmd_cup(args):
     ring = _resolve_ring(args.surface, args.ring_file)
     if not args.k:
         raise UsageError("cup needs at least one --k")
-    classes = args.cls or ["x"] * len(args.k)
-    if len(classes) == 1 and len(args.k) > 1:
+    classes = args.cls or [""]
+    if len(classes) == 1:
         classes = classes * len(args.k)
     if len(classes) != len(args.k):
         raise UsageError("--class count must be 1 or match --k count")
-    elems = []
-    for cname in classes:
-        if cname not in ring.index:
-            raise UsageError("unknown class %r; classes: %s"
-                             % (cname, ", ".join(ring.basis_names)))
-        elems.append(ring.basis(cname))
+    classes, elems = zip(*(_class(ring, c) for c in classes))
     try:
         vec = cup_product(ring, list(args.k), elems, args.n)
     except ValueError as exc:
@@ -180,7 +170,7 @@ def _cmd_cup(args):
     integral = hilb_integral(ring, vec, args.n)
     if args.format == "jsonl":
         text = _jline({"surface": ring.name, "n": args.n,
-                       "ks": list(args.k), "classes": classes,
+                       "ks": list(args.k), "classes": list(classes),
                        "integral": str(integral),
                        "vector": vector_records(vec, ring)})
     else:
@@ -204,12 +194,7 @@ def _cmd_intersect(args):
                 oracle = intersection_number_closed(ks, n)
                 rows.append((ks, n, value, oracle))
         if args.format == "csv":
-            lines = ["ks,n,value,oracle,match"]
-            for ks, n, value, oracle in rows:
-                lines.append("%s,%d,%s,%s,%s"
-                             % ("+".join(map(str, ks)), n, value, oracle,
-                                str(value == oracle).lower()))
-            text = "\n".join(lines) + "\n"
+            text = _csv(rows)
         else:
             text = "".join(_jline(
                 {"ks": list(ks), "match": value == oracle, "n": n,
@@ -230,13 +215,11 @@ def _cmd_intersect(args):
         raise UsageError(str(exc))
     oracle = intersection_number_closed(ks, args.n)
     match = value == oracle
-    if args.format in ("json", "jsonl"):
+    if args.format == "jsonl":
         text = _jline({"match": match, "oracle": str(oracle),
                        "value": str(value)})
     elif args.format == "csv":
-        text = ("ks,n,value,oracle,match\n%s,%d,%s,%s,%s\n"
-                % ("+".join(map(str, ks)), args.n, value, oracle,
-                   str(match).lower()))
+        text = _csv([(ks, args.n, value, oracle)])
     else:
         text = ("surface %s, n=%d, ks=%s\nvalue  %s\noracle %s\nmatch  %s\n"
                 % (ring.name, args.n, ",".join(map(str, ks)), value,
@@ -284,10 +267,9 @@ def _cmd_dump(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "jsonl":
-        doc = {"cutoff": args.cutoff, "op": args.op.strip(),
-               "surface": ring.name}
-        doc.update(_op_records(op))
-        text = _jline(doc)
+        text = _jline({"cutoff": args.cutoff, "op": args.op.strip(),
+                       "surface": ring.name, "scalar": str(op.scalar),
+                       "terms": vector_records(op.terms, ring)})
     else:
         text = op.render() + "\n"
     _emit(text, args.out)
@@ -336,8 +318,9 @@ def build_parser():
     p = sub.add_parser("chern", help="character class on n points")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="cls", default="x")
-    p.add_argument("--dump-terms", action="store_true")
+    p.add_argument("--class", dest="cls", default="",
+                   help="basis class name (default the point class, the "
+                        "degree-4 class)")
     _add_ring_flags(p)
     _add_out_flags(p, ["human", "jsonl"])
     p.set_defaults(func=_cmd_chern)
@@ -345,7 +328,9 @@ def build_parser():
     p = sub.add_parser("cup", help="cup product of character classes")
     p.add_argument("--k", type=int, action="append", default=[])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="cls", action="append", default=[])
+    p.add_argument("--class", dest="cls", action="append", default=[],
+                   help="basis class name, once or once per --k (default "
+                        "the point class, the degree-4 class)")
     _add_ring_flags(p)
     _add_out_flags(p, ["human", "jsonl"])
     p.set_defaults(func=_cmd_cup)
@@ -357,14 +342,14 @@ def build_parser():
     p.add_argument("--grid", action="store_true",
                    help="all degree-matched tuples up to --n")
     _add_ring_flags(p)
-    _add_out_flags(p, ["human", "json", "jsonl", "csv"])
+    _add_out_flags(p, ["human", "jsonl", "csv"])
     p.set_defaults(func=_cmd_intersect)
 
     p = sub.add_parser("ring", help="inspect, dump, or validate a ring")
     p.add_argument("--dump", action="store_true")
     p.add_argument("--validate", action="store_true")
     _add_ring_flags(p)
-    _add_out_flags(p, ["human"])
+    p.add_argument("--out", default="", help="write output to this file")
     p.set_defaults(func=_cmd_ring)
 
     p = sub.add_parser("omega", help="structure polynomial value")

@@ -60,11 +60,6 @@ def weight(state):
     return -sum(m for m, _ in state)
 
 
-def degree(state, ring):
-    """Cohomological degree of the state on the Hilbert scheme."""
-    return sum(2 * (-m - 1) + ring.degrees[i] for m, i in state)
-
-
 def vacuum():
     """The vacuum |0>, the unit of H*(X^[0])."""
     return {(): 1}

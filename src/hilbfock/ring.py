@@ -177,8 +177,11 @@ class SurfaceRing:
         self.index = {n: i for i, n in enumerate(self.basis_names)}
         if len(self.index) != self.dim:
             raise RingError("duplicate basis names")
-        # sparse multiplication table: table[i][j] holds (k, coeff) pairs
+        # sparse multiplication table: table[i][j] holds (k, coeff) pairs;
+        # b_0 b_i = b_i b_0 = b_i unless products lists the pair
         self.table = [[()] * self.dim for _ in range(self.dim)]
+        for i in range(self.dim):
+            self.table[0][i] = self.table[i][0] = ((i, 1),)
         for (i, j), comp in products.items():
             pairs = ((k, exact(Q(c))) for k, c in sorted(comp.items()))
             self.table[i][j] = tuple((k, c) for k, c in pairs if c)
@@ -384,11 +387,7 @@ class SurfaceRing:
 def _p2():
     names = ["1", "H", "x"]
     degrees = [0, 2, 4]
-    prod = {}
-    for i in range(3):
-        prod[(0, i)] = {i: 1}
-        prod[(i, 0)] = {i: 1}
-    prod[(1, 1)] = {2: 1}
+    prod = {(1, 1): {2: 1}}
     return SurfaceRing("p2", names, degrees, prod, {2: 1},
                        canonical={1: -3}, euler={2: 3})
 
@@ -396,12 +395,7 @@ def _p2():
 def _p1xp1():
     names = ["1", "f1", "f2", "x"]
     degrees = [0, 2, 2, 4]
-    prod = {}
-    for i in range(4):
-        prod[(0, i)] = {i: 1}
-        prod[(i, 0)] = {i: 1}
-    prod[(1, 2)] = {3: 1}
-    prod[(2, 1)] = {3: 1}
+    prod = {(1, 2): {3: 1}, (2, 1): {3: 1}}
     return SurfaceRing("p1xp1", names, degrees, prod, {3: 1},
                        canonical={1: -2, 2: -2}, euler={3: 4})
 
@@ -410,9 +404,6 @@ def _k3():
     names = ["1"] + ["u%d" % i for i in range(1, 23)] + ["x"]
     degrees = [0] + [2] * 22 + [4]
     prod = {}
-    for i in range(24):
-        prod[(0, i)] = {i: 1}
-        prod[(i, 0)] = {i: 1}
     for b in range(11):
         i, j = 1 + 2 * b, 2 + 2 * b
         prod[(i, j)] = {23: 1}
@@ -517,10 +508,11 @@ def _coefficients(index, spec, what):
 def load_ring(text):
     """Parse a ring from JSON text; omitted products default to zero.
 
-    Products with the unit are filled in automatically; everything else
-    must be listed explicitly, including both orders of each pair, and
-    no pair twice.  Degrees are integers; coefficients are integers or
-    strings such as "3/2".  Any malformed document raises RingError.
+    Products with the unit that the document leaves out are filled in
+    by SurfaceRing; everything else must be listed explicitly, including
+    both orders of each pair, and no pair twice.  Degrees are integers;
+    coefficients are integers or strings such as "3/2".  Any malformed
+    document raises RingError.
     """
     try:
         doc = json.loads(text)
@@ -531,9 +523,6 @@ def load_ring(text):
         degrees = [_degree(b) for b in doc["basis"]]
         index = {n: i for i, n in enumerate(names)}
         prod = {}
-        for i in range(len(names)):
-            prod[(0, i)] = {i: 1}
-            prod[(i, 0)] = {i: 1}
         listed = set()
         for entry in doc.get("products", []):
             i, j = index[entry[0]], index[entry[1]]

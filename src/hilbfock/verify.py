@@ -134,8 +134,11 @@ def _cutoff(spec):
     return spec.cutoff or SUITES[spec.suite].window
 
 
-def _rings(spec, names):
-    """The built-in rings among names that --surface allows, in order."""
+def _rings(spec, names=None):
+    """The built-in rings among names, by default the suite's surfaces
+    in SUITES, that --surface allows, in order."""
+    if names is None:
+        names = SUITES[spec.suite].surfaces
     return [builtin_ring(n) for n in names if spec.surface in ("", n)]
 
 
@@ -396,7 +399,7 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 
     Mutation central-shift: the central coefficient -m becomes -m + 1.
     """
-    rings = _rings(spec, SURFACE_NAMES)
+    rings = _rings(spec)
     if mut:
         m_max = min(m_max, 2)
         rings = rings[:1]
@@ -547,7 +550,7 @@ def _run_vir(spec, mut, *, m_max=3):
     Mutation central-shift: the central factor gains an extra 1/12.
     """
     cases = [(r, _pair_cases(r, _probe(r)))
-             for r in _rings(spec, SURFACE_NAMES)]
+             for r in _rings(spec)]
     if mut:
         m_max = min(m_max, 2)
     cells = [(1, 1, m, n)
@@ -608,7 +611,7 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
 
     Mutation canonical-shift: the K-term coefficient in (iii) gains +1.
     """
-    rings = _rings(spec, SURFACE_NAMES)
+    rings = _rings(spec)
     if mut:
         m_max = min(m_max, 2)
         k_max = 0
@@ -701,7 +704,7 @@ def _run_lem32(spec, mut):
 
     Mutation euler-sign: the reorder correction -v becomes +v.
     """
-    rings = _rings(spec, SURFACE_NAMES)
+    rings = _rings(spec)
     if mut:
         # Frozen in perfbench/refs.json: on p2 whatever --surface says.
         rings = [builtin_ring("p2")]
@@ -798,7 +801,7 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     if mut:
         k_max = min(k_max, 2)
     rcases = []
-    for ring in _rings(spec, ("k3", "abelian", "p2")):
+    for ring in _rings(spec):
         cls = ([("x", ring.basis("x"))] if ring.name == "p2"
                else _probe(ring, "all"))
         rcases.append((ring, [(na, a, ring.unit) for na, a in cls]))
@@ -909,7 +912,7 @@ def _run_thm46(spec, mut, *, k_max=3):
 
 
 def _thm46_spots(spec):
-    for ring in _rings(spec, ("k3", "abelian")):
+    for ring in _rings(spec):
         states = _action_states(ring, 3)
         t = _Tally()
         for k in (2, 3):
@@ -938,7 +941,7 @@ def _run_cor48(spec, mut, *, n_max=4):
     as it is called, ahead of run_suite's refusal.
     """
     if not mut:
-        return _cor48_records(_rings(spec, ("abelian", "k3")), False, n_max)
+        return _cor48_records(_rings(spec), False, n_max)
     if spec.surface not in ("", "k3"):
         raise ValueError("the cor48 mutation needs e != 0 and runs on "
                          "k3, not %s" % spec.surface)
@@ -979,7 +982,7 @@ def _run_rmk410(spec, mut, *, n_max=4):
         value = intersection_number_closed(ks, n)
         return -value if mut and len(ks) % 2 else value
 
-    rings = _rings(spec, SURFACE_NAMES)
+    rings = _rings(spec)
     if mut:
         n_max = min(n_max, 2)
         rings = rings[:2]
@@ -1023,7 +1026,7 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         got = series_to_smeared(jf(0, n), N, N)
         want = series_to_smeared(heis_families(n), N, N).scaled(-1)
         yield _universal_record(got - want, {"part": "a", "n": n})
-    for ring in _rings(spec, ("p2", "k3")):
+    for ring in _rings(spec):
         t = _Tally(total=True)
         for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
             ja = instantiate(series_to_smeared(jf(1, n), 4, 4), ring, a)
@@ -1075,7 +1078,7 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
 
 
 def _lem52_spots(spec):
-    for ring in _rings(spec, ("k3", "p1xp1")):
+    for ring in _rings(spec):
         kfree = _ktrivial(ring, _probe(ring))
         others = _probe(ring)[:3]
         states = _action_states(ring)
@@ -1140,7 +1143,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
     Mutation omega-negated: the structure polynomial flips sign.
     """
     N = _cutoff(spec)
-    rings = _rings(spec, ("abelian", "k3", "p2"))
+    rings = _rings(spec)
     if mut:
         pq_max = min(pq_max, 3)
         m_max = min(m_max, 1)
@@ -1225,7 +1228,7 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
 
 
 def _rmk56_spots(spec):
-    for ring in _rings(spec, ("k3",)):
+    for ring in _rings(spec):
         states = _action_states(ring)[:6]
         t = _Tally()
         for p, n in product(range(1, 4), (-2, -1, 1, 2)):
@@ -1271,7 +1274,7 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
                            if not k[1] and not k[2]})
         yield _universal_record(delta, {"check": "universal", "p": p,
                                         "q": q, "m": m, "n": n})
-    for ring in _rings(spec, ("abelian",)):
+    for ring in _rings(spec):
         yield _thm57_symbolic(ring)
         if not mut:
             yield _w_spots(ring, _action_states(ring), _THM57_SPOT_CELLS,
@@ -1371,7 +1374,7 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
 
     Mutation central-shift: the central factor m becomes m + 1.
     """
-    rings = _rings(spec, ("abelian", "k3"))
+    rings = _rings(spec)
     if mut:
         p_max = min(p_max, 1)
         rings = rings[:1]

@@ -12,6 +12,7 @@ from hilbfock.hilbert import chern_class
 from hilbfock.fock import vector_records
 from hilbfock.ring import SURFACE_NAMES, builtin_ring, dump_ring
 from hilbfock.verify import SUITES
+from hilbfock.walgebra import chern
 
 
 def run(capsys, *argv):
@@ -221,20 +222,78 @@ def test_omega_negative_weight_is_usage_error(capsys):
 
 def test_intersect_json_spot(capsys):
     code, out, _ = run(capsys, "intersect", "--k", "2", "--n", "2",
-                       "--format", "json")
+                       "--format", "jsonl")
     assert code == 0
     assert json.loads(out) == {"match": True, "oracle": "-1/4",
                                "value": "-1/4"}
 
 
 def test_intersect_jsonl_is_the_json_line(capsys):
-    """A single tuple prints under jsonl the JSON line of json."""
-    argv = ("intersect", "--k", "2", "--n", "2", "--surface", "k3")
-    _, want, _ = run(capsys, *argv, "--format", "json")
-    code, out, _ = run(capsys, *argv, "--format", "jsonl")
-    assert code == 0 and out == want
+    """A single tuple prints under jsonl one JSON line, the same on k3 as
+    on p2 (the default surface)."""
+    argv = ("intersect", "--k", "2", "--n", "2", "--format", "jsonl")
+    _, want, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--surface", "k3")
+    assert code == 0 and out == want and out.count("\n") == 1
     assert json.loads(out) == {"match": True, "oracle": "-1/4",
                                "value": "-1/4"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--k", "1", "--n", "2", "--dump-terms"],
+    ["intersect", "--k", "2", "--n", "2", "--format", "json"],
+    ["ring", "--format", "human"],
+], ids=["chern-dump-terms", "intersect-json", "ring-format"])
+def test_removed_routes_are_argparse_errors(capsys, argv):
+    """dump --op "G(k;c)" prints chern's operator terms, --format jsonl
+    intersect's JSON line, and ring has a single output form."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
+
+
+def _point_name(ring):
+    return ring.basis_names[ring.degrees.index(4)]
+
+
+@pytest.mark.parametrize("surface", SURFACE_NAMES)
+def test_chern_and_cup_default_to_the_point_class(capsys, surface):
+    """Without --class, chern and cup read the degree-4 class: x on p2,
+    p1xp1 and k3, t1234 on abelian."""
+    name = _point_name(builtin_ring(surface))
+    for argv in (["chern", "--k", "1", "--n", "2"],
+                 ["chern", "--k", "2", "--n", "3", "--format", "jsonl"],
+                 ["cup", "--k", "1", "--k", "1", "--n", "3"],
+                 ["cup", "--k", "0", "--k", "1", "--n", "2", "--format",
+                  "jsonl"]):
+        argv = argv + ["--surface", surface]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert run(capsys, *argv, "--class", name) == (0, out, ""), argv
+    assert "G_1(%s) on 2 points" % name in run(
+        capsys, "chern", "--k", "1", "--n", "2", "--surface", surface)[1]
+
+
+def test_chern_and_cup_default_to_a_ring_files_point_class(tmp_path,
+                                                           capsys):
+    """A ring file whose degree-4 class is called pt: chern and cup
+    without --class read pt."""
+    doc = json.loads(dump_ring(builtin_ring("p2")).replace('"x"', '"pt"'))
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["chern", "--k", "2", "--n", "3"],
+                 ["cup", "--k", "1", "--k", "1", "--n", "3", "--format",
+                  "jsonl"]):
+        argv = argv + ["--ring-file", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and "pt" in out, argv
+        assert run(capsys, *argv, "--class", "pt") == (0, out, ""), argv
+    code, _, err = run(capsys, "chern", "--k", "1", "--n", "2",
+                       "--ring-file", str(path), "--class", "x")
+    assert code == 2
+    assert "unknown class 'x' on surface p2; classes: 1, H, pt" in err
 
 
 def test_intersect_degree_mismatch(capsys):
@@ -264,6 +323,15 @@ def test_intersect_grid_csv(capsys):
     assert lines[0] == "ks,n,value,oracle,match"
     assert len(lines) > 2
     assert all(line.endswith(",true") for line in lines[1:])
+    # one tuple prints the header and its row of the grid
+    for ks, n in ((["2"], "2"), (["0", "0"], "2")):
+        argv = [a for k in ks for a in ("--k", k)]
+        code, out, _ = run(capsys, "intersect", *argv, "--n", n,
+                           "--format", "csv", "--surface", "k3")
+        header, row = out.splitlines()
+        assert code == 0 and header == lines[0]
+        assert row.startswith("+".join(ks) + "," + n + ",")
+        assert row in lines[1:]
 
 
 def test_ring_validate_and_info(capsys):
@@ -478,29 +546,28 @@ def test_console_script_entry_point():
     assert proc.stdout == "48\n"
 
 
-def test_chern_dump_terms_matches_dump_and_chern_class(capsys):
-    """--dump-terms prints the operator it applied: the G_k term list
-    that dump gives on the n-point window, next to G_k(c) applied to the
-    fundamental class."""
+def test_dump_prints_the_operator_chern_applies(capsys):
+    """dump --op "G(k;c)" --cutoff n prints the G_k term list on the
+    n-point window, the operator that chern applies to the fundamental
+    class of X^[n]; chern prints the image, chern_class."""
     k3 = builtin_ring("k3")
+    u1 = k3.basis("u1")
     code, out, _ = run(capsys, "chern", "--k", "2", "--n", "3", "--surface",
-                       "k3", "--class", "u1", "--dump-terms", "--format",
-                       "jsonl")
+                       "k3", "--class", "u1", "--format", "jsonl")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["vector"] == vector_records(
-        chern_class(k3, 2, k3.basis("u1"), 3), k3)
+    assert json.loads(out)["vector"] == vector_records(
+        chern_class(k3, 2, u1, 3), k3)
+    op = chern(k3, 2, u1).terms_within(3)
     code, out, _ = run(capsys, "dump", "--op", "G(2;u1)", "--surface", "k3",
                        "--cutoff", "3", "--format", "jsonl")
+    assert code == 0
     dumped = json.loads(out)
-    assert doc["operator"] == {"scalar": dumped["scalar"],
-                               "terms": dumped["terms"]}
-    code, out, _ = run(capsys, "chern", "--k", "2", "--n", "3", "--surface",
-                       "k3", "--class", "u1", "--dump-terms")
-    _, terms = out.split("operator terms:\n")
+    assert dumped["terms"] and dumped["terms"] == vector_records(op.terms,
+                                                                 k3)
+    assert dumped["scalar"] == str(op.scalar)
     code, text, _ = run(capsys, "dump", "--op", "G(2;u1)", "--surface", "k3",
                         "--cutoff", "3")
-    assert terms == text
+    assert code == 0 and text == op.render() + "\n"
 
 
 # A mixed stream: append flags given, omitted and repeated, argparse
@@ -519,11 +586,10 @@ STREAM = [
     ["verify", "--suite", "lem53", "--bound", "p_max=1", "--bound",
      "m_max=1", "--format", "jsonl"],
     ["verify", "--suite", "lem53", "--bound", "p_max=2"],
-    ["intersect", "--k", "0", "--k", "0", "--n", "2", "--format", "json"],
+    ["intersect", "--k", "0", "--k", "0", "--n", "2", "--format", "jsonl"],
     ["intersect", "--k", "1", "--n", "2"],
     ["intersect", "--n", "2", "--surface", "p2"],
-    ["chern", "--k", "1", "--n", "2", "--surface", "abelian", "--class",
-     "t1", "--dump-terms"],
+    ["dump", "--op", "G(1;t1)", "--surface", "abelian", "--cutoff", "2"],
     ["chern", "--k", "1", "--n", "2", "--surface", "p2", "--class", "H"],
     ["verify", "--suite", "rmk43", "--mutation", "shift-term"],
     ["omega", "--p", "2", "--q", "1", "--m", "1"],

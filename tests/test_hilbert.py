@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock.fock import combine, degree, fundamental_class, vacuum
+from hilbfock.fock import combine, fundamental_class, vacuum
 from hilbfock.hilbert import (chern_class, chern_class_closed, cup_product,
                               hilb_integral, intersection_number,
                               intersection_number_closed, point_class)
@@ -19,6 +19,11 @@ P2 = builtin_ring("p2")
 PP = builtin_ring("p1xp1")
 K3 = builtin_ring("k3")
 AB = builtin_ring("abelian")
+
+
+def degree(state, ring):
+    """Cohomological degree of the state on the Hilbert scheme."""
+    return sum(2 * (-m - 1) + ring.degrees[i] for m, i in state)
 
 
 def point_power(ring, n):

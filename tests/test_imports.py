@@ -107,8 +107,9 @@ TRACER = SRC.parent / "perfbench" / "tracer.py"
 
 def unreferenced_public_names(sources, held=()):
     """(file, line, name) of every public top-level def or class in
-    sources that no node of sources references, as a name, an attribute
-    or an imported name, and that held does not name."""
+    sources that no node of sources loads as a name or imports, and that
+    held does not name.  An attribute load does not count: x.spare()
+    may be a method of the same name."""
     defined = {}
     refs = set()
     for path, source in sources.items():
@@ -119,10 +120,8 @@ def unreferenced_public_names(sources, held=()):
                     and not node.name.startswith("_")):
                 defined.setdefault(node.name, (path, node.lineno))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
             elif isinstance(node, ast.alias):
                 refs.add(node.name)
     return sorted((path, line, name)
@@ -134,7 +133,7 @@ def test_checker_flags_an_unreferenced_public_name():
     sources = {"a.py": "def grow(n):\n    return n\n"
                        "def spare():\n    pass\nclass Box:\n    pass\n"
                        "def traced():\n    pass\n",
-               "b.py": "from a import grow\nprint(grow(1))\n"}
+               "b.py": "from a import grow\nprint(grow(1))\nx.spare()\n"}
     assert unreferenced_public_names(sources, {"traced"}) == [
         ("a.py", 3, "spare"), ("a.py", 5, "Box")]
 

@@ -138,7 +138,7 @@ def test_tau2_refuses_an_inhomogeneous_table():
     """H H = H + x passes the pairing but not homogeneity, which tau2
     checks again on the rings built without validation."""
     ring = SurfaceRing("bad", ["1", "H", "x"], [0, 2, 4],
-                       _products(3, {(1, 1): {1: 1, 2: 1}}), {2: 1}, {},
+                       {(1, 1): {1: 1, 2: 1}}, {2: 1}, {},
                        {2: 3}, validate=False)
     with pytest.raises(RingError, match="tau2 produced inhomogeneous term"):
         ring.tau2(ring.basis("H"))
@@ -300,38 +300,43 @@ def test_abelian_supercommutative_random(i, j):
     assert a * b == (b * a) * sign
 
 
-def _products(dim, extra):
-    """The products with the unit, both orders, plus the given ones."""
-    prod = {}
-    for i in range(dim):
-        prod[(0, i)] = {i: 1}
-        prod[(i, 0)] = {i: 1}
-    prod.update(extra)
-    return prod
+def test_unit_products_are_filled_in():
+    """A ring given without its unit products validates and has the
+    built-in p2 table; a listed unit product overrides the fill."""
+    plane = SurfaceRing("p2", ["1", "H", "x"], [0, 2, 4],
+                        {(1, 1): {2: 1}}, {2: 1}, {1: -3}, {2: 3})
+    assert plane.table == RINGS["p2"].table
+    assert plane.table[0] == [((0, 1),), ((1, 1),), ((2, 1),)]
+    assert [row[0] for row in plane.table] == plane.table[0]
+    loose = SurfaceRing("bad", ["1", "H", "x"], [0, 2, 4],
+                        {(0, 1): {1: 2}, (1, 1): {2: 1}}, {2: 1}, {},
+                        {2: 3}, validate=False)
+    assert loose.table[0][1] == ((1, 2),) and loose.table[1][0] == ((1, 1),)
 
 
 def _plane(extra, euler=None):
     return SurfaceRing("bad", ["1", "H", "x"], [0, 2, 4],
-                       _products(3, extra), {2: 1}, {}, euler or {2: 3})
+                       extra, {2: 1}, {}, euler or {2: 3})
 
 
 # 1, t1, t2 (degree 1), u (degree 2), x: t1 t2 = u and u u = x, so
 # (t1 t2) u = x while t1 (t2 u) = 0 for want of a degree-3 class.
 _NONASSOCIATIVE = {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 3): {4: 1}}
 
+
 VALIDATION_CASES = [
     ("unit law", lambda: _plane({(0, 1): {1: 2}, (1, 1): {2: 1}}),
      r"unit law fails on pair \('1', 'H'\)"),
     ("super-commutativity",
      lambda: SurfaceRing("bad", ["1", "f1", "f2", "x"], [0, 2, 2, 4],
-                         _products(4, {(1, 2): {3: 1}}), {3: 1}, {},
+                         {(1, 2): {3: 1}}, {3: 1}, {},
                          {3: 4}),
      r"product not super-commutative on pair \('f1', 'f2'\)"),
     ("homogeneity", lambda: _plane({(1, 1): {1: 1}}),
      r"product \('H', 'H'\) not homogeneous of degree 4"),
     ("associativity",
      lambda: SurfaceRing("bad", ["1", "t1", "t2", "u", "x"], [0, 1, 1, 2, 4],
-                         _products(5, _NONASSOCIATIVE), {4: 1}, {}, {4: 1}),
+                         _NONASSOCIATIVE, {4: 1}, {}, {4: 1}),
      r"product not associative on triple \('t1', 't2', 'u'\)"),
     ("euler square", lambda: _plane({(1, 1): {2: 1}}, euler={1: 1}),
      r"Euler class must square to zero"),
@@ -394,7 +399,7 @@ def test_validate_associativity_matches_all_triples():
         assert _validate_errors(ring) == _associativity_oracle(ring) == []
     nonassociative = SurfaceRing(
         "bad", ["1", "t1", "t2", "u", "x"], [0, 1, 1, 2, 4],
-        _products(5, _NONASSOCIATIVE), {4: 1}, {}, {4: 1}, validate=False)
+        _NONASSOCIATIVE, {4: 1}, {}, {4: 1}, validate=False)
     reweighted = _abelian_reweighted()
     for ring in (nonassociative, reweighted):
         errors = _associativity_oracle(ring)
