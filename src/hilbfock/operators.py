@@ -52,6 +52,17 @@ Two layers:
   SmearedOp values are stored through fock.exact: an int when integral,
   else a Fraction, never a float.
 
+  A Family keeps its contraction tables (Family.survivors): per
+  contracted part and neg cap, the partitions that remain with their
+  nonzero weights, sorted by positive total, so that a narrower box
+  reads a prefix.  A plain contraction event multiplies two table
+  entries, and num runs once per family, part and window instead of
+  once per bracket.  walgebra.jay_families builds each J^p_n once per
+  process, so every W-bracket cell shares its tables; a family built
+  per call frees them with itself.  The tables, _stats_list and
+  enumerate_genpartitions all read the one partition enumeration,
+  partitions.genpartition_stats.
+
 Identity checks compare smeared term lists (surface independent), then
 instantiate on a concrete ring where needed.
 """
@@ -60,11 +71,12 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 from .fock import (annihilate_state, canonical_factors, combine,
                    create_state, exact, weight)
-from .partitions import enumerate_genpartitions
+from .partitions import genpartition_stats
 from .ring import ratio
 
 # The column of every state the contraction index rules out; read-only,
@@ -402,8 +414,8 @@ def monomial(ring, gp, elem):
 def _quadratic_items(n, elem, reach, scale=1):
     """Items of scale * L(n; elem) over the denominator 2, for the
     partitions that annihilate at most reach points."""
-    return [(lam.parts, elem, -scale * (2 // lam.mult_factorial))
-            for lam in enumerate_genpartitions(2, n, reach)]
+    return [(parts, elem, -scale * (2 // mf))
+            for parts, _, _, mf, _ in genpartition_stats(2, n, reach)]
 
 
 def quadratic_sum(ring, n, elem):
@@ -590,11 +602,17 @@ class Family:
     once per output key, over the common denominator of the family
     pairs.  A weight c / lam^! meets this with num = c * (ell! // lam^!)
     and den = ell!, since lam^! divides ell! (walgebra.mult_family).
-    The partition statistics are precomputed, so evaluating num in the
-    inner loops allocates nothing extra.
+    The partition statistics are precomputed, so evaluating num
+    allocates nothing extra.
+
+    A family keeps its contraction tables (survivors) for its life: a
+    family built once, such as a member of walgebra.jay_families,
+    evaluates num once per partition, contracted part and neg cap,
+    however many brackets read it.  The tables follow num, so a family
+    is never edited: a changed weight is a new Family.
     """
 
-    __slots__ = ("ell", "total", "num", "den", "epow")
+    __slots__ = ("ell", "total", "num", "den", "epow", "_tables")
 
     def __init__(self, ell, total, num, den=1, epow=0):
         self.ell = ell
@@ -602,18 +620,44 @@ class Family:
         self.num = num
         self.den = den
         self.epow = epow
+        self._tables = {}
+
+    def survivors(self, x, poscap, negcap):
+        """The contraction table of the part x: (parts, pos, c) for each
+        partition lam = parts + (x,) of the family whose weight is
+        nonzero and whose parts have neg <= negcap, c being num(lam)
+        times the multiplicity of x in lam, sorted by pos, so that the
+        box pos <= poscap reads a prefix of it.  Built on first use up
+        to pos <= max(poscap, negcap), which holds every box of this
+        negcap that the package asks (no poscap of its brackets exceeds
+        negcap), and rebuilt wider only when a box asks for more."""
+        table = self._tables.get((x, negcap))
+        if table is None or poscap > table[0]:
+            rest = self.total - x
+            cap = max(poscap, negcap)
+            num, xx = self.num, x * x
+            rows, ints = [], {}
+            for parts, pos, _, mf, ws in _stats_list(self.ell - 1, rest,
+                                                     cap, negcap):
+                cnt = parts.count(x) + 1
+                c = cnt * num(tuple(sorted(parts + (x,))), mf * cnt, ws + xx)
+                if c:
+                    # rows of equal weight share one int object
+                    rows.append((parts, pos, ints.setdefault(c, c)))
+            rows.sort(key=itemgetter(1))
+            table = self._tables[x, negcap] = (cap, tuple(rows))
+        return table[1]
 
 
 @cache
 def _stats_list(ell, total, poscap, negcap):
     """(parts, pos, neg, mult!, sum of squares) of each partition on a
-    window, kept for the process; a tuple, since every caller shares it."""
+    window, from partitions.genpartition_stats, kept for the process; a
+    tuple, since every caller shares it."""
     bound = min(poscap, negcap + total)
     if bound < 0:
         return ()
-    return tuple((lam.parts, lam.positive_total(), lam.negative_total(),
-                  lam.mult_factorial, lam.weighted_square)
-                 for lam in enumerate_genpartitions(ell, total, bound))
+    return tuple(genpartition_stats(ell, total, bound))
 
 
 def _divided(nums, den):
@@ -642,9 +686,10 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
 
     Two passes.  Plain contraction events keep every survivor mode, so
     the survivors are sub-multisets of the output and sit inside the
-    box; enumerating them there is complete.  Each contracts the value v
-    of a = a' + (v,) with the -v of b = b' + (-v,), and every position of
-    -v in b gives the same sorted output a' + b'.  Euler-corrected events
+    box; reading them from the families' contraction tables, cut to the
+    box, is complete.  Each contracts the value v of a = a' + (v,) with
+    the -v of b = b' + (-v,), and every position of -v in b gives the
+    same sorted output a' + b'.  Euler-corrected events
     shed one (w, -w) pair while reordering, so the shed pair may stick
     out of the box; those events are rebuilt from the in-box remainder
     together with the shed pair, whose value is bounded by the
@@ -670,36 +715,27 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
 
 def _plain_events(fa, fb, poscap, negcap):
     """Integer numerators of the plain contraction events of one family
-    pair, keyed by output modes."""
+    pair, keyed by output modes: the products of the two families'
+    table entries for v and -v whose survivors fit the box together.
+    An output of size fa.total + fb.total lies in the box exactly when
+    its pos is at most top, and the tables are sorted by pos, so each
+    loop stops at its first entry past its cap."""
     nums = {}
+    top = min(poscap, negcap + fa.total + fb.total)
     for v in range(fa.total - poscap, fa.total + negcap + 1):
         if v == 0:
             continue
-        surv_a = _stats_list(fa.ell - 1, fa.total - v, poscap, negcap)
-        if not surv_a:
-            continue
-        surv_b = _stats_list(fb.ell - 1, fb.total + v, poscap, negcap)
-        if not surv_b:
-            continue
-        wv = v * v
-        side_b = []
-        for pb, posb, negb, mfb, wsb in surv_b:
-            cnt = pb.count(-v) + 1
-            cb = cnt * fb.num(tuple(sorted(pb + (-v,))), mfb * cnt, wsb + wv)
-            if cb:
-                side_b.append((pb, posb, negb, cb))
+        side_b = fb.survivors(-v, poscap, negcap)
         if not side_b:
             continue
-        for pa, posa, nega, mfa, wsa in surv_a:
-            cnt = pa.count(v) + 1
-            ca = -v * cnt * fa.num(tuple(sorted(pa + (v,))), mfa * cnt,
-                                   wsa + wv)
-            if not ca:
-                continue
-            pcap, ncap = poscap - posa, negcap - nega
-            for pb, posb, negb, cb in side_b:
-                if posb > pcap or negb > ncap:
-                    continue
+        for pa, posa, ca in fa.survivors(v, poscap, negcap):
+            if posa > top:
+                break
+            ca *= -v
+            cap = top - posa
+            for pb, posb, cb in side_b:
+                if posb > cap:
+                    break
                 ms = tuple(sorted(pa + pb))
                 nums[ms] = nums.get(ms, 0) + ca * cb
     return nums

@@ -106,12 +106,21 @@ def _exact_partitions(total, count):
     return tuple(rec(total, count, 1))
 
 
-def enumerate_genpartitions(length, total, pos_bound):
-    """All generalized partitions with given length and size.
+@lru_cache(maxsize=None)
+def _exact_stats(total, count):
+    """(parts, mult!, sum of squares) of each of _exact_partitions(total,
+    count)."""
+    return tuple((parts, prod(factorial(parts.count(p)) for p in set(parts)),
+                  sum(p * p for p in parts))
+                 for parts in _exact_partitions(total, count))
 
-    The positive parts sum to at most pos_bound (the negative total is then
-    determined).  Returned sorted by the underlying part tuples.
-    """
+
+def genpartition_stats(length, total, pos_bound):
+    """(parts, positive total, negative total, mult!, sum of squares) of
+    each generalized partition with given length and size whose positive
+    parts sum to at most pos_bound (the negative total is then
+    determined), sorted by parts.  The one enumeration of generalized
+    partitions: enumerate_genpartitions is a view of it."""
     out = []
     for npos in range(length + 1):
         nneg = length - npos
@@ -120,12 +129,24 @@ def enumerate_genpartitions(length, total, pos_bound):
             ntotal = ptotal - total
             if ntotal < 0 or (nneg == 0 and ntotal > 0):
                 continue
-            for pos in _exact_partitions(ptotal, npos):
-                for neg in _exact_partitions(ntotal, nneg):
-                    parts = tuple(-p for p in reversed(neg)) + pos
-                    out.append(GenPartition(parts))
+            negs = [(tuple(-p for p in reversed(parts)), mf, ws)
+                    for parts, mf, ws in _exact_stats(ntotal, nneg)]
+            for pos, mfp, wsp in _exact_stats(ptotal, npos):
+                for neg, mfn, wsn in negs:
+                    out.append((neg + pos, ptotal, ntotal, mfn * mfp,
+                                wsn + wsp))
     out.sort()
     return out
+
+
+def enumerate_genpartitions(length, total, pos_bound):
+    """All generalized partitions with given length and size.
+
+    The positive parts sum to at most pos_bound (the negative total is then
+    determined).  Returned sorted by the underlying part tuples.
+    """
+    return [GenPartition(row[0]) for row in
+            genpartition_stats(length, total, pos_bound)]
 
 
 def enumerate_ordinary(total, length=None):

@@ -23,7 +23,11 @@ run that no check fails, are refused rather than passed vacuously.
 The W-bracket of Theorem 5.5 is stated once (`_w_expected`).  vir (its
 p = q = 1 cells), thm55 and thm57 (its untagged part) measure their
 cells through one runner, `_w_grid`, in order and in this process, and
-ground them on states against its series (`_w_op`).
+ground them on states against its series (`_w_op`).  The expected side
+scales J^p_n on the cell's box, kept per (p, n, box) for the process
+(`_jay_window`), and the measured side brackets the J-families that
+`walgebra.jay_families` shares, so each family's contraction tables are
+built once however many cells read them.
 
 Two kinds of cell are measured once per process and kept only as their
 residual against the unmutated identity, empty when it holds: each
@@ -60,7 +64,7 @@ from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
                        chern_families, fourier, fourier_families,
                        heis_families, jay, jay_families, jay_field_families,
-                       mult_family, omega, scaled_families, shift_families,
+                       mult_family, omega, shift_families,
                        wbracket, wparity, wterm)
 from .hilbert import (chern_class, chern_class_closed, intersection_number,
                       intersection_number_closed, k_multisets)
@@ -452,14 +456,22 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 # -- the W-bracket of Theorem 5.5, shared by vir, thm55 and thm57 ----------
 
 
+@cache
+def _jay_window(p, n, pos, neg):
+    """J^p_n on the box window, kept for the process and shared by every
+    cell that reads it, so no caller changes it."""
+    return series_to_smeared(jay_families(p, n), pos, neg)
+
+
 def _omega_part(p, q, m, n, pos, neg):
-    """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .)."""
+    """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .),
+    scaled after the shift, so the Euler terms it drops are never
+    multiplied."""
     om = omega(p, q, m, n)
     if not om or p + q < 3:
         return SmearedOp()
-    return series_to_smeared(
-        scaled_families(jay_families(p + q - 3, m + n), -om, 12),
-        pos, neg).shift_euler()
+    return _jay_window(p + q - 3, m + n, pos, neg).shift_euler().scaled(
+        Q(-om, 12))
 
 
 def _w_expected(p, q, m, n, pos, neg):
@@ -473,8 +485,7 @@ def _w_expected(p, q, m, n, pos, neg):
         return exp
     lin = q * m - p * n
     if lin:
-        exp.merge(series_to_smeared(
-            scaled_families(jay_families(p + q - 1, m + n), lin), pos, neg))
+        exp = _jay_window(p + q - 1, m + n, pos, neg).scaled(lin)
     exp.merge(_omega_part(p, q, m, n, pos, neg))
     if m == -n and m != 0 and (p, q) in ((2, 0), (0, 2), (1, 1)):
         exp.add(((), 1, 0), Q(m ** 3 - m, 12 if p == q else 6))
@@ -506,12 +517,12 @@ def _w_cell(args):
     read it, so no caller changes an entry."""
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
-    meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
-    delta = meas - _w_expected(p, q, m, n, pos, N)
-    # Both are kept as fresh dicts: delta's table keeps the size of
-    # meas's after the matched keys are popped.
-    return SmearedOp(delta.terms), SmearedOp(
-        {k: c for k, c in meas.terms.items() if not k[0]})
+    meas = series_bracket(jay_families(p, m), jay_families(q, n), pos,
+                          N).terms
+    exp = _w_expected(p, q, m, n, pos, N).terms
+    return SmearedOp({k: meas.get(k, 0) - exp.get(k, 0)
+                      for k in meas.keys() | exp.keys()}), SmearedOp(
+        {k: c for k, c in meas.items() if not k[0]})
 
 
 def _w_grid(spec, cells):
@@ -1017,7 +1028,7 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
     N = _cutoff(spec)
 
     def jf(p, n):
-        fams = jay_families(p, n)
+        fams = list(jay_families(p, n))
         if mut:
             fams += _euler_families(p - 1, n, -factorial(p))
         return fams
@@ -1267,8 +1278,8 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         m_max = min(m_max, 1)
     for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut and (p, q) != (0, 0):
-            delta = SmearedOp(delta.terms).merge(series_to_smeared(
-                jay_families(p + q - 1, m + n), _sound_pos(N, m, n), N), -1)
+            delta = SmearedOp(delta.terms).merge(_jay_window(
+                p + q - 1, m + n, _sound_pos(N, m, n), N), -1)
         # Untagged keys come only from the untagged families' plain events.
         delta = SmearedOp({k: c for k, c in delta.terms.items()
                            if not k[1] and not k[2]})

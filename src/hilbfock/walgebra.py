@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .operators import (Family, quadratic_sum, series_to_smeared,
@@ -76,15 +77,19 @@ def heis_families(n):
     return [Family(1, n, lambda parts, mf, ws: 1)]
 
 
+@cache
 def jay_families(p, n):
-    """Families of J^p_n; the empty partition never appears."""
+    """Families of J^p_n, as a tuple built once per (p, n) and shared by
+    every caller for the life of the process, so that their contraction
+    tables (Family.survivors) are built once; the empty partition never
+    appears.  A caller that adds a family builds a new list."""
     if p < 0:
         raise ValueError("negative W-algebra weight %d" % p)
     fp = factorial(p)
-    fams = [mult_family(p + 1, n, lambda ws: -fp)]
+    fams = (mult_family(p + 1, n, lambda ws: -fp),)
     if p - 1 >= 1:
-        fams.append(mult_family(p - 1, n, lambda ws: fp * (ws + n * n - 2),
-                                24, epow=1))
+        fams += (mult_family(p - 1, n, lambda ws: fp * (ws + n * n - 2),
+                             24, epow=1),)
     return fams
 
 

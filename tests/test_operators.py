@@ -6,6 +6,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbfock import operators, walgebra
 from hilbfock.fock import basis_states, combine, vacuum
 from hilbfock.operators import (OperatorSum, SmearedOp, act_arrangement,
                                 box_keep, commutator_column, derive,
@@ -15,7 +16,7 @@ from hilbfock.operators import (OperatorSum, SmearedOp, act_arrangement,
                                 series_bracket, series_to_smeared)
 from hilbfock.partitions import GenPartition
 from hilbfock.ring import builtin_ring
-from hilbfock.verify import _euler_families
+from hilbfock.verify import _euler_families, _sound_pos
 from hilbfock.walgebra import (FourierSpec, apow_families, chern_families,
                                fourier_families, heis_families,
                                jay_families, jay_field_families,
@@ -246,6 +247,67 @@ def test_series_bracket_agrees_with_literal_bracket():
             fast = series_bracket(fa, fb, pos, neg)
             slow = s_bracket(A, B).filter(box_keep(pos, neg))
             assert fast.terms and fast == slow, (name, pos, neg)
+
+
+# Cells (p, q, m, n) with p + q <= 4 and |m|, |n| <= 2, on window 6.
+WINDOW_CELLS = [(p, q, m, n) for p in range(5) for q in range(5 - p)
+                for m, n in product(range(-2, 3), repeat=2)]
+
+
+def _window_brackets(order):
+    """{(cell, N): series_bracket of the cell on (_sound_pos(N), N)} for
+    each window N in order, from cleared family tables and partition
+    lists, so that each window after the first reads the tables the
+    earlier ones built."""
+    walgebra.jay_families.cache_clear()
+    operators._stats_list.cache_clear()
+    return {((p, q, m, n), N): series_bracket(
+        jay_families(p, m), jay_families(q, n), _sound_pos(N, m, n), N)
+        for N in order for p, q, m, n in WINDOW_CELLS}
+
+
+def _unstable_cells(brackets, N):
+    """The cells whose window-N bracket differs from the window-(N + 2)
+    bracket restricted to the window-N box."""
+    return [cell for cell in WINDOW_CELLS
+            if brackets[cell, N] != brackets[cell, N + 2].filter(
+                box_keep(_sound_pos(N, *cell[2:]), N))]
+
+
+def test_series_bracket_is_window_stable():
+    """Each bracket equals the restriction of the bracket two windows
+    wider to its box, and every bracket is the same whether its
+    window's tables were built first or after the other window's: a
+    stale or mis-cut contraction table would break one of the two."""
+    assert len(WINDOW_CELLS) == 375
+    narrow_first = _window_brackets((6, 8))
+    assert _unstable_cells(narrow_first, 6) == []
+    assert _window_brackets((8, 6)) == narrow_first
+
+
+def test_contraction_tables_grow_for_a_wider_box():
+    """A box wider in pos than its neg cap, asked after a narrower box of
+    the same neg cap, gives the bracket that fresh families give: the
+    tables the narrow box built are rebuilt, not read past their end."""
+    walgebra.jay_families.cache_clear()
+    fresh = walgebra.jay_families.__wrapped__
+    for p, q, m, n in ((1, 2, -1, 2), (2, 2, 1, -2), (3, 1, 2, 1)):
+        series_bracket(jay_families(p, m), jay_families(q, n), 2, 4)
+        wide = series_bracket(jay_families(p, m), jay_families(q, n), 7, 4)
+        assert wide == series_bracket(fresh(p, m), fresh(q, n), 7, 4)
+        assert wide.terms, (p, q, m, n)
+
+
+def test_window_stability_sees_a_window_edge_fault(monkeypatch):
+    """Euler events cut one mode short of the box edge make cells of the
+    narrow window differ from the wide one's restriction, in either
+    window order."""
+    swap = operators._swap_events
+    monkeypatch.setattr(
+        operators, "_swap_events", lambda fa, fb, poscap, negcap, keep:
+        swap(fa, fb, poscap - 1, negcap, keep))
+    for order in ((6, 8), (8, 6)):
+        assert len(_unstable_cells(_window_brackets(order), 6)) == 40, order
 
 
 def _assert_exact_values(sm, label):

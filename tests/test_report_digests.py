@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbfock import operators, partitions, verify
+from hilbfock import operators, partitions, verify, walgebra
 from hilbfock.cli import main
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import SuiteSpec, list_suites, run_suite, serialize_report
@@ -98,13 +98,41 @@ def test_query_outputs_do_not_depend_on_history():
 def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
     each of them emptied, the query universe and two suite jobs give
-    their frozen bytes again; thm57 measures its W-bracket cells anew."""
+    their frozen bytes again; thm57 measures its W-bracket cells anew,
+    from new J-families and contraction tables."""
     operators._stats_list.cache_clear()
     verify._w_cell.cache_clear()
+    verify._jay_window.cache_clear()
+    walgebra.jay_families.cache_clear()
     partitions._exact_partitions.cache_clear()
+    partitions._exact_stats.cache_clear()
     for name in SURFACE_NAMES:
         builtin_ring(name)._cache.clear()
     for qid in sorted(QUERIES):
         assert _run_query(qid) == REFS["queries"][qid], qid
     for job in ("heis-p1xp1", "thm57"):
         _check_job(job, False)
+
+
+def _jay_family_fields():
+    """{(p, n): (the shared tuple, each family's fields)} over the J-family
+    keys that def51-ids reads."""
+    return {(p, n): (fams, [(f.ell, f.total, f.num, f.den, f.epow)
+                            for f in fams])
+            for p in range(5) for n in range(-3, 4)
+            for fams in [walgebra.jay_families(p, n)]}
+
+
+def test_def51_mutation_leaves_the_shared_families_alone():
+    """def51-ids' mutation adds an Euler family to a copy of the shared
+    J^p_n family tuple: after its mutated run jay_families returns the
+    same families, and thm55, measured anew, keeps its frozen digest."""
+    before = _jay_family_fields()
+    report = run_suite(SuiteSpec("def51-ids", mutation=MUTATION["def51-ids"]))
+    assert not report.ok
+    after = _jay_family_fields()
+    assert all(after[key][0] is fams for key, (fams, _) in before.items())
+    assert after == before
+    verify._w_cell.cache_clear()
+    verify._jay_window.cache_clear()
+    _check_job("thm55", False)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbfock import operators, verify
+from hilbfock import operators, verify, walgebra
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
                              VerificationReport, list_suites, report_lines,
@@ -259,6 +259,40 @@ def test_w_memo_keeps_every_byte(w_memo, name, bounds):
     assert run(mutation) == cold_mutated
     assert run("") == cold
     assert w_memo and _stored_residuals_empty(w_memo)
+
+
+def _family_tables():
+    """{(p, n, i, x, negcap): (cap, rows)}: every contraction table of the
+    J-families the default W-bracket runs read."""
+    return {(p, n, i) + key: table
+            for p in range(8) for n in range(-7, 8)
+            for i, fam in enumerate(walgebra.jay_families(p, n))
+            for key, table in fam._tables.items()}
+
+
+def test_family_tables_are_built_once_and_bounded():
+    """From cleared caches, the default-bounds thm55, thm57 and vir runs
+    leave at most 1,584 contraction tables with 21,003 rows (the counts
+    measured); a second thm55 run, its cells measured anew, builds no
+    table and enumerates no partition.  thm55 runs on p2 only, and the
+    second run with p + q <= 3: the tables depend on its cells, not on
+    its surfaces."""
+    walgebra.jay_families.cache_clear()
+    W_CELL.cache_clear()
+    for spec in (SuiteSpec("thm55", surface="p2"), SuiteSpec("thm57"),
+                 SuiteSpec("vir")):
+        assert run_suite(spec).ok, spec.suite
+    tables = _family_tables()
+    assert len(tables) <= 1584
+    assert sum(len(rows) for _, rows in tables.values()) <= 21003
+    W_CELL.cache_clear()
+    misses = operators._stats_list.cache_info().misses
+    assert run_suite(SuiteSpec("thm55", surface="p2",
+                               bounds={"pq_max": 3})).ok
+    again = _family_tables()
+    assert again.keys() == tables.keys()
+    assert all(again[key] is table for key, table in tables.items())
+    assert operators._stats_list.cache_info().misses == misses
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
