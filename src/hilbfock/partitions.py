@@ -79,12 +79,6 @@ class GenPartition:
 
     __neg__ = negate
 
-    def positive_total(self):
-        return sum(p for p in self.parts if p > 0)
-
-    def negative_total(self):
-        return -sum(p for p in self.parts if p < 0)
-
 
 @lru_cache(maxsize=None)
 def _exact_partitions(total, count):

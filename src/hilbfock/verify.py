@@ -33,9 +33,18 @@ Two kinds of cell are measured once per process and kept only as their
 residual against the unmutated identity, empty when it holds: each
 W-bracket cell (`_w_cell`, with its scalar terms, which the central
 checks read) and each heis (m, n, w_max) cell of a ring (in
-`ring._cache`).  A run, plain or mutated and in either order, reads the
-stored residual; a W-bracket mutation adds its one term to a copy of
-it, and a heis run checks it against its own central term.
+`ring._cache`).  The symbolic cells of rmk43, lem61 and lem53 are kept
+for the process as the smeared lists they compare: rmk43's derivative
+less its main right side, with its unit Euler term (`_rmk43_cell`), the
+field-monomial components (`_field_component`), and J^p_m by its field
+expression (`_field_window`), which lem53 compares with `_jay_window`.
+A run, plain or mutated and in either order, reads the stored cell; a
+mutation adds its one term to a copy or a new list, never to the stored
+entry, and a heis run checks its residual against its own central term.
+
+The abstract W-algebra (eq22 and thm57's symbolic part) is bracketed on
+int coefficients; a failing check shows its values as Fractions
+(`_w_check`).
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -858,6 +867,21 @@ def _thm42_spots(spec, mut):
 # -- rmk43: derivative closure of shifted families -------------------------
 
 
+@cache
+def _rmk43_cell(k, n, d, N):
+    """The derivative of F(k,n,d) less its main right side
+    -n(k+1) F(k+1,n,d), and the unit Euler term (1/(24 lam^!))
+    a_lam(tau(e c)) over l = k, on the diamond window N.  Kept for the
+    process, so no run derives a family twice; a run subtracts the Euler
+    term at its own coefficient, into a new list."""
+    keep = diamond_keep(N)
+    A = series_to_smeared(shift_families(k, n, d), N, N).filter(keep)
+    rhs = series_to_smeared(shift_families(k + 1, n, d), N, N).filter(keep)
+    euler = series_to_smeared(_euler_families(k, n, 1), N, N).filter(keep)
+    return (s_derive(A, keep, N, N, include_k=False)
+            - rhs.scaled(-n * (k + 1)), euler)
+
+
 def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
     """Derivative of the d-shifted family, for d = -1 and d = n^2 - 2:
 
@@ -869,23 +893,15 @@ def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
     Mutation shift-term: the factor (d+1) becomes (d+2).
     """
     N = _cutoff(spec)
-    keep = diamond_keep(N)
     for k, n in product(range(k_max + 1), range(-n_max, n_max + 1)):
         dvals = [-1]
         if n * n - 2 != -1:
             dvals.append(n * n - 2)
         for d in dvals:
-            A = series_to_smeared(shift_families(k, n, d), N, N)
-            A = A.filter(keep)
-            dA = s_derive(A, keep, N, N, include_k=False)
-            rhs = series_to_smeared(
-                shift_families(k + 1, n, d), N, N).filter(keep)
-            rhs = rhs.scaled(-n * (k + 1))
+            resid, euler = _rmk43_cell(k, n, d, N)
             c2 = -2 * n * (d + (2 if mut else 1))
-            if c2:
-                rhs = rhs + series_to_smeared(
-                    _euler_families(k, n, c2), N, N).filter(keep)
-            yield _universal_record(dA - rhs, {"k": k, "n": n, "d": d})
+            yield _universal_record(resid - euler.scaled(c2),
+                                    {"k": k, "n": n, "d": d})
 
 
 # -- thm46-unique: characterization of the character series ----------------
@@ -1112,6 +1128,13 @@ def _lem52_spots(spec):
 # -- lem53: W-generators as field monomial components ----------------------
 
 
+@cache
+def _field_window(p, m, N):
+    """J^p_m by its field expression (jay_field_families) on the N box,
+    kept for the process like _jay_window, the partition route."""
+    return series_to_smeared(jay_field_families(p, m), N, N)
+
+
 def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """J^p_m equals its normally ordered field expression term by term:
 
@@ -1122,13 +1145,12 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """
     N = _cutoff(spec)
     for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
-        A = series_to_smeared(jay_families(p, m), N, N)
-        B = series_to_smeared(jay_field_families(p, m), N, N)
+        B = _field_window(p, m, N)
         if mut and p >= 1:
-            extra = series_to_smeared(
-                fourier_families(FourierSpec((0,) * (p - 1), m)), N, N)
-            B = B + extra.shift_euler().scaled(Q(p, 24))
-        yield _universal_record(A - B, {"p": p, "m": m})
+            extra = _field_component((0,) * (p - 1), m, N).shift_euler()
+            B = B + extra.scaled(Q(p, 24))
+        yield _universal_record(_jay_window(p, m, N, N) - B,
+                                {"p": p, "m": m})
     for ring in _rings(spec, () if mut else ("p2",)):
         t = _Tally(total=True)
         for m in range(-2, 3):
@@ -1301,6 +1323,15 @@ _THM57_SPOT_PAIRS = (("1", "1"), ("t1", "t2"), ("t1", "t234"),
                      ("t12", "t34"), ("t123", "t4"))
 
 
+def _w_check(t, params, want, got):
+    """Count one comparison of two abstract elements; a failure shows
+    both with Fraction values, the text the W-algebra checks report."""
+    ok = got == want
+    if not ok:
+        want, got = ({k: Q(v) for k, v in d.items()} for d in (want, got))
+    t.check(ok, params, want, got)
+
+
 def _thm57_symbolic(ring):
     """The symbolic W-algebra bracket against the measured constants."""
     t = _Tally(total=True)
@@ -1315,14 +1346,20 @@ def _thm57_symbolic(ring):
                 if m == -n and c:
                     want[CENTRAL] = c
             else:
-                want = wterm(p + q - 1, m + n, a * b, Q(q * m - p * n))
-            t.check(got == want,
-                    {"check": "symbolic", "p": p, "q": q, "m": m, "n": n,
-                     "a": ca, "b": cb}, want, got)
+                want = wterm(p + q - 1, m + n, a * b, q * m - p * n)
+            _w_check(t, {"check": "symbolic", "p": p, "q": q, "m": m,
+                         "n": n, "a": ca, "b": cb}, want, got)
     return t.record({"check": "symbolic"})
 
 
 # -- lem61: derivative identities of field monomials -----------------------
+
+
+@cache
+def _field_component(orders, m, N):
+    """The component series of :(d^r1 a)...(d^rk a):_m on the N box, kept
+    for the process: lem61 reads it, and so does lem53's mutation."""
+    return series_to_smeared(fourier_families(FourierSpec(orders, m)), N, N)
 
 
 def _lem61_identities(Nf, m, six):
@@ -1355,22 +1392,14 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     """
     B = _cutoff(spec)
     six = 5 if mut else 6
-
-    @cache
-    def F(orders, m):
-        """The component series of :(d^r1 a)...(d^rk a):_m on the box,
-        made once per run."""
-        return series_to_smeared(fourier_families(FourierSpec(orders, m)),
-                                 B, B)
-
     for Nf, m in product(range(n_max + 1), range(-m_max, m_max + 1)):
         z = (0,) * Nf
         for name, orders, scale, terms in _lem61_identities(Nf, m, six):
-            lhs = F(orders + z, m).scaled(scale)
+            lhs = _field_component(orders + z, m, B).scaled(scale)
             rhs = SmearedOp()
             for rorders, used, c in terms:
                 if Nf >= used:
-                    rhs.merge(F(rorders + z[used:], m), c)
+                    rhs.merge(_field_component(rorders + z[used:], m, B), c)
             yield _universal_record(
                 lhs - rhs, {"identity": name, "N": Nf, "m": m})
 
@@ -1383,6 +1412,11 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
     the trace convention trace = -integral against the measured
     transfer-operator central term.
 
+    Each run brackets every ordered pair of single terms once per ring,
+    into a pair table: antisymmetry reads both orders of a pair from it
+    and Jacobi its three inner brackets, so only the outer brackets are
+    computed per triple.
+
     Mutation central-shift: the central factor m becomes m + 1.
     """
     rings = _rings(spec)
@@ -1392,10 +1426,6 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
     for ring in rings:
         names = _W_CLASSES[ring.name]
         gram = ring.pairing_matrix()
-        singles = [(p, m, cn, wterm(p, m, ring.basis(cn)))
-                   for p in range(p_max + 1)
-                   for m in range(-m_max, m_max + 1)
-                   for cn in names]
 
         def brk(x, y):
             out = wbracket(ring, x, y)
@@ -1407,44 +1437,37 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
                                 and kx[2] == -ky[2] and kx[2] != 0):
                             c = -gram[kx[3]][ky[3]] * x[kx] * y[ky]
                             if c:
-                                out[CENTRAL] = out.get(CENTRAL, Q(0)) + c
+                                out[CENTRAL] = out.get(CENTRAL, 0) + c
             return {k: v for k, v in out.items() if v}
 
+        singles = [(p, m, cn) for p in range(p_max + 1)
+                   for m in range(-m_max, m_max + 1) for cn in names]
+        xs = [wterm(p, m, ring.basis(cn)) for p, m, cn in singles]
+        par = [wparity(ring, x) for x in xs]
+        label = ["J(%d,%d;%s)" % s for s in singles]
+        pair = [[brk(x, y) for y in xs] for x in xs]
         t = _Tally()
-        for p, m, cn, x in singles:
-            px = wparity(ring, x)
-            for q, n, dn, y in singles:
-                py = wparity(ring, y)
-                sign = Q(-1) if (px and py) else Q(1)
-                lhs = brk(x, y)
-                rhs = {k: -sign * v for k, v in brk(y, x).items()}
-                t.check(lhs == rhs,
-                        {"check": "antisymmetry", "surface": ring.name,
-                         "x": "J(%d,%d;%s)" % (p, m, cn),
-                         "y": "J(%d,%d;%s)" % (q, n, dn)}, rhs, lhs)
+        for i, j in product(range(len(xs)), repeat=2):
+            sign = -1 if par[i] and par[j] else 1
+            _w_check(t, {"check": "antisymmetry", "surface": ring.name,
+                         "x": label[i], "y": label[j]},
+                     {k: -sign * v for k, v in pair[j][i].items()},
+                     pair[i][j])
         yield t.record({"check": "antisymmetry", "surface": ring.name})
         if mut:
             continue
         t = _Tally()
-        sub = [s for s in singles if s[1] in (-2, 0, 1) and s[2] in names[:3]]
-        for p, m, cn, x in sub:
-            px = wparity(ring, x)
-            for q, n, dn, y in sub:
-                py = wparity(ring, y)
-                for r, s_, en, z in sub:
-                    lhs = brk(x, brk(y, z))
-                    t1 = brk(brk(x, y), z)
-                    t2 = brk(y, brk(x, z))
-                    sign = Q(-1) if (px and py) else Q(1)
-                    rhs = dict(t1)
-                    for k, v in t2.items():
-                        rhs[k] = rhs.get(k, Q(0)) + sign * v
-                    rhs = {k: v for k, v in rhs.items() if v}
-                    t.check(lhs == rhs,
-                            {"check": "jacobi", "surface": ring.name,
-                             "x": "J(%d,%d;%s)" % (p, m, cn),
-                             "y": "J(%d,%d;%s)" % (q, n, dn),
-                             "z": "J(%d,%d;%s)" % (r, s_, en)}, rhs, lhs)
+        sub = [i for i, (_, m, cn) in enumerate(singles)
+               if m in (-2, 0, 1) and cn in names[:3]]
+        for i, j, k in product(sub, repeat=3):
+            sign = -1 if par[i] and par[j] else 1
+            lhs = brk(xs[i], pair[j][k])
+            rhs = brk(pair[i][j], xs[k])
+            for key, v in brk(xs[j], pair[i][k]).items():
+                rhs[key] = rhs.get(key, 0) + sign * v
+            _w_check(t, {"check": "jacobi", "surface": ring.name,
+                         "x": label[i], "y": label[j], "z": label[k]},
+                     {key: v for key, v in rhs.items() if v}, lhs)
         yield t.record({"check": "jacobi", "surface": ring.name})
     t = _Tally()
     for m in (1, 2, 3):

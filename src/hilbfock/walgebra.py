@@ -40,14 +40,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
 from .operators import (Family, quadratic_sum, series_to_smeared,
                         smeared_series)
-
-Q = Fraction
 
 
 # -- series families -------------------------------------------------------
@@ -314,7 +311,7 @@ def omega(p, q, m, n):
 CENTRAL = ("C",)
 
 
-def wterm(p, n, elem, c=Q(1)):
+def wterm(p, n, elem, c=1):
     """One-term abstract element c * t^n D^p (x) elem, linear in elem: one
     key ("L", p, n, i) per basis index i that elem touches."""
     if not c:
@@ -325,7 +322,9 @@ def wterm(p, n, elem, c=Q(1)):
 def wbracket(ring, x, y):
     """Bracket of two abstract elements over the given coefficient ring:
     basis products come from the sparse rows of ring.table, traces from
-    the Gram matrix."""
+    the Gram matrix.  The values keep the type of the inputs' and the
+    ring's coefficients: int inputs on a ring with an integral table
+    give int values."""
     gram = ring.pairing_matrix()
     out = {}
     for kx, cx in x.items():
@@ -346,7 +345,7 @@ def wbracket(ring, x, y):
             else:
                 continue
             for k, c in terms:
-                out[k] = out.get(k, Q(0)) + c * cx * cy
+                out[k] = out.get(k, 0) + c * cx * cy
     return {k: v for k, v in out.items() if v}
 
 

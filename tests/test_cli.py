@@ -546,6 +546,17 @@ def test_console_script_entry_point():
     assert proc.stdout == "48\n"
 
 
+def test_package_runs_as_a_module(capsys):
+    """python -m hilbfock runs cli.main: `verify --list` prints what the
+    in-process call prints, and importing the package's __main__ module
+    runs nothing (test_imports imports every module)."""
+    proc = subprocess.run([sys.executable, "-m", "hilbfock", "verify",
+                           "--list"], capture_output=True, text=True)
+    code, out, _ = run(capsys, "verify", "--list")
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out and out
+
+
 def test_dump_prints_the_operator_chern_applies(capsys):
     """dump --op "G(k;c)" --cutoff n prints the G_k term list on the
     n-point window, the operator that chern applies to the fundamental

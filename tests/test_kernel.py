@@ -614,7 +614,8 @@ def ref_monomial(ring, gp, elem, cutoff):
     op = RefSum(ring)
     if gp.length == 0 or elem.is_zero():
         return op
-    if gp.positive_total() > cutoff or gp.negative_total() > cutoff:
+    if (sum(p for p in gp.parts if p > 0) > cutoff
+            or -sum(p for p in gp.parts if p < 0) > cutoff):
         return op
     for key, c in ring.tau(gp.length, elem).items():
         op.add_factors(tuple(zip(gp.parts, key)), c)

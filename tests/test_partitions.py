@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock.partitions import (GenPartition, enumerate_genpartitions,
-                                 enumerate_ordinary)
+                                 enumerate_ordinary, genpartition_stats)
+
+
+def totals(parts):
+    """(positive total, negative total) of a part tuple."""
+    return sum(p for p in parts if p > 0), -sum(p for p in parts if p < 0)
 
 
 def brute_genpartitions(length, total, pos_bound):
@@ -21,7 +26,7 @@ def brute_genpartitions(length, total, pos_bound):
     out = set()
     for combo in itertools.combinations_with_replacement(values, length):
         gp = GenPartition(tuple(sorted(combo)))
-        if gp.size == total and gp.positive_total() <= pos_bound:
+        if gp.size == total and totals(gp.parts)[0] <= pos_bound:
             out.add(gp.parts)
     return out
 
@@ -52,9 +57,8 @@ def test_enumeration_window_is_complete():
         for b in range(a, 5):
             if a == 0 or b == 0 or a + b != -1:
                 continue
-            gp = GenPartition((a, b))
-            inside = (gp.positive_total() <= 4
-                      and gp.negative_total() <= 4 + 1)
+            pos, neg = totals((a, b))
+            inside = pos <= 4 and neg <= 4 + 1
             assert ((a, b) in seen) == inside, (a, b)
 
 
@@ -64,8 +68,8 @@ def test_statistics():
     assert gp.size == -3
     assert gp.weighted_square == 9 + 1 + 1 + 4
     assert gp.mult_factorial == 2
-    assert gp.positive_total() == 2
-    assert gp.negative_total() == 5
+    rows = [row for row in genpartition_stats(4, -3, 2) if row[0] == gp.parts]
+    assert [row[1:] for row in rows] == [(2, 5, 2, 15)]
     assert gp.negate().parts == (-2, 1, 1, 3)
 
 

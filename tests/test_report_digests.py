@@ -99,10 +99,14 @@ def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
     each of them emptied, the query universe and two suite jobs give
     their frozen bytes again; thm57 measures its W-bracket cells anew,
-    from new J-families and contraction tables."""
+    from new J-families and contraction tables, and rmk43, lem61 and
+    lem53 build their cells anew."""
     operators._stats_list.cache_clear()
     verify._w_cell.cache_clear()
     verify._jay_window.cache_clear()
+    verify._rmk43_cell.cache_clear()
+    verify._field_component.cache_clear()
+    verify._field_window.cache_clear()
     walgebra.jay_families.cache_clear()
     partitions._exact_partitions.cache_clear()
     partitions._exact_stats.cache_clear()
@@ -110,7 +114,7 @@ def test_outputs_survive_clearing_every_process_cache():
         builtin_ring(name)._cache.clear()
     for qid in sorted(QUERIES):
         assert _run_query(qid) == REFS["queries"][qid], qid
-    for job in ("heis-p1xp1", "thm57"):
+    for job in ("heis-p1xp1", "thm57", "rmk43", "lem61", "lem53"):
         _check_job(job, False)
 
 
@@ -136,3 +140,72 @@ def test_def51_mutation_leaves_the_shared_families_alone():
     verify._w_cell.cache_clear()
     verify._jay_window.cache_clear()
     _check_job("thm55", False)
+
+
+# The process caches of the symbolic cells that rmk43, lem61 and lem53
+# read; lem53 reads its partition side from _jay_window.
+SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",
+                  "_jay_window")
+
+
+@pytest.fixture
+def cell_keys(monkeypatch):
+    """The symbolic cell caches, cleared before and after one test; the
+    dict it yields maps each cache's name to the cache and the set of
+    keys the runners read from it."""
+    keys = {}
+    for name in SYMBOLIC_CELLS:
+        cached = getattr(verify, name)
+        cached.cache_clear()
+        keys[name] = (cached, set())
+
+        def recorded(*args, _seen=keys[name][1], _cached=cached):
+            _seen.add(args)
+            return _cached(*args)
+
+        monkeypatch.setattr(verify, name, recorded)
+    yield keys
+    for cached, _ in keys.values():
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("first", (False, True), ids=("plain", "mutated"))
+@pytest.mark.parametrize("job", ("rmk43", "lem61", "lem53"))
+def test_symbolic_cells_keep_the_frozen_digests_in_either_order(cell_keys,
+                                                                job, first):
+    """From cleared caches, the plain and the mutated run give their
+    frozen bytes whichever of them runs first and builds the cells."""
+    _check_job(job, first)
+    _check_job(job, not first)
+    assert any(seen for _, seen in cell_keys.values())
+
+
+def _cell_terms(cell_keys):
+    """{(cache name, key): [(list, a copy of its terms)]} for each key
+    read so far, from the caches themselves; an rmk43 cell holds two
+    smeared lists."""
+    out = {}
+    for name, (cached, seen) in cell_keys.items():
+        for key in seen:
+            cell = cached(*key)
+            lists = cell if isinstance(cell, tuple) else (cell,)
+            out[name, key] = [(op, dict(op.terms)) for op in lists]
+    return out
+
+
+@pytest.mark.parametrize("job", ("rmk43", "lem61", "lem53"))
+def test_symbolic_mutation_leaves_the_cached_cells_alone(cell_keys, job):
+    """A mutated rmk43, lem61 or lem53 run after the plain one adds its
+    term to new lists: every cell the plain run cached is the same object
+    with the same terms afterwards, and the plain run again keeps its
+    frozen digest."""
+    _check_job(job, False)
+    before = _cell_terms(cell_keys)
+    assert before
+    _check_job(job, True)
+    after = _cell_terms(cell_keys)
+    for key, cell in before.items():
+        assert len(after[key]) == len(cell), key
+        for (op, terms), (now, now_terms) in zip(cell, after[key]):
+            assert now is op and now_terms == terms, key
+    _check_job(job, False)

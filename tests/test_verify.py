@@ -530,3 +530,64 @@ def test_lem32_memo_memory_stays_bounded():
     assert ok == "True"
     assert peak < 6, "lem32-p1xp1 traced peak %.2f MB" % peak
     assert kept < 2, "lem32-p1xp1 left %.2f MB traced" % kept
+
+
+def test_eq22_brackets_each_pair_once(monkeypatch):
+    """eq22 brackets every ordered pair of single terms once per ring and
+    reads antisymmetry and the inner Jacobi brackets from that table, so
+    at the benchmark's bounds (24 singles per ring, 12 of them in the
+    Jacobi grid) it calls wbracket 24^2 times per ring plus 3 times per
+    Jacobi triple, and its reports keep their frozen bytes."""
+    calls = 0
+    bracket = verify.wbracket
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(verify, "wbracket", counted)
+    for mutation, rings in (("", 2), ("central-shift", 1)):
+        calls = 0
+        report = run_suite(SuiteSpec("eq22", bounds={"p_max": 1, "m_max": 1},
+                                     mutation=mutation))
+        text = serialize_report(report, "jsonl")
+        assert report.ok == (not mutation)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REFS["suites"]["eq22" + ("+mutation" if mutation else "")]
+        jacobi = 0 if mutation else 3 * 12 ** 3
+        assert calls == rings * (24 ** 2 + jacobi), (mutation, calls)
+
+
+SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",
+                  "_jay_window")
+
+
+@pytest.mark.parametrize("name", ("rmk43", "lem61", "lem53"))
+def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
+    """After its plain run, a mutated rmk43, lem61 or lem53 run derives
+    nothing and builds no series the plain run built.  Only lem53's
+    mutation builds a series of its own, its 28 :a^{p-1}:_m terms, once
+    per process, so a second mutated run builds none."""
+    for cell in SYMBOLIC_CELLS:
+        getattr(verify, cell).cache_clear()
+    calls = dict.fromkeys(("s_derive", "series_to_smeared"), 0)
+    for fn in calls:
+        def counted(*args, _fn=fn, _real=getattr(verify, fn), **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, fn, counted)
+    assert run_suite(SuiteSpec(name)).ok
+    assert calls["series_to_smeared"] > 0
+    mutation = SUITES[name].mutation
+    for own in ((28 if name == "lem53" else 0), 0):
+        calls.update(dict.fromkeys(calls, 0))
+        misses = {cell: getattr(verify, cell).cache_info().misses
+                  for cell in SYMBOLIC_CELLS}
+        assert not run_suite(SuiteSpec(name, mutation=mutation)).ok
+        grown = {cell: getattr(verify, cell).cache_info().misses - n
+                 for cell, n in misses.items()}
+        assert calls == {"s_derive": 0, "series_to_smeared": own}, calls
+        assert grown == dict.fromkeys(SYMBOLIC_CELLS, 0) | {
+            "_field_component": own}, grown

@@ -314,6 +314,20 @@ def test_wbracket_linear_term_matches_structure_constants():
     assert CENTRAL not in got
 
 
+def test_wbracket_of_int_inputs_has_int_values():
+    """Over the built-in rings, whose products and traces are integral,
+    brackets of int-coefficient elements, central terms and brackets of
+    brackets included, have int values, not Fractions."""
+    for ring in (P2, AB):
+        xs = [wterm(p, m, ring.basis(i), c) for p in range(3)
+              for m in (-1, 0, 1) for i in range(ring.dim) for c in (1, -2)]
+        pairs = [wbracket(ring, x, y) for x in xs[::6] for y in xs]
+        nested = [wbracket(ring, x, b) for x in xs[::9] for b in pairs[::11]]
+        values = [v for out in pairs + nested for v in out.values()]
+        assert any(CENTRAL in out for out in pairs), ring.name
+        assert nested and any(nested), ring.name
+        assert all(type(v) is int for v in values), ring.name
+
 
 def test_wbracket_central_term_is_heisenberg_scalar():
     """The central term of [t^m D^0 (x) b_i, t^-m D^0 (x) b_j] is the
