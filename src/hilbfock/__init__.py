@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .ring import SURFACE_NAMES, SurfaceRing, builtin_ring, load_ring
 from .fock import basis_states, combine, pairing, vacuum
-from .partitions import GenPartition
 
 __all__ = [
     "SURFACE_NAMES",
@@ -23,6 +22,5 @@ __all__ = [
     "combine",
     "pairing",
     "vacuum",
-    "GenPartition",
     "__version__",
 ]

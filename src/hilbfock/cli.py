@@ -107,6 +107,9 @@ def _csv(rows):
 
 def _cmd_verify(args):
     if args.list:
+        if (args.suite or args.surface or args.cutoff or args.mutation
+                or args.bound):
+            raise UsageError("--list takes only --format and --out")
         if args.format == "jsonl":
             text = "".join(_jline(row) for row in list_suites())
         else:
@@ -337,17 +340,19 @@ def build_parser():
 
     p = sub.add_parser("intersect",
                        help="intersection number of character classes")
-    p.add_argument("--k", type=int, action="append", default=[])
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--k", type=int, action="append", default=[])
+    which.add_argument("--grid", action="store_true",
+                       help="all degree-matched tuples up to --n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", action="store_true",
-                   help="all degree-matched tuples up to --n")
     _add_ring_flags(p)
     _add_out_flags(p, ["human", "jsonl", "csv"])
     p.set_defaults(func=_cmd_intersect)
 
     p = sub.add_parser("ring", help="inspect, dump, or validate a ring")
-    p.add_argument("--dump", action="store_true")
-    p.add_argument("--validate", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--dump", action="store_true")
+    which.add_argument("--validate", action="store_true")
     _add_ring_flags(p)
     p.add_argument("--out", default="", help="write output to this file")
     p.set_defaults(func=_cmd_ring)

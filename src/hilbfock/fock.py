@@ -142,12 +142,10 @@ def basis_states(ring, w):
     if key in ring._cache:
         return ring._cache[key]
     out = []
-    for gp in enumerate_ordinary(w):
-        mults = gp.multiplicities()
-        blocks = []
-        for part in sorted(mults, reverse=True):
-            blocks.append([tuple((-part, i) for i in ms)
-                           for ms in _class_multisets(ring, mults[part])])
+    for parts, _, _ in enumerate_ordinary(w):
+        blocks = [[tuple((-part, i) for i in ms)
+                   for ms in _class_multisets(ring, parts.count(part))]
+                  for part in sorted(set(parts), reverse=True)]
         stack = [()]
         for block in blocks:
             stack = [acc + b for acc in stack for b in block]

@@ -57,18 +57,17 @@ def chern_class_closed(ring, k, elem, n):
         r = n - j - 1
         if r < 0:
             continue
-        for lam in enumerate_ordinary(j + 1):
-            leads = []
-            if lam.length == k - j + 1:
-                leads.append((Q((-1) ** j), elem))
-            if lam.length == k - j - 1 and not e_elem.is_zero():
-                s = lam.weighted_square
-                leads.append((Q((-1) ** (j + 1) * (j + 1 + s - 2), 24),
-                              e_elem))
-            for lead, cls in leads:
-                coeff = lead / (lam.mult_factorial * factorial(j + 1))
-                vec = monomial(ring, lam.negate(), cls).act(vacuum())
-                pieces.append((coeff, _unit_shift(ring, r, vec)))
+        lead = Q((-1) ** j, factorial(j + 1))
+        terms = [(parts, lead / mf, elem)
+                 for parts, mf, _ in enumerate_ordinary(j + 1, k - j + 1)]
+        if j < k and not e_elem.is_zero():
+            terms += [(parts, -lead * (j + 1 + s - 2) / (24 * mf), e_elem)
+                      for parts, mf, s in enumerate_ordinary(j + 1,
+                                                             k - j - 1)]
+        for parts, coeff, cls in terms:
+            lam = tuple(-p for p in reversed(parts))
+            vec = monomial(ring, lam, cls).act(vacuum())
+            pieces.append((coeff, _unit_shift(ring, r, vec)))
     return combine(*pieces)
 
 
@@ -114,10 +113,8 @@ def intersection_number_closed(ks, n):
             continue
         value = Q(1)
         for k, j in zip(ks, js):
-            part = Q(0)
-            for lam in enumerate_ordinary(j + 1, k - j + 1):
-                part += Q((-1) ** j, lam.mult_factorial * factorial(j + 1))
-            value *= part
+            value *= sum((Q((-1) ** j, mf * factorial(j + 1)) for _, mf, _
+                          in enumerate_ordinary(j + 1, k - j + 1)), Q(0))
             if not value:
                 break
         total += value

@@ -61,7 +61,8 @@ Two layers:
   process, so every W-bracket cell shares its tables; a family built
   per call frees them with itself.  The tables, _stats_list and
   enumerate_genpartitions all read the one partition enumeration,
-  partitions.genpartition_stats.
+  partitions.genpartition_stats, whose rows carry each partition's
+  parts, mult! and sum of squares; a partition is a sorted tuple.
 
 Identity checks compare smeared term lists (surface independent), then
 instantiate on a concrete ring where needed.
@@ -404,11 +405,12 @@ def heisenberg(ring, n, elem):
     return OperatorSum(ring, {((n, i),): c for i, c in elem.components()})
 
 
-def monomial(ring, gp, elem):
-    """Smeared monomial a_gp(tau_l(elem)); the empty partition gives 0."""
-    if gp.length == 0 or elem.is_zero():
+def monomial(ring, parts, elem):
+    """Smeared monomial a_parts(tau_l(elem)), for a sorted tuple of
+    nonzero modes; the empty tuple gives 0."""
+    if not parts or elem.is_zero():
         return OperatorSum(ring)
-    return OperatorSum(ring, *_words(ring, [(gp.parts, elem, 1)]))
+    return OperatorSum(ring, *_words(ring, [(parts, elem, 1)]))
 
 
 def _quadratic_items(n, elem, reach, scale=1):

@@ -1,14 +1,16 @@
 """Generalized partitions: finite multisets of nonzero integers.
 
 A generalized partition indexes a product of Fock-space modes; negative
-parts create, positive parts annihilate.  Stored as a sorted tuple, most
-negative first.  The statistics follow the usual multiplicity notation
-lambda = (... (-1)^{m_-1} 1^{m_1} 2^{m_2} ...):
+parts create, positive parts annihilate.  It is a plain tuple of nonzero
+ints, sorted ascending (most negative first); its length and size are
+len(parts) and sum(parts).  The statistics the formulas read, in the
+usual multiplicity notation lambda = (... (-1)^{m_-1} 1^{m_1} 2^{m_2} ...),
 
-    length            sum of multiplicities
-    size              sum of i * m_i (the mode-number total)
-    weighted_square   sum of i^2 * m_i
-    mult_factorial    product of m_i!
+    mult!            product of m_i!    (lambda^!)
+    sum of squares   sum of i^2 * m_i   (s(lambda))
+
+are fields of the rows the enumeration builds, not properties of a
+partition object.
 
 The empty partition is representable but every operator series in this
 package skips it.
@@ -20,73 +22,12 @@ from functools import lru_cache
 from math import factorial, prod
 
 
-class GenPartition:
-    """Immutable multiset of nonzero integers, kept sorted ascending."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        ps = tuple(sorted(int(p) for p in parts))
-        if any(p == 0 for p in ps):
-            raise ValueError("parts must be nonzero")
-        object.__setattr__(self, "parts", ps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GenPartition is immutable")
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, GenPartition) and self.parts == other.parts
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "GenPartition(%r)" % (self.parts,)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    @property
-    def size(self):
-        return sum(self.parts)
-
-    @property
-    def weighted_square(self):
-        return sum(p * p for p in self.parts)
-
-    @property
-    def mult_factorial(self):
-        return prod(factorial(m) for m in self.multiplicities().values())
-
-    def multiplicities(self):
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def negate(self):
-        return GenPartition(-p for p in self.parts)
-
-    __neg__ = negate
-
-
 @lru_cache(maxsize=None)
-def _exact_partitions(total, count):
-    """Partitions of total >= 0 into exactly count positive parts, ascending."""
+def _exact_stats(total, count):
+    """(parts, mult!, sum of squares) of each partition of total >= 0
+    into exactly count positive parts, ascending by parts."""
     if count == 0:
-        return ((),) if total == 0 else ()
-    if total < count:
-        return ()
+        return (((), 1, 0),) if total == 0 else ()
 
     def rec(rem, k, minimum):
         if k == 1:
@@ -97,16 +38,9 @@ def _exact_partitions(total, count):
             for rest in rec(rem - first, k - 1, first):
                 yield (first,) + rest
 
-    return tuple(rec(total, count, 1))
-
-
-@lru_cache(maxsize=None)
-def _exact_stats(total, count):
-    """(parts, mult!, sum of squares) of each of _exact_partitions(total,
-    count)."""
     return tuple((parts, prod(factorial(parts.count(p)) for p in set(parts)),
                   sum(p * p for p in parts))
-                 for parts in _exact_partitions(total, count))
+                 for parts in rec(total, count, 1))
 
 
 def genpartition_stats(length, total, pos_bound):
@@ -134,24 +68,21 @@ def genpartition_stats(length, total, pos_bound):
 
 
 def enumerate_genpartitions(length, total, pos_bound):
-    """All generalized partitions with given length and size.
-
-    The positive parts sum to at most pos_bound (the negative total is then
-    determined).  Returned sorted by the underlying part tuples.
-    """
-    return [GenPartition(row[0]) for row in
-            genpartition_stats(length, total, pos_bound)]
+    """The part tuples of genpartition_stats(length, total, pos_bound),
+    sorted."""
+    return [row[0] for row in genpartition_stats(length, total, pos_bound)]
 
 
 def enumerate_ordinary(total, length=None):
-    """Ordinary partitions of total > 0 into positive parts.
+    """(parts, mult!, sum of squares) of each ordinary partition of
+    total > 0, sorted by parts.
 
     With length given, exactly that many parts; otherwise all lengths.
     """
     if length is not None:
-        return [GenPartition(p) for p in _exact_partitions(total, length)]
+        return list(_exact_stats(total, length))
     out = []
     for k in range(1, total + 1):
-        out.extend(GenPartition(p) for p in _exact_partitions(total, k))
+        out.extend(_exact_stats(total, k))
     out.sort()
     return out

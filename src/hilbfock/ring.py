@@ -210,12 +210,6 @@ class SurfaceRing:
             i = self.index[i]
         return RingElem(self, [int(j == i) for j in range(self.dim)])
 
-    def basis_elems(self):
-        return [self.basis(i) for i in range(self.dim)]
-
-    def zero(self):
-        return RingElem(self, [0] * self.dim)
-
     def elem(self, spec):
         """Build an element from {basis name: coefficient}."""
         return self._vector({self.index[name]: c for name, c in spec.items()})

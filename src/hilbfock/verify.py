@@ -68,7 +68,6 @@ from .operators import (OperatorFamily, SmearedOp, act_arrangement,
                         diamond_keep, heisenberg, instantiate, monomial,
                         quadratic_sum, s_bracket, s_derive, series_bracket,
                         series_to_smeared, smeared_series)
-from .partitions import GenPartition
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
                        chern_families, fourier, fourier_families,
@@ -705,13 +704,13 @@ _SWAPS = (((1, -1), 0), ((-1, 1), 0), ((2, -2), 0), ((-2, 2), 0),
           ((-1, 2, -2), 1))
 
 
-def _derivative_at(gp):
-    """w -> the smeared derivative of a_gp, cut to its terms that
+def _derivative_at(parts):
+    """w -> the smeared derivative of a_parts, cut to its terms that
     annihilate at most w points.  d keeps the size t, and an Euler
     correction sheds a pair (u, -u) with |u| at most the largest part h,
     so the splittings run h past the kept box."""
-    one = SmearedOp({(gp.parts, 0, 0): 1})
-    h, t = max(map(abs, gp.parts)), gp.size
+    one = SmearedOp({(parts, 0, 0): 1})
+    h, t = max(map(abs, parts)), sum(parts)
     return lambda w: s_derive(one, box_keep(w, w - t), w + h, w + h - t)
 
 
@@ -741,17 +740,14 @@ def _run_lem32(spec, mut):
             # bracket part; its columns serve every cell.
             op = _op_memo(ring)
             for nu in nus:
-                gnu = GenPartition(nu)
                 for mu in nus:
-                    gmu = GenPartition(mu)
-                    sm = s_bracket(
-                        SmearedOp({(gnu.parts, 0, 0): Q(1)}),
-                        SmearedOp({(gmu.parts, 0, 0): Q(1)}))
+                    sm = s_bracket(SmearedOp({(nu, 0, 0): Q(1)}),
+                                   SmearedOp({(mu, 0, 0): Q(1)}))
                     rhs = cache(partial(instantiate, sm, ring))
                     for na, a in cpairs:
-                        av = op(monomial, gnu, a)
+                        av = op(monomial, nu, a)
                         for nb, b in cpairs:
-                            bv = op(monomial, gmu, b)
+                            bv = op(monomial, mu, b)
                             rhs_op = rhs(a * b)
                             t.states(ring, states,
                                      lambda s: (commutator_column(av, bv, s),
@@ -762,10 +758,9 @@ def _run_lem32(spec, mut):
             params = {"part": "derivative", "surface": ring.name}
             t = _Tally()
             for nu in nus:
-                gnu = GenPartition(nu)
                 for na, a in cpairs:
-                    op = monomial(ring, gnu, a)
-                    rhs_op = smeared_series(ring, _derivative_at(gnu), a)
+                    op = monomial(ring, nu, a)
+                    rhs_op = smeared_series(ring, _derivative_at(nu), a)
                     t.states(ring, states,
                              lambda s: (_iter_deriv(op, 1, {s: 1}),
                                         rhs_op.column(s)),

@@ -40,6 +40,19 @@ def test_verify_list_names_every_suite(capsys):
     assert all({"suite", "description", "mutation"} <= set(r) for r in rows)
 
 
+def test_verify_list_with_a_run_option_is_usage_error(capsys):
+    """--list prints the suite table and runs nothing, so it takes only
+    --format and --out."""
+    code, out, err = run(capsys, "verify", "--list", "--suite", "heis",
+                         "--mutation", "x")
+    assert code == 2 and out == ""
+    assert "--list takes only --format and --out" in err
+    for extra in (["--surface", "k3"], ["--cutoff", "3"],
+                  ["--bound", "m_max=2"]):
+        code, out, _ = run(capsys, "verify", "--list", *extra)
+        assert code == 2 and out == "", extra
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lem53",
                        "--bound", "p_max=2", "--bound", "m_max=2")
@@ -315,6 +328,15 @@ def test_intersect_grid_without_points_is_usage_error(capsys):
     assert out == "" and "--n must be at least 1" in err
 
 
+def test_intersect_grid_with_k_is_usage_error(capsys):
+    """--grid runs every tuple, so a --k beside it would be dropped."""
+    with pytest.raises(SystemExit) as exc:
+        main(["intersect", "--grid", "--n", "1", "--k", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument --grid" in err
+
+
 def test_intersect_grid_csv(capsys):
     code, out, _ = run(capsys, "intersect", "--grid", "--n", "2",
                        "--format", "csv", "--surface", "k3")
@@ -339,6 +361,15 @@ def test_ring_validate_and_info(capsys):
     assert code == 0 and out == "ok: k3 (dim 24)\n"
     code, out, _ = run(capsys, "ring", "--surface", "abelian")
     assert code == 0 and "dim: 16" in out
+
+
+def test_ring_dump_with_validate_is_usage_error(capsys):
+    """ring prints one of its three outputs, never two."""
+    with pytest.raises(SystemExit) as exc:
+        main(["ring", "--dump", "--validate", "--surface", "k3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument --dump" in err
 
 
 def test_ring_dump_round_trip(tmp_path, capsys):

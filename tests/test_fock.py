@@ -60,6 +60,33 @@ def test_basis_counts_with_odd_classes():
     assert len(basis_states(K3, 2)) == 324
 
 
+def gottsche_counts(ring, top):
+    """The q^0 .. q^top coefficients of Goettsche's generating function
+    prod_n (1 + q^n)^b_odd / (1 - q^n)^b_even."""
+    odd = sum(ring.parity)
+    series = [1] + [0] * top
+    for n in range(1, top + 1):
+        for _ in range(odd):                    # times (1 + q^n)
+            for w in range(top, n - 1, -1):
+                series[w] += series[w - n]
+        for _ in range(ring.dim - odd):         # over (1 - q^n)
+            for w in range(n, top + 1):
+                series[w] += series[w - n]
+    return series
+
+
+def test_basis_counts_match_gottsche():
+    """Every built-in ring has as many basis states of weight w as the
+    q^w coefficient of Goettsche's formula, for w <= 4 (w <= 3 on k3)."""
+    tops = {"p2": 4, "p1xp1": 4, "abelian": 4, "k3": 3}
+    assert sorted(tops) == sorted(SURFACE_NAMES)
+    for name, top in tops.items():
+        ring = builtin_ring(name)
+        counts = [len(basis_states(ring, w)) for w in range(top + 1)]
+        assert counts == gottsche_counts(ring, top), name
+    assert gottsche_counts(builtin_ring("p1xp1"), 4) == [1, 4, 14, 40, 105]
+
+
 def test_basis_states_have_right_weight():
     for w in range(4):
         for state in basis_states(P2, w):

@@ -105,28 +105,49 @@ def test_every_private_name_is_referenced():
 TRACER = SRC.parent / "perfbench" / "tracer.py"
 
 
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCS + (ast.ClassDef,)
+
+
 def unreferenced_public_names(sources, held=()):
     """(file, line, name) of every public top-level def or class in
-    sources that no node of sources loads as a name or imports, and that
-    held does not name.  An attribute load does not count: x.spare()
-    may be a method of the same name."""
+    sources that no node of sources loads as a name or imports, and of
+    every public method or property of a top-level class, named
+    "Class.method", whose name no node of sources loads at all; held
+    names the ones exempted.
+
+    An attribute load does not count for a top-level name: x.spare() may
+    be a method of the same name.  For a method any load counts, an
+    attribute or a plain name: the check cannot tell a method elem from
+    an argument elem, so it errs toward keeping a method."""
     defined = {}
     refs = set()
+    loads = set()
     for path, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.setdefault(node.name, (path, node.lineno))
+            if isinstance(node, DEFS) and not node.name.startswith("_"):
+                defined.setdefault(node.name, (path, node.lineno, refs))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, FUNCS)
+                            and not item.name.startswith("_")):
+                        defined.setdefault(
+                            "%s.%s" % (node.name, item.name),
+                            (path, item.lineno, loads))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add(node.id)
+                loads.add(node.id)
             elif isinstance(node, ast.alias):
                 refs.add(node.name)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loads.add(node.attr)
     return sorted((path, line, name)
-                  for name, (path, line) in defined.items()
-                  if name not in refs and name not in held)
+                  for name, (path, line, used) in defined.items()
+                  if name.rpartition(".")[2] not in used
+                  and name not in held)
 
 
 def test_checker_flags_an_unreferenced_public_name():
@@ -138,10 +159,27 @@ def test_checker_flags_an_unreferenced_public_name():
         ("a.py", 3, "spare"), ("a.py", 5, "Box")]
 
 
+def test_checker_flags_an_unreferenced_public_method():
+    """A method or property counts as used when some node loads its name;
+    storing to the name does not."""
+    sources = {"a.py": "class Box:\n"
+                       "    def grow(self):\n        return self.size\n"
+                       "    @property\n    def size(self):\n"
+                       "        return 1\n"
+                       "    def spare(self):\n        pass\n"
+                       "    def traced(self):\n        pass\n"
+                       "    def _hidden(self):\n        pass\n"
+                       "    def elem(self):\n        pass\n",
+               "b.py": "from a import Box\nspare = Box()\n"
+                       "print(Box().grow(), elem)\n"}
+    assert unreferenced_public_names(sources, {"Box.traced"}) == [
+        ("a.py", 7, "Box.spare")]
+
+
 def _tracer_names():
     """The function names the benchmark tracer wraps: the (module, path)
     pairs of its GROUPS and COUNT_ONLY tables, read as literals; a
-    "Class.method" path names its class."""
+    "Class.method" path names its method and its class."""
     pairs = []
     for node in ast.parse(TRACER.read_text()).body:
         if (isinstance(node, ast.Assign)
@@ -150,13 +188,14 @@ def _tracer_names():
             table = ast.literal_eval(node.value)
             for value in table.values():
                 pairs += value if isinstance(value, list) else [value]
-    return {path.split(".")[0] for _, path in pairs}
+    return ({path.split(".")[0] for _, path in pairs}
+            | {path for _, path in pairs})
 
 
 def test_every_public_name_is_referenced_or_traced():
-    """A public function or class under src/ that src/ never uses is dead
-    code unless the benchmark's layer tracer wraps it; the tracer file is
-    only read here."""
+    """A public function, class, method or property under src/ that src/
+    never uses is dead code unless the benchmark's layer tracer wraps it;
+    the tracer file is only read here."""
     sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
     assert unreferenced_public_names(sources, _tracer_names()) == []
 

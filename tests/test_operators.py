@@ -14,7 +14,6 @@ from hilbfock.operators import (OperatorSum, SmearedOp, act_arrangement,
                                 monomial, normalize_arrangement,
                                 quadratic_sum, s_bracket, s_derive,
                                 series_bracket, series_to_smeared)
-from hilbfock.partitions import GenPartition
 from hilbfock.ring import builtin_ring
 from hilbfock.verify import _euler_families, _sound_pos
 from hilbfock.walgebra import (FourierSpec, apow_families, chern_families,
@@ -86,8 +85,7 @@ def test_heisenberg_odd_anticommutator():
 
 
 def test_monomial_orders_factors():
-    gp = GenPartition((-2, 1))
-    op = monomial(P2, gp, P2.elem({"x": 1}))
+    op = monomial(P2, (-2, 1), P2.elem({"x": 1}))
     v = st_vec(P2, (-1, {"x": 1}))
     direct = heisenberg(P2, -2, P2.elem({"x": 1})).act(
         heisenberg(P2, 1, P2.elem({"x": 1})).act(v))

@@ -108,7 +108,6 @@ def test_outputs_survive_clearing_every_process_cache():
     verify._field_component.cache_clear()
     verify._field_window.cache_clear()
     walgebra.jay_families.cache_clear()
-    partitions._exact_partitions.cache_clear()
     partitions._exact_stats.cache_clear()
     for name in SURFACE_NAMES:
         builtin_ring(name)._cache.clear()

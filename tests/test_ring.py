@@ -15,9 +15,13 @@ from hilbfock.verify import SuiteSpec, run_suite
 RINGS = {name: builtin_ring(name) for name in SURFACE_NAMES}
 
 
+def basis_elems(ring):
+    return [ring.basis(i) for i in range(ring.dim)]
+
+
 def basis_pairs(ring):
-    for a in ring.basis_elems():
-        for b in ring.basis_elems():
+    for a in basis_elems(ring):
+        for b in basis_elems(ring):
             yield a, b
 
 
@@ -99,7 +103,7 @@ def test_abelian_odd_classes_anticommute():
 
 def test_associativity_on_basis():
     for ring in RINGS.values():
-        elems = ring.basis_elems()
+        elems = basis_elems(ring)
         for a in elems:
             for b in elems:
                 for c in elems:
@@ -119,7 +123,7 @@ def test_tau2_adjoint_to_product():
     integral(a b c); the Koszul sign moves b past the second slot.  This
     checks the dual-basis formula for tau2 independently of it."""
     for ring in RINGS.values():
-        for a in ring.basis_elems():
+        for a in basis_elems(ring):
             tau = ring.tau2(a)
             for b, c in basis_pairs(ring):
                 lhs = Q(0)
@@ -146,7 +150,7 @@ def test_tau2_refuses_an_inhomogeneous_table():
 
 def _contract(ring, tau):
     """Multiply all slots of a {index tuple: coeff} tensor."""
-    out = ring.zero()
+    out = ring.elem({})
     for key, c in tau.items():
         prod = ring.unit
         for i in key:
@@ -178,7 +182,7 @@ def _superswap(ring, tau, pos):
 
 def test_tau2_contract_gives_euler():
     for ring in RINGS.values():
-        for a in ring.basis_elems():
+        for a in basis_elems(ring):
             assert _contract(ring, ring.tau2(a)) == ring.e * a
 
 
@@ -197,7 +201,7 @@ def test_tau_coassociative():
     """Expanding either slot of tau2 gives the same tau3."""
     for ring in ("p2", "p1xp1"):
         r = RINGS[ring]
-        for a in r.basis_elems():
+        for a in basis_elems(r):
             left = _expand_slot(r, r.tau2(a), 0)
             right = _expand_slot(r, r.tau2(a), 1)
             assert left == right == r.tau(3, a)
@@ -206,7 +210,7 @@ def test_tau_coassociative():
 def test_superswap_symmetry_of_diagonal():
     """The diagonal class is symmetric up to the Koszul sign."""
     for ring in RINGS.values():
-        for a in ring.basis_elems():
+        for a in basis_elems(ring):
             tau = ring.tau2(a)
             assert _superswap(ring, tau, 0) == tau
 
@@ -367,7 +371,7 @@ def _validate_errors(ring):
 def _nonassociative_triples(ring):
     """Every basis triple (i, j, k), the unit and every degree included,
     on which (b_i b_j) b_k differs from b_i (b_j b_k)."""
-    b = ring.basis_elems()
+    b = basis_elems(ring)
     return [(i, j, k) for i, j, k in product(range(ring.dim), repeat=3)
             if (b[i] * b[j]) * b[k] != b[i] * (b[j] * b[k])]
 
@@ -489,8 +493,8 @@ def test_ring_scalars_are_exact():
     assert type(p2.integrate(p2.basis("x"))) is int
     assert p2.integrate(p2.elem({"x": Q(1, 2)})) == Q(1, 2)
     for ring in rings:
-        ints = [ring.integrate(a * b) for a in ring.basis_elems()
-                for b in ring.basis_elems()]
+        ints = [ring.integrate(a * b) for a in basis_elems(ring)
+                for b in basis_elems(ring)]
         ints += [ring.integrate(ring.e), ring.integrate(ring.K * ring.K)]
         ints += [g for row in ring.pairing_matrix() for g in row]
         assert _int_first(ints) == [], ring.name
@@ -499,5 +503,5 @@ def test_ring_scalars_are_exact():
         data = [ring.table, ring.integral_vec, ring.K, ring.e,
                 ring.pairing_matrix(), ring._pairing_inverse()]
         data += [dict(ring.tau(k, b)) for k in (1, 2, 3, 4)
-                 for b in ring.basis_elems()]
+                 for b in basis_elems(ring)]
         assert _inexact(data) == [], ring.name

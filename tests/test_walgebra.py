@@ -281,7 +281,7 @@ def test_wterm_canonical_keying():
     mixed = AB.elem({"t1": 2, "t12": Q(1, 3)})
     assert wterm(1, 0, mixed, Q(3)) == {
         ("L", 1, 0, AB.index["t1"]): 6, ("L", 1, 0, AB.index["t12"]): 1}
-    assert wterm(1, 0, AB.zero()) == {}
+    assert wterm(1, 0, AB.elem({})) == {}
     assert wterm(1, 0, t1, 0) == {}
     with pytest.raises(ValueError, match="mixed-parity"):
         wparity(AB, wterm(1, 0, mixed))
