@@ -83,11 +83,16 @@ def parse_operator(ring, text):
 
 
 def _emit(text, out):
-    if out:
+    """Write text to the file out, else to stdout; a path that cannot be
+    written is a UsageError."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (out, exc))
 
 
 def _jline(doc):

@@ -9,10 +9,11 @@ calculus itself is cross-checked against raw operator composition.
 
 Checks are counted in record groups: a group reports a pass over all
 its checks, or its first failure.  Every suite counts them through one
-tally (`_Tally`) but heis, which checks each cell as one block of class
-pairs and states (`_heis_residual`, `_heis_failure`) with the same
-counts.  Each runner declares its grid bounds, with their defaults, as
-keyword-only parameters; `run_suite` rejects any other --bound key.  The
+group (`_Group`), which alone with `_verdict` builds records; heis
+finds a cell's first failure from its residual (`_heis_failure`) and
+counts the checks before it without comparing them.  Each runner
+declares its grid bounds, with their defaults, as keyword-only
+parameters; `run_suite` rejects any other --bound key.  The
 registry (`SUITES`) declares the rest a suite reads (its window and its
 surfaces) and `run_suite` refuses any other value; every part of a runner
 takes its rings from `_rings`, so a report header never names a window or
@@ -43,8 +44,7 @@ mutation adds its one term to a copy or a new list, never to the stored
 entry, and a heis run checks its residual against its own central term.
 
 The abstract W-algebra (eq22 and thm57's symbolic part) is bracketed on
-int coefficients; a failing check shows its values as Fractions
-(`_w_check`).
+int coefficients.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -69,8 +69,8 @@ from .operators import (OperatorFamily, SmearedOp, act_arrangement,
                         quadratic_sum, s_bracket, s_derive, series_bracket,
                         series_to_smeared, smeared_series)
 from .ring import SURFACE_NAMES, builtin_ring
-from .walgebra import (CENTRAL, FourierSpec, apow_families, chern,
-                       chern_families, fourier, fourier_families,
+from .walgebra import (CENTRAL, apow_families, chern, chern_families,
+                       family_series, fourier, fourier_families,
                        heis_families, jay, jay_families, jay_field_families,
                        mult_family, omega, shift_families,
                        wbracket, wparity, wterm)
@@ -223,36 +223,33 @@ def _show(value):
     return value.render() if hasattr(value, "render") else str(value)
 
 
-class _Tally:
-    """Check count and first failure of one record group.
+class _Group:
+    """Check count and first failure of one record group, named by params.
 
     A group reports a pass over all its checks, or its first failure.
-    The failure reports one check or, with ``total`` set, every check
-    counted when the group ends.
+    The failure reports its own checks or, with ``total`` set, every
+    check counted when the group ends.
     """
 
-    __slots__ = ("checks", "fail", "total")
+    __slots__ = ("params", "checks", "fail", "total")
 
-    def __init__(self, total=False):
+    def __init__(self, params, total=False):
+        self.params = params
         self.checks = 0
         self.fail = None
         self.total = total
 
-    def check(self, ok, params, expected, actual):
-        """Count one check; the first failure keeps both sides' text."""
-        self.checks += 1
+    def check(self, ok, params, expected, actual, show=_show, n=1):
+        """Count n checks that pass or fail together; the first failure
+        keeps both sides as show() text."""
+        self.checks += n
         if not ok and self.fail is None:
-            self.fail = InstanceRecord(params, "fail", 1, _show(expected),
-                                       _show(actual))
+            self.fail = InstanceRecord(params, "fail", n, show(expected),
+                                       show(actual))
 
-    def vectors(self, ring, params, expected, actual):
-        """Count one comparison of two {state: coeff} dicts; the first
-        failure keeps both sides as render_terms text."""
-        self.checks += 1
-        if expected != actual and self.fail is None:
-            self.fail = InstanceRecord(params, "fail", 1,
-                                       render_terms(expected, ring),
-                                       render_terms(actual, ring))
+    def count(self, n):
+        """Count n checks that pass without being compared one by one."""
+        self.checks += n
 
     def states(self, ring, states, sides, params):
         """Compare both sides on each basis state.
@@ -269,10 +266,11 @@ class _Tally:
                     dict(params, state=render_state(s, ring)), "fail", 1,
                     render_terms(rhs, ring), render_terms(lhs, ring))
 
-    def record(self, params):
-        """The group's record; params name the group when it passes."""
+    def record(self):
+        """The group's record: a pass named by the group's params, or its
+        first failure."""
         if self.fail is None:
-            return InstanceRecord(params, "pass", self.checks)
+            return InstanceRecord(self.params, "pass", self.checks)
         if self.total:
             self.fail.checks = self.checks
         return self.fail
@@ -422,11 +420,8 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         pre = [(s, {m for m, _ in s})
                for w in range(wmax + 1) for s in basis_states(ring, w)]
         # integral(ab) of the class pairs where it is nonzero
-        paired = {}
-        for (i, (_, a)), (j, (_, b)) in product(enumerate(pairs), repeat=2):
-            v = ring.integrate(a * b)
-            if v:
-                paired[i, j] = v
+        paired = {(i, j): v for i, row in enumerate(ring.pairing_matrix())
+                  for j, v in enumerate(row) if v}
         family = cache(lambda n: OperatorFamily(
             heisenberg(ring, n, b) for _, b in pairs))
         for m in range(-m_max, m_max + 1):
@@ -448,17 +443,18 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                 c = c0 + 1 if mut and c0 else c0
                 fail = _heis_failure(resid, live, plain, {
                     ij: c * v for ij, v in paired.items()} if c else {})
-                params = {"surface": ring.name, "m": m, "n": n}
+                t = _Group({"surface": ring.name, "m": m, "n": n}, True)
                 if fail is None:
-                    yield InstanceRecord(params, "pass",
-                                         size * size * len(pre))
-                    continue
-                (i, j), s, lhs, rhs = fail
-                yield InstanceRecord(
-                    dict(params, a=pairs[i][0], b=pairs[j][0],
-                         state=render_state(s, ring)),
-                    "fail", (i * size + j + 1) * len(pre),
-                    render_terms(rhs, ring), render_terms(lhs, ring))
+                    t.count(size * size * len(pre))
+                else:
+                    (i, j), s, lhs, rhs = fail
+                    t.count((i * size + j) * len(pre))
+                    t.check(False, dict(t.params, a=pairs[i][0],
+                                        b=pairs[j][0],
+                                        state=render_state(s, ring)),
+                            rhs, lhs, show=partial(render_terms, ring=ring),
+                            n=len(pre))
+                yield t.record()
 
 
 # -- the W-bracket of Theorem 5.5, shared by vir, thm55 and thm57 ----------
@@ -544,7 +540,7 @@ def _w_grid(spec, cells):
 def _w_spots(ring, states, cells, pairs):
     """One record: [J^p_m(a), J^q_n(b)] against _w_op on each state, for
     every cell and (a, b) class-name pair."""
-    t = _Tally()
+    t = _Group({"check": "action", "surface": ring.name})
     for cell, (ca, cb) in product(cells, pairs):
         p, q, m, n = cell
         a, b = ring.basis(ca), ring.basis(cb)
@@ -552,9 +548,8 @@ def _w_spots(ring, states, cells, pairs):
         rhs_op = _w_op(ring, cell, a * b)
         t.states(ring, states,
                  lambda s: (commutator_column(ja, jb, s), rhs_op.column(s)),
-                 {"check": "action", "surface": ring.name, "p": p, "q": q,
-                  "m": m, "n": n, "a": ca, "b": cb})
-    return t.record({"check": "action", "surface": ring.name})
+                 dict(t.params, p=p, q=q, m=m, n=n, a=ca, b=cb))
+    return t.record()
 
 
 # -- vir: Virasoro bracket -------------------------------------------------
@@ -606,7 +601,7 @@ def _vir_spots(spec, mut):
         op = _op_memo(ring)
         for m, n in grid:
             params = {"check": "action", "surface": ring.name, "m": m, "n": n}
-            t = _Tally()
+            t = _Group(params)
             for (na, a), (nb, b) in product(pairs, pairs):
                 f = op(quadratic_sum, m, a)
                 g = op(quadratic_sum, n, b)
@@ -615,7 +610,7 @@ def _vir_spots(spec, mut):
                          lambda s: (commutator_column(f, g, s),
                                     rhs_op.column(s)),
                          dict(params, a=na, b=nb))
-            yield t.record(params)
+            yield t.record()
 
 
 # -- thm31: mixed brackets and the replacement rule ------------------------
@@ -646,7 +641,7 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
             for n in range(-m_max, m_max + 1):
                 params = {"part": "mixed", "surface": ring.name, "m": m,
                           "n": n}
-                t = _Tally()
+                t = _Group(params)
                 for na, a in small:
                     lm = op(quadratic_sum, m, a)
                     for nb, b in small:
@@ -657,13 +652,13 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                                      commutator_column(lm, an, s),
                                      combine((Q(-n), rhs_op.column(s)))),
                                  dict(params, a=na, b=nb))
-                yield t.record(params)
+                yield t.record()
         for n in range(-m_max, m_max + 1):
             if n == 0:
                 continue
             coef = Q(n * (abs(n) - 1), 2) + (1 if mut else 0)
             params = {"part": "replacement", "surface": ring.name, "n": n}
-            t = _Tally()
+            t = _Group(params)
             for nb, b in pairs:
                 an = heisenberg(ring, n, b)
                 ln = quadratic_sum(ring, n, b)
@@ -673,12 +668,12 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                                     combine((Q(n), ln.column(s)),
                                          (-coef, kn.column(s)))),
                          dict(params, b=nb))
-            yield t.record(params)
+            yield t.record()
         kfree = _ktrivial(ring, pairs)
         op = _op_memo(ring)
         for k in range(k_max + 1):
             params = {"part": "character-pin", "surface": ring.name, "k": k}
-            t = _Tally()
+            t = _Group(params)
             for na, a in kfree:
                 gk = chern(ring, k, a)
                 for nb, b in small:
@@ -690,7 +685,7 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                                               _iter_deriv(inner, k,
                                                           {s: 1})))),
                              dict(params, a=na, b=nb))
-            yield t.record(params)
+            yield t.record()
 
 
 # -- lem32: smeared calculus against raw composition -----------------------
@@ -735,7 +730,7 @@ def _run_lem32(spec, mut):
         states = _action_states(ring)
         if not mut:
             params = {"part": "bracket", "surface": ring.name}
-            t = _Tally()
+            t = _Group(params)
             # One operator per (partition, class) for this ring's
             # bracket part; its columns serve every cell.
             op = _op_memo(ring)
@@ -754,9 +749,9 @@ def _run_lem32(spec, mut):
                                                 rhs_op.column(s)),
                                      dict(params, nu=str(list(nu)),
                                           mu=str(list(mu)), a=na, b=nb))
-            yield t.record(params)
+            yield t.record()
             params = {"part": "derivative", "surface": ring.name}
-            t = _Tally()
+            t = _Group(params)
             for nu in nus:
                 for na, a in cpairs:
                     op = monomial(ring, nu, a)
@@ -765,9 +760,9 @@ def _run_lem32(spec, mut):
                              lambda s: (_iter_deriv(op, 1, {s: 1}),
                                         rhs_op.column(s)),
                              dict(params, nu=str(list(nu)), a=na))
-            yield t.record(params)
+            yield t.record()
         params = {"part": "reorder", "surface": ring.name}
-        t = _Tally()
+        t = _Group(params)
         for seq, j in _SWAPS:
             swapped = seq[:j] + (seq[j + 1], seq[j]) + seq[j + 2:]
             rest = seq[:j] + seq[j + 2:]
@@ -790,7 +785,7 @@ def _run_lem32(spec, mut):
 
                 t.states(ring, states, sides,
                          dict(params, seq=str(list(seq)), pos=j, a=na))
-        yield t.record(params)
+        yield t.record()
 
 
 # -- thm42: closed iterated derivatives of transfer operators --------------
@@ -815,11 +810,9 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     keep = diamond_keep(N)
     if mut:
         k_max = min(k_max, 2)
-    rcases = []
-    for ring in _rings(spec):
-        cls = ([("x", ring.basis("x"))] if ring.name == "p2"
-               else _probe(ring, "all"))
-        rcases.append((ring, [(na, a, ring.unit) for na, a in cls]))
+    rcases = [(ring, [(na, a, ring.unit)
+                      for na, a in _ktrivial(ring, _probe(ring, "all"))])
+              for ring in _rings(spec)]
     ns = [v for a in range(1, n_max + 1) for v in (a, -a)]
     for k, n in product(range(k_max + 1), ns):
         cur = series_to_smeared(heis_families(n), N, N).filter(keep)
@@ -837,26 +830,23 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
 def _thm42_spots(spec, mut):
     """D^k(a_n) on states against the closed series, grown with the state
     as lem32's derivative part grows its right side."""
-    cases = [(ring, cname) for ring in _rings(spec, ("p2", "k3"))
-             for cname in (("x",) if ring.name == "p2" else ("1", "x"))]
+    cases = [(ring, na, a) for ring in _rings(spec, ("p2", "k3"))
+             for na, a in _ktrivial(ring, [(c, ring.basis(c))
+                                           for c in ("1", "x")])]
     if mut:
         cases = cases[1:2]
-    for ring, cname in cases:
-        a = ring.basis(cname)
+    for ring, cname, a in cases:
         states = _action_states(ring)
-        t = _Tally()
+        t = _Group({"check": "action", "surface": ring.name, "class": cname})
         for k, n in product(range(3), (1, -1, -2)):
-            fams = _apow_families(n, k, mut)
             an = heisenberg(ring, n, a)
-            rhs_op = smeared_series(
-                ring, lambda w: series_to_smeared(fams, w, w - n), a)
+            rhs_op = family_series(ring, _apow_families(n, k, mut), a)
             t.states(ring, states,
                      lambda s: (_iter_deriv(an, k, {s: 1}),
                                 rhs_op.column(s)),
                      {"check": "action", "surface": ring.name, "k": k,
                       "n": n, "a": cname})
-        yield t.record(
-            {"check": "action", "surface": ring.name, "class": cname})
+        yield t.record()
 
 
 # -- rmk43: derivative closure of shifted families -------------------------
@@ -936,7 +926,7 @@ def _run_thm46(spec, mut, *, k_max=3):
 def _thm46_spots(spec):
     for ring in _rings(spec):
         states = _action_states(ring, 3)
-        t = _Tally()
+        t = _Group({"check": "action", "surface": ring.name})
         for k in (2, 3):
             gk = chern(ring, k, ring.unit)
             for nb, b in _probe(ring)[:3]:
@@ -945,9 +935,8 @@ def _thm46_spots(spec):
                          lambda s: (commutator_column(gk, am, s),
                                     combine((Q(1, factorial(k)),
                                           _iter_deriv(am, k, {s: 1})))),
-                         {"check": "action", "surface": ring.name, "k": k,
-                          "b": nb})
-        yield t.record({"check": "action", "surface": ring.name})
+                         dict(t.params, k=k, b=nb))
+        yield t.record()
 
 
 # -- cor48: creation-only expansion of character classes -------------------
@@ -974,8 +963,7 @@ def _cor48_records(rings, mut, n_max):
     for ring in rings:
         for n in range(n_max + 1):
             for k in range(n):
-                params = {"surface": ring.name, "n": n, "k": k}
-                t = _Tally(total=True)
+                t = _Group({"surface": ring.name, "n": n, "k": k}, True)
                 for na, a in _probe(ring, "all"):
                     via_op = chern_class(ring, k, a, n)
                     via_closed = chern_class_closed(ring, k, a, n)
@@ -983,8 +971,10 @@ def _cor48_records(rings, mut, n_max):
                         via_closed = combine((1, via_closed), (
                             Q(-1, 24),
                             chern_class_closed(ring, k - 2, ring.e * a, n)))
-                    t.vectors(ring, dict(params, a=na), via_op, via_closed)
-                yield t.record(params)
+                    t.check(via_op == via_closed, dict(t.params, a=na),
+                            via_op, via_closed,
+                            show=partial(render_terms, ring=ring))
+                yield t.record()
 
 
 # -- rmk410: surface-independent intersection numbers ----------------------
@@ -1049,14 +1039,13 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         want = series_to_smeared(heis_families(n), N, N).scaled(-1)
         yield _universal_record(got - want, {"part": "a", "n": n})
     for ring in _rings(spec):
-        t = _Tally(total=True)
+        t = _Group({"part": "b", "surface": ring.name}, True)
         for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
             ja = instantiate(series_to_smeared(jf(1, n), 4, 4), ring, a)
             ln = quadratic_sum(ring, n, a).terms_within(4)
             t.check(ja.equal_terms(ln),
-                    {"part": "b", "surface": ring.name, "n": n, "a": na},
-                    ln, ja)
-        yield t.record({"part": "b", "surface": ring.name})
+                    dict(t.params, n=n, a=na), ln, ja)
+        yield t.record()
     for p in range(1, p_max + 1):
         got = series_to_smeared(jf(p, 0), N, N)
         want = series_to_smeared(chern_families(p - 1), N, N).scaled(
@@ -1067,16 +1056,15 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         yield _universal_record(got - want, {"part": "d", "p": p})
     for ring in _rings(spec, () if mut else ("k3",)):
         states = _action_states(ring)
-        t = _Tally()
+        t = _Group({"part": "d-action", "surface": ring.name})
         for p, (na, a) in product(range(4), _probe(ring)[:3]):
             jp = jay(ring, p, -1, a)
             inner = heisenberg(ring, -1, a)
             t.states(ring, states,
                      lambda s: (jp.column(s),
                                 combine((-1, _iter_deriv(inner, p, {s: 1})))),
-                     {"part": "d-action", "surface": ring.name, "p": p,
-                      "a": na})
-        yield t.record({"part": "d-action", "surface": ring.name})
+                     dict(t.params, p=p, a=na))
+        yield t.record()
 
 
 # -- lem52: character-transfer bracket gives W-generators ------------------
@@ -1092,7 +1080,7 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
         pos = _sound_pos(N, 0, n)
         meas = series_bracket(chern_families(p), heis_families(n), pos, N)
         scale = Q(n + (1 if mut else 0), factorial(p))
-        rhs = series_to_smeared(jay_families(p, n), pos, N).scaled(scale)
+        rhs = _jay_window(p, n, pos, N).scaled(scale)
         yield _universal_record(
             meas - rhs, {"check": "universal", "p": p, "n": n})
     if not mut:
@@ -1104,7 +1092,7 @@ def _lem52_spots(spec):
         kfree = _ktrivial(ring, _probe(ring))
         others = _probe(ring)[:3]
         states = _action_states(ring)
-        t = _Tally()
+        t = _Group({"check": "action", "surface": ring.name})
         for p, n in product(range(3), (-2, -1, 1, 2)):
             for na, a in kfree[:3]:
                 gp = chern(ring, p, a)
@@ -1115,9 +1103,8 @@ def _lem52_spots(spec):
                              lambda s: (commutator_column(gp, an, s),
                                         combine((Q(n, factorial(p)),
                                               jp.column(s)))),
-                             {"check": "action", "surface": ring.name,
-                              "p": p, "n": n, "a": na, "b": nb})
-        yield t.record({"check": "action", "surface": ring.name})
+                             dict(t.params, p=p, n=n, a=na, b=nb))
+        yield t.record()
 
 
 # -- lem53: W-generators as field monomial components ----------------------
@@ -1147,14 +1134,14 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
         yield _universal_record(_jay_window(p, m, N, N) - B,
                                 {"p": p, "m": m})
     for ring in _rings(spec, () if mut else ("p2",)):
-        t = _Tally(total=True)
+        t = _Group({"check": "square-field", "surface": ring.name}, True)
         for m in range(-2, 3):
             for na, a in _probe(ring):
-                f2 = fourier(ring, FourierSpec((0, 0), m), a).terms_within(5)
+                f2 = fourier(ring, (0, 0), m, a).terms_within(5)
                 l2 = quadratic_sum(ring, m, a).terms_within(5).scaled(Q(-2))
                 t.check(f2.equal_terms(l2),
                         {"check": "square-field", "m": m, "a": na}, l2, f2)
-        yield t.record({"check": "square-field", "surface": ring.name})
+        yield t.record()
 
 
 # -- thm55: the full W-algebra bracket -------------------------------------
@@ -1240,15 +1227,13 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
     N = _cutoff(spec)
     keep = diamond_keep(N)
     for p, n in product(range(1, p_max + 1), range(-n_max, n_max + 1)):
-        A = series_to_smeared(jay_families(p, n), N, N).filter(keep)
+        A = _jay_window(p, n, N, N).filter(keep)
         dA = s_derive(A, keep, N, N, include_k=False)
-        rhs = series_to_smeared(jay_families(p + 1, n), N, N)
-        rhs = rhs.filter(keep).scaled(-n)
+        rhs = _jay_window(p + 1, n, N, N).filter(keep).scaled(-n)
         cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
-        if cc and p - 1 >= 0:
-            rhs = rhs + series_to_smeared(
-                jay_families(p - 1, n), N, N).shift_euler().filter(
-                    keep).scaled(cc)
+        if cc:
+            rhs = rhs + _jay_window(p - 1, n, N, N).shift_euler().filter(
+                keep).scaled(cc)
         yield _universal_record(
             dA - rhs, {"check": "universal", "p": p, "n": n})
     if not mut:
@@ -1258,7 +1243,7 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
 def _rmk56_spots(spec):
     for ring in _rings(spec):
         states = _action_states(ring)[:6]
-        t = _Tally()
+        t = _Group({"check": "action", "surface": ring.name})
         for p, n in product(range(1, 4), (-2, -1, 1, 2)):
             for na, a in _probe(ring)[:3]:
                 jp = jay(ring, p, n, a)
@@ -1269,9 +1254,8 @@ def _rmk56_spots(spec):
                          lambda s: (_iter_deriv(jp, 1, {s: 1}),
                                     combine((Q(-n), jup.column(s)),
                                          (cc, jdown.column(s)))),
-                         {"check": "action", "surface": ring.name, "p": p,
-                          "n": n, "a": na})
-        yield t.record({"check": "action", "surface": ring.name})
+                         dict(t.params, p=p, n=n, a=na))
+        yield t.record()
 
 
 # -- thm57: isomorphism with the abstract W-algebra ------------------------
@@ -1318,18 +1302,15 @@ _THM57_SPOT_PAIRS = (("1", "1"), ("t1", "t2"), ("t1", "t234"),
                      ("t12", "t34"), ("t123", "t4"))
 
 
-def _w_check(t, params, want, got):
-    """Count one comparison of two abstract elements; a failure shows
-    both with Fraction values, the text the W-algebra checks report."""
-    ok = got == want
-    if not ok:
-        want, got = ({k: Q(v) for k, v in d.items()} for d in (want, got))
-    t.check(ok, params, want, got)
+def _show_q(x):
+    """An abstract element's text with Fraction values, as the W-algebra
+    checks report a failure, whatever type its values have."""
+    return str({k: Q(v) for k, v in x.items()})
 
 
 def _thm57_symbolic(ring):
     """The symbolic W-algebra bracket against the measured constants."""
-    t = _Tally(total=True)
+    t = _Group({"check": "symbolic"}, True)
     gram = ring.pairing_matrix()
     cls = [(c, ring.basis(c)) for c in _W_CLASSES[ring.name]]
     for p, q, m, n in product(range(3), range(3), (-2, 0, 1), (-1, 1, 2)):
@@ -1342,9 +1323,10 @@ def _thm57_symbolic(ring):
                     want[CENTRAL] = c
             else:
                 want = wterm(p + q - 1, m + n, a * b, q * m - p * n)
-            _w_check(t, {"check": "symbolic", "p": p, "q": q, "m": m,
-                         "n": n, "a": ca, "b": cb}, want, got)
-    return t.record({"check": "symbolic"})
+            t.check(got == want, {"check": "symbolic", "p": p, "q": q,
+                                  "m": m, "n": n, "a": ca, "b": cb},
+                    want, got, show=_show_q)
+    return t.record()
 
 
 # -- lem61: derivative identities of field monomials -----------------------
@@ -1354,7 +1336,7 @@ def _thm57_symbolic(ring):
 def _field_component(orders, m, N):
     """The component series of :(d^r1 a)...(d^rk a):_m on the N box, kept
     for the process: lem61 reads it, and so does lem53's mutation."""
-    return series_to_smeared(fourier_families(FourierSpec(orders, m)), N, N)
+    return series_to_smeared(fourier_families(orders, m), N, N)
 
 
 def _lem61_identities(Nf, m, six):
@@ -1441,17 +1423,17 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
         par = [wparity(ring, x) for x in xs]
         label = ["J(%d,%d;%s)" % s for s in singles]
         pair = [[brk(x, y) for y in xs] for x in xs]
-        t = _Tally()
+        t = _Group({"check": "antisymmetry", "surface": ring.name})
         for i, j in product(range(len(xs)), repeat=2):
             sign = -1 if par[i] and par[j] else 1
-            _w_check(t, {"check": "antisymmetry", "surface": ring.name,
-                         "x": label[i], "y": label[j]},
-                     {k: -sign * v for k, v in pair[j][i].items()},
-                     pair[i][j])
-        yield t.record({"check": "antisymmetry", "surface": ring.name})
+            want = {k: -sign * v for k, v in pair[j][i].items()}
+            t.check(pair[i][j] == want, dict(t.params, x=label[i],
+                                             y=label[j]),
+                    want, pair[i][j], show=_show_q)
+        yield t.record()
         if mut:
             continue
-        t = _Tally()
+        t = _Group({"check": "jacobi", "surface": ring.name})
         sub = [i for i, (_, m, cn) in enumerate(singles)
                if m in (-2, 0, 1) and cn in names[:3]]
         for i, j, k in product(sub, repeat=3):
@@ -1460,16 +1442,16 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
             rhs = brk(pair[i][j], xs[k])
             for key, v in brk(xs[j], pair[i][k]).items():
                 rhs[key] = rhs.get(key, 0) + sign * v
-            _w_check(t, {"check": "jacobi", "surface": ring.name,
-                         "x": label[i], "y": label[j], "z": label[k]},
-                     {key: v for key, v in rhs.items() if v}, lhs)
-        yield t.record({"check": "jacobi", "surface": ring.name})
-    t = _Tally()
+            rhs = {key: v for key, v in rhs.items() if v}
+            t.check(lhs == rhs, dict(t.params, x=label[i], y=label[j],
+                                     z=label[k]), rhs, lhs, show=_show_q)
+        yield t.record()
+    t = _Group({"check": "trace-bridge"})
     for m in (1, 2, 3):
         meas = series_bracket(heis_families(m), heis_families(-m), 4, 4)
         got = meas.terms.get(((), 0, 0), Q(0))
         t.check(got == -m, {"check": "trace-bridge", "m": m}, Q(-m), got)
-    yield t.record({"check": "trace-bridge"})
+    yield t.record()
 
 
 # -- registry and reports --------------------------------------------------

@@ -27,7 +27,8 @@ den = d * l! (mult_family), and scaled_families multiplies numerators
 and denominators by integers.
 
 The module also provides Fourier components of normally ordered powers of
-the free field a(z) = sum a_n z^{-n-1} and its z-derivatives, the
+the free field a(z) = sum a_n z^{-n-1} and its z-derivatives, named by
+their derivative orders, one per factor, and their mode m, the
 structure polynomial omega(p,q,m,n) entering the W-algebra bracket, and
 the abstract W-algebra with bracket
 
@@ -39,7 +40,6 @@ the abstract W-algebra with bracket
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
@@ -130,7 +130,7 @@ def shift_families(k, n, d):
 # -- expanded operators ----------------------------------------------------
 
 
-def _family_series(ring, families, elem):
+def family_series(ring, families, elem):
     """The expanded series of a family list against elem: its terms that
     annihilate at most w points create at most w - (smallest size)."""
     low = min((f.total for f in families), default=0)
@@ -171,25 +171,16 @@ def chern(ring, k, elem):
     """The Chern character operator G_k(elem); needs K * elem = 0."""
     require_canonical_trivial(ring, elem)
     return _named(ring, ("G", k, elem.coeffs),
-                  lambda: _family_series(ring, chern_families(k), elem))
+                  lambda: family_series(ring, chern_families(k), elem))
 
 
 def jay(ring, p, n, elem):
     """The W-algebra generator J^p_n(elem)."""
     return _named(ring, ("J", p, n, elem.coeffs),
-                  lambda: _family_series(ring, jay_families(p, n), elem))
+                  lambda: family_series(ring, jay_families(p, n), elem))
 
 
 # -- Fourier components of free-field monomials ---------------------------
-
-
-@dataclass(frozen=True)
-class FourierSpec:
-    """Mode component of :(d^r1 a)(d^r2 a)...: with one derivative order
-    per factor; mode is the component index m."""
-
-    orders: tuple
-    mode: int
 
 
 def deriv_coeff(r, i):
@@ -232,22 +223,23 @@ def perm_sum(parts, orders):
     return walk(0)
 
 
-def fourier_families(spec):
-    """The normally ordered field monomial as a smeared family list.
+def fourier_families(orders, mode):
+    """The mode component of the normally ordered field monomial
+    :(d^r1 a)(d^r2 a)...:, one derivative order r per factor, as a
+    smeared family list.
 
     Arity zero is dropped, matching the empty-partition convention.
     """
-    arity = len(spec.orders)
-    if arity == 0:
+    if not orders:
         return []
-    orders = tuple(spec.orders)
-    return [Family(arity, spec.mode,
+    orders = tuple(orders)
+    return [Family(len(orders), mode,
                    lambda parts, mf, ws: perm_sum(parts, orders))]
 
 
-def fourier(ring, spec, elem):
+def fourier(ring, orders, mode, elem):
     """Expanded Fourier component smeared against elem."""
-    return _family_series(ring, fourier_families(spec), elem)
+    return family_series(ring, fourier_families(orders, mode), elem)
 
 
 def jay_field_families(p, m):
@@ -257,23 +249,21 @@ def jay_field_families(p, m):
         + p(m^2-3m-2p)/24 :a^{p-1}:_m (tau(e*c))
         + p(p-1)/24 :(d^2 a) a^{p-2}:_m (tau(e*c)).
     """
-    fams = scaled_families(
-        fourier_families(FourierSpec((0,) * (p + 1), m)), -1, p + 1)
+    fams = scaled_families(fourier_families((0,) * (p + 1), m), -1, p + 1)
     if p >= 1:
         c2 = p * (m * m - 3 * m - 2 * p)
         if c2:
-            fams += scaled_families(
-                fourier_families(FourierSpec((0,) * (p - 1), m)), c2, 24,
-                epow=1)
+            fams += scaled_families(fourier_families((0,) * (p - 1), m), c2,
+                                    24, epow=1)
     if p >= 2:
         fams += scaled_families(
-            fourier_families(FourierSpec((2,) + (0,) * (p - 2), m)),
+            fourier_families((2,) + (0,) * (p - 2), m),
             p * (p - 1), 24, epow=1)
     return fams
 
 
 def jay_via_fields(ring, p, m, elem):
-    return _family_series(ring, jay_field_families(p, m), elem)
+    return family_series(ring, jay_field_families(p, m), elem)
 
 
 # -- structure polynomial --------------------------------------------------

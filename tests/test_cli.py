@@ -382,6 +382,20 @@ def test_ring_dump_round_trip(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("argv", (
+    ("omega", "--p", "1", "--q", "1", "--m", "1", "--n", "1"),
+    ("ring",),
+    ("verify", "--list")), ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    """--out into a missing directory, or onto a directory, exits 2 with
+    one stderr line and no traceback, and prints nothing on stdout."""
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == "", (argv, target)
+        assert err.startswith("error: cannot write %s: " % target), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_ring_file_and_surface_conflict(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(dump_ring(builtin_ring("p2")))

@@ -109,22 +109,27 @@ def test_cup_product_hyperbolic_pair():
     assert hilb_integral(K3, cup_product(K3, (0, 0), [u1, u2], 2), 2) == 0
 
 
-def tautological_classes(ring, n, top, sign):
-    """The Chern classes c_0..c_top of O^[n] (sign 1), or its Segre
-    classes s = c^-1 (sign -1), as vectors.
+def tautological_classes(ring, n, top, sign, c1=()):
+    """The Chern classes c_0..c_top of L^[n] (sign 1), or its Segre
+    classes s = c^-1 (sign -1), as vectors, for the line bundle L whose
+    first Chern class is the sum of the basis classes named in c1 (L = O
+    by default).
 
-    ch_k(O^[n]) is G_k(1_X) applied to the fundamental class, and
-    c = exp(sum_{k>=1} (-1)^(k-1) (k-1)! ch_k); so Newton's identity
-    m c_m = sum_{k=1}^m (-1)^(k-1) k! ch_k c_{m-k} builds c from the
-    commuting cup operators G_k(1_X), and s the same way with the sign
-    of the exponent flipped.
+    ch_k(L^[n]) is sum_j G_{k-j}(ch_j L) applied to the fundamental class,
+    with ch(L) = 1 + c1 + c1^2/2, and c = exp(sum_{k>=1} (-1)^(k-1) (k-1)!
+    ch_k); so Newton's identity m c_m = sum_{k=1}^m (-1)^(k-1) k! ch_k
+    c_{m-k} builds c from the commuting cup operators G_k, and s the same
+    way with the sign of the exponent flipped.
     """
+    line = ring.elem(dict.fromkeys(c1, 1))
+    ch = [(j, cls) for j, cls in enumerate(
+        (ring.unit, line, line * line * Q(1, 2))) if not cls.is_zero()]
     out = [fundamental_class(n)]
     for m in range(1, top + 1):
         out.append(combine(*(
             (Q(sign * (-1) ** (k - 1) * factorial(k), m),
-             chern(ring, k, ring.unit).act(out[m - k]))
-            for k in range(1, m + 1))))
+             chern(ring, k - j, cls).act(out[m - k]))
+            for k in range(1, m + 1) for j, cls in ch if j <= k)))
     return out
 
 
@@ -148,6 +153,38 @@ def test_tautological_chern_and_segre_classes(name):
             assert c[k] == {}, (n, k)
         s = tautological_classes(ring, n, 2 * n, -1)
         assert hilb_integral(ring, s[2 * n], n) == want, n
+
+
+def lehn_series(ring, c1, n_max):
+    """V_0..V_n_max, with sum_n V_n z^n = exp(sum_{m>=1} ((-1)^(m-1)/m)
+    a_{-m}(1 + c1) z^m)|0>: the derivative in z gives n V_n = sum_m
+    (-1)^(m-1) a_{-m}(1 + c1) V_{n-m}, since the creators commute."""
+    total = ring.unit + ring.elem(dict.fromkeys(c1, 1))
+    out = [vacuum()]
+    for n in range(1, n_max + 1):
+        out.append(combine(*(
+            (Q((-1) ** (m - 1), n),
+             heisenberg(ring, -m, total).act(out[n - m]))
+            for m in range(1, n + 1))))
+    return out
+
+
+@pytest.mark.parametrize("name, c1, n_max", [
+    ("k3", (), 3), ("k3", ("u1",), 3), ("k3", ("u1", "u2"), 4),
+    ("abelian", (), 3), ("abelian", ("t12",), 3),
+    ("abelian", ("t12", "t34"), 4)],
+    ids=lambda v: ("+".join(v) or "0") if isinstance(v, tuple) else str(v))
+def test_lehn_total_chern_class(name, c1, n_max):
+    """Lehn's theorem (Invent. Math. 136 (1999), Thm 4.6): sum_n c(L^[n])
+    z^n = exp(sum_{m>=1} ((-1)^(m-1)/m) a_{-m}(c(L)) z^m)|0>, for the line
+    bundle L with first Chern class c1.  The left side comes from the
+    character operators G_k, the right side from creators alone; c1 =
+    u1 + u2 and t12 + t34 have c1^2 = 2 pt, so ch_2(L) enters."""
+    ring = builtin_ring(name)
+    want = lehn_series(ring, c1, n_max)
+    for n in range(1, n_max + 1):
+        c = tautological_classes(ring, n, 2 * n, 1, c1)
+        assert combine(*((1, ck) for ck in c)) == want[n], n
 
 
 FROZEN_NUMBERS = (

@@ -21,7 +21,7 @@ from hilbfock.operators import (_EMPTY, OperatorFamily, OperatorSum,
                                 series_to_smeared, smeared_series)
 from hilbfock.partitions import enumerate_genpartitions
 from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
-from hilbfock.walgebra import (FourierSpec, chern, chern_families, fourier,
+from hilbfock.walgebra import (chern, chern_families, fourier,
                                fourier_families, jay, jay_families, virasoro)
 
 P2 = builtin_ring("p2")
@@ -706,9 +706,9 @@ def expansions(draw):
     if kind == "fourier":
         orders = tuple(draw(st.lists(st.integers(0, 2), min_size=1,
                                      max_size=3)))
-        spec = FourierSpec(orders, draw(st.integers(-2, 2)))
-        sm = series_to_smeared(fourier_families(spec), cutoff, cutoff)
-        return (fourier(ring, spec, elem).terms_within(cutoff),
+        mode = draw(st.integers(-2, 2))
+        sm = series_to_smeared(fourier_families(orders, mode), cutoff, cutoff)
+        return (fourier(ring, orders, mode, elem).terms_within(cutoff),
                 ref_instantiate(sm, ring, elem, cutoff))
     if kind == "smeared":
         # rational coefficients, constant terms and e- and K-smearing

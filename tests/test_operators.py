@@ -16,7 +16,7 @@ from hilbfock.operators import (OperatorSum, SmearedOp, act_arrangement,
                                 series_bracket, series_to_smeared)
 from hilbfock.ring import builtin_ring
 from hilbfock.verify import _euler_families, _sound_pos
-from hilbfock.walgebra import (FourierSpec, apow_families, chern_families,
+from hilbfock.walgebra import (apow_families, chern_families,
                                fourier_families, heis_families,
                                jay_families, jay_field_families,
                                shift_families)
@@ -201,10 +201,10 @@ FAMILY_PAIRS = {
     "chern-jay": (chern_families(2), jay_families(1, -1)),
     "apow-jay": (apow_families(-1, 2), jay_families(2, 1)),
     "shift": (shift_families(2, 1, -1), shift_families(1, -1, 2)),
-    "fourier": (fourier_families(FourierSpec((1, 0), 1)),
-                fourier_families(FourierSpec((2, 0, 0), -1))),
-    "fourier-derived": (fourier_families(FourierSpec((1, 2), -1)),
-                        fourier_families(FourierSpec((0, 3, 0), 0))),
+    "fourier": (fourier_families((1, 0), 1),
+                fourier_families((2, 0, 0), -1)),
+    "fourier-derived": (fourier_families((1, 2), -1),
+                        fourier_families((0, 3, 0), 0)),
     "jay-field": (jay_field_families(2, 1), jay_field_families(3, -1)),
     "euler-jay": (_euler_families(2, 1, 5), jay_families(2, -1)),
 }

@@ -1,5 +1,6 @@
 """Suite registry, run plumbing, and report serialization."""
 
+import ast
 import hashlib
 import json
 import re
@@ -591,3 +592,36 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
         assert calls == {"s_derive": 0, "series_to_smeared": own}, calls
         assert grown == dict.fromkeys(SYMBOLIC_CELLS, 0) | {
             "_field_component": own}, grown
+
+
+@pytest.mark.parametrize("name", ("lem52", "rmk56"))
+def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
+    """lem52 and rmk56 read J^p_n from _jay_window, so after the plain
+    run the mutated one builds no series: every window it reads is
+    kept."""
+    verify._jay_window.cache_clear()
+    calls = 0
+    build = verify.series_to_smeared
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return build(*args)
+
+    monkeypatch.setattr(verify, "series_to_smeared", counted)
+    assert run_suite(SuiteSpec(name)).ok
+    assert calls > 0
+    calls = 0
+    assert not run_suite(SuiteSpec(name, mutation=SUITES[name].mutation)).ok
+    assert calls == 0
+
+
+def test_only_the_group_and_verdict_build_records():
+    """Every record of verify.py comes from _Group or _verdict: no other
+    top-level definition calls InstanceRecord(...)."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    builders = {node.name for node in tree.body
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "InstanceRecord"}
+    assert builders == {"_Group", "_verdict"}

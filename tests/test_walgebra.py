@@ -13,12 +13,12 @@ from hilbfock.operators import (box_keep, commutator_column, heisenberg,
                                 instantiate, series_bracket,
                                 series_to_smeared)
 from hilbfock.ring import builtin_ring, dump_ring, load_ring
-from hilbfock.walgebra import (_NAMED_CAP, CENTRAL, FourierSpec,
-                               apow_families, chern, chern_families,
-                               deriv_coeff, fourier, heis_families, jay,
-                               jay_families, jay_field_families, omega,
-                               perm_sum, shift_families, virasoro, wbracket,
-                               wparity, wterm)
+from hilbfock.walgebra import (_NAMED_CAP, CENTRAL, apow_families, chern,
+                               chern_families, deriv_coeff, fourier,
+                               heis_families, jay, jay_families,
+                               jay_field_families, omega, perm_sum,
+                               shift_families, virasoro, wbracket, wparity,
+                               wterm)
 
 P2 = builtin_ring("p2")
 K3 = builtin_ring("k3")
@@ -248,7 +248,7 @@ def test_fourier_square_is_twice_virasoro():
     -2 L_m as a smeared series."""
     from hilbfock.walgebra import fourier_families
     for m in (-2, 0, 1, 3):
-        sq = series_to_smeared(fourier_families(FourierSpec((0, 0), m)), 5, 5)
+        sq = series_to_smeared(fourier_families((0, 0), m), 5, 5)
         vir_sm = series_to_smeared(jay_families(1, m), 5, 5).scaled(Q(-2))
         assert sq.terms == vir_sm.terms, m
 
