@@ -45,24 +45,33 @@ Two layers:
 
   The calculus is integer-first.  A Family weights each partition by an
   integer numerator num(parts, mult_factorial, weighted_square) over one
-  integer family denominator den.  series_to_smeared and series_bracket
-  accumulate int numerators, bring the families (or the family pairs of
-  a bracket) to one common denominator, and divide once per output key
-  through ring.ratio; s_derive halves once per key.
-  SmearedOp values are stored through fock.exact: an int when integral,
-  else a Fraction, never a float.
+  integer family denominator den.  series_nums and bracket_nums
+  accumulate int numerators and bring the families (or the family pairs
+  of a bracket) to one common denominator, returning (numerators,
+  denominator), so a caller can sum several of them over one
+  denominator before dividing; series_to_smeared and series_bracket
+  divide them once per output key through _divided (ring.ratio), and
+  s_derive halves once per key.  SmearedOp values are stored through
+  fock.exact: an int when integral, else a Fraction, never a float.
 
-  A Family keeps its contraction tables (Family.survivors): per
-  contracted part and neg cap, the partitions that remain with their
-  nonzero weights, sorted by positive total, so that a narrower box
-  reads a prefix.  A plain contraction event multiplies two table
-  entries, and num runs once per family, part and window instead of
-  once per bracket.  walgebra.jay_families builds each J^p_n once per
-  process, so every W-bracket cell shares its tables; a family built
-  per call frees them with itself.  The tables, _stats_list and
-  enumerate_genpartitions all read the one partition enumeration,
-  partitions.genpartition_stats, whose rows carry each partition's
-  parts, mult! and sum of squares; a partition is a sorted tuple.
+  A Family keeps two kinds of table, each sorted by positive total so
+  that a narrower box reads a prefix.  Its contraction tables
+  (Family.survivors), per contracted part x and neg cap, hold the
+  partitions rest + (x,) by rest with their nonzero weights; a plain
+  contraction event multiplies two entries.  Its shed tables
+  (Family.shed), per pair of parts (v, x) and neg cap, hold the
+  partitions rest + (v, x) by rest, weighted by the ordered choices of
+  a v part and another x part.  An Euler-corrected event contracts v
+  and sheds the pair (x, -x) exactly when x has the sign of v and
+  |x| <= |v|, so it multiplies fa.shed(v, x) by fb.shed(-v, -x) with
+  the weight (-v)(-|x|), halved at x = v.  So num runs once per family,
+  part and window instead of once per bracket.  walgebra.jay_families
+  builds each J^p_n once per process, so every W-bracket cell shares
+  its tables; a family built per call frees them with itself.  The
+  tables, _stats_list and enumerate_genpartitions all read the one
+  partition enumeration, partitions.genpartition_stats, whose rows carry
+  each partition's parts, mult! and sum of squares; a partition is a
+  sorted tuple.
 
 Identity checks compare smeared term lists (surface independent), then
 instantiate on a concrete ring where needed.
@@ -607,14 +616,17 @@ class Family:
     The partition statistics are precomputed, so evaluating num
     allocates nothing extra.
 
-    A family keeps its contraction tables (survivors) for its life: a
-    family built once, such as a member of walgebra.jay_families,
-    evaluates num once per partition, contracted part and neg cap,
-    however many brackets read it.  The tables follow num, so a family
-    is never edited: a changed weight is a new Family.
+    A family keeps its contraction tables (survivors) and its shed
+    tables (shed) for its life: a family built once, such as a member of
+    walgebra.jay_families, evaluates num once per partition, contracted
+    part (or contracted and shed pair of parts) and neg cap, however many
+    brackets read it.  The plain events of a bracket read the
+    contraction tables and its Euler-corrected events the shed tables
+    (_swap_events).  The tables follow num, so a family is never edited:
+    a changed weight is a new Family.
     """
 
-    __slots__ = ("ell", "total", "num", "den", "epow", "_tables")
+    __slots__ = ("ell", "total", "num", "den", "epow", "_tables", "_sheds")
 
     def __init__(self, ell, total, num, den=1, epow=0):
         self.ell = ell
@@ -623,6 +635,7 @@ class Family:
         self.den = den
         self.epow = epow
         self._tables = {}
+        self._sheds = {}
 
     def survivors(self, x, poscap, negcap):
         """The contraction table of the part x: (parts, pos, c) for each
@@ -650,6 +663,30 @@ class Family:
             table = self._tables[x, negcap] = (cap, tuple(rows))
         return table[1]
 
+    def shed(self, v, x, poscap, negcap):
+        """The shed table of the parts v and x: (rest, pos, c) for each
+        partition lam = rest + (v, x) of the family whose weight is
+        nonzero and whose rest has neg <= negcap, c being num(lam) times
+        m_v(lam) (m_x(lam) - [x = v]), the ordered choices of a v part
+        and another x part, sorted by pos.  That count is lam^! /
+        rest^!.  Built and widened as survivors is, so a box of this
+        negcap reads a prefix."""
+        table = self._sheds.get((v, x, negcap))
+        if table is None or poscap > table[0]:
+            cap = max(poscap, negcap)
+            num, sq = self.num, v * v + x * x
+            rows, ints = [], {}
+            for rest, pos, _, mf, ws in _stats_list(
+                    self.ell - 2, self.total - v - x, cap, negcap):
+                cv = rest.count(v) + 1
+                k = cv * (cv + 1 if x == v else rest.count(x) + 1)
+                c = k * num(tuple(sorted(rest + (v, x))), mf * k, ws + sq)
+                if c:
+                    rows.append((rest, pos, ints.setdefault(c, c)))
+            rows.sort(key=itemgetter(1))
+            table = self._sheds[v, x, negcap] = (cap, tuple(rows))
+        return table[1]
+
 
 @cache
 def _stats_list(ell, total, poscap, negcap):
@@ -669,9 +706,9 @@ def _divided(nums, den):
     return out
 
 
-def series_to_smeared(families, poscap, negcap):
-    """Materialize families on the box window pos <= poscap, neg <= negcap,
-    dividing once per term by the common family denominator."""
+def series_nums(families, poscap, negcap):
+    """The families on the box window pos <= poscap, neg <= negcap, as
+    (integer numerators by key, their common family denominator)."""
     den = lcm(*[fam.den for fam in families])
     nums = {}
     for fam in families:
@@ -679,30 +716,35 @@ def series_to_smeared(families, poscap, negcap):
         for parts, _, _, mf, ws in _stats_list(fam.ell, fam.total, poscap,
                                                negcap):
             _acc(nums, (parts, fam.epow, 0), num(parts, mf, ws) * scale)
-    return _divided(nums, den)
+    return nums, den
 
 
-def series_bracket(fams_a, fams_b, poscap, negcap):
-    """Complete bracket of two families of smeared series on the box
-    pos <= poscap, neg <= negcap.
+def series_to_smeared(families, poscap, negcap):
+    """Materialize families on the box window pos <= poscap, neg <= negcap,
+    dividing once per term by the common family denominator."""
+    return _divided(*series_nums(families, poscap, negcap))
 
-    Two passes.  Plain contraction events keep every survivor mode, so
-    the survivors are sub-multisets of the output and sit inside the
-    box; reading them from the families' contraction tables, cut to the
-    box, is complete.  Each contracts the value v of a = a' + (v,) with
-    the -v of b = b' + (-v,), and every position of -v in b gives the
-    same sorted output a' + b'.  Euler-corrected events
-    shed one (w, -w) pair while reordering, so the shed pair may stick
-    out of the box; those events are rebuilt from the in-box remainder
-    together with the shed pair, whose value is bounded by the
-    contraction ordering (_swap_events).  Every family pair accumulates
-    integer numerators; they meet over the common denominator of all
-    pairs, which is divided out once per output key.
+
+def bracket_nums(fams_a, fams_b, poscap, negcap):
+    """The complete bracket of two families of smeared series on the box
+    pos <= poscap, neg <= negcap, as (integer numerators by key, their
+    common denominator).
+
+    Two kinds of event.  Plain contraction events keep every survivor
+    mode, so the survivors are sub-multisets of the output and sit
+    inside the box; reading them from the families' contraction tables,
+    cut to the box, is complete.  Each contracts the value v of
+    a = a' + (v,) with the -v of b = b' + (-v,), and every position of
+    -v in b gives the same sorted output a' + b'.  Euler-corrected events
+    shed one (x, -x) pair while reordering, so the shed pair may stick
+    out of the box, but the output a'' + b'' (both pairs removed) does
+    not; they are read from the shed tables (_swap_events).  Every family
+    pair accumulates integer numerators over the common denominator of
+    all pairs.
     """
     pairs = [(fa, fb) for fa in fams_a for fb in fams_b
              if fa.epow + fb.epow <= 1]
     den = lcm(*[fa.den * fb.den for fa, fb in pairs])
-    keep = box_keep(poscap, negcap)
     nums = {}
     for fa, fb in pairs:
         scale = den // (fa.den * fb.den)
@@ -710,9 +752,16 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
         for ms, n in _plain_events(fa, fb, poscap, negcap).items():
             _acc(nums, (ms, e0, 0), n * scale)
         if e0 == 0 and fa.ell >= 2 and fb.ell >= 2:
-            for ms, n in _swap_events(fa, fb, poscap, negcap, keep).items():
+            for ms, n in _swap_events(fa, fb, poscap, negcap).items():
                 _acc(nums, (ms, 1, 0), n * scale)
-    return _divided(nums, den)
+    return nums, den
+
+
+def series_bracket(fams_a, fams_b, poscap, negcap):
+    """Complete bracket of two families of smeared series on the box
+    pos <= poscap, neg <= negcap (bracket_nums), divided once per output
+    key."""
+    return _divided(*bracket_nums(fams_a, fams_b, poscap, negcap))
 
 
 def _plain_events(fa, fb, poscap, negcap):
@@ -743,72 +792,44 @@ def _plain_events(fa, fb, poscap, negcap):
     return nums
 
 
-def _swap_events(fa, fb, poscap, negcap, keep):
+def _swap_events(fa, fb, poscap, negcap):
     """Integer numerators of the bracket events of one family pair whose
-    reordering sheds one (w, -w) pair, keyed by output modes.
+    reordering sheds one (x, -x) pair, keyed by output modes.
 
-    The output is the arrangement minus the shed pair, so everything
-    except the pair lies inside the box.  Candidates are rebuilt from
-    in-box remainders sa, sb with the +w on one side and the -w on the
-    other; the pair only inverts when w <= v (pair shed rightward) or
-    v <= -w (leftward), which bounds w by half the gap between the
-    left family total and the left remainder total.
+    Sorting the arrangement of a contraction of v in a = a'' + (v, x)
+    with -v in b = b'' + (-v, -x) inverts the pair (x, -x) exactly when
+    x has the sign of v and |x| <= |v|; the pair is removed with the
+    factor -|x| and the output is a'' + b''.  Over the ordered choices
+    of the v and x parts on each side, that is the product of the shed
+    tables fa.shed(v, x) and fb.shed(-v, -x) with the weight
+    (-v)(-|x|), halved when x = v, since then only half of the ordered
+    (-v, -x) choices invert.  The output has size fa.total + fb.total,
+    so, as for plain events, it lies in the box exactly when its pos is
+    at most top, and each loop stops at its first entry past its cap.
     """
-    tsum = fa.total + fb.total
-    cands = {}
-    for ta in range(-negcap, poscap + 1):
-        surv_a = _stats_list(fa.ell - 2, ta, poscap, negcap)
-        if not surv_a:
-            continue
-        surv_b = _stats_list(fb.ell - 2, tsum - ta, poscap, negcap)
-        if not surv_b:
-            continue
-        gap = fa.total - ta
-        for sa, posa, nega, mfa, wsa in surv_a:
-            for sb, posb, negb, mfb, wsb in surv_b:
-                if posa + posb > poscap or nega + negb > negcap:
-                    continue
-                for w in range(1, gap // 2 + 1):
-                    _add_cand(cands, sa, mfa, wsa, w, sb, mfb, wsb, gap - w)
-                for w in range(1, -gap // 2 + 1):
-                    _add_cand(cands, sa, mfa, wsa, -w, sb, mfb, wsb, gap + w)
     nums = {}
-    side_a, side_b = {}, {}
-    for (pa, pb, v), (mfa, wsa, mfb, wsb) in cands.items():
-        ca = side_a.get((pa, v))
-        if ca is None:
-            cnt = pa.count(v) + 1
-            ca = side_a[pa, v] = -v * cnt * fa.num(
-                tuple(sorted(pa + (v,))), mfa * cnt, wsa + v * v)
-        if not ca:
-            continue
-        mu_cb = side_b.get((pb, v))
-        if mu_cb is None:
-            cnt = pb.count(-v) + 1
-            mu = tuple(sorted(pb + (-v,)))
-            mu_cb = side_b[pb, v] = (mu, fb.num(mu, mfb * cnt, wsb + v * v))
-        mu, cb = mu_cb
-        if not cb:
-            continue
-        coeff = ca * cb
-        for j in range(len(mu)):
-            if mu[j] != -v:
+    top = min(poscap, negcap + fa.total + fb.total)
+    for s in range(fa.total - poscap, fa.total + negcap + 1):
+        # v + x = s with |x| <= |v|, both of the sign of s
+        for x in (range(1, s // 2 + 1) if s > 0
+                  else range(-1, -(-s // 2) - 1, -1)):
+            v = s - x
+            side_b = fb.shed(-v, -x, poscap, negcap)
+            if not side_b:
                 continue
-            for ms, im in _euler_corrections(mu[:j] + pa + mu[j + 1:]):
-                if keep(ms):
-                    nums[ms] = nums.get(ms, 0) + coeff * im
+            w = v * abs(x)
+            for pa, posa, ca in fa.shed(v, x, poscap, negcap):
+                if posa > top:
+                    break
+                # for x = v, ca holds the even factor m_v (m_v - 1)
+                ca = ca * w // 2 if x == v else ca * w
+                cap = top - posa
+                for pb, posb, cb in side_b:
+                    if posb > cap:
+                        break
+                    ms = tuple(sorted(pa + pb))
+                    nums[ms] = nums.get(ms, 0) + ca * cb
     return nums
-
-
-def _add_cand(cands, sa, mfa, wsa, x, sb, mfb, wsb, v):
-    """Record the candidate (sa + (x,), sb + (-x,), v) of _swap_events
-    with the (mult!, sum of squares) of both sides, updated from the
-    remainders' statistics for the shed part x."""
-    pa = tuple(sorted(sa + (x,)))
-    pb = tuple(sorted(sb + (-x,)))
-    if (pa, pb, v) not in cands:
-        cands[pa, pb, v] = (mfa * (sa.count(x) + 1), wsa + x * x,
-                            mfb * (sb.count(-x) + 1), wsb + x * x)
 
 
 def s_derive(a, keep, poscap, negcap, include_k=True):

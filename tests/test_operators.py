@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 from itertools import product
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,10 +303,93 @@ def test_window_stability_sees_a_window_edge_fault(monkeypatch):
     window order."""
     swap = operators._swap_events
     monkeypatch.setattr(
-        operators, "_swap_events", lambda fa, fb, poscap, negcap, keep:
-        swap(fa, fb, poscap - 1, negcap, keep))
+        operators, "_swap_events", lambda fa, fb, poscap, negcap:
+        swap(fa, fb, poscap - 1, negcap))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_cells(_window_brackets(order), 6)) == 40, order
+
+
+def ref_swap_events(fa, fb, poscap, negcap):
+    """The swap events of one family pair by candidate enumeration, the
+    rule _swap_events reads from shed tables.
+
+    Every candidate pair of in-box remainders sa, sb takes a shed part x
+    on the left and -x on the right; the pair only inverts when
+    x <= v (shed rightward) or v <= x < 0 (leftward), which bounds |x| by
+    half the gap between the left family total and the left remainder
+    total.  Each candidate's arrangement is sorted with its Euler
+    corrections, and the outputs inside the box are kept."""
+    keep = box_keep(poscap, negcap)
+    tsum = fa.total + fb.total
+    cands = set()
+    for ta in range(-negcap, poscap + 1):
+        surv_a = operators._stats_list(fa.ell - 2, ta, poscap, negcap)
+        surv_b = operators._stats_list(fb.ell - 2, tsum - ta, poscap, negcap)
+        gap = fa.total - ta
+        xs = [x for w in range(1, abs(gap) // 2 + 1)
+              for x in ((w,) if gap > 0 else (-w,))]
+        for (sa, posa, nega, _, _), (sb, posb, negb, _, _) in product(
+                surv_a, surv_b):
+            if posa + posb > poscap or nega + negb > negcap:
+                continue
+            for x in xs:
+                cands.add((tuple(sorted(sa + (x,))),
+                           tuple(sorted(sb + (-x,))), gap - x))
+    nums = {}
+    for pa, pb, v in cands:
+        lam = tuple(sorted(pa + (v,)))
+        mu = tuple(sorted(pb + (-v,)))
+        coeff = -v * lam.count(v) * _num(fa, lam) * _num(fb, mu)
+        for j in range(len(mu)):
+            if coeff and mu[j] == -v:
+                for ms, im in operators._euler_corrections(
+                        mu[:j] + pa + mu[j + 1:]):
+                    if keep(ms):
+                        nums[ms] = nums.get(ms, 0) + coeff * im
+    return {ms: n for ms, n in nums.items() if n}
+
+
+def _num(fam, lam):
+    """A family's numerator of the partition lam."""
+    mf = 1
+    for part in set(lam):
+        mf *= factorial(lam.count(part))
+    return fam.num(lam, mf, sum(part * part for part in lam))
+
+
+def _swapping_pairs(cells):
+    """The family pairs of J-family cells that make swap events: both
+    untagged and of length at least 2."""
+    return [(cell, fa, fb) for cell in cells
+            for fa in jay_families(cell[0], cell[2])
+            for fb in jay_families(cell[1], cell[3])
+            if fa.epow + fb.epow == 0 and min(fa.ell, fb.ell) >= 2]
+
+
+def test_swap_events_match_the_candidate_enumeration():
+    """The shed-table product gives the candidate enumeration's
+    numerators on the 490 swapping family pairs of the benchmark's
+    W-bracket grid (p + q <= 5, |m|, |n| <= 3, window 8), and on a few
+    pairs over every box with caps 0..8 x 0..8."""
+    grid = _swapping_pairs([(p, q, m, n) for p in range(6)
+                            for q in range(6 - p)
+                            for m, n in product(range(-3, 4), repeat=2)])
+    assert len(grid) == 490
+    cases = [(fa, fb, (_sound_pos(8, m, n), 8)) for (_, _, m, n), fa, fb
+             in grid]
+    few = _swapping_pairs(((1, 3, -3, -3), (2, 1, -3, 2), (2, 2, 1, -1),
+                           (3, 1, 0, 2)))
+    cases += [(fa, fb, box) for (_, fa, fb), box
+              in product(few, product(range(9), repeat=2))]
+    nonempty = 0
+    for fa, fb, box in cases:
+        got = {ms: c for ms, c in operators._swap_events(fa, fb, *box)
+               .items() if c}
+        assert got == ref_swap_events(fa, fb, *box), (fa.total, fb.total,
+                                                      box)
+        nonempty += bool(got)
+    # 304 of the grid pairs and 226 of the 324 small cases have events
+    assert nonempty == 304 + 226
 
 
 def _assert_exact_values(sm, label):

@@ -98,12 +98,16 @@ def test_query_outputs_do_not_depend_on_history():
 def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
     each of them emptied, the query universe and two suite jobs give
-    their frozen bytes again; thm57 measures its W-bracket cells anew,
-    from new J-families and contraction tables, and rmk43, lem61 and
-    lem53 build their cells anew."""
+    their frozen bytes again; thm57 measures its W-bracket cells and
+    its symbolic comparisons anew, from new J-families, contraction and
+    shed tables and J windows, and rmk43, lem61 and lem53 build their
+    cells anew."""
     operators._stats_list.cache_clear()
     verify._w_cell.cache_clear()
+    verify._jay_nums.cache_clear()
     verify._jay_window.cache_clear()
+    verify._lem52_cell.cache_clear()
+    verify._thm57_comparisons.cache_clear()
     verify._rmk43_cell.cache_clear()
     verify._field_component.cache_clear()
     verify._field_window.cache_clear()
@@ -137,6 +141,7 @@ def test_def51_mutation_leaves_the_shared_families_alone():
     assert all(after[key][0] is fams for key, (fams, _) in before.items())
     assert after == before
     verify._w_cell.cache_clear()
+    verify._jay_nums.cache_clear()
     verify._jay_window.cache_clear()
     _check_job("thm55", False)
 

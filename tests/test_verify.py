@@ -6,15 +6,19 @@ import json
 import re
 import subprocess
 import sys
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from hilbfock import operators, verify, walgebra
+from hilbfock.operators import box_keep, series_nums
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
-from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec,
+from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
                              run_suite, serialize_report)
+from test_acceptance import MUTATED_SHA256, REPORT_SHA256, report_sha256
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -222,13 +226,13 @@ def test_w_cells_are_measured_once_per_process(monkeypatch, w_memo):
     """thm55 and then thm57 in one process measure each (cell, window)
     once, and after their passing runs every stored residual is empty."""
     calls = []
-    measure = verify.series_bracket
+    measure = verify.bracket_nums
 
     def counted(*args):
         calls.append(args)
         return measure(*args)
 
-    monkeypatch.setattr(verify, "series_bracket", counted)
+    monkeypatch.setattr(verify, "bracket_nums", counted)
     bounds = {"pq_max": 2, "m_max": 1}
     assert run_suite(SuiteSpec("thm55", surface="p2", bounds=bounds)).ok
     assert run_suite(SuiteSpec("thm57", bounds=bounds)).ok
@@ -262,38 +266,91 @@ def test_w_memo_keeps_every_byte(w_memo, name, bounds):
     assert w_memo and _stored_residuals_empty(w_memo)
 
 
-def _family_tables():
-    """{(p, n, i, x, negcap): (cap, rows)}: every contraction table of the
-    J-families the default W-bracket runs read."""
+def _family_tables(kind):
+    """{(p, n, i) + key: (cap, rows)}: every table of one kind, "_tables"
+    (contraction, keyed by (x, negcap)) or "_sheds" (shed, keyed by
+    (v, x, negcap)), of the J-families the default W-bracket runs
+    read."""
     return {(p, n, i) + key: table
             for p in range(8) for n in range(-7, 8)
             for i, fam in enumerate(walgebra.jay_families(p, n))
-            for key, table in fam._tables.items()}
+            for key, table in getattr(fam, kind).items()}
 
 
 def test_family_tables_are_built_once_and_bounded():
     """From cleared caches, the default-bounds thm55, thm57 and vir runs
-    leave at most 1,584 contraction tables with 21,003 rows (the counts
-    measured); a second thm55 run, its cells measured anew, builds no
-    table and enumerates no partition.  thm55 runs on p2 only, and the
-    second run with p + q <= 3: the tables depend on its cells, not on
-    its surfaces."""
+    leave at most 1,584 contraction tables with 21,003 rows and at most
+    1,613 shed tables with 9,014 rows (the counts measured); a second
+    thm55 run, its cells measured anew, builds no table and enumerates
+    no partition.  thm55 runs on p2 only, and the second run with
+    p + q <= 3: the tables depend on its cells, not on its surfaces."""
     walgebra.jay_families.cache_clear()
     W_CELL.cache_clear()
+    verify._jay_nums.cache_clear()
     for spec in (SuiteSpec("thm55", surface="p2"), SuiteSpec("thm57"),
                  SuiteSpec("vir")):
         assert run_suite(spec).ok, spec.suite
-    tables = _family_tables()
-    assert len(tables) <= 1584
-    assert sum(len(rows) for _, rows in tables.values()) <= 21003
+    tables = {kind: _family_tables(kind) for kind in ("_tables", "_sheds")}
+    for kind, count, rows in (("_tables", 1584, 21003),
+                              ("_sheds", 1613, 9014)):
+        assert len(tables[kind]) <= count, kind
+        assert sum(len(r) for _, r in tables[kind].values()) <= rows, kind
     W_CELL.cache_clear()
     misses = operators._stats_list.cache_info().misses
     assert run_suite(SuiteSpec("thm55", surface="p2",
                                bounds={"pq_max": 3})).ok
-    again = _family_tables()
-    assert again.keys() == tables.keys()
-    assert all(again[key] is table for key, table in tables.items())
+    for kind, built in tables.items():
+        again = _family_tables(kind)
+        assert again.keys() == built.keys(), kind
+        assert all(again[key] is table for key, table in built.items())
     assert operators._stats_list.cache_info().misses == misses
+
+
+# W-bracket cells (p, q, m, n) with p + q <= 4 and |m|, |n| <= 2.
+WINDOW_CELLS = [(p, q, m, n) for p in range(5) for q in range(5 - p)
+                for m, n in product(range(-2, 3), repeat=2)]
+
+
+def _w_residuals(order):
+    """{(cell, N): the residual _w_cell keeps} for each window N in order,
+    from cleared cells, J windows, families and partition lists, so that
+    each window after the first reads what the earlier ones built."""
+    W_CELL.cache_clear()
+    verify._jay_nums.cache_clear()
+    walgebra.jay_families.cache_clear()
+    operators._stats_list.cache_clear()
+    return {(cell, N): W_CELL(cell + (N,))[0]
+            for N in order for cell in WINDOW_CELLS}
+
+
+def _unstable_residuals(residuals):
+    """The cells whose window-6 residual differs from the window-8
+    residual restricted to the window-6 box."""
+    return [cell for cell in WINDOW_CELLS
+            if residuals[cell, 6] != residuals[cell, 8].filter(
+                box_keep(_sound_pos(6, *cell[2:]), 6))]
+
+
+def test_w_residuals_are_window_stable(w_memo):
+    """Each W-bracket residual on window 6 equals the window-8 residual
+    restricted to its box, and every residual is the same whichever
+    window runs first."""
+    assert len(WINDOW_CELLS) == 375
+    narrow_first = _w_residuals((6, 8))
+    assert _unstable_residuals(narrow_first) == []
+    assert _w_residuals((8, 6)) == narrow_first
+
+
+def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
+                                                           w_memo):
+    """An expected side whose J windows stop one mode short of the box
+    edge leaves window-6 residuals that the window-8 ones, restricted,
+    do not have, in either window order."""
+    monkeypatch.setattr(verify, "_jay_nums", cache(
+        lambda p, n, pos, neg: series_nums(walgebra.jay_families(p, n),
+                                           pos - 1, neg)))
+    for order in ((6, 8), (8, 6)):
+        assert len(_unstable_residuals(_w_residuals(order))) == 252, order
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
@@ -596,24 +653,76 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ("lem52", "rmk56"))
 def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
-    """lem52 and rmk56 read J^p_n from _jay_window, so after the plain
-    run the mutated one builds no series: every window it reads is
-    kept."""
+    """lem52 and rmk56 read J^p_n from _jay_nums, lem52's mutation and
+    rmk56 through _jay_window, so after the plain run the mutated one
+    builds no series: every window it reads is kept."""
+    verify._lem52_cell.cache_clear()
     verify._jay_window.cache_clear()
+    verify._jay_nums.cache_clear()
     calls = 0
-    build = verify.series_to_smeared
+    build = verify.series_nums
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return build(*args)
 
-    monkeypatch.setattr(verify, "series_to_smeared", counted)
+    monkeypatch.setattr(verify, "series_nums", counted)
     assert run_suite(SuiteSpec(name)).ok
     assert calls > 0
     calls = 0
     assert not run_suite(SuiteSpec(name, mutation=SUITES[name].mutation)).ok
     assert calls == 0
+
+
+@pytest.mark.parametrize("name,measure,kept,bounds", [
+    ("lem52", "bracket_nums", "_lem52_cell", {"p_max": 4, "n_max": 3}),
+    ("thm57", "wbracket", "_thm57_comparisons", {"pq_max": 5, "m_max": 3})])
+def test_mutated_run_after_the_plain_one_measures_nothing(
+        monkeypatch, name, measure, kept, bounds):
+    """lem52 keeps its bracket cells (_lem52_cell) and thm57 the
+    comparisons of its symbolic part (_thm57_comparisons) for the
+    process: from cleared cells, whichever run comes first measures
+    them, the other makes no bracket_nums or wbracket call, and both
+    keep the frozen digests of the acceptance battery, whose plain runs
+    name their default bounds."""
+    calls = 0
+    real = getattr(verify, measure)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, measure, counted)
+    for first in (False, True):
+        getattr(verify, kept).cache_clear()
+        for mutated in (first, not first):
+            calls = 0
+            report = run_suite(
+                SuiteSpec(name, mutation=SUITES[name].mutation) if mutated
+                else SuiteSpec(name, bounds=bounds))
+            assert report.ok != mutated
+            assert (calls > 0) == (mutated == first), (first, mutated)
+            digests = MUTATED_SHA256 if mutated else REPORT_SHA256
+            assert report_sha256(report) == digests[name], mutated
+
+
+def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():
+    """thm42's mutated run checks on states the first K-trivial class
+    whose Euler term e*a the mutation moves: class 1 on k3, with or
+    without --surface k3, and its action record fails.  p2 has no such
+    class among 1 and x, so its mutated run has no action record."""
+    for surface, classes in (("", ["1"]), ("k3", ["1"]), ("p2", [])):
+        report = run_suite(SuiteSpec("thm42", surface=surface,
+                                     bounds={"n_max": 1},
+                                     mutation="euler-shift"))
+        action = [r for r in report.records
+                  if r.params["check"] == "action"]
+        assert [r.params.get("class", r.params.get("a")) for r in action] \
+            == classes, surface
+        assert all(r.status == "fail" for r in action), surface
+        assert not report.ok
 
 
 def test_only_the_group_and_verdict_build_records():
