@@ -94,10 +94,14 @@ def combine(*pieces):
 def annihilate_state(ring, n, i, state):
     """Apply the annihilation mode a(n; basis i), n > 0, to one state.
 
-    Returns (state, coefficient) pairs; each matching creation factor
-    contracts with coefficient -n * integral(b_i * b_j), read from a row
-    cached on the ring, and the Koszul sign of moving a(n;b_i) past the
-    earlier factors.
+    Returns (state, coefficient) pairs, one per distinct result; each
+    matching creation factor contracts with coefficient -n *
+    integral(b_i * b_j), read from a row cached on the ring, and the
+    Koszul sign of moving a(n;b_i) past the earlier factors.  Equal
+    factors sit side by side and give the same state with the same sign
+    (an odd factor never repeats), so they are summed into one pair:
+    a word that annihilates r of the k equal factors of a state then
+    carries one state, not k!/(k-r)! copies of it.
     """
     key = ("contraction", n, i)
     row = ring._cache.get(key)
@@ -110,7 +114,10 @@ def annihilate_state(ring, n, i, state):
     sign = 1
     for t, (m, j) in enumerate(state):
         if m == -n and row[j]:
-            out.append((state[:t] + state[t + 1:], sign * row[j]))
+            if out and state[t - 1] == state[t]:
+                out[-1] = (out[-1][0], out[-1][1] + sign * row[j])
+            else:
+                out.append((state[:t] + state[t + 1:], sign * row[j]))
         if pi and par[j]:
             sign = -sign
     return out

@@ -18,9 +18,14 @@ Two layers:
   remembered, so a second ask is one lookup.  A family index
   (OperatorFamily) lifts it to a list of operators, and
   commutator_block composes, on one state, only the brackets of two
-  families that it cannot rule out.  Vectors are {state:
-  coeff} dicts, and the kernels act on them (OperatorSum.act and column,
-  commutator_column, derive, act_arrangement).  OperatorSum.apply,
+  families that it cannot rule out, asking a column only of the
+  operators whose index meets that state.  Every word acts through one
+  single-state kernel, apply_word: it carries one state's image
+  through the word, factor by factor, as a list of (state, coeff)
+  pairs, and its caller (a column, act_arrangement) merges the pairs of
+  all its words once.  Vectors are {state: coeff} dicts, and the
+  kernels act on them (OperatorSum.act and column, commutator_column,
+  derive, act_arrangement).  OperatorSum.apply,
   commutator_action, derivation_apply and apply_arrangement only pass
   a dict on to them, as the names perfbench/tracer.py wraps; the
   package never calls them.  Each is a function of its own: the tracer
@@ -103,27 +108,29 @@ def _acc(d, key, c):
         del d[key]
 
 
-def apply_word(ring, word, terms):
-    """Apply the factor word a(m1;b_i1)...a(mk;b_ik), right to left, to a
-    {state: coeff} dict; returns a new dict.  Every action of mode
-    monomials on states goes through here.
+def apply_word(ring, word, state):
+    """Apply the factor word a(m1;b_i1)...a(mk;b_ik), right to left, to
+    one basis state; returns its image as a list of (state, coeff)
+    pairs, in which a state may repeat.  Every action of mode monomials
+    on states goes through this single-state kernel, and the caller
+    scales and merges the pairs once: the action is linear, so merging
+    at the end gives what merging after every factor would.
     """
-    cur = terms
+    cur = [(state, 1)]
     for mode, i in reversed(word):
-        nxt = {}
         if mode > 0:
-            for s, c in cur.items():
-                for s2, c2 in annihilate_state(ring, mode, i, s):
-                    _acc(nxt, s2, c * c2)
+            cur = [(s2, c * c2) for s, c in cur
+                   for s2, c2 in annihilate_state(ring, mode, i, s)]
         else:
-            for s, c in cur.items():
+            nxt = []
+            for s, c in cur:
                 s2, sgn = create_state(ring, -mode, i, s)
                 if s2 is not None:
-                    _acc(nxt, s2, c if sgn == 1 else -c)
-        if not nxt:
-            return nxt
-        cur = nxt
-    return dict(cur) if cur is terms else cur
+                    nxt.append((s2, c if sgn == 1 else -c))
+            cur = nxt
+        if not cur:
+            break
+    return cur
 
 
 def _partners(ring, m, i):
@@ -246,7 +253,6 @@ class OperatorSum:
     def _image(self, state):
         """The column of state, computed word by word; needs the groups
         that _contractions builds."""
-        terms = {state: 1}
         out = {state: self.scalar} if self.scalar else {}
         ring, coeffs = self.ring, self.terms
         for partners, words in self._groups:
@@ -254,7 +260,7 @@ class OperatorSum:
                 continue
             for word in words:
                 tc = coeffs[word]
-                for s, c in apply_word(ring, word, terms).items():
+                for s, c in apply_word(ring, word, state):
                     _acc(out, s, c * tc)
         return out
 
@@ -339,13 +345,16 @@ def commutator_block(fs, gs, state):
     OperatorFamily objects, for just the pairs where f_i's index meets a
     state of g_j state or g_j's index meets a state of f_i state.  Every
     other pair's bracket on this state is {}: both its compositions read
-    only columns that the index rules out."""
+    only columns that the index rules out.  Only the operators whose
+    index meets the state itself are asked for their column there; every
+    other one's is empty, by the rule column applies."""
     f, g = fs.ops, gs.ops
+    here = (state,)
     keep = set()
-    for j, gj in enumerate(g):
-        keep.update((i, j) for i in fs.meeting(gj.column(state)))
-    for i, fi in enumerate(f):
-        keep.update((i, j) for j in gs.meeting(fi.column(state)))
+    for j in gs.meeting(here):
+        keep.update((i, j) for i in fs.meeting(g[j].column(state)))
+    for i in fs.meeting(here):
+        keep.update((i, j) for j in gs.meeting(f[i].column(state)))
     return {(i, j): commutator_column(f[i], g[j], state) for i, j in keep}
 
 
@@ -447,8 +456,11 @@ def act_arrangement(ring, modes, elem, terms):
     if k == 0 or elem.is_zero():
         return out
     for key, c0 in ring.tau(k, elem).items():
-        for s, c in apply_word(ring, tuple(zip(modes, key)), terms).items():
-            _acc(out, s, c * c0)
+        word = tuple(zip(modes, key))
+        for state, c in terms.items():
+            c *= c0
+            for s, c2 in apply_word(ring, word, state):
+                _acc(out, s, c * c2)
     return out
 
 
@@ -764,17 +776,28 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
     return _divided(*bracket_nums(fams_a, fams_b, poscap, negcap))
 
 
+def _holds(fam, x):
+    """Whether a partition of the family may hold the part x: its rest
+    of ell - 1 nonzero parts must sum to total - x."""
+    rest = fam.total - x
+    return fam.ell > 2 or (fam.ell == 2 and rest != 0) or (
+        fam.ell == 1 and rest == 0)
+
+
 def _plain_events(fa, fb, poscap, negcap):
     """Integer numerators of the plain contraction events of one family
     pair, keyed by output modes: the products of the two families'
     table entries for v and -v whose survivors fit the box together.
     An output of size fa.total + fb.total lies in the box exactly when
     its pos is at most top, and the tables are sorted by pos, so each
-    loop stops at its first entry past its cap."""
+    loop stops at its first entry past its cap.  Each survivor's total
+    lies in [-negcap, top], and only the v that both families can hold
+    (_holds) are read."""
     nums = {}
     top = min(poscap, negcap + fa.total + fb.total)
-    for v in range(fa.total - poscap, fa.total + negcap + 1):
-        if v == 0:
+    for v in range(max(fa.total - top, -negcap - fb.total),
+                   min(fa.total + negcap, top - fb.total) + 1):
+        if v == 0 or not (_holds(fa, v) and _holds(fb, -v)):
             continue
         side_b = fb.survivors(-v, poscap, negcap)
         if not side_b:

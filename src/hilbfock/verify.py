@@ -11,7 +11,9 @@ Checks are counted in record groups: a group reports a pass over all
 its checks, or its first failure.  Every suite counts them through one
 group (`_Group`), which alone with `_verdict` builds records; heis
 finds a cell's first failure from its residual (`_heis_failure`) and
-counts the checks before it without comparing them.  Each runner
+counts the checks before it without comparing them, and every other
+bracket checked on states goes through `_Group.brackets`, which
+compares it with its right side's column on each state.  Each runner
 declares its grid bounds, with their defaults, as keyword-only
 parameters; `run_suite` rejects any other --bound key.  The
 registry (`SUITES`) declares the rest a suite reads (its window and its
@@ -269,11 +271,24 @@ class _Group:
         """
         for s in states:
             lhs, rhs = sides(s)
-            self.checks += 1
             if lhs != rhs and self.fail is None:
-                self.fail = InstanceRecord(
-                    dict(params, state=render_state(s, ring)), "fail", 1,
-                    render_terms(rhs, ring), render_terms(lhs, ring))
+                self._fail_at(ring, s, params, rhs, lhs)
+        self.checks += len(states)
+
+    def brackets(self, ring, states, f, g, rhs, params):
+        """states() for the bracket [f, g] against rhs: on each basis
+        state s, commutator_column(f, g, s) against rhs.column(s), with
+        the same count and first failure, and no closure per state."""
+        for s in states:
+            lhs, want = commutator_column(f, g, s), rhs.column(s)
+            if lhs != want and self.fail is None:
+                self._fail_at(ring, s, params, want, lhs)
+        self.checks += len(states)
+
+    def _fail_at(self, ring, s, params, expected, actual):
+        self.fail = InstanceRecord(
+            dict(params, state=render_state(s, ring)), "fail", 1,
+            render_terms(expected, ring), render_terms(actual, ring))
 
     def record(self):
         """The group's record: a pass named by the group's params, or its
@@ -351,6 +366,20 @@ def _iter_deriv(op, k, terms):
     ring = op.ring
     return combine((1, derive(ring, _iter_deriv(op, k - 1, terms))),
                 (-1, _iter_deriv(op, k - 1, derive(ring, terms))))
+
+
+class _Derivative:
+    """c D^k(op) by columns, each computed when asked and not kept: the
+    right side of a _Group.brackets check whose expected operator is a
+    derivative or a scaled series."""
+
+    __slots__ = ("op", "k", "c")
+
+    def __init__(self, op, k, c):
+        self.op, self.k, self.c = op, k, c
+
+    def column(self, state):
+        return combine((self.c, _iter_deriv(self.op, self.k, {state: 1})))
 
 
 def _euler_families(ell, total, c):
@@ -582,10 +611,8 @@ def _w_spots(ring, states, cells, pairs):
         p, q, m, n = cell
         a, b = ring.basis(ca), ring.basis(cb)
         ja, jb = jay(ring, p, m, a), jay(ring, q, n, b)
-        rhs_op = _w_op(ring, cell, a * b)
-        t.states(ring, states,
-                 lambda s: (commutator_column(ja, jb, s), rhs_op.column(s)),
-                 dict(t.params, p=p, q=q, m=m, n=n, a=ca, b=cb))
+        t.brackets(ring, states, ja, jb, _w_op(ring, cell, a * b),
+                   dict(t.params, p=p, q=q, m=m, n=n, a=ca, b=cb))
     return t.record()
 
 
@@ -642,11 +669,9 @@ def _vir_spots(spec, mut):
             for (na, a), (nb, b) in product(pairs, pairs):
                 f = op(quadratic_sum, m, a)
                 g = op(quadratic_sum, n, b)
-                rhs_op = _w_op(ring, (1, 1, m, n), a * b)
-                t.states(ring, states,
-                         lambda s: (commutator_column(f, g, s),
-                                    rhs_op.column(s)),
-                         dict(params, a=na, b=nb))
+                t.brackets(ring, states, f, g,
+                           _w_op(ring, (1, 1, m, n), a * b),
+                           dict(params, a=na, b=nb))
             yield t.record()
 
 
@@ -671,24 +696,23 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
     for ring in rings:
         pairs = _probe(ring)
         small = pairs[:5] if ring.dim > 8 else pairs
+        cases = [(na, a, nb, b, a * b)
+                 for (na, a), (nb, b) in product(small, small)]
         states = _action_states(ring)
+        # The transfer operators, shared by every m and the pin part.
+        tr = _op_memo(ring)
         for m in range(-m_max, m_max + 1):
-            # One memo per m bounds the memory of cached columns.
+            # One memo per m bounds the memory of L_m's cached columns.
             op = _op_memo(ring)
             for n in range(-m_max, m_max + 1):
                 params = {"part": "mixed", "surface": ring.name, "m": m,
                           "n": n}
                 t = _Group(params)
-                for na, a in small:
-                    lm = op(quadratic_sum, m, a)
-                    for nb, b in small:
-                        an = op(heisenberg, n, b)
-                        rhs_op = op(heisenberg, m + n, a * b)
-                        t.states(ring, states,
-                                 lambda s: (
-                                     commutator_column(lm, an, s),
-                                     combine((Q(-n), rhs_op.column(s)))),
-                                 dict(params, a=na, b=nb))
+                for na, a, nb, b, ab in cases:
+                    t.brackets(ring, states, op(quadratic_sum, m, a),
+                               tr(heisenberg, n, b),
+                               tr(heisenberg, m + n, ab).scaled(-n),
+                               dict(params, a=na, b=nb))
                 yield t.record()
         for n in range(-m_max, m_max + 1):
             if n == 0:
@@ -707,21 +731,16 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                          dict(params, b=nb))
             yield t.record()
         kfree = _ktrivial(ring, pairs)
-        op = _op_memo(ring)
         for k in range(k_max + 1):
             params = {"part": "character-pin", "surface": ring.name, "k": k}
             t = _Group(params)
             for na, a in kfree:
                 gk = chern(ring, k, a)
                 for nb, b in small:
-                    am = op(heisenberg, -1, b)
-                    inner = op(heisenberg, -1, a * b)
-                    t.states(ring, states,
-                             lambda s: (commutator_column(gk, am, s),
-                                        combine((Q(1, factorial(k)),
-                                              _iter_deriv(inner, k,
-                                                          {s: 1})))),
-                             dict(params, a=na, b=nb))
+                    t.brackets(ring, states, gk, tr(heisenberg, -1, b),
+                               _Derivative(tr(heisenberg, -1, a * b), k,
+                                           Q(1, factorial(k))),
+                               dict(params, a=na, b=nb))
             yield t.record()
 
 
@@ -771,21 +790,18 @@ def _run_lem32(spec, mut):
             # One operator per (partition, class) for this ring's
             # bracket part; its columns serve every cell.
             op = _op_memo(ring)
+            cases = [(na, a, nb, b, a * b)
+                     for (na, a), (nb, b) in product(cpairs, cpairs)]
             for nu in nus:
                 for mu in nus:
                     sm = s_bracket(SmearedOp({(nu, 0, 0): Q(1)}),
                                    SmearedOp({(mu, 0, 0): Q(1)}))
                     rhs = cache(partial(instantiate, sm, ring))
-                    for na, a in cpairs:
-                        av = op(monomial, nu, a)
-                        for nb, b in cpairs:
-                            bv = op(monomial, mu, b)
-                            rhs_op = rhs(a * b)
-                            t.states(ring, states,
-                                     lambda s: (commutator_column(av, bv, s),
-                                                rhs_op.column(s)),
-                                     dict(params, nu=str(list(nu)),
-                                          mu=str(list(mu)), a=na, b=nb))
+                    for na, a, nb, b, ab in cases:
+                        t.brackets(ring, states, op(monomial, nu, a),
+                                   op(monomial, mu, b), rhs(ab),
+                                   dict(params, nu=str(list(nu)),
+                                        mu=str(list(mu)), a=na, b=nb))
             yield t.record()
             params = {"part": "derivative", "surface": ring.name}
             t = _Group(params)
@@ -969,11 +985,9 @@ def _thm46_spots(spec):
             gk = chern(ring, k, ring.unit)
             for nb, b in _probe(ring)[:3]:
                 am = heisenberg(ring, -1, b)
-                t.states(ring, states,
-                         lambda s: (commutator_column(gk, am, s),
-                                    combine((Q(1, factorial(k)),
-                                          _iter_deriv(am, k, {s: 1})))),
-                         dict(t.params, k=k, b=nb))
+                t.brackets(ring, states, gk, am,
+                           _Derivative(am, k, Q(1, factorial(k))),
+                           dict(t.params, k=k, b=nb))
         yield t.record()
 
 
@@ -1147,13 +1161,10 @@ def _lem52_spots(spec):
             for na, a in kfree[:3]:
                 gp = chern(ring, p, a)
                 for nb, b in others:
-                    an = heisenberg(ring, n, b)
-                    jp = jay(ring, p, n, a * b)
-                    t.states(ring, states,
-                             lambda s: (commutator_column(gp, an, s),
-                                        combine((Q(n, factorial(p)),
-                                              jp.column(s)))),
-                             dict(t.params, p=p, n=n, a=na, b=nb))
+                    t.brackets(ring, states, gp, heisenberg(ring, n, b),
+                               _Derivative(jay(ring, p, n, a * b), 0,
+                                           Q(n, factorial(p))),
+                               dict(t.params, p=p, n=n, a=na, b=nb))
         yield t.record()
 
 

@@ -6,8 +6,8 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock.fock import (basis_states, canonical_factors, combine,
-                           create_state, fundamental_class, pairing,
+from hilbfock.fock import (annihilate_state, basis_states, canonical_factors,
+                           combine, create_state, fundamental_class, pairing,
                            render_state, render_terms, vacuum,
                            vector_records, weight)
 from hilbfock.operators import heisenberg
@@ -48,6 +48,30 @@ def test_create_state_matches_canonical_factors():
         for s, n, i in product(states, (1, 2, 3), range(ring.dim)):
             assert create_state(ring, n, i, s) == canonical_factors(
                 ((-n, i),) + s, ring.parity), (name, s, n, i)
+
+
+def test_annihilate_state_sums_equal_factors():
+    """a(n; b_i), n <= 2, every i, on every state of weight at most 3 (2
+    on k3) gives the per-position contractions -n integral(b_i b_j),
+    with the Koszul sign of the odd factors before each, summed by
+    result: one pair per distinct state, none with a zero coefficient."""
+    for name in SURFACE_NAMES:
+        ring = builtin_ring(name)
+        g, par = ring.pairing_matrix(), ring.parity
+        states = [s for w in range(3 if name == "k3" else 4)
+                  for s in basis_states(ring, w)]
+        for s, n, i in product(states, (1, 2), range(ring.dim)):
+            want = {}
+            for t, (m, j) in enumerate(s):
+                if m == -n and g[i][j]:
+                    odd = par[i] and sum(par[k] for _, k in s[:t])
+                    rest = s[:t] + s[t + 1:]
+                    want[rest] = want.get(rest, 0) + (
+                        -1) ** odd * -n * g[i][j]
+            got = annihilate_state(ring, n, i, s)
+            assert len({t for t, _ in got}) == len(got), (name, s, n, i)
+            assert dict(got) == {t: c for t, c in want.items() if c}, \
+                (name, s, n, i)
 
 
 def test_basis_counts_plane():

@@ -370,3 +370,51 @@ def test_no_module_level_memo_container(path):
     operator's own columns, not through a hand-rolled module dict."""
     assert module_level_empty_containers(path.read_text()) == [], \
         path.relative_to(SRC)
+
+
+def bracket_closures(source):
+    """(line, name) of every call .states(...) in source that is passed a
+    lambda, or a function defined in the same enclosing function, that
+    calls commutator_column: a bracket check that goes round
+    _Group.brackets."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, FUNCS + (ast.Module,)):
+            continue
+        local = {node.name: node for node in ast.walk(scope)
+                 if isinstance(node, FUNCS) and node is not scope}
+        for call in ast.walk(scope):
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", None) == "states"):
+                continue
+            for arg in call.args + [kw.value for kw in call.keywords]:
+                body = (arg if isinstance(arg, ast.Lambda)
+                        else local.get(getattr(arg, "id", None)))
+                if body is not None and any(
+                        isinstance(node, ast.Call)
+                        and (getattr(node.func, "id", None)
+                             or getattr(node.func, "attr", None))
+                        == "commutator_column"
+                        for node in ast.walk(body)):
+                    found.append((call.lineno, getattr(arg, "id", "lambda")))
+    return sorted(set(found))
+
+
+def test_checker_flags_a_bracket_closure():
+    source = ("def run(t, f, g, rhs):\n"
+              "    t.states(r, ss, lambda s: (commutator_column(f, g, s),\n"
+              "                               rhs.column(s)), {})\n"
+              "    def sides(s):\n"
+              "        return ops.commutator_column(f, g, s), {}\n"
+              "    t.states(r, ss, sides, {})\n"
+              "    t.states(r, ss, lambda s: (f.column(s), {}), {})\n"
+              "    t.brackets(r, ss, f, g, rhs, {})\n")
+    assert bracket_closures(source) == [(2, "lambda"), (6, "sides")]
+
+
+def test_bracket_checks_go_through_group_brackets():
+    """Every bracket a verify suite checks on states goes through
+    _Group.brackets, which compares the bracket with its right side
+    without a closure per check."""
+    source = (SRC / "hilbfock" / "verify.py").read_text()
+    assert bracket_closures(source) == []

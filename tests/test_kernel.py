@@ -42,7 +42,8 @@ COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
 
 
 def ref_word(ring, word, terms):
-    """Right-to-left composition of single modes, one state at a time."""
+    """Right-to-left composition of single modes, one new dict per
+    factor: the reference for the single-state kernel apply_word."""
     cur = dict(terms)
     for mode, i in reversed(word):
         nxt = {}
@@ -150,6 +151,65 @@ def test_apply_arrangement_matches_composition(name, data):
     want = ref_sum([(c0, ref_word(ring, tuple(zip(modes, key)), terms))
                     for key, c0 in ring.tau(len(modes), elem).items()])
     assert act_arrangement(ring, modes, elem, terms) == want
+
+
+# Two classes that pair with each other on each surface; both odd on the
+# abelian surface.
+PARTNERS = {"p2": ("1", "x"), "p1xp1": ("f1", "f2"), "k3": ("u1", "u2"),
+            "abelian": ("t1", "t234")}
+
+
+def merged(pairs):
+    """The {state: coeff} dict of (state, coeff) pairs, zeros dropped."""
+    out = {}
+    for s, c in pairs:
+        out[s] = out.get(s, 0) + c
+    return {s: c for s, c in out.items() if c}
+
+
+def kernel_mismatches(ring, classes):
+    """The (word, state) pairs on which the single-state apply_word,
+    scaled by a fraction and merged, differs from the dict-per-factor
+    reference ref_word on that multiple of the state: every word of
+    length at most 3 in the factors a(m; c), |m| <= 2, c among classes,
+    on every state of weight at most 3 in those classes; and the number
+    of pairs with a nonzero image."""
+    idx = [ring.index[c] for c in classes]
+    states = [s for w in range(4) for s in basis_states(ring, w)
+              if all(i in idx for _, i in s)]
+    factors = [(m, i) for m in (-2, -1, 1, 2) for i in idx]
+    c = Fraction(-3, 2)
+    bad, live = [], 0
+    for k in (1, 2, 3):
+        for word in product(factors, repeat=k):
+            for s in states:
+                want = ref_word(ring, word, {s: c})
+                got = merged((t, c * v)
+                             for t, v in operators.apply_word(ring, word, s))
+                if got != want:
+                    bad.append((word, s))
+                live += bool(want)
+    return bad, live
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_single_state_kernel_matches_dict_per_factor_reference(name):
+    ring = builtin_ring(name)
+    bad, live = kernel_mismatches(ring, PARTNERS[name])
+    assert bad == [] and live
+
+
+def test_kernel_reference_sees_a_dropped_koszul_sign(monkeypatch):
+    """With create_state's odd Koszul sign dropped in the kernel's copy
+    only, the single-state kernel no longer matches the reference on the
+    odd classes of the abelian surface."""
+    def unsigned(ring, n, i, state):
+        s2, _ = create_state(ring, n, i, state)
+        return s2, 1 if s2 is not None else 0
+
+    monkeypatch.setattr(operators, "create_state", unsigned)
+    bad, _ = kernel_mismatches(AB, PARTNERS["abelian"])
+    assert bad
 
 
 def test_kernel_crosses_window_edge():

@@ -353,6 +353,62 @@ def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
         assert len(_unstable_residuals(_w_residuals(order))) == 252, order
 
 
+# lem52 cells (p, n) with p <= 4 and |n| <= 3.
+LEM52_CELLS = [(p, n) for p in range(5) for n in range(-3, 4)]
+
+
+@pytest.fixture
+def lem52_memo():
+    """The lem52 cells and J windows, cleared before and after one test,
+    so that no cell measured under a patched window outlives it."""
+    for memo in (verify._lem52_cell, verify._jay_nums):
+        memo.cache_clear()
+    yield
+    for memo in (verify._lem52_cell, verify._jay_nums):
+        memo.cache_clear()
+
+
+def _lem52_residuals(order):
+    """{(cell, N): the residual _lem52_cell keeps} for each window N in
+    order, from cleared cells, J windows, families and partition lists."""
+    verify._lem52_cell.cache_clear()
+    verify._jay_nums.cache_clear()
+    walgebra.jay_families.cache_clear()
+    operators._stats_list.cache_clear()
+    return {(cell, N): verify._lem52_cell(*cell, N)
+            for N in order for cell in LEM52_CELLS}
+
+
+def _unstable_lem52(residuals):
+    """The cells whose window-6 residual differs from the window-8
+    residual restricted to the window-6 box."""
+    return [(p, n) for p, n in LEM52_CELLS
+            if residuals[(p, n), 6] != residuals[(p, n), 8].filter(
+                box_keep(_sound_pos(6, 0, n), 6))]
+
+
+def test_lem52_residuals_are_window_stable(lem52_memo):
+    """Each lem52 residual on window 6 equals the window-8 residual
+    restricted to its box, and every residual is the same whichever
+    window runs first."""
+    assert len(LEM52_CELLS) == 35
+    narrow_first = _lem52_residuals((6, 8))
+    assert _unstable_lem52(narrow_first) == []
+    assert _lem52_residuals((8, 6)) == narrow_first
+
+
+def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
+                                                      lem52_memo):
+    """An expected side whose J windows stop one mode short of the box
+    edge leaves window-6 residuals that the window-8 ones, restricted,
+    do not have, in either window order."""
+    monkeypatch.setattr(verify, "_jay_nums", cache(
+        lambda p, n, pos, neg: series_nums(walgebra.jay_families(p, n),
+                                           pos - 1, neg)))
+    for order in ((6, 8), (8, 6)):
+        assert len(_unstable_lem52(_lem52_residuals(order))) == 24, order
+
+
 def test_eq22_rejects_surfaces_without_its_classes():
     for surface in ("p2", "p1xp1"):
         with pytest.raises(ValueError, match="abelian or k3"):
@@ -428,10 +484,10 @@ def test_lem32_builds_each_bracket_operator_once(monkeypatch):
 
 
 def test_thm31_builds_each_transfer_operator_once(monkeypatch):
-    """thm31's mixed part takes a_n(b) and a_{m+n}(ab) from its per-m
-    memo, so on p1xp1 the suite builds 346 transfer operators (1,621
-    when every (m, a, b) built its own), and its report keeps its frozen
-    bytes."""
+    """thm31's mixed and character-pin parts take a_n(b) and
+    a_{m+n}(ab) from one memo per ring, so on p1xp1 the suite builds 113
+    transfer operators (346 with a memo per m, 1,621 when every (m, a,
+    b) built its own), and its report keeps its frozen bytes."""
     calls = []
     build = verify.heisenberg
 
@@ -445,7 +501,36 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
     assert report.ok
     assert hashlib.sha256(text.encode()).hexdigest() == \
         REFS["suites"]["thm31-p1xp1"]
-    assert len(calls) <= 346, len(calls)
+    assert len(calls) <= 113, len(calls)
+
+
+def test_group_brackets_match_the_states_closure():
+    """_Group.brackets counts and records as states() with the closure
+    it replaced: thm31's mixed cells [L_m(1), a_n(H)] on p2 against
+    -n a_{m+n}(H) pass in both, and against (-n + 1) a_{m+n}(H) fail in
+    both on the three cells where a_{m+n}(H) is not zero, with the same
+    first failure."""
+    ring = builtin_ring("p2")
+    states = verify._action_states(ring)
+    one, h = ring.unit, ring.basis("H")
+    failed = 0
+    for m, n in ((1, -1), (1, -2), (-1, 1), (2, -1), (0, -2)):
+        lm = operators.quadratic_sum(ring, m, one)
+        an = operators.heisenberg(ring, n, h)
+        for c in (-n, -n + 1):
+            rhs = operators.heisenberg(ring, m + n, h).scaled(c)
+            params = {"part": "mixed", "m": m, "n": n, "c": c}
+            closure, group = verify._Group(params), verify._Group(params)
+            closure.states(ring, states, lambda s: (
+                operators.commutator_column(lm, an, s), rhs.column(s)),
+                params)
+            group.brackets(ring, states, lm, an, rhs, params)
+            assert closure.checks == group.checks == len(states)
+            record = closure.record()
+            assert record == group.record(), (m, n, c)
+            assert record.status == ("fail" if c != -n and m + n else "pass")
+            failed += record.status == "fail"
+    assert failed == 3
 
 
 def _heis_cells(name):
