@@ -2,40 +2,39 @@
 
 Two layers:
 
-* Expanded operators (OperatorSum): normal-ordered mode monomials
-  a(m1;c1)...a(mk;ck) plus a scalar, acting exactly on {state: coeff}
-  dicts; nothing truncates an image.  A finite operator keeps all its
-  words: heisenberg, monomial (a_lambda(tau_l(class))) and instantiate.
-  A series (quadratic_sum, smeared_series, the derivation's replacement
-  operators) holds its words that annihilate at most w points, all that
-  act on states of weight up to w, and grows when a heavier state
-  arrives.  Every expansion is one int-first pass (_words): integer
-  numerators over one denominator per operator, each tau word brought
-  to canonical order once, one division per word through ring.ratio.
-  An operator caches its columns, the exact images of single basis
-  states, for its life (growing keeps them); a contraction index skips
-  the states it provably kills, and their shared empty column is
-  remembered, so a second ask is one lookup.  A family index
-  (OperatorFamily) lifts it to a list of operators, and
-  commutator_block composes, on one state, only the brackets of two
-  families that it cannot rule out, asking a column only of the
-  operators whose index meets that state.  Every word acts through one
-  single-state kernel, apply_word: it carries one state's image
-  through the word, factor by factor, as a list of (state, coeff)
-  pairs, and its caller (a column, act_arrangement) merges the pairs of
-  all its words once.  Vectors are {state: coeff} dicts, and the
-  kernels act on them (OperatorSum.act and column, commutator_column,
-  derive, act_arrangement).  OperatorSum.apply,
-  commutator_action, derivation_apply and apply_arrangement only pass
-  a dict on to them, as the names perfbench/tracer.py wraps; the
-  package never calls them.  Each is a function of its own: the tracer
+* Expanded operators (OperatorSum): mode monomials a(m1;c1)...a(mk;ck),
+  normal ordered except in an arrangement, plus a scalar, acting
+  exactly on {state: coeff} dicts; nothing truncates an image.  A
+  finite operator keeps all its words: heisenberg, monomial
+  (a_lambda(tau_l(class))), arrangement and instantiate.  A series
+  (quadratic_sum, smeared_series, derivation) holds its words that
+  annihilate at most w points, all that act on states of weight up to
+  w, and grows when a heavier state arrives.  Every expansion is one
+  int-first pass (_words): integer numerators over one denominator per
+  operator, each tau word brought to canonical order once, one division
+  per word through ring.ratio.  An operator caches its columns, the
+  exact images of single basis states, for its life (growing keeps
+  them); a contraction index skips the states it provably kills, and
+  their shared empty column is remembered, so a second ask is one
+  lookup.  A family index (OperatorFamily) lifts it to a list of
+  operators, and commutator_block composes, on one state, only the
+  brackets of two families that it cannot rule out, asking a column
+  only of the operators whose index meets that state.  Every word acts
+  through one single-state kernel, apply_word, which carries one
+  state's image through the word as a list of (state, coeff) pairs
+  that the column merges once.
+
+  The boundary derivation d is one more series: G_1(1_X) plus a K-term
+  (derivation), so the derivative of an operator is its bracket with d.
+  Three column sources build the sides a check compares from
+  operators, each with column(state): Bracket(f, g) (commutator_column,
+  kept per state), derivative(op, k) (k nested Brackets with d) and
+  Linear((c, op), ...) (a combination of columns).  OperatorSum.apply,
+  commutator_action, derivation_apply and apply_arrangement only pass a
+  dict on to OperatorSum.act or commutator_column, as the names
+  perfbench/tracer.py wraps; the package never calls them.  Each is a function of its own: the tracer
   rebinds every global holding a function it wraps, alias or not.
-  Only terms_within cuts an operator to a window, for term lists.  The
-  derivation operator d acts recursively through the replacement rule
-
-      [d, a(n;c)] = n*L(n;c) - (n(|n|-1)/2) * a(n; K*c)
-
-  applied factor by factor, where L is the quadratic (Virasoro) series.
+  Only terms_within cuts an operator to a window, for term lists.
 
 * Smeared calculus (SmearedOp): combinations of a_lambda(tau(e^a K^b g))
   with the smearing class g kept symbolic, keyed by (modes, a, b).  Its
@@ -448,59 +447,88 @@ def quadratic_sum(ring, n, elem):
                    lambda w: (_quadratic_items(n, elem, w), 2))
 
 
-def act_arrangement(ring, modes, elem, terms):
-    """Apply a_{m1}...a_{mk}(tau_k(elem)) with the modes in the given
-    (possibly unsorted) order to a {state: coeff} dict."""
-    out = {}
-    k = len(modes)
-    if k == 0 or elem.is_zero():
-        return out
-    for key, c0 in ring.tau(k, elem).items():
-        word = tuple(zip(modes, key))
-        for state, c in terms.items():
-            c *= c0
-            for s, c2 in apply_word(ring, word, state):
-                _acc(out, s, c * c2)
-    return out
+def arrangement(ring, modes, elem):
+    """a_{m1}...a_{mk}(tau_k(elem)) with the modes in the given, possibly
+    unsorted, order: an OperatorSum whose words keep that order.  The
+    empty arrangement is integral(elem) * Id, as in the smeared
+    convention."""
+    if not modes:
+        return OperatorSum(ring, scalar=ring.integrate(elem))
+    return OperatorSum(ring, {tuple(zip(modes, key)): c for key, c in
+                              ring.tau(len(modes), elem).items()})
 
 
 def apply_arrangement(ring, modes, elem, terms):
-    return act_arrangement(ring, modes, elem, terms)
+    return arrangement(ring, modes, elem).act(terms)
 
 
-# -- the derivation operator ----------------------------------------------
+# -- the derivation operator and column sources ----------------------------
 
 
-def _replacement_op(ring, mode, i):
-    """[d, a(mode; b_i)] as a series, cached on the ring for the life of
-    the process by (mode, i), together with the columns it computes."""
-    key = ("replacement", mode, i)
-    if key not in ring._cache:
-        b = ring.basis(i)
-        kterm = [((mode,), ring.K * b, -mode * (abs(mode) - 1))]
-        ring._cache[key] = _series(ring, b, lambda w: (
-            _quadratic_items(mode, b, w, mode) + kterm, 2))
-    return ring._cache[key]
+def _derivation_items(ring, reach):
+    """Items of the derivation over the denominator 6, for the words that
+    annihilate at most reach points: -(6/lam^!) a_lam(tau_3 1) over the
+    three-part partitions of 0, and -3(n-1) a_{-n} a_n(tau_2 K) for
+    n >= 2."""
+    items = [(parts, ring.unit, -(6 // mf))
+             for parts, _, _, mf, _ in genpartition_stats(3, 0, reach)]
+    return items + [((-n, n), ring.K, -3 * (n - 1))
+                    for n in range(2, reach + 1)]
 
 
-def derive(ring, terms):
-    """d applied to a {state: coeff} dict by the factorwise replacement
-    rule; d|0> = 0, and d is even and keeps the weight."""
-    out = {}
-    parity = ring.parity
-    for state, c in terms.items():
-        for t, (mode, i) in enumerate(state):
-            rep = _replacement_op(ring, mode, i)
-            prefix = state[:t]
-            for s2, c2 in rep.column(state[t + 1:]).items():
-                s3, sign = canonical_factors(prefix + s2, parity)
-                if s3 is not None:
-                    _acc(out, s3, c * c2 if sign == 1 else -c * c2)
-    return out
+def derivation(ring):
+    """The boundary derivation d, G_1(1_X) plus a K-term (Lehn, Invent.
+    Math. 136 (1999), Thm 3.10), as one even series that keeps the
+    weight, so [d, a(n;c)] = n L(n;c) - (n(|n|-1)/2) a(n; K c).  Kept
+    in ring._cache for the process, with its columns."""
+    op = ring._cache.get("derivation")
+    if op is None:
+        op = ring._cache["derivation"] = _series(
+            ring, ring.unit, lambda w: (_derivation_items(ring, w), 6))
+    return op
 
 
 def derivation_apply(ring, terms):
-    return derive(ring, terms)
+    return derivation(ring).act(terms)
+
+
+class Bracket:
+    """The bracket [f, g] as a column source: its column of a basis
+    state is commutator_column(f, g, state), kept once computed.  f and
+    g are operators, but g may be a column source when f is even, as d
+    is: commutator_column asks g's parity only when f is odd."""
+
+    __slots__ = ("f", "g", "_columns")
+
+    def __init__(self, f, g):
+        self.f, self.g, self._columns = f, g, {}
+
+    def column(self, state):
+        if state not in self._columns:
+            self._columns[state] = commutator_column(self.f, self.g, state)
+        return self._columns[state]
+
+
+def derivative(op, k):
+    """The k-th derivative D^k(op) = [d, D^{k-1}(op)] as k nested
+    Brackets with derivation(op.ring); k = 0 gives op."""
+    d = derivation(op.ring)
+    for _ in range(k):
+        op = Bracket(d, op)
+    return op
+
+
+class Linear:
+    """A combination of (c, source) pieces as a column source: its column
+    of a basis state combines theirs, and is not kept."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, *pieces):
+        self.pieces = pieces
+
+    def column(self, state):
+        return combine(*((c, op.column(state)) for c, op in self.pieces))
 
 
 # -- smeared calculus ------------------------------------------------------
@@ -776,12 +804,11 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
     return _divided(*bracket_nums(fams_a, fams_b, poscap, negcap))
 
 
-def _holds(fam, x):
-    """Whether a partition of the family may hold the part x: its rest
-    of ell - 1 nonzero parts must sum to total - x."""
-    rest = fam.total - x
-    return fam.ell > 2 or (fam.ell == 2 and rest != 0) or (
-        fam.ell == 1 and rest == 0)
+def _holds(fam, x, k=1):
+    """Whether a partition of the family may hold k parts summing to x:
+    its rest of ell - k nonzero parts must sum to total - x."""
+    ell, rest = fam.ell - k, fam.total - x
+    return ell > 1 or (ell == 1 and rest != 0) or (ell == 0 and rest == 0)
 
 
 def _plain_events(fa, fb, poscap, negcap):
@@ -829,10 +856,13 @@ def _swap_events(fa, fb, poscap, negcap):
     (-v, -x) choices invert.  The output has size fa.total + fb.total,
     so, as for plain events, it lies in the box exactly when its pos is
     at most top, and each loop stops at its first entry past its cap.
+    Only the s = v + x that both families can shed (_holds) are read.
     """
     nums = {}
     top = min(poscap, negcap + fa.total + fb.total)
     for s in range(fa.total - poscap, fa.total + negcap + 1):
+        if not (_holds(fa, s, 2) and _holds(fb, -s, 2)):
+            continue
         # v + x = s with |x| <= |v|, both of the sign of s
         for x in (range(1, s // 2 + 1) if s > 0
                   else range(-1, -(-s // 2) - 1, -1)):

@@ -12,8 +12,9 @@ its checks, or its first failure.  Every suite counts them through one
 group (`_Group`), which alone with `_verdict` builds records; heis
 finds a cell's first failure from its residual (`_heis_failure`) and
 counts the checks before it without comparing them, and every other
-bracket checked on states goes through `_Group.brackets`, which
-compares it with its right side's column on each state.  Each runner
+check on states goes through `_Group.columns`, which compares two
+column sources (an operator, or an `operators.Bracket`, `derivative` or
+`Linear` of operators) state by state.  Each runner
 declares its grid bounds, with their defaults, as keyword-only
 parameters; `run_suite` rejects any other --bound key.  The
 registry (`SUITES`) declares the rest a suite reads (its window and its
@@ -73,12 +74,12 @@ from typing import NamedTuple
 
 from .fock import (basis_states, combine, render_state, render_terms,
                    weight)
-from .operators import (OperatorFamily, SmearedOp, _divided,
-                        act_arrangement, box_keep, bracket_nums,
-                        commutator_block, commutator_column, derive,
-                        diamond_keep, heisenberg, instantiate, monomial,
-                        quadratic_sum, s_bracket, s_derive, series_bracket,
-                        series_nums, series_to_smeared, smeared_series)
+from .operators import (Bracket, Linear, OperatorFamily, SmearedOp,
+                        _divided, arrangement, box_keep, bracket_nums,
+                        commutator_block, derivative, diamond_keep,
+                        heisenberg, instantiate, monomial, quadratic_sum,
+                        s_bracket, s_derive, series_bracket, series_nums,
+                        series_to_smeared, smeared_series)
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, apow_families, chern, chern_families,
                        family_series, fourier, fourier_families,
@@ -262,33 +263,17 @@ class _Group:
         """Count n checks that pass without being compared one by one."""
         self.checks += n
 
-    def states(self, ring, states, sides, params):
-        """Compare both sides on each basis state.
-
-        ``sides(s)`` returns (lhs, rhs), the exact images of the basis
-        state s as {state: coeff} dicts; the first failure adds the state
-        to params and shows rhs as expected.
-        """
+    def columns(self, ring, states, lhs, rhs, params):
+        """Compare two column sources on each basis state s: lhs.column(s)
+        against rhs.column(s), both exact images.  The first failure adds
+        the state to params and shows rhs as expected."""
         for s in states:
-            lhs, rhs = sides(s)
-            if lhs != rhs and self.fail is None:
-                self._fail_at(ring, s, params, rhs, lhs)
+            got, want = lhs.column(s), rhs.column(s)
+            if got != want and self.fail is None:
+                self.fail = InstanceRecord(
+                    dict(params, state=render_state(s, ring)), "fail", 1,
+                    render_terms(want, ring), render_terms(got, ring))
         self.checks += len(states)
-
-    def brackets(self, ring, states, f, g, rhs, params):
-        """states() for the bracket [f, g] against rhs: on each basis
-        state s, commutator_column(f, g, s) against rhs.column(s), with
-        the same count and first failure, and no closure per state."""
-        for s in states:
-            lhs, want = commutator_column(f, g, s), rhs.column(s)
-            if lhs != want and self.fail is None:
-                self._fail_at(ring, s, params, want, lhs)
-        self.checks += len(states)
-
-    def _fail_at(self, ring, s, params, expected, actual):
-        self.fail = InstanceRecord(
-            dict(params, state=render_state(s, ring)), "fail", 1,
-            render_terms(expected, ring), render_terms(actual, ring))
 
     def record(self):
         """The group's record: a pass named by the group's params, or its
@@ -356,30 +341,6 @@ def _scalar_part(meas, ring):
     return sum((c * ring.integrate(ring.e if ep else ring.unit)
                 for (modes, ep, kp), c in meas.terms.items()
                 if not modes and not kp), Q(0))
-
-
-def _iter_deriv(op, k, terms):
-    """k-fold derivative of an operator applied to a {state: coeff} dict,
-    recursively: D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
-    if k == 0:
-        return op.act(terms)
-    ring = op.ring
-    return combine((1, derive(ring, _iter_deriv(op, k - 1, terms))),
-                (-1, _iter_deriv(op, k - 1, derive(ring, terms))))
-
-
-class _Derivative:
-    """c D^k(op) by columns, each computed when asked and not kept: the
-    right side of a _Group.brackets check whose expected operator is a
-    derivative or a scaled series."""
-
-    __slots__ = ("op", "k", "c")
-
-    def __init__(self, op, k, c):
-        self.op, self.k, self.c = op, k, c
-
-    def column(self, state):
-        return combine((self.c, _iter_deriv(self.op, self.k, {state: 1})))
 
 
 def _euler_families(ell, total, c):
@@ -611,8 +572,8 @@ def _w_spots(ring, states, cells, pairs):
         p, q, m, n = cell
         a, b = ring.basis(ca), ring.basis(cb)
         ja, jb = jay(ring, p, m, a), jay(ring, q, n, b)
-        t.brackets(ring, states, ja, jb, _w_op(ring, cell, a * b),
-                   dict(t.params, p=p, q=q, m=m, n=n, a=ca, b=cb))
+        t.columns(ring, states, Bracket(ja, jb), _w_op(ring, cell, a * b),
+                  dict(t.params, p=p, q=q, m=m, n=n, a=ca, b=cb))
     return t.record()
 
 
@@ -667,11 +628,11 @@ def _vir_spots(spec, mut):
             params = {"check": "action", "surface": ring.name, "m": m, "n": n}
             t = _Group(params)
             for (na, a), (nb, b) in product(pairs, pairs):
-                f = op(quadratic_sum, m, a)
-                g = op(quadratic_sum, n, b)
-                t.brackets(ring, states, f, g,
-                           _w_op(ring, (1, 1, m, n), a * b),
-                           dict(params, a=na, b=nb))
+                t.columns(ring, states,
+                          Bracket(op(quadratic_sum, m, a),
+                                  op(quadratic_sum, n, b)),
+                          _w_op(ring, (1, 1, m, n), a * b),
+                          dict(params, a=na, b=nb))
             yield t.record()
 
 
@@ -709,10 +670,11 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                           "n": n}
                 t = _Group(params)
                 for na, a, nb, b, ab in cases:
-                    t.brackets(ring, states, op(quadratic_sum, m, a),
-                               tr(heisenberg, n, b),
-                               tr(heisenberg, m + n, ab).scaled(-n),
-                               dict(params, a=na, b=nb))
+                    t.columns(ring, states,
+                              Bracket(op(quadratic_sum, m, a),
+                                      tr(heisenberg, n, b)),
+                              tr(heisenberg, m + n, ab).scaled(-n),
+                              dict(params, a=na, b=nb))
                 yield t.record()
         for n in range(-m_max, m_max + 1):
             if n == 0:
@@ -721,14 +683,10 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
             params = {"part": "replacement", "surface": ring.name, "n": n}
             t = _Group(params)
             for nb, b in pairs:
-                an = heisenberg(ring, n, b)
-                ln = quadratic_sum(ring, n, b)
-                kn = heisenberg(ring, n, ring.K * b)
-                t.states(ring, states,
-                         lambda s: (_iter_deriv(an, 1, {s: 1}),
-                                    combine((Q(n), ln.column(s)),
-                                         (-coef, kn.column(s)))),
-                         dict(params, b=nb))
+                t.columns(ring, states, derivative(heisenberg(ring, n, b), 1),
+                          Linear((Q(n), quadratic_sum(ring, n, b)),
+                                 (-coef, heisenberg(ring, n, ring.K * b))),
+                          dict(params, b=nb))
             yield t.record()
         kfree = _ktrivial(ring, pairs)
         for k in range(k_max + 1):
@@ -737,10 +695,11 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
             for na, a in kfree:
                 gk = chern(ring, k, a)
                 for nb, b in small:
-                    t.brackets(ring, states, gk, tr(heisenberg, -1, b),
-                               _Derivative(tr(heisenberg, -1, a * b), k,
-                                           Q(1, factorial(k))),
-                               dict(params, a=na, b=nb))
+                    t.columns(ring, states,
+                              Bracket(gk, tr(heisenberg, -1, b)),
+                              Linear((Q(1, factorial(k)), derivative(
+                                  tr(heisenberg, -1, a * b), k))),
+                              dict(params, a=na, b=nb))
             yield t.record()
 
 
@@ -798,21 +757,20 @@ def _run_lem32(spec, mut):
                                    SmearedOp({(mu, 0, 0): Q(1)}))
                     rhs = cache(partial(instantiate, sm, ring))
                     for na, a, nb, b, ab in cases:
-                        t.brackets(ring, states, op(monomial, nu, a),
-                                   op(monomial, mu, b), rhs(ab),
-                                   dict(params, nu=str(list(nu)),
-                                        mu=str(list(mu)), a=na, b=nb))
+                        t.columns(ring, states,
+                                  Bracket(op(monomial, nu, a),
+                                          op(monomial, mu, b)), rhs(ab),
+                                  dict(params, nu=str(list(nu)),
+                                       mu=str(list(mu)), a=na, b=nb))
             yield t.record()
             params = {"part": "derivative", "surface": ring.name}
             t = _Group(params)
             for nu in nus:
                 for na, a in cpairs:
-                    op = monomial(ring, nu, a)
-                    rhs_op = smeared_series(ring, _derivative_at(nu), a)
-                    t.states(ring, states,
-                             lambda s: (_iter_deriv(op, 1, {s: 1}),
-                                        rhs_op.column(s)),
-                             dict(params, nu=str(list(nu)), a=na))
+                    t.columns(ring, states,
+                              derivative(monomial(ring, nu, a), 1),
+                              smeared_series(ring, _derivative_at(nu), a),
+                              dict(params, nu=str(list(nu)), a=na))
             yield t.record()
         params = {"part": "reorder", "surface": ring.name}
         t = _Group(params)
@@ -823,21 +781,10 @@ def _run_lem32(spec, mut):
             if seq[j] == -seq[j + 1] and seq[j] != 0:
                 cc = Q(seq[j] if mut else -seq[j])
             for na, a in cpairs:
-                ea = ring.e * a
-
-                def sides(s):
-                    one = {s: 1}
-                    lhs = act_arrangement(ring, seq, a, one)
-                    rhs = act_arrangement(ring, swapped, a, one)
-                    if cc and rest:
-                        rhs = combine((1, rhs), (cc, act_arrangement(
-                            ring, rest, ea, one)))
-                    elif cc:
-                        rhs = combine((1, rhs), (cc * ring.integrate(ea), one))
-                    return lhs, rhs
-
-                t.states(ring, states, sides,
-                         dict(params, seq=str(list(seq)), pos=j, a=na))
+                t.columns(ring, states, arrangement(ring, seq, a),
+                          Linear((1, arrangement(ring, swapped, a)),
+                                 (cc, arrangement(ring, rest, ring.e * a))),
+                          dict(params, seq=str(list(seq)), pos=j, a=na))
         yield t.record()
 
 
@@ -893,13 +840,10 @@ def _thm42_spots(spec, mut):
         states = _action_states(ring)
         t = _Group({"check": "action", "surface": ring.name, "class": cname})
         for k, n in product(range(3), (1, -1, -2)):
-            an = heisenberg(ring, n, a)
-            rhs_op = family_series(ring, _apow_families(n, k, mut), a)
-            t.states(ring, states,
-                     lambda s: (_iter_deriv(an, k, {s: 1}),
-                                rhs_op.column(s)),
-                     {"check": "action", "surface": ring.name, "k": k,
-                      "n": n, "a": cname})
+            t.columns(ring, states, derivative(heisenberg(ring, n, a), k),
+                      family_series(ring, _apow_families(n, k, mut), a),
+                      {"check": "action", "surface": ring.name, "k": k,
+                       "n": n, "a": cname})
         yield t.record()
 
 
@@ -985,9 +929,9 @@ def _thm46_spots(spec):
             gk = chern(ring, k, ring.unit)
             for nb, b in _probe(ring)[:3]:
                 am = heisenberg(ring, -1, b)
-                t.brackets(ring, states, gk, am,
-                           _Derivative(am, k, Q(1, factorial(k))),
-                           dict(t.params, k=k, b=nb))
+                t.columns(ring, states, Bracket(gk, am),
+                          Linear((Q(1, factorial(k)), derivative(am, k))),
+                          dict(t.params, k=k, b=nb))
         yield t.record()
 
 
@@ -1110,12 +1054,9 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         states = _action_states(ring)
         t = _Group({"part": "d-action", "surface": ring.name})
         for p, (na, a) in product(range(4), _probe(ring)[:3]):
-            jp = jay(ring, p, -1, a)
-            inner = heisenberg(ring, -1, a)
-            t.states(ring, states,
-                     lambda s: (jp.column(s),
-                                combine((-1, _iter_deriv(inner, p, {s: 1})))),
-                     dict(t.params, p=p, a=na))
+            t.columns(ring, states, jay(ring, p, -1, a),
+                      Linear((-1, derivative(heisenberg(ring, -1, a), p))),
+                      dict(t.params, p=p, a=na))
         yield t.record()
 
 
@@ -1161,10 +1102,11 @@ def _lem52_spots(spec):
             for na, a in kfree[:3]:
                 gp = chern(ring, p, a)
                 for nb, b in others:
-                    t.brackets(ring, states, gp, heisenberg(ring, n, b),
-                               _Derivative(jay(ring, p, n, a * b), 0,
-                                           Q(n, factorial(p))),
-                               dict(t.params, p=p, n=n, a=na, b=nb))
+                    t.columns(ring, states,
+                              Bracket(gp, heisenberg(ring, n, b)),
+                              Linear((Q(n, factorial(p)),
+                                      jay(ring, p, n, a * b))),
+                              dict(t.params, p=p, n=n, a=na, b=nb))
         yield t.record()
 
 
@@ -1309,15 +1251,11 @@ def _rmk56_spots(spec):
         t = _Group({"check": "action", "surface": ring.name})
         for p, n in product(range(1, 4), (-2, -1, 1, 2)):
             for na, a in _probe(ring)[:3]:
-                jp = jay(ring, p, n, a)
-                jup = jay(ring, p + 1, n, a)
-                jdown = jay(ring, p - 1, n, ring.e * a)
-                cc = Q(-(n ** 3 - n) * p, 12)
-                t.states(ring, states,
-                         lambda s: (_iter_deriv(jp, 1, {s: 1}),
-                                    combine((Q(-n), jup.column(s)),
-                                         (cc, jdown.column(s)))),
-                         dict(t.params, p=p, n=n, a=na))
+                t.columns(ring, states, derivative(jay(ring, p, n, a), 1),
+                          Linear((Q(-n), jay(ring, p + 1, n, a)),
+                                 (Q(-(n ** 3 - n) * p, 12),
+                                  jay(ring, p - 1, n, ring.e * a))),
+                          dict(t.params, p=p, n=n, a=na))
         yield t.record()
 
 

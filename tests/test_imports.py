@@ -372,49 +372,54 @@ def test_no_module_level_memo_container(path):
         path.relative_to(SRC)
 
 
-def bracket_closures(source):
-    """(line, name) of every call .states(...) in source that is passed a
-    lambda, or a function defined in the same enclosing function, that
-    calls commutator_column: a bracket check that goes round
-    _Group.brackets."""
+# Operations that act on whole {state: coeff} dicts: a state check built
+# from them would compute a side outside _Group.columns.
+DICT_LEVEL = ("commutator_column", "commutator_action", "derive",
+              "derivation_apply")
+
+
+def state_check_bypasses(source):
+    """(line, name) of every call .columns(...) in source that is passed a
+    lambda, or a function defined in the same enclosing function, and of
+    every import of a DICT_LEVEL name: a state check that builds a side
+    per state rather than comparing two column sources."""
     found = []
     for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, ast.ImportFrom):
+            found += [(scope.lineno, alias.name) for alias in scope.names
+                      if alias.name in DICT_LEVEL]
         if not isinstance(scope, FUNCS + (ast.Module,)):
             continue
-        local = {node.name: node for node in ast.walk(scope)
+        local = {node.name for node in ast.walk(scope)
                  if isinstance(node, FUNCS) and node is not scope}
         for call in ast.walk(scope):
             if not (isinstance(call, ast.Call)
-                    and getattr(call.func, "attr", None) == "states"):
+                    and getattr(call.func, "attr", None) == "columns"):
                 continue
             for arg in call.args + [kw.value for kw in call.keywords]:
-                body = (arg if isinstance(arg, ast.Lambda)
-                        else local.get(getattr(arg, "id", None)))
-                if body is not None and any(
-                        isinstance(node, ast.Call)
-                        and (getattr(node.func, "id", None)
-                             or getattr(node.func, "attr", None))
-                        == "commutator_column"
-                        for node in ast.walk(body)):
-                    found.append((call.lineno, getattr(arg, "id", "lambda")))
+                if isinstance(arg, ast.Lambda):
+                    found.append((call.lineno, "lambda"))
+                elif getattr(arg, "id", None) in local:
+                    found.append((call.lineno, arg.id))
     return sorted(set(found))
 
 
 def test_checker_flags_a_bracket_closure():
-    source = ("def run(t, f, g, rhs):\n"
-              "    t.states(r, ss, lambda s: (commutator_column(f, g, s),\n"
-              "                               rhs.column(s)), {})\n"
+    source = ("from .operators import Bracket, commutator_column\n"
+              "def run(t, f, g, rhs):\n"
+              "    t.columns(r, ss, lambda s: commutator_column(f, g, s),\n"
+              "              rhs, {})\n"
               "    def sides(s):\n"
-              "        return ops.commutator_column(f, g, s), {}\n"
-              "    t.states(r, ss, sides, {})\n"
-              "    t.states(r, ss, lambda s: (f.column(s), {}), {})\n"
-              "    t.brackets(r, ss, f, g, rhs, {})\n")
-    assert bracket_closures(source) == [(2, "lambda"), (6, "sides")]
+              "        return f.column(s)\n"
+              "    t.columns(r, ss, f, sides, {})\n"
+              "    t.columns(r, ss, Bracket(f, g), rhs, {})\n")
+    assert state_check_bypasses(source) == [
+        (1, "commutator_column"), (3, "lambda"), (7, "sides")]
 
 
-def test_bracket_checks_go_through_group_brackets():
-    """Every bracket a verify suite checks on states goes through
-    _Group.brackets, which compares the bracket with its right side
-    without a closure per check."""
+def test_state_checks_go_through_group_columns():
+    """Every check a verify suite makes on states goes through
+    _Group.columns, which compares two column sources, and verify
+    imports no operation on whole dicts to build a side with."""
     source = (SRC / "hilbfock" / "verify.py").read_text()
-    assert bracket_closures(source) == []
+    assert state_check_bypasses(source) == []

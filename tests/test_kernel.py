@@ -5,6 +5,7 @@ the int-first expansion that builds expanded operators."""
 
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,11 @@ from hilbfock import operators
 from hilbfock.fock import (annihilate_state, basis_states, canonical_factors,
                            combine, create_state, exact, weight)
 from hilbfock.operators import (_EMPTY, OperatorFamily, OperatorSum,
-                                SmearedOp, _replacement_op, act_arrangement,
-                                commutator_action, commutator_block,
-                                commutator_column, derive, heisenberg,
-                                instantiate, monomial, quadratic_sum,
-                                series_to_smeared, smeared_series)
+                                SmearedOp, arrangement, commutator_action,
+                                commutator_block, commutator_column,
+                                derivation, heisenberg, instantiate,
+                                monomial, quadratic_sum, series_to_smeared,
+                                smeared_series)
 from hilbfock.partitions import enumerate_genpartitions
 from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
 from hilbfock.walgebra import (chern, chern_families, fourier,
@@ -150,7 +151,7 @@ def test_apply_arrangement_matches_composition(name, data):
     elem = ring.basis(words[0][0][1])
     want = ref_sum([(c0, ref_word(ring, tuple(zip(modes, key)), terms))
                     for key, c0 in ring.tau(len(modes), elem).items()])
-    assert act_arrangement(ring, modes, elem, terms) == want
+    assert arrangement(ring, modes, elem).act(terms) == want
 
 
 # Two classes that pair with each other on each surface; both odd on the
@@ -340,7 +341,7 @@ def test_series_growth_matches_fresh_columns(name):
     trivial = [ring.basis(c) for c in CLASSES[name]
                if (ring.K * ring.basis(c)).is_zero()]
     first = ring.index[CLASSES[name][0]]
-    builds = [lambda: fresh_replacement(ring, -2, first)]
+    builds = [lambda: fresh_derivation(ring)]
     for a in trivial[:2]:
         builds += [lambda a=a, k=k: fresh_named(chern, ring, k, a)
                    for k in (0, 1)]
@@ -384,11 +385,10 @@ def test_series_scalar_comes_with_the_first_band(name):
         assert grown.column(s) == build().column(s), s
 
 
-def fresh_replacement(ring, mode, i):
-    """_replacement_op(ring, mode, i) made anew, not taken from the
-    ring's cache."""
-    ring._cache.pop(("replacement", mode, i), None)
-    return _replacement_op(ring, mode, i)
+def fresh_derivation(ring):
+    """derivation(ring) made anew, not taken from the ring's cache."""
+    ring._cache.pop("derivation", None)
+    return derivation(ring)
 
 
 def fresh_named(build, ring, *args):
@@ -576,8 +576,8 @@ def test_coefficients_stay_int_or_fraction(name):
         for f, g in pairs:
             _assert_exact(commutator_column(f, g, s))
         for a in names[:3]:
-            _assert_exact(act_arrangement(ring, (1, -2), ring.basis(a), v))
-        _assert_exact(derive(ring, v))
+            _assert_exact(arrangement(ring, (1, -2), ring.basis(a)).act(v))
+        _assert_exact(derivation(ring).act(v))
         _assert_exact(combine((Fraction(1, 3), v), (-2, v)))
 
 
@@ -598,21 +598,22 @@ def test_scale_rejects_float_and_bool():
 
 
 def test_tracer_names_call_the_kernels():
-    """The names perfbench/tracer.py wraps act on dicts as the kernels
-    the package calls, but are functions of their own: the tracer
-    rebinds every module global that holds a function it wraps, so an
-    alias would put the kernel itself under its wrapper."""
+    """The names perfbench/tracer.py wraps act on dicts as the operators
+    the package calls, but are functions of their own, defined under
+    their own names: the tracer rebinds every module global that holds
+    a function it wraps, so an alias would put the kernel itself under
+    its wrapper."""
     x = P2.basis("x")
     v = {((-1, 0), (-1, 2)): Fraction(1, 2), ((-2, 0),): 3}
     op = heisenberg(P2, 1, x)
-    pairs = ((operators.OperatorSum.apply, operators.OperatorSum.act,
-              (op, v)),
-             (operators.apply_arrangement, operators.act_arrangement,
-              (P2, (1, -2), x, v)),
-             (operators.derivation_apply, operators.derive, (P2, v)))
-    for name, kernel, args in pairs:
-        assert name is not kernel
-        assert name(*args) == kernel(*args) != {}
+    cases = ((operators.OperatorSum.apply, (op, v), op.act(v)),
+             (operators.apply_arrangement, (P2, (1, -2), x, v),
+              arrangement(P2, (1, -2), x).act(v)),
+             (operators.derivation_apply, (P2, v), derivation(P2).act(v)))
+    for (fn, args, want), name in zip(cases, ("apply", "apply_arrangement",
+                                              "derivation_apply")):
+        assert fn.__name__ == name
+        assert fn(*args) == want != {}
 
 
 # -- the int-first expansion ------------------------------------------------
@@ -711,14 +712,17 @@ def ref_instantiate(smeared, ring, gamma, cutoff):
     return op
 
 
-def ref_replacement(ring, mode, i, cutoff):
-    b = ring.basis(i)
-    op = RefSum(ring).merge(ref_quadratic_sum(ring, mode, b, cutoff),
-                            Fraction(mode))
-    kb = ring.K * b
-    if not kb.is_zero():
-        op.merge(ref_monomial(ring, (mode,), kb, cutoff),
-                 Fraction(-mode * (abs(mode) - 1), 2))
+def ref_derivation(ring, cutoff):
+    """-(1/lam^!) a_lam(tau_3 1) over the three-part partitions of 0,
+    and -((n-1)/2) a_{-n} a_n(tau_2 K) for n >= 2."""
+    op = RefSum(ring)
+    for lam in enumerate_genpartitions(3, 0, cutoff):
+        mult_factorial = prod(factorial(lam.count(p)) for p in set(lam))
+        op.merge(ref_monomial(ring, lam, ring.unit, cutoff),
+                 Fraction(-1, mult_factorial))
+    for n in range(2, cutoff + 1):
+        op.merge(ref_monomial(ring, (-n, n), ring.K, cutoff),
+                 Fraction(1 - n, 2))
     return op
 
 
@@ -737,12 +741,10 @@ def expansions(draw):
     ring = ALL_RINGS[name]
     cutoff = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(("chern", "jay", "virasoro", "fourier",
-                                 "monomial", "replacement", "smeared")))
-    if kind == "replacement":
-        mode = draw(st.sampled_from(MODES))
-        i = draw(st.integers(0, ring.dim - 1))
-        return (fresh_replacement(ring, mode, i).terms_within(cutoff),
-                ref_replacement(ring, mode, i, cutoff))
+                                 "monomial", "derivation", "smeared")))
+    if kind == "derivation":
+        return (fresh_derivation(ring).terms_within(cutoff),
+                ref_derivation(ring, cutoff))
     names = ring.basis_names
     if kind == "chern":
         names = [c for c in names if (ring.K * ring.basis(c)).is_zero()]

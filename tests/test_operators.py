@@ -1,21 +1,25 @@
 """Operator layer: transfer operators, smeared series, bracket engines."""
 
 from fractions import Fraction as Q
+from functools import cache
 from itertools import product
 from math import factorial
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock import operators, walgebra
-from hilbfock.fock import basis_states, combine, vacuum
-from hilbfock.operators import (OperatorSum, SmearedOp, act_arrangement,
-                                box_keep, commutator_column, derive,
-                                diamond_keep, heisenberg, instantiate,
-                                monomial, normalize_arrangement,
+from hilbfock.fock import basis_states, canonical_factors, combine, vacuum
+from hilbfock.operators import (Linear, OperatorSum, SmearedOp, arrangement,
+                                box_keep, commutator_column, derivation,
+                                derivative, diamond_keep, heisenberg,
+                                instantiate, monomial, normalize_arrangement,
                                 quadratic_sum, s_bracket, s_derive,
                                 series_bracket, series_to_smeared)
-from hilbfock.ring import builtin_ring
+from hilbfock.ring import SURFACE_NAMES, builtin_ring
+from hilbfock.walgebra import chern
 from hilbfock.verify import _euler_families, _sound_pos
 from hilbfock.walgebra import (apow_families, chern_families,
                                fourier_families, heis_families,
@@ -102,7 +106,7 @@ def test_quadratic_sum_annihilates_vacuum():
 def test_derivation_frozen_plane_value():
     """d(a_-2(1)|0>) = -3 a_-2(H)|0> + 2 a_-1(1)a_-1(x)|0> + a_-1(H)^2|0>."""
     v = st_vec(P2, (-2, {"1": 1}))
-    got = derive(P2, v)
+    got = derivation(P2).act(v)
     want = combine((1, st_vec(P2, (-2, {"H": -3}))),
                    (Q(2), st_vec(P2, (-1, {"1": 1}), (-1, {"x": 1}))),
                    (1, st_vec(P2, (-1, {"H": 1}), (-1, {"H": 1}))))
@@ -110,17 +114,113 @@ def test_derivation_frozen_plane_value():
 
 
 def derivative_of(op, vec):
-    """[d, op] applied to vec through derive and OperatorSum.act."""
-    ring = op.ring
-    return combine((1, derive(ring, op.act(vec))),
-                   (-1, op.act(derive(ring, vec))))
+    """[d, op] applied to vec, column by column of derivative(op, 1)."""
+    return combine(*((c, derivative(op, 1).column(s))
+                     for s, c in vec.items()))
 
 
 def test_derivation_vacuum_and_weight_one():
-    assert derive(P2, vacuum()) == {}
+    assert derivation(P2).act(vacuum()) == {}
     # a_-1 states are exact point configurations; d acts by K only
     v = st_vec(P2, (-1, {"1": 1}))
-    assert derive(P2, v) == {}
+    assert derivation(P2).act(v) == {}
+
+
+# -- the derivation against the replacement rule ---------------------------
+
+
+@cache
+def _replacement(name, mode, i):
+    """[d, a(mode; b_i)] = mode L(mode; b_i) - (mode(|mode|-1)/2)
+    a(mode; K b_i) on the built-in ring name, by columns."""
+    ring = builtin_ring(name)
+    b = ring.basis(i)
+    return Linear((mode, quadratic_sum(ring, mode, b)),
+                  (Q(-mode * (abs(mode) - 1), 2),
+                   heisenberg(ring, mode, ring.K * b)))
+
+
+def ref_derive(ring, terms):
+    """d applied to a {state: coeff} dict by the replacement rule, factor
+    by factor: d|0> = 0 and d is even, so d(a_1 ... a_k|0>) is the sum
+    over t of a_1 ... a_{t-1} [d, a_t] a_{t+1} ... a_k|0>."""
+    out = {}
+    for state, c in terms.items():
+        for t, (mode, i) in enumerate(state):
+            rep = _replacement(ring.name, mode, i).column(state[t + 1:])
+            for s2, c2 in rep.items():
+                s3, sign = canonical_factors(state[:t] + s2, ring.parity)
+                if s3 is not None:
+                    out[s3] = out.get(s3, 0) + sign * c * c2
+    return {s: c for s, c in out.items() if c}
+
+
+def ref_iter_deriv(op, k, terms):
+    """D^k(op) applied to a dict by the recursion
+    D^k(op) t = d(D^{k-1}(op) t) - D^{k-1}(op)(d t)."""
+    if k == 0:
+        return op.act(terms)
+    ring = op.ring
+    return combine((1, ref_derive(ring, ref_iter_deriv(op, k - 1, terms))),
+                   (-1, ref_iter_deriv(op, k - 1, ref_derive(ring, terms))))
+
+
+# The weights up to which the derivation meets the replacement rule.
+DERIVE_WEIGHT = {"p2": 4, "p1xp1": 4, "k3": 3, "abelian": 3}
+
+
+def derivation_mismatches(ring):
+    """The states of weight at most DERIVE_WEIGHT where derivation(ring)
+    differs from the replacement rule."""
+    d = derivation(ring)
+    return [s for w in range(DERIVE_WEIGHT[ring.name] + 1)
+            for s in basis_states(ring, w)
+            if d.column(s) != ref_derive(ring, {s: 1})]
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_derivation_matches_the_replacement_rule(name):
+    assert derivation_mismatches(builtin_ring(name)) == []
+
+
+@pytest.mark.parametrize("name", ("k3", "abelian"))
+def test_derivation_is_g1_of_the_unit(name):
+    """On a surface with K = 0, d = G_1(1_X), column by column."""
+    ring = builtin_ring(name)
+    d, g1 = derivation(ring), chern(ring, 1, ring.unit)
+    for s in [s for w in range(3) for s in basis_states(ring, w)]:
+        assert d.column(s) == g1.column(s), s
+
+
+@pytest.mark.parametrize("name", ("p2", "p1xp1"))
+def test_derivation_without_its_k_term_breaks_the_rule(name, monkeypatch):
+    """The replacement-rule check sees d's K-term: without its
+    a_{-n} a_n(tau_2 K) items d differs from the rule where K != 0."""
+    ring = builtin_ring(name)
+    items = operators._derivation_items
+    monkeypatch.setattr(operators, "_derivation_items", lambda r, w: [
+        it for it in items(r, w) if len(it[0]) == 3])
+    ring._cache.pop("derivation", None)
+    try:
+        assert derivation_mismatches(ring)
+    finally:
+        ring._cache.pop("derivation", None)
+
+
+@pytest.mark.parametrize("name", ("p2", "abelian"))
+def test_nested_derivatives_match_the_recursion(name):
+    """derivative(a_{-1}(b), k), k nested brackets with d, against the
+    recursion D^k s = d(D^{k-1} s) - D^{k-1}(d s) on every state of
+    weight at most 2, odd classes included on the abelian surface."""
+    ring = builtin_ring(name)
+    states = [s for w in range(3) for s in basis_states(ring, w)]
+    for cb in ring.basis_names[:3]:
+        op = heisenberg(ring, -1, ring.basis(cb))
+        for k in range(4):
+            dk = derivative(op, k)
+            for s in states:
+                assert dk.column(s) == ref_iter_deriv(op, k, {s: 1}), (
+                    cb, k, s)
 
 
 def test_replacement_rule_of_derivative():
@@ -443,7 +543,7 @@ def test_scaled_zero_is_empty():
 def test_apply_arrangement_matches_composition():
     x = P2.elem({"x": 1})
     v = st_vec(P2, (-1, {"H": 1}), (-1, {"x": 1}))
-    got = act_arrangement(P2, (-2, 1), x, v)
+    got = arrangement(P2, (-2, 1), x).act(v)
     want = heisenberg(P2, -2, x).act(heisenberg(P2, 1, x).act(v))
     assert got == want
 

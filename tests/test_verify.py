@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hilbfock import operators, verify, walgebra
+from hilbfock.fock import combine, render_state, render_terms
 from hilbfock.operators import box_keep, series_nums
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
@@ -504,11 +505,26 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
     assert len(calls) <= 113, len(calls)
 
 
-def test_group_brackets_match_the_states_closure():
-    """_Group.brackets counts and records as states() with the closure
-    it replaced: thm31's mixed cells [L_m(1), a_n(H)] on p2 against
-    -n a_{m+n}(H) pass in both, and against (-n + 1) a_{m+n}(H) fail in
-    both on the three cells where a_{m+n}(H) is not zero, with the same
+def _composed_record(ring, states, lm, an, rhs, params):
+    """The record of [lm, an] against rhs on each state, composed as
+    lm.act(an.act(s)) - an.act(lm.act(s)) for two even operators: a pass
+    named by params, or the first failing state with rhs as expected."""
+    for s in states:
+        one = {s: 1}
+        got = combine((1, lm.act(an.act(one))), (-1, an.act(lm.act(one))))
+        want = rhs.act(one)
+        if got != want:
+            return InstanceRecord(
+                dict(params, state=render_state(s, ring)), "fail", 1,
+                render_terms(want, ring), render_terms(got, ring))
+    return InstanceRecord(params, "pass", len(states))
+
+
+def test_group_columns_match_the_composed_reference():
+    """_Group.columns(Bracket(lm, an), rhs) counts and records as the
+    composed reference: thm31's mixed cells [L_m(1), a_n(H)] on p2
+    against -n a_{m+n}(H) pass, and against (-n + 1) a_{m+n}(H) fail on
+    the three cells where a_{m+n}(H) is not zero, with the reference's
     first failure."""
     ring = builtin_ring("p2")
     states = verify._action_states(ring)
@@ -520,14 +536,13 @@ def test_group_brackets_match_the_states_closure():
         for c in (-n, -n + 1):
             rhs = operators.heisenberg(ring, m + n, h).scaled(c)
             params = {"part": "mixed", "m": m, "n": n, "c": c}
-            closure, group = verify._Group(params), verify._Group(params)
-            closure.states(ring, states, lambda s: (
-                operators.commutator_column(lm, an, s), rhs.column(s)),
-                params)
-            group.brackets(ring, states, lm, an, rhs, params)
-            assert closure.checks == group.checks == len(states)
-            record = closure.record()
-            assert record == group.record(), (m, n, c)
+            group = verify._Group(params)
+            group.columns(ring, states, operators.Bracket(lm, an), rhs,
+                          params)
+            assert group.checks == len(states)
+            record = group.record()
+            assert record == _composed_record(ring, states, lm, an, rhs,
+                                              params), (m, n, c)
             assert record.status == ("fail" if c != -n and m + n else "pass")
             failed += record.status == "fail"
     assert failed == 3
@@ -572,7 +587,6 @@ def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch,
         return bracket(*args)
 
     monkeypatch.setattr(operators, "commutator_column", counted)
-    monkeypatch.setattr(verify, "commutator_column", counted)
     for mutation, ok in (("", True), ("central-shift", False)):
         report = run_suite(SuiteSpec("heis", surface="k3",
                                      bounds={"m_max": 2}, mutation=mutation))
