@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -20,7 +19,8 @@ from .hilbert import (chern_class, cup_product, hilb_integral,
                       k_multisets)
 from .operators import heisenberg
 from .ring import RingError, builtin_ring, dump_ring, load_ring
-from .verify import SuiteSpec, list_suites, run_suite, serialize_report
+from .verify import (SuiteSpec, dumps, list_suites, run_suite,
+                     serialize_report)
 from .walgebra import chern, jay, omega, virasoro
 
 
@@ -96,7 +96,7 @@ def _emit(text, out):
 
 
 def _jline(doc):
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return dumps(doc) + "\n"
 
 
 def _csv(rows):

@@ -54,9 +54,12 @@ Two layers:
   of a bracket) to one common denominator, returning (numerators,
   denominator), so a caller can sum several of them over one
   denominator before dividing; series_to_smeared and series_bracket
-  divide them once per output key through _divided (ring.ratio), and
-  s_derive halves once per key.  SmearedOp values are stored through
-  fock.exact: an int when integral, else a Fraction, never a float.
+  divide them once per output key through _divided (ring.ratio).
+  s_derive accumulates int numerators over the lcm D of its input's
+  denominators and divides once per key by 2D; it finds each split's
+  Euler corrections directly, without re-sorting the arrangement.
+  SmearedOp values are stored through fock.exact: an int when
+  integral, else a Fraction, never a float.
 
   A Family keeps two kinds of table, each sorted by positive total so
   that a narrower box reads a prefix.  Its contraction tables
@@ -891,40 +894,69 @@ def s_derive(a, keep, poscap, negcap, include_k=True):
     Each part v splits into ordered pairs m1 + m2 = v with weight -v/2
     (the pair inserted in place, normal ordered), and each term gains a
     K-smeared copy weighted by -sum v(|v|-1)/2 unless include_k is off.
-    Twice the result is accumulated, then halved once per key.
+
+    The calculus is integer-first: every coefficient becomes a numerator
+    over D, the lcm of the input's denominators, and twice the result is
+    accumulated in ints, then divided once per key by 2D.  The Euler
+    corrections of a split are found directly: modes is sorted, so an
+    inverted (u, -u) pair (u > 0 first) contains m1 or m2, never both,
+    since v != 0.  For v > 0 it pairs a u = -m1 before the split with
+    m1, for v < 0 it pairs m2 = u with a -u after it; each occurrence
+    removes the pair with factor -u and one more power of e.
     """
+    den = lcm(*[c.denominator for c in a.terms.values()])
     twice = {}
     for (modes, e0, k0), c in a.terms.items():
+        n = c.numerator * (den // c.denominator)
         if include_k:
             ks = -sum(v * (abs(v) - 1) // 2 for v in modes)
             if ks and keep(modes):
-                _acc(twice, (modes, e0, k0 + 1), 2 * ks * c)
+                _acc(twice, (modes, e0, k0 + 1), 2 * ks * n)
         for j, v in enumerate(modes):
-            base = -v * c
+            base = -v * n
+            head, tail = modes[:j], modes[j + 1:]
+            rest = head + tail
             for m1 in range(max(-negcap, v - poscap), v // 2 + 1):
                 m2 = v - m1
                 if m1 == 0 or m2 == 0:
                     continue
-                mult = 1 if m1 == m2 else 2
-                arr = modes[:j] + (m1, m2) + modes[j + 1:]
-                for ms, ee, im in normalize_arrangement(arr):
-                    if e0 + ee > 1:
-                        continue
+                w = base if m1 == m2 else 2 * base
+                ms = tuple(sorted(rest + (m1, m2)))
+                if keep(ms):
+                    _acc(twice, (ms, e0, k0), w)
+                if e0:
+                    continue
+                if v > 0 and m1 < 0:
+                    gone, kept, hits = -m1, m2, head.count(-m1)
+                elif v < 0 and m2 > 0:
+                    gone, kept, hits = -m2, m1, tail.count(-m2)
+                else:
+                    continue
+                if hits:
+                    left = list(rest)
+                    left.remove(gone)
+                    left.append(kept)
+                    ms = tuple(sorted(left))
                     if keep(ms):
-                        _acc(twice, (ms, e0 + ee, k0), base * mult * im)
-    return _divided(twice, 2)
+                        _acc(twice, (ms, 1, k0), -abs(gone) * hits * w)
+    return _divided(twice, 2 * den)
 
 
 def box_keep(poscap, negcap):
+    """Keep a monomial whose positive parts sum to at most poscap and
+    whose negative parts to at most negcap in size: those sums are
+    (size + total) / 2 and (size - total) / 2."""
+    pos2, neg2 = 2 * poscap, 2 * negcap
+
     def keep(modes):
-        return (sum(m for m in modes if m > 0) <= poscap
-                and -sum(m for m in modes if m < 0) <= negcap)
+        total, size = sum(modes), sum(map(abs, modes))
+        return size + total <= pos2 and size - total <= neg2
     return keep
 
 
 def diamond_keep(radius):
     def keep(modes):
-        return sum(abs(m) for m in modes) <= radius
+        return sum(map(abs, modes)) <= radius
     return keep
 
 

@@ -65,7 +65,6 @@ use reduced grids; the mutation is rejected unless its label matches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache, partial
 from fractions import Fraction
 from itertools import product
@@ -95,35 +94,54 @@ Q = Fraction
 # -- specs and records -----------------------------------------------------
 
 
-@dataclass
-class SuiteSpec:
-    """Parameters of one verification run."""
-
-    suite: str
-    surface: str = ""
-    cutoff: int = 0
-    bounds: dict = field(default_factory=dict)
-    mutation: str = ""
-    # Read by nothing: every suite runs in this process.  Kept because
-    # the benchmark worker (perfbench/worker.py) builds SuiteSpec(...,
-    # jobs=1).
-    jobs: int = 1
+# One encoder for every JSON line of a report and of the CLI:
+# json.dumps(x, sort_keys=True) would build a new one per call.
+dumps = json.JSONEncoder(sort_keys=True).encode
 
 
-@dataclass
-class InstanceRecord:
-    params: dict
-    status: str
-    checks: int = 1
-    expected: str = ""
-    actual: str = ""
+class _Fields:
+    """A plain record class: keyword or positional fields in __slots__
+    order, equality and repr by field.  (dataclasses would import
+    inspect, ast and dis with this module.)"""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    spec: SuiteSpec
-    records: list
+class SuiteSpec(_Fields):
+    """Parameters of one verification run.  jobs is read by nothing:
+    every suite runs in this process.  It is kept because the benchmark
+    worker (perfbench/worker.py) builds SuiteSpec(..., jobs=1)."""
+
+    __slots__ = ("suite", "surface", "cutoff", "bounds", "mutation", "jobs")
+
+    def __init__(self, suite, surface="", cutoff=0, bounds=None,
+                 mutation="", jobs=1):
+        self.suite, self.surface, self.cutoff = suite, surface, cutoff
+        self.bounds = {} if bounds is None else bounds
+        self.mutation, self.jobs = mutation, jobs
+
+
+class InstanceRecord(_Fields):
+    __slots__ = ("params", "status", "checks", "expected", "actual")
+
+    def __init__(self, params, status, checks=1, expected="", actual=""):
+        self.params, self.status, self.checks = params, status, checks
+        self.expected, self.actual = expected, actual
+
+
+class VerificationReport(_Fields):
+    __slots__ = ("suite", "spec", "records")
+
+    def __init__(self, suite, spec, records):
+        self.suite, self.spec, self.records = suite, spec, records
 
     @property
     def passed(self):
@@ -1409,7 +1427,8 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
     Each run brackets every ordered pair of single terms once per ring,
     into a pair table: antisymmetry reads both orders of a pair from it
     and Jacobi its three inner brackets, so only the outer brackets are
-    computed per triple.
+    computed per triple, and none whose inner bracket is zero: a bracket
+    with an empty operand is empty, central terms included.
 
     Mutation central-shift: the central factor m becomes m + 1.
     """
@@ -1422,6 +1441,8 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
         gram = ring.pairing_matrix()
 
         def brk(x, y):
+            if not x or not y:
+                return {}
             out = wbracket(ring, x, y)
             if mut:
                 for kx in x:
@@ -1619,15 +1640,14 @@ def report_lines(report):
 
 def serialize_report(report, fmt="jsonl"):
     if fmt == "jsonl":
-        return "\n".join(json.dumps(line, sort_keys=True)
-                         for line in report_lines(report)) + "\n"
+        return "\n".join(map(dumps, report_lines(report))) + "\n"
     if fmt == "human":
         out = ["suite %s: %d instances, %d passed, %d failed"
                % (report.suite, len(report.records), report.passed,
                   report.failed)]
         for r in report.records:
             if r.status != "pass":
-                out.append("FAIL %s" % json.dumps(r.params, sort_keys=True))
+                out.append("FAIL %s" % dumps(r.params))
                 out.append("  expected: %s" % r.expected)
                 out.append("  actual:   %s" % r.actual)
         out.append("result: %s" % ("PASS" if report.ok else "FAIL"))
@@ -1640,7 +1660,7 @@ def serialize_report(report, fmt="jsonl"):
         w.writerow(["suite", "params", "status", "checks", "expected",
                     "actual"])
         for r in report.records:
-            w.writerow([report.suite, json.dumps(r.params, sort_keys=True),
+            w.writerow([report.suite, dumps(r.params),
                         r.status, r.checks, r.expected, r.actual])
         return buf.getvalue()
     raise ValueError("unknown format %r" % fmt)

@@ -192,35 +192,73 @@ def deriv_coeff(r, i):
     return out
 
 
-def perm_sum(parts, orders):
+def _set_partitions(items):
+    """Every set partition of a list, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for rest in _set_partitions(items[1:]):
+        yield [[first]] + rest
+        for k, block in enumerate(rest):
+            yield rest[:k] + [[first] + block] + rest[k + 1:]
+
+
+def _perm_plan(orders):
+    """perm_sum's plan for one order tuple: ((n - d)!, the distinct
+    blocks, each as the sorted orders of its slots, and the Moebius
+    terms (weight, block indices), one per set partition of the d
+    derived slots)."""
+    derived = [r for r in orders if r]
+    blocks, index, terms = [], {}, []
+    for partition in _set_partitions(list(range(len(derived)))):
+        weight, row = 1, []
+        for block in partition:
+            weight *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+            key = tuple(sorted(derived[s] for s in block))
+            if key not in index:
+                index[key] = len(blocks)
+                blocks.append(key)
+            row.append(index[key])
+        terms.append((weight, row))
+    return factorial(len(orders) - len(derived)), blocks, terms
+
+
+def perm_sum(parts, orders, plan=None):
     """Sum over distinct orderings of the parts of the per-slot derivative
     coefficients; this is the smeared coefficient of a_lam inside the
     normally ordered product.
 
-    Only the derived slots (nonzero orders) carry a coefficient, so the
-    sum runs over the distinct values those slots take, each weighted by
-    the number of distinct orderings of the parts left over."""
-    derived = [r for r in orders if r]
-    counts = {}
-    for i in parts:
-        counts[i] = counts.get(i, 0) + 1
-    rest = factorial(len(parts) - len(derived))
+    Only the d derived slots (nonzero orders) carry a coefficient c =
+    deriv_coeff, so the sum is (n - d)! / lam^! times the sum I, over
+    injective maps of the derived slots into the n positions, of
+    prod_s c(r_s, part).  Moebius inversion over the set partitions pi
+    of the derived slots turns I into power sums over the parts:
 
-    def walk(slot):
-        if slot == len(derived):
-            out = rest
-            for c in counts.values():
-                out //= factorial(c)
-            return out
-        total = 0
-        for i, c in counts.items():
-            if c:
-                counts[i] = c - 1
-                total += deriv_coeff(derived[slot], i) * walk(slot + 1)
-                counts[i] = c
-        return total
+        I = sum_pi prod_{B in pi} (-1)^(|B|-1) (|B|-1)! P_B,
+        P_B = sum_i m_i prod_{s in B} c(r_s, i),
 
-    return walk(0)
+    over the distinct parts i with multiplicity m_i.  The division by
+    lam^! is exact.  A family passes its plan, _perm_plan(orders), so
+    that it is not rebuilt per partition.
+    """
+    rest, blocks, terms = plan or _perm_plan(orders)
+    sums = [0] * len(blocks)
+    lam = 1
+    for i in set(parts):
+        m = parts.count(i)
+        lam *= factorial(m)
+        for b, rs in enumerate(blocks):
+            g = m
+            for r in rs:
+                g *= deriv_coeff(r, i)
+            sums[b] += g
+    total = 0
+    for weight, row in terms:
+        for b in row:
+            weight *= sums[b]
+        total += weight
+    return rest * total // lam
 
 
 def fourier_families(orders, mode):
@@ -232,9 +270,9 @@ def fourier_families(orders, mode):
     """
     if not orders:
         return []
-    orders = tuple(orders)
+    plan = _perm_plan(orders)
     return [Family(len(orders), mode,
-                   lambda parts, mf, ws: perm_sum(parts, orders))]
+                   lambda parts, mf, ws: perm_sum(parts, orders, plan))]
 
 
 def fourier(ring, orders, mode, elem):

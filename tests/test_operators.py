@@ -294,6 +294,64 @@ def test_s_derive_matches_recursive_derivative():
                 assert got == op_der.act(vec), (cls, modes)
 
 
+def ref_s_derive(a, keep, poscap, negcap, include_k=True):
+    """The replacement rule by generic splitting, as a test-only
+    reference: each split's arrangement goes through
+    normalize_arrangement, and Fractions accumulate."""
+    out = {}
+    for (modes, e0, k0), c in a.terms.items():
+        if include_k:
+            ks = -sum(Q(v * (abs(v) - 1), 2) for v in modes)
+            if ks and keep(modes):
+                key = (modes, e0, k0 + 1)
+                out[key] = out.get(key, 0) + ks * c
+        for j, v in enumerate(modes):
+            for m1 in range(-negcap, poscap + 1):
+                m2 = v - m1
+                if m1 == 0 or m2 == 0 or not -negcap <= m2 <= poscap:
+                    continue
+                # both orders (m1, m2) and (m2, m1), each with weight -v/2
+                arr = modes[:j] + (m1, m2) + modes[j + 1:]
+                for ms, ee, im in normalize_arrangement(arr):
+                    if e0 + ee <= 1 and keep(ms):
+                        key = (ms, e0 + ee, k0)
+                        out[key] = out.get(key, 0) + Q(-v, 2) * c * im
+    return SmearedOp(out)
+
+
+# Smeared lists whose parts repeat with mixed signs, so that one u meets
+# several -u after a split: (1, 1, 3) splits 3 into (-1, 4) behind two
+# 1s, (-3, -1, -1) splits -3 into (-4, 1) before two -1s.
+DERIVE_INPUTS = (
+    SmearedOp({((1, 1, 3), 0, 0): Q(1), ((-3, -1, -1), 0, 0): Q(-2, 3)}),
+    SmearedOp({((-2, -1, -1, 1, 1, 2), 0, 0): Q(1, 3),
+               ((-3, -1, 1, 1, 3), 0, 1): Q(-5, 2),
+               ((-2, -2, 1, 3), 1, 0): Q(7),
+               ((-1, -1, 2, 2), 1, 1): Q(2, 5)}),
+    SmearedOp({((-3, 1, 1, 1), 0, 0): Q(1, 4), ((-1, -1, -1, 3), 0, 1): 3,
+               ((-2, 2, 2), 1, 0): Q(-1, 6), ((2, 2, 2), 0, 0): 1}),
+)
+
+
+@pytest.mark.parametrize("case", range(len(DERIVE_INPUTS)))
+def test_s_derive_matches_generic_splitting(case):
+    """s_derive, which finds each split's Euler corrections directly and
+    counts repeated partners, equals the generic splitting through
+    normalize_arrangement: with Euler and K powers 0 and 1, with and
+    without the K-term, on box and diamond windows."""
+    a = DERIVE_INPUTS[case]
+    windows = [(box_keep(p, n), p, n) for p, n in ((6, 6), (9, 4), (4, 9),
+                                                   (3, 3))]
+    windows += [(diamond_keep(r), r, r) for r in (8, 12)]
+    for keep, pos, neg in windows:
+        for include_k in (True, False):
+            got = s_derive(a, keep, pos, neg, include_k)
+            want = ref_s_derive(a, keep, pos, neg, include_k)
+            assert got == want, (case, pos, neg, include_k)
+            assert ({k: type(c) for k, c in got.terms.items()}
+                    == {k: type(c) for k, c in want.terms.items()})
+
+
 # Family pairs with their own num/den, including mixed denominators and
 # Euler families, for the bracket agreement and exact-scalar tests.
 FAMILY_PAIRS = {

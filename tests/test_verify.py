@@ -689,12 +689,27 @@ def test_lem32_memo_memory_stays_bounded():
     assert kept < 2, "lem32-p1xp1 left %.2f MB traced" % kept
 
 
+def _eq22_nonempty_inner(ring):
+    """The nonempty plain brackets of two singles in eq22's Jacobi grid
+    at p_max = m_max = 1, from the pair table."""
+    names = verify._W_CLASSES[ring.name]
+    singles = [(p, m, cn) for p in range(2) for m in range(-1, 2)
+               for cn in names]
+    sub = [walgebra.wterm(p, m, ring.basis(cn)) for p, m, cn in singles
+           if m in (-2, 0, 1) and cn in names[:3]]
+    assert len(singles) == 24 and len(sub) == 12
+    return sum(1 for x in sub for y in sub if walgebra.wbracket(ring, x, y))
+
+
 def test_eq22_brackets_each_pair_once(monkeypatch):
     """eq22 brackets every ordered pair of single terms once per ring and
     reads antisymmetry and the inner Jacobi brackets from that table, so
     at the benchmark's bounds (24 singles per ring, 12 of them in the
-    Jacobi grid) it calls wbracket 24^2 times per ring plus 3 times per
-    Jacobi triple, and its reports keep their frozen bytes."""
+    Jacobi grid) it calls wbracket 24^2 times per ring, plus, per Jacobi
+    triple, once for each of its three inner brackets that is nonempty:
+    3 * 12 times the nonempty pairs of the grid.  An outer bracket of an
+    empty inner one is zero and is not computed.  Its reports keep their
+    frozen bytes."""
     calls = 0
     bracket = verify.wbracket
 
@@ -703,8 +718,12 @@ def test_eq22_brackets_each_pair_once(monkeypatch):
         calls += 1
         return bracket(*args)
 
+    rings = verify._rings(SuiteSpec("eq22"))
+    jacobi = sum(3 * 12 * _eq22_nonempty_inner(ring) for ring in rings)
+    assert 0 < jacobi < len(rings) * 3 * 12 ** 3
     monkeypatch.setattr(verify, "wbracket", counted)
-    for mutation, rings in (("", 2), ("central-shift", 1)):
+    for mutation, want in (("", len(rings) * 24 ** 2 + jacobi),
+                           ("central-shift", 24 ** 2)):
         calls = 0
         report = run_suite(SuiteSpec("eq22", bounds={"p_max": 1, "m_max": 1},
                                      mutation=mutation))
@@ -712,8 +731,7 @@ def test_eq22_brackets_each_pair_once(monkeypatch):
         assert report.ok == (not mutation)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             REFS["suites"]["eq22" + ("+mutation" if mutation else "")]
-        jacobi = 0 if mutation else 3 * 12 ** 3
-        assert calls == rings * (24 ** 2 + jacobi), (mutation, calls)
+        assert calls == want, (mutation, calls)
 
 
 SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",

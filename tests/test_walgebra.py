@@ -364,24 +364,30 @@ def _perm_sum_oracle(parts, orders):
     return total
 
 
-# The derived-slot shapes that lem53 and lem61 use, padded with zeros.
-_ORDER_SHAPES = ((), (2,), (1, 1), (1, 2), (3,), (1, 1, 1))
+# The derived-slot shapes that lem53 and lem61 use, and one with d = 4
+# derived slots (15 set partitions), padded with zeros.
+_ORDER_SHAPES = ((), (2,), (1, 1), (1, 2), (3,), (1, 1, 1), (1, 2, 1, 3))
 _PERM_PARTS = ((1,), (-2,), (-1, 1), (2, 2), (-3, -1, 2), (-1, -1, -1),
                (-2, -2, 1, 1), (1, 1, 1, 1), (-1, 1, 1, 3, 3),
                (-3, -1, 2, 2, 2, 4), (-2, -2, -2, 1, 1, 5))
+# Parts repeated three times or more, tried at every derived placement.
+_REPEATED_PARTS = ((-1, 2, 2, 2, 2), (-4, -4, 3, 3, 3), (1, 1, 1, 1, 1))
 
 
 def test_perm_sum_matches_brute_force():
-    """perm_sum, which walks only the derived slots, equals the sum over
-    every distinct ordering of the parts, for each order shape and any
-    placement of the derived slots."""
-    for parts in _PERM_PARTS:
+    """perm_sum, a sum over set partitions of the derived slots, equals
+    the sum over every distinct ordering of the parts, for each order
+    shape and placement of the derived slots."""
+    for parts in _PERM_PARTS + _REPEATED_PARTS:
         for shape in _ORDER_SHAPES:
             if len(shape) > len(parts):
                 continue
             orders = shape + (0,) * (len(parts) - len(shape))
             want = _perm_sum_oracle(parts, orders)
-            for placed in (orders, orders[::-1]):
+            placements = (set(permutations(orders))
+                          if parts in _REPEATED_PARTS
+                          else (orders, orders[::-1]))
+            for placed in placements:
                 got = perm_sum(parts, placed)
                 assert type(got) is int and got == want, (parts, placed)
 
