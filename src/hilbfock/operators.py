@@ -55,30 +55,43 @@ Two layers:
   denominator), so a caller can sum several of them over one
   denominator before dividing; series_to_smeared and series_bracket
   divide them once per output key through _divided (ring.ratio).
-  s_derive accumulates int numerators over the lcm D of its input's
-  denominators and divides once per key by 2D; it finds each split's
-  Euler corrections directly, without re-sorting the arrangement.
-  SmearedOp values are stored through fock.exact: an int when
-  integral, else a Fraction, never a float.
+  bracket_nums keys its numerators by packed mode code (encode): a mode
+  multiset with its Euler power packed into one int, one byte per mode,
+  so that the output of a contraction event, the union of its two
+  survivors, is the sum of their codes (a Kronecker substitution).  Its
+  family pairs accumulate into one dict, each pair's scale to the
+  common denominator folded into the left entry of every event, and a
+  caller decodes (decode, decoded) only the codes it keeps.  coded
+  rekeys series_nums output the same way.  s_derive accumulates int
+  numerators over the lcm D of its input's denominators and divides
+  once per key by 2D; it finds each split's Euler corrections directly,
+  without re-sorting the arrangement.  SmearedOp values are stored
+  through fock.exact: an int when integral, else a Fraction, never a
+  float, and SmearedOp keys stay (modes, a, b).
 
   A Family keeps two kinds of table, each sorted by positive total so
-  that a narrower box reads a prefix.  Its contraction tables
-  (Family.survivors), per contracted part x and neg cap, hold the
-  partitions rest + (x,) by rest with their nonzero weights; a plain
-  contraction event multiplies two entries.  Its shed tables
-  (Family.shed), per pair of parts (v, x) and neg cap, hold the
-  partitions rest + (v, x) by rest, weighted by the ordered choices of
-  a v part and another x part.  An Euler-corrected event contracts v
-  and sheds the pair (x, -x) exactly when x has the sign of v and
-  |x| <= |v|, so it multiplies fa.shed(v, x) by fb.shed(-v, -x) with
-  the weight (-v)(-|x|), halved at x = v.  So num runs once per family,
-  part and window instead of once per bracket.  walgebra.jay_families
-  builds each J^p_n once per process, so every W-bracket cell shares
-  its tables; a family built per call frees them with itself.  The
-  tables, _stats_list and enumerate_genpartitions all read the one
-  partition enumeration, partitions.genpartition_stats, whose rows carry
-  each partition's parts, mult! and sum of squares; a partition is a
-  sorted tuple.
+  that a narrower box reads a prefix, and each indexed per neg cap by
+  the parts a partition of the family may hold (a _Tables dict), so a
+  bracket walks the parts one family holds and looks the matching parts
+  up in the other's index; a table is built the first time a bracket
+  reads it.  Its contraction tables (Family.contractions),
+  per contracted part x, hold the partitions rest + (x,) as rows
+  (code of rest, pos, weight) with their nonzero weights; a plain
+  contraction event multiplies two entries and adds their codes.  Its
+  shed tables (Family.sheds), per pair of parts (v, x), hold the
+  partitions rest + (v, x) by the code of rest, weighted by the ordered
+  choices of a v part and another x part.  An Euler-corrected event
+  contracts v and sheds the pair (x, -x) exactly when x has the sign of
+  v and |x| <= |v|, so it multiplies the shed tables of (v, x) in one
+  family and (-v, -x) in the other with the weight (-v)(-|x|), halved
+  at x = v, and sets the Euler bit of the summed code.  So num runs
+  once per family, part and window instead of once per bracket.
+  walgebra.jay_families builds each J^p_n once per process, so every
+  W-bracket cell shares its tables; a family built per call frees them
+  with itself.  The tables, _stats_list and enumerate_genpartitions all
+  read the one partition enumeration, partitions.genpartition_stats,
+  whose rows carry each partition's parts, mult! and sum of squares; a
+  partition is a sorted tuple.
 
 Identity checks compare smeared term lists (surface independent), then
 instantiate on a concrete ring where needed.
@@ -646,6 +659,51 @@ def s_bracket(a, b):
     return out
 
 
+def encode(parts, e=0):
+    """The packed code of a mode multiset parts with Euler power e in
+    {0, 1}: the count of mode k sits in byte slot 2k - 1 for k > 0 and
+    -2k for k < 0, the whole shifted left one bit, and bit 0 holds e.
+    Codes add as multisets do, so the code of a union is the sum of the
+    codes; the scalar codes are 0 and 1, and setting bit 0 of an even
+    code multiplies its term by e.  At most 127 parts, so that a sum of
+    two codes keeps every count within its byte."""
+    if len(parts) > 127:
+        raise ValueError("a packed code holds at most 127 parts, got %d"
+                         % len(parts))
+    for k in parts:
+        e += 1 << (16 * k - 7 if k > 0 else 1 - 16 * k)
+    return e
+
+
+def decode(code):
+    """The SmearedOp key (modes, e, 0) of a packed code, modes sorted."""
+    counts = code >> 1
+    neg, pos = [], []
+    for slot, n in enumerate(counts.to_bytes((counts.bit_length() + 7)
+                                             // 8, "little")):
+        if n:
+            if slot & 1:
+                pos += [(slot + 1) >> 1] * n
+            else:
+                neg += [-(slot >> 1)] * n
+    neg.reverse()
+    return tuple(neg + pos), code & 1, 0
+
+
+def coded(nums):
+    """Numerators keyed by (modes, e, 0) rekeyed by packed code; a code
+    has no K power, so a key with one is refused."""
+    if any(k for _, _, k in nums):
+        raise ValueError("a packed code has no K power")
+    return {encode(modes, e): n for (modes, e, _), n in nums.items()}
+
+
+def decoded(nums):
+    """The nonzero numerators of a packed-code dict, keyed by (modes, e,
+    0)."""
+    return {decode(k): n for k, n in nums.items() if n}
+
+
 class Family:
     """One full smeared series: all partitions of a length and size, the
     partition lam weighted by num(parts, mult_factorial, weighted_square)
@@ -659,14 +717,14 @@ class Family:
     The partition statistics are precomputed, so evaluating num
     allocates nothing extra.
 
-    A family keeps its contraction tables (survivors) and its shed
-    tables (shed) for its life: a family built once, such as a member of
-    walgebra.jay_families, evaluates num once per partition, contracted
-    part (or contracted and shed pair of parts) and neg cap, however many
-    brackets read it.  The plain events of a bracket read the
-    contraction tables and its Euler-corrected events the shed tables
-    (_swap_events).  The tables follow num, so a family is never edited:
-    a changed weight is a new Family.
+    A family keeps its contraction tables (contractions) and its shed
+    tables (sheds) for its life: a family built once, such as a member
+    of walgebra.jay_families, evaluates num once per partition,
+    contracted part (or contracted and shed pair of parts) and neg cap,
+    however many brackets read it.  The plain events of a bracket read
+    the contraction tables and its Euler-corrected events the shed
+    tables (_swap_events).  The tables follow num, so a family is never
+    edited: a changed weight is a new Family.
     """
 
     __slots__ = ("ell", "total", "num", "den", "epow", "_tables", "_sheds")
@@ -680,55 +738,88 @@ class Family:
         self._tables = {}
         self._sheds = {}
 
-    def survivors(self, x, poscap, negcap):
-        """The contraction table of the part x: (parts, pos, c) for each
-        partition lam = parts + (x,) of the family whose weight is
-        nonzero and whose parts have neg <= negcap, c being num(lam)
-        times the multiplicity of x in lam, sorted by pos, so that the
-        box pos <= poscap reads a prefix of it.  Built on first use up
-        to pos <= max(poscap, negcap), which holds every box of this
-        negcap that the package asks (no poscap of its brackets exceeds
-        negcap), and rebuilt wider only when a box asks for more."""
-        table = self._tables.get((x, negcap))
-        if table is None or poscap > table[0]:
-            rest = self.total - x
+    def contractions(self, poscap, negcap):
+        """The contraction tables of the box pos <= poscap, neg <= negcap,
+        a _Tables index keyed by each part x that a partition lam =
+        rest + (x,) of the family may hold; a row's weight is num(lam)
+        times the multiplicity of x in lam.  The index is made per neg
+        cap up to pos <= max(poscap, negcap), which holds every box of
+        this negcap that the package asks (no poscap of its brackets
+        exceeds negcap), and made anew, wider, only when a box asks for
+        more."""
+        index = self._tables.get(negcap)
+        if index is None or poscap > index.cap:
             cap = max(poscap, negcap)
-            num, xx = self.num, x * x
-            rows, ints = [], {}
-            for parts, pos, _, mf, ws in _stats_list(self.ell - 1, rest,
-                                                     cap, negcap):
-                cnt = parts.count(x) + 1
-                c = cnt * num(tuple(sorted(parts + (x,))), mf * cnt, ws + xx)
-                if c:
-                    # rows of equal weight share one int object
-                    rows.append((parts, pos, ints.setdefault(c, c)))
-            rows.sort(key=itemgetter(1))
-            table = self._tables[x, negcap] = (cap, tuple(rows))
-        return table[1]
+            index = self._tables[negcap] = _Tables(
+                self, cap, negcap,
+                (x for x in range(self.total - cap, self.total + negcap + 1)
+                 if x and _holds(self, x)))
+        return index
 
-    def shed(self, v, x, poscap, negcap):
-        """The shed table of the parts v and x: (rest, pos, c) for each
-        partition lam = rest + (v, x) of the family whose weight is
-        nonzero and whose rest has neg <= negcap, c being num(lam) times
-        m_v(lam) (m_x(lam) - [x = v]), the ordered choices of a v part
-        and another x part, sorted by pos.  That count is lam^! /
-        rest^!.  Built and widened as survivors is, so a box of this
-        negcap reads a prefix."""
-        table = self._sheds.get((v, x, negcap))
-        if table is None or poscap > table[0]:
+    def sheds(self, poscap, negcap):
+        """The shed tables of the box, a _Tables index keyed by each pair
+        of parts (v, x) of the sign of s = v + x with |x| <= |v| that a
+        partition lam = rest + (v, x) of the family may hold; a row's
+        weight is num(lam) times m_v(lam) (m_x(lam) - [x = v]), the
+        ordered choices of a v part and another x part.  Made and
+        widened as contractions are."""
+        index = self._sheds.get(negcap)
+        if index is None or poscap > index.cap:
             cap = max(poscap, negcap)
-            num, sq = self.num, v * v + x * x
+            index = self._sheds[negcap] = _Tables(
+                self, cap, negcap,
+                ((s - x, x)
+                 for s in range(self.total - cap, self.total + negcap + 1)
+                 if _holds(self, s, 2)
+                 for x in (range(1, s // 2 + 1) if s > 0
+                           else range(-1, -(-s // 2) - 1, -1))))
+        return index
+
+
+class _Tables(dict):
+    """The tables of one kind of a family on one neg cap, up to pos <=
+    cap: each key is a part x or a pair of parts (v, x) that a partition
+    of the family may hold, mapped to None until its table is first
+    built (rows), then to the table.  A table is a tuple of rows
+    (code, pos, c), one for each partition lam = rest + parts with a
+    nonzero weight and rest on the window: code is the packed code of
+    rest with the family's Euler bit, and c is num(lam) times the
+    ordered choices of those parts in lam, which is lam^! / rest^!.  The
+    rows are sorted by pos, so a narrower box reads a prefix, and rows
+    of equal weight share one int object.  The index keeps the family's
+    fields, not the family, so that a family built per call frees its
+    tables with itself, with no reference cycle."""
+
+    __slots__ = ("ell", "total", "num", "epow", "cap", "negcap")
+
+    def __init__(self, fam, cap, negcap, keys):
+        super().__init__(dict.fromkeys(keys))
+        self.ell, self.total, self.num, self.epow = (fam.ell, fam.total,
+                                                     fam.num, fam.epow)
+        self.cap, self.negcap = cap, negcap
+
+    def rows(self, key):
+        """The table of a key, built on first read."""
+        rows = self[key]
+        if rows is None:
+            num, epow = self.num, self.epow
+            take = key if type(key) is tuple else (key,)
+            v, *more = take
+            sq = sum(t * t for t in take)
             rows, ints = [], {}
             for rest, pos, _, mf, ws in _stats_list(
-                    self.ell - 2, self.total - v - x, cap, negcap):
-                cv = rest.count(v) + 1
-                k = cv * (cv + 1 if x == v else rest.count(x) + 1)
-                c = k * num(tuple(sorted(rest + (v, x))), mf * k, ws + sq)
+                    self.ell - len(take), self.total - sum(take), self.cap,
+                    self.negcap):
+                k = rest.count(v) + 1
+                if more:
+                    k *= rest.count(more[0]) + 1 + (more[0] == v)
+                c = k * num(tuple(sorted(rest + take)), mf * k, ws + sq)
                 if c:
-                    rows.append((rest, pos, ints.setdefault(c, c)))
+                    rows.append((encode(rest, epow), pos,
+                                 ints.setdefault(c, c)))
             rows.sort(key=itemgetter(1))
-            table = self._sheds[v, x, negcap] = (cap, tuple(rows))
-        return table[1]
+            rows = self[key] = tuple(rows)
+        return rows
 
 
 @cache
@@ -770,8 +861,8 @@ def series_to_smeared(families, poscap, negcap):
 
 def bracket_nums(fams_a, fams_b, poscap, negcap):
     """The complete bracket of two families of smeared series on the box
-    pos <= poscap, neg <= negcap, as (integer numerators by key, their
-    common denominator).
+    pos <= poscap, neg <= negcap, as (integer numerators by packed code,
+    their common denominator); a code may hold a zero numerator.
 
     Two kinds of event.  Plain contraction events keep every survivor
     mode, so the survivors are sub-multisets of the output and sit
@@ -782,8 +873,8 @@ def bracket_nums(fams_a, fams_b, poscap, negcap):
     shed one (x, -x) pair while reordering, so the shed pair may stick
     out of the box, but the output a'' + b'' (both pairs removed) does
     not; they are read from the shed tables (_swap_events).  Every family
-    pair accumulates integer numerators over the common denominator of
-    all pairs.
+    pair accumulates into one dict, over the common denominator of all
+    pairs, its scale folded into the left entry of each event.
     """
     pairs = [(fa, fb) for fa in fams_a for fb in fams_b
              if fa.epow + fb.epow <= 1]
@@ -791,12 +882,9 @@ def bracket_nums(fams_a, fams_b, poscap, negcap):
     nums = {}
     for fa, fb in pairs:
         scale = den // (fa.den * fb.den)
-        e0 = fa.epow + fb.epow
-        for ms, n in _plain_events(fa, fb, poscap, negcap).items():
-            _acc(nums, (ms, e0, 0), n * scale)
-        if e0 == 0 and fa.ell >= 2 and fb.ell >= 2:
-            for ms, n in _swap_events(fa, fb, poscap, negcap).items():
-                _acc(nums, (ms, 1, 0), n * scale)
+        _plain_events(fa, fb, poscap, negcap, nums, scale)
+        if fa.epow + fb.epow == 0 and fa.ell >= 2 and fb.ell >= 2:
+            _swap_events(fa, fb, poscap, negcap, nums, scale)
     return nums, den
 
 
@@ -804,7 +892,8 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
     """Complete bracket of two families of smeared series on the box
     pos <= poscap, neg <= negcap (bracket_nums), divided once per output
     key."""
-    return _divided(*bracket_nums(fams_a, fams_b, poscap, negcap))
+    nums, den = bracket_nums(fams_a, fams_b, poscap, negcap)
+    return _divided(decoded(nums), den)
 
 
 def _holds(fam, x, k=1):
@@ -814,77 +903,91 @@ def _holds(fam, x, k=1):
     return ell > 1 or (ell == 1 and rest != 0) or (ell == 0 and rest == 0)
 
 
-def _plain_events(fa, fb, poscap, negcap):
-    """Integer numerators of the plain contraction events of one family
-    pair, keyed by output modes: the products of the two families'
-    table entries for v and -v whose survivors fit the box together.
-    An output of size fa.total + fb.total lies in the box exactly when
-    its pos is at most top, and the tables are sorted by pos, so each
-    loop stops at its first entry past its cap.  Each survivor's total
-    lies in [-negcap, top], and only the v that both families can hold
-    (_holds) are read."""
-    nums = {}
+def _plain_events(fa, fb, poscap, negcap, nums, scale):
+    """Add to nums scale times the integer numerators of the plain
+    contraction events of one family pair, keyed by packed output code,
+    and return it: the products of the two families' table entries for
+    v and -v whose survivors fit the box together, the sum of the
+    survivors' codes being the output's.  An output of size fa.total +
+    fb.total lies in the box exactly when its pos is at most top, and
+    the tables are sorted by pos, so each loop stops at its first entry
+    past its cap.  Each survivor's total lies in [-negcap, top], so only
+    the v of fa's index in that range whose -v fb's index holds are
+    read, and fa's table of v is built only when fb's of -v has rows."""
     top = min(poscap, negcap + fa.total + fb.total)
-    for v in range(max(fa.total - top, -negcap - fb.total),
-                   min(fa.total + negcap, top - fb.total) + 1):
-        if v == 0 or not (_holds(fa, v) and _holds(fb, -v)):
+    lo = max(fa.total - top, -negcap - fb.total)
+    hi = min(fa.total + negcap, top - fb.total)
+    side = fb.contractions(poscap, negcap)
+    index = fa.contractions(poscap, negcap)
+    for v, rows_a in index.items():
+        if not lo <= v <= hi:
             continue
-        side_b = fb.survivors(-v, poscap, negcap)
-        if not side_b:
+        rows_b = side.get(-v, ())
+        if rows_b is None:
+            rows_b = side.rows(-v)
+        if not rows_b:
             continue
-        for pa, posa, ca in fa.survivors(v, poscap, negcap):
+        if rows_a is None:
+            rows_a = index.rows(v)
+        w = -v * scale
+        for ka, posa, ca in rows_a:
             if posa > top:
                 break
-            ca *= -v
+            ca *= w
             cap = top - posa
-            for pb, posb, cb in side_b:
+            for kb, posb, cb in rows_b:
                 if posb > cap:
                     break
-                ms = tuple(sorted(pa + pb))
-                nums[ms] = nums.get(ms, 0) + ca * cb
+                k = ka + kb
+                nums[k] = nums.get(k, 0) + ca * cb
     return nums
 
 
-def _swap_events(fa, fb, poscap, negcap):
-    """Integer numerators of the bracket events of one family pair whose
-    reordering sheds one (x, -x) pair, keyed by output modes.
+def _swap_events(fa, fb, poscap, negcap, nums, scale):
+    """Add to nums scale times the integer numerators of the bracket
+    events of one family pair whose reordering sheds one (x, -x) pair,
+    keyed by packed output code with the Euler bit set, and return it.
 
     Sorting the arrangement of a contraction of v in a = a'' + (v, x)
     with -v in b = b'' + (-v, -x) inverts the pair (x, -x) exactly when
     x has the sign of v and |x| <= |v|; the pair is removed with the
     factor -|x| and the output is a'' + b''.  Over the ordered choices
     of the v and x parts on each side, that is the product of the shed
-    tables fa.shed(v, x) and fb.shed(-v, -x) with the weight
+    tables of (v, x) in fa and (-v, -x) in fb with the weight
     (-v)(-|x|), halved when x = v, since then only half of the ordered
     (-v, -x) choices invert.  The output has size fa.total + fb.total,
     so, as for plain events, it lies in the box exactly when its pos is
     at most top, and each loop stops at its first entry past its cap.
-    Only the s = v + x that both families can shed (_holds) are read.
+    Only the pairs of fa's index with v + x >= fa.total - poscap whose
+    negation fb's index holds are read.
     """
-    nums = {}
     top = min(poscap, negcap + fa.total + fb.total)
-    for s in range(fa.total - poscap, fa.total + negcap + 1):
-        if not (_holds(fa, s, 2) and _holds(fb, -s, 2)):
+    lo = fa.total - poscap
+    side = fb.sheds(poscap, negcap)
+    index = fa.sheds(poscap, negcap)
+    for (v, x), rows_a in index.items():
+        if v + x < lo:
             continue
-        # v + x = s with |x| <= |v|, both of the sign of s
-        for x in (range(1, s // 2 + 1) if s > 0
-                  else range(-1, -(-s // 2) - 1, -1)):
-            v = s - x
-            side_b = fb.shed(-v, -x, poscap, negcap)
-            if not side_b:
-                continue
-            w = v * abs(x)
-            for pa, posa, ca in fa.shed(v, x, poscap, negcap):
-                if posa > top:
+        rows_b = side.get((-v, -x), ())
+        if rows_b is None:
+            rows_b = side.rows((-v, -x))
+        if not rows_b:
+            continue
+        if rows_a is None:
+            rows_a = index.rows((v, x))
+        w = v * abs(x) * scale
+        for ka, posa, ca in rows_a:
+            if posa > top:
+                break
+            # for x = v, ca holds the even factor m_v (m_v - 1)
+            ca = ca * w // 2 if x == v else ca * w
+            cap = top - posa
+            ka += 1
+            for kb, posb, cb in rows_b:
+                if posb > cap:
                     break
-                # for x = v, ca holds the even factor m_v (m_v - 1)
-                ca = ca * w // 2 if x == v else ca * w
-                cap = top - posa
-                for pb, posb, cb in side_b:
-                    if posb > cap:
-                        break
-                    ms = tuple(sorted(pa + pb))
-                    nums[ms] = nums.get(ms, 0) + ca * cb
+                k = ka + kb
+                nums[k] = nums.get(k, 0) + ca * cb
     return nums
 
 

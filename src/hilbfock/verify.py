@@ -30,14 +30,16 @@ thm57 (its untagged part) measure their cells through one runner,
 `_w_grid`, in order and in this process, and ground them on states
 against the series of the same pieces (`_w_expected`, `_w_op`).  The
 pieces scale J^p_n on the cell's box, kept per (p, n, box) for the
-process as integer numerators over one denominator (`_jay_nums`;
-`_jay_window` keeps the divided list for the suites that read one), and
-the measured side brackets the J-families that `walgebra.jay_families`
-shares, so each family's contraction and shed tables are built once
-however many cells read them.  A cell's residual is formed on integers:
-the bracket's numerators (`operators.bracket_nums`) and the pieces meet
-over one common denominator (`_summed`), and only the residual's nonzero
-keys are divided.
+process as integer numerators over one denominator, keyed by packed
+mode code (`_jay_nums`, see `operators.encode`), and the measured side
+brackets the J-families that `walgebra.jay_families` shares, so each
+family's contraction and shed tables are built once however many cells
+read them.  A cell's residual is formed on integers in code space: the
+bracket's numerators (`operators.bracket_nums`, keyed by code too) and
+the pieces meet over one common denominator (`_summed`), and only the
+residual's nonzero codes, and the bracket's scalar codes, are decoded
+and divided (`_smeared`).  rmk56 and lem53 read J^p_n as a smeared list
+(`_jay_window`), built from the families rather than decoded.
 
 Three kinds of cell are measured once per process and kept only as their
 residual against the unmutated identity, empty when it holds: each
@@ -75,10 +77,10 @@ from .fock import (basis_states, combine, render_state, render_terms,
                    weight)
 from .operators import (Bracket, Linear, OperatorFamily, SmearedOp,
                         _divided, arrangement, box_keep, bracket_nums,
-                        commutator_block, derivative, diamond_keep,
-                        heisenberg, instantiate, monomial, quadratic_sum,
-                        s_bracket, s_derive, series_bracket, series_nums,
-                        series_to_smeared, smeared_series)
+                        coded, commutator_block, decoded, derivative,
+                        diamond_keep, heisenberg, instantiate, monomial,
+                        quadratic_sum, s_bracket, s_derive, series_bracket,
+                        series_nums, series_to_smeared, smeared_series)
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, apow_families, chern, chern_families,
                        family_series, fourier, fourier_families,
@@ -479,22 +481,26 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 
 @cache
 def _jay_nums(p, n, pos, neg):
-    """J^p_n on the box window as (numerators, denominator), kept for
-    the process: the W-bracket cells read it as it is."""
-    return series_nums(jay_families(p, n), pos, neg)
+    """J^p_n on the box window as (numerators by packed code,
+    denominator), kept for the process: the W-bracket and lem52 cells,
+    and the lem52 and thm57 mutations, read it as it is."""
+    nums, den = series_nums(jay_families(p, n), pos, neg)
+    return coded(nums), den
 
 
 @cache
 def _jay_window(p, n, pos, neg):
-    """J^p_n on the box window, _jay_nums divided, kept for the process
-    and shared by every caller that reads it, so no caller changes it."""
-    return _divided(*_jay_nums(p, n, pos, neg))
+    """J^p_n on the box window as a smeared list, for rmk56 and lem53,
+    kept for the process and shared by every caller that reads it, so no
+    caller changes it.  It is built from the families, not decoded from
+    _jay_nums: building costs less than decoding every key."""
+    return series_to_smeared(jay_families(p, n), pos, neg)
 
 
 def _summed(pieces):
     """(numerators, denominator) of the sum of c * nums / den over the
     (c, nums, den) pieces, over the lcm of their denominators; a key may
-    hold a zero numerator, which _divided drops."""
+    hold a zero numerator."""
     den = lcm(*[d for _, _, d in pieces])
     out = {}
     for c, nums, d in pieces:
@@ -512,18 +518,18 @@ def _omega_piece(p, q, m, n, pos, neg):
     if not om or p + q < 3:
         return None
     nums, den = _jay_nums(p + q - 3, m + n, pos, neg)
-    return (-om, {(k[0], 1, k[2]): c for k, c in nums.items() if not k[1]},
-            12 * den)
+    return (-om, {k | 1: c for k, c in nums.items() if not k & 1}, 12 * den)
 
 
 def _w_pieces(p, q, m, n, pos, neg):
     """The right side of [J^p_m(a), J^q_n(b)] on the box window, as
-    (c, nums, den) pieces summing to it: the trace central term at
-    p = q = 0, else (qm-pn) J^{p+q-1}_{m+n}(ab), the Omega term and the
-    low-weight Euler central terms."""
+    (c, nums, den) pieces with numerators by packed code summing to it:
+    the trace central term at p = q = 0, else (qm-pn)
+    J^{p+q-1}_{m+n}(ab), the Omega term and the low-weight Euler central
+    terms (the scalar codes 0 and 1)."""
     central = m == -n and m != 0
     if (p, q) == (0, 0):
-        return [(-m, {((), 0, 0): 1}, 1)] if central else []
+        return [(-m, {0: 1}, 1)] if central else []
     out = []
     lin = q * m - p * n
     if lin:
@@ -532,13 +538,20 @@ def _w_pieces(p, q, m, n, pos, neg):
     if piece:
         out.append(piece)
     if central and (p, q) in ((2, 0), (0, 2), (1, 1)):
-        out.append((m ** 3 - m, {((), 1, 0): 1}, 12 if p == q else 6))
+        out.append((m ** 3 - m, {1: 1}, 12 if p == q else 6))
     return out
+
+
+def _smeared(pieces):
+    """The SmearedOp of (c, nums, den) pieces with numerators by packed
+    code: their sum, decoded where nonzero and divided once per key."""
+    nums, den = _summed(pieces)
+    return _divided(decoded(nums), den)
 
 
 def _w_expected(p, q, m, n, pos, neg):
     """The right side of the W-bracket on the box window (_w_pieces)."""
-    return _divided(*_summed(_w_pieces(p, q, m, n, pos, neg)))
+    return _smeared(_w_pieces(p, q, m, n, pos, neg))
 
 
 def _w_op(ring, cell, ab):
@@ -560,8 +573,9 @@ def _w_cell(args):
     """One (p, q, m, n) cell on window N, measured: the residual of the
     bracket [J^p_m, J^q_n] against _w_pieces, and the bracket's scalar
     terms (modes ()), which the central checks read without the pieces.
-    The bracket and the pieces meet as integer numerators over one
-    denominator, and only the residual's nonzero keys are divided.
+    The bracket and the pieces meet as integer numerators by packed
+    code over one denominator, and only the residual's nonzero codes and
+    the bracket's scalar codes (below 2) are decoded and divided.
 
     Kept for the process, one entry per distinct cell and window, whose
     residual is empty when the identity holds.  vir, thm55 and thm57 all
@@ -570,8 +584,8 @@ def _w_cell(args):
     pos = _sound_pos(N, m, n)
     meas, den = bracket_nums(jay_families(p, m), jay_families(q, n), pos, N)
     pieces = [(-c, nums, d) for c, nums, d in _w_pieces(p, q, m, n, pos, N)]
-    return (_divided(*_summed([(1, meas, den)] + pieces)),
-            _divided({k: c for k, c in meas.items() if not k[0]}, den))
+    return (_smeared([(1, meas, den)] + pieces),
+            _smeared([(1, {k: c for k, c in meas.items() if k < 2}, den)]))
 
 
 def _w_grid(spec, cells):
@@ -1090,8 +1104,8 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
     for p, n in product(range(p_max + 1), range(-n_max, n_max + 1)):
         delta = _lem52_cell(p, n, N)
         if mut:
-            delta = delta - _jay_window(p, n, _sound_pos(N, 0, n),
-                                        N).scaled(Q(1, factorial(p)))
+            nums, den = _jay_nums(p, n, _sound_pos(N, 0, n), N)
+            delta = delta - _smeared([(1, nums, factorial(p) * den)])
         yield _universal_record(
             delta, {"check": "universal", "p": p, "n": n})
     if not mut:
@@ -1101,13 +1115,14 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
 @cache
 def _lem52_cell(p, n, N):
     """The residual of [G_p, a_n] against (n/p!) J^p_n on window N,
-    summed as integer numerators over one denominator and divided once,
-    empty when the identity holds.  Kept for the process like _w_cell,
-    so a mutated run after the plain one brackets nothing."""
+    summed as integer numerators by packed code over one denominator and
+    decoded and divided where nonzero, empty when the identity holds.
+    Kept for the process like _w_cell, so a mutated run after the plain
+    one brackets nothing."""
     pos = _sound_pos(N, 0, n)
     meas = bracket_nums(chern_families(p), heis_families(n), pos, N)
     nums, den = _jay_nums(p, n, pos, N)
-    return _divided(*_summed([(1, *meas), (-n, nums, factorial(p) * den)]))
+    return _smeared([(1, *meas), (-n, nums, factorial(p) * den)])
 
 
 def _lem52_spots(spec):
@@ -1189,8 +1204,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         if mut:
             piece = _omega_piece(p, q, m, n, _sound_pos(N, m, n), N)
             if piece:
-                delta = SmearedOp(delta.terms).merge(
-                    _divided(*_summed([piece])), 2)
+                delta = SmearedOp(delta.terms).merge(_smeared([piece]), 2)
         params = {"p": p, "q": q, "m": m, "n": n}
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
@@ -1298,8 +1312,8 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         m_max = min(m_max, 1)
     for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut and (p, q) != (0, 0):
-            delta = SmearedOp(delta.terms).merge(_jay_window(
-                p + q - 1, m + n, _sound_pos(N, m, n), N), -1)
+            delta = delta - _smeared([(1, *_jay_nums(
+                p + q - 1, m + n, _sound_pos(N, m, n), N))])
         # Untagged keys come only from the untagged families' plain events.
         delta = SmearedOp({k: c for k, c in delta.terms.items()
                            if not k[1] and not k[2]})

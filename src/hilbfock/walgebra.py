@@ -78,7 +78,7 @@ def heis_families(n):
 def jay_families(p, n):
     """Families of J^p_n, as a tuple built once per (p, n) and shared by
     every caller for the life of the process, so that their contraction
-    tables (Family.survivors) are built once; the empty partition never
+    tables (Family.contractions) are built once; the empty partition never
     appears.  A caller that adds a family builds a new list."""
     if p < 0:
         raise ValueError("negative W-algebra weight %d" % p)

@@ -1,9 +1,10 @@
 """Operator layer: transfer operators, smeared series, bracket engines."""
 
+import gc
 from fractions import Fraction as Q
 from functools import cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from hilbfock import operators, walgebra
 from hilbfock.fock import basis_states, canonical_factors, combine, vacuum
 from hilbfock.operators import (Linear, OperatorSum, SmearedOp, arrangement,
-                                box_keep, commutator_column, derivation,
-                                derivative, diamond_keep, heisenberg,
+                                box_keep, coded, commutator_column, decode,
+                                decoded, derivation, derivative,
+                                diamond_keep, encode, heisenberg,
                                 instantiate, monomial, normalize_arrangement,
                                 quadratic_sum, s_bracket, s_derive,
                                 series_bracket, series_to_smeared)
@@ -461,8 +463,8 @@ def test_window_stability_sees_a_window_edge_fault(monkeypatch):
     window order."""
     swap = operators._swap_events
     monkeypatch.setattr(
-        operators, "_swap_events", lambda fa, fb, poscap, negcap:
-        swap(fa, fb, poscap - 1, negcap))
+        operators, "_swap_events", lambda fa, fb, poscap, negcap, *acc:
+        swap(fa, fb, poscap - 1, negcap, *acc))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_cells(_window_brackets(order), 6)) == 40, order
 
@@ -515,6 +517,14 @@ def _num(fam, lam):
     return fam.num(lam, mf, sum(part * part for part in lam))
 
 
+# The benchmark's W-bracket grid, p + q <= 5 and |m|, |n| <= 3, and the
+# few cells whose every box with caps 0..8 x 0..8 the kernels are checked
+# on.
+GRID_CELLS = [(p, q, m, n) for p in range(6) for q in range(6 - p)
+              for m, n in product(range(-3, 4), repeat=2)]
+FEW_CELLS = ((1, 3, -3, -3), (2, 1, -3, 2), (2, 2, 1, -1), (3, 1, 0, 2))
+
+
 def _swapping_pairs(cells):
     """The family pairs of J-family cells that make swap events: both
     untagged and of length at least 2."""
@@ -528,26 +538,210 @@ def test_swap_events_match_the_candidate_enumeration():
     """The shed-table product gives the candidate enumeration's
     numerators on the 490 swapping family pairs of the benchmark's
     W-bracket grid (p + q <= 5, |m|, |n| <= 3, window 8), and on a few
-    pairs over every box with caps 0..8 x 0..8."""
-    grid = _swapping_pairs([(p, q, m, n) for p in range(6)
-                            for q in range(6 - p)
-                            for m, n in product(range(-3, 4), repeat=2)])
+    pairs over every box with caps 0..8 x 0..8; every output code
+    carries the Euler bit."""
+    grid = _swapping_pairs(GRID_CELLS)
     assert len(grid) == 490
     cases = [(fa, fb, (_sound_pos(8, m, n), 8)) for (_, _, m, n), fa, fb
              in grid]
-    few = _swapping_pairs(((1, 3, -3, -3), (2, 1, -3, 2), (2, 2, 1, -1),
-                           (3, 1, 0, 2)))
+    few = _swapping_pairs(FEW_CELLS)
     cases += [(fa, fb, box) for (_, fa, fb), box
               in product(few, product(range(9), repeat=2))]
     nonempty = 0
     for fa, fb, box in cases:
-        got = {ms: c for ms, c in operators._swap_events(fa, fb, *box)
-               .items() if c}
+        got = decoded(operators._swap_events(fa, fb, *box, {}, 1))
+        assert all(e == 1 for _, e, _ in got), (fa.total, fb.total, box)
+        got = {ms: c for (ms, _, _), c in got.items()}
         assert got == ref_swap_events(fa, fb, *box), (fa.total, fb.total,
                                                       box)
         nonempty += bool(got)
     # 304 of the grid pairs and 226 of the 324 small cases have events
     assert nonempty == 304 + 226
+
+
+def ref_survivors(fam, x, poscap, negcap):
+    """The contraction table of the part x by parts: (parts, pos, c) for
+    each partition lam = parts + (x,) of the family with a nonzero weight
+    and parts on the window pos <= max(poscap, negcap), neg <= negcap,
+    c being num(lam) times the multiplicity of x in lam, sorted by
+    pos."""
+    rows = []
+    for parts, pos, _, _, _ in operators._stats_list(
+            fam.ell - 1, fam.total - x, max(poscap, negcap), negcap):
+        lam = tuple(sorted(parts + (x,)))
+        c = lam.count(x) * _num(fam, lam)
+        if c:
+            rows.append((parts, pos, c))
+    return sorted(rows, key=lambda row: row[1])
+
+
+def ref_shed(fam, v, x, poscap, negcap):
+    """The shed table of the parts v and x by rest, as ref_survivors:
+    c is num(lam) times m_v(lam) (m_x(lam) - [x = v])."""
+    rows = []
+    for rest, pos, _, _, _ in operators._stats_list(
+            fam.ell - 2, fam.total - v - x, max(poscap, negcap), negcap):
+        lam = tuple(sorted(rest + (v, x)))
+        c = lam.count(v) * (lam.count(x) - (x == v)) * _num(fam, lam)
+        if c:
+            rows.append((rest, pos, c))
+    return sorted(rows, key=lambda row: row[1])
+
+
+def ref_plain_events(fa, fb, poscap, negcap):
+    """The plain contraction events of one family pair by sorted mode
+    tuple: the products of the two families' table entries for v and -v
+    whose survivors fit the box together."""
+    nums = {}
+    top = min(poscap, negcap + fa.total + fb.total)
+    for v in range(max(fa.total - top, -negcap - fb.total),
+                   min(fa.total + negcap, top - fb.total) + 1):
+        if v == 0 or not (operators._holds(fa, v)
+                          and operators._holds(fb, -v)):
+            continue
+        side_b = ref_survivors(fb, -v, poscap, negcap)
+        for pa, posa, ca in ref_survivors(fa, v, poscap, negcap):
+            if posa > top:
+                break
+            for pb, posb, cb in side_b:
+                if posb > top - posa:
+                    break
+                ms = tuple(sorted(pa + pb))
+                nums[ms] = nums.get(ms, 0) - v * ca * cb
+    return nums
+
+
+def ref_shed_events(fa, fb, poscap, negcap):
+    """The Euler-corrected events of one family pair by sorted mode
+    tuple, from the shed tables of (v, x) in fa and (-v, -x) in fb."""
+    nums = {}
+    top = min(poscap, negcap + fa.total + fb.total)
+    for s in range(fa.total - poscap, fa.total + negcap + 1):
+        if not (operators._holds(fa, s, 2)
+                and operators._holds(fb, -s, 2)):
+            continue
+        for x in (range(1, s // 2 + 1) if s > 0
+                  else range(-1, -(-s // 2) - 1, -1)):
+            v = s - x
+            side_b = ref_shed(fb, -v, -x, poscap, negcap)
+            for pa, posa, ca in ref_shed(fa, v, x, poscap, negcap):
+                if posa > top:
+                    break
+                ca = ca * v * abs(x) // (2 if x == v else 1)
+                for pb, posb, cb in side_b:
+                    if posb > top - posa:
+                        break
+                    ms = tuple(sorted(pa + pb))
+                    nums[ms] = nums.get(ms, 0) + ca * cb
+    return nums
+
+
+def ref_bracket_nums(fams_a, fams_b, poscap, negcap):
+    """bracket_nums keyed by (modes, e, 0), assembled per family pair
+    from the tuple-keyed event loops over tables of part tuples, each
+    pair's events scaled to the common denominator; zeros dropped."""
+    pairs = [(fa, fb) for fa in fams_a for fb in fams_b
+             if fa.epow + fb.epow <= 1]
+    den = lcm(*[fa.den * fb.den for fa, fb in pairs])
+    nums = {}
+    for fa, fb in pairs:
+        scale = den // (fa.den * fb.den)
+        e0 = fa.epow + fb.epow
+        events = [(e0, ref_plain_events(fa, fb, poscap, negcap))]
+        if e0 == 0 and fa.ell >= 2 and fb.ell >= 2:
+            events.append((1, ref_shed_events(fa, fb, poscap, negcap)))
+        for e, got in events:
+            for ms, n in got.items():
+                key = (ms, e, 0)
+                nums[key] = nums.get(key, 0) + n * scale
+    return {k: n for k, n in nums.items() if n}, den
+
+
+def _decoded_bracket(fams_a, fams_b, poscap, negcap):
+    nums, den = operators.bracket_nums(fams_a, fams_b, poscap, negcap)
+    return decoded(nums), den
+
+
+def test_bracket_nums_match_the_tuple_reference():
+    """bracket_nums, decoded, gives the tuple-keyed reference's
+    numerators and denominator on each of the 2,009 family pairs and
+    the 1,029 cells of the benchmark's W-bracket grid at window 8, and
+    on the cells that the swap kernel is checked on over every box with
+    caps 0..8 x 0..8."""
+    pairs = [(fa, fb, (_sound_pos(8, m, n), 8))
+             for p, q, m, n in GRID_CELLS
+             for fa in jay_families(p, m) for fb in jay_families(q, n)
+             if fa.epow + fb.epow <= 1]
+    assert len(pairs) == 2009 and len(GRID_CELLS) == 1029
+    for fa, fb, box in pairs:
+        assert _decoded_bracket([fa], [fb], *box) == ref_bracket_nums(
+            [fa], [fb], *box), (fa.ell, fa.total, fb.ell, fb.total)
+    cases = [(cell, (_sound_pos(8, *cell[2:]), 8)) for cell in GRID_CELLS]
+    cases += list(product(FEW_CELLS, product(range(9), repeat=2)))
+    for (p, q, m, n), box in cases:
+        fams = jay_families(p, m), jay_families(q, n)
+        assert _decoded_bracket(*fams, *box) == ref_bracket_nums(
+            *fams, *box), ((p, q, m, n), box)
+
+
+def test_a_family_built_per_call_frees_its_tables():
+    """Families built for one bracket, with their contraction and shed
+    tables, are freed when the call returns, without the cycle
+    collector: a table index holds no reference to its family."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, operators.Family)
+                     for o in gc.get_objects())
+        fresh = walgebra.jay_families.__wrapped__
+        assert series_bracket(fresh(2, 1), fresh(2, -1), 4, 4).terms
+        assert series_bracket(heis_families(2), heis_families(-2), 4,
+                              4).terms
+        after = sum(isinstance(o, operators.Family)
+                    for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
+
+
+def _grid_partitions():
+    """Every partition of the _stats_list windows that the grid's
+    families, their contraction rests and their shed rests read at
+    window 8."""
+    windows = {(fam.ell - k, fam.total - x, 8, 8)
+               for p, q, m, n in GRID_CELLS
+               for fam in jay_families(p, m) for k in range(3)
+               for x in range(-16, 17) if fam.ell >= k}
+    return {row[0] for w in windows for row in operators._stats_list(*w)}
+
+
+def test_packed_codes_round_trip_and_add_as_multisets():
+    """Every partition of the grid's windows decodes back from its code
+    with either Euler power; the sum of two codes decodes to the sorted
+    union of their parts, with the Euler bit of either; a code holds at
+    most 127 parts."""
+    parts = sorted(_grid_partitions())
+    assert len(parts) == 2415
+    for ms in parts:
+        for e in (0, 1):
+            assert decode(encode(ms, e)) == (ms, e, 0), ms
+    few = parts[::97]
+    for (pa, pb), (ea, eb) in product(product(few, repeat=2),
+                                      ((0, 0), (0, 1), (1, 0))):
+        assert decode(encode(pa, ea) + encode(pb, eb)) == (
+            tuple(sorted(pa + pb)), ea + eb, 0), (pa, pb)
+    wide = (-9, -2, -2, 1, 1, 1, 17)
+    assert decode(encode(wide[:2] * 60, 1)) == (
+        tuple(sorted(wide[:2] * 60)), 1, 0)
+    assert decode(encode(wide * 18)) == (tuple(sorted(wide * 18)), 0, 0)
+    assert decode(encode(wide * 18) * 2) == (tuple(sorted(wide * 36)), 0, 0)
+    assert decode(encode((-1,) * 127) + encode((-1,) * 127)) == (
+        (-1,) * 254, 0, 0)
+    with pytest.raises(ValueError, match="127 parts"):
+        encode((1,) * 128)
+    with pytest.raises(ValueError, match="K power"):
+        coded({((1,), 0, 1): 1})
+    assert coded({((-2, 1), 1, 0): 5}) == {encode((-2, 1), 1): 5}
 
 
 def _assert_exact_values(sm, label):

@@ -14,7 +14,7 @@ import pytest
 
 from hilbfock import operators, verify, walgebra
 from hilbfock.fock import combine, render_state, render_terms
-from hilbfock.operators import box_keep, series_nums
+from hilbfock.operators import box_keep, coded, series_nums
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
@@ -268,14 +268,16 @@ def test_w_memo_keeps_every_byte(w_memo, name, bounds):
 
 
 def _family_tables(kind):
-    """{(p, n, i) + key: (cap, rows)}: every table of one kind, "_tables"
-    (contraction, keyed by (x, negcap)) or "_sheds" (shed, keyed by
-    (v, x, negcap)), of the J-families the default W-bracket runs
-    read."""
-    return {(p, n, i) + key: table
+    """{(p, n, i, negcap, parts): rows}: every table built of one kind,
+    "_tables" (contraction, of a part x) or "_sheds" (shed, of the parts
+    (v, x)), of the J-families the default W-bracket runs read;
+    each kind keeps per neg cap an index of the parts, mapped to None
+    while their table is unbuilt."""
+    return {(p, n, i, negcap, parts): rows
             for p in range(8) for n in range(-7, 8)
             for i, fam in enumerate(walgebra.jay_families(p, n))
-            for key, table in getattr(fam, kind).items()}
+            for negcap, index in getattr(fam, kind).items()
+            for parts, rows in index.items() if rows is not None}
 
 
 def test_family_tables_are_built_once_and_bounded():
@@ -295,7 +297,7 @@ def test_family_tables_are_built_once_and_bounded():
     for kind, count, rows in (("_tables", 1584, 21003),
                               ("_sheds", 1613, 9014)):
         assert len(tables[kind]) <= count, kind
-        assert sum(len(r) for _, r in tables[kind].values()) <= rows, kind
+        assert sum(map(len, tables[kind].values())) <= rows, kind
     W_CELL.cache_clear()
     misses = operators._stats_list.cache_info().misses
     assert run_suite(SuiteSpec("thm55", surface="p2",
@@ -342,14 +344,19 @@ def test_w_residuals_are_window_stable(w_memo):
     assert _w_residuals((8, 6)) == narrow_first
 
 
+def _short_jay_nums(p, n, pos, neg):
+    """_jay_nums with its J window stopping one mode short of the box
+    edge: series_nums on pos - 1, rekeyed by packed code."""
+    nums, den = series_nums(walgebra.jay_families(p, n), pos - 1, neg)
+    return coded(nums), den
+
+
 def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
                                                            w_memo):
     """An expected side whose J windows stop one mode short of the box
     edge leaves window-6 residuals that the window-8 ones, restricted,
     do not have, in either window order."""
-    monkeypatch.setattr(verify, "_jay_nums", cache(
-        lambda p, n, pos, neg: series_nums(walgebra.jay_families(p, n),
-                                           pos - 1, neg)))
+    monkeypatch.setattr(verify, "_jay_nums", cache(_short_jay_nums))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_residuals(_w_residuals(order))) == 252, order
 
@@ -403,9 +410,7 @@ def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
     """An expected side whose J windows stop one mode short of the box
     edge leaves window-6 residuals that the window-8 ones, restricted,
     do not have, in either window order."""
-    monkeypatch.setattr(verify, "_jay_nums", cache(
-        lambda p, n, pos, neg: series_nums(walgebra.jay_families(p, n),
-                                           pos - 1, neg)))
+    monkeypatch.setattr(verify, "_jay_nums", cache(_short_jay_nums))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_lem52(_lem52_residuals(order))) == 24, order
 
@@ -770,21 +775,24 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ("lem52", "rmk56"))
 def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
-    """lem52 and rmk56 read J^p_n from _jay_nums, lem52's mutation and
-    rmk56 through _jay_window, so after the plain run the mutated one
-    builds no series: every window it reads is kept."""
+    """lem52 reads J^p_n from _jay_nums, its mutation too, and rmk56
+    from _jay_window, so after the plain run the mutated one builds no
+    series: every window it reads is kept."""
     verify._lem52_cell.cache_clear()
     verify._jay_window.cache_clear()
     verify._jay_nums.cache_clear()
     calls = 0
-    build = verify.series_nums
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return build(*args)
+    def counted(build):
+        def run(*args):
+            nonlocal calls
+            calls += 1
+            return build(*args)
+        return run
 
-    monkeypatch.setattr(verify, "series_nums", counted)
+    for builder in ("series_nums", "series_to_smeared"):
+        monkeypatch.setattr(verify, builder,
+                            counted(getattr(verify, builder)))
     assert run_suite(SuiteSpec(name)).ok
     assert calls > 0
     calls = 0
