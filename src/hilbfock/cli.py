@@ -3,13 +3,15 @@
 Every numeric value is printed as an exact integer or p/q string; output
 for a fixed invocation is byte-identical across runs, so files written
 with --out are safe to diff.  Exit codes: 0 success, 1 a verification or
-match failure, 2 usage or configuration errors.
+match failure, 2 usage or configuration errors, 141 (quietly) a closed
+standard output, as `| head -0` leaves.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -83,10 +85,11 @@ def parse_operator(ring, text):
 
 
 def _emit(text, out):
-    """Write text to the file out, else to stdout; a path that cannot be
-    written is a UsageError."""
+    """Write text to the file out, else to stdout (flushed, so that a
+    closed one fails here); a path that cannot be written is a UsageError."""
     if not out:
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w") as fh:
@@ -410,6 +413,9 @@ def main(argv=None):
     except RingError as exc:
         print("ring error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout to devnull: exit flushes it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

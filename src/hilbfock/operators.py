@@ -16,10 +16,13 @@ Two layers:
   exact images of single basis states, for its life (growing keeps
   them); a contraction index skips the states it provably kills, and
   their shared empty column is remembered, so a second ask is one
-  lookup.  A family index (OperatorFamily) lifts it to a list of
-  operators, and commutator_block composes, on one state, only the
-  brackets of two families that it cannot rule out, asking a column
-  only of the operators whose index meets that state.  Every word acts
+  lookup.  Columns are keyed by state number (ring.state_id), so a
+  state tuple is hashed once, when an image first produces it; act
+  takes and gives {state: coeff} dicts.  A family index
+  (OperatorFamily) lifts the contraction index to a list of operators,
+  and commutator_block composes, on one state, only the brackets of
+  two families that it cannot rule out, asking a column only of the
+  operators whose index meets that state.  Every word acts
   through one single-state kernel, apply_word, which carries one
   state's image through the word as a list of (state, coeff) pairs
   that the column merges once.
@@ -27,13 +30,14 @@ Two layers:
   The boundary derivation d is one more series: G_1(1_X) plus a K-term
   (derivation), so the derivative of an operator is its bracket with d.
   Three column sources build the sides a check compares from
-  operators, each with column(state): Bracket(f, g) (commutator_column,
+  operators, each with column(sid): Bracket(f, g) (commutator_column,
   kept per state), derivative(op, k) (k nested Brackets with d) and
   Linear((c, op), ...) (a combination of columns).  OperatorSum.apply,
   commutator_action, derivation_apply and apply_arrangement only pass a
   dict on to OperatorSum.act or commutator_column, as the names
-  perfbench/tracer.py wraps; the package never calls them.  Each is a function of its own: the tracer
-  rebinds every global holding a function it wraps, alias or not.
+  perfbench/tracer.py wraps; the package never calls them.  Each is a
+  function of its own: the tracer rebinds every global holding a
+  function it wraps, alias or not.
   Only terms_within cuts an operator to a window, for term lists.
 
 * Smeared calculus (SmearedOp): combinations of a_lambda(tau(e^a K^b g))
@@ -242,13 +246,15 @@ class OperatorSum:
                            else frozenset().union(*partners))
         return self._index
 
-    def column(self, state):
-        """The exact image of the basis state, as act({state: 1}) would
-        give it, kept on the operator; callers must not modify it.  A
-        series first grows to the state's weight."""
-        col = self._columns.get(state)
+    def column(self, sid):
+        """The exact image of the basis state numbered sid (ring.states),
+        as {state number: coeff}, as act({state: 1}) would give it, kept
+        on the operator; callers must not modify it.  A series first
+        grows to the state's weight."""
+        col = self._columns.get(sid)
         if col is not None:
             return col
+        state = self.ring.states[sid]
         if self._reach is not None:
             w = weight(state)
             if w > self._reach:
@@ -261,31 +267,34 @@ class OperatorSum:
             # weight, and every later band annihilates more points.
             col = _EMPTY
         else:
-            col = self._image(state) or _EMPTY
-        self._columns[state] = col
+            col = self._image(sid, state) or _EMPTY
+        self._columns[sid] = col
         return col
 
-    def _image(self, state):
-        """The column of state, computed word by word; needs the groups
-        that _contractions builds."""
-        out = {state: self.scalar} if self.scalar else {}
+    def _image(self, sid, state):
+        """The column of state, numbered sid, computed word by word; needs
+        the groups that _contractions builds."""
+        out = {sid: self.scalar} if self.scalar else {}
         ring, coeffs = self.ring, self.terms
+        ids = ring.state_ids
         for partners, words in self._groups:
             if partners is not None and partners.isdisjoint(state):
                 continue
             for word in words:
                 tc = coeffs[word]
                 for s, c in apply_word(ring, word, state):
-                    _acc(out, s, c * tc)
+                    # a new state is numbered by state_id (0 is asked again)
+                    _acc(out, ids.get(s) or ring.state_id(s), c * tc)
         return out
 
     def act(self, terms):
         """Image of a {state: coeff} dict: the combination of the cached
         columns of its states."""
-        out = {}
+        ring = self.ring
+        states, out = ring.states, {}
         for s, c in terms.items():
-            for s2, c2 in self.column(s).items():
-                _acc(out, s2, c * c2)
+            for n, c2 in self.column(ring.state_id(s)).items():
+                _acc(out, states[n], c * c2)
         return out
 
     def apply(self, terms):
@@ -302,10 +311,10 @@ class OperatorSum:
         return "\n".join(lines) if lines else "0"
 
 
-def commutator_column(f, g, state):
-    """[f, g] applied to one basis state, with the super sign from the
-    operator parities, formed from the cached columns of f and g."""
-    gcol, fcol = g.column(state), f.column(state)
+def commutator_column(f, g, sid):
+    """[f, g] applied to the basis state numbered sid, with the super
+    sign from the operator parities, formed from the cached columns."""
+    gcol, fcol = g.column(sid), f.column(sid)
     if not (gcol or fcol):
         return {}
     out = {}
@@ -326,10 +335,11 @@ class OperatorFamily:
     index holds it, and the positions whose index is False always meet.
     A series counts as False, since its index grows with it."""
 
-    __slots__ = ("ops", "_holds", "_always")
+    __slots__ = ("ops", "_holds", "_always", "_states")
 
     def __init__(self, ops):
         self.ops = tuple(ops)
+        self._states = self.ops[0].ring.states if self.ops else []
         holds, always = {}, []
         for k, op in enumerate(self.ops):
             index = False if op._reach is not None else op._contractions()
@@ -341,42 +351,44 @@ class OperatorFamily:
         self._holds, self._always = holds, always
 
     def meeting(self, col):
-        """The positions whose index meets a state of the column col;
-        every other operator's column of each of its states is empty."""
+        """The positions whose index meets a state numbered in col; every
+        other operator's column of each of its states is empty."""
         if not col:
             return ()
         out = set(self._always)
-        holds = self._holds
+        holds, states = self._holds, self._states
         for s in col:
-            for factor in s:
+            for factor in states[s]:
                 hit = holds.get(factor)
                 if hit:
                     out.update(hit)
         return out
 
 
-def commutator_block(fs, gs, state):
-    """{(i, j): commutator_column(f_i, g_j, state)} over two
-    OperatorFamily objects, for just the pairs where f_i's index meets a
-    state of g_j state or g_j's index meets a state of f_i state.  Every
+def commutator_block(fs, gs, sid):
+    """{(i, j): commutator_column(f_i, g_j, sid)} over two OperatorFamily
+    objects, for just the pairs where f_i's index meets a state of g_j
+    sid or g_j's index meets a state of f_i sid.  Every
     other pair's bracket on this state is {}: both its compositions read
     only columns that the index rules out.  Only the operators whose
     index meets the state itself are asked for their column there; every
     other one's is empty, by the rule column applies."""
     f, g = fs.ops, gs.ops
-    here = (state,)
+    here = (sid,)
     keep = set()
     for j in gs.meeting(here):
-        keep.update((i, j) for i in fs.meeting(g[j].column(state)))
+        keep.update((i, j) for i in fs.meeting(g[j].column(sid)))
     for i in fs.meeting(here):
-        keep.update((i, j) for j in gs.meeting(f[i].column(state)))
-    return {(i, j): commutator_column(f[i], g[j], state) for i, j in keep}
+        keep.update((i, j) for j in gs.meeting(f[i].column(sid)))
+    return {(i, j): commutator_column(f[i], g[j], sid) for i, j in keep}
 
 
 def commutator_action(f, g, terms):
     """[f, g] applied to a {state: coeff} dict."""
-    return combine(*((c, commutator_column(f, g, s))
-                     for s, c in terms.items()))
+    ring = f.ring
+    return ring.vector(combine(*(
+        (c, commutator_column(f, g, ring.state_id(s)))
+        for s, c in terms.items())))
 
 
 # -- constructors ----------------------------------------------------------
@@ -519,10 +531,10 @@ class Bracket:
     def __init__(self, f, g):
         self.f, self.g, self._columns = f, g, {}
 
-    def column(self, state):
-        if state not in self._columns:
-            self._columns[state] = commutator_column(self.f, self.g, state)
-        return self._columns[state]
+    def column(self, sid):
+        if sid not in self._columns:
+            self._columns[sid] = commutator_column(self.f, self.g, sid)
+        return self._columns[sid]
 
 
 def derivative(op, k):
@@ -543,8 +555,8 @@ class Linear:
     def __init__(self, *pieces):
         self.pieces = pieces
 
-    def column(self, state):
-        return combine(*((c, op.column(state)) for c, op in self.pieces))
+    def column(self, sid):
+        return combine(*((c, op.column(sid)) for c, op in self.pieces))
 
 
 # -- smeared calculus ------------------------------------------------------

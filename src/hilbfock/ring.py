@@ -191,10 +191,29 @@ class SurfaceRing:
         self.K = self._vector(canonical)
         self.e = self._vector(euler)
         self._cache = {}
+        # The Fock state index, append-only and never cleared with
+        # _cache, its states sharing one tuple per factor (_factors).
+        self.states = []
+        self.state_ids = {}
+        self._factors = {}
         self._pairing = None
         self._pairing_inv = None
         if validate:
             self.validate()
+
+    def state_id(self, state):
+        """The number of a Fock basis state, given on its first sight."""
+        n = self.state_ids.get(state)
+        if n is None:
+            factors = self._factors
+            state = tuple([factors.setdefault(f, f) for f in state])
+            n = self.state_ids[state] = len(self.states)
+            self.states.append(state)
+        return n
+
+    def vector(self, col):
+        """A {state number: coeff} column as a {state: coeff} vector."""
+        return {self.states[n]: c for n, c in col.items()}
 
     # -- basic algebra ----------------------------------------------------
 

@@ -203,16 +203,16 @@ def _st(ring, *factors):
 
 
 def _action_states(ring, wmax=2):
-    """Vacuum, all weight-1 states and heavier ones, by nondecreasing
-    weight: all states of weight at most wmax on rings of dimension at
-    most 4, else a hand list that reaches weight 2 (3 for wmax >= 3)."""
+    """The numbers (ring.state_id) of the vacuum, all weight-1 states and
+    heavier ones, by nondecreasing weight: all states of weight at most
+    wmax on rings of dimension at most 4, else a hand list that reaches
+    weight 2 (3 for wmax >= 3)."""
     out = [()]
     out.extend(basis_states(ring, 1))
     if ring.dim <= 4:
         for w in range(2, wmax + 1):
             out.extend(basis_states(ring, w))
-        return out
-    if ring.name == "k3":
+    elif ring.name == "k3":
         out += [_st(ring, (-2, "1")), _st(ring, (-2, "x")),
                 _st(ring, (-1, "u1"), (-1, "u2")),
                 _st(ring, (-1, "u1"), (-1, "u3")),
@@ -229,7 +229,7 @@ def _action_states(ring, wmax=2):
         if wmax >= 3:
             out += [_st(ring, (-3, "1")),
                     _st(ring, (-2, "t1"), (-1, "t2"))]
-    return out
+    return list(map(ring.state_id, out))
 
 
 def _op_memo(ring):
@@ -284,15 +284,16 @@ class _Group:
         self.checks += n
 
     def columns(self, ring, states, lhs, rhs, params):
-        """Compare two column sources on each basis state s: lhs.column(s)
-        against rhs.column(s), both exact images.  The first failure adds
-        the state to params and shows rhs as expected."""
+        """Compare two column sources on each state numbered s in states:
+        lhs.column(s) against rhs.column(s), both exact images.  The first
+        failure adds the state to params and shows rhs as expected."""
         for s in states:
             got, want = lhs.column(s), rhs.column(s)
             if got != want and self.fail is None:
                 self.fail = InstanceRecord(
-                    dict(params, state=render_state(s, ring)), "fail", 1,
-                    render_terms(want, ring), render_terms(got, ring))
+                    dict(params, state=render_state(ring.states[s], ring)),
+                    "fail", 1, render_terms(ring.vector(want), ring),
+                    render_terms(ring.vector(got), ring))
         self.checks += len(states)
 
     def record(self):
@@ -377,9 +378,9 @@ def _euler_families(ell, total, c):
 
 
 def _heis_residual(fs, gs, live, central):
-    """{((i, j), state): bracket} of a heis cell over the live states: the
-    entries whose bracket differs from its expected side, {state: cc} for
-    the class pairs that central maps to cc and {} for the rest, so it is
+    """{((i, j), s): bracket} of a heis cell over the live state numbers
+    s: the entries whose bracket differs from its expected side, {s: cc}
+    for the class pairs that central maps to cc and {} for the rest, so it is
     empty when the identity holds.  A pair that commutator_block leaves
     out has the empty bracket."""
     out = {}
@@ -394,7 +395,7 @@ def _heis_residual(fs, gs, live, central):
 
 
 def _heis_failure(resid, live, plain, central):
-    """The first failure ((i, j), state, lhs, rhs) of a heis cell checked
+    """The first failure ((i, j), s, lhs, rhs) of a heis cell checked
     against the central terms central, from its residual resid against
     the central terms plain: its first failing class pair in product
     order, at that pair's first failing state, or None.  Only a pair in
@@ -436,7 +437,7 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         pairs = _probe(ring, "all")
         size = len(pairs)
         wmax = w_max if w_max is not None else (2 if ring.dim <= 4 else 1)
-        pre = [(s, {m for m, _ in s})
+        pre = [(ring.state_id(s), {m for m, _ in s})
                for w in range(wmax + 1) for s in basis_states(ring, w)]
         # integral(ab) of the class pairs where it is nonzero
         paired = {(i, j): v for i, row in enumerate(ring.pairing_matrix())
@@ -470,8 +471,10 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                     t.count((i * size + j) * len(pre))
                     t.check(False, dict(t.params, a=pairs[i][0],
                                         b=pairs[j][0],
-                                        state=render_state(s, ring)),
-                            rhs, lhs, show=partial(render_terms, ring=ring),
+                                        state=render_state(ring.states[s],
+                                                           ring)),
+                            rhs, lhs, show=lambda v: render_terms(
+                                ring.vector(v), ring),
                             n=len(pre))
                 yield t.record()
 
@@ -692,7 +695,7 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
         cases = [(na, a, nb, b, a * b)
                  for (na, a), (nb, b) in product(small, small)]
         states = _action_states(ring)
-        # The transfer operators, shared by every m and the pin part.
+        # The transfer operators, shared by every part.
         tr = _op_memo(ring)
         for m in range(-m_max, m_max + 1):
             # One memo per m bounds the memory of L_m's cached columns.
@@ -715,9 +718,9 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
             params = {"part": "replacement", "surface": ring.name, "n": n}
             t = _Group(params)
             for nb, b in pairs:
-                t.columns(ring, states, derivative(heisenberg(ring, n, b), 1),
+                t.columns(ring, states, derivative(tr(heisenberg, n, b), 1),
                           Linear((Q(n), quadratic_sum(ring, n, b)),
-                                 (-coef, heisenberg(ring, n, ring.K * b))),
+                                 (-coef, tr(heisenberg, n, ring.K * b))),
                           dict(params, b=nb))
             yield t.record()
         kfree = _ktrivial(ring, pairs)
@@ -779,7 +782,7 @@ def _run_lem32(spec, mut):
             params = {"part": "bracket", "surface": ring.name}
             t = _Group(params)
             # One operator per (partition, class) for this ring's
-            # bracket part; its columns serve every cell.
+            # bracket and derivative parts; its columns serve every cell.
             op = _op_memo(ring)
             cases = [(na, a, nb, b, a * b)
                      for (na, a), (nb, b) in product(cpairs, cpairs)]
@@ -799,8 +802,7 @@ def _run_lem32(spec, mut):
             t = _Group(params)
             for nu in nus:
                 for na, a in cpairs:
-                    t.columns(ring, states,
-                              derivative(monomial(ring, nu, a), 1),
+                    t.columns(ring, states, derivative(op(monomial, nu, a), 1),
                               smeared_series(ring, _derivative_at(nu), a),
                               dict(params, nu=str(list(nu)), a=na))
             yield t.record()
@@ -1213,10 +1215,10 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
     yield from _thm55_centrals(spec, m_max)
     if not mut:
         for ring in _rings(spec, ("k3", "abelian", "p2")):
-            allst = _action_states(ring)
-            states = ([allst[0]]
-                      + [s for s in allst if weight(s) == 1][:2]
-                      + [s for s in allst if weight(s) == 2][:4])
+            w = {s: weight(ring.states[s]) for s in _action_states(ring)}
+            states = ([s for s in w if not w[s]]
+                      + [s for s in w if w[s] == 1][:2]
+                      + [s for s in w if w[s] == 2][:4])
             yield _w_spots(ring, states, _THM55_SPOT_CELLS,
                            _THM55_SPOT_PAIRS[ring.name])
 

@@ -130,8 +130,9 @@ def test_acceptance_02_virasoro_bracket_and_central_value():
     K3 = builtin_ring("k3")
     one = K3.elem({"1": 1})
     for m in (2, 3):
-        got = commutator_column(virasoro(K3, m, one),
-                                virasoro(K3, -m, one), ())
+        got = K3.vector(commutator_column(virasoro(K3, m, one),
+                                          virasoro(K3, -m, one),
+                                          K3.state_id(())))
         want = combine((Q(m ** 3 - m, 12) * 24, vacuum()))
         assert got == want, m
     assert Q(2 ** 3 - 2, 12) * 24 == 12

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -589,6 +590,25 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "48\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "thm31", "--format", "jsonl"),
+    ("omega", "--p", "2", "--q", "2", "--m", "1", "--n", "-2")])
+def test_closed_stdout_ends_quietly(argv):
+    """A stdout pipe whose reader has already left, as in `| head -0`,
+    ends the run with exit status 141 and nothing on stderr: the long
+    thm31 report and a one-line answer alike."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hilbfock", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_package_runs_as_a_module(capsys):

@@ -184,7 +184,7 @@ def test_cup_operators_are_super_self_adjoint():
                 for s in states for t in states}
         for k, name in product(range(3), ("1", "t1", "t12", "t123")):
             g = chern(AB, k, AB.basis(name))
-            cols = {s: g.column(s) for s in states}
+            cols = {s: AB.vector(g.column(AB.state_id(s))) for s in states}
             odd = par[AB.index[name]]
             for u in states:
                 sign = -1 if odd and sum(par[i] for _, i in u) % 2 else 1

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from hilbfock import operators
 from hilbfock.fock import (annihilate_state, basis_states, canonical_factors,
                            combine, create_state, exact, weight)
-from hilbfock.operators import (_EMPTY, OperatorFamily, OperatorSum,
-                                SmearedOp, arrangement, commutator_action,
-                                commutator_block, commutator_column,
-                                derivation, heisenberg, instantiate,
-                                monomial, quadratic_sum, series_to_smeared,
+from hilbfock.operators import (_EMPTY, Bracket, OperatorFamily,
+                                OperatorSum, SmearedOp, arrangement,
+                                commutator_action, commutator_block,
+                                commutator_column, derivation, derivative,
+                                heisenberg, instantiate, monomial,
+                                quadratic_sum, series_to_smeared,
                                 smeared_series)
 from hilbfock.partitions import enumerate_genpartitions
-from hilbfock.ring import SURFACE_NAMES, RingError, builtin_ring
+from hilbfock.ring import (SURFACE_NAMES, RingError, builtin_ring, dump_ring,
+                           load_ring)
 from hilbfock.walgebra import (chern, chern_families, fourier,
                                fourier_families, jay, jay_families, virasoro)
 
@@ -89,6 +91,19 @@ class RefSum:
             self.terms[word] = v
         else:
             self.terms.pop(word, None)
+
+
+def column(op, state):
+    """op's column at a basis state, as a {state: coeff} dict."""
+    ring = op.ring
+    return ring.vector(op.column(ring.state_id(state)))
+
+
+def bracket_at(f, g, state):
+    """commutator_column(f, g) at a basis state, as a {state: coeff}
+    dict."""
+    ring = f.ring
+    return ring.vector(commutator_column(f, g, ring.state_id(state)))
 
 
 def ref_sum(pieces):
@@ -223,7 +238,7 @@ def test_kernel_crosses_window_edge():
     want = {((-2, 2),): -1}             # a(1;x) contracts a(-1;1)
     assert ref_word(P2, word, vec) == want
     assert op.act(vec) == want
-    assert op.column(((-1, 0),)) == want
+    assert column(op, ((-1, 0),)) == want
 
 
 def test_mixed_parity_is_refused():
@@ -305,7 +320,7 @@ def assert_columns(op, ref, states):
     operator kills."""
     for s in states:
         want = ref_image(ref, {s: 1})
-        assert op.column(s) == want, s
+        assert column(op, s) == want, s
         assert op.act({s: 1}) == want, s
         index = op._contractions()
         if index is not False and index.isdisjoint(s):
@@ -352,16 +367,16 @@ def test_series_growth_matches_fresh_columns(name):
     for build in builds:
         grown = build()
         for s in states:
-            assert grown.column(s) == build().column(s), s
+            assert column(grown, s) == column(build(), s), s
         # the columns cached on the way stay exact
         for s in states:
-            assert grown.column(s) == build().column(s), s
+            assert column(grown, s) == column(build(), s), s
         # so do the empty ones kept at a lighter reach, ruled out by the
         # index or computed: no later band meets their states
-        for s, col in grown._columns.items():
+        for n, col in grown._columns.items():
             if col is _EMPTY:
                 kept_empty += 1
-                assert build().column(s) == {}, s
+                assert column(build(), ring.states[n]) == {}, n
     assert kept_empty
 
 
@@ -380,9 +395,9 @@ def test_series_scalar_comes_with_the_first_band(name):
         return smeared_series(ring, lambda w: smeared, top)
 
     grown = build()
-    assert grown.column(()) == {(): 1}
+    assert column(grown, ()) == {(): 1}
     for s in states:
-        assert grown.column(s) == build().column(s), s
+        assert column(grown, s) == column(build(), s), s
 
 
 def fresh_derivation(ring):
@@ -427,7 +442,7 @@ def test_ruled_out_column_is_the_shared_empty_and_is_kept():
                 index = op._contractions()
                 out = [s for s in states if index.isdisjoint(s)]
                 assert () in out
-                for s in out:
+                for s in map(ring.state_id, out):
                     assert op.column(s) is _EMPTY, (m, i, s)
                     assert op._columns[s] is _EMPTY, (m, i, s)
                     assert op.column(s) is _EMPTY, (m, i, s)
@@ -445,13 +460,13 @@ def test_commutator_column_with_both_columns_empty():
         for (f, fr), (g, gr) in zip(ops, ops[::-1]):
             sign = 1 if odd(fr) and odd(gr) else -1
             for s in states:
-                if f.column(s) or g.column(s):
+                if column(f, s) or column(g, s):
                     continue
                 seen += 1
                 one = {s: 1}
                 want = ref_sum([(1, ref_image(fr, ref_image(gr, one))),
                                 (sign, ref_image(gr, ref_image(fr, one)))])
-                got = commutator_column(f, g, s)
+                got = commutator_column(f, g, ring.state_id(s))
                 assert got == want == {}, s
                 assert got is not _EMPTY
         assert seen
@@ -477,11 +492,12 @@ def test_commutator_block_leaves_out_only_empty_brackets(name):
         for s in states:
             # [g, f] is [f, g] for two odd operators, else -[f, g], so one
             # reference column checks the block in both orders.
-            fg = commutator_block(fs, gs, s)
-            gf = commutator_block(gs, fs, s)
+            sid = ring.state_id(s)
+            fg = commutator_block(fs, gs, sid)
+            gf = commutator_block(gs, fs, sid)
             for (i, f), (j, g) in product(enumerate(fs.ops),
                                           enumerate(gs.ops)):
-                want = commutator_column(f, g, s)
+                want = commutator_column(f, g, sid)
                 back = (want if f.parity() and g.parity()
                         else {t: -c for t, c in want.items()})
                 for got, ref in ((fg.get((i, j)), want),
@@ -516,7 +532,7 @@ def test_commutator_column_matches_composition(name, data):
         fg = ref_image(fr, ref_image(gr, one))
         gf = ref_image(gr, ref_image(fr, one))
         want = ref_sum([(1, fg), (sign, gf)])
-        assert commutator_column(f, g, s) == want, s
+        assert bracket_at(f, g, s) == want, s
         assert commutator_action(f, g, one) == want, s
 
 
@@ -535,7 +551,7 @@ def test_character_commutator_on_a_narrower_window(name):
         for ca in trivial[:3]:
             gk = fresh_named(chern, ring, k, ring.basis(ca))
             for s in states:
-                gk.column(s)
+                column(gk, s)
             assert gk._reach == 2
             gref = ref_instantiate(
                 series_to_smeared(chern_families(k), REACH, REACH), ring,
@@ -550,9 +566,112 @@ def test_character_commutator_on_a_narrower_window(name):
                     fg = ref_image(gref, ref_image(aref, one))
                     gf = ref_image(aref, ref_image(gref, one))
                     want = ref_sum([(1, fg), (sign, gf)])
-                    got = commutator_column(gk, am, s)
+                    got = bracket_at(gk, am, s)
                     assert got == want, (k, ca, cb, s)
             assert gk._reach == 3
+
+
+# -- the state-number kernel against the tuple-keyed one --------------------
+
+
+def ref_column(src, state):
+    """The column of a column source at a basis state, keyed by state
+    tuple and kept nowhere: an operator grows to the state's weight, and
+    its contraction index rules the state out or its words act group by
+    group; a Bracket composes the reference columns of its two sides."""
+    if isinstance(src, Bracket):
+        return ref_commutator_column(src.f, src.g, state)
+    w = weight(state)
+    if src._reach is not None and w > src._reach:
+        src._grown(w)
+    index = src._contractions()
+    if index is not False and index.isdisjoint(state):
+        return {}
+    out = {state: src.scalar} if src.scalar else {}
+    for partners, words in src._groups:
+        if partners is not None and partners.isdisjoint(state):
+            continue
+        for word in words:
+            tc = src.terms[word]
+            for s, c in operators.apply_word(src.ring, word, state):
+                operators._acc(out, s, c * tc)
+    return out
+
+
+def ref_commutator_column(f, g, state):
+    """[f, g] at a basis state from the reference columns, with the super
+    sign from the operator parities; g's parity is asked only when f is
+    odd, so g may be a Bracket when f is even."""
+    gcol, fcol = ref_column(g, state), ref_column(f, state)
+    out = {}
+    for s, c in gcol.items():
+        for s2, c2 in ref_column(f, s).items():
+            operators._acc(out, s2, c * c2)
+    if fcol:
+        odd = f.parity() and g.parity()
+        for s, c in fcol.items():
+            for s2, c2 in ref_column(g, s).items():
+                operators._acc(out, s2, c * c2 if odd else -c * c2)
+    return out
+
+
+def kernel_sources(ring):
+    """Column sources on two classes that pair: the transfer operators
+    a(+-1; a), a(2; b), a smeared monomial, a Virasoro series, d, the
+    second derivative of a(-1; a), and brackets of two transfer
+    operators and of a series with a monomial, where on the abelian
+    surface two odd sides meet."""
+    a, b = (ring.basis(c) for c in PARTNERS[ring.name])
+    am = heisenberg(ring, -1, a)
+    sources = [heisenberg(ring, 1, a), am, heisenberg(ring, 2, b),
+               monomial(ring, (-2, 1), b), quadratic_sum(ring, 1, a),
+               derivation(ring), derivative(am, 2)]
+    sources += [Bracket(heisenberg(ring, 1, b), am),
+                Bracket(quadratic_sum(ring, 1, b), monomial(ring, (-2,), a))]
+    return sources
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_state_numbers_decode_to_the_tuple_reference(name):
+    """On every state of weight at most 2 each source's column, keyed by
+    state number, decodes to the tuple-keyed reference column, asked
+    lightest state first; the abelian surface's odd classes exercise
+    the Koszul signs of create_state and of the bracket."""
+    ring = builtin_ring(name)
+    states = [s for w in range(3) for s in basis_states(ring, w)]
+    for k, src in enumerate(kernel_sources(ring)):
+        live = 0
+        for s in states:
+            got = ring.vector(src.column(ring.state_id(s)))
+            assert got == ref_column(src, s), (k, s)
+            live += bool(got)
+        assert live, k
+
+
+def test_state_numbers_survive_clearing_the_ring_cache():
+    """The state index lives beside ring._cache, not in it: an operator
+    and a derivative whose columns were read before the cache was
+    cleared bracket with an operator built after it, and d built anew
+    brackets with the old derivative, as the tuple-keyed reference
+    composes them."""
+    ring = load_ring(dump_ring(AB))
+    a, b = ring.basis("t1"), ring.basis("t234")
+    states = [s for w in range(3) for s in basis_states(ring, w)]
+    f = quadratic_sum(ring, 1, a)
+    before = derivative(f, 1)
+    for s in states:
+        before.column(ring.state_id(s))
+    count = len(ring.states)
+    ring._cache.clear()
+    g = heisenberg(ring, -1, b)
+    assert derivation(ring) is not before.f
+    for src in (Bracket(f, g), Bracket(g, f),
+                Bracket(derivation(ring), before)):
+        for s in states:
+            got = ring.vector(src.column(ring.state_id(s)))
+            assert got == ref_column(src, s), s
+    assert ring.states[:count] == list(ring.state_ids)[:count]
+    assert all(ring.state_ids[t] == n for n, t in enumerate(ring.states))
 
 
 # -- exact coefficient types ----------------------------------------------
@@ -574,7 +693,7 @@ def test_coefficients_stay_int_or_fraction(name):
     for s in states:
         v = {s: 1}
         for f, g in pairs:
-            _assert_exact(commutator_column(f, g, s))
+            _assert_exact(bracket_at(f, g, s))
         for a in names[:3]:
             _assert_exact(arrangement(ring, (1, -2), ring.basis(a)).act(v))
         _assert_exact(derivation(ring).act(v))

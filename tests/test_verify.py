@@ -282,8 +282,8 @@ def _family_tables(kind):
 
 def test_family_tables_are_built_once_and_bounded():
     """From cleared caches, the default-bounds thm55, thm57 and vir runs
-    leave at most 1,584 contraction tables with 21,003 rows and at most
-    1,613 shed tables with 9,014 rows (the counts measured); a second
+    leave 884 contraction tables with 17,726 rows and 736 shed tables
+    with 5,656 rows (measured); the bounds add 2% to each.  A second
     thm55 run, its cells measured anew, builds no table and enumerates
     no partition.  thm55 runs on p2 only, and the second run with
     p + q <= 3: the tables depend on its cells, not on its surfaces."""
@@ -294,8 +294,8 @@ def test_family_tables_are_built_once_and_bounded():
                  SuiteSpec("vir")):
         assert run_suite(spec).ok, spec.suite
     tables = {kind: _family_tables(kind) for kind in ("_tables", "_sheds")}
-    for kind, count, rows in (("_tables", 1584, 21003),
-                              ("_sheds", 1613, 9014)):
+    for kind, count, rows in (("_tables", 902, 18081),
+                              ("_sheds", 751, 5769)):
         assert len(tables[kind]) <= count, kind
         assert sum(map(len, tables[kind].values())) <= rows, kind
     W_CELL.cache_clear()
@@ -463,11 +463,11 @@ REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_lem32_builds_each_bracket_operator_once(monkeypatch):
-    """lem32's bracket part takes each a_nu(tau a) from one memo per ring
-    and each instantiated right side from one memo per (nu, mu), so on
-    p1xp1 it builds 48 monomials there and 48 in the derivative part
-    (2,928 when every cell built its own) and at most 720 right sides
-    (2,304), and its report keeps its frozen bytes."""
+    """lem32's bracket and derivative parts take each a_nu(tau a) from
+    one memo per ring and each instantiated right side from one memo per
+    (nu, mu), so on p1xp1 it builds 48 monomials (96 with a memo for the
+    bracket part alone, 2,928 when every cell built its own) and at most
+    720 right sides (2,304), and its report keeps its frozen bytes."""
     counts = {"monomial": 0, "instantiate": 0}
 
     def counted(name):
@@ -485,15 +485,16 @@ def test_lem32_builds_each_bracket_operator_once(monkeypatch):
     assert report.ok
     assert hashlib.sha256(text.encode()).hexdigest() == \
         REFS["suites"]["lem32-p1xp1"]
-    assert counts["monomial"] <= 96, counts
+    assert counts["monomial"] <= 48, counts
     assert counts["instantiate"] <= 720, counts
 
 
 def test_thm31_builds_each_transfer_operator_once(monkeypatch):
-    """thm31's mixed and character-pin parts take a_n(b) and
-    a_{m+n}(ab) from one memo per ring, so on p1xp1 the suite builds 113
-    transfer operators (346 with a memo per m, 1,621 when every (m, a,
-    b) built its own), and its report keeps its frozen bytes."""
+    """thm31's mixed, replacement and character-pin parts take a_n(b),
+    a_n(K b) and a_{m+n}(ab) from one memo per ring, so on p1xp1 the
+    suite builds 77 transfer operators (113 when the replacement part
+    built its own, 346 with a memo per m, 1,621 when every (m, a, b)
+    built its own), and its report keeps its frozen bytes."""
     calls = []
     build = verify.heisenberg
 
@@ -507,14 +508,15 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
     assert report.ok
     assert hashlib.sha256(text.encode()).hexdigest() == \
         REFS["suites"]["thm31-p1xp1"]
-    assert len(calls) <= 113, len(calls)
+    assert len(calls) <= 77, len(calls)
 
 
 def _composed_record(ring, states, lm, an, rhs, params):
-    """The record of [lm, an] against rhs on each state, composed as
-    lm.act(an.act(s)) - an.act(lm.act(s)) for two even operators: a pass
-    named by params, or the first failing state with rhs as expected."""
-    for s in states:
+    """The record of [lm, an] against rhs on the states numbered in
+    states, composed as lm.act(an.act(s)) - an.act(lm.act(s)) for two
+    even operators: a pass named by params, or the first failing state
+    with rhs as expected."""
+    for s in map(ring.states.__getitem__, states):
         one = {s: 1}
         got = combine((1, lm.act(an.act(one))), (-1, an.act(lm.act(one))))
         want = rhs.act(one)
@@ -692,6 +694,34 @@ def test_lem32_memo_memory_stays_bounded():
     assert ok == "True"
     assert peak < 6, "lem32-p1xp1 traced peak %.2f MB" % peak
     assert kept < 2, "lem32-p1xp1 left %.2f MB traced" % kept
+
+
+# The states each built-in ring numbers after default thm31, lem32 and
+# heis runs in one process (measured), plus a 5% margin.
+STATE_INDEX_CAPS = {"p2": (1007, 1060), "p1xp1": (2581, 2710),
+                    "k3": (26460, 27790), "abelian": (20522, 21550)}
+
+
+def test_state_index_stays_bounded():
+    """Every state a column holds is numbered in its ring's index
+    (ring.states), which is never cleared.  In a fresh process the
+    default thm31, lem32 and heis runs number the states of
+    STATE_INDEX_CAPS, and each number names one state."""
+    code = ("from hilbfock.verify import SuiteSpec, run_suite\n"
+            "from hilbfock.ring import SURFACE_NAMES, builtin_ring\n"
+            "for suite in ('thm31', 'lem32', 'heis'):\n"
+            "    assert run_suite(SuiteSpec(suite)).ok, suite\n"
+            "for name in SURFACE_NAMES:\n"
+            "    ring = builtin_ring(name)\n"
+            "    assert len(ring.state_ids) == len(ring.states)\n"
+            "    print(name, len(ring.states))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    counts = {name: int(n) for name, n in
+              (line.split() for line in proc.stdout.splitlines())}
+    assert counts.keys() == STATE_INDEX_CAPS.keys()
+    for name, (measured, cap) in STATE_INDEX_CAPS.items():
+        assert counts[name] <= cap, (name, counts[name], measured)
 
 
 def _eq22_nonempty_inner(ring):
