@@ -41,37 +41,31 @@ Two layers:
   Only terms_within cuts an operator to a window, for term lists.
 
 * Smeared calculus (SmearedOp): combinations of a_lambda(tau(e^a K^b g))
-  with the smearing class g kept symbolic, keyed by (modes, a, b).  Its
-  bracket and derivative rules implement the single-contraction expansion
-  and the splitting expansion of the quadratic replacement rule; sorting
-  an arrangement back to canonical order produces one Euler-smeared
+  with the smearing class g kept symbolic, keyed by packed code
+  (encode), in which uniting two terms' modes and multiplying their
+  powers is adding their codes (a Kronecker substitution).  A code is
+  decoded only where a list meets text or a ring (SmearedOp.sorted_items),
+  which s_bracket, the literal route, reads too.  Its bracket and
+  derivative rules implement the single-contraction expansion and the
+  splitting expansion of the quadratic replacement rule; sorting an
+  arrangement back to canonical order produces one Euler-smeared
   correction per inverted (v, -v) pair, and branches with two Euler
   factors vanish since e*e = 0.  series_bracket enumerates contraction
-  events as (contracted value, survivor partitions) with survivors inside
-  the output window, so windowed bracket lists are complete: no
+  events as (contracted value, survivor partitions) with survivors
+  inside the output window, so windowed bracket lists are complete: no
   out-of-window input term can contribute.
 
   The calculus is integer-first.  A Family weights each partition by an
   integer numerator num(parts, mult_factorial, weighted_square) over one
   integer family denominator den.  series_nums and bracket_nums
-  accumulate int numerators and bring the families (or the family pairs
-  of a bracket) to one common denominator, returning (numerators,
-  denominator), so a caller can sum several of them over one
-  denominator before dividing; series_to_smeared and series_bracket
-  divide them once per output key through _divided (ring.ratio).
-  bracket_nums keys its numerators by packed mode code (encode): a mode
-  multiset with its Euler power packed into one int, one byte per mode,
-  so that the output of a contraction event, the union of its two
-  survivors, is the sum of their codes (a Kronecker substitution).  Its
-  family pairs accumulate into one dict, each pair's scale to the
-  common denominator folded into the left entry of every event, and a
-  caller decodes (decode, decoded) only the codes it keeps.  coded
-  rekeys series_nums output the same way.  s_derive accumulates int
-  numerators over the lcm D of its input's denominators and divides
-  once per key by 2D; it finds each split's Euler corrections directly,
-  without re-sorting the arrangement.  SmearedOp values are stored
-  through fock.exact: an int when integral, else a Fraction, never a
-  float, and SmearedOp keys stay (modes, a, b).
+  accumulate int numerators by code over one common denominator and
+  return (numerators, denominator), so a caller can sum several before
+  dividing; series_to_smeared and series_bracket divide them once per
+  output key through _divided (ring.ratio).  A bracket's family pairs
+  accumulate into one dict, each pair's scale folded into the left entry
+  of every event.  s_derive divides once per key too, and splits codes
+  without decoding them.  SmearedOp values are stored through fock.exact:
+  an int when integral, else a Fraction, never a float.
 
   A Family keeps two kinds of table, each sorted by positive total so
   that a narrower box reads a prefix, and each indexed per neg cap by
@@ -88,7 +82,7 @@ Two layers:
   contracts v and sheds the pair (x, -x) exactly when x has the sign of
   v and |x| <= |v|, so it multiplies the shed tables of (v, x) in one
   family and (-v, -x) in the other with the weight (-v)(-|x|), halved
-  at x = v, and sets the Euler bit of the summed code.  So num runs
+  at x = v, and adds e to the summed code.  So num runs
   once per family, part and window instead of once per bracket.
   walgebra.jay_families builds each J^p_n once per process, so every
   W-bracket cell shares its tables; a family built per call frees them
@@ -195,10 +189,10 @@ class OperatorSum:
         window for display and comparison."""
         if self._reach is not None and cutoff > self._reach:
             self._grown(cutoff)
-        keep = box_keep(cutoff, cutoff)
-        return OperatorSum(self.ring, {f: c for f, c in self.terms.items()
-                                       if keep([m for m, _ in f])},
-                           self.scalar)
+        return OperatorSum(self.ring, {
+            f: c for f, c in self.terms.items()
+            if max(sum(m for m, _ in f if m > 0),
+                   -sum(m for m, _ in f if m < 0)) <= cutoff}, self.scalar)
 
     def scaled(self, c):
         """c times the words held now: for a finite operator only."""
@@ -562,13 +556,63 @@ class Linear:
 # -- smeared calculus ------------------------------------------------------
 
 
+# Byte 0 of a packed code holds the Euler power in bits 0-3 and the K
+# power in bits 4-7 (e is 1, K is 16): the codes below 256 hold no mode.
+SCALARS = 256
+
+
+def _bit(m):
+    """The code of the single mode m: a 1 in byte 2m - 1 for m > 0 and in
+    byte -2m for m < 0."""
+    return 1 << (16 * m - 8 if m > 0 else -16 * m)
+
+
+def encode(parts, e=0, k=0):
+    """The packed code of a_parts(tau(e^e K^k gamma)): the powers in byte
+    0 (SCALARS) and the count of each mode m in its own byte (_bit), so
+    that codes add as the terms' modes unite and their powers multiply.
+    At most 127 parts and powers up to 7, so that the sum of two codes
+    keeps every count and power within its field."""
+    if len(parts) > 127:
+        raise ValueError("a packed code holds at most 127 parts, got %d"
+                         % len(parts))
+    if not (0 <= e <= 7 and 0 <= k <= 7):
+        raise ValueError("a packed code holds e and K powers 0..7, got "
+                         "e^%d K^%d" % (e, k))
+    code = e + (k << 4)
+    for m in parts:
+        code += _bit(m)
+    return code
+
+
+def _counts(code):
+    """(mode, count) for each mode that a packed code holds, in byte
+    order: 1, -1, 2, -2, ..."""
+    data = code.to_bytes((code.bit_length() + 7) // 8, "little")
+    return [((slot + 1) >> 1 if slot & 1 else -(slot >> 1), n)
+            for slot, n in enumerate(data) if n and slot]
+
+
+def decode(code):
+    """The key (modes, e, K) of a packed code, modes sorted: the form in
+    which a smeared term meets text and rings."""
+    modes = sorted(m for m, n in _counts(code) for _ in range(n))
+    return tuple(modes), code & 15, code >> 4 & 15
+
+
+def euler_shifted(terms):
+    """Terms by packed code times e: a term that carries e already dies,
+    since e*e = 0."""
+    return {k + 1: c for k, c in terms.items() if not k & 15}
+
+
 class SmearedOp:
     """Combination of a_modes(tau(e^a K^b gamma)) with gamma symbolic.
 
-    Terms map (modes, a, b) to exact coefficients, stored through
-    fock.exact: an int when integral, else a Fraction.  modes is a sorted
-    tuple of nonzero integers and the empty tuple stands for
-    integral(e^a K^b gamma) * Id.
+    Terms map packed codes (encode) to exact coefficients, stored through
+    fock.exact: an int when integral, else a Fraction.  A code below
+    SCALARS holds no mode and stands for integral(e^a K^b gamma) * Id.
+    Only sorted_items decodes, where a list meets text or a ring.
     """
 
     __slots__ = ("terms",)
@@ -603,19 +647,8 @@ class SmearedOp:
     def is_zero(self):
         return not self.terms
 
-    def filter(self, pred):
-        return SmearedOp({k: c for k, c in self.terms.items() if pred(k[0])})
-
-    def shift_euler(self):
-        """Multiply the smearing class by e; terms already carrying e die."""
-        out = SmearedOp()
-        for (modes, a, b), c in self.terms.items():
-            if a == 0:
-                out.add((modes, 1, b), c)
-        return out
-
     def sorted_items(self):
-        return sorted(self.terms.items())
+        return sorted((decode(k), c) for k, c in self.terms.items())
 
     def render(self):
         lines = []
@@ -651,10 +684,12 @@ def normalize_arrangement(seq):
 
 
 def s_bracket(a, b):
-    """Bracket of two explicit smeared lists by single contractions."""
+    """Bracket of two explicit smeared lists by single contractions, on
+    decoded mode tuples re-sorted by normalize_arrangement."""
+    terms_b = b.sorted_items()
     out = SmearedOp()
-    for (nu, ea, ka), ca in a.terms.items():
-        for (mu, eb, kb), cb in b.terms.items():
+    for (nu, ea, ka), ca in a.sorted_items():
+        for (mu, eb, kb), cb in terms_b:
             e0, k0 = ea + eb, ka + kb
             if e0 > 1:
                 continue
@@ -667,53 +702,8 @@ def s_bracket(a, b):
                     for ms, ee, im in normalize_arrangement(arr):
                         if e0 + ee > 1:
                             continue
-                        out.add((ms, e0 + ee, k0), coeff * im)
+                        out.add(encode(ms, e0 + ee, k0), coeff * im)
     return out
-
-
-def encode(parts, e=0):
-    """The packed code of a mode multiset parts with Euler power e in
-    {0, 1}: the count of mode k sits in byte slot 2k - 1 for k > 0 and
-    -2k for k < 0, the whole shifted left one bit, and bit 0 holds e.
-    Codes add as multisets do, so the code of a union is the sum of the
-    codes; the scalar codes are 0 and 1, and setting bit 0 of an even
-    code multiplies its term by e.  At most 127 parts, so that a sum of
-    two codes keeps every count within its byte."""
-    if len(parts) > 127:
-        raise ValueError("a packed code holds at most 127 parts, got %d"
-                         % len(parts))
-    for k in parts:
-        e += 1 << (16 * k - 7 if k > 0 else 1 - 16 * k)
-    return e
-
-
-def decode(code):
-    """The SmearedOp key (modes, e, 0) of a packed code, modes sorted."""
-    counts = code >> 1
-    neg, pos = [], []
-    for slot, n in enumerate(counts.to_bytes((counts.bit_length() + 7)
-                                             // 8, "little")):
-        if n:
-            if slot & 1:
-                pos += [(slot + 1) >> 1] * n
-            else:
-                neg += [-(slot >> 1)] * n
-    neg.reverse()
-    return tuple(neg + pos), code & 1, 0
-
-
-def coded(nums):
-    """Numerators keyed by (modes, e, 0) rekeyed by packed code; a code
-    has no K power, so a key with one is refused."""
-    if any(k for _, _, k in nums):
-        raise ValueError("a packed code has no K power")
-    return {encode(modes, e): n for (modes, e, _), n in nums.items()}
-
-
-def decoded(nums):
-    """The nonzero numerators of a packed-code dict, keyed by (modes, e,
-    0)."""
-    return {decode(k): n for k, n in nums.items() if n}
 
 
 class Family:
@@ -795,7 +785,7 @@ class _Tables(dict):
     built (rows), then to the table.  A table is a tuple of rows
     (code, pos, c), one for each partition lam = rest + parts with a
     nonzero weight and rest on the window: code is the packed code of
-    rest with the family's Euler bit, and c is num(lam) times the
+    rest plus the family's Euler power, and c is num(lam) times the
     ordered choices of those parts in lam, which is lam^! / rest^!.  The
     rows are sorted by pos, so a narrower box reads a prefix, and rows
     of equal weight share one int object.  The index keeps the family's
@@ -819,7 +809,7 @@ class _Tables(dict):
             v, *more = take
             sq = sum(t * t for t in take)
             rows, ints = [], {}
-            for rest, pos, _, mf, ws in _stats_list(
+            for rest, pos, _, mf, ws, code in _stats_list(
                     self.ell - len(take), self.total - sum(take), self.cap,
                     self.negcap):
                 k = rest.count(v) + 1
@@ -827,8 +817,7 @@ class _Tables(dict):
                     k *= rest.count(more[0]) + 1 + (more[0] == v)
                 c = k * num(tuple(sorted(rest + take)), mf * k, ws + sq)
                 if c:
-                    rows.append((encode(rest, epow), pos,
-                                 ints.setdefault(c, c)))
+                    rows.append((code + epow, pos, ints.setdefault(c, c)))
             rows.sort(key=itemgetter(1))
             rows = self[key] = tuple(rows)
         return rows
@@ -836,13 +825,15 @@ class _Tables(dict):
 
 @cache
 def _stats_list(ell, total, poscap, negcap):
-    """(parts, pos, neg, mult!, sum of squares) of each partition on a
-    window, from partitions.genpartition_stats, kept for the process; a
+    """(parts, pos, neg, mult!, sum of squares, code) of each partition on
+    a window: a row of partitions.genpartition_stats with the packed code
+    of its parts, so that no reader encodes.  Kept for the process; a
     tuple, since every caller shares it."""
     bound = min(poscap, negcap + total)
     if bound < 0:
         return ()
-    return tuple(genpartition_stats(ell, total, bound))
+    return tuple(row + (encode(row[0]),)
+                 for row in genpartition_stats(ell, total, bound))
 
 
 def _divided(nums, den):
@@ -854,14 +845,16 @@ def _divided(nums, den):
 
 def series_nums(families, poscap, negcap):
     """The families on the box window pos <= poscap, neg <= negcap, as
-    (integer numerators by key, their common family denominator)."""
+    (integer numerators by packed code, their common family
+    denominator): each partition's code from its _stats_list row, plus
+    its family's Euler power."""
     den = lcm(*[fam.den for fam in families])
     nums = {}
     for fam in families:
-        num, scale = fam.num, den // fam.den
-        for parts, _, _, mf, ws in _stats_list(fam.ell, fam.total, poscap,
-                                               negcap):
-            _acc(nums, (parts, fam.epow, 0), num(parts, mf, ws) * scale)
+        num, scale, epow = fam.num, den // fam.den, fam.epow
+        for parts, _, _, mf, ws, code in _stats_list(fam.ell, fam.total,
+                                                     poscap, negcap):
+            _acc(nums, code + epow, num(parts, mf, ws) * scale)
     return nums, den
 
 
@@ -904,8 +897,7 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
     """Complete bracket of two families of smeared series on the box
     pos <= poscap, neg <= negcap (bracket_nums), divided once per output
     key."""
-    nums, den = bracket_nums(fams_a, fams_b, poscap, negcap)
-    return _divided(decoded(nums), den)
+    return _divided(*bracket_nums(fams_a, fams_b, poscap, negcap))
 
 
 def _holds(fam, x, k=1):
@@ -958,7 +950,7 @@ def _plain_events(fa, fb, poscap, negcap, nums, scale):
 def _swap_events(fa, fb, poscap, negcap, nums, scale):
     """Add to nums scale times the integer numerators of the bracket
     events of one family pair whose reordering sheds one (x, -x) pair,
-    keyed by packed output code with the Euler bit set, and return it.
+    keyed by packed output code with one more power of e, and return it.
 
     Sorting the arrangement of a contraction of v in a = a'' + (v, x)
     with -v in b = b'' + (-v, -x) inverts the pair (x, -x) exactly when
@@ -1006,72 +998,70 @@ def _swap_events(fa, fb, poscap, negcap, nums, scale):
 def s_derive(a, keep, poscap, negcap, include_k=True):
     """Derivative of a smeared list under the replacement rule.
 
-    Each part v splits into ordered pairs m1 + m2 = v with weight -v/2
-    (the pair inserted in place, normal ordered), and each term gains a
-    K-smeared copy weighted by -sum v(|v|-1)/2 unless include_k is off.
+    Each part v splits into ordered pairs m1 + m2 = v, with -negcap <=
+    m1, m2 <= poscap and weight -v/2 (the pair inserted in place, normal
+    ordered), and each term gains a K-smeared copy weighted by
+    -sum v(|v|-1)/2 unless include_k is off.  keep(pos, neg) keeps an
+    output term by its positive total and its negative parts' size.
 
     The calculus is integer-first: every coefficient becomes a numerator
     over D, the lcm of the input's denominators, and twice the result is
-    accumulated in ints, then divided once per key by 2D.  The Euler
-    corrections of a split are found directly: modes is sorted, so an
-    inverted (u, -u) pair (u > 0 first) contains m1 or m2, never both,
-    since v != 0.  For v > 0 it pairs a u = -m1 before the split with
-    m1, for v < 0 it pairs m2 = u with a -u after it; each occurrence
-    removes the pair with factor -u and one more power of e.
+    accumulated in ints, then divided once per key by 2D.  It runs on
+    packed codes, decoding no term: a split takes v's code off and adds
+    those of m1 and m2, a mode held c times splits once with weight c,
+    and a split into m1 < 0 < m2 grows pos and neg both by m2 - max(v,
+    0).  The Euler corrections of a split are found directly: an
+    inverted pair of the sorted arrangement, a positive part before its
+    negative, joins one new part to an old part u of v's sign with
+    |u| <= |v| (u = -m1 for v > 0, u = -m2 for v < 0), in c_v c_u ways
+    over the copies of v and u, or c_v (c_v - 1) / 2 for u = v.  Each
+    removes the pair with factor -|u| and one more power of e, leaving
+    rest - u + (v + u), with the input term's pos and neg.
     """
     den = lcm(*[c.denominator for c in a.terms.values()])
     twice = {}
-    for (modes, e0, k0), c in a.terms.items():
+    for code, c in a.terms.items():
         n = c.numerator * (den // c.denominator)
+        counts = _counts(code)
+        pos = sum(m * k for m, k in counts if m > 0)
+        neg = pos - sum(m * k for m, k in counts)
         if include_k:
-            ks = -sum(v * (abs(v) - 1) // 2 for v in modes)
-            if ks and keep(modes):
-                _acc(twice, (modes, e0, k0 + 1), 2 * ks * n)
-        for j, v in enumerate(modes):
+            ks = -sum(k * (v * (abs(v) - 1) // 2) for v, k in counts)
+            if ks and keep(pos, neg):
+                if code & 0xF0 == 0xF0:
+                    raise ValueError("a K power above 15 overflows a code")
+                _acc(twice, code + 16, 2 * ks * n)
+        fix = not code & 15 and keep(pos, neg)
+        held = dict(counts)
+        for v, cv in counts:
             base = -v * n
-            head, tail = modes[:j], modes[j + 1:]
-            rest = head + tail
+            rest = code - _bit(v)
             for m1 in range(max(-negcap, v - poscap), v // 2 + 1):
                 m2 = v - m1
                 if m1 == 0 or m2 == 0:
                     continue
                 w = base if m1 == m2 else 2 * base
-                ms = tuple(sorted(rest + (m1, m2)))
-                if keep(ms):
-                    _acc(twice, (ms, e0, k0), w)
-                if e0:
+                grow = m2 - max(v, 0) if m1 < 0 < m2 else 0
+                if keep(pos + grow, neg + grow):
+                    _acc(twice, rest + _bit(m1) + _bit(m2), cv * w)
+                if not fix or not grow:
                     continue
-                if v > 0 and m1 < 0:
-                    gone, kept, hits = -m1, m2, head.count(-m1)
-                elif v < 0 and m2 > 0:
-                    gone, kept, hits = -m2, m1, tail.count(-m2)
-                else:
+                u = -m1 if v > 0 else -m2
+                if abs(u) > abs(v):
                     continue
+                hits = cv * (cv - 1) // 2 if u == v else cv * held.get(u, 0)
                 if hits:
-                    left = list(rest)
-                    left.remove(gone)
-                    left.append(kept)
-                    ms = tuple(sorted(left))
-                    if keep(ms):
-                        _acc(twice, (ms, 1, k0), -abs(gone) * hits * w)
+                    _acc(twice, rest - _bit(u) + _bit(v + u) + 1,
+                         -abs(u) * hits * w)
     return _divided(twice, 2 * den)
 
 
 def box_keep(poscap, negcap):
-    """Keep a monomial whose positive parts sum to at most poscap and
-    whose negative parts to at most negcap in size: those sums are
-    (size + total) / 2 and (size - total) / 2."""
-    pos2, neg2 = 2 * poscap, 2 * negcap
-
-    def keep(modes):
-        total, size = sum(modes), sum(map(abs, modes))
-        return size + total <= pos2 and size - total <= neg2
-    return keep
-
-
-def diamond_keep(radius):
-    def keep(modes):
-        return sum(map(abs, modes)) <= radius
+    """Keep a term whose positive parts sum to at most poscap and whose
+    negative parts to at most negcap in size: a predicate on those two
+    totals (pos, neg)."""
+    def keep(pos, neg):
+        return pos <= poscap and neg <= negcap
     return keep
 
 

@@ -28,29 +28,32 @@ The W-bracket of Theorem 5.5 is stated once, as (c, numerators,
 denominator) pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and
 thm57 (its untagged part) measure their cells through one runner,
 `_w_grid`, in order and in this process, and ground them on states
-against the series of the same pieces (`_w_expected`, `_w_op`).  The
-pieces scale J^p_n on the cell's box, kept per (p, n, box) for the
-process as integer numerators over one denominator, keyed by packed
-mode code (`_jay_nums`, see `operators.encode`), and the measured side
+against the series of the same pieces (`_w_op`).  The pieces scale
+J^p_n on the cell's box, kept per (p, n, box) for the process as
+integer numerators over one denominator by packed mode code (`_jay_nums`,
+see `operators.encode`), the one J-window cache; the measured side
 brackets the J-families that `walgebra.jay_families` shares, so each
-family's contraction and shed tables are built once however many cells
-read them.  A cell's residual is formed on integers in code space: the
-bracket's numerators (`operators.bracket_nums`, keyed by code too) and
-the pieces meet over one common denominator (`_summed`), and only the
-residual's nonzero codes, and the bracket's scalar codes, are decoded
-and divided (`_smeared`).  rmk56 and lem53 read J^p_n as a smeared list
-(`_jay_window`), built from the families rather than decoded.
+family's contraction and shed tables are built once.  A residual is
+formed on integers: the bracket's numerators (`operators.bracket_nums`)
+and the pieces meet over one common denominator (`_summed`), and only
+its nonzero codes, and the bracket's scalar codes, are divided
+(`_smeared`); lem52, lem53 and lem61 form theirs the same way.  Every
+smeared list is keyed by code, decoded only where it meets a ring or
+text (`SmearedOp.sorted_items`).  A diamond window pos + neg <= N of a
+series of one total is the box `_diamond(N, total)`: a series is cut
+where its partitions are enumerated, and its derivative (`s_derive`)
+keeps the terms on the same box (`box_keep`).
 
 Three kinds of cell are measured once per process and kept only as their
 residual against the unmutated identity, empty when it holds: each
 W-bracket cell (`_w_cell`, with its scalar terms, which the central
 checks read), each lem52 bracket cell (`_lem52_cell`) and each heis
-(m, n, w_max) cell of a ring (in `ring._cache`).  The symbolic cells of
-rmk43, lem61 and lem53 are kept for the process as the smeared lists
-they compare: rmk43's derivative less its main right side, with its unit
-Euler term (`_rmk43_cell`), the field-monomial components
-(`_field_component`), and J^p_m by its field expression
-(`_field_window`), which lem53 compares with `_jay_window`.  A run, plain
+(m, n, w_max) cell of a ring (in `ring._cache`).  rmk43 and rmk56 keep
+each derivative less its main right side, with the unit Euler term that
+a run scales by its own coefficient (`_rmk43_cell`, `_rmk56_cell`), and
+lem61 and lem53 their series as numerators by code: the field-monomial
+components (`_field_component`) and J^p_m by its field expression
+(`_field_window`), which lem53 compares with `_jay_nums`.  A run, plain
 or mutated and in either order, reads the stored cell; a mutation adds
 its one term to a copy or a new list, never to the stored entry, and a
 heis run checks its residual against its own central term.
@@ -75,10 +78,10 @@ from typing import NamedTuple
 
 from .fock import (basis_states, combine, render_state, render_terms,
                    weight)
-from .operators import (Bracket, Linear, OperatorFamily, SmearedOp,
+from .operators import (SCALARS, Bracket, Linear, OperatorFamily, SmearedOp,
                         _divided, arrangement, box_keep, bracket_nums,
-                        coded, commutator_block, decoded, derivative,
-                        diamond_keep, heisenberg, instantiate, monomial,
+                        commutator_block, derivative, encode,
+                        euler_shifted, heisenberg, instantiate, monomial,
                         quadratic_sum, s_bracket, s_derive, series_bracket,
                         series_nums, series_to_smeared, smeared_series)
 from .ring import SURFACE_NAMES, builtin_ring
@@ -358,10 +361,9 @@ def _universal_record(delta, params):
 
 
 def _scalar_part(meas, ring):
-    """Integral of the K-free scalar terms of a smeared list at gamma = 1."""
-    return sum((c * ring.integrate(ring.e if ep else ring.unit)
-                for (modes, ep, kp), c in meas.terms.items()
-                if not modes and not kp), Q(0))
+    """Integral of the K-free scalar terms (codes 0, 1) at gamma = 1."""
+    return sum((c * ring.integrate(ring.e if k else ring.unit)
+                for k, c in meas.terms.items() if k < 2), Q(0))
 
 
 def _euler_families(ell, total, c):
@@ -485,19 +487,18 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 @cache
 def _jay_nums(p, n, pos, neg):
     """J^p_n on the box window as (numerators by packed code,
-    denominator), kept for the process: the W-bracket and lem52 cells,
-    and the lem52 and thm57 mutations, read it as it is."""
-    nums, den = series_nums(jay_families(p, n), pos, neg)
-    return coded(nums), den
+    denominator), kept for the process, the one J-window cache: the
+    W-bracket, lem52 and rmk56 cells, lem53 and the lem52 and thm57
+    mutations read it as it is, so no caller changes it."""
+    return series_nums(jay_families(p, n), pos, neg)
 
 
-@cache
-def _jay_window(p, n, pos, neg):
-    """J^p_n on the box window as a smeared list, for rmk56 and lem53,
-    kept for the process and shared by every caller that reads it, so no
-    caller changes it.  It is built from the families, not decoded from
-    _jay_nums: building costs less than decoding every key."""
-    return series_to_smeared(jay_families(p, n), pos, neg)
+def _diamond(N, total):
+    """The box (poscap, negcap) of the diamond window pos + neg <= N for
+    terms of one total, such as a series and its derivatives: there pos -
+    neg = total, so the diamond is pos <= (N + total) // 2 and neg <= (N -
+    total) // 2."""
+    return (N + total) // 2, (N - total) // 2
 
 
 def _summed(pieces):
@@ -521,7 +522,7 @@ def _omega_piece(p, q, m, n, pos, neg):
     if not om or p + q < 3:
         return None
     nums, den = _jay_nums(p + q - 3, m + n, pos, neg)
-    return (-om, {k | 1: c for k, c in nums.items() if not k & 1}, 12 * den)
+    return -om, euler_shifted(nums), 12 * den
 
 
 def _w_pieces(p, q, m, n, pos, neg):
@@ -547,21 +548,15 @@ def _w_pieces(p, q, m, n, pos, neg):
 
 def _smeared(pieces):
     """The SmearedOp of (c, nums, den) pieces with numerators by packed
-    code: their sum, decoded where nonzero and divided once per key."""
-    nums, den = _summed(pieces)
-    return _divided(decoded(nums), den)
-
-
-def _w_expected(p, q, m, n, pos, neg):
-    """The right side of the W-bracket on the box window (_w_pieces)."""
-    return _smeared(_w_pieces(p, q, m, n, pos, neg))
+    code: their sum, divided once per nonzero key."""
+    return _divided(*_summed(pieces))
 
 
 def _w_op(ring, cell, ab):
     """The expected bracket of a (p, q, m, n) cell as a series against ab."""
     p, q, m, n = cell
     return smeared_series(
-        ring, lambda w: _w_expected(p, q, m, n, w, w - m - n), ab)
+        ring, lambda w: _smeared(_w_pieces(p, q, m, n, w, w - m - n)), ab)
 
 
 def _w_cells(pq_max, m_max):
@@ -578,7 +573,7 @@ def _w_cell(args):
     terms (modes ()), which the central checks read without the pieces.
     The bracket and the pieces meet as integer numerators by packed
     code over one denominator, and only the residual's nonzero codes and
-    the bracket's scalar codes (below 2) are decoded and divided.
+    the bracket's scalar codes (below SCALARS) are divided.
 
     Kept for the process, one entry per distinct cell and window, whose
     residual is empty when the identity holds.  vir, thm55 and thm57 all
@@ -588,7 +583,8 @@ def _w_cell(args):
     meas, den = bracket_nums(jay_families(p, m), jay_families(q, n), pos, N)
     pieces = [(-c, nums, d) for c, nums, d in _w_pieces(p, q, m, n, pos, N)]
     return (_smeared([(1, meas, den)] + pieces),
-            _smeared([(1, {k: c for k, c in meas.items() if k < 2}, den)]))
+            _smeared([(1, {k: c for k, c in meas.items() if k < SCALARS},
+                       den)]))
 
 
 def _w_grid(spec, cells):
@@ -631,8 +627,7 @@ def _run_vir(spec, mut, *, m_max=3):
              for m, n in product(range(-m_max, m_max + 1), repeat=2)]
     for (_, _, m, n), (delta, scalars) in _w_grid(spec, cells):
         if mut and m == -n and m != 0:
-            delta = SmearedOp(delta.terms)
-            delta.add(((), 1, 0), Q(-1, 12))
+            delta = delta - _smeared([(1, {encode((), 1): 1}, 12)])
         yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
@@ -754,7 +749,7 @@ def _derivative_at(parts):
     annihilate at most w points.  d keeps the size t, and an Euler
     correction sheds a pair (u, -u) with |u| at most the largest part h,
     so the splittings run h past the kept box."""
-    one = SmearedOp({(parts, 0, 0): 1})
+    one = SmearedOp({encode(parts): 1})
     h, t = max(map(abs, parts)), sum(parts)
     return lambda w: s_derive(one, box_keep(w, w - t), w + h, w + h - t)
 
@@ -788,8 +783,8 @@ def _run_lem32(spec, mut):
                      for (na, a), (nb, b) in product(cpairs, cpairs)]
             for nu in nus:
                 for mu in nus:
-                    sm = s_bracket(SmearedOp({(nu, 0, 0): Q(1)}),
-                                   SmearedOp({(mu, 0, 0): Q(1)}))
+                    sm = s_bracket(SmearedOp({encode(nu): 1}),
+                                   SmearedOp({encode(mu): 1}))
                     rhs = cache(partial(instantiate, sm, ring))
                     for na, a, nb, b, ab in cases:
                         t.columns(ring, states,
@@ -841,7 +836,6 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     Mutation euler-shift: the closed Euler factor (s-1) becomes (s+1).
     """
     N = _cutoff(spec)
-    keep = diamond_keep(N)
     if mut:
         k_max = min(k_max, 2)
     rcases = [(ring, [(na, a, ring.unit)
@@ -849,11 +843,11 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
               for ring in _rings(spec)]
     ns = [v for a in range(1, n_max + 1) for v in (a, -a)]
     for k, n in product(range(k_max + 1), ns):
-        cur = series_to_smeared(heis_families(n), N, N).filter(keep)
+        box = _diamond(N, n)
+        cur = series_to_smeared(heis_families(n), *box)
         for _ in range(k):
-            cur = s_derive(cur, keep, N, N, include_k=False)
-        delta = cur - series_to_smeared(
-            _apow_families(n, k, mut), N, N).filter(keep)
+            cur = s_derive(cur, box_keep(*box), N, N, include_k=False)
+        delta = cur - series_to_smeared(_apow_families(n, k, mut), *box)
         yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
         for ring, cases in rcases:
             yield _sweep(delta, ring, cases,
@@ -888,14 +882,15 @@ def _thm42_spots(spec, mut):
 def _rmk43_cell(k, n, d, N):
     """The derivative of F(k,n,d) less its main right side
     -n(k+1) F(k+1,n,d), and the unit Euler term (1/(24 lam^!))
-    a_lam(tau(e c)) over l = k, on the diamond window N.  Kept for the
-    process, so no run derives a family twice; a run subtracts the Euler
-    term at its own coefficient, into a new list."""
-    keep = diamond_keep(N)
-    A = series_to_smeared(shift_families(k, n, d), N, N).filter(keep)
-    rhs = series_to_smeared(shift_families(k + 1, n, d), N, N).filter(keep)
-    euler = series_to_smeared(_euler_families(k, n, 1), N, N).filter(keep)
-    return (s_derive(A, keep, N, N, include_k=False)
+    a_lam(tau(e c)) over l = k, on the diamond window N (every term has
+    total n).  Kept for the process, so no run derives a family twice; a
+    run subtracts the Euler term at its own coefficient, into a new
+    list."""
+    box = _diamond(N, n)
+    A = series_to_smeared(shift_families(k, n, d), *box)
+    rhs = series_to_smeared(shift_families(k + 1, n, d), *box)
+    euler = series_to_smeared(_euler_families(k, n, 1), *box)
+    return (s_derive(A, box_keep(*box), N, N, include_k=False)
             - rhs.scaled(-n * (k + 1)), euler)
 
 
@@ -932,25 +927,25 @@ def _run_thm46(spec, mut, *, k_max=3):
     Mutation euler-shift: the Euler factor (s-2) becomes (s-1).
     """
     N = _cutoff(spec)
-    keep = diamond_keep(N)
+    box = _diamond(N, 0)
     for k in range(k_max + 1):
         fams = chern_families(k)
         if mut:
             fams += _euler_families(k, 0, 1)
-        A = series_to_smeared(fams, N, N).filter(keep)
-        bad = [m for (m, _, _) in A.terms if not m or max(m) <= 0]
-        yield _verdict(not bad, {"check": "vacuum", "k": k},
+        A = series_to_smeared(fams, *box)
+        bad = series_to_smeared(fams, 0, N)  # A's terms with no pos part
+        yield _verdict(bad.is_zero(), {"check": "vacuum", "k": k},
                        max(len(A.terms), 1),
                        "every term has an annihilation mode",
-                       str(bad) if bad else "")
-        dA = s_derive(A, keep, N, N, include_k=False)
+                       "" if bad.is_zero() else bad.render())
+        dA = s_derive(A, box_keep(*box), N, N, include_k=False)
         yield _universal_record(dA, {"check": "derivation", "k": k})
         pos = _sound_pos(N, 0, -1)
-        meas = series_bracket(fams, heis_families(-1), pos, N)
-        rhs = series_to_smeared(apow_families(-1, k), pos, N).scaled(
-            Q(1, factorial(k)))
-        yield _universal_record(
-            meas - rhs, {"check": "transfer-pin", "k": k})
+        nums, den = series_nums(apow_families(-1, k), pos, N)
+        yield _universal_record(_smeared([
+            (1, *bracket_nums(fams, heis_families(-1), pos, N)),
+            (-1, nums, factorial(k) * den)]),
+            {"check": "transfer-pin", "k": k})
     if not mut:
         yield from _thm46_spots(spec)
 
@@ -1064,10 +1059,12 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
             fams += _euler_families(p - 1, n, -factorial(p))
         return fams
 
+    def delta(*pieces):
+        return _smeared([(c, *series_nums(fams, N, N)) for c, fams in pieces])
+
     for n in range(-n_max, n_max + 1):
-        got = series_to_smeared(jf(0, n), N, N)
-        want = series_to_smeared(heis_families(n), N, N).scaled(-1)
-        yield _universal_record(got - want, {"part": "a", "n": n})
+        yield _universal_record(delta((1, jf(0, n)), (1, heis_families(n))),
+                                {"part": "a", "n": n})
     for ring in _rings(spec):
         t = _Group({"part": "b", "surface": ring.name}, True)
         for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
@@ -1077,13 +1074,12 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
                     dict(t.params, n=n, a=na), ln, ja)
         yield t.record()
     for p in range(1, p_max + 1):
-        got = series_to_smeared(jf(p, 0), N, N)
-        want = series_to_smeared(chern_families(p - 1), N, N).scaled(
-            factorial(p))
-        yield _universal_record(got - want, {"part": "c", "p": p})
-        got = series_to_smeared(jf(p, -1), N, N)
-        want = series_to_smeared(apow_families(-1, p), N, N).scaled(-1)
-        yield _universal_record(got - want, {"part": "d", "p": p})
+        yield _universal_record(
+            delta((1, jf(p, 0)), (-factorial(p), chern_families(p - 1))),
+            {"part": "c", "p": p})
+        yield _universal_record(
+            delta((1, jf(p, -1)), (1, apow_families(-1, p))),
+            {"part": "d", "p": p})
     for ring in _rings(spec, () if mut else ("k3",)):
         states = _action_states(ring)
         t = _Group({"part": "d-action", "surface": ring.name})
@@ -1118,7 +1114,7 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
 def _lem52_cell(p, n, N):
     """The residual of [G_p, a_n] against (n/p!) J^p_n on window N,
     summed as integer numerators by packed code over one denominator and
-    decoded and divided where nonzero, empty when the identity holds.
+    divided where nonzero, empty when the identity holds.
     Kept for the process like _w_cell, so a mutated run after the plain
     one brackets nothing."""
     pos = _sound_pos(N, 0, n)
@@ -1151,8 +1147,9 @@ def _lem52_spots(spec):
 @cache
 def _field_window(p, m, N):
     """J^p_m by its field expression (jay_field_families) on the N box,
-    kept for the process like _jay_window, the partition route."""
-    return series_to_smeared(jay_field_families(p, m), N, N)
+    as (numerators by packed code, denominator), kept for the process
+    like _jay_nums, the partition route."""
+    return series_nums(jay_field_families(p, m), N, N)
 
 
 def _run_lem53(spec, mut, *, p_max=4, m_max=3):
@@ -1165,12 +1162,11 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """
     N = _cutoff(spec)
     for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
-        B = _field_window(p, m, N)
+        pieces = [(1, *_jay_nums(p, m, N, N)), (-1, *_field_window(p, m, N))]
         if mut and p >= 1:
-            extra = _field_component((0,) * (p - 1), m, N).shift_euler()
-            B = B + extra.scaled(Q(p, 24))
-        yield _universal_record(_jay_window(p, m, N, N) - B,
-                                {"p": p, "m": m})
+            nums, den = _field_component((0,) * (p - 1), m, N)
+            pieces.append((-p, euler_shifted(nums), 24 * den))
+        yield _universal_record(_smeared(pieces), {"p": p, "m": m})
     for ring in _rings(spec, () if mut else ("p2",)):
         t = _Group({"check": "square-field", "surface": ring.name}, True)
         for m in range(-2, 3):
@@ -1231,7 +1227,7 @@ def _thm55_centrals(spec, m_max):
                  for m in range(1, m_max + 1)]
         for (p, q, m, _), (_, scalars) in _w_grid(spec, cells):
             if (p, q) == (0, 0):
-                got = scalars.terms.get(((), 0, 0), Q(0)) * u1u2
+                got = scalars.terms.get(0, Q(0)) * u1u2
                 want = Q(-m)
                 label = "-m * integral(ab)"
             else:
@@ -1264,19 +1260,28 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
     Mutation central-scale: the factor 1/12 becomes 1/6.
     """
     N = _cutoff(spec)
-    keep = diamond_keep(N)
     for p, n in product(range(1, p_max + 1), range(-n_max, n_max + 1)):
-        A = _jay_window(p, n, N, N).filter(keep)
-        dA = s_derive(A, keep, N, N, include_k=False)
-        rhs = _jay_window(p + 1, n, N, N).filter(keep).scaled(-n)
+        resid, euler = _rmk56_cell(p, n, N)
         cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
-        if cc:
-            rhs = rhs + _jay_window(p - 1, n, N, N).shift_euler().filter(
-                keep).scaled(cc)
-        yield _universal_record(
-            dA - rhs, {"check": "universal", "p": p, "n": n})
+        yield _universal_record(resid - euler.scaled(cc),
+                                {"check": "universal", "p": p, "n": n})
     if not mut:
         yield from _rmk56_spots(spec)
+
+
+@cache
+def _rmk56_cell(p, n, N):
+    """The derivative of J^p_n less its main right side -n J^{p+1}_n, and
+    the Euler term J^{p-1}_n(e c), on the diamond window N (every term
+    has total n), J read from _jay_nums.  Kept for the process, so no
+    run derives J^p_n twice; a run subtracts the Euler term at its own
+    coefficient, into a new list."""
+    box = _diamond(N, n)
+    dA = s_derive(_smeared([(1, *_jay_nums(p, n, *box))]), box_keep(*box),
+                  N, N, include_k=False)
+    nums, den = _jay_nums(p - 1, n, *box)
+    return (dA + _smeared([(n, *_jay_nums(p + 1, n, *box))]),
+            _divided(euler_shifted(nums), den))
 
 
 def _rmk56_spots(spec):
@@ -1316,9 +1321,10 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         if mut and (p, q) != (0, 0):
             delta = delta - _smeared([(1, *_jay_nums(
                 p + q - 1, m + n, _sound_pos(N, m, n), N))])
-        # Untagged keys come only from the untagged families' plain events.
+        # Untagged codes come only from the untagged families' plain
+        # events; their powers byte is 0.
         delta = SmearedOp({k: c for k, c in delta.terms.items()
-                           if not k[1] and not k[2]})
+                           if not k % SCALARS})
         yield _universal_record(delta, {"check": "universal", "p": p,
                                         "q": q, "m": m, "n": n})
     for ring in _rings(spec):
@@ -1385,9 +1391,10 @@ def _thm57_comparisons(name):
 
 @cache
 def _field_component(orders, m, N):
-    """The component series of :(d^r1 a)...(d^rk a):_m on the N box, kept
-    for the process: lem61 reads it, and so does lem53's mutation."""
-    return series_to_smeared(fourier_families(orders, m), N, N)
+    """The component series of :(d^r1 a)...(d^rk a):_m on the N box, as
+    (numerators by packed code, denominator), kept for the process: lem61
+    reads it, and so does lem53's mutation."""
+    return series_nums(fourier_families(orders, m), N, N)
 
 
 def _lem61_identities(Nf, m, six):
@@ -1423,13 +1430,11 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     for Nf, m in product(range(n_max + 1), range(-m_max, m_max + 1)):
         z = (0,) * Nf
         for name, orders, scale, terms in _lem61_identities(Nf, m, six):
-            lhs = _field_component(orders + z, m, B).scaled(scale)
-            rhs = SmearedOp()
-            for rorders, used, c in terms:
-                if Nf >= used:
-                    rhs.merge(_field_component(rorders + z[used:], m, B), c)
+            pieces = [(scale, *_field_component(orders + z, m, B))]
+            pieces += [(-c, *_field_component(rorders + z[used:], m, B))
+                       for rorders, used, c in terms if Nf >= used]
             yield _universal_record(
-                lhs - rhs, {"identity": name, "N": Nf, "m": m})
+                _smeared(pieces), {"identity": name, "N": Nf, "m": m})
 
 
 # -- eq22: the abstract W-algebra ------------------------------------------
@@ -1503,7 +1508,7 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
     t = _Group({"check": "trace-bridge"})
     for m in (1, 2, 3):
         meas = series_bracket(heis_families(m), heis_families(-m), 4, 4)
-        got = meas.terms.get(((), 0, 0), Q(0))
+        got = meas.terms.get(0, Q(0))
         t.check(got == -m, {"check": "trace-bridge", "m": m}, Q(-m), got)
     yield t.record()
 

@@ -423,3 +423,65 @@ def test_state_checks_go_through_group_columns():
     imports no operation on whole dicts to build a side with."""
     source = (SRC / "hilbfock" / "verify.py").read_text()
     assert state_check_bypasses(source) == []
+
+
+# The one function under src/ that may decode a packed code: where a
+# smeared list meets text or a ring, render, instantiate (_smeared_items),
+# verify's instantiation sweeps (_inst_fail) and the literal bracket
+# s_bracket read its decoded keys.
+DECODE_EDGES = ("sorted_items",)
+
+
+def _tuple_keyed(node):
+    """Whether node is a dict display or comprehension with a tuple key."""
+    if isinstance(node, ast.Dict):
+        return any(isinstance(key, ast.Tuple) for key in node.keys)
+    return isinstance(node, ast.DictComp) and isinstance(node.key,
+                                                         ast.Tuple)
+
+
+def tuple_key_paths(source):
+    """(line, name) of every read of decode outside the DECODE_EDGES
+    functions, and of every SmearedOp(...) built from a dict display or
+    comprehension with tuple keys: a smeared path keyed by (modes, e, K)
+    tuples rather than by packed code."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, FUNCS) else func
+            if ((getattr(child, "id", None) == "decode"
+                 or getattr(child, "attr", None) == "decode")
+                    and func not in DECODE_EDGES):
+                found.append((child.lineno, "decode"))
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "SmearedOp"
+                    and any(map(_tuple_keyed, child.args))):
+                found.append((child.lineno, "SmearedOp"))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_checker_flags_a_tuple_keyed_path():
+    source = ("def decoded(nums):\n"
+              "    return {decode(k): n for k, n in nums.items()}\n"
+              "def run(parts, sm):\n"
+              "    one = SmearedOp({(parts, 0, 0): 1})\n"
+              "    two = SmearedOp({(k, 0, 0): c for k, c in sm})\n"
+              "    keys = map(operators.decode, sm.terms)\n"
+              "    return SmearedOp({encode(parts): 1})\n"
+              "class SmearedOp:\n"
+              "    def sorted_items(self):\n"
+              "        return sorted((decode(k), c) for k in self.terms)\n")
+    assert tuple_key_paths(source) == [(2, "decode"), (4, "SmearedOp"),
+                                       (5, "SmearedOp"), (6, "decode")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_smeared_lists_are_keyed_by_packed_code(path):
+    """Under src/ a packed code is decoded only where a smeared list
+    meets text or a ring (SmearedOp.sorted_items), and no SmearedOp is
+    built with tuple keys."""
+    assert tuple_key_paths(path.read_text()) == [], path.relative_to(SRC)

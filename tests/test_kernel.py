@@ -18,7 +18,7 @@ from hilbfock.operators import (_EMPTY, Bracket, OperatorFamily,
                                 OperatorSum, SmearedOp, arrangement,
                                 commutator_action, commutator_block,
                                 commutator_column, derivation, derivative,
-                                heisenberg, instantiate, monomial,
+                                encode, heisenberg, instantiate, monomial,
                                 quadratic_sum, series_to_smeared,
                                 smeared_series)
 from hilbfock.partitions import enumerate_genpartitions
@@ -388,7 +388,7 @@ def test_series_scalar_comes_with_the_first_band(name):
     column is the integral of the class once."""
     ring = RINGS[name]
     top = ring.basis(list(ring.degrees).index(4))
-    smeared = SmearedOp({((), 0, 0): 1, ((-1, 1), 0, 0): 1})
+    smeared = SmearedOp({encode(()): 1, encode((-1, 1)): 1})
     states = [()] + light_states(name, 1)[1:] + basis_states(ring, 3)[:12]
 
     def build():
@@ -703,9 +703,9 @@ def test_coefficients_stay_int_or_fraction(name):
 def test_instantiated_scalars_are_int_first():
     k3 = builtin_ring("k3")
     x = k3.basis("x")
-    op = instantiate(SmearedOp({((), 0, 0): Fraction(-2)}), k3, x)
+    op = instantiate(SmearedOp({encode(()): Fraction(-2)}), k3, x)
     assert type(op.scalar) is int and op.scalar == -2
-    op = instantiate(SmearedOp({((), 0, 0): Fraction(1, 3)}), k3, x)
+    op = instantiate(SmearedOp({encode(()): Fraction(1, 3)}), k3, x)
     assert op.scalar == Fraction(1, 3)
 
 
@@ -780,8 +780,8 @@ def test_operator_scalars_are_int_first(name):
         for k in (0, 1, 2):
             _assert_op_int_first(chern(ring, k, b), (name, k))
     # a smeared list with a constant term, instantiated
-    sm = SmearedOp({((), 0, 0): Fraction(3, 2), ((-1, 1), 0, 0): 2,
-                    ((-1,), 1, 0): Fraction(1, 24), ((), 0, 1): 4})
+    sm = SmearedOp({encode(()): Fraction(3, 2), encode((-1, 1)): 2,
+                    encode((-1,), 1): Fraction(1, 24), encode((), 0, 1): 4})
     _assert_op_int_first(instantiate(sm, ring, ring.basis(0)), name)
 
 
@@ -896,7 +896,8 @@ def expansions(draw):
         key = st.tuples(st.lists(st.sampled_from(MODES), max_size=3).map(
             lambda ms: tuple(sorted(ms))), st.integers(0, 1),
             st.integers(0, 1))
-        sm = SmearedOp(draw(st.dictionaries(key, COEFFS, max_size=4)))
+        terms = draw(st.dictionaries(key, COEFFS, max_size=4))
+        sm = SmearedOp({encode(*k): c for k, c in terms.items()})
         return (instantiate(sm, ring, elem).terms_within(cutoff),
                 ref_instantiate(sm, ring, elem, cutoff))
     parts = draw(st.lists(st.sampled_from(MODES), max_size=4))

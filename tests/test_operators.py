@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from hilbfock import operators, walgebra
 from hilbfock.fock import basis_states, canonical_factors, combine, vacuum
 from hilbfock.operators import (Linear, OperatorSum, SmearedOp, arrangement,
-                                box_keep, coded, commutator_column, decode,
-                                decoded, derivation, derivative,
-                                diamond_keep, encode, heisenberg,
-                                instantiate, monomial, normalize_arrangement,
+                                box_keep, commutator_column, decode,
+                                derivation, derivative, encode,
+                                euler_shifted, heisenberg, instantiate,
+                                monomial, normalize_arrangement,
                                 quadratic_sum, s_bracket, s_derive,
                                 series_bracket, series_to_smeared)
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
@@ -52,6 +52,36 @@ def bracket(f, g, vec):
     return ring.vector(combine(*((c, commutator_column(f, g,
                                                        ring.state_id(s)))
                                  for s, c in vec.items())))
+
+
+def by_code(terms):
+    """The SmearedOp of {(modes, e, K): coeff}, keyed by packed code."""
+    return SmearedOp({encode(*key): c for key, c in terms.items()})
+
+
+def decoded(nums):
+    """The nonzero numerators of a packed-code dict, keyed by (modes, e,
+    K)."""
+    return {decode(k): n for k, n in nums.items() if n}
+
+
+def totals(modes):
+    """(pos, neg): the sum of the positive modes and the size of the sum
+    of the negative ones, which keep predicates read."""
+    pos = sum(m for m in modes if m > 0)
+    return pos, pos - sum(modes)
+
+
+def diamond(radius):
+    """Keep a term whose parts' sizes sum to at most radius."""
+    return lambda pos, neg: pos + neg <= radius
+
+
+def cut(sm, keep):
+    """The terms of a smeared list that keep(pos, neg) keeps, read from
+    each decoded key."""
+    return SmearedOp({k: c for k, c in sm.terms.items()
+                      if keep(*totals(decode(k)[0]))})
 
 
 def test_heisenberg_relation_on_states():
@@ -276,8 +306,8 @@ def test_s_bracket_matches_commutator_action():
     one = P2.elem({"1": 1})
     arrs = [((-2, 1), (-1, 2)), ((1, 1), (-1, -1)), ((-1, 2), (-2, -1, 1))]
     for modes_a, modes_b in arrs:
-        a = SmearedOp({(modes_a, 0, 0): Q(1)})
-        b = SmearedOp({(modes_b, 0, 0): Q(1)})
+        a = SmearedOp({encode(modes_a): Q(1)})
+        b = SmearedOp({encode(modes_b): Q(1)})
         br = s_bracket(a, b)
         op_a = instantiate(a, P2, x)
         op_b = instantiate(b, P2, one)
@@ -295,8 +325,8 @@ def test_s_derive_matches_recursive_derivative():
     for cls in ("x", "H", "1"):
         x = P2.elem({cls: 1})
         for modes in ((-2, 1), (-1, -1, 2), (-3,)):
-            a = SmearedOp({(modes, 0, 0): Q(1)})
-            keep = diamond_keep(sum(map(abs, modes)) + 2)
+            a = SmearedOp({encode(modes): Q(1)})
+            keep = diamond(sum(map(abs, modes)) + 2)
             der = s_derive(a, keep, N, N)
             op = instantiate(a, P2, x)
             op_der = instantiate(der, P2, x)
@@ -309,12 +339,12 @@ def test_s_derive_matches_recursive_derivative():
 def ref_s_derive(a, keep, poscap, negcap, include_k=True):
     """The replacement rule by generic splitting, as a test-only
     reference: each split's arrangement goes through
-    normalize_arrangement, and Fractions accumulate."""
+    normalize_arrangement, and Fractions accumulate, on decoded keys."""
     out = {}
-    for (modes, e0, k0), c in a.terms.items():
+    for (modes, e0, k0), c in a.sorted_items():
         if include_k:
             ks = -sum(Q(v * (abs(v) - 1), 2) for v in modes)
-            if ks and keep(modes):
+            if ks and keep(*totals(modes)):
                 key = (modes, e0, k0 + 1)
                 out[key] = out.get(key, 0) + ks * c
         for j, v in enumerate(modes):
@@ -325,23 +355,23 @@ def ref_s_derive(a, keep, poscap, negcap, include_k=True):
                 # both orders (m1, m2) and (m2, m1), each with weight -v/2
                 arr = modes[:j] + (m1, m2) + modes[j + 1:]
                 for ms, ee, im in normalize_arrangement(arr):
-                    if e0 + ee <= 1 and keep(ms):
+                    if e0 + ee <= 1 and keep(*totals(ms)):
                         key = (ms, e0 + ee, k0)
                         out[key] = out.get(key, 0) + Q(-v, 2) * c * im
-    return SmearedOp(out)
+    return by_code(out)
 
 
 # Smeared lists whose parts repeat with mixed signs, so that one u meets
 # several -u after a split: (1, 1, 3) splits 3 into (-1, 4) behind two
 # 1s, (-3, -1, -1) splits -3 into (-4, 1) before two -1s.
 DERIVE_INPUTS = (
-    SmearedOp({((1, 1, 3), 0, 0): Q(1), ((-3, -1, -1), 0, 0): Q(-2, 3)}),
-    SmearedOp({((-2, -1, -1, 1, 1, 2), 0, 0): Q(1, 3),
-               ((-3, -1, 1, 1, 3), 0, 1): Q(-5, 2),
-               ((-2, -2, 1, 3), 1, 0): Q(7),
-               ((-1, -1, 2, 2), 1, 1): Q(2, 5)}),
-    SmearedOp({((-3, 1, 1, 1), 0, 0): Q(1, 4), ((-1, -1, -1, 3), 0, 1): 3,
-               ((-2, 2, 2), 1, 0): Q(-1, 6), ((2, 2, 2), 0, 0): 1}),
+    by_code({((1, 1, 3), 0, 0): Q(1), ((-3, -1, -1), 0, 0): Q(-2, 3)}),
+    by_code({((-2, -1, -1, 1, 1, 2), 0, 0): Q(1, 3),
+             ((-3, -1, 1, 1, 3), 0, 1): Q(-5, 2),
+             ((-2, -2, 1, 3), 1, 0): Q(7),
+             ((-1, -1, 2, 2), 1, 1): Q(2, 5)}),
+    by_code({((-3, 1, 1, 1), 0, 0): Q(1, 4), ((-1, -1, -1, 3), 0, 1): 3,
+             ((-2, 2, 2), 1, 0): Q(-1, 6), ((2, 2, 2), 0, 0): 1}),
 )
 
 
@@ -354,7 +384,7 @@ def test_s_derive_matches_generic_splitting(case):
     a = DERIVE_INPUTS[case]
     windows = [(box_keep(p, n), p, n) for p, n in ((6, 6), (9, 4), (4, 9),
                                                    (3, 3))]
-    windows += [(diamond_keep(r), r, r) for r in (8, 12)]
+    windows += [(diamond(r), r, r) for r in (8, 12)]
     for keep, pos, neg in windows:
         for include_k in (True, False):
             got = s_derive(a, keep, pos, neg, include_k)
@@ -401,20 +431,19 @@ def test_series_bracket_agrees_with_literal_bracket():
                               pos, neg)
         A = series_to_smeared(jay_families(p, m), pad, pad)
         B = series_to_smeared(jay_families(qq, n), pad, pad)
-        slow = s_bracket(A, B).filter(keep)
-        fastf = SmearedOp({k: c for k, c in fast.terms.items()
-                           if keep(k[0])})
-        assert (fastf - slow).is_zero(), (p, qq, m, n, pos, neg)
+        slow = cut(s_bracket(A, B), keep)
+        assert (cut(fast, keep) - slow).is_zero(), (p, qq, m, n, pos, neg)
     for (p, qq, m, n), (pos, neg) in REPEAT_CELLS:
         fast = series_bracket(jay_families(p, m), jay_families(qq, n),
                               pos, neg)
-        assert any(modes and ep for modes, ep, _ in fast.terms), (p, qq)
+        assert any(modes and ep for modes, ep, _ in map(decode, fast.terms)
+                   ), (p, qq)
     for name, (fa, fb) in FAMILY_PAIRS.items():
         A = series_to_smeared(fa, pad, pad)
         B = series_to_smeared(fb, pad, pad)
         for pos, neg in ((3, 6), (5, 4)):
             fast = series_bracket(fa, fb, pos, neg)
-            slow = s_bracket(A, B).filter(box_keep(pos, neg))
+            slow = cut(s_bracket(A, B), box_keep(pos, neg))
             assert fast.terms and fast == slow, (name, pos, neg)
 
 
@@ -439,8 +468,8 @@ def _unstable_cells(brackets, N):
     """The cells whose window-N bracket differs from the window-(N + 2)
     bracket restricted to the window-N box."""
     return [cell for cell in WINDOW_CELLS
-            if brackets[cell, N] != brackets[cell, N + 2].filter(
-                box_keep(_sound_pos(N, *cell[2:]), N))]
+            if brackets[cell, N] != cut(brackets[cell, N + 2], box_keep(
+                _sound_pos(N, *cell[2:]), N))]
 
 
 def test_series_bracket_is_window_stable():
@@ -498,7 +527,7 @@ def ref_swap_events(fa, fb, poscap, negcap):
         gap = fa.total - ta
         xs = [x for w in range(1, abs(gap) // 2 + 1)
               for x in ((w,) if gap > 0 else (-w,))]
-        for (sa, posa, nega, _, _), (sb, posb, negb, _, _) in product(
+        for (sa, posa, nega, *_), (sb, posb, negb, *_) in product(
                 surv_a, surv_b):
             if posa + posb > poscap or nega + negb > negcap:
                 continue
@@ -514,7 +543,7 @@ def ref_swap_events(fa, fb, poscap, negcap):
             if coeff and mu[j] == -v:
                 for ms, im in operators._euler_corrections(
                         mu[:j] + pa + mu[j + 1:]):
-                    if keep(ms):
+                    if keep(*totals(ms)):
                         nums[ms] = nums.get(ms, 0) + coeff * im
     return {ms: n for ms, n in nums.items() if n}
 
@@ -576,7 +605,7 @@ def ref_survivors(fam, x, poscap, negcap):
     c being num(lam) times the multiplicity of x in lam, sorted by
     pos."""
     rows = []
-    for parts, pos, _, _, _ in operators._stats_list(
+    for parts, pos, *_ in operators._stats_list(
             fam.ell - 1, fam.total - x, max(poscap, negcap), negcap):
         lam = tuple(sorted(parts + (x,)))
         c = lam.count(x) * _num(fam, lam)
@@ -589,7 +618,7 @@ def ref_shed(fam, v, x, poscap, negcap):
     """The shed table of the parts v and x by rest, as ref_survivors:
     c is num(lam) times m_v(lam) (m_x(lam) - [x = v])."""
     rows = []
-    for rest, pos, _, _, _ in operators._stats_list(
+    for rest, pos, *_ in operators._stats_list(
             fam.ell - 2, fam.total - v - x, max(poscap, negcap), negcap):
         lam = tuple(sorted(rest + (v, x)))
         c = lam.count(v) * (lam.count(x) - (x == v)) * _num(fam, lam)
@@ -727,19 +756,19 @@ def _grid_partitions():
 
 def test_packed_codes_round_trip_and_add_as_multisets():
     """Every partition of the grid's windows decodes back from its code
-    with either Euler power; the sum of two codes decodes to the sorted
-    union of their parts, with the Euler bit of either; a code holds at
-    most 127 parts."""
+    with either Euler power and with a K power; the sum of two codes
+    decodes to the sorted union of their parts, with the powers of both
+    added; a code holds at most 127 parts."""
     parts = sorted(_grid_partitions())
     assert len(parts) == 2415
     for ms in parts:
-        for e in (0, 1):
-            assert decode(encode(ms, e)) == (ms, e, 0), ms
+        for e, k in ((0, 0), (1, 0), (0, 1), (1, 2)):
+            assert decode(encode(ms, e, k)) == (ms, e, k), ms
     few = parts[::97]
     for (pa, pb), (ea, eb) in product(product(few, repeat=2),
                                       ((0, 0), (0, 1), (1, 0))):
-        assert decode(encode(pa, ea) + encode(pb, eb)) == (
-            tuple(sorted(pa + pb)), ea + eb, 0), (pa, pb)
+        assert decode(encode(pa, ea) + encode(pb, eb, 1)) == (
+            tuple(sorted(pa + pb)), ea + eb, 1), (pa, pb)
     wide = (-9, -2, -2, 1, 1, 1, 17)
     assert decode(encode(wide[:2] * 60, 1)) == (
         tuple(sorted(wide[:2] * 60)), 1, 0)
@@ -749,9 +778,23 @@ def test_packed_codes_round_trip_and_add_as_multisets():
         (-1,) * 254, 0, 0)
     with pytest.raises(ValueError, match="127 parts"):
         encode((1,) * 128)
-    with pytest.raises(ValueError, match="K power"):
-        coded({((1,), 0, 1): 1})
-    assert coded({((-2, 1), 1, 0): 5}) == {encode((-2, 1), 1): 5}
+
+
+def test_packed_code_powers_stay_within_their_fields():
+    """encode refuses an Euler or K power that its four-bit field would
+    not hold in a sum of two codes, as it refuses a 128th part; the sum
+    of two codes at the largest powers and 127 parts each stays in range
+    and decodes to the added powers and the united parts."""
+    for e, k in ((8, 0), (0, 8), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="powers 0..7"):
+            encode((1, -2), e, k)
+    big = (-3,) * 64 + (2,) * 63
+    top = encode(big, 7, 7)
+    assert decode(top) == (tuple(sorted(big)), 7, 7)
+    assert decode(top + top) == (tuple(sorted(big * 2)), 14, 14)
+    assert decode(top + encode((), 7, 7)) == (tuple(sorted(big)), 14, 14)
+    assert encode((), 1) == 1 and encode((), 0, 1) == 16
+    assert encode((1, -1)) >= operators.SCALARS > encode((), 7, 7)
 
 
 def _assert_exact_values(sm, label):
@@ -776,7 +819,7 @@ def test_smeared_values_are_exact_scalars():
                           ("derive", s_derive(A, keep, 4, 4)),
                           ("derive-no-k", s_derive(B, keep, 4, 4,
                                                    include_k=False)),
-                          ("literal", s_bracket(A, B).filter(keep)),
+                          ("literal", cut(s_bracket(A, B), keep)),
                           ("difference", A - A.scaled(Q(1, 2))),
                           ("scaled", B.scaled(Q(24)))):
             _assert_exact_values(sm, (name, label))
@@ -791,13 +834,13 @@ def test_series_bracket_shed_pair_regression():
     slice of it.
     """
     fast = series_bracket(jay_families(1, -3), jay_families(3, -3), 2, 8)
-    assert fast.terms.get(((-8, 2), 1, 0)) == Q(-87)
+    assert fast.terms.get(encode((-8, 2), 1)) == Q(-87)
 
 
 def test_scaled_zero_is_empty():
     op = heisenberg(P2, -1, P2.elem({"H": 1}))
     assert op.scaled(Q(0)).terms == {}
-    sm = SmearedOp({((-1, 1), 0, 0): Q(2)})
+    sm = SmearedOp({encode((-1, 1)): Q(2)})
     assert sm.scaled(Q(0)).terms == {}
     assert sm.scaled(Q(0)).is_zero()
 
@@ -811,7 +854,7 @@ def test_apply_arrangement_matches_composition():
 
 
 def test_instantiate_euler_and_canonical_tags():
-    sm = SmearedOp({((-1,), 1, 0): Q(1), ((-2,), 0, 1): Q(1)})
+    sm = by_code({((-1,), 1, 0): Q(1), ((-2,), 0, 1): Q(1)})
     op = instantiate(sm, P2, P2.elem({"1": 1}))
     v = vacuum()
     want = combine((1, heisenberg(P2, -1, P2.e).act(v)),
@@ -819,13 +862,14 @@ def test_instantiate_euler_and_canonical_tags():
     assert op.act(v) == want
 
 
-def test_smeared_filter_and_shift():
-    sm = SmearedOp({((-2, 1), 0, 0): Q(1), ((-3,), 0, 0): Q(2),
-                    ((-1,), 1, 0): Q(5)})
-    kept = sm.filter(lambda modes: len(modes) == 1)
-    assert set(kept.terms) == {((-3,), 0, 0), ((-1,), 1, 0)}
-    shifted = sm.shift_euler()
-    assert set(shifted.terms) == {((-2, 1), 1, 0), ((-3,), 1, 0)}
+def test_euler_shift_kills_terms_with_e():
+    """Times e, a term gains e unless it carries e already (e*e = 0),
+    whatever its K power."""
+    sm = by_code({((-2, 1), 0, 0): Q(1), ((-3,), 0, 0): Q(2),
+                  ((-1,), 1, 0): Q(5), ((-1,), 0, 2): Q(3),
+                  ((), 1, 1): Q(4)})
+    assert {decode(k): c for k, c in euler_shifted(sm.terms).items()} == {
+        ((-2, 1), 1, 0): Q(1), ((-3,), 1, 0): Q(2), ((-1,), 1, 2): Q(3)}
 
 
 mode_list = st.lists(

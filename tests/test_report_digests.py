@@ -105,10 +105,10 @@ def test_outputs_survive_clearing_every_process_cache():
     operators._stats_list.cache_clear()
     verify._w_cell.cache_clear()
     verify._jay_nums.cache_clear()
-    verify._jay_window.cache_clear()
     verify._lem52_cell.cache_clear()
     verify._thm57_comparisons.cache_clear()
     verify._rmk43_cell.cache_clear()
+    verify._rmk56_cell.cache_clear()
     verify._field_component.cache_clear()
     verify._field_window.cache_clear()
     walgebra.jay_families.cache_clear()
@@ -142,14 +142,13 @@ def test_def51_mutation_leaves_the_shared_families_alone():
     assert after == before
     verify._w_cell.cache_clear()
     verify._jay_nums.cache_clear()
-    verify._jay_window.cache_clear()
     _check_job("thm55", False)
 
 
 # The process caches of the symbolic cells that rmk43, lem61 and lem53
-# read; lem53 reads its partition side from _jay_window.
+# read; lem53 reads its partition side from _jay_nums.
 SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",
-                  "_jay_window")
+                  "_jay_nums")
 
 
 @pytest.fixture
@@ -185,16 +184,22 @@ def test_symbolic_cells_keep_the_frozen_digests_in_either_order(cell_keys,
 
 
 def _cell_terms(cell_keys):
-    """{(cache name, key): [(list, a copy of its terms)]} for each key
-    read so far, from the caches themselves; an rmk43 cell holds two
-    smeared lists."""
+    """{(cache name, key): [(part, a copy of its terms)]} for each key
+    read so far, from the caches themselves: an rmk43 cell holds two
+    smeared lists, every other cell (numerators by packed code,
+    denominator)."""
     out = {}
     for name, (cached, seen) in cell_keys.items():
         for key in seen:
-            cell = cached(*key)
-            lists = cell if isinstance(cell, tuple) else (cell,)
-            out[name, key] = [(op, dict(op.terms)) for op in lists]
+            out[name, key] = [(part, _copied(part)) for part in cached(*key)]
     return out
+
+
+def _copied(part):
+    """A copy of a smeared list's terms or of a numerator dict; a
+    denominator as it is."""
+    terms = getattr(part, "terms", part)
+    return dict(terms) if isinstance(terms, dict) else terms
 
 
 @pytest.mark.parametrize("job", ("rmk43", "lem61", "lem53"))

@@ -14,12 +14,13 @@ import pytest
 
 from hilbfock import operators, verify, walgebra
 from hilbfock.fock import combine, render_state, render_terms
-from hilbfock.operators import box_keep, coded, series_nums
+from hilbfock.operators import box_keep, series_nums
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
                              run_suite, serialize_report)
 from test_acceptance import MUTATED_SHA256, REPORT_SHA256, report_sha256
+from test_operators import cut, diamond
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -330,8 +331,8 @@ def _unstable_residuals(residuals):
     """The cells whose window-6 residual differs from the window-8
     residual restricted to the window-6 box."""
     return [cell for cell in WINDOW_CELLS
-            if residuals[cell, 6] != residuals[cell, 8].filter(
-                box_keep(_sound_pos(6, *cell[2:]), 6))]
+            if residuals[cell, 6] != cut(residuals[cell, 8], box_keep(
+                _sound_pos(6, *cell[2:]), 6))]
 
 
 def test_w_residuals_are_window_stable(w_memo):
@@ -346,9 +347,8 @@ def test_w_residuals_are_window_stable(w_memo):
 
 def _short_jay_nums(p, n, pos, neg):
     """_jay_nums with its J window stopping one mode short of the box
-    edge: series_nums on pos - 1, rekeyed by packed code."""
-    nums, den = series_nums(walgebra.jay_families(p, n), pos - 1, neg)
-    return coded(nums), den
+    edge: series_nums on pos - 1."""
+    return series_nums(walgebra.jay_families(p, n), pos - 1, neg)
 
 
 def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
@@ -391,8 +391,8 @@ def _unstable_lem52(residuals):
     """The cells whose window-6 residual differs from the window-8
     residual restricted to the window-6 box."""
     return [(p, n) for p, n in LEM52_CELLS
-            if residuals[(p, n), 6] != residuals[(p, n), 8].filter(
-                box_keep(_sound_pos(6, 0, n), 6))]
+            if residuals[(p, n), 6] != cut(residuals[(p, n), 8], box_keep(
+                _sound_pos(6, 0, n), 6))]
 
 
 def test_lem52_residuals_are_window_stable(lem52_memo):
@@ -413,6 +413,88 @@ def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
     monkeypatch.setattr(verify, "_jay_nums", cache(_short_jay_nums))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_lem52(_lem52_residuals(order))) == 24, order
+
+
+# rmk56 cells (p, n) of its default run: 1 <= p <= 3 and |n| <= 2.
+RMK56_CELLS = [(p, n) for p in range(1, 4) for n in range(-2, 3)]
+
+
+@pytest.fixture
+def rmk56_memo():
+    """The rmk56 cells and J windows, cleared before and after one test,
+    so that no cell measured under a patched window outlives it."""
+    for memo in (verify._rmk56_cell, verify._jay_nums):
+        memo.cache_clear()
+    yield
+    for memo in (verify._rmk56_cell, verify._jay_nums):
+        memo.cache_clear()
+
+
+def _rmk56_cells(order):
+    """{(cell, N): the (residual, Euler term) _rmk56_cell keeps} for each
+    diamond window N in order, from cleared cells, J windows and
+    partition lists."""
+    verify._rmk56_cell.cache_clear()
+    verify._jay_nums.cache_clear()
+    operators._stats_list.cache_clear()
+    return {(cell, N): verify._rmk56_cell(*cell, N)
+            for N in order for cell in RMK56_CELLS}
+
+
+def _unstable_rmk56(cells, N):
+    """The cells whose residual or Euler term on the diamond N differs
+    from the one on N + 2 cut to N."""
+    return [cell for cell in RMK56_CELLS
+            if any(narrow != cut(wide, diamond(N)) for narrow, wide
+                   in zip(cells[cell, N], cells[cell, N + 2]))]
+
+
+def test_rmk56_residuals_are_window_stable(rmk56_memo):
+    """Each rmk56 residual and Euler term on the diamond N equals the one
+    on N + 2 cut to N, for N = 6 and 8, and each is the same whichever
+    window runs first.  Every Euler term but J^0_0(e c) = 0 holds terms,
+    so they compare J windows that are not empty."""
+    narrow_first = _rmk56_cells((6, 8, 10))
+    assert _unstable_rmk56(narrow_first, 6) == []
+    assert _unstable_rmk56(narrow_first, 8) == []
+    assert [key for key, cell in narrow_first.items()
+            if not cell[1].terms] == [((1, 0), N) for N in (6, 8, 10)]
+    assert _rmk56_cells((10, 8, 6)) == narrow_first
+
+
+def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch,
+                                                           rmk56_memo):
+    """A derivative that keeps its terms on a box one mode wider each way
+    than its diamond leaves, in every cell, window-6 residual terms that
+    the window-8 ones, cut to 6, do not have."""
+    monkeypatch.setattr(verify, "box_keep",
+                        lambda pos, neg: box_keep(pos + 1, neg + 1))
+    for order in ((6, 8), (8, 6)):
+        assert _unstable_rmk56(_rmk56_cells(order), 6) == RMK56_CELLS, order
+
+
+def test_mutated_rmk56_run_derives_nothing(monkeypatch, rmk56_memo):
+    """rmk56 keeps each (p, n, window) cell for the process
+    (_rmk56_cell): from cleared cells its plain run derives each of its
+    15 J^p_n once, a mutated run after it makes no s_derive call, and
+    both keep the frozen digests of the acceptance battery."""
+    calls = 0
+    real = verify.s_derive
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "s_derive", counted)
+    report = run_suite(SuiteSpec("rmk56", surface="k3",
+                                 bounds={"p_max": 3, "n_max": 2}))
+    assert report.ok and calls == 15
+    assert report_sha256(report) == REPORT_SHA256["rmk56"]
+    calls = 0
+    report = run_suite(SuiteSpec("rmk56", mutation="central-scale"))
+    assert not report.ok and calls == 0
+    assert report_sha256(report) == MUTATED_SHA256["rmk56"]
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
@@ -770,7 +852,7 @@ def test_eq22_brackets_each_pair_once(monkeypatch):
 
 
 SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",
-                  "_jay_window")
+                  "_jay_nums")
 
 
 @pytest.mark.parametrize("name", ("rmk43", "lem61", "lem53"))
@@ -778,10 +860,12 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
     """After its plain run, a mutated rmk43, lem61 or lem53 run derives
     nothing and builds no series the plain run built.  Only lem53's
     mutation builds a series of its own, its 28 :a^{p-1}:_m terms, once
-    per process, so a second mutated run builds none."""
+    per process, so a second mutated run builds none.  A series is
+    built as numerators (series_nums) or divided (series_to_smeared)."""
     for cell in SYMBOLIC_CELLS:
         getattr(verify, cell).cache_clear()
-    calls = dict.fromkeys(("s_derive", "series_to_smeared"), 0)
+    calls = dict.fromkeys(("s_derive", "series_nums", "series_to_smeared"),
+                          0)
     for fn in calls:
         def counted(*args, _fn=fn, _real=getattr(verify, fn), **kwargs):
             calls[_fn] += 1
@@ -789,7 +873,7 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
 
         monkeypatch.setattr(verify, fn, counted)
     assert run_suite(SuiteSpec(name)).ok
-    assert calls["series_to_smeared"] > 0
+    assert calls["series_nums"] + calls["series_to_smeared"] > 0
     mutation = SUITES[name].mutation
     for own in ((28 if name == "lem53" else 0), 0):
         calls.update(dict.fromkeys(calls, 0))
@@ -798,18 +882,19 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
         assert not run_suite(SuiteSpec(name, mutation=mutation)).ok
         grown = {cell: getattr(verify, cell).cache_info().misses - n
                  for cell, n in misses.items()}
-        assert calls == {"s_derive": 0, "series_to_smeared": own}, calls
+        assert calls["s_derive"] == 0, calls
+        assert calls["series_nums"] + calls["series_to_smeared"] == own, calls
         assert grown == dict.fromkeys(SYMBOLIC_CELLS, 0) | {
             "_field_component": own}, grown
 
 
 @pytest.mark.parametrize("name", ("lem52", "rmk56"))
 def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
-    """lem52 reads J^p_n from _jay_nums, its mutation too, and rmk56
-    from _jay_window, so after the plain run the mutated one builds no
-    series: every window it reads is kept."""
+    """lem52 reads J^p_n from _jay_nums, its mutation too, and rmk56 its
+    stored cells, which read _jay_nums, so after the plain run the
+    mutated one builds no series: every window it reads is kept."""
     verify._lem52_cell.cache_clear()
-    verify._jay_window.cache_clear()
+    verify._rmk56_cell.cache_clear()
     verify._jay_nums.cache_clear()
     calls = 0
 
