@@ -44,16 +44,16 @@ Two layers:
   with the smearing class g kept symbolic, keyed by packed code
   (encode), in which uniting two terms' modes and multiplying their
   powers is adding their codes (a Kronecker substitution).  A code is
-  decoded only where a list meets text or a ring (SmearedOp.sorted_items),
-  which s_bracket, the literal route, reads too.  Its bracket and
-  derivative rules implement the single-contraction expansion and the
-  splitting expansion of the quadratic replacement rule; sorting an
-  arrangement back to canonical order produces one Euler-smeared
-  correction per inverted (v, -v) pair, and branches with two Euler
-  factors vanish since e*e = 0.  series_bracket enumerates contraction
-  events as (contracted value, survivor partitions) with survivors
-  inside the output window, so windowed bracket lists are complete: no
-  out-of-window input term can contribute.
+  decoded only by SmearedOp.sorted_items, which render, smeared_classes
+  (where a list meets a ring) and s_bracket, the literal route, read.
+  Its bracket and derivative rules implement the single-contraction
+  expansion and the splitting expansion of the quadratic replacement
+  rule; sorting an arrangement back to canonical order produces one
+  Euler-smeared correction per inverted (v, -v) pair, and branches with
+  two Euler factors vanish since e*e = 0.  series_bracket enumerates
+  contraction events as (contracted value, survivor partitions) with
+  survivors inside the output window, so windowed bracket lists are
+  complete: no out-of-window input term can contribute.
 
   The calculus is integer-first.  A Family weights each partition by an
   integer numerator num(parts, mult_factorial, weighted_square) over one
@@ -67,29 +67,11 @@ Two layers:
   without decoding them.  SmearedOp values are stored through fock.exact:
   an int when integral, else a Fraction, never a float.
 
-  A Family keeps two kinds of table, each sorted by positive total so
-  that a narrower box reads a prefix, and each indexed per neg cap by
-  the parts a partition of the family may hold (a _Tables dict), so a
-  bracket walks the parts one family holds and looks the matching parts
-  up in the other's index; a table is built the first time a bracket
-  reads it.  Its contraction tables (Family.contractions),
-  per contracted part x, hold the partitions rest + (x,) as rows
-  (code of rest, pos, weight) with their nonzero weights; a plain
-  contraction event multiplies two entries and adds their codes.  Its
-  shed tables (Family.sheds), per pair of parts (v, x), hold the
-  partitions rest + (v, x) by the code of rest, weighted by the ordered
-  choices of a v part and another x part.  An Euler-corrected event
-  contracts v and sheds the pair (x, -x) exactly when x has the sign of
-  v and |x| <= |v|, so it multiplies the shed tables of (v, x) in one
-  family and (-v, -x) in the other with the weight (-v)(-|x|), halved
-  at x = v, and adds e to the summed code.  So num runs
-  once per family, part and window instead of once per bracket.
-  walgebra.jay_families builds each J^p_n once per process, so every
-  W-bracket cell shares its tables; a family built per call frees them
-  with itself.  The tables, _stats_list and enumerate_genpartitions all
-  read the one partition enumeration, partitions.genpartition_stats,
-  whose rows carry each partition's parts, mult! and sum of squares; a
-  partition is a sorted tuple.
+  A Family keeps the contraction and shed tables that the bracket
+  events read (Family, _Tables), so a family built once, as
+  walgebra.jay_families builds each J^p_n, shares them with every
+  W-bracket cell.  Every table and window reads the one partition
+  enumeration, partitions.genpartition_stats.
 
 Identity checks compare smeared term lists (surface independent), then
 instantiate on a concrete ring where needed.
@@ -744,37 +726,33 @@ class Family:
         """The contraction tables of the box pos <= poscap, neg <= negcap,
         a _Tables index keyed by each part x that a partition lam =
         rest + (x,) of the family may hold; a row's weight is num(lam)
-        times the multiplicity of x in lam.  The index is made per neg
-        cap up to pos <= max(poscap, negcap), which holds every box of
-        this negcap that the package asks (no poscap of its brackets
-        exceeds negcap), and made anew, wider, only when a box asks for
-        more."""
-        index = self._tables.get(negcap)
-        if index is None or poscap > index.cap:
-            cap = max(poscap, negcap)
-            index = self._tables[negcap] = _Tables(
-                self, cap, negcap,
-                (x for x in range(self.total - cap, self.total + negcap + 1)
-                 if x and _holds(self, x)))
-        return index
+        times the multiplicity of x in lam."""
+        return self._index(self._tables, poscap, negcap, 1)
 
     def sheds(self, poscap, negcap):
         """The shed tables of the box, a _Tables index keyed by each pair
         of parts (v, x) of the sign of s = v + x with |x| <= |v| that a
         partition lam = rest + (v, x) of the family may hold; a row's
         weight is num(lam) times m_v(lam) (m_x(lam) - [x = v]), the
-        ordered choices of a v part and another x part.  Made and
-        widened as contractions are."""
-        index = self._sheds.get(negcap)
+        ordered choices of a v part and another x part."""
+        return self._index(self._sheds, poscap, negcap, 2)
+
+    def _index(self, store, poscap, negcap, k):
+        """The index of tables of k parts in store for the box.  It is
+        made per neg cap up to pos <= max(poscap, negcap), which holds
+        every box of this negcap that the package asks (no poscap of its
+        brackets exceeds negcap), and made anew, wider, only when a box
+        asks for more."""
+        index = store.get(negcap)
         if index is None or poscap > index.cap:
             cap = max(poscap, negcap)
-            index = self._sheds[negcap] = _Tables(
-                self, cap, negcap,
-                ((s - x, x)
-                 for s in range(self.total - cap, self.total + negcap + 1)
-                 if _holds(self, s, 2)
-                 for x in (range(1, s // 2 + 1) if s > 0
-                           else range(-1, -(-s // 2) - 1, -1))))
+            sums = [s for s in range(self.total - cap, self.total + negcap + 1)
+                    if s and _holds(self, s, k)]
+            keys = sums if k == 1 else [
+                (s - x, x) for s in sums
+                for x in (range(1, s // 2 + 1) if s > 0
+                          else range(-1, -(-s // 2) - 1, -1))]
+            index = store[negcap] = _Tables(self, cap, negcap, keys)
         return index
 
 
@@ -995,14 +973,15 @@ def _swap_events(fa, fb, poscap, negcap, nums, scale):
     return nums
 
 
-def s_derive(a, keep, poscap, negcap, include_k=True):
+def s_derive(a, kpos, kneg, poscap, negcap, include_k=True):
     """Derivative of a smeared list under the replacement rule.
 
     Each part v splits into ordered pairs m1 + m2 = v, with -negcap <=
     m1, m2 <= poscap and weight -v/2 (the pair inserted in place, normal
     ordered), and each term gains a K-smeared copy weighted by
-    -sum v(|v|-1)/2 unless include_k is off.  keep(pos, neg) keeps an
-    output term by its positive total and its negative parts' size.
+    -sum v(|v|-1)/2 unless include_k is off.  An output term is kept on
+    the box pos <= kpos, neg <= kneg of its positive total and its
+    negative parts' size.
 
     The calculus is integer-first: every coefficient becomes a numerator
     over D, the lcm of the input's denominators, and twice the result is
@@ -1027,11 +1006,11 @@ def s_derive(a, keep, poscap, negcap, include_k=True):
         neg = pos - sum(m * k for m, k in counts)
         if include_k:
             ks = -sum(k * (v * (abs(v) - 1) // 2) for v, k in counts)
-            if ks and keep(pos, neg):
+            if ks and pos <= kpos and neg <= kneg:
                 if code & 0xF0 == 0xF0:
                     raise ValueError("a K power above 15 overflows a code")
                 _acc(twice, code + 16, 2 * ks * n)
-        fix = not code & 15 and keep(pos, neg)
+        fix = not code & 15 and pos <= kpos and neg <= kneg
         held = dict(counts)
         for v, cv in counts:
             base = -v * n
@@ -1042,7 +1021,7 @@ def s_derive(a, keep, poscap, negcap, include_k=True):
                     continue
                 w = base if m1 == m2 else 2 * base
                 grow = m2 - max(v, 0) if m1 < 0 < m2 else 0
-                if keep(pos + grow, neg + grow):
+                if pos + grow <= kpos and neg + grow <= kneg:
                     _acc(twice, rest + _bit(m1) + _bit(m2), cv * w)
                 if not fix or not grow:
                     continue
@@ -1056,13 +1035,17 @@ def s_derive(a, keep, poscap, negcap, include_k=True):
     return _divided(twice, 2 * den)
 
 
-def box_keep(poscap, negcap):
-    """Keep a term whose positive parts sum to at most poscap and whose
-    negative parts to at most negcap in size: a predicate on those two
-    totals (pos, neg)."""
-    def keep(pos, neg):
-        return pos <= poscap and neg <= negcap
-    return keep
+def smeared_classes(smeared, ring, gamma):
+    """(modes, class, coefficient) of each term of a smeared list against
+    a concrete smearing class, in sorted_items order: the one place a
+    smeared term meets a ring.  The class is gamma times the term's
+    powers of e and K, and a term whose class is zero is left out."""
+    for (modes, ep, kp), c in smeared.sorted_items():
+        cls = gamma
+        for factor in (ring.e,) * ep + (ring.K,) * kp:
+            cls = cls * factor
+        if not cls.is_zero():
+            yield modes, cls, c
 
 
 def _smeared_items(smeared, ring, gamma):
@@ -1072,12 +1055,7 @@ def _smeared_items(smeared, ring, gamma):
     den = lcm(*[c.denominator for c in smeared.terms.values()])
     items = []
     scalar = 0
-    for (modes, ep, kp), c in smeared.sorted_items():
-        cls = gamma * ring.e if ep else gamma
-        for _ in range(kp):
-            cls = cls * ring.K
-        if cls.is_zero():
-            continue
+    for modes, cls, c in smeared_classes(smeared, ring, gamma):
         n = c.numerator * (den // c.denominator)
         if modes:
             items.append((modes, cls, n))

@@ -27,40 +27,21 @@ run that no check fails, are refused rather than passed vacuously.
 The W-bracket of Theorem 5.5 is stated once, as (c, numerators,
 denominator) pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and
 thm57 (its untagged part) measure their cells through one runner,
-`_w_grid`, in order and in this process, and ground them on states
-against the series of the same pieces (`_w_op`).  The pieces scale
-J^p_n on the cell's box, kept per (p, n, box) for the process as
-integer numerators over one denominator by packed mode code (`_jay_nums`,
-see `operators.encode`), the one J-window cache; the measured side
-brackets the J-families that `walgebra.jay_families` shares, so each
-family's contraction and shed tables are built once.  A residual is
-formed on integers: the bracket's numerators (`operators.bracket_nums`)
-and the pieces meet over one common denominator (`_summed`), and only
-its nonzero codes, and the bracket's scalar codes, are divided
-(`_smeared`); lem52, lem53 and lem61 form theirs the same way.  Every
-smeared list is keyed by code, decoded only where it meets a ring or
-text (`SmearedOp.sorted_items`).  A diamond window pos + neg <= N of a
-series of one total is the box `_diamond(N, total)`: a series is cut
-where its partitions are enumerated, and its derivative (`s_derive`)
-keeps the terms on the same box (`box_keep`).
+`_w_grid`, and ground them on states against the series of the same
+pieces (`_w_op`).  A residual is formed on integers: the measured and
+expected numerators by packed code (see `operators.encode`) meet over
+one common denominator (`_summed`), and only its nonzero codes are
+divided (`_smeared`).  Every series window comes from one process cache
+(`_window`).  A diamond window pos + neg <= N of a series of one total
+is the box `_diamond(N, total)`.
 
-Three kinds of cell are measured once per process and kept only as their
-residual against the unmutated identity, empty when it holds: each
-W-bracket cell (`_w_cell`, with its scalar terms, which the central
-checks read), each lem52 bracket cell (`_lem52_cell`) and each heis
-(m, n, w_max) cell of a ring (in `ring._cache`).  rmk43 and rmk56 keep
-each derivative less its main right side, with the unit Euler term that
-a run scales by its own coefficient (`_rmk43_cell`, `_rmk56_cell`), and
-lem61 and lem53 their series as numerators by code: the field-monomial
-components (`_field_component`) and J^p_m by its field expression
-(`_field_window`), which lem53 compares with `_jay_nums`.  A run, plain
-or mutated and in either order, reads the stored cell; a mutation adds
-its one term to a copy or a new list, never to the stored entry, and a
-heis run checks its residual against its own central term.
-
-The abstract W-algebra (eq22 and thm57's symbolic part) is bracketed on
-int coefficients; thm57's symbolic comparisons are kept per ring for the
-process (`_thm57_comparisons`), since no thm57 mutation touches them.
+A measured cell (`_w_cell`, `_lem52_cell`, `_rmk43_cell`, heis's cells
+in `ring._cache`) is kept for the process as its residual against the
+unmutated identity, and a mutation adds its one term to a new list, so
+a run, plain or mutated and in either order, reads the stored cell.
+rmk56 reads rmk43's cells, scaled.  The euler-shift mutations of thm42,
+thm46-unique and def51-ids move the shift of the series they check
+(`walgebra.series_families`).
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -79,11 +60,12 @@ from typing import NamedTuple
 from .fock import (basis_states, combine, render_state, render_terms,
                    weight)
 from .operators import (SCALARS, Bracket, Linear, OperatorFamily, SmearedOp,
-                        _divided, arrangement, box_keep, bracket_nums,
+                        _divided, arrangement, bracket_nums,
                         commutator_block, derivative, encode,
                         euler_shifted, heisenberg, instantiate, monomial,
                         quadratic_sum, s_bracket, s_derive, series_bracket,
-                        series_nums, series_to_smeared, smeared_series)
+                        series_nums, series_to_smeared, smeared_classes,
+                        smeared_series)
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, apow_families, chern, chern_families,
                        family_series, fourier, fourier_families,
@@ -313,15 +295,7 @@ def _inst_fail(delta, ring, a, b):
     """First residual term that survives instantiation at a*b, or None."""
     if delta.is_zero():
         return None
-    ab = a * b
-    for (modes, ep, kp), c in delta.sorted_items():
-        cls = ab
-        if ep:
-            cls = ring.e * cls
-        for _ in range(kp):
-            cls = cls * ring.K
-        if cls.is_zero():
-            continue
+    for modes, cls, c in smeared_classes(delta, ring, a * b):
         if modes:
             return "%s * a_%s(tau(%s))" % (c, list(modes), cls.render())
         if ring.integrate(cls):
@@ -360,20 +334,20 @@ def _universal_record(delta, params):
                     "0" if ok else delta.render())
 
 
-def _scalar_part(meas, ring):
-    """Integral of the K-free scalar terms (codes 0, 1) at gamma = 1."""
-    return sum((c * ring.integrate(ring.e if k else ring.unit)
-                for k, c in meas.terms.items() if k < 2), Q(0))
+def _scalar_part(meas, ring, gamma):
+    """Integral of the scalar terms (no mode) at the class gamma."""
+    return sum((c * ring.integrate(cls)
+                for modes, cls, c in smeared_classes(meas, ring, gamma)
+                if not modes), Q(0))
 
 
-def _euler_families(ell, total, c):
-    """The family c/(24 lam^!) a_lam(tau(e g)) over partitions of length
-    ell and size total, as a family list; empty for ell < 1, where the
-    series it shifts has no Euler family.  Each euler-shift mutation is
-    the checked series plus this one family."""
+def _euler_families(ell, total):
+    """rmk43's unit Euler term: the family 1/(24 lam^!) a_lam(tau(e g))
+    over partitions of length ell and size total, as a family list; empty
+    for ell < 1."""
     if ell < 1:
         return []
-    return [mult_family(ell, total, lambda ws: c, 24, epow=1)]
+    return [mult_family(ell, total, lambda ws: 1, 24, epow=1)]
 
 
 # -- heis: transfer operator commutators ----------------------------------
@@ -485,12 +459,13 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 
 
 @cache
-def _jay_nums(p, n, pos, neg):
-    """J^p_n on the box window as (numerators by packed code,
-    denominator), kept for the process, the one J-window cache: the
-    W-bracket, lem52 and rmk56 cells, lem53 and the lem52 and thm57
-    mutations read it as it is, so no caller changes it."""
-    return series_nums(jay_families(p, n), pos, neg)
+def _window(build, args, pos, neg):
+    """The series build(*args) on the box window as (numerators by packed
+    code, denominator), kept for the process, the one window cache: J^p_n
+    (jay_families) for the W-bracket and lem52 cells, lem53 and the lem52
+    and thm57 mutations, and the field-monomial series of lem53 and
+    lem61.  Every caller reads it as it is, so none changes it."""
+    return series_nums(build(*args), pos, neg)
 
 
 def _diamond(N, total):
@@ -521,7 +496,7 @@ def _omega_piece(p, q, m, n, pos, neg):
     om = omega(p, q, m, n)
     if not om or p + q < 3:
         return None
-    nums, den = _jay_nums(p + q - 3, m + n, pos, neg)
+    nums, den = _window(jay_families, (p + q - 3, m + n), pos, neg)
     return -om, euler_shifted(nums), 12 * den
 
 
@@ -537,7 +512,8 @@ def _w_pieces(p, q, m, n, pos, neg):
     out = []
     lin = q * m - p * n
     if lin:
-        out.append((lin, *_jay_nums(p + q - 1, m + n, pos, neg)))
+        out.append((lin, *_window(jay_families, (p + q - 1, m + n), pos,
+                                  neg)))
     piece = _omega_piece(p, q, m, n, pos, neg)
     if piece:
         out.append(piece)
@@ -633,7 +609,7 @@ def _run_vir(spec, mut, *, m_max=3):
             yield _sweep(delta, ring, rcases,
                          {"check": "instantiate", "m": m, "n": n})
         for k3 in _rings(spec, ("k3",) if m == -n and m != 0 else ()):
-            val = _scalar_part(scalars, k3)
+            val = _scalar_part(scalars, k3, k3.unit)
             expect = Q(24) * Q(m ** 3 - m, 12)
             yield _verdict(val == expect, {"check": "central",
                                            "surface": k3.name, "m": m},
@@ -751,7 +727,7 @@ def _derivative_at(parts):
     so the splittings run h past the kept box."""
     one = SmearedOp({encode(parts): 1})
     h, t = max(map(abs, parts)), sum(parts)
-    return lambda w: s_derive(one, box_keep(w, w - t), w + h, w + h - t)
+    return lambda w: s_derive(one, w, w - t, w + h, w + h - t)
 
 
 def _run_lem32(spec, mut):
@@ -820,15 +796,6 @@ def _run_lem32(spec, mut):
 # -- thm42: closed iterated derivatives of transfer operators --------------
 
 
-def _apow_families(n, k, mut):
-    """apow_families(n, k); the mutation adds
-    -2 (-n)^k k! / (24 lam^!) a_lam(tau(e c)), turning (s-1) into (s+1)."""
-    fams = apow_families(n, k)
-    if mut:
-        fams += _euler_families(k - 1, n, -2 * (-n) ** k * factorial(k))
-    return fams
-
-
 def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     """The k-th derivative of a_n equals its closed partition expansion
     (modulo K; exercised with full K via the recursive route on states).
@@ -836,6 +803,7 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     Mutation euler-shift: the closed Euler factor (s-1) becomes (s+1).
     """
     N = _cutoff(spec)
+    moved = 2 if mut else 0
     if mut:
         k_max = min(k_max, 2)
     rcases = [(ring, [(na, a, ring.unit)
@@ -846,16 +814,16 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
         box = _diamond(N, n)
         cur = series_to_smeared(heis_families(n), *box)
         for _ in range(k):
-            cur = s_derive(cur, box_keep(*box), N, N, include_k=False)
-        delta = cur - series_to_smeared(_apow_families(n, k, mut), *box)
+            cur = s_derive(cur, *box, N, N, include_k=False)
+        delta = cur - series_to_smeared(apow_families(n, k, moved), *box)
         yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
         for ring, cases in rcases:
             yield _sweep(delta, ring, cases,
                          {"check": "classes", "k": k, "n": n})
-    yield from _thm42_spots(spec, mut)
+    yield from _thm42_spots(spec, mut, moved)
 
 
-def _thm42_spots(spec, mut):
+def _thm42_spots(spec, mut, moved):
     """D^k(a_n) on states against the closed series, grown with the state
     as lem32's derivative part grows its right side."""
     cases = [(ring, na, a) for ring in _rings(spec, ("p2", "k3"))
@@ -869,7 +837,7 @@ def _thm42_spots(spec, mut):
         t = _Group({"check": "action", "surface": ring.name, "class": cname})
         for k, n in product(range(3), (1, -1, -2)):
             t.columns(ring, states, derivative(heisenberg(ring, n, a), k),
-                      family_series(ring, _apow_families(n, k, mut), a),
+                      family_series(ring, apow_families(n, k, moved), a),
                       {"check": "action", "surface": ring.name, "k": k,
                        "n": n, "a": cname})
         yield t.record()
@@ -889,8 +857,8 @@ def _rmk43_cell(k, n, d, N):
     box = _diamond(N, n)
     A = series_to_smeared(shift_families(k, n, d), *box)
     rhs = series_to_smeared(shift_families(k + 1, n, d), *box)
-    euler = series_to_smeared(_euler_families(k, n, 1), *box)
-    return (s_derive(A, box_keep(*box), N, N, include_k=False)
+    euler = series_to_smeared(_euler_families(k, n), *box)
+    return (s_derive(A, *box, N, N, include_k=False)
             - rhs.scaled(-n * (k + 1)), euler)
 
 
@@ -929,16 +897,14 @@ def _run_thm46(spec, mut, *, k_max=3):
     N = _cutoff(spec)
     box = _diamond(N, 0)
     for k in range(k_max + 1):
-        fams = chern_families(k)
-        if mut:
-            fams += _euler_families(k, 0, 1)
+        fams = chern_families(k, 1 if mut else 0)
         A = series_to_smeared(fams, *box)
         bad = series_to_smeared(fams, 0, N)  # A's terms with no pos part
         yield _verdict(bad.is_zero(), {"check": "vacuum", "k": k},
                        max(len(A.terms), 1),
                        "every term has an annihilation mode",
                        "" if bad.is_zero() else bad.render())
-        dA = s_derive(A, box_keep(*box), N, N, include_k=False)
+        dA = s_derive(A, *box, N, N, include_k=False)
         yield _universal_record(dA, {"check": "derivation", "k": k})
         pos = _sound_pos(N, 0, -1)
         nums, den = series_nums(apow_families(-1, k), pos, N)
@@ -1052,12 +1018,7 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
     Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
     """
     N = _cutoff(spec)
-
-    def jf(p, n):
-        fams = list(jay_families(p, n))
-        if mut:
-            fams += _euler_families(p - 1, n, -factorial(p))
-        return fams
+    jf = partial(jay_families, moved=-1) if mut else jay_families
 
     def delta(*pieces):
         return _smeared([(c, *series_nums(fams, N, N)) for c, fams in pieces])
@@ -1102,7 +1063,8 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
     for p, n in product(range(p_max + 1), range(-n_max, n_max + 1)):
         delta = _lem52_cell(p, n, N)
         if mut:
-            nums, den = _jay_nums(p, n, _sound_pos(N, 0, n), N)
+            nums, den = _window(jay_families, (p, n), _sound_pos(N, 0, n),
+                                N)
             delta = delta - _smeared([(1, nums, factorial(p) * den)])
         yield _universal_record(
             delta, {"check": "universal", "p": p, "n": n})
@@ -1119,7 +1081,7 @@ def _lem52_cell(p, n, N):
     one brackets nothing."""
     pos = _sound_pos(N, 0, n)
     meas = bracket_nums(chern_families(p), heis_families(n), pos, N)
-    nums, den = _jay_nums(p, n, pos, N)
+    nums, den = _window(jay_families, (p, n), pos, N)
     return _smeared([(1, *meas), (-n, nums, factorial(p) * den)])
 
 
@@ -1144,14 +1106,6 @@ def _lem52_spots(spec):
 # -- lem53: W-generators as field monomial components ----------------------
 
 
-@cache
-def _field_window(p, m, N):
-    """J^p_m by its field expression (jay_field_families) on the N box,
-    as (numerators by packed code, denominator), kept for the process
-    like _jay_nums, the partition route."""
-    return series_nums(jay_field_families(p, m), N, N)
-
-
 def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """J^p_m equals its normally ordered field expression term by term:
 
@@ -1162,9 +1116,10 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """
     N = _cutoff(spec)
     for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
-        pieces = [(1, *_jay_nums(p, m, N, N)), (-1, *_field_window(p, m, N))]
+        pieces = [(1, *_window(jay_families, (p, m), N, N)),
+                  (-1, *_window(jay_field_families, (p, m), N, N))]
         if mut and p >= 1:
-            nums, den = _field_component((0,) * (p - 1), m, N)
+            nums, den = _window(fourier_families, ((0,) * (p - 1), m), N, N)
             pieces.append((-p, euler_shifted(nums), 24 * den))
         yield _universal_record(_smeared(pieces), {"p": p, "m": m})
     for ring in _rings(spec, () if mut else ("p2",)):
@@ -1222,17 +1177,17 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
 def _thm55_centrals(spec, m_max):
     """Explicit central values on the K3 model."""
     for ring in _rings(spec, ("k3",)):
-        u1u2 = ring.integrate(ring.basis("u1") * ring.basis("u2"))
+        u1u2 = ring.basis("u1") * ring.basis("u2")
         cells = [(p, q, m, -m) for p, q in ((0, 0), (1, 1), (2, 0), (0, 2))
                  for m in range(1, m_max + 1)]
         for (p, q, m, _), (_, scalars) in _w_grid(spec, cells):
             if (p, q) == (0, 0):
-                got = scalars.terms.get(0, Q(0)) * u1u2
+                got = _scalar_part(scalars, ring, u1u2)
                 want = Q(-m)
                 label = "-m * integral(ab)"
             else:
                 den = 12 if (p, q) == (1, 1) else 6
-                got = _scalar_part(scalars, ring)
+                got = _scalar_part(scalars, ring, ring.unit)
                 want = Q(m ** 3 - m, den) * 24
                 label = "(m^3-m)/%d * integral(e)" % den
             yield _verdict(got == want, {"check": "central", "p": p,
@@ -1269,19 +1224,13 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
         yield from _rmk56_spots(spec)
 
 
-@cache
 def _rmk56_cell(p, n, N):
     """The derivative of J^p_n less its main right side -n J^{p+1}_n, and
-    the Euler term J^{p-1}_n(e c), on the diamond window N (every term
-    has total n), J read from _jay_nums.  Kept for the process, so no
-    run derives J^p_n twice; a run subtracts the Euler term at its own
-    coefficient, into a new list."""
-    box = _diamond(N, n)
-    dA = s_derive(_smeared([(1, *_jay_nums(p, n, *box))]), box_keep(*box),
-                  N, N, include_k=False)
-    nums, den = _jay_nums(p - 1, n, *box)
-    return (dA + _smeared([(n, *_jay_nums(p + 1, n, *box))]),
-            _divided(euler_shifted(nums), den))
+    the Euler term J^{p-1}_n(e c), on the diamond window N.  Since J^p_n
+    = -p! F(p, n, n^2 - 2), they are rmk43's cell (_rmk43_cell) with its
+    residual scaled by -p! and its Euler term by -24 (p-1)!."""
+    resid, euler = _rmk43_cell(p, n, n * n - 2, N)
+    return resid.scaled(-factorial(p)), euler.scaled(-24 * factorial(p - 1))
 
 
 def _rmk56_spots(spec):
@@ -1319,8 +1268,8 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         m_max = min(m_max, 1)
     for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut and (p, q) != (0, 0):
-            delta = delta - _smeared([(1, *_jay_nums(
-                p + q - 1, m + n, _sound_pos(N, m, n), N))])
+            delta = delta - _smeared([(1, *_window(
+                jay_families, (p + q - 1, m + n), _sound_pos(N, m, n), N))])
         # Untagged codes come only from the untagged families' plain
         # events; their powers byte is 0.
         delta = SmearedOp({k: c for k, c in delta.terms.items()
@@ -1389,14 +1338,6 @@ def _thm57_comparisons(name):
 # -- lem61: derivative identities of field monomials -----------------------
 
 
-@cache
-def _field_component(orders, m, N):
-    """The component series of :(d^r1 a)...(d^rk a):_m on the N box, as
-    (numerators by packed code, denominator), kept for the process: lem61
-    reads it, and so does lem53's mutation."""
-    return series_nums(fourier_families(orders, m), N, N)
-
-
 def _lem61_identities(Nf, m, six):
     """(name, lhs orders, lhs scalar, rhs terms) of the five identities at
     N = Nf underived factors; a rhs term (orders, used, coefficient)
@@ -1430,8 +1371,10 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     for Nf, m in product(range(n_max + 1), range(-m_max, m_max + 1)):
         z = (0,) * Nf
         for name, orders, scale, terms in _lem61_identities(Nf, m, six):
-            pieces = [(scale, *_field_component(orders + z, m, B))]
-            pieces += [(-c, *_field_component(rorders + z[used:], m, B))
+            pieces = [(scale, *_window(fourier_families, (orders + z, m), B,
+                                       B))]
+            pieces += [(-c, *_window(fourier_families,
+                                     (rorders + z[used:], m), B, B))
                        for rorders, used, c in terms if Nf >= used]
             yield _universal_record(
                 _smeared(pieces), {"identity": name, "N": Nf, "m": m})

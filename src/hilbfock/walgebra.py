@@ -1,19 +1,17 @@
 """Named operator series: Virasoro, Chern character, W-algebra generators.
 
-All series are organized as smeared partition families (see operators):
+All series are organized as smeared partition families (see operators).
+The Virasoro series is
 
-* virasoro:  L_n(c) = - sum_{l(lam)=2, |lam|=n} (1/lam^!) a_lam(tau2 c)
-* chern:     G_k(c) = - sum_{l(lam)=k+2, |lam|=0} (1/lam^!) a_lam(tau c)
-                      + sum_{l(lam)=k, |lam|=0} ((s(lam)-2)/(24 lam^!))
-                        a_lam(tau(e*c))
-             defined here only for K*c = 0.
-* jay:       J^p_n(c) = p! * ( - sum_{l=p+1, |lam|=n} (1/lam^!) a_lam(tau c)
-                      + sum_{l=p-1, |lam|=n} ((s(lam)+n^2-2)/(24 lam^!))
-                        a_lam(tau(e*c)) )
+    L_n(c) = - sum_{l(lam)=2, |lam|=n} (1/lam^!) a_lam(tau2 c),
 
-with s(lam) the sum of squared parts and lam^! the multiplicity factorial.
-J^0_n = -a_n, J^1_n = L_n, J^p_0 = p! G_{p-1}, and J^p_{-1} is -1 times
-the p-th derivative of a_{-1} under the derivation operator.
+and every other is one pattern (series_families) in (ell, total, lead,
+shift): a_n is (0, n, 1, 0), G_k(c) is (k+1, 0, -1, -2), defined here
+only for K*c = 0, J^p_n(c) is (p, n, -p!, n^2-2), and the closed k-th
+derivative of a_n is (k, n, (-n)^k k!, -1).  Here s(lam) is the sum of
+squared parts and lam^! the multiplicity factorial.  J^0_n = -a_n,
+J^1_n = L_n, J^p_0 = p! G_{p-1}, and J^p_{-1} is -1 times the p-th
+derivative of a_{-1} under the derivation operator.
 
 virasoro, chern and jay keep their series in a per-ring LRU memo of at
 most _NAMED_CAP (32) entries, keyed by name, indices and class
@@ -69,62 +67,55 @@ def scaled_families(fams, c, den=1, epow=None):
             for f in fams]
 
 
+def series_families(ell, total, lead, shift):
+    """The paper's series pattern as a family list:
+
+        lead * ( sum_{l=ell+1,|lam|=total} (1/lam^!) a_lam(tau c)
+               - sum_{l=ell-1,|lam|=total} ((s(lam)+shift)/(24 lam^!))
+                 a_lam(tau(e*c)) ),
+
+    the Euler family left out for ell < 2, where it would hold no mode.
+    The instances that an euler-shift mutation changes take moved, added
+    to their shift; 0 gives the paper's series."""
+    fams = [mult_family(ell + 1, total, lambda ws: lead)]
+    if ell >= 2:
+        fams.append(mult_family(ell - 1, total,
+                                lambda ws: -lead * (ws + shift), 24, epow=1))
+    return fams
+
+
 def heis_families(n):
-    """The single-mode series a_n as a family list."""
-    return [Family(1, n, lambda parts, mf, ws: 1)]
+    """The single-mode series a_n."""
+    return series_families(0, n, 1, 0)
 
 
 @cache
-def jay_families(p, n):
-    """Families of J^p_n, as a tuple built once per (p, n) and shared by
-    every caller for the life of the process, so that their contraction
-    tables (Family.contractions) are built once; the empty partition never
-    appears.  A caller that adds a family builds a new list."""
+def jay_families(p, n, moved=0):
+    """Families of J^p_n, as a tuple built once per (p, n, moved) and
+    shared by every caller for the life of the process, so that their
+    contraction tables (Family.contractions) are built once."""
     if p < 0:
         raise ValueError("negative W-algebra weight %d" % p)
-    fp = factorial(p)
-    fams = (mult_family(p + 1, n, lambda ws: -fp),)
-    if p - 1 >= 1:
-        fams += (mult_family(p - 1, n, lambda ws: fp * (ws + n * n - 2),
-                             24, epow=1),)
-    return fams
+    return tuple(series_families(p, n, -factorial(p), n * n - 2 + moved))
 
 
-def chern_families(k):
+def chern_families(k, moved=0):
     """Families of the k-th Chern character component G_k."""
     if k < 0:
         raise ValueError("negative Chern character index %d" % k)
-    fams = [mult_family(k + 2, 0, lambda ws: -1)]
-    if k >= 1:
-        fams.append(mult_family(k, 0, lambda ws: ws - 2, 24, epow=1))
-    return fams
+    return series_families(k + 1, 0, -1, -2 + moved)
 
 
-def apow_families(n, k):
-    """Closed form of the k-th derivative of a_n (for K-trivial classes):
-
-        (-n)^k k! ( sum_{l=k+1,|lam|=n} (1/lam^!) a_lam(tau c)
-                  - sum_{l=k-1,|lam|=n} ((s(lam)-1)/(24 lam^!))
-                    a_lam(tau(e*c)) ).
-    """
-    lead = (-n) ** k * factorial(k)
-    fams = [mult_family(k + 1, n, lambda ws: lead)]
-    if k - 1 >= 1:
-        fams.append(mult_family(k - 1, n, lambda ws: -lead * (ws - 1),
-                                24, epow=1))
-    return fams
+def apow_families(n, k, moved=0):
+    """Closed form of the k-th derivative of a_n (for K-trivial
+    classes)."""
+    return series_families(k, n, (-n) ** k * factorial(k), -1 + moved)
 
 
 def shift_families(k, n, d):
-    """The d-shifted family whose derivative closes with shift d:
-
-        sum_{l=k+1,|lam|=n} (1/lam^!) a_lam(tau c)
-        - sum_{l=k-1,|lam|=n} ((s(lam)+d)/(24 lam^!)) a_lam(tau(e*c)).
-    """
-    fams = [mult_family(k + 1, n, lambda ws: 1)]
-    if k - 1 >= 1:
-        fams.append(mult_family(k - 1, n, lambda ws: -(ws + d), 24, epow=1))
-    return fams
+    """The d-shifted family F(k, n, d) whose derivative closes with shift
+    d; J^p_n = -p! F(p, n, n^2 - 2)."""
+    return series_families(k, n, 1, d)
 
 
 # -- expanded operators ----------------------------------------------------

@@ -425,11 +425,57 @@ def test_state_checks_go_through_group_columns():
     assert state_check_bypasses(source) == []
 
 
-# The one function under src/ that may decode a packed code: where a
-# smeared list meets text or a ring, render, instantiate (_smeared_items),
-# verify's instantiation sweeps (_inst_fail) and the literal bracket
-# s_bracket read its decoded keys.
+# The one function under src/ that may decode a packed code.
 DECODE_EDGES = ("sorted_items",)
+
+# The functions under src/ that may read the decoded keys: text (render),
+# a ring (smeared_classes, which instantiate and verify's sweeps and
+# scalar checks read) and the literal bracket s_bracket.
+SORTED_ITEMS_READERS = ("render", "smeared_classes", "s_bracket")
+
+# The functions under src/ that may build a family by mult_family: the
+# one template of the paper's series and rmk43's unit Euler term.
+MULT_FAMILY_CALLERS = ("series_families", "_euler_families")
+
+
+def reads_outside(source, name, allowed):
+    """(line, function) of every read of name, as a name or an attribute,
+    outside the functions named in allowed (function None at module
+    level)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, FUNCS) else func
+            if ((getattr(child, "id", None) == name
+                 or getattr(child, "attr", None) == name)
+                    and func not in allowed):
+                found.append((child.lineno, func))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_checker_flags_a_read_outside_its_functions():
+    source = ("from .walgebra import mult_family\n"
+              "FAM = mult_family(1, 0, abs)\n"
+              "def series_families(ell):\n"
+              "    return [mult_family(ell, 0, abs)]\n"
+              "def chern(k):\n"
+              "    return walgebra.mult_family(k, 0, abs)\n")
+    assert reads_outside(source, "mult_family", MULT_FAMILY_CALLERS) == [
+        (2, None), (6, "chern")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_decoded_keys_and_family_builds_have_one_home(path):
+    """Under src/ a smeared list's decoded keys are read only where it
+    meets text, a ring or the literal bracket, and only the series
+    template and rmk43's Euler term build a family by mult_family."""
+    source = path.read_text()
+    assert reads_outside(source, "sorted_items", SORTED_ITEMS_READERS) == []
+    assert reads_outside(source, "mult_family", MULT_FAMILY_CALLERS) == []
 
 
 def _tuple_keyed(node):
@@ -445,22 +491,13 @@ def tuple_key_paths(source):
     functions, and of every SmearedOp(...) built from a dict display or
     comprehension with tuple keys: a smeared path keyed by (modes, e, K)
     tuples rather than by packed code."""
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, FUNCS) else func
-            if ((getattr(child, "id", None) == "decode"
-                 or getattr(child, "attr", None) == "decode")
-                    and func not in DECODE_EDGES):
-                found.append((child.lineno, "decode"))
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "id", None) == "SmearedOp"
-                    and any(map(_tuple_keyed, child.args))):
-                found.append((child.lineno, "SmearedOp"))
-            visit(child, inner)
-
-    visit(ast.parse(source), None)
+    found = [(line, "decode")
+             for line, _ in reads_outside(source, "decode", DECODE_EDGES)]
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "SmearedOp"
+                and any(map(_tuple_keyed, node.args))):
+            found.append((node.lineno, "SmearedOp"))
     return sorted(found)
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hilbfock import operators, walgebra
 from hilbfock.fock import basis_states, canonical_factors, combine, vacuum
 from hilbfock.operators import (Linear, OperatorSum, SmearedOp, arrangement,
-                                box_keep, commutator_column, decode,
-                                derivation, derivative, encode,
+                                commutator_column, decode, derivation,
+                                derivative, encode,
                                 euler_shifted, heisenberg, instantiate,
                                 monomial, normalize_arrangement,
                                 quadratic_sum, s_bracket, s_derive,
@@ -26,7 +26,7 @@ from hilbfock.verify import _euler_families, _sound_pos
 from hilbfock.walgebra import (apow_families, chern_families,
                                fourier_families, heis_families,
                                jay_families, jay_field_families,
-                               shift_families)
+                               scaled_families, shift_families)
 
 P2 = builtin_ring("p2")
 AB = builtin_ring("abelian")
@@ -75,6 +75,12 @@ def totals(modes):
 def diamond(radius):
     """Keep a term whose parts' sizes sum to at most radius."""
     return lambda pos, neg: pos + neg <= radius
+
+
+def box_keep(poscap, negcap):
+    """Keep a term whose positive parts sum to at most poscap and whose
+    negative parts to at most negcap in size."""
+    return lambda pos, neg: pos <= poscap and neg <= negcap
 
 
 def cut(sm, keep):
@@ -326,8 +332,8 @@ def test_s_derive_matches_recursive_derivative():
         x = P2.elem({cls: 1})
         for modes in ((-2, 1), (-1, -1, 2), (-3,)):
             a = SmearedOp({encode(modes): Q(1)})
-            keep = diamond(sum(map(abs, modes)) + 2)
-            der = s_derive(a, keep, N, N)
+            r = sum(map(abs, modes)) + 2
+            der = cut(s_derive(a, r, r, N, N), diamond(r))
             op = instantiate(a, P2, x)
             op_der = instantiate(der, P2, x)
             for s in basis_states(P2, 1):
@@ -380,14 +386,15 @@ def test_s_derive_matches_generic_splitting(case):
     """s_derive, which finds each split's Euler corrections directly and
     counts repeated partners, equals the generic splitting through
     normalize_arrangement: with Euler and K powers 0 and 1, with and
-    without the K-term, on box and diamond windows."""
+    without the K-term, on box windows, and on diamond windows cut from
+    the box that holds them."""
     a = DERIVE_INPUTS[case]
     windows = [(box_keep(p, n), p, n) for p, n in ((6, 6), (9, 4), (4, 9),
                                                    (3, 3))]
     windows += [(diamond(r), r, r) for r in (8, 12)]
     for keep, pos, neg in windows:
         for include_k in (True, False):
-            got = s_derive(a, keep, pos, neg, include_k)
+            got = cut(s_derive(a, pos, neg, pos, neg, include_k), keep)
             want = ref_s_derive(a, keep, pos, neg, include_k)
             assert got == want, (case, pos, neg, include_k)
             assert ({k: type(c) for k, c in got.terms.items()}
@@ -407,7 +414,8 @@ FAMILY_PAIRS = {
     "fourier-derived": (fourier_families((1, 2), -1),
                         fourier_families((0, 3, 0), 0)),
     "jay-field": (jay_field_families(2, 1), jay_field_families(3, -1)),
-    "euler-jay": (_euler_families(2, 1, 5), jay_families(2, -1)),
+    "euler-jay": (scaled_families(_euler_families(2, 1), 5),
+                  jay_families(2, -1)),
 }
 
 
@@ -816,8 +824,8 @@ def test_smeared_values_are_exact_scalars():
         assert A.terms and B.terms, name
         for label, sm in (("smeared-a", A), ("smeared-b", B),
                           ("bracket", series_bracket(fa, fb, 3, 4)),
-                          ("derive", s_derive(A, keep, 4, 4)),
-                          ("derive-no-k", s_derive(B, keep, 4, 4,
+                          ("derive", s_derive(A, 4, 4, 4, 4)),
+                          ("derive-no-k", s_derive(B, 4, 4, 4, 4,
                                                    include_k=False)),
                           ("literal", cut(s_bracket(A, B), keep)),
                           ("difference", A - A.scaled(Q(1, 2))),

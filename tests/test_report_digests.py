@@ -11,14 +11,17 @@ to match.  It reads both files and changes neither.
 
 import contextlib
 import hashlib
+import importlib
 import importlib.util
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from hilbfock import operators, partitions, verify, walgebra
+import hilbfock
+from hilbfock import operators, ring, verify, walgebra
 from hilbfock.cli import main
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import SuiteSpec, list_suites, run_suite, serialize_report
@@ -95,24 +98,35 @@ def test_query_outputs_do_not_depend_on_history():
         assert _run_query(qid) == REFS["queries"][qid], qid
 
 
+def process_caches():
+    """Every functools cache among the globals of the hilbfock modules,
+    found rather than listed, so that a new or renamed cache is not left
+    out; all but the built-in rings themselves (ring._built), which
+    callers compare by identity, so each keeps its object and has its
+    _cache cleared instead."""
+    found = {}
+    for info in pkgutil.iter_modules(hilbfock.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("hilbfock." + info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value is not ring._built:
+                found[id(value)] = value
+    return list(found.values())
+
+
 def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
-    each of them emptied, the query universe and two suite jobs give
+    each of them emptied, the query universe and five suite jobs give
     their frozen bytes again; thm57 measures its W-bracket cells and
     its symbolic comparisons anew, from new J-families, contraction and
-    shed tables and J windows, and rmk43, lem61 and lem53 build their
+    shed tables and windows, and rmk43, lem61 and lem53 build their
     cells anew."""
-    operators._stats_list.cache_clear()
-    verify._w_cell.cache_clear()
-    verify._jay_nums.cache_clear()
-    verify._lem52_cell.cache_clear()
-    verify._thm57_comparisons.cache_clear()
-    verify._rmk43_cell.cache_clear()
-    verify._rmk56_cell.cache_clear()
-    verify._field_component.cache_clear()
-    verify._field_window.cache_clear()
-    walgebra.jay_families.cache_clear()
-    partitions._exact_stats.cache_clear()
+    caches = process_caches()
+    assert {verify._window, verify._w_cell, walgebra.jay_families,
+            operators._stats_list} <= set(caches)
+    for cached in caches:
+        cached.cache_clear()
     for name in SURFACE_NAMES:
         builtin_ring(name)._cache.clear()
     for qid in sorted(QUERIES):
@@ -131,9 +145,10 @@ def _jay_family_fields():
 
 
 def test_def51_mutation_leaves_the_shared_families_alone():
-    """def51-ids' mutation adds an Euler family to a copy of the shared
-    J^p_n family tuple: after its mutated run jay_families returns the
-    same families, and thm55, measured anew, keeps its frozen digest."""
+    """def51-ids' mutation builds J^p_n with another shift, apart from
+    the shared J^p_n family tuple: after its mutated run jay_families
+    returns the same families, and thm55, measured anew, keeps its
+    frozen digest."""
     before = _jay_family_fields()
     report = run_suite(SuiteSpec("def51-ids", mutation=MUTATION["def51-ids"]))
     assert not report.ok
@@ -141,14 +156,13 @@ def test_def51_mutation_leaves_the_shared_families_alone():
     assert all(after[key][0] is fams for key, (fams, _) in before.items())
     assert after == before
     verify._w_cell.cache_clear()
-    verify._jay_nums.cache_clear()
+    verify._window.cache_clear()
     _check_job("thm55", False)
 
 
 # The process caches of the symbolic cells that rmk43, lem61 and lem53
-# read; lem53 reads its partition side from _jay_nums.
-SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",
-                  "_jay_nums")
+# read: rmk43's cells and the series windows of lem61 and lem53.
+SYMBOLIC_CELLS = ("_rmk43_cell", "_window")
 
 
 @pytest.fixture
@@ -186,8 +200,7 @@ def test_symbolic_cells_keep_the_frozen_digests_in_either_order(cell_keys,
 def _cell_terms(cell_keys):
     """{(cache name, key): [(part, a copy of its terms)]} for each key
     read so far, from the caches themselves: an rmk43 cell holds two
-    smeared lists, every other cell (numerators by packed code,
-    denominator)."""
+    smeared lists, a window (numerators by packed code, denominator)."""
     out = {}
     for name, (cached, seen) in cell_keys.items():
         for key in seen:

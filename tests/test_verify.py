@@ -14,13 +14,13 @@ import pytest
 
 from hilbfock import operators, verify, walgebra
 from hilbfock.fock import combine, render_state, render_terms
-from hilbfock.operators import box_keep, series_nums
+from hilbfock.operators import series_nums
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
                              run_suite, serialize_report)
 from test_acceptance import MUTATED_SHA256, REPORT_SHA256, report_sha256
-from test_operators import cut, diamond
+from test_operators import box_keep, cut, diamond
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -290,7 +290,7 @@ def test_family_tables_are_built_once_and_bounded():
     p + q <= 3: the tables depend on its cells, not on its surfaces."""
     walgebra.jay_families.cache_clear()
     W_CELL.cache_clear()
-    verify._jay_nums.cache_clear()
+    verify._window.cache_clear()
     for spec in (SuiteSpec("thm55", surface="p2"), SuiteSpec("thm57"),
                  SuiteSpec("vir")):
         assert run_suite(spec).ok, spec.suite
@@ -320,7 +320,7 @@ def _w_residuals(order):
     from cleared cells, J windows, families and partition lists, so that
     each window after the first reads what the earlier ones built."""
     W_CELL.cache_clear()
-    verify._jay_nums.cache_clear()
+    verify._window.cache_clear()
     walgebra.jay_families.cache_clear()
     operators._stats_list.cache_clear()
     return {(cell, N): W_CELL(cell + (N,))[0]
@@ -345,10 +345,10 @@ def test_w_residuals_are_window_stable(w_memo):
     assert _w_residuals((8, 6)) == narrow_first
 
 
-def _short_jay_nums(p, n, pos, neg):
-    """_jay_nums with its J window stopping one mode short of the box
-    edge: series_nums on pos - 1."""
-    return series_nums(walgebra.jay_families(p, n), pos - 1, neg)
+def _short_window(build, args, pos, neg):
+    """_window with its windows stopping one mode short of the box edge:
+    series_nums on pos - 1."""
+    return series_nums(build(*args), pos - 1, neg)
 
 
 def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
@@ -356,7 +356,7 @@ def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
     """An expected side whose J windows stop one mode short of the box
     edge leaves window-6 residuals that the window-8 ones, restricted,
     do not have, in either window order."""
-    monkeypatch.setattr(verify, "_jay_nums", cache(_short_jay_nums))
+    monkeypatch.setattr(verify, "_window", cache(_short_window))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_residuals(_w_residuals(order))) == 252, order
 
@@ -369,10 +369,10 @@ LEM52_CELLS = [(p, n) for p in range(5) for n in range(-3, 4)]
 def lem52_memo():
     """The lem52 cells and J windows, cleared before and after one test,
     so that no cell measured under a patched window outlives it."""
-    for memo in (verify._lem52_cell, verify._jay_nums):
+    for memo in (verify._lem52_cell, verify._window):
         memo.cache_clear()
     yield
-    for memo in (verify._lem52_cell, verify._jay_nums):
+    for memo in (verify._lem52_cell, verify._window):
         memo.cache_clear()
 
 
@@ -380,7 +380,7 @@ def _lem52_residuals(order):
     """{(cell, N): the residual _lem52_cell keeps} for each window N in
     order, from cleared cells, J windows, families and partition lists."""
     verify._lem52_cell.cache_clear()
-    verify._jay_nums.cache_clear()
+    verify._window.cache_clear()
     walgebra.jay_families.cache_clear()
     operators._stats_list.cache_clear()
     return {(cell, N): verify._lem52_cell(*cell, N)
@@ -410,90 +410,122 @@ def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
     """An expected side whose J windows stop one mode short of the box
     edge leaves window-6 residuals that the window-8 ones, restricted,
     do not have, in either window order."""
-    monkeypatch.setattr(verify, "_jay_nums", cache(_short_jay_nums))
+    monkeypatch.setattr(verify, "_window", cache(_short_window))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_lem52(_lem52_residuals(order))) == 24, order
 
+
+# rmk43 cells (k, n, d) of its default run: k <= 3, |n| <= 3 and both d.
+RMK43_CELLS = [(k, n, d) for k in range(4) for n in range(-3, 4)
+               for d in sorted({-1, n * n - 2})]
 
 # rmk56 cells (p, n) of its default run: 1 <= p <= 3 and |n| <= 2.
 RMK56_CELLS = [(p, n) for p in range(1, 4) for n in range(-2, 3)]
 
 
 @pytest.fixture
-def rmk56_memo():
-    """The rmk56 cells and J windows, cleared before and after one test,
-    so that no cell measured under a patched window outlives it."""
-    for memo in (verify._rmk56_cell, verify._jay_nums):
-        memo.cache_clear()
+def rmk43_memo():
+    """The rmk43 cells, which rmk56 reads too, cleared before and after
+    one test, so that no cell derived under a patched kernel outlives
+    it."""
+    verify._rmk43_cell.cache_clear()
     yield
-    for memo in (verify._rmk56_cell, verify._jay_nums):
-        memo.cache_clear()
+    verify._rmk43_cell.cache_clear()
+
+
+def _rmk43_cells(order):
+    """{(cell, N): the (residual, Euler term) _rmk43_cell keeps} for each
+    diamond window N in order, from cleared cells and partition lists."""
+    verify._rmk43_cell.cache_clear()
+    operators._stats_list.cache_clear()
+    return {(cell, N): verify._rmk43_cell(*cell, N)
+            for N in order for cell in RMK43_CELLS}
 
 
 def _rmk56_cells(order):
-    """{(cell, N): the (residual, Euler term) _rmk56_cell keeps} for each
-    diamond window N in order, from cleared cells, J windows and
-    partition lists."""
-    verify._rmk56_cell.cache_clear()
-    verify._jay_nums.cache_clear()
+    """{(cell, N): the (residual, Euler term) _rmk56_cell reads from
+    rmk43's cells} for each diamond window N in order, from cleared
+    cells and partition lists."""
+    verify._rmk43_cell.cache_clear()
     operators._stats_list.cache_clear()
     return {(cell, N): verify._rmk56_cell(*cell, N)
             for N in order for cell in RMK56_CELLS}
 
 
-def _unstable_rmk56(cells, N):
-    """The cells whose residual or Euler term on the diamond N differs
+def _unstable(cells, keys, N):
+    """The keys whose residual or Euler term on the diamond N differs
     from the one on N + 2 cut to N."""
-    return [cell for cell in RMK56_CELLS
+    return [key for key in keys
             if any(narrow != cut(wide, diamond(N)) for narrow, wide
-                   in zip(cells[cell, N], cells[cell, N + 2]))]
+                   in zip(cells[key, N], cells[key, N + 2]))]
 
 
-def test_rmk56_residuals_are_window_stable(rmk56_memo):
+def test_rmk43_residuals_are_window_stable(rmk43_memo):
+    """Each rmk43 residual and Euler term on the diamond N equals the one
+    on N + 2 cut to N, for N = 6 and 8 and both shifts d, and each is the
+    same whichever window runs first.  Every Euler term holds terms but
+    those over no partition (length k = 0, or k = 1 at n = 0), so they
+    compare windows that are not empty."""
+    narrow_first = _rmk43_cells((6, 8, 10))
+    assert len(RMK43_CELLS) == 48
+    assert _unstable(narrow_first, RMK43_CELLS, 6) == []
+    assert _unstable(narrow_first, RMK43_CELLS, 8) == []
+    assert [key for key, cell in narrow_first.items() if not cell[1].terms
+            ] == [(cell, N) for N in (6, 8, 10) for cell in RMK43_CELLS
+                  if cell[0] == 0 or cell[:2] == (1, 0)]
+    assert _rmk43_cells((10, 8, 6)) == narrow_first
+
+
+def test_rmk56_residuals_are_window_stable(rmk43_memo):
     """Each rmk56 residual and Euler term on the diamond N equals the one
     on N + 2 cut to N, for N = 6 and 8, and each is the same whichever
     window runs first.  Every Euler term but J^0_0(e c) = 0 holds terms,
     so they compare J windows that are not empty."""
     narrow_first = _rmk56_cells((6, 8, 10))
-    assert _unstable_rmk56(narrow_first, 6) == []
-    assert _unstable_rmk56(narrow_first, 8) == []
+    assert _unstable(narrow_first, RMK56_CELLS, 6) == []
+    assert _unstable(narrow_first, RMK56_CELLS, 8) == []
     assert [key for key, cell in narrow_first.items()
             if not cell[1].terms] == [((1, 0), N) for N in (6, 8, 10)]
     assert _rmk56_cells((10, 8, 6)) == narrow_first
 
 
 def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch,
-                                                           rmk56_memo):
+                                                           rmk43_memo):
     """A derivative that keeps its terms on a box one mode wider each way
-    than its diamond leaves, in every cell, window-6 residual terms that
-    the window-8 ones, cut to 6, do not have."""
-    monkeypatch.setattr(verify, "box_keep",
-                        lambda pos, neg: box_keep(pos + 1, neg + 1))
-    for order in ((6, 8), (8, 6)):
-        assert _unstable_rmk56(_rmk56_cells(order), 6) == RMK56_CELLS, order
-
-
-def test_mutated_rmk56_run_derives_nothing(monkeypatch, rmk56_memo):
-    """rmk56 keeps each (p, n, window) cell for the process
-    (_rmk56_cell): from cleared cells its plain run derives each of its
-    15 J^p_n once, a mutated run after it makes no s_derive call, and
-    both keep the frozen digests of the acceptance battery."""
-    calls = 0
+    than its diamond leaves window-6 residual terms that the window-8
+    ones, cut to 6, do not have: in every rmk56 cell, and in every rmk43
+    cell whose family holds a partition, in either window order."""
     real = verify.s_derive
+    monkeypatch.setattr(
+        verify, "s_derive", lambda a, kpos, kneg, *rest, **kwargs:
+        real(a, kpos + 1, kneg + 1, *rest, **kwargs))
+    for order in ((6, 8), (8, 6)):
+        assert _unstable(_rmk56_cells(order), RMK56_CELLS, 6) == \
+            RMK56_CELLS, order
+        assert _unstable(_rmk43_cells(order), RMK43_CELLS, 6) == [
+            cell for cell in RMK43_CELLS if cell[:2] != (0, 0)], order
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "s_derive", counted)
+def test_mutated_rmk56_run_derives_nothing(monkeypatch, rmk43_memo):
+    """rmk56 reads rmk43's cells (_rmk43_cell), kept for the process, and
+    no J window: from cleared cells its plain run derives each of its 15
+    cells' families once, a mutated run after it makes no s_derive call,
+    and both keep the frozen digests of the acceptance battery."""
+    calls = {"s_derive": 0, "_window": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(verify, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
     report = run_suite(SuiteSpec("rmk56", surface="k3",
                                  bounds={"p_max": 3, "n_max": 2}))
-    assert report.ok and calls == 15
+    assert report.ok and calls == {"s_derive": 15, "_window": 0}
     assert report_sha256(report) == REPORT_SHA256["rmk56"]
-    calls = 0
+    calls.update(s_derive=0)
     report = run_suite(SuiteSpec("rmk56", mutation="central-scale"))
-    assert not report.ok and calls == 0
+    assert not report.ok and calls == {"s_derive": 0, "_window": 0}
     assert report_sha256(report) == MUTATED_SHA256["rmk56"]
 
 
@@ -851,8 +883,7 @@ def test_eq22_brackets_each_pair_once(monkeypatch):
         assert calls == want, (mutation, calls)
 
 
-SYMBOLIC_CELLS = ("_rmk43_cell", "_field_component", "_field_window",
-                  "_jay_nums")
+SYMBOLIC_CELLS = ("_rmk43_cell", "_window")
 
 
 @pytest.mark.parametrize("name", ("rmk43", "lem61", "lem53"))
@@ -884,18 +915,17 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
                  for cell, n in misses.items()}
         assert calls["s_derive"] == 0, calls
         assert calls["series_nums"] + calls["series_to_smeared"] == own, calls
-        assert grown == dict.fromkeys(SYMBOLIC_CELLS, 0) | {
-            "_field_component": own}, grown
+        assert grown == {"_rmk43_cell": 0, "_window": own}, grown
 
 
 @pytest.mark.parametrize("name", ("lem52", "rmk56"))
 def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
-    """lem52 reads J^p_n from _jay_nums, its mutation too, and rmk56 its
-    stored cells, which read _jay_nums, so after the plain run the
-    mutated one builds no series: every window it reads is kept."""
+    """lem52 reads J^p_n from _window, its mutation too, and rmk56
+    rmk43's stored cells, so after the plain run the mutated one builds
+    no series: every window and cell it reads is kept."""
     verify._lem52_cell.cache_clear()
-    verify._rmk56_cell.cache_clear()
-    verify._jay_nums.cache_clear()
+    verify._rmk43_cell.cache_clear()
+    verify._window.cache_clear()
     calls = 0
 
     def counted(build):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock.fock import basis_states, combine, vacuum, weight
-from hilbfock.operators import (box_keep, commutator_column, encode,
-                                heisenberg, instantiate, series_bracket,
+from hilbfock.operators import (commutator_column, encode, heisenberg,
+                                instantiate, series_bracket,
                                 series_to_smeared)
 from hilbfock.ring import builtin_ring, dump_ring, load_ring
 from hilbfock.walgebra import (_NAMED_CAP, CENTRAL, apow_families, chern,
