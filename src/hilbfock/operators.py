@@ -41,10 +41,11 @@ Two layers:
   Only terms_within cuts an operator to a window, for term lists.
 
 * Smeared calculus (SmearedOp): combinations of a_lambda(tau(e^a K^b g))
-  with the smearing class g kept symbolic, keyed by packed code
-  (encode), in which uniting two terms' modes and multiplying their
-  powers is adding their codes (a Kronecker substitution).  A code is
-  decoded only by SmearedOp.sorted_items, which render, smeared_classes
+  with the smearing class g kept symbolic, as integer numerators keyed
+  by packed code (encode) over one positive int denominator, in which
+  uniting two terms' modes and multiplying their powers is adding their
+  codes (a Kronecker substitution).  A code is decoded, and a numerator
+  divided, only by SmearedOp.sorted_items, which render, smeared_classes
   (where a list meets a ring) and s_bracket, the literal route, read.
   Its bracket and derivative rules implement the single-contraction
   expansion and the splitting expansion of the quadratic replacement
@@ -57,15 +58,14 @@ Two layers:
 
   The calculus is integer-first.  A Family weights each partition by an
   integer numerator num(parts, mult_factorial, weighted_square) over one
-  integer family denominator den.  series_nums and bracket_nums
-  accumulate int numerators by code over one common denominator and
-  return (numerators, denominator), so a caller can sum several before
-  dividing; series_to_smeared and series_bracket divide them once per
-  output key through _divided (ring.ratio).  A bracket's family pairs
-  accumulate into one dict, each pair's scale folded into the left entry
-  of every event.  s_derive divides once per key too, and splits codes
-  without decoding them.  SmearedOp values are stored through fock.exact:
-  an int when integral, else a Fraction, never a float.
+  integer family denominator den.  series_to_smeared and series_bracket
+  accumulate int numerators by code over the common denominator of their
+  families (a bracket's family pairs into one dict, each pair's scale
+  folded into the left entry of every event), and s_derive keeps its
+  input's denominator, doubled; it splits codes without decoding them.
+  combined sums lists times int or Fraction factors over the lcm of
+  their denominators, so a residual is one sum and no term is divided
+  before it is read.
 
   A Family keeps the contraction and shed tables that the bracket
   events read (Family, _Tables), so a family built once, as
@@ -582,55 +582,49 @@ def decode(code):
     return tuple(modes), code & 15, code >> 4 & 15
 
 
-def euler_shifted(terms):
-    """Terms by packed code times e: a term that carries e already dies,
-    since e*e = 0."""
-    return {k + 1: c for k, c in terms.items() if not k & 15}
+def euler_shifted(smeared):
+    """A smeared list times e: a term that carries e already dies, since
+    e*e = 0."""
+    return SmearedOp({k + 1: n for k, n in smeared.terms.items()
+                      if not k & 15}, smeared.den)
 
 
 class SmearedOp:
     """Combination of a_modes(tau(e^a K^b gamma)) with gamma symbolic.
 
-    Terms map packed codes (encode) to exact coefficients, stored through
-    fock.exact: an int when integral, else a Fraction.  A code below
-    SCALARS holds no mode and stands for integral(e^a K^b gamma) * Id.
-    Only sorted_items decodes, where a list meets text or a ring.
+    Terms map packed codes (encode) to nonzero int numerators over one
+    positive int den; the constructor drops zeros and refuses any other
+    numerator or den.  A code below SCALARS holds no mode and stands for
+    integral(e^a K^b gamma) * Id.  Only sorted_items decodes a code and
+    divides a numerator (an int when integral, else a Fraction), where a
+    list meets text or a ring; equality compares the quotients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None):
-        self.terms = {k: exact(c) for k, c in (terms or {}).items() if c}
-
-    def add(self, key, c):
-        v = self.terms.get(key, 0) + c
-        if v:
-            self.terms[key] = exact(v)
-        else:
-            self.terms.pop(key, None)
-
-    def merge(self, other, scale=1):
-        for k, c in other.terms.items():
-            self.add(k, c * scale)
-        return self
-
-    def scaled(self, c):
-        return SmearedOp({k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        return SmearedOp(self.terms).merge(other)
-
-    def __sub__(self, other):
-        return SmearedOp(self.terms).merge(other, -1)
+    def __init__(self, terms=None, den=1):
+        if type(den) is not int or den < 1:
+            raise ValueError("a smeared denominator is a positive int, "
+                             "got %r" % (den,))
+        self.terms = {k: n for k, n in terms.items() if n} if terms else {}
+        if {*map(type, self.terms.values())} - {int}:
+            raise ValueError("smeared numerators are ints, got %r" % next(
+                n for n in self.terms.values() if type(n) is not int))
+        self.den = den
 
     def __eq__(self, other):
-        return isinstance(other, SmearedOp) and self.terms == other.terms
+        return (isinstance(other, SmearedOp)
+                and self.terms.keys() == other.terms.keys()
+                and all(n * other.den == other.terms[k] * self.den
+                        for k, n in self.terms.items()))
 
     def is_zero(self):
         return not self.terms
 
     def sorted_items(self):
-        return sorted((decode(k), c) for k, c in self.terms.items())
+        den = self.den
+        return sorted((decode(k), ratio(n, den))
+                      for k, n in self.terms.items())
 
     def render(self):
         lines = []
@@ -639,6 +633,18 @@ class SmearedOp:
             mono = " ".join("a(%d)" % m for m in modes) if modes else "Id"
             lines.append("%s * %s [%s]" % (c, mono, tag))
         return "\n".join(lines) if lines else "0"
+
+
+def combined(*pieces):
+    """The sum of c * op over (c, op) pieces, for int or Fraction c, over
+    the lcm of their denominators: the one sum of smeared lists."""
+    den = lcm(*[c.denominator * op.den for c, op in pieces])
+    out = {}
+    for c, op in pieces:
+        scale = c.numerator * (den // (c.denominator * op.den))
+        for k, n in op.terms.items():
+            out[k] = out.get(k, 0) + scale * n
+    return SmearedOp(out, den)
 
 
 def _euler_corrections(seq):
@@ -667,11 +673,13 @@ def normalize_arrangement(seq):
 
 def s_bracket(a, b):
     """Bracket of two explicit smeared lists by single contractions, on
-    decoded mode tuples re-sorted by normalize_arrangement."""
-    terms_b = b.sorted_items()
-    out = SmearedOp()
+    decoded mode tuples re-sorted by normalize_arrangement, over the
+    product of their denominators."""
+    terms_b = [(key, exact(c * b.den)) for key, c in b.sorted_items()]
+    out = {}
     for (nu, ea, ka), ca in a.sorted_items():
-        for (mu, eb, kb), cb in terms_b:
+        na = exact(ca * a.den)
+        for (mu, eb, kb), nb in terms_b:
             e0, k0 = ea + eb, ka + kb
             if e0 > 1:
                 continue
@@ -679,13 +687,13 @@ def s_bracket(a, b):
                 for j, w in enumerate(mu):
                     if v != -w:
                         continue
-                    coeff = -v * ca * cb
+                    coeff = -v * na * nb
                     arr = mu[:j] + nu[:t] + nu[t + 1:] + mu[j + 1:]
                     for ms, ee, im in normalize_arrangement(arr):
                         if e0 + ee > 1:
                             continue
-                        out.add(encode(ms, e0 + ee, k0), coeff * im)
-    return out
+                        _acc(out, encode(ms, e0 + ee, k0), coeff * im)
+    return SmearedOp(out, a.den * b.den)
 
 
 class Family:
@@ -694,10 +702,10 @@ class Family:
     / den.
 
     num returns an int and den is one positive int for the whole family,
-    so the bracket inner loops multiply ints only; the division comes
-    once per output key, over the common denominator of the family
-    pairs.  A weight c / lam^! meets this with num = c * (ell! // lam^!)
-    and den = ell!, since lam^! divides ell! (walgebra.mult_family).
+    so the bracket inner loops multiply ints only, and the output keeps
+    the common denominator of the family pairs.  A weight c / lam^!
+    meets this with num = c * (ell! // lam^!) and den = ell!, since
+    lam^! divides ell! (walgebra.mult_family).
     The partition statistics are precomputed, so evaluating num
     allocates nothing extra.
 
@@ -814,17 +822,10 @@ def _stats_list(ell, total, poscap, negcap):
                  for row in genpartition_stats(ell, total, bound))
 
 
-def _divided(nums, den):
-    """The SmearedOp of exact numerators over one int denominator."""
-    out = SmearedOp()
-    out.terms = {k: ratio(n, den) for k, n in nums.items() if n}
-    return out
-
-
-def series_nums(families, poscap, negcap):
+def series_to_smeared(families, poscap, negcap):
     """The families on the box window pos <= poscap, neg <= negcap, as
-    (integer numerators by packed code, their common family
-    denominator): each partition's code from its _stats_list row, plus
+    integer numerators by packed code over their common family
+    denominator: each partition's code from its _stats_list row, plus
     its family's Euler power."""
     den = lcm(*[fam.den for fam in families])
     nums = {}
@@ -833,19 +834,13 @@ def series_nums(families, poscap, negcap):
         for parts, _, _, mf, ws, code in _stats_list(fam.ell, fam.total,
                                                      poscap, negcap):
             _acc(nums, code + epow, num(parts, mf, ws) * scale)
-    return nums, den
+    return SmearedOp(nums, den)
 
 
-def series_to_smeared(families, poscap, negcap):
-    """Materialize families on the box window pos <= poscap, neg <= negcap,
-    dividing once per term by the common family denominator."""
-    return _divided(*series_nums(families, poscap, negcap))
-
-
-def bracket_nums(fams_a, fams_b, poscap, negcap):
+def series_bracket(fams_a, fams_b, poscap, negcap):
     """The complete bracket of two families of smeared series on the box
-    pos <= poscap, neg <= negcap, as (integer numerators by packed code,
-    their common denominator); a code may hold a zero numerator.
+    pos <= poscap, neg <= negcap, over the common denominator of all
+    family pairs.
 
     Two kinds of event.  Plain contraction events keep every survivor
     mode, so the survivors are sub-multisets of the output and sit
@@ -856,8 +851,8 @@ def bracket_nums(fams_a, fams_b, poscap, negcap):
     shed one (x, -x) pair while reordering, so the shed pair may stick
     out of the box, but the output a'' + b'' (both pairs removed) does
     not; they are read from the shed tables (_swap_events).  Every family
-    pair accumulates into one dict, over the common denominator of all
-    pairs, its scale folded into the left entry of each event.
+    pair accumulates into one dict, its scale folded into the left entry
+    of each event.
     """
     pairs = [(fa, fb) for fa in fams_a for fb in fams_b
              if fa.epow + fb.epow <= 1]
@@ -868,14 +863,7 @@ def bracket_nums(fams_a, fams_b, poscap, negcap):
         _plain_events(fa, fb, poscap, negcap, nums, scale)
         if fa.epow + fb.epow == 0 and fa.ell >= 2 and fb.ell >= 2:
             _swap_events(fa, fb, poscap, negcap, nums, scale)
-    return nums, den
-
-
-def series_bracket(fams_a, fams_b, poscap, negcap):
-    """Complete bracket of two families of smeared series on the box
-    pos <= poscap, neg <= negcap (bracket_nums), divided once per output
-    key."""
-    return _divided(*bracket_nums(fams_a, fams_b, poscap, negcap))
+    return SmearedOp(nums, den)
 
 
 def _holds(fam, x, k=1):
@@ -983,24 +971,21 @@ def s_derive(a, kpos, kneg, poscap, negcap, include_k=True):
     the box pos <= kpos, neg <= kneg of its positive total and its
     negative parts' size.
 
-    The calculus is integer-first: every coefficient becomes a numerator
-    over D, the lcm of the input's denominators, and twice the result is
-    accumulated in ints, then divided once per key by 2D.  It runs on
-    packed codes, decoding no term: a split takes v's code off and adds
-    those of m1 and m2, a mode held c times splits once with weight c,
-    and a split into m1 < 0 < m2 grows pos and neg both by m2 - max(v,
-    0).  The Euler corrections of a split are found directly: an
-    inverted pair of the sorted arrangement, a positive part before its
-    negative, joins one new part to an old part u of v's sign with
-    |u| <= |v| (u = -m1 for v > 0, u = -m2 for v < 0), in c_v c_u ways
-    over the copies of v and u, or c_v (c_v - 1) / 2 for u = v.  Each
-    removes the pair with factor -|u| and one more power of e, leaving
-    rest - u + (v + u), with the input term's pos and neg.
+    The calculus is integer-first: twice the result is accumulated in
+    ints over the input's denominator D, so the output is over 2D.  It
+    runs on packed codes, decoding no term: a split takes v's code off
+    and adds those of m1 and m2, a mode held c times splits once with
+    weight c, and a split into m1 < 0 < m2 grows pos and neg both by
+    m2 - max(v, 0).  The Euler corrections of a split are found
+    directly: an inverted pair of the sorted arrangement, a positive
+    part before its negative, joins one new part to an old part u of v's
+    sign with |u| <= |v| (u = -m1 for v > 0, u = -m2 for v < 0), in
+    c_v c_u ways over the copies of v and u, or c_v (c_v - 1) / 2 for
+    u = v.  Each removes the pair with factor -|u| and one more power of
+    e, leaving rest - u + (v + u), with the input term's pos and neg.
     """
-    den = lcm(*[c.denominator for c in a.terms.values()])
     twice = {}
-    for code, c in a.terms.items():
-        n = c.numerator * (den // c.denominator)
+    for code, n in a.terms.items():
         counts = _counts(code)
         pos = sum(m * k for m, k in counts if m > 0)
         neg = pos - sum(m * k for m, k in counts)
@@ -1032,7 +1017,7 @@ def s_derive(a, kpos, kneg, poscap, negcap, include_k=True):
                 if hits:
                     _acc(twice, rest - _bit(u) + _bit(v + u) + 1,
                          -abs(u) * hits * w)
-    return _divided(twice, 2 * den)
+    return SmearedOp(twice, 2 * a.den)
 
 
 def smeared_classes(smeared, ring, gamma):
@@ -1050,9 +1035,8 @@ def smeared_classes(smeared, ring, gamma):
 
 def _smeared_items(smeared, ring, gamma):
     """The _words arguments (items, den, scalar) of a smeared list against
-    a concrete smearing class, over the common denominator of its
-    coefficients."""
-    den = lcm(*[c.denominator for c in smeared.terms.values()])
+    a concrete smearing class, over its denominator."""
+    den = smeared.den
     items = []
     scalar = 0
     for modes, cls, c in smeared_classes(smeared, ring, gamma):

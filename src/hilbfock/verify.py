@@ -24,22 +24,23 @@ a surface the run did not use.  A window too small to hold a bracket cell
 (`_sound_pos`), bounds that leave a run without a record, or a mutated
 run that no check fails, are refused rather than passed vacuously.
 
-The W-bracket of Theorem 5.5 is stated once, as (c, numerators,
-denominator) pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and
-thm57 (its untagged part) measure their cells through one runner,
-`_w_grid`, and ground them on states against the series of the same
-pieces (`_w_op`).  A residual is formed on integers: the measured and
-expected numerators by packed code (see `operators.encode`) meet over
-one common denominator (`_summed`), and only its nonzero codes are
-divided (`_smeared`).  Every series window comes from one process cache
-(`_window`).  A diamond window pos + neg <= N of a series of one total
-is the box `_diamond(N, total)`.
+The W-bracket of Theorem 5.5 is stated once, as (c, smeared list)
+pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and thm57 (its
+untagged part) measure their cells through one runner, `_w_grid`, and
+ground them on states against the series of the same pieces (`_w_op`).
+A residual is one `operators.combined` of its pieces, formed on integer
+numerators by packed code (see `operators.encode`) over one common
+denominator, so no term is divided before a record reads it.  Every
+series window comes from one process cache (`_window`).  A diamond
+window pos + neg <= N of a series of one total is the box
+`_diamond(N, total)`.
 
-A measured cell (`_w_cell`, `_lem52_cell`, `_rmk43_cell`, heis's cells
-in `ring._cache`) is kept for the process as its residual against the
-unmutated identity, and a mutation adds its one term to a new list, so
-a run, plain or mutated and in either order, reads the stored cell.
-rmk56 reads rmk43's cells, scaled.  The euler-shift mutations of thm42,
+A measured cell (`_w_cell`, `_lem52_cell`, `_rmk43_cell`, the
+derivatives of a_n in `_derived`, heis's cells in `ring._cache`) is kept
+for the process as its residual against the unmutated identity, and a
+mutation adds its one term in a new list, so a run, plain or mutated
+and in either order, reads the stored cell.  rmk56 reads rmk43's cells,
+since J^p_n = -p! F(p, n, n^2 - 2).  The euler-shift mutations of thm42,
 thm46-unique and def51-ids move the shift of the series they check
 (`walgebra.series_families`).
 
@@ -54,17 +55,16 @@ import json
 from functools import cache, partial
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from .fock import (basis_states, combine, render_state, render_terms,
                    weight)
 from .operators import (SCALARS, Bracket, Linear, OperatorFamily, SmearedOp,
-                        _divided, arrangement, bracket_nums,
-                        commutator_block, derivative, encode,
-                        euler_shifted, heisenberg, instantiate, monomial,
-                        quadratic_sum, s_bracket, s_derive, series_bracket,
-                        series_nums, series_to_smeared, smeared_classes,
+                        arrangement, combined, commutator_block, derivative,
+                        encode, euler_shifted, heisenberg, instantiate,
+                        monomial, quadratic_sum, s_bracket, s_derive,
+                        series_bracket, series_to_smeared, smeared_classes,
                         smeared_series)
 from .ring import SURFACE_NAMES, builtin_ring
 from .walgebra import (CENTRAL, apow_families, chern, chern_families,
@@ -460,12 +460,12 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 
 @cache
 def _window(build, args, pos, neg):
-    """The series build(*args) on the box window as (numerators by packed
-    code, denominator), kept for the process, the one window cache: J^p_n
-    (jay_families) for the W-bracket and lem52 cells, lem53 and the lem52
-    and thm57 mutations, and the field-monomial series of lem53 and
-    lem61.  Every caller reads it as it is, so none changes it."""
-    return series_nums(build(*args), pos, neg)
+    """The series build(*args) on the box window, kept for the process,
+    the one window cache: J^p_n (jay_families) for the W-bracket and
+    lem52 cells, lem53 and the lem52 and thm57 mutations, and the
+    field-monomial series of lem53 and lem61.  Every caller reads it as
+    it is, so none changes it."""
+    return series_to_smeared(build(*args), pos, neg)
 
 
 def _diamond(N, total):
@@ -476,63 +476,43 @@ def _diamond(N, total):
     return (N + total) // 2, (N - total) // 2
 
 
-def _summed(pieces):
-    """(numerators, denominator) of the sum of c * nums / den over the
-    (c, nums, den) pieces, over the lcm of their denominators; a key may
-    hold a zero numerator."""
-    den = lcm(*[d for _, _, d in pieces])
-    out = {}
-    for c, nums, d in pieces:
-        c *= den // d
-        for k, v in nums.items():
-            out[k] = out.get(k, 0) + c * v
-    return out, den
-
-
 def _omega_piece(p, q, m, n, pos, neg):
     """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .) as a
-    (c, nums, den) piece, or None where it vanishes: the Euler shift
+    (c, smeared list) piece, or None where it vanishes: the Euler shift
     drops the terms that already carry e before anything is scaled."""
     om = omega(p, q, m, n)
     if not om or p + q < 3:
         return None
-    nums, den = _window(jay_families, (p + q - 3, m + n), pos, neg)
-    return -om, euler_shifted(nums), 12 * den
+    return Q(-om, 12), euler_shifted(_window(jay_families,
+                                             (p + q - 3, m + n), pos, neg))
 
 
 def _w_pieces(p, q, m, n, pos, neg):
     """The right side of [J^p_m(a), J^q_n(b)] on the box window, as
-    (c, nums, den) pieces with numerators by packed code summing to it:
-    the trace central term at p = q = 0, else (qm-pn)
-    J^{p+q-1}_{m+n}(ab), the Omega term and the low-weight Euler central
-    terms (the scalar codes 0 and 1)."""
+    (c, smeared list) pieces summing to it: the trace central term at
+    p = q = 0, else (qm-pn) J^{p+q-1}_{m+n}(ab), the Omega term and the
+    low-weight Euler central terms (the scalar codes 0 and 1)."""
     central = m == -n and m != 0
     if (p, q) == (0, 0):
-        return [(-m, {0: 1}, 1)] if central else []
+        return [(-m, SmearedOp({0: 1}))] if central else []
     out = []
     lin = q * m - p * n
     if lin:
-        out.append((lin, *_window(jay_families, (p + q - 1, m + n), pos,
-                                  neg)))
+        out.append((lin, _window(jay_families, (p + q - 1, m + n), pos,
+                                 neg)))
     piece = _omega_piece(p, q, m, n, pos, neg)
     if piece:
         out.append(piece)
     if central and (p, q) in ((2, 0), (0, 2), (1, 1)):
-        out.append((m ** 3 - m, {1: 1}, 12 if p == q else 6))
+        out.append((m ** 3 - m, SmearedOp({1: 1}, 12 if p == q else 6)))
     return out
-
-
-def _smeared(pieces):
-    """The SmearedOp of (c, nums, den) pieces with numerators by packed
-    code: their sum, divided once per nonzero key."""
-    return _divided(*_summed(pieces))
 
 
 def _w_op(ring, cell, ab):
     """The expected bracket of a (p, q, m, n) cell as a series against ab."""
     p, q, m, n = cell
     return smeared_series(
-        ring, lambda w: _smeared(_w_pieces(p, q, m, n, w, w - m - n)), ab)
+        ring, lambda w: combined(*_w_pieces(p, q, m, n, w, w - m - n)), ab)
 
 
 def _w_cells(pq_max, m_max):
@@ -547,20 +527,17 @@ def _w_cell(args):
     """One (p, q, m, n) cell on window N, measured: the residual of the
     bracket [J^p_m, J^q_n] against _w_pieces, and the bracket's scalar
     terms (modes ()), which the central checks read without the pieces.
-    The bracket and the pieces meet as integer numerators by packed
-    code over one denominator, and only the residual's nonzero codes and
-    the bracket's scalar codes (below SCALARS) are divided.
 
     Kept for the process, one entry per distinct cell and window, whose
     residual is empty when the identity holds.  vir, thm55 and thm57 all
     read it, so no caller changes an entry."""
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
-    meas, den = bracket_nums(jay_families(p, m), jay_families(q, n), pos, N)
-    pieces = [(-c, nums, d) for c, nums, d in _w_pieces(p, q, m, n, pos, N)]
-    return (_smeared([(1, meas, den)] + pieces),
-            _smeared([(1, {k: c for k, c in meas.items() if k < SCALARS},
-                       den)]))
+    meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
+    return (combined((1, meas), *[(-c, op) for c, op in
+                                  _w_pieces(p, q, m, n, pos, N)]),
+            SmearedOp({k: c for k, c in meas.terms.items() if k < SCALARS},
+                      meas.den))
 
 
 def _w_grid(spec, cells):
@@ -603,7 +580,7 @@ def _run_vir(spec, mut, *, m_max=3):
              for m, n in product(range(-m_max, m_max + 1), repeat=2)]
     for (_, _, m, n), (delta, scalars) in _w_grid(spec, cells):
         if mut and m == -n and m != 0:
-            delta = delta - _smeared([(1, {encode((), 1): 1}, 12)])
+            delta = combined((1, delta), (Q(-1, 12), SmearedOp({1: 1})))
         yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
@@ -812,15 +789,26 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     ns = [v for a in range(1, n_max + 1) for v in (a, -a)]
     for k, n in product(range(k_max + 1), ns):
         box = _diamond(N, n)
-        cur = series_to_smeared(heis_families(n), *box)
-        for _ in range(k):
-            cur = s_derive(cur, *box, N, N, include_k=False)
-        delta = cur - series_to_smeared(apow_families(n, k, moved), *box)
+        delta = combined((1, _derived(n, k, *box, N)), (-1, series_to_smeared(
+            apow_families(n, k, moved), *box)))
         yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
         for ring, cases in rcases:
             yield _sweep(delta, ring, cases,
                          {"check": "classes", "k": k, "n": n})
     yield from _thm42_spots(spec, mut, moved)
+
+
+@cache
+def _derived(n, k, kpos, kneg, N):
+    """D^k(a_n) modulo K on the box pos <= kpos, neg <= kneg, by k steps of
+    s_derive from the one-term list a_n (empty for n = 0 or off the box),
+    splitting within -N..N.  Kept for the process, so each step is taken
+    once: thm42's plain run derives, and its mutated run reads."""
+    if k:
+        return s_derive(_derived(n, k - 1, kpos, kneg, N), kpos, kneg, N, N,
+                        include_k=False)
+    return SmearedOp({encode((n,)): 1} if 0 < n <= kpos or 0 < -n <= kneg
+                     else {})
 
 
 def _thm42_spots(spec, mut, moved):
@@ -851,15 +839,13 @@ def _rmk43_cell(k, n, d, N):
     """The derivative of F(k,n,d) less its main right side
     -n(k+1) F(k+1,n,d), and the unit Euler term (1/(24 lam^!))
     a_lam(tau(e c)) over l = k, on the diamond window N (every term has
-    total n).  Kept for the process, so no run derives a family twice; a
-    run subtracts the Euler term at its own coefficient, into a new
-    list."""
+    total n).  Kept for the process, so no run derives a family twice."""
     box = _diamond(N, n)
     A = series_to_smeared(shift_families(k, n, d), *box)
     rhs = series_to_smeared(shift_families(k + 1, n, d), *box)
-    euler = series_to_smeared(_euler_families(k, n), *box)
-    return (s_derive(A, *box, N, N, include_k=False)
-            - rhs.scaled(-n * (k + 1)), euler)
+    return (combined((1, s_derive(A, *box, N, N, include_k=False)),
+                     (n * (k + 1), rhs)),
+            series_to_smeared(_euler_families(k, n), *box))
 
 
 def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
@@ -880,7 +866,7 @@ def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
         for d in dvals:
             resid, euler = _rmk43_cell(k, n, d, N)
             c2 = -2 * n * (d + (2 if mut else 1))
-            yield _universal_record(resid - euler.scaled(c2),
+            yield _universal_record(combined((1, resid), (-c2, euler)),
                                     {"k": k, "n": n, "d": d})
 
 
@@ -907,10 +893,10 @@ def _run_thm46(spec, mut, *, k_max=3):
         dA = s_derive(A, *box, N, N, include_k=False)
         yield _universal_record(dA, {"check": "derivation", "k": k})
         pos = _sound_pos(N, 0, -1)
-        nums, den = series_nums(apow_families(-1, k), pos, N)
-        yield _universal_record(_smeared([
-            (1, *bracket_nums(fams, heis_families(-1), pos, N)),
-            (-1, nums, factorial(k) * den)]),
+        yield _universal_record(combined(
+            (1, series_bracket(fams, heis_families(-1), pos, N)),
+            (Q(-1, factorial(k)),
+             series_to_smeared(apow_families(-1, k), pos, N))),
             {"check": "transfer-pin", "k": k})
     if not mut:
         yield from _thm46_spots(spec)
@@ -1015,16 +1001,20 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
     (a) J^0_n = -a_n            (b) J^1_n = L_n (independent expansion)
     (c) J^p_0 = p! G_{p-1}      (d) J^p_{-1} = -(p-th derivative of a_{-1})
 
+    Parts a and d compare J with lists built apart from the series
+    template, a_n and p steps of s_derive from a_{-1} (_derived); part c
+    is how the paper relates J and G, which thm46 and lem52 check.
+
     Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
     """
     N = _cutoff(spec)
     jf = partial(jay_families, moved=-1) if mut else jay_families
 
-    def delta(*pieces):
-        return _smeared([(c, *series_nums(fams, N, N)) for c, fams in pieces])
+    def jay_plus(p, n, c, other):
+        return combined((1, series_to_smeared(jf(p, n), N, N)), (c, other))
 
     for n in range(-n_max, n_max + 1):
-        yield _universal_record(delta((1, jf(0, n)), (1, heis_families(n))),
+        yield _universal_record(jay_plus(0, n, 1, _derived(n, 0, N, N, N)),
                                 {"part": "a", "n": n})
     for ring in _rings(spec):
         t = _Group({"part": "b", "surface": ring.name}, True)
@@ -1036,11 +1026,11 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         yield t.record()
     for p in range(1, p_max + 1):
         yield _universal_record(
-            delta((1, jf(p, 0)), (-factorial(p), chern_families(p - 1))),
+            jay_plus(p, 0, -factorial(p),
+                     series_to_smeared(chern_families(p - 1), N, N)),
             {"part": "c", "p": p})
-        yield _universal_record(
-            delta((1, jf(p, -1)), (1, apow_families(-1, p))),
-            {"part": "d", "p": p})
+        yield _universal_record(jay_plus(p, -1, 1, _derived(-1, p, N, N, N)),
+                                {"part": "d", "p": p})
     for ring in _rings(spec, () if mut else ("k3",)):
         states = _action_states(ring)
         t = _Group({"part": "d-action", "surface": ring.name})
@@ -1063,26 +1053,22 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
     for p, n in product(range(p_max + 1), range(-n_max, n_max + 1)):
         delta = _lem52_cell(p, n, N)
         if mut:
-            nums, den = _window(jay_families, (p, n), _sound_pos(N, 0, n),
-                                N)
-            delta = delta - _smeared([(1, nums, factorial(p) * den)])
-        yield _universal_record(
-            delta, {"check": "universal", "p": p, "n": n})
+            delta = combined((1, delta), (Q(-1, factorial(p)), _window(
+                jay_families, (p, n), _sound_pos(N, 0, n), N)))
+        yield _universal_record(delta, {"check": "universal", "p": p, "n": n})
     if not mut:
         yield from _lem52_spots(spec)
 
 
 @cache
 def _lem52_cell(p, n, N):
-    """The residual of [G_p, a_n] against (n/p!) J^p_n on window N,
-    summed as integer numerators by packed code over one denominator and
-    divided where nonzero, empty when the identity holds.
-    Kept for the process like _w_cell, so a mutated run after the plain
-    one brackets nothing."""
+    """The residual of [G_p, a_n] against (n/p!) J^p_n on window N, empty
+    when the identity holds.  Kept for the process like _w_cell, so a
+    mutated run after the plain one brackets nothing."""
     pos = _sound_pos(N, 0, n)
-    meas = bracket_nums(chern_families(p), heis_families(n), pos, N)
-    nums, den = _window(jay_families, (p, n), pos, N)
-    return _smeared([(1, *meas), (-n, nums, factorial(p) * den)])
+    return combined(
+        (1, series_bracket(chern_families(p), heis_families(n), pos, N)),
+        (Q(-n, factorial(p)), _window(jay_families, (p, n), pos, N)))
 
 
 def _lem52_spots(spec):
@@ -1116,12 +1102,12 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """
     N = _cutoff(spec)
     for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
-        pieces = [(1, *_window(jay_families, (p, m), N, N)),
-                  (-1, *_window(jay_field_families, (p, m), N, N))]
+        pieces = [(1, _window(jay_families, (p, m), N, N)),
+                  (-1, _window(jay_field_families, (p, m), N, N))]
         if mut and p >= 1:
-            nums, den = _window(fourier_families, ((0,) * (p - 1), m), N, N)
-            pieces.append((-p, euler_shifted(nums), 24 * den))
-        yield _universal_record(_smeared(pieces), {"p": p, "m": m})
+            pieces.append((Q(-p, 24), euler_shifted(_window(
+                fourier_families, ((0,) * (p - 1), m), N, N))))
+        yield _universal_record(combined(*pieces), {"p": p, "m": m})
     for ring in _rings(spec, () if mut else ("p2",)):
         t = _Group({"check": "square-field", "surface": ring.name}, True)
         for m in range(-2, 3):
@@ -1157,7 +1143,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         if mut:
             piece = _omega_piece(p, q, m, n, _sound_pos(N, m, n), N)
             if piece:
-                delta = SmearedOp(delta.terms).merge(_smeared([piece]), 2)
+                delta = combined((1, delta), (2 * piece[0], piece[1]))
         params = {"p": p, "q": q, "m": m, "n": n}
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
@@ -1216,21 +1202,15 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
     """
     N = _cutoff(spec)
     for p, n in product(range(1, p_max + 1), range(-n_max, n_max + 1)):
-        resid, euler = _rmk56_cell(p, n, N)
+        # J^p_n = -p! F(p, n, n^2 - 2); J^{p-1}_n(e c) is -24 (p-1)! Euler
+        resid, euler = _rmk43_cell(p, n, n * n - 2, N)
         cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
-        yield _universal_record(resid - euler.scaled(cc),
-                                {"check": "universal", "p": p, "n": n})
+        yield _universal_record(
+            combined((-factorial(p), resid),
+                     (24 * factorial(p - 1) * cc, euler)),
+            {"check": "universal", "p": p, "n": n})
     if not mut:
         yield from _rmk56_spots(spec)
-
-
-def _rmk56_cell(p, n, N):
-    """The derivative of J^p_n less its main right side -n J^{p+1}_n, and
-    the Euler term J^{p-1}_n(e c), on the diamond window N.  Since J^p_n
-    = -p! F(p, n, n^2 - 2), they are rmk43's cell (_rmk43_cell) with its
-    residual scaled by -p! and its Euler term by -24 (p-1)!."""
-    resid, euler = _rmk43_cell(p, n, n * n - 2, N)
-    return resid.scaled(-factorial(p)), euler.scaled(-24 * factorial(p - 1))
 
 
 def _rmk56_spots(spec):
@@ -1268,12 +1248,12 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         m_max = min(m_max, 1)
     for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut and (p, q) != (0, 0):
-            delta = delta - _smeared([(1, *_window(
-                jay_families, (p + q - 1, m + n), _sound_pos(N, m, n), N))])
+            delta = combined((1, delta), (-1, _window(
+                jay_families, (p + q - 1, m + n), _sound_pos(N, m, n), N)))
         # Untagged codes come only from the untagged families' plain
         # events; their powers byte is 0.
         delta = SmearedOp({k: c for k, c in delta.terms.items()
-                           if not k % SCALARS})
+                           if not k % SCALARS}, delta.den)
         yield _universal_record(delta, {"check": "universal", "p": p,
                                         "q": q, "m": m, "n": n})
     for ring in _rings(spec):
@@ -1371,13 +1351,13 @@ def _run_lem61(spec, mut, *, n_max=4, m_max=3):
     for Nf, m in product(range(n_max + 1), range(-m_max, m_max + 1)):
         z = (0,) * Nf
         for name, orders, scale, terms in _lem61_identities(Nf, m, six):
-            pieces = [(scale, *_window(fourier_families, (orders + z, m), B,
-                                       B))]
-            pieces += [(-c, *_window(fourier_families,
-                                     (rorders + z[used:], m), B, B))
+            pieces = [(scale, _window(fourier_families, (orders + z, m), B,
+                                      B))]
+            pieces += [(-c, _window(fourier_families,
+                                    (rorders + z[used:], m), B, B))
                        for rorders, used, c in terms if Nf >= used]
             yield _universal_record(
-                _smeared(pieces), {"identity": name, "N": Nf, "m": m})
+                combined(*pieces), {"identity": name, "N": Nf, "m": m})
 
 
 # -- eq22: the abstract W-algebra ------------------------------------------
@@ -1451,7 +1431,7 @@ def _run_eq22(spec, mut, *, p_max=2, m_max=2):
     t = _Group({"check": "trace-bridge"})
     for m in (1, 2, 3):
         meas = series_bracket(heis_families(m), heis_families(-m), 4, 4)
-        got = meas.terms.get(0, Q(0))
+        got = Q(meas.terms.get(0, 0), meas.den)
         t.check(got == -m, {"check": "trace-bridge", "m": m}, Q(-m), got)
     yield t.record()
 

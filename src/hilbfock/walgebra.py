@@ -19,7 +19,7 @@ coefficients, so a repeat reuses the words and columns already expanded.
 
 Each family keeps the operators.Family contract: an integer numerator
 num(parts, lam^!, s(lam)) over one integer family denominator den, so
-the smeared calculus divides once per output key.  A coefficient
+a smeared list keeps integer numerators over one denominator.  A coefficient
 w(s(lam)) / (d lam^!) becomes num = w(s(lam)) * (l! // lam^!) over
 den = d * l! (mult_family), and scaled_families multiplies numerators
 and denominators by integers.

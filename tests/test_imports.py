@@ -478,6 +478,36 @@ def test_decoded_keys_and_family_builds_have_one_home(path):
     assert reads_outside(source, "mult_family", MULT_FAMILY_CALLERS) == []
 
 
+# The functions of operators.py that may divide a numerator by its
+# denominator: the one-pass expansion of an operator's words and the
+# sorted items of a smeared list, where it meets text or a ring.
+RATIO_READERS = ("_words", "sorted_items")
+
+
+def test_checker_flags_a_stray_division():
+    source = ("from .ring import ratio\n"
+              "def _words(nums, den):\n"
+              "    return {w: ratio(v, den) for w, v in nums.items()}\n"
+              "def _divided(nums, den):\n"
+              "    return {k: ring.ratio(n, den) for k, n in nums.items()}\n"
+              "def _summed(pieces):\n"
+              "    return lcm(*[d for _, _, d in pieces])\n")
+    assert reads_outside(source, "ratio", RATIO_READERS) == [
+        (5, "_divided")]
+    assert reads_outside(source, "lcm", ()) == [(7, "_summed")]
+
+
+def test_smeared_lists_are_divided_only_where_read():
+    """operators.py divides a numerator (ring.ratio) only in _words and
+    SmearedOp.sorted_items, and verify.py reads neither ratio nor lcm:
+    every residual is one operators.combined, over one denominator."""
+    operators = (SRC / "hilbfock" / "operators.py").read_text()
+    verify = (SRC / "hilbfock" / "verify.py").read_text()
+    assert reads_outside(operators, "ratio", RATIO_READERS) == []
+    assert reads_outside(verify, "ratio", ()) == []
+    assert reads_outside(verify, "lcm", ()) == []
+
+
 def _tuple_keyed(node):
     """Whether node is a dict display or comprehension with a tuple key."""
     if isinstance(node, ast.Dict):

@@ -5,7 +5,7 @@ the int-first expansion that builds expanded operators."""
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -703,9 +703,9 @@ def test_coefficients_stay_int_or_fraction(name):
 def test_instantiated_scalars_are_int_first():
     k3 = builtin_ring("k3")
     x = k3.basis("x")
-    op = instantiate(SmearedOp({encode(()): Fraction(-2)}), k3, x)
+    op = instantiate(SmearedOp({encode(()): -4}, 2), k3, x)
     assert type(op.scalar) is int and op.scalar == -2
-    op = instantiate(SmearedOp({encode(()): Fraction(1, 3)}), k3, x)
+    op = instantiate(SmearedOp({encode(()): 1}, 3), k3, x)
     assert op.scalar == Fraction(1, 3)
 
 
@@ -780,8 +780,9 @@ def test_operator_scalars_are_int_first(name):
         for k in (0, 1, 2):
             _assert_op_int_first(chern(ring, k, b), (name, k))
     # a smeared list with a constant term, instantiated
-    sm = SmearedOp({encode(()): Fraction(3, 2), encode((-1, 1)): 2,
-                    encode((-1,), 1): Fraction(1, 24), encode((), 0, 1): 4})
+    # 3/2, 2, 1/24 and 4 over the denominator 24
+    sm = SmearedOp({encode(()): 36, encode((-1, 1)): 48,
+                    encode((-1,), 1): 1, encode((), 0, 1): 96}, 24)
     _assert_op_int_first(instantiate(sm, ring, ring.basis(0)), name)
 
 
@@ -897,7 +898,9 @@ def expansions(draw):
             lambda ms: tuple(sorted(ms))), st.integers(0, 1),
             st.integers(0, 1))
         terms = draw(st.dictionaries(key, COEFFS, max_size=4))
-        sm = SmearedOp({encode(*k): c for k, c in terms.items()})
+        den = lcm(*[Fraction(c).denominator for c in terms.values()])
+        sm = SmearedOp({encode(*k): int(c * den) for k, c in terms.items()},
+                       den)
         return (instantiate(sm, ring, elem).terms_within(cutoff),
                 ref_instantiate(sm, ring, elem, cutoff))
     parts = draw(st.lists(st.sampled_from(MODES), max_size=4))

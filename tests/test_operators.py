@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hilbfock import operators, walgebra
 from hilbfock.fock import basis_states, canonical_factors, combine, vacuum
 from hilbfock.operators import (Linear, OperatorSum, SmearedOp, arrangement,
-                                commutator_column, decode, derivation,
-                                derivative, encode,
+                                combined, commutator_column, decode,
+                                derivation, derivative, encode,
                                 euler_shifted, heisenberg, instantiate,
                                 monomial, normalize_arrangement,
                                 quadratic_sum, s_bracket, s_derive,
@@ -55,8 +55,11 @@ def bracket(f, g, vec):
 
 
 def by_code(terms):
-    """The SmearedOp of {(modes, e, K): coeff}, keyed by packed code."""
-    return SmearedOp({encode(*key): c for key, c in terms.items()})
+    """The SmearedOp of {(modes, e, K): rational coeff}, keyed by packed
+    code over the lcm of the coefficients' denominators."""
+    den = lcm(*[Q(c).denominator for c in terms.values()])
+    return SmearedOp({encode(*key): int(c * den)
+                      for key, c in terms.items()}, den)
 
 
 def decoded(nums):
@@ -87,7 +90,7 @@ def cut(sm, keep):
     """The terms of a smeared list that keep(pos, neg) keeps, read from
     each decoded key."""
     return SmearedOp({k: c for k, c in sm.terms.items()
-                      if keep(*totals(decode(k)[0]))})
+                      if keep(*totals(decode(k)[0]))}, sm.den)
 
 
 def test_heisenberg_relation_on_states():
@@ -312,8 +315,8 @@ def test_s_bracket_matches_commutator_action():
     one = P2.elem({"1": 1})
     arrs = [((-2, 1), (-1, 2)), ((1, 1), (-1, -1)), ((-1, 2), (-2, -1, 1))]
     for modes_a, modes_b in arrs:
-        a = SmearedOp({encode(modes_a): Q(1)})
-        b = SmearedOp({encode(modes_b): Q(1)})
+        a = SmearedOp({encode(modes_a): 1})
+        b = SmearedOp({encode(modes_b): 1})
         br = s_bracket(a, b)
         op_a = instantiate(a, P2, x)
         op_b = instantiate(b, P2, one)
@@ -331,7 +334,7 @@ def test_s_derive_matches_recursive_derivative():
     for cls in ("x", "H", "1"):
         x = P2.elem({cls: 1})
         for modes in ((-2, 1), (-1, -1, 2), (-3,)):
-            a = SmearedOp({encode(modes): Q(1)})
+            a = SmearedOp({encode(modes): 1})
             r = sum(map(abs, modes)) + 2
             der = cut(s_derive(a, r, r, N, N), diamond(r))
             op = instantiate(a, P2, x)
@@ -397,8 +400,8 @@ def test_s_derive_matches_generic_splitting(case):
             got = cut(s_derive(a, pos, neg, pos, neg, include_k), keep)
             want = ref_s_derive(a, keep, pos, neg, include_k)
             assert got == want, (case, pos, neg, include_k)
-            assert ({k: type(c) for k, c in got.terms.items()}
-                    == {k: type(c) for k, c in want.terms.items()})
+            assert ([(k, type(c)) for k, c in got.sorted_items()]
+                    == [(k, type(c)) for k, c in want.sorted_items()])
 
 
 # Family pairs with their own num/den, including mixed denominators and
@@ -440,7 +443,7 @@ def test_series_bracket_agrees_with_literal_bracket():
         A = series_to_smeared(jay_families(p, m), pad, pad)
         B = series_to_smeared(jay_families(qq, n), pad, pad)
         slow = cut(s_bracket(A, B), keep)
-        assert (cut(fast, keep) - slow).is_zero(), (p, qq, m, n, pos, neg)
+        assert cut(fast, keep) == slow, (p, qq, m, n, pos, neg)
     for (p, qq, m, n), (pos, neg) in REPEAT_CELLS:
         fast = series_bracket(jay_families(p, m), jay_families(qq, n),
                               pos, neg)
@@ -684,7 +687,8 @@ def ref_shed_events(fa, fb, poscap, negcap):
 
 
 def ref_bracket_nums(fams_a, fams_b, poscap, negcap):
-    """bracket_nums keyed by (modes, e, 0), assembled per family pair
+    """series_bracket's numerators keyed by (modes, e, 0) and its
+    denominator, assembled per family pair
     from the tuple-keyed event loops over tables of part tuples, each
     pair's events scaled to the common denominator; zeros dropped."""
     pairs = [(fa, fb) for fa in fams_a for fb in fams_b
@@ -705,12 +709,12 @@ def ref_bracket_nums(fams_a, fams_b, poscap, negcap):
 
 
 def _decoded_bracket(fams_a, fams_b, poscap, negcap):
-    nums, den = operators.bracket_nums(fams_a, fams_b, poscap, negcap)
-    return decoded(nums), den
+    sm = series_bracket(fams_a, fams_b, poscap, negcap)
+    return decoded(sm.terms), sm.den
 
 
 def test_bracket_nums_match_the_tuple_reference():
-    """bracket_nums, decoded, gives the tuple-keyed reference's
+    """series_bracket, decoded, gives the tuple-keyed reference's
     numerators and denominator on each of the 2,009 family pairs and
     the 1,029 cells of the benchmark's W-bracket grid at window 8, and
     on the cells that the swap kernel is checked on over every box with
@@ -806,18 +810,23 @@ def test_packed_code_powers_stay_within_their_fields():
 
 
 def _assert_exact_values(sm, label):
-    """Every value an int or a non-integral Fraction: never a float, a
+    """Every numerator a nonzero int over a positive int denominator, and
+    every value read an int or a non-integral Fraction: never a float, a
     bool, an integral Fraction or a stored zero."""
-    for key, c in sm.terms.items():
+    assert type(sm.den) is int and sm.den > 0, (label, sm.den)
+    for key, n in sm.terms.items():
+        assert type(n) is int and n, (label, key, n)
+    for key, c in sm.sorted_items():
         assert (type(c) is int and c) or (
             type(c) is Q and c.denominator != 1), (label, key, c)
 
 
 def test_smeared_values_are_exact_scalars():
-    """series_to_smeared, series_bracket, s_derive and s_bracket keep every
-    value an int when integral and a Fraction otherwise, for every family
-    constructor."""
-    keep = box_keep(4, 4)
+    """series_to_smeared, series_bracket, s_derive, s_bracket, combined
+    and euler_shifted give int numerators over a positive int
+    denominator, each read as an int when integral and a Fraction
+    otherwise, for every family constructor; the constructor refuses
+    any other numerator or denominator."""
     for name, (fa, fb) in FAMILY_PAIRS.items():
         A = series_to_smeared(fa, 4, 4)
         B = series_to_smeared(fb, 4, 4)
@@ -827,10 +836,18 @@ def test_smeared_values_are_exact_scalars():
                           ("derive", s_derive(A, 4, 4, 4, 4)),
                           ("derive-no-k", s_derive(B, 4, 4, 4, 4,
                                                    include_k=False)),
-                          ("literal", cut(s_bracket(A, B), keep)),
-                          ("difference", A - A.scaled(Q(1, 2))),
-                          ("scaled", B.scaled(Q(24)))):
+                          ("literal", s_bracket(A, B)),
+                          ("difference", combined((1, A), (Q(-1, 2), A))),
+                          ("scaled", combined((Q(24), B))),
+                          ("euler", euler_shifted(B))):
             _assert_exact_values(sm, (name, label))
+    code = encode((-1, 1))
+    for bad in (Q(1, 3), 0.5):
+        with pytest.raises(ValueError, match="numerators are ints"):
+            SmearedOp({code: bad})
+    for den in (0, -1, Q(1, 2)):
+        with pytest.raises(ValueError, match="positive int"):
+            SmearedOp({code: 1}, den)
 
 
 def test_series_bracket_shed_pair_regression():
@@ -842,15 +859,15 @@ def test_series_bracket_shed_pair_regression():
     slice of it.
     """
     fast = series_bracket(jay_families(1, -3), jay_families(3, -3), 2, 8)
-    assert fast.terms.get(encode((-8, 2), 1)) == Q(-87)
+    assert Q(fast.terms.get(encode((-8, 2), 1), 0), fast.den) == -87
 
 
 def test_scaled_zero_is_empty():
     op = heisenberg(P2, -1, P2.elem({"H": 1}))
     assert op.scaled(Q(0)).terms == {}
-    sm = SmearedOp({encode((-1, 1)): Q(2)})
-    assert sm.scaled(Q(0)).terms == {}
-    assert sm.scaled(Q(0)).is_zero()
+    sm = SmearedOp({encode((-1, 1)): 2})
+    assert combined((Q(0), sm)).terms == {}
+    assert combined((Q(0), sm)).is_zero()
 
 
 def test_apply_arrangement_matches_composition():
@@ -876,8 +893,8 @@ def test_euler_shift_kills_terms_with_e():
     sm = by_code({((-2, 1), 0, 0): Q(1), ((-3,), 0, 0): Q(2),
                   ((-1,), 1, 0): Q(5), ((-1,), 0, 2): Q(3),
                   ((), 1, 1): Q(4)})
-    assert {decode(k): c for k, c in euler_shifted(sm.terms).items()} == {
-        ((-2, 1), 1, 0): Q(1), ((-3,), 1, 0): Q(2), ((-1,), 1, 2): Q(3)}
+    assert euler_shifted(sm) == by_code({
+        ((-2, 1), 1, 0): Q(1), ((-3,), 1, 0): Q(2), ((-1,), 1, 2): Q(3)})
 
 
 mode_list = st.lists(

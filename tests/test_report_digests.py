@@ -160,9 +160,10 @@ def test_def51_mutation_leaves_the_shared_families_alone():
     _check_job("thm55", False)
 
 
-# The process caches of the symbolic cells that rmk43, lem61 and lem53
-# read: rmk43's cells and the series windows of lem61 and lem53.
-SYMBOLIC_CELLS = ("_rmk43_cell", "_window")
+# The process caches of the symbolic cells: rmk43's cells, the series
+# windows of lem61 and lem53, and thm42's derivatives of a_n, which the
+# jobs below leave unread.
+SYMBOLIC_CELLS = ("_rmk43_cell", "_window", "_derived")
 
 
 @pytest.fixture
@@ -198,21 +199,17 @@ def test_symbolic_cells_keep_the_frozen_digests_in_either_order(cell_keys,
 
 
 def _cell_terms(cell_keys):
-    """{(cache name, key): [(part, a copy of its terms)]} for each key
-    read so far, from the caches themselves: an rmk43 cell holds two
-    smeared lists, a window (numerators by packed code, denominator)."""
+    """{(cache name, key): [(smeared list, a copy of its numerators and
+    denominator)]} for each key read so far, from the caches themselves:
+    an rmk43 cell holds two smeared lists, a window one."""
     out = {}
     for name, (cached, seen) in cell_keys.items():
         for key in seen:
-            out[name, key] = [(part, _copied(part)) for part in cached(*key)]
+            cell = cached(*key)
+            out[name, key] = [(part, (dict(part.terms), part.den))
+                              for part in (cell if isinstance(cell, tuple)
+                                           else (cell,))]
     return out
-
-
-def _copied(part):
-    """A copy of a smeared list's terms or of a numerator dict; a
-    denominator as it is."""
-    terms = getattr(part, "terms", part)
-    return dict(terms) if isinstance(terms, dict) else terms
 
 
 @pytest.mark.parametrize("job", ("rmk43", "lem61", "lem53"))

@@ -8,13 +8,14 @@ import subprocess
 import sys
 from functools import cache
 from itertools import product
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from hilbfock import operators, verify, walgebra
 from hilbfock.fock import combine, render_state, render_terms
-from hilbfock.operators import series_nums
+from hilbfock.operators import combined, series_to_smeared
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
@@ -228,13 +229,13 @@ def test_w_cells_are_measured_once_per_process(monkeypatch, w_memo):
     """thm55 and then thm57 in one process measure each (cell, window)
     once, and after their passing runs every stored residual is empty."""
     calls = []
-    measure = verify.bracket_nums
+    measure = verify.series_bracket
 
     def counted(*args):
         calls.append(args)
         return measure(*args)
 
-    monkeypatch.setattr(verify, "bracket_nums", counted)
+    monkeypatch.setattr(verify, "series_bracket", counted)
     bounds = {"pq_max": 2, "m_max": 1}
     assert run_suite(SuiteSpec("thm55", surface="p2", bounds=bounds)).ok
     assert run_suite(SuiteSpec("thm57", bounds=bounds)).ok
@@ -347,8 +348,8 @@ def test_w_residuals_are_window_stable(w_memo):
 
 def _short_window(build, args, pos, neg):
     """_window with its windows stopping one mode short of the box edge:
-    series_nums on pos - 1."""
-    return series_nums(build(*args), pos - 1, neg)
+    series_to_smeared on pos - 1."""
+    return series_to_smeared(build(*args), pos - 1, neg)
 
 
 def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
@@ -443,13 +444,17 @@ def _rmk43_cells(order):
 
 
 def _rmk56_cells(order):
-    """{(cell, N): the (residual, Euler term) _rmk56_cell reads from
-    rmk43's cells} for each diamond window N in order, from cleared
-    cells and partition lists."""
+    """{(cell, N): the (residual, Euler term) that rmk56 reads from rmk43's
+    cell of F(p, n, n^2 - 2), scaled by -p! and -24 (p-1)! as J^p_n =
+    -p! F(p, n, n^2 - 2)} for each diamond window N in order, from
+    cleared cells and partition lists."""
     verify._rmk43_cell.cache_clear()
     operators._stats_list.cache_clear()
-    return {(cell, N): verify._rmk56_cell(*cell, N)
-            for N in order for cell in RMK56_CELLS}
+    return {((p, n), N): tuple(
+        combined((c, part)) for c, part in zip(
+            (-factorial(p), -24 * factorial(p - 1)),
+            verify._rmk43_cell(p, n, n * n - 2, N)))
+        for N in order for p, n in RMK56_CELLS}
 
 
 def _unstable(cells, keys, N):
@@ -527,6 +532,32 @@ def test_mutated_rmk56_run_derives_nothing(monkeypatch, rmk43_memo):
     report = run_suite(SuiteSpec("rmk56", mutation="central-scale"))
     assert not report.ok and calls == {"s_derive": 0, "_window": 0}
     assert report_sha256(report) == MUTATED_SHA256["rmk56"]
+
+
+def test_mutated_thm42_run_derives_nothing(monkeypatch):
+    """thm42 reads the derivatives of a_n from _derived, kept for the
+    process: from a cleared cache its plain run takes each of its 18
+    derivative steps once (k <= 3, 1 <= |n| <= 3, each D^k read from
+    D^{k-1}), a mutated run after it makes no s_derive call, and both
+    keep the frozen digests of the acceptance battery."""
+    verify._derived.cache_clear()
+    calls = 0
+    real = verify.s_derive
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "s_derive", counted)
+    report = run_suite(SuiteSpec("thm42", cutoff=8,
+                                 bounds={"k_max": 3, "n_max": 3}))
+    assert report.ok and calls == 18
+    assert report_sha256(report) == REPORT_SHA256["thm42"]
+    calls = 0
+    report = run_suite(SuiteSpec("thm42", mutation="euler-shift"))
+    assert not report.ok and calls == 0
+    assert report_sha256(report) == MUTATED_SHA256["thm42"]
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
@@ -883,7 +914,7 @@ def test_eq22_brackets_each_pair_once(monkeypatch):
         assert calls == want, (mutation, calls)
 
 
-SYMBOLIC_CELLS = ("_rmk43_cell", "_window")
+SYMBOLIC_CELLS = ("_rmk43_cell", "_window", "_derived")
 
 
 @pytest.mark.parametrize("name", ("rmk43", "lem61", "lem53"))
@@ -891,12 +922,10 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
     """After its plain run, a mutated rmk43, lem61 or lem53 run derives
     nothing and builds no series the plain run built.  Only lem53's
     mutation builds a series of its own, its 28 :a^{p-1}:_m terms, once
-    per process, so a second mutated run builds none.  A series is
-    built as numerators (series_nums) or divided (series_to_smeared)."""
+    per process, so a second mutated run builds none."""
     for cell in SYMBOLIC_CELLS:
         getattr(verify, cell).cache_clear()
-    calls = dict.fromkeys(("s_derive", "series_nums", "series_to_smeared"),
-                          0)
+    calls = dict.fromkeys(("s_derive", "series_to_smeared"), 0)
     for fn in calls:
         def counted(*args, _fn=fn, _real=getattr(verify, fn), **kwargs):
             calls[_fn] += 1
@@ -904,7 +933,7 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
 
         monkeypatch.setattr(verify, fn, counted)
     assert run_suite(SuiteSpec(name)).ok
-    assert calls["series_nums"] + calls["series_to_smeared"] > 0
+    assert calls["series_to_smeared"] > 0
     mutation = SUITES[name].mutation
     for own in ((28 if name == "lem53" else 0), 0):
         calls.update(dict.fromkeys(calls, 0))
@@ -914,8 +943,9 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
         grown = {cell: getattr(verify, cell).cache_info().misses - n
                  for cell, n in misses.items()}
         assert calls["s_derive"] == 0, calls
-        assert calls["series_nums"] + calls["series_to_smeared"] == own, calls
-        assert grown == {"_rmk43_cell": 0, "_window": own}, grown
+        assert calls["series_to_smeared"] == own, calls
+        assert grown == {"_rmk43_cell": 0, "_window": own, "_derived": 0}, \
+            grown
 
 
 @pytest.mark.parametrize("name", ("lem52", "rmk56"))
@@ -935,9 +965,8 @@ def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
             return build(*args)
         return run
 
-    for builder in ("series_nums", "series_to_smeared"):
-        monkeypatch.setattr(verify, builder,
-                            counted(getattr(verify, builder)))
+    monkeypatch.setattr(verify, "series_to_smeared",
+                        counted(verify.series_to_smeared))
     assert run_suite(SuiteSpec(name)).ok
     assert calls > 0
     calls = 0
@@ -946,14 +975,14 @@ def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name,measure,kept,bounds", [
-    ("lem52", "bracket_nums", "_lem52_cell", {"p_max": 4, "n_max": 3}),
+    ("lem52", "series_bracket", "_lem52_cell", {"p_max": 4, "n_max": 3}),
     ("thm57", "wbracket", "_thm57_comparisons", {"pq_max": 5, "m_max": 3})])
 def test_mutated_run_after_the_plain_one_measures_nothing(
         monkeypatch, name, measure, kept, bounds):
     """lem52 keeps its bracket cells (_lem52_cell) and thm57 the
     comparisons of its symbolic part (_thm57_comparisons) for the
     process: from cleared cells, whichever run comes first measures
-    them, the other makes no bracket_nums or wbracket call, and both
+    them, the other makes no series_bracket or wbracket call, and both
     keep the frozen digests of the acceptance battery, whose plain runs
     name their default bounds."""
     calls = 0
