@@ -3,8 +3,8 @@
 Every numeric value is printed as an exact integer or p/q string; output
 for a fixed invocation is byte-identical across runs, so files written
 with --out are safe to diff.  Exit codes: 0 success, 1 a verification or
-match failure, 2 usage or configuration errors, 141 (quietly) a closed
-standard output, as `| head -0` leaves.
+match failure, 2 any refused input (one `error:` line on stderr), 141
+(quietly) a closed standard output, as `| head -0` leaves.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .verify import (SuiteSpec, dumps, list_suites, run_suite,
 from .walgebra import chern, jay, omega, virasoro
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A refused command line; main reports every ValueError alike."""
 
 
 def _resolve_ring(surface, ring_file):
@@ -86,7 +86,8 @@ def parse_operator(ring, text):
 
 def _emit(text, out):
     """Write text to the file out, else to stdout (flushed, so that a
-    closed one fails here); a path that cannot be written is a UsageError."""
+    closed one fails here); a path that cannot be written is a UsageError.
+    Only main calls it: every subcommand returns (text, exit code)."""
     if not out:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -123,8 +124,7 @@ def _cmd_verify(args):
         else:
             text = "".join("%-14s %s\n" % (row["suite"], row["description"])
                            for row in list_suites())
-        _emit(text, args.out)
-        return 0
+        return text, 0
     if not args.suite:
         raise UsageError("verify needs --suite NAME (or --list)")
     bounds = {}
@@ -139,29 +139,21 @@ def _cmd_verify(args):
     spec = SuiteSpec(suite=args.suite, surface=args.surface,
                      cutoff=args.cutoff, bounds=bounds,
                      mutation=args.mutation)
-    try:
-        report = run_suite(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _emit(serialize_report(report, args.format), args.out)
-    return 0 if report.ok else 1
+    report = run_suite(spec)
+    return serialize_report(report, args.format), 0 if report.ok else 1
 
 
 def _cmd_chern(args):
     ring = _resolve_ring(args.surface, args.ring_file)
     cls, elem = _class(ring, args.cls)
-    try:
-        vec = chern_class(ring, args.k, elem, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    vec = chern_class(ring, args.k, elem, args.n)
     if args.format == "jsonl":
         text = _jline({"surface": ring.name, "k": args.k, "n": args.n,
                        "class": cls, "vector": vector_records(vec, ring)})
     else:
         text = ("G_%d(%s) on %d points over %s:\n%s\n"
                 % (args.k, cls, args.n, ring.name, render_terms(vec, ring)))
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_cup(args):
@@ -174,10 +166,7 @@ def _cmd_cup(args):
     if len(classes) != len(args.k):
         raise UsageError("--class count must be 1 or match --k count")
     classes, elems = zip(*(_class(ring, c) for c in classes))
-    try:
-        vec = cup_product(ring, list(args.k), elems, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    vec = cup_product(ring, list(args.k), elems, args.n)
     integral = hilb_integral(ring, vec, args.n)
     if args.format == "jsonl":
         text = _jline({"surface": ring.name, "n": args.n,
@@ -189,8 +178,7 @@ def _cmd_cup(args):
                 % (" ".join("G_%d(%s)" % (k, c)
                             for k, c in zip(args.k, classes)),
                    args.n, ring.name, render_terms(vec, ring), integral))
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_intersect(args):
@@ -211,8 +199,7 @@ def _cmd_intersect(args):
                 {"ks": list(ks), "match": value == oracle, "n": n,
                  "oracle": str(oracle), "value": str(value)})
                 for ks, n, value, oracle in rows)
-        _emit(text, args.out)
-        return 0 if all(v == o for _, _, v, o in rows) else 1
+        return text, 0 if all(v == o for _, _, v, o in rows) else 1
     if not args.k:
         raise UsageError("intersect needs --k (repeatable) or --grid")
     ks = tuple(args.k)
@@ -220,10 +207,7 @@ def _cmd_intersect(args):
         raise UsageError(
             "degree mismatch: sum of (k+2) over --k must be 2n; "
             "got %d for n=%d" % (sum(k + 2 for k in ks), args.n))
-    try:
-        value = intersection_number(ring, ks, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = intersection_number(ring, ks, args.n)
     oracle = intersection_number_closed(ks, args.n)
     match = value == oracle
     if args.format == "jsonl":
@@ -235,56 +219,43 @@ def _cmd_intersect(args):
         text = ("surface %s, n=%d, ks=%s\nvalue  %s\noracle %s\nmatch  %s\n"
                 % (ring.name, args.n, ",".join(map(str, ks)), value,
                    oracle, str(match).lower()))
-    _emit(text, args.out)
-    return 0 if match else 1
+    return text, 0 if match else 1
 
 
 def _cmd_ring(args):
     ring = _resolve_ring(args.surface, args.ring_file)
     if args.validate:
         # every ring is validated when it is built, so reaching here is ok
-        _emit("ok: %s (dim %d)\n" % (ring.name, ring.dim), args.out)
-        return 0
+        return "ok: %s (dim %d)\n" % (ring.name, ring.dim), 0
     if args.dump:
-        _emit(dump_ring(ring), args.out)
-        return 0
-    text = ("name: %s\ndim: %d\nclasses: %s\ndegrees: %s\n"
+        return dump_ring(ring), 0
+    return ("name: %s\ndim: %d\nclasses: %s\ndegrees: %s\n"
             % (ring.name, ring.dim, " ".join(ring.basis_names),
-               " ".join(str(d) for d in ring.degrees)))
-    _emit(text, args.out)
-    return 0
+               " ".join(str(d) for d in ring.degrees))), 0
 
 
 def _cmd_omega(args):
-    try:
-        value = omega(args.p, args.q, args.m, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = omega(args.p, args.q, args.m, args.n)
     if args.format == "jsonl":
         text = _jline({"m": args.m, "n": args.n, "omega": str(value),
                        "p": args.p, "q": args.q})
     else:
         text = "%s\n" % value
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_dump(args):
     ring = _resolve_ring(args.surface, args.ring_file)
     if args.cutoff < 0:
         raise UsageError("--cutoff must be at least 0, got %d" % args.cutoff)
-    try:
-        op = parse_operator(ring, args.op).terms_within(args.cutoff)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    op = parse_operator(ring, args.op).terms_within(args.cutoff)
     if args.format == "jsonl":
         text = _jline({"cutoff": args.cutoff, "op": args.op.strip(),
                        "surface": ring.name, "scalar": str(op.scalar),
                        "terms": vector_records(op.terms, ring)})
     else:
         text = op.render() + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 # -- parser ----------------------------------------------------------------
@@ -396,7 +367,9 @@ def _parser():
 
 def main(argv=None):
     """Run one command line (sys.argv[1:] when argv is None) and return
-    its exit code; argparse usage errors exit 2 through SystemExit.
+    its exit code; argparse usage errors exit 2 through SystemExit, and
+    any other refused input (a ValueError, wherever raised, or a
+    RingError) exits 2 with one stderr line.
 
     Calls in one process share one parser (_parser), so a stream of
     in-process calls pays for the argparse tree once."""
@@ -406,8 +379,10 @@ def main(argv=None):
         ap.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
-    except UsageError as exc:
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RingError as exc:

@@ -511,6 +511,30 @@ def test_unknown_surface_is_usage_error(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("target,argv", [
+    ("run_suite", ("verify", "--suite", "lem53")),
+    ("chern_class", ("chern", "--k", "1", "--n", "2", "--surface", "k3")),
+    ("cup_product", ("cup", "--k", "0", "--n", "1", "--surface", "k3")),
+    ("hilb_integral", ("cup", "--k", "0", "--n", "1", "--surface", "k3")),
+    ("intersection_number", ("intersect", "--grid", "--n", "2")),
+    ("intersection_number", ("intersect", "--k", "0", "--n", "1")),
+    ("omega", ("omega", "--p", "1", "--q", "1", "--m", "1", "--n", "1")),
+    ("parse_operator", ("dump", "--op", "a(-2;H)"))],
+    ids=["verify", "chern", "cup-product", "cup-integral", "intersect-grid",
+         "intersect-k", "omega", "dump"])
+def test_a_refused_computation_exits_2_in_one_line(capsys, monkeypatch,
+                                                   target, argv):
+    """A ValueError from any subcommand's computation, wherever it is
+    raised, exits 2 with one stderr line, no traceback and no stdout."""
+    def refuse(*args):
+        raise ValueError("refused input")
+
+    monkeypatch.setattr(cli, target, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: refused input\n"
+
+
 def test_dump_operator_deterministic(capsys):
     argv = ("dump", "--op", "J(2,-1;x)", "--surface", "p2",
             "--cutoff", "5", "--format", "jsonl")

@@ -425,6 +425,65 @@ def test_state_checks_go_through_group_columns():
     assert state_check_bypasses(source) == []
 
 
+def _int_parse(node):
+    """Whether the try statement node only parses an integer: its body
+    is one assignment of int(...)."""
+    body = node.body
+    return (len(body) == 1 and isinstance(body[0], ast.Assign)
+            and getattr(getattr(body[0].value, "func", None), "id",
+                        None) == "int")
+
+
+def exit_path_bypasses(source):
+    """(line, name) of every read of _emit outside main, and of every
+    except clause in a _cmd_* function but _cmd_verify's integer parse:
+    a command that writes its own output or reports its own error rather
+    than returning (text, exit code) to main."""
+    found = [(line, "_emit")
+             for line, _ in reads_outside(source, "_emit", ("main",))]
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, FUNCS) and func.name.startswith("_cmd_"):
+            found += [(handler.lineno, func.name)
+                      for node in ast.walk(func) if isinstance(node, ast.Try)
+                      and not (func.name == "_cmd_verify"
+                               and _int_parse(node))
+                      for handler in node.handlers]
+    return sorted(found)
+
+
+def test_checker_flags_a_second_exit_path():
+    source = ("def _cmd_verify(args):\n"
+              "    try:\n"
+              "        bound = int(args.bound)\n"
+              "    except ValueError:\n"
+              "        raise UsageError('bad bound')\n"
+              "    try:\n"
+              "        report = run_suite(spec)\n"
+              "    except ValueError as exc:\n"
+              "        raise UsageError(str(exc))\n"
+              "    return text, 0\n"
+              "def _cmd_omega(args):\n"
+              "    try:\n"
+              "        value = int(args.p)\n"
+              "    except ValueError:\n"
+              "        value = 0\n"
+              "    _emit(text, args.out)\n"
+              "def main(argv):\n"
+              "    text, code = args.func(args)\n"
+              "    _emit(text, args.out)\n")
+    assert exit_path_bypasses(source) == [
+        (8, "_cmd_verify"), (14, "_cmd_omega"), (16, "_emit")]
+
+
+def test_cli_output_and_errors_leave_through_main():
+    """In cli.py only main writes a command's output (_emit), and no
+    _cmd_* function catches an exception but _cmd_verify's --bound
+    integer parse: every refused input reaches main's one ValueError
+    branch, which exits 2 with one line."""
+    source = (SRC / "hilbfock" / "cli.py").read_text()
+    assert exit_path_bypasses(source) == []
+
+
 # The one function under src/ that may decode a packed code.
 DECODE_EDGES = ("sorted_items",)
 

@@ -976,13 +976,13 @@ def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
 
 @pytest.mark.parametrize("name,measure,kept,bounds", [
     ("lem52", "series_bracket", "_lem52_cell", {"p_max": 4, "n_max": 3}),
-    ("thm57", "wbracket", "_thm57_comparisons", {"pq_max": 5, "m_max": 3})])
+    ("thm57", "wbracket", "_thm57_symbolic", {"pq_max": 5, "m_max": 3})])
 def test_mutated_run_after_the_plain_one_measures_nothing(
         monkeypatch, name, measure, kept, bounds):
-    """lem52 keeps its bracket cells (_lem52_cell) and thm57 the
-    comparisons of its symbolic part (_thm57_comparisons) for the
-    process: from cleared cells, whichever run comes first measures
-    them, the other makes no series_bracket or wbracket call, and both
+    """lem52 keeps its bracket cells (_lem52_cell) and thm57 the record
+    of its symbolic part (_thm57_symbolic) for the process: from cleared
+    cells, whichever run comes first measures them, the other makes no
+    series_bracket or wbracket call, and both
     keep the frozen digests of the acceptance battery, whose plain runs
     name their default bounds."""
     calls = 0
@@ -1005,6 +1005,30 @@ def test_mutated_run_after_the_plain_one_measures_nothing(
             assert (calls > 0) == (mutated == first), (first, mutated)
             digests = MUTATED_SHA256 if mutated else REPORT_SHA256
             assert report_sha256(report) == digests[name], mutated
+
+
+def test_mutated_cor48_run_reads_the_plain_cells(monkeypatch):
+    """cor48 keeps both routes of each class (_cor48_cell), so after the
+    plain run the mutated one computes no chern_class: it adds only its
+    -(1/24) G_{k-2}(e a, n) term to the stored closed route.  Both runs
+    keep the frozen digests of the acceptance battery."""
+    verify._cor48_cell.cache_clear()
+    calls = 0
+    real = verify.chern_class
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, "chern_class", counted)
+    report = run_suite(SuiteSpec("cor48", bounds={"n_max": 4}))
+    assert report.ok and calls > 0
+    assert report_sha256(report) == REPORT_SHA256["cor48"]
+    calls = 0
+    report = run_suite(SuiteSpec("cor48", mutation="euler-shift"))
+    assert not report.ok and calls == 0
+    assert report_sha256(report) == MUTATED_SHA256["cor48"]
 
 
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():
