@@ -4,7 +4,8 @@ Every numeric value is printed as an exact integer or p/q string; output
 for a fixed invocation is byte-identical across runs, so files written
 with --out are safe to diff.  Exit codes: 0 success, 1 a verification or
 match failure, 2 any refused input (one `error:` line on stderr), 141
-(quietly) a closed standard output, as `| head -0` leaves.
+(quietly) a closed standard output, as `| head -0` leaves.  A command
+line is parsed once, by its subcommand's parser (main).
 """
 
 from __future__ import annotations
@@ -359,10 +360,14 @@ def build_parser():
 
 @functools.cache
 def _parser():
-    """The process's one argument parser, built on first use: building
+    """The process's one argument parser, built on first use, and its
+    command parsers by name (the subparsers action's choices): building
     the argparse tree costs far more than parsing with it, and parsing
-    leaves the parser unchanged."""
-    return build_parser()
+    leaves the parsers unchanged."""
+    ap = build_parser()
+    sub, = [a for a in ap._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return ap, sub.choices
 
 
 def main(argv=None):
@@ -371,10 +376,18 @@ def main(argv=None):
     any other refused input (a ValueError, wherever raised, or a
     RingError) exits 2 with one stderr line.
 
-    Calls in one process share one parser (_parser), so a stream of
-    in-process calls pays for the argparse tree once."""
-    ap = _parser()
-    args = ap.parse_args(argv)
+    Calls in one process share one parser tree (_parser).  A command
+    line that starts with a command name is parsed once, by that
+    command's parser, and the top parser refuses its leftovers as its
+    parse_args would; the top parser parses any other line."""
+    argv = sys.argv[1:] if argv is None else argv
+    ap, commands = _parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            ap.error("unrecognized arguments: %s" % " ".join(extras))
+    else:
+        args = ap.parse_args(argv)
     if not getattr(args, "func", None):
         ap.print_usage(sys.stderr)
         return 2

@@ -26,6 +26,7 @@ sum (k_i + 2) = 2n reduce to the surface-independent rational
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 
@@ -105,6 +106,14 @@ def intersection_number(ring, ks, n):
     return hilb_integral(ring, vec, n)
 
 
+@cache
+def _closed_factor(k, j):
+    """sum_{lam |- (j+1), l(lam)=k-j+1} (-1)^j / (lam^! (j+1)!), the
+    factor of G_k([x]) in intersection_number_closed, kept per (k, j)."""
+    return sum((Q((-1) ** j, mf * factorial(j + 1))
+                for _, mf, _ in enumerate_ordinary(j + 1, k - j + 1)), Q(0))
+
+
 def intersection_number_closed(ks, n):
     """Surface-independent closed value of the same number."""
     total = Q(0)
@@ -113,8 +122,7 @@ def intersection_number_closed(ks, n):
             continue
         value = Q(1)
         for k, j in zip(ks, js):
-            value *= sum((Q((-1) ** j, mf * factorial(j + 1)) for _, mf, _
-                          in enumerate_ordinary(j + 1, k - j + 1)), Q(0))
+            value *= _closed_factor(k, j)
             if not value:
                 break
         total += value

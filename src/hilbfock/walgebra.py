@@ -15,7 +15,8 @@ derivative of a_{-1} under the derivation operator.
 
 virasoro, chern and jay keep their series in a per-ring LRU memo of at
 most _NAMED_CAP (32) entries, keyed by name, indices and class
-coefficients, so a repeat reuses the words and columns already expanded.
+coefficients, so a repeat reuses the words and columns already expanded
+(and, for chern, the K * c = 0 check made when the series was built).
 
 Each family keeps the operators.Family contract: an integer numerator
 num(parts, lam^!, s(lam)) over one integer family denominator den, so
@@ -159,10 +160,15 @@ def require_canonical_trivial(ring, elem):
 
 
 def chern(ring, k, elem):
-    """The Chern character operator G_k(elem); needs K * elem = 0."""
-    require_canonical_trivial(ring, elem)
-    return _named(ring, ("G", k, elem.coeffs),
-                  lambda: family_series(ring, chern_families(k), elem))
+    """The Chern character operator G_k(elem); needs K * elem = 0.
+
+    The build checks K * elem, so a memo hit, checked when it was built,
+    skips the product, and a refused class is never stored."""
+    def build():
+        require_canonical_trivial(ring, elem)
+        return family_series(ring, chern_families(k), elem)
+
+    return _named(ring, ("G", k, elem.coeffs), build)
 
 
 def jay(ring, p, n, elem):

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -710,8 +711,9 @@ def call(capsys, argv):
 
 
 def test_parser_reuse_matches_fresh_parsers(capsys, monkeypatch):
-    """main builds the parser once per process; every call in a mixed
-    stream answers as it does with a parser built for that call alone."""
+    """main builds the parser tree once per process; every call in a
+    mixed stream answers as it does with a tree, command parsers
+    included, built for that call alone."""
     built = []
 
     def counting_build():
@@ -723,10 +725,137 @@ def test_parser_reuse_matches_fresh_parsers(capsys, monkeypatch):
     cli._parser.cache_clear()
     shared = [call(capsys, argv) for argv in STREAM]
     assert len(built) == 1
-    monkeypatch.setattr(cli, "_parser", build_parser)
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     fresh = [call(capsys, argv) for argv in STREAM]
-    assert len(built) == 1
+    assert len(built) == 1 + len(STREAM)
     assert shared == fresh
     assert [code for code, _ in shared] == [0, 0, 2, 2, 0, 0, 0, 0, 2, 2, 0,
                                             2, 1, 2, 0, 0, 2, 0]
 
+
+# Every command, argparse's own exits (help, a missing, bad or unknown
+# argument or command, an exclusive-group conflict, the --opt=value and
+# abbreviated forms, "--") and every kind of refusal a command raises.
+UNWRITABLE = os.path.join(os.devnull, "x")
+EQUIVALENCE = [
+    ["verify", "--list"],
+    ["verify", "--suite", "lem53", "--bound", "p_max=1", "--bound",
+     "m_max=1", "--format", "jsonl"],
+    ["verify", "--suite", "rmk43", "--mutation", "shift-term"],
+    ["chern", "--k", "1", "--n", "3", "--surface", "p2", "--class", "x"],
+    ["cup", "--k", "1", "--k", "1", "--n", "3", "--surface", "p2",
+     "--class", "x"],
+    ["cup", "--k", "0", "--n", "2", "--surface", "k3", "--class", "u1",
+     "--format", "jsonl"],
+    ["intersect", "--k", "2", "--n", "2", "--format", "jsonl"],
+    ["intersect", "--grid", "--n", "3", "--format", "csv"],
+    ["ring", "--surface", "k3"],
+    ["omega", "--p", "2", "--q", "1", "--m", "1", "--n", "1"],
+    ["dump", "--op", "J(2,-1;x)", "--cutoff", "3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["chern", "-h"],
+    ["bogus"],
+    ["--bogus", "7"],
+    ["chern", "--k", "1", "--n", "3", "--bogus", "7"],
+    ["omega", "--p", "2", "--q", "1", "--m", "1", "--n", "1", "extra"],
+    ["chern", "--k", "one", "--n", "3"],
+    ["chern", "--n", "3"],
+    ["chern", "--", "--k", "1", "--n", "3"],
+    ["intersect", "--grid", "--k", "1", "--n", "2"],
+    ["ring", "--dump", "--validate"],
+    ["chern", "--k=1", "--n=3", "--sur", "k3", "--class", "u1"],
+    ["verify", "--list", "--suite", "heis"],
+    ["verify"],
+    ["verify", "--suite", "lem53", "--bound", "p_max"],
+    ["verify", "--suite", "nosuch"],
+    ["chern", "--k", "1", "--n", "2", "--class", "nosuch"],
+    ["chern", "--k", "1", "--n", "2", "--surface", "p2", "--class", "H"],
+    ["chern", "--k", "1", "--n", "2", "--surface", "nosuch"],
+    ["ring", "--surface", "p2", "--ring-file", UNWRITABLE],
+    ["ring", "--ring-file", UNWRITABLE],
+    ["cup", "--n", "2"],
+    ["cup", "--k", "0", "--k", "0", "--n", "2", "--class", "x", "--class",
+     "x", "--class", "x"],
+    ["cup", "--surface", "p2", "--class", "1", "--k", "0", "--n", "1"],
+    ["intersect", "--grid", "--n", "0"],
+    ["intersect", "--n", "2"],
+    ["intersect", "--k", "1", "--n", "2"],
+    ["omega", "--p", "-1", "--q", "1", "--m", "1", "--n", "1"],
+    ["dump", "--op", "Q(1;x)"],
+    ["dump", "--op", "G(1;1)", "--surface", "p2"],
+    ["dump", "--op", "a(-2;H)", "--cutoff", "-1"],
+    ["omega", "--p", "1", "--q", "1", "--m", "1", "--n", "1", "--out",
+     UNWRITABLE],
+]
+
+
+def answer(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code,) + tuple(capsys.readouterr())
+
+
+def test_one_parse_answers_as_parse_args_on_a_fresh_parser(capsys,
+                                                          monkeypatch):
+    """main answers every line of the stream, in stdout, stderr and exit
+    code, as it does when a fresh top parser parses the line with
+    parse_args: with no command parsers to pick from, main parses every
+    line that way."""
+    shared = [answer(capsys, argv) for argv in EQUIVALENCE]
+    monkeypatch.setattr(cli, "_parser", lambda: (cli.build_parser(), {}))
+    fresh = [answer(capsys, argv) for argv in EQUIVALENCE]
+    for argv, got, want in zip(EQUIVALENCE, shared, fresh):
+        assert got == want, argv
+        assert got[1] or got[2], argv
+    assert {code for code, _, _ in shared} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["verify", "--list"], "verify"),
+    (["chern", "--k", "1", "--n", "3", "--class", "x"], "chern"),
+    (["cup", "--k", "0", "--n", "1", "--surface", "k3"], "cup"),
+    (["intersect", "--k", "2", "--n", "2"], "intersect"),
+    (["ring"], "ring"),
+    (["omega", "--p", "2", "--q", "1", "--m", "1", "--n", "1"], "omega"),
+    (["dump", "--op", "a(-2;H)"], "dump"),
+    (["chern", "--k", "one", "--n", "3"], "chern"),
+    (["chern", "--k", "1", "--n", "3", "--bogus"], "chern"),
+    ([], None),
+    (["-h"], None),
+    (["bogus"], None),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_a_command_line_is_parsed_once(capsys, monkeypatch, argv, command):
+    """A line that names a command is parsed once, by that command's
+    parser; any other line by the top parser."""
+    ap, commands = cli._parser()
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        counting)
+    call(capsys, argv)
+    if command:
+        assert parsers == [commands[command]]
+    else:
+        assert parsers[0] is ap
+
+
+def test_the_canonical_check_still_refuses_in_one_line(capsys):
+    """cup and dump of a class with K * class != 0 exit 2 with one error
+    line, now that chern checks the class when it builds the series."""
+    for argv in (["cup", "--surface", "p2", "--class", "1", "--k", "0",
+                  "--n", "1"],
+                 ["dump", "--op", "G(1;1)", "--surface", "p2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: class ") and err.count("\n") == 1
+        assert "K * class != 0" in err

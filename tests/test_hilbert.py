@@ -1,17 +1,21 @@
 """Hilbert scheme classes, cup products, and intersection numbers."""
 
 from fractions import Fraction as Q
+from itertools import product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbfock import hilbert
 from hilbfock.fock import combine, fundamental_class, vacuum
 from hilbfock.hilbert import (chern_class, chern_class_closed, cup_product,
                               hilb_integral, intersection_number,
-                              intersection_number_closed, point_class)
+                              intersection_number_closed, k_multisets,
+                              point_class)
 from hilbfock.operators import heisenberg
+from hilbfock.partitions import enumerate_ordinary
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.walgebra import chern
 
@@ -217,6 +221,37 @@ def test_intersection_degree_mismatch_vanishes():
     for ks, n in (((1, 1), 2), ((1, 1, 0), 3), ((0,), 2)):
         assert intersection_number_closed(ks, n) == 0, (ks, n)
         assert intersection_number(P2, ks, n) == 0, (ks, n)
+
+
+def _closed_reference(ks, n):
+    """intersection_number_closed as it summed each factor inline."""
+    total = Q(0)
+    for js in product(*(range(k + 1) for k in ks)):
+        if sum(j + 1 for j in js) != n:
+            continue
+        value = Q(1)
+        for k, j in zip(ks, js):
+            value *= sum((Q((-1) ** j, mf * factorial(j + 1)) for _, mf, _
+                          in enumerate_ordinary(j + 1, k - j + 1)), Q(0))
+            if not value:
+                break
+        total += value
+    return total
+
+
+def test_closed_numbers_read_one_factor_table():
+    """The closed value reads its per-(k, j) factors from one table and
+    equals the inline sum on every degree-matched tuple up to 6 points;
+    the table holds at most (k_max + 1)^2 factors."""
+    hilbert._closed_factor.cache_clear()
+    k_max = 0
+    for n in range(1, 7):
+        for ks in k_multisets(n):
+            assert intersection_number_closed(ks, n) == _closed_reference(
+                ks, n), (ks, n)
+            k_max = max(k_max, *ks)
+    size = hilbert._closed_factor.cache_info().currsize
+    assert 0 < size <= (k_max + 1) ** 2
 
 
 @settings(max_examples=60, deadline=None)

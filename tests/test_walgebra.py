@@ -215,6 +215,34 @@ def test_failed_named_build_stores_nothing():
     assert not ring._cache.get("named")
 
 
+def test_the_canonical_check_refuses_before_and_after_a_build():
+    """chern checks K * class when it builds a series, not on a memo hit:
+    the unit and H on p2 are refused alike on a first call, after G_k(x)
+    was built, and after that entry left the LRU memo."""
+    ring = _own_ring("p2")
+    x = ring.basis("x")
+    refused = [ring.basis("1"), ring.basis("H")]
+
+    def messages():
+        out = []
+        for elem in refused:
+            with pytest.raises(ValueError) as exc:
+                chern(ring, 2, elem)
+            out.append(str(exc.value))
+        return out
+
+    first = messages()
+    assert all("K * class != 0" in text for text in first)
+    built = chern(ring, 2, x)
+    assert chern(ring, 2, x) is built
+    assert messages() == first
+    for n in range(_NAMED_CAP):
+        virasoro(ring, n, x)
+    assert ("G", 2, x.coeffs) not in ring._cache["named"]
+    assert messages() == first
+    assert chern(ring, 2, x) is not built
+
+
 def test_omega_frozen_spots():
     assert omega(2, 1, 1, 1) == 6
     assert omega(0, 0, 5, -3) == 0
