@@ -22,10 +22,14 @@ Two layers:
   (OperatorFamily) lifts the contraction index to a list of operators,
   and commutator_block composes, on one state, only the brackets of
   two families that it cannot rule out, asking a column only of the
-  operators whose index meets that state.  Every word acts
-  through one single-state kernel, apply_word, which carries one
-  state's image through the word as a list of (state, coeff) pairs
-  that the column merges once.
+  operators whose index meets that state.  Both compositions of a
+  bracket, f(g s) and g(f s), serve its mirror too: [g, f](s) =
+  -(-1)^{|f||g|} [f, g](s), so a caller that checks both orders
+  composes once.  Every word acts through one single-state kernel,
+  apply_word, which carries one state's image through the word as a
+  list of (state, coeff) pairs that the column merges once; a word of
+  one factor (every a_n(b), the shift a(-1;1)) is that factor's image,
+  with no loop.
 
   The boundary derivation d is one more series: G_1(1_X) plus a K-term
   (derivation), so the derivative of an operator is its bracket with d.
@@ -109,8 +113,15 @@ def apply_word(ring, word, state):
     pairs, in which a state may repeat.  Every action of mode monomials
     on states goes through this single-state kernel, and the caller
     scales and merges the pairs once: the action is linear, so merging
-    at the end gives what merging after every factor would.
+    at the end gives what merging after every factor would.  A word of
+    one factor (a_n(b), the shift a(-1;1)) is that factor's image.
     """
+    if len(word) == 1:
+        (mode, i), = word
+        if mode > 0:
+            return annihilate_state(ring, mode, i, state)
+        s2, sgn = create_state(ring, -mode, i, state)
+        return [(s2, sgn)] if s2 is not None else []
     cur = [(state, 1)]
     for mode, i in reversed(word):
         if mode > 0:
@@ -532,6 +543,9 @@ class Linear:
         self.pieces = pieces
 
     def column(self, sid):
+        if len(self.pieces) == 1:
+            (c, op), = self.pieces
+            return {t: c * v for t, v in op.column(sid).items()} if c else {}
         return combine(*((c, op.column(sid)) for c, op in self.pieces))
 
 

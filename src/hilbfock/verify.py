@@ -42,9 +42,11 @@ against the unmutated identity, or as both sides of it, and a mutation
 adds its one term in a new list, so a run, plain or mutated and in
 either order, reads the stored cell.  thm57 keeps its symbolic record
 (`_thm57_symbolic`), which no mutation touches.  rmk56 reads rmk43's
-cells, since J^p_n = -p! F(p, n, n^2 - 2).  The euler-shift mutations of thm42,
-thm46-unique and def51-ids move the shift of the series they check
-(`walgebra.series_families`).
+cells, since J^p_n = -p! F(p, n, n^2 - 2).  The euler-shift mutation of thm42
+moves the shift of the series it checks (`walgebra.apow_families`); those
+of thm46-unique and def51-ids add the unit Euler family (`_euler_families`)
+to the plain lists they read from the process caches (`_thm46_cell`,
+`_window`).
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -56,7 +58,7 @@ from __future__ import annotations
 import json
 from functools import cache, partial
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -250,13 +252,14 @@ class _Group:
     check counted when the group ends.
     """
 
-    __slots__ = ("params", "checks", "fail", "total")
+    __slots__ = ("params", "checks", "fail", "total", "at")
 
     def __init__(self, params, total=False):
         self.params = params
         self.checks = 0
         self.fail = None
         self.total = total
+        self.at = ()
 
     def check(self, ok, params, expected, actual, show=_show, n=1):
         """Count n checks that pass or fail together; the first failure
@@ -270,17 +273,23 @@ class _Group:
         """Count n checks that pass without being compared one by one."""
         self.checks += n
 
-    def columns(self, ring, states, lhs, rhs, params):
+    def columns(self, ring, states, lhs, rhs, params, at=(), sign=1):
         """Compare two column sources on each state numbered s in states:
-        lhs.column(s) against rhs.column(s), both exact images.  The first
-        failure adds the state to params and shows rhs as expected."""
+        sign * lhs.column(s) against rhs.column(s), both exact images.
+        The first failure adds the state to params and shows rhs as
+        expected.  A caller that checks out of order passes at, the place
+        of params in its order, and a failure at a smaller place replaces
+        one found before."""
         for s in states:
             got, want = lhs.column(s), rhs.column(s)
-            if got != want and self.fail is None:
+            if sign < 0 and got:
+                got = {t: -c for t, c in got.items()}
+            if got != want and (self.fail is None or at < self.at):
                 self.fail = InstanceRecord(
                     dict(params, state=render_state(ring.states[s], ring)),
                     "fail", 1, render_terms(ring.vector(want), ring),
                     render_terms(ring.vector(got), ring))
+                self.at = at
         self.checks += len(states)
 
     def record(self):
@@ -355,20 +364,30 @@ def _euler_families(ell, total):
 # -- heis: transfer operator commutators ----------------------------------
 
 
-def _heis_residual(fs, gs, live, central):
+def _heis_residual(fs, gs, live, central, mirrored):
     """{((i, j), s): bracket} of a heis cell over the live state numbers
     s: the entries whose bracket differs from its expected side, {s: cc}
     for the class pairs that central maps to cc and {} for the rest, so it is
     empty when the identity holds.  A pair that commutator_block leaves
-    out has the empty bracket."""
-    out = {}
+    out has the empty bracket.
+
+    With it, the residual against mirrored of the cell with fs and gs
+    swapped ({} for None): [g_j, f_i] = -(-1)^{|f_i||g_j|} [f_i, g_j]."""
+    odd = [[f.parity() and g.parity() for g in gs.ops] for f in fs.ops]
+    out = ({}, {})
     for s in live:
         block = commutator_block(fs, gs, s)
-        for ij in block.keys() | central.keys():
-            lhs = block.get(ij, {})
-            cc = central.get(ij)
-            if lhs != ({s: cc} if cc else {}):
-                out[ij, s] = lhs
+        sides = [(out[0], block, central)]
+        if mirrored is not None:
+            sides.append((out[1], {
+                (j, i): col if odd[i][j] else {t: -c for t, c in col.items()}
+                for (i, j), col in block.items()}, mirrored))
+        for resid, brackets, cen in sides:
+            for ij in brackets.keys() | cen.keys():
+                lhs = brackets.get(ij, {})
+                cc = cen.get(ij)
+                if lhs != ({s: cc} if cc else {}):
+                    resid[ij, s] = lhs
     return out
 
 
@@ -402,8 +421,9 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
     per state (_heis_residual), and kept in ring._cache as its residual
     against the unmutated central term; every run, plain or mutated,
     rebuilds its record from that residual and its own central term
-    (_heis_failure).  The a_n(b) operators a ring's cells compose are
-    built once per run and ring, with their columns.
+    (_heis_failure).  Composing (m, n), m != n, stores (n, m) too, read
+    from the same brackets.  The a_n(b) operators a ring's cells
+    compose are built once per run and ring, with their columns.
 
     Mutation central-shift: the central coefficient -m becomes -m + 1.
     """
@@ -420,6 +440,10 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
         # integral(ab) of the class pairs where it is nonzero
         paired = {(i, j): v for i, row in enumerate(ring.pairing_matrix())
                   for j, v in enumerate(row) if v}
+
+        def central(c):
+            return {ij: c * v for ij, v in paired.items()} if c else {}
+
         family = cache(lambda n: OperatorFamily(
             heisenberg(ring, n, b) for _, b in pairs))
         for m in range(-m_max, m_max + 1):
@@ -432,15 +456,21 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                         if m == -n or (m > 0 and -m in modes)
                         or (n > 0 and -n in modes)]
                 c0 = Q(-m) if m == -n != 0 else 0
-                plain = {ij: c0 * v for ij, v in paired.items()} if c0 else {}
-                key = ("heis", m, n, wmax)
+                plain = central(c0)
+                key, back = ("heis", m, n, wmax), ("heis", n, m, wmax)
                 resid = ring._cache.get(key)
                 if resid is None:
-                    resid = ring._cache[key] = _heis_residual(
-                        family(m), family(n), live, plain) if live else {}
+                    # The cell (n, m), central term -c0, mirrors this one.
+                    mirrored = (central(-c0) if m != n
+                                and back not in ring._cache else None)
+                    resid, mirror = _heis_residual(
+                        family(m), family(n), live, plain,
+                        mirrored) if live else ({}, {})
+                    ring._cache[key] = resid
+                    if mirrored is not None:
+                        ring._cache[back] = mirror
                 c = c0 + 1 if mut and c0 else c0
-                fail = _heis_failure(resid, live, plain, {
-                    ij: c * v for ij, v in paired.items()} if c else {})
+                fail = _heis_failure(resid, live, plain, central(c))
                 t = _Group({"surface": ring.name, "m": m, "n": n}, True)
                 if fail is None:
                     t.count(size * size * len(pre))
@@ -658,7 +688,7 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
                     t.columns(ring, states,
                               Bracket(op(quadratic_sum, m, a),
                                       tr(heisenberg, n, b)),
-                              tr(heisenberg, m + n, ab).scaled(-n),
+                              Linear((-n, tr(heisenberg, m + n, ab))),
                               dict(params, a=na, b=nb))
                 yield t.record()
         for n in range(-m_max, m_max + 1):
@@ -716,6 +746,10 @@ def _run_lem32(spec, mut):
     derivative: the splitting and K rules for the derivation
     reorder:    adjacent swap with one Euler correction per (v,-v) pair
 
+    The bracket part composes each pair {(nu, a), (mu, b)} once per
+    state: (mu, nu, b, a) reads it times -(-1)^{|a||b|} against its own
+    right side, in its place in the (nu, mu, a, b, state) failure order.
+
     Mutation euler-sign: the reorder correction -v becomes +v.
     """
     rings = _rings(spec)
@@ -734,19 +768,27 @@ def _run_lem32(spec, mut):
             # One operator per (partition, class) for this ring's
             # bracket and derivative parts; its columns serve every cell.
             op = _op_memo(ring)
-            cases = [(na, a, nb, b, a * b)
-                     for (na, a), (nb, b) in product(cpairs, cpairs)]
-            for nu in nus:
-                for mu in nus:
-                    sm = s_bracket(SmearedOp({encode(nu): 1}),
-                                   SmearedOp({encode(mu): 1}))
-                    rhs = cache(partial(instantiate, sm, ring))
-                    for na, a, nb, b, ab in cases:
-                        t.columns(ring, states,
-                                  Bracket(op(monomial, nu, a),
-                                          op(monomial, mu, b)), rhs(ab),
-                                  dict(params, nu=str(list(nu)),
-                                       mu=str(list(mu)), a=na, b=nb))
+            names, cls = zip(*cpairs)
+            ab = {(k, l): a * b for (k, a), (l, b)
+                  in product(enumerate(cls), repeat=2)}
+            one = [SmearedOp({encode(nu): 1}) for nu in nus]
+            for x, y in combinations_with_replacement(range(len(nus)), 2):
+                rhs = {(p, q): cache(partial(instantiate, s_bracket(
+                    one[p], one[q]), ring)) for p, q in {(x, y), (y, x)}}
+                for k, l in ab:
+                    if x == y and k > l:
+                        continue
+                    br = Bracket(op(monomial, nus[x], cls[k]),
+                                 op(monomial, nus[y], cls[l]))
+                    odd = br.f.parity() and br.g.parity()
+                    for p, q, i, j, sign in ((x, y, k, l, 1),
+                                             (y, x, l, k, 1 if odd else -1)):
+                        t.columns(ring, states, br, rhs[p, q](ab[i, j]),
+                                  dict(params, nu=str(list(nus[p])),
+                                       mu=str(list(nus[q])), a=names[i],
+                                       b=names[j]), (p, q, i, j), sign)
+                        if (x, k) == (y, l):
+                            break
             yield t.record()
             params = {"part": "derivative", "surface": ring.name}
             t = _Group(params)
@@ -883,25 +925,39 @@ def _run_thm46(spec, mut, *, k_max=3):
     Mutation euler-shift: the Euler factor (s-2) becomes (s-1).
     """
     N = _cutoff(spec)
-    box = _diamond(N, 0)
     for k in range(k_max + 1):
-        fams = chern_families(k, 1 if mut else 0)
-        A = series_to_smeared(fams, *box)
-        bad = series_to_smeared(fams, 0, N)  # A's terms with no pos part
+        cell = _thm46_cell(k, N)
+        if mut and k:
+            # the mutated G_k: the unit Euler family over l = k added
+            cell = [combined((1, x), (1, y))
+                    for x, y in zip(cell, _thm46_cell(k, N, True))]
+        A, bad, dA, pin = cell
         yield _verdict(bad.is_zero(), {"check": "vacuum", "k": k},
                        max(len(A.terms), 1),
                        "every term has an annihilation mode",
                        "" if bad.is_zero() else bad.render())
-        dA = s_derive(A, *box, N, N, include_k=False)
         yield _universal_record(dA, {"check": "derivation", "k": k})
-        pos = _sound_pos(N, 0, -1)
-        yield _universal_record(combined(
-            (1, series_bracket(fams, heis_families(-1), pos, N)),
-            (Q(-1, factorial(k)),
-             series_to_smeared(apow_families(-1, k), pos, N))),
-            {"check": "transfer-pin", "k": k})
+        yield _universal_record(pin, {"check": "transfer-pin", "k": k})
     if not mut:
         yield from _thm46_spots(spec)
+
+
+@cache
+def _thm46_cell(k, N, euler=False):
+    """G_k's list A on the diamond window N, A's terms with no
+    annihilation mode, A's derivative modulo K, and A's bracket with a_{-1}
+    less (1/k!) D^k(a_{-1}); with euler, the same parts of the mutation's
+    term, the unit Euler family over l = k, and its bare bracket.  Each
+    part is linear in the series; kept for the process."""
+    fams = _euler_families(k, 0) if euler else chern_families(k)
+    box, pos = _diamond(N, 0), _sound_pos(N, 0, -1)
+    A = series_to_smeared(fams, *box)
+    pin = [(1, series_bracket(fams, heis_families(-1), pos, N))]
+    if not euler:
+        pin.append((Q(-1, factorial(k)),
+                    series_to_smeared(apow_families(-1, k), pos, N)))
+    return (A, series_to_smeared(fams, 0, N),
+            s_derive(A, *box, N, N, include_k=False), combined(*pin))
 
 
 def _thm46_spots(spec):
@@ -1019,29 +1075,34 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
     Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
     """
     N = _cutoff(spec)
-    jf = partial(jay_families, moved=-1) if mut else jay_families
 
-    def jay_plus(p, n, c, other):
-        return combined((1, series_to_smeared(jf(p, n), N, N)), (c, other))
+    def jay_plus(p, n, *pieces, box=(N, N)):
+        """J^p_n on box plus pieces; the mutation's J^p_n has -p! more of
+        the unit Euler family over l = p - 1 (none for p < 2)."""
+        if mut and p > 1:
+            pieces += ((-factorial(p), series_to_smeared(
+                _euler_families(p - 1, n), *box)),)
+        return combined((1, _window(jay_families, (p, n), *box)), *pieces)
 
     for n in range(-n_max, n_max + 1):
-        yield _universal_record(jay_plus(0, n, 1, _derived(n, 0, N, N, N)),
+        yield _universal_record(jay_plus(0, n, (1, _derived(n, 0, N, N, N))),
                                 {"part": "a", "n": n})
     for ring in _rings(spec):
         t = _Group({"part": "b", "surface": ring.name}, True)
         for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
-            ja = instantiate(series_to_smeared(jf(1, n), 4, 4), ring, a)
+            ja = instantiate(jay_plus(1, n, box=(4, 4)), ring, a)
             ln = quadratic_sum(ring, n, a).terms_within(4)
             t.check(ja.equal_terms(ln),
                     dict(t.params, n=n, a=na), ln, ja)
         yield t.record()
     for p in range(1, p_max + 1):
         yield _universal_record(
-            jay_plus(p, 0, -factorial(p),
-                     series_to_smeared(chern_families(p - 1), N, N)),
+            jay_plus(p, 0, (-factorial(p),
+                            _window(chern_families, (p - 1,), N, N))),
             {"part": "c", "p": p})
-        yield _universal_record(jay_plus(p, -1, 1, _derived(-1, p, N, N, N)),
-                                {"part": "d", "p": p})
+        yield _universal_record(
+            jay_plus(p, -1, (1, _derived(-1, p, N, N, N))),
+            {"part": "d", "p": p})
     for ring in _rings(spec, () if mut else ("k3",)):
         states = _action_states(ring)
         t = _Group({"part": "d-action", "surface": ring.name})

@@ -75,9 +75,7 @@ def series_families(ell, total, lead, shift):
                - sum_{l=ell-1,|lam|=total} ((s(lam)+shift)/(24 lam^!))
                  a_lam(tau(e*c)) ),
 
-    the Euler family left out for ell < 2, where it would hold no mode.
-    The instances that an euler-shift mutation changes take moved, added
-    to their shift; 0 gives the paper's series."""
+    the Euler family left out for ell < 2, where it would hold no mode."""
     fams = [mult_family(ell + 1, total, lambda ws: lead)]
     if ell >= 2:
         fams.append(mult_family(ell - 1, total,
@@ -91,25 +89,25 @@ def heis_families(n):
 
 
 @cache
-def jay_families(p, n, moved=0):
-    """Families of J^p_n, as a tuple built once per (p, n, moved) and
-    shared by every caller for the life of the process, so that their
-    contraction tables (Family.contractions) are built once."""
+def jay_families(p, n):
+    """Families of J^p_n, as a tuple built once per (p, n) and shared by
+    every caller for the life of the process, so that their contraction
+    tables (Family.contractions) are built once."""
     if p < 0:
         raise ValueError("negative W-algebra weight %d" % p)
-    return tuple(series_families(p, n, -factorial(p), n * n - 2 + moved))
+    return tuple(series_families(p, n, -factorial(p), n * n - 2))
 
 
-def chern_families(k, moved=0):
+def chern_families(k):
     """Families of the k-th Chern character component G_k."""
     if k < 0:
         raise ValueError("negative Chern character index %d" % k)
-    return series_families(k + 1, 0, -1, -2 + moved)
+    return series_families(k + 1, 0, -1, -2)
 
 
 def apow_families(n, k, moved=0):
     """Closed form of the k-th derivative of a_n (for K-trivial
-    classes)."""
+    classes); thm42's euler-shift mutation adds moved to its shift."""
     return series_families(k, n, (-n) ** k * factorial(k), -1 + moved)
 
 

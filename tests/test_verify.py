@@ -6,7 +6,8 @@ import json
 import re
 import subprocess
 import sys
-from functools import cache
+from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 from math import factorial
 from pathlib import Path
@@ -14,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from hilbfock import operators, verify, walgebra
-from hilbfock.fock import combine, render_state, render_terms
-from hilbfock.operators import combined, series_to_smeared
+from hilbfock.fock import (basis_states, combine, render_state,
+                           render_terms)
+from hilbfock.operators import (SmearedOp, combined, encode,
+                                series_to_smeared)
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
@@ -639,21 +642,29 @@ def test_thm31_builds_each_transfer_operator_once(monkeypatch):
     a_n(K b) and a_{m+n}(ab) from one memo per ring, so on p1xp1 the
     suite builds 77 transfer operators (113 when the replacement part
     built its own, 346 with a memo per m, 1,621 when every (m, a, b)
-    built its own), and its report keeps its frozen bytes."""
-    calls = []
-    build = verify.heisenberg
+    built its own), and its report keeps its frozen bytes.  The mixed
+    part reads -n a_{m+n}(ab) as a Linear of the memoized operator, so
+    no case builds a scaled copy of it (784 did)."""
+    calls, scaled = [], []
+    build, scale = verify.heisenberg, operators.OperatorSum.scaled
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
+    def counted_scale(self, c):
+        scaled.append(c)
+        return scale(self, c)
+
     monkeypatch.setattr(verify, "heisenberg", counted)
+    monkeypatch.setattr(operators.OperatorSum, "scaled", counted_scale)
     report = run_suite(SuiteSpec("thm31", surface="p1xp1"))
     text = serialize_report(report, "jsonl")
     assert report.ok
     assert hashlib.sha256(text.encode()).hexdigest() == \
         REFS["suites"]["thm31-p1xp1"]
     assert len(calls) <= 77, len(calls)
+    assert not scaled, len(scaled)
 
 
 def _composed_record(ring, states, lm, an, rhs, params):
@@ -725,8 +736,9 @@ def heis_memo():
 
 def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch,
                                                          heis_memo):
-    """heis checks each (m, n) cell as one block, so on k3 at m_max=2 it
-    composes at most the 4,656 brackets that the family index keeps
+    """heis checks each (m, n) cell as one block and reads the cell
+    (n, m) from the same brackets, so on k3 at m_max=2 it composes at
+    most 2,328 brackets, half of the 4,656 that the family index keeps
     (168,768 when every (a, b, state) triple the mode rule leaves live
     was composed), and its report keeps its frozen bytes.  The mutated
     run after it reads the stored cells and composes no bracket."""
@@ -748,7 +760,7 @@ def test_heis_composes_only_the_brackets_the_index_keeps(monkeypatch,
             REFS["suites"]["heis-k3" + ("+mutation" if mutation else "")]
         if not mutation:
             plain_calls = calls
-    assert 0 < plain_calls <= 4656, plain_calls
+    assert 0 < plain_calls <= 2328, plain_calls
     assert calls == plain_calls, calls - plain_calls
 
 
@@ -780,6 +792,17 @@ def test_heis_memo_keeps_every_byte(heis_memo, surface):
                 for bounds in reversed(grids)] == pairs[::-1]
 
 
+def _doubled(annihilate):
+    """annihilate_state with a fault in the contractions: the last one on
+    a state of two or more factors doubled."""
+    def doubled(ring, n, i, state):
+        out = annihilate(ring, n, i, state)
+        if len(state) > 1 and out:
+            out[-1] = (out[-1][0], 2 * out[-1][1])
+        return out
+    return doubled
+
+
 @pytest.mark.parametrize("surface, bounds", [
     ("p2", {"m_max": 2}), ("p1xp1", {"m_max": 2}),
     ("abelian", {"m_max": 1, "w_max": 2})])
@@ -790,15 +813,8 @@ def test_heis_memo_reports_a_fault_alike_cold_and_warm(monkeypatch,
     more factors doubled) fails the plain run, and its plain and mutated
     reports are the same from cleared cells in either order and from the
     cells the fault left."""
-    annihilate = operators.annihilate_state
-
-    def doubled(ring, n, i, state):
-        out = annihilate(ring, n, i, state)
-        if len(state) > 1 and out:
-            out[-1] = (out[-1][0], 2 * out[-1][1])
-        return out
-
-    monkeypatch.setattr(operators, "annihilate_state", doubled)
+    monkeypatch.setattr(operators, "annihilate_state",
+                        _doubled(operators.annihilate_state))
     plain, mutated = _heis_pair(surface, bounds, "")
     assert not plain[0] and not mutated[0]
     assert _heis_pair(surface, bounds, "") == (plain, mutated)
@@ -819,6 +835,191 @@ def test_heis_memo_holds_one_empty_residual_per_cell(heis_memo):
         assert set(cells) == {("heis", m, n, wmax) for m in range(-4, 5)
                               for n in range(-4, 5)}, name
         assert not any(cells.values()), name
+
+
+def _heis_direct(name, m_max, wmax):
+    """{("heis", m, n, wmax): residual} of every cell of ring name,
+    composed cell by cell from fresh operators, one commutator_block per
+    live state of each (m, n): the loop that mirrored cells replaced."""
+    ring = builtin_ring(name)
+    pairs = verify._probe(ring, "all")
+    pre = [(ring.state_id(s), {m for m, _ in s})
+           for w in range(wmax + 1) for s in basis_states(ring, w)]
+    paired = {(i, j): v for i, row in enumerate(ring.pairing_matrix())
+              for j, v in enumerate(row) if v}
+    family = cache(lambda n: operators.OperatorFamily(
+        operators.heisenberg(ring, n, b) for _, b in pairs))
+    out = {}
+    for m, n in product(range(-m_max, m_max + 1), repeat=2):
+        live = [s for s, modes in pre if m == -n or (m > 0 and -m in modes)
+                or (n > 0 and -n in modes)]
+        c0 = Fraction(-m) if m == -n != 0 else 0
+        central = {ij: c0 * v for ij, v in paired.items()} if c0 else {}
+        resid = out["heis", m, n, wmax] = {}
+        for s in live:
+            block = operators.commutator_block(family(m), family(n), s)
+            for ij in block.keys() | central.keys():
+                lhs = block.get(ij, {})
+                cc = central.get(ij)
+                if lhs != ({s: cc} if cc else {}):
+                    resid[ij, s] = lhs
+    return out
+
+
+@pytest.mark.parametrize("fault", (False, True), ids=("plain", "doubled"))
+@pytest.mark.parametrize("surface, bounds", [
+    ("p2", {"m_max": 2}), ("p1xp1", {"m_max": 2}), ("k3", {"m_max": 2}),
+    ("abelian", {"m_max": 2}), ("abelian", {"m_max": 1, "w_max": 2})])
+def test_heis_mirrored_cells_equal_the_direct_loop(monkeypatch, heis_memo,
+                                                   surface, bounds, fault):
+    """Every cell heis stores, each (n, m) read from the brackets of
+    (m, n), is the residual that the cell by cell loop composes, plain
+    and under the doubled-contraction fault (where residuals are not
+    empty), on every surface, abelian's odd classes at w_max=2 too."""
+    if fault:
+        monkeypatch.setattr(operators, "annihilate_state",
+                            _doubled(operators.annihilate_state))
+    assert run_suite(SuiteSpec("heis", surface=surface,
+                               bounds=bounds)).ok is not fault
+    wmax = bounds.get("w_max", 2 if builtin_ring(surface).dim <= 4 else 1)
+    cells = _heis_cells(surface)
+    assert cells == _heis_direct(surface, bounds["m_max"], wmax)
+    assert any(cells.values()) is fault
+
+
+def _lem32_direct(ring):
+    """lem32's bracket record on ring and its columns {(nu, mu, a, b,
+    state number): column}, composed case by case in (nu, mu, a, b)
+    product order, a Bracket of the case's own monomials each: the loop
+    that mirrored cases replaced."""
+    smallring = ring.dim <= 4
+    nus = verify._NUS_FULL if smallring else verify._NUS_SMALL
+    cpairs = verify._probe(ring)[:None if smallring else 3]
+    states = verify._action_states(ring)
+    op = cache(lambda nu, a: operators.monomial(ring, nu, a))
+    params = {"part": "bracket", "surface": ring.name}
+    group, columns = verify._Group(params), {}
+    for nu, mu in product(nus, repeat=2):
+        rhs = cache(partial(operators.instantiate, verify.s_bracket(
+            SmearedOp({encode(nu): 1}), SmearedOp({encode(mu): 1})), ring))
+        for (na, a), (nb, b) in product(cpairs, repeat=2):
+            br = operators.Bracket(op(nu, a), op(mu, b))
+            case = dict(params, nu=str(list(nu)), mu=str(list(mu)), a=na,
+                        b=nb)
+            group.columns(ring, states, br, rhs(a * b), case)
+            columns.update(((case["nu"], case["mu"], na, nb, s),
+                            br.column(s)) for s in states)
+    return group.record(), columns
+
+
+def _lem32_seen(monkeypatch):
+    """{(nu, mu, a, b, state number): column} that lem32's bracket part
+    compares with its right side, sign included, filled as it runs."""
+    seen = {}
+    columns = verify._Group.columns
+
+    def spied(self, ring, states, lhs, rhs, params, at=(), sign=1):
+        if params.get("part") == "bracket":
+            seen.update(((params["nu"], params["mu"], params["a"],
+                          params["b"], s),
+                         {t: sign * c for t, c in lhs.column(s).items()})
+                        for s in states)
+        return columns(self, ring, states, lhs, rhs, params, at, sign)
+
+    monkeypatch.setattr(verify._Group, "columns", spied)
+    return seen
+
+
+@pytest.mark.parametrize("fault", (False, True), ids=("plain", "doubled"))
+@pytest.mark.parametrize("surface", SURFACE_NAMES)
+def test_lem32_mirrored_columns_equal_the_direct_loop(monkeypatch, surface,
+                                                      fault):
+    """Every column lem32's bracket part checks, a mirrored case's read
+    from its partner's bracket, is the one the case by case loop
+    composes, and the bracket record is the loop's, plain and under the
+    doubled-contraction fault, which fails it."""
+    if fault:
+        monkeypatch.setattr(operators, "annihilate_state",
+                            _doubled(operators.annihilate_state))
+    seen = _lem32_seen(monkeypatch)
+    report = run_suite(SuiteSpec("lem32", surface=surface))
+    record, columns = _lem32_direct(builtin_ring(surface))
+    assert seen == columns
+    assert report.records[0] == record
+    assert (record.status == "fail") is fault
+
+
+@pytest.mark.parametrize("orders", (
+    [((-1, -1), (1, 1))], [((-1, -1), (1, 1)), ((-2, 1), (-1, -1))]),
+    ids=("one", "replaced"))
+@pytest.mark.parametrize("surface", ("p1xp1", "abelian"))
+def test_lem32_reports_the_direct_loops_first_failure(monkeypatch, surface,
+                                                      orders):
+    """With s_bracket doubled for some orders (nu, mu) and not for (mu,
+    nu), lem32's bracket record names the (nu, mu, a, b, state) and shows
+    the text of the direct loop's first failure.  The mirrored loop
+    checks ((-1, -1), (1, 1)) with its mirror, before ((-2, 1), (-1, -1)),
+    which comes first in the product order, so there the later failure
+    must replace the one found first."""
+    bad = {(encode(nu), encode(mu)) for nu, mu in orders}
+    bracket = verify.s_bracket
+
+    def perturbed(a, b):
+        out = bracket(a, b)
+        return combined((2, out)) if (*a.terms, *b.terms) in bad else out
+
+    monkeypatch.setattr(verify, "s_bracket", perturbed)
+    record, _ = _lem32_direct(builtin_ring(surface))
+    assert record.status == "fail"
+    assert record.params["nu"] == str(list(orders[-1][0]))
+    assert run_suite(SuiteSpec("lem32", surface=surface)).records[0] \
+        == record
+
+
+def test_lem32_composes_each_bracket_pair_once(monkeypatch):
+    """lem32's bracket part composes each unordered pair {(nu, a), (mu,
+    b)} once per state, so on p1xp1 the suite makes at most 23,256
+    commutator_column calls (44,688 when each case composed its own),
+    and its report keeps its frozen bytes."""
+    calls = 0
+    bracket = operators.commutator_column
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(operators, "commutator_column", counted)
+    report = run_suite(SuiteSpec("lem32", surface="p1xp1"))
+    assert hashlib.sha256(serialize_report(report, "jsonl").encode()) \
+        .hexdigest() == REFS["suites"]["lem32-p1xp1"]
+    assert 0 < calls <= 23256, calls
+
+
+@pytest.mark.parametrize("suite, bounds, derived", (
+    ("def51-ids", {"p_max": 4, "n_max": 3}, 0),
+    ("thm46-unique", {"k_max": 3}, 3)))
+def test_euler_shift_mutation_rebuilds_no_plain_family(monkeypatch, suite,
+                                                       bounds, derived):
+    """After the plain run, the euler-shift run of def51-ids and
+    thm46-unique reads the plain lists from the process caches and builds
+    only the unit Euler family's terms: every family list it expands or
+    brackets is one Euler family, thm46 derives only its three (k = 1..3)
+    and def51 none, and both reports keep their frozen digests (the plain
+    one at the acceptance bounds, the defaults)."""
+    assert report_sha256(run_suite(SuiteSpec(suite, bounds=bounds))) \
+        == REPORT_SHA256[suite]
+    fams, derives = [], []
+    for name, log in (("series_to_smeared", fams), ("series_bracket", fams),
+                      ("s_derive", derives)):
+        def logged(first, *args, _f=getattr(verify, name), _log=log, **kw):
+            _log.append(first)
+            return _f(first, *args, **kw)
+        monkeypatch.setattr(verify, name, logged)
+    report = run_suite(SuiteSpec(suite, mutation="euler-shift"))
+    assert report_sha256(report) == MUTATED_SHA256[suite]
+    assert fams and all(len(f) == 1 and f[0].epow == 1 for f in fams)
+    assert len(derives) == derived
 
 
 def test_lem32_memo_memory_stays_bounded():
