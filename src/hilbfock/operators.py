@@ -10,26 +10,16 @@ Two layers:
   (quadratic_sum, smeared_series, derivation) holds its words that
   annihilate at most w points, all that act on states of weight up to
   w, and grows when a heavier state arrives.  Every expansion is one
-  int-first pass (_words): integer numerators over one denominator per
-  operator, each tau word brought to canonical order once, one division
-  per word through ring.ratio.  An operator caches its columns, the
-  exact images of single basis states, for its life (growing keeps
-  them); a contraction index skips the states it provably kills, and
-  their shared empty column is remembered, so a second ask is one
-  lookup.  Columns are keyed by state number (ring.state_id), so a
-  state tuple is hashed once, when an image first produces it; act
-  takes and gives {state: coeff} dicts.  A family index
-  (OperatorFamily) lifts the contraction index to a list of operators,
-  and commutator_block composes, on one state, only the brackets of
-  two families that it cannot rule out, asking a column only of the
-  operators whose index meets that state.  Both compositions of a
-  bracket, f(g s) and g(f s), serve its mirror too: [g, f](s) =
-  -(-1)^{|f||g|} [f, g](s), so a caller that checks both orders
-  composes once.  Every word acts through one single-state kernel,
-  apply_word, which carries one state's image through the word as a
-  list of (state, coeff) pairs that the column merges once; a word of
-  one factor (every a_n(b), the shift a(-1;1)) is that factor's image,
-  with no loop.
+  int-first pass (_words).  An operator keeps its columns, the exact
+  images of single basis states keyed by state number (ring.state_id),
+  for its life, growing included; a contraction index skips the states
+  it provably kills.  A family index (OperatorFamily) lifts the
+  contraction index to a list of operators, and commutator_block
+  composes, on one state, only the brackets of two families that it
+  cannot rule out.  Both compositions of a bracket, f(g s) and g(f s),
+  serve its mirror too: [g, f](s) = -(-1)^{|f||g|} [f, g](s), so a
+  caller that checks both orders composes once.  Every word acts
+  through one single-state kernel, apply_word.
 
   The boundary derivation d is one more series: G_1(1_X) plus a K-term
   (derivation), so the derivative of an operator is its bracket with d.
@@ -68,8 +58,9 @@ Two layers:
   folded into the left entry of every event), and s_derive keeps its
   input's denominator, doubled; it splits codes without decoding them.
   combined sums lists times int or Fraction factors over the lcm of
-  their denominators, so a residual is one sum and no term is divided
-  before it is read.
+  their denominators, and a bracket residual is one series_bracket with
+  its pieces, one dict that the scaled pieces and the events add into,
+  so no term is divided before it is read.
 
   A Family keeps the contraction and shed tables that the bracket
   events read (Family, _Tables), so a family built once, as
@@ -651,14 +642,20 @@ class SmearedOp:
 
 def combined(*pieces):
     """The sum of c * op over (c, op) pieces, for int or Fraction c, over
-    the lcm of their denominators: the one sum of smeared lists."""
-    den = lcm(*[c.denominator * op.den for c, op in pieces])
-    out = {}
+    the lcm of their denominators."""
+    return SmearedOp(*_summed(pieces))
+
+
+def _summed(pieces, dens=()):
+    """(numerators by code, den) of the sum of c * op over (c, op) pieces,
+    den the lcm of dens and the pieces' denominators."""
+    den = lcm(*dens, *[c.denominator * op.den for c, op in pieces])
+    nums = {}
     for c, op in pieces:
         scale = c.numerator * (den // (c.denominator * op.den))
         for k, n in op.terms.items():
-            out[k] = out.get(k, 0) + scale * n
-    return SmearedOp(out, den)
+            nums[k] = nums.get(k, 0) + scale * n
+    return nums, den
 
 
 def _euler_corrections(seq):
@@ -851,10 +848,11 @@ def series_to_smeared(families, poscap, negcap):
     return SmearedOp(nums, den)
 
 
-def series_bracket(fams_a, fams_b, poscap, negcap):
+def series_bracket(fams_a, fams_b, poscap, negcap, *pieces):
     """The complete bracket of two families of smeared series on the box
-    pos <= poscap, neg <= negcap, over the common denominator of all
-    family pairs.
+    pos <= poscap, neg <= negcap, plus c * op for each (c, op) piece, over
+    the common denominator of all family pairs and pieces: a residual is
+    one call, its expected side's pieces negated.
 
     Two kinds of event.  Plain contraction events keep every survivor
     mode, so the survivors are sub-multisets of the output and sit
@@ -864,14 +862,13 @@ def series_bracket(fams_a, fams_b, poscap, negcap):
     -v in b gives the same sorted output a' + b'.  Euler-corrected events
     shed one (x, -x) pair while reordering, so the shed pair may stick
     out of the box, but the output a'' + b'' (both pairs removed) does
-    not; they are read from the shed tables (_swap_events).  Every family
-    pair accumulates into one dict, its scale folded into the left entry
-    of each event.
+    not; they are read from the shed tables (_swap_events).  The scaled
+    pieces are written into one dict, and every family pair's events add
+    into it, the pair's scale folded into the left entry of each event.
     """
     pairs = [(fa, fb) for fa in fams_a for fb in fams_b
              if fa.epow + fb.epow <= 1]
-    den = lcm(*[fa.den * fb.den for fa, fb in pairs])
-    nums = {}
+    nums, den = _summed(pieces, [fa.den * fb.den for fa, fb in pairs])
     for fa, fb in pairs:
         scale = den // (fa.den * fb.den)
         _plain_events(fa, fb, poscap, negcap, nums, scale)

@@ -7,33 +7,32 @@ then instantiated on concrete surfaces, and a sample of instances is
 grounded by applying both sides to explicit states, so the smeared
 calculus itself is cross-checked against raw operator composition.
 
-Checks are counted in record groups: a group reports a pass over all
-its checks, or its first failure.  Every suite counts them through one
-group (`_Group`), which alone with `_verdict` builds records; heis
-finds a cell's first failure from its residual (`_heis_failure`) and
-counts the checks before it without comparing them, and every other
-check on states goes through `_Group.columns`, which compares two
-column sources (an operator, or an `operators.Bracket`, `derivative` or
-`Linear` of operators) state by state.  Each runner
-declares its grid bounds, with their defaults, as keyword-only
-parameters; `run_suite` rejects any other --bound key.  The
-registry (`SUITES`) declares the rest a suite reads (its window and its
-surfaces) and `run_suite` refuses any other value; every part of a runner
-takes its rings from `_rings`, so a report header never names a window or
-a surface the run did not use.  A window too small to hold a bracket cell
-(`_sound_pos`), bounds that leave a run without a record, or a mutated
-run that no check fails, are refused rather than passed vacuously.
+Checks are counted in record groups (`_Group`, which alone with
+`_verdict` builds records): a group reports a pass over all its checks,
+or its first failure.  heis finds a cell's first failure from its
+residual (`_heis_failure`) and counts the checks before it without
+comparing them; every other check on states goes through
+`_Group.columns`, which compares two column sources (an operator, or an
+`operators.Bracket`, `derivative` or `Linear` of operators) state by
+state.  Each runner declares its grid bounds, with their defaults, as
+keyword-only parameters, and the registry (`SUITES`) the window and the
+surfaces it reads; `run_suite` refuses any other key or value, and
+every part of a runner takes its rings from `_rings`, so a report header
+never names a window or a surface the run did not use.  A window too
+small to hold a bracket cell (`_sound_pos`), bounds that leave a run
+without a record, or a mutated run that no check fails, are refused
+rather than passed vacuously.
 
 The W-bracket of Theorem 5.5 is stated once, as (c, smeared list)
 pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and thm57 (its
 untagged part) measure their cells through one runner, `_w_grid`, and
 ground them on states against the series of the same pieces (`_w_op`).
-A residual is one `operators.combined` of its pieces, formed on integer
-numerators by packed code (see `operators.encode`) over one common
-denominator, so no term is divided before a record reads it.  Every
-series window comes from one process cache (`_window`).  A diamond
-window pos + neg <= N of a series of one total is the box
-`_diamond(N, total)`.
+A bracket residual is one `operators.series_bracket` with its pieces,
+any other one `operators.combined`, on integer numerators by packed
+code (`operators.encode`) over one common denominator, so no term is
+divided before a record reads it.  Every series window comes from one
+process cache (`_window`).  A diamond window pos + neg <= N of a series
+of one total is the box `_diamond(N, total)`.
 
 A measured cell (`_w_cell`, `_lem52_cell`, `_rmk43_cell`, the
 derivatives of a_n in `_derived`, cor48's two routes in `_cor48_cell`,
@@ -491,12 +490,14 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 
 
 @cache
-def _window(build, args, pos, neg):
-    """The series build(*args) on the box window, kept for the process,
-    the one window cache: J^p_n (jay_families) for the W-bracket and
-    lem52 cells, lem53 and the lem52 and thm57 mutations, and the
-    field-monomial series of lem53 and lem61.  Every caller reads it as
-    it is, so none changes it."""
+def _window(build, args, pos, neg, shifted=False):
+    """The series build(*args) on the box window, times e if shifted: the
+    one window cache, kept for the process, of J^p_n (jay_families) and
+    J^p_n(e .) for the W-bracket, lem52, lem53 and the mutations, and of
+    the field-monomial series of lem53 and lem61.  Every caller reads it
+    as it is."""
+    if shifted:
+        return euler_shifted(_window(build, args, pos, neg))
     return series_to_smeared(build(*args), pos, neg)
 
 
@@ -508,36 +509,37 @@ def _diamond(N, total):
     return (N + total) // 2, (N - total) // 2
 
 
-def _omega_piece(p, q, m, n, pos, neg):
-    """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .) as a
-    (c, smeared list) piece, or None where it vanishes: the Euler shift
-    drops the terms that already carry e before anything is scaled."""
+def _omega_pieces(p, q, m, n, pos, neg):
+    """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .), as
+    a list of its one (c, smeared list) piece, empty where it vanishes."""
     om = omega(p, q, m, n)
     if not om or p + q < 3:
-        return None
-    return Q(-om, 12), euler_shifted(_window(jay_families,
-                                             (p + q - 3, m + n), pos, neg))
+        return []
+    return [(Q(-om, 12), _window(jay_families, (p + q - 3, m + n), pos, neg,
+                                 shifted=True))]
+
+
+def _w_central(p, q, m, n):
+    """The central pieces of [J^p_m(a), J^q_n(b)], the only scalar codes
+    of _w_pieces (every J family has parts): the trace term at p = q = 0
+    and the low-weight Euler terms."""
+    if m != -n or m == 0 or (p, q) not in ((0, 0), (2, 0), (0, 2), (1, 1)):
+        return []
+    return [(-m, SmearedOp({0: 1}))] if p == q == 0 else [
+        (m ** 3 - m, SmearedOp({1: 1}, 12 if p == q else 6))]
 
 
 def _w_pieces(p, q, m, n, pos, neg):
     """The right side of [J^p_m(a), J^q_n(b)] on the box window, as
-    (c, smeared list) pieces summing to it: the trace central term at
-    p = q = 0, else (qm-pn) J^{p+q-1}_{m+n}(ab), the Omega term and the
-    low-weight Euler central terms (the scalar codes 0 and 1)."""
-    central = m == -n and m != 0
-    if (p, q) == (0, 0):
-        return [(-m, SmearedOp({0: 1}))] if central else []
-    out = []
+    (c, smeared list) pieces summing to it: (qm-pn) J^{p+q-1}_{m+n}(ab)
+    and the Omega term where they are nonzero, then the central pieces
+    (_w_central)."""
     lin = q * m - p * n
+    out = []
     if lin:
         out.append((lin, _window(jay_families, (p + q - 1, m + n), pos,
                                  neg)))
-    piece = _omega_piece(p, q, m, n, pos, neg)
-    if piece:
-        out.append(piece)
-    if central and (p, q) in ((2, 0), (0, 2), (1, 1)):
-        out.append((m ** 3 - m, SmearedOp({1: 1}, 12 if p == q else 6)))
-    return out
+    return out + _omega_pieces(p, q, m, n, pos, neg) + _w_central(p, q, m, n)
 
 
 def _w_op(ring, cell, ab):
@@ -558,18 +560,20 @@ def _w_cells(pq_max, m_max):
 def _w_cell(args):
     """One (p, q, m, n) cell on window N, measured: the residual of the
     bracket [J^p_m, J^q_n] against _w_pieces, and the bracket's scalar
-    terms (modes ()), which the central checks read without the pieces.
+    terms (modes ()), which the central checks read without the pieces:
+    the residual's plus the central pieces.
 
     Kept for the process, one entry per distinct cell and window, whose
     residual is empty when the identity holds.  vir, thm55 and thm57 all
     read it, so no caller changes an entry."""
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
-    meas = series_bracket(jay_families(p, m), jay_families(q, n), pos, N)
-    return (combined((1, meas), *[(-c, op) for c, op in
-                                  _w_pieces(p, q, m, n, pos, N)]),
-            SmearedOp({k: c for k, c in meas.terms.items() if k < SCALARS},
-                      meas.den))
+    resid = series_bracket(jay_families(p, m), jay_families(q, n), pos, N,
+                           *[(-c, op) for c, op in _w_pieces(p, q, m, n,
+                                                             pos, N)])
+    return resid, combined((1, SmearedOp({
+        k: c for k, c in resid.terms.items() if k < SCALARS}, resid.den)),
+        *_w_central(p, q, m, n))
 
 
 def _w_grid(spec, cells):
@@ -952,12 +956,11 @@ def _thm46_cell(k, N, euler=False):
     fams = _euler_families(k, 0) if euler else chern_families(k)
     box, pos = _diamond(N, 0), _sound_pos(N, 0, -1)
     A = series_to_smeared(fams, *box)
-    pin = [(1, series_bracket(fams, heis_families(-1), pos, N))]
-    if not euler:
-        pin.append((Q(-1, factorial(k)),
-                    series_to_smeared(apow_families(-1, k), pos, N)))
+    pin = [] if euler else [(Q(-1, factorial(k)), series_to_smeared(
+        apow_families(-1, k), pos, N))]
     return (A, series_to_smeared(fams, 0, N),
-            s_derive(A, *box, N, N, include_k=False), combined(*pin))
+            s_derive(A, *box, N, N, include_k=False),
+            series_bracket(fams, heis_families(-1), pos, N, *pin))
 
 
 def _thm46_spots(spec):
@@ -1138,9 +1141,9 @@ def _lem52_cell(p, n, N):
     when the identity holds.  Kept for the process like _w_cell, so a
     mutated run after the plain one brackets nothing."""
     pos = _sound_pos(N, 0, n)
-    return combined(
-        (1, series_bracket(chern_families(p), heis_families(n), pos, N)),
-        (Q(-n, factorial(p)), _window(jay_families, (p, n), pos, N)))
+    return series_bracket(chern_families(p), heis_families(n), pos, N,
+                          (Q(-n, factorial(p)),
+                           _window(jay_families, (p, n), pos, N)))
 
 
 def _lem52_spots(spec):
@@ -1213,9 +1216,8 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
     cases = [(r, _pair_cases(r, _probe(r))) for r in rings]
     for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
         if mut:
-            piece = _omega_piece(p, q, m, n, _sound_pos(N, m, n), N)
-            if piece:
-                delta = combined((1, delta), (2 * piece[0], piece[1]))
+            delta = combined((1, delta), *[(2 * c, op) for c, op in (
+                _omega_pieces(p, q, m, n, _sound_pos(N, m, n), N))])
         params = {"p": p, "q": q, "m": m, "n": n}
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
@@ -1357,18 +1359,18 @@ def _thm57_symbolic(name):
     mutation touches it, so a mutated run brackets nothing anew."""
     ring = builtin_ring(name)
     gram = ring.pairing_matrix()
-    cls = [(c, ring.basis(c)) for c in _W_CLASSES[name]]
+    cls = {c: ring.basis(c) for c in _W_CLASSES[name]}
+    term = cache(lambda p, m, c: wterm(p, m, cls[c]))
+    times = cache(lambda ca, cb: cls[ca] * cls[cb])
     t = _Group({"check": "symbolic"}, True)
     for p, q, m, n in product(range(3), range(3), (-2, 0, 1), (-1, 1, 2)):
-        for (ca, a), (cb, b) in product(cls, cls):
-            got = wbracket(ring, wterm(p, m, a), wterm(q, n, b))
-            want = {}
-            if p == 0 and q == 0:
-                c = -m * gram[ring.index[ca]][ring.index[cb]]
-                if m == -n and c:
-                    want[CENTRAL] = c
+        for ca, cb in product(cls, cls):
+            got = wbracket(ring, term(p, m, ca), term(q, n, cb))
+            if p == q == 0:
+                c = -m * gram[ring.index[ca]][ring.index[cb]] if m == -n else 0
+                want = {CENTRAL: c} if c else {}
             else:
-                want = wterm(p + q - 1, m + n, a * b, q * m - p * n)
+                want = wterm(p + q - 1, m + n, times(ca, cb), q * m - p * n)
             t.check(got == want, {"check": "symbolic", "p": p, "q": q,
                                   "m": m, "n": n, "a": ca, "b": cb},
                     want, got, show=_show_q)

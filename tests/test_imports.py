@@ -558,8 +558,10 @@ def test_checker_flags_a_stray_division():
 
 def test_smeared_lists_are_divided_only_where_read():
     """operators.py divides a numerator (ring.ratio) only in _words and
-    SmearedOp.sorted_items, and verify.py reads neither ratio nor lcm:
-    every residual is one operators.combined, over one denominator."""
+    SmearedOp.sorted_items, and verify.py reads neither ratio nor lcm: a
+    bracket residual is one operators.series_bracket with its pieces,
+    and any other residual one operators.combined, over one
+    denominator."""
     operators = (SRC / "hilbfock" / "operators.py").read_text()
     verify = (SRC / "hilbfock" / "verify.py").read_text()
     assert reads_outside(operators, "ratio", RATIO_READERS) == []

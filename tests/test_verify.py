@@ -17,8 +17,8 @@ import pytest
 from hilbfock import operators, verify, walgebra
 from hilbfock.fock import (basis_states, combine, render_state,
                            render_terms)
-from hilbfock.operators import (SmearedOp, combined, encode,
-                                series_to_smeared)
+from hilbfock.operators import (SmearedOp, combined, encode, euler_shifted,
+                                series_bracket, series_to_smeared)
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
@@ -349,10 +349,11 @@ def test_w_residuals_are_window_stable(w_memo):
     assert _w_residuals((8, 6)) == narrow_first
 
 
-def _short_window(build, args, pos, neg):
+def _short_window(build, args, pos, neg, shifted=False):
     """_window with its windows stopping one mode short of the box edge:
-    series_to_smeared on pos - 1."""
-    return series_to_smeared(build(*args), pos - 1, neg)
+    series_to_smeared on pos - 1, times e if shifted."""
+    short = series_to_smeared(build(*args), pos - 1, neg)
+    return euler_shifted(short) if shifted else short
 
 
 def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
@@ -417,6 +418,90 @@ def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
     monkeypatch.setattr(verify, "_window", cache(_short_window))
     for order in ((6, 8), (8, 6)):
         assert len(_unstable_lem52(_lem52_residuals(order))) == 24, order
+
+
+# The two-pass residuals the fused series_bracket replaced: the bare
+# bracket, then one combined with the negated expected pieces.
+
+
+def _w_two_pass(cell, N):
+    """(residual, the bracket's scalar terms) of a W cell in two passes."""
+    p, q, m, n = cell
+    pos = _sound_pos(N, m, n)
+    meas = series_bracket(walgebra.jay_families(p, m),
+                          walgebra.jay_families(q, n), pos, N)
+    return (combined((1, meas), *[(-c, op) for c, op in
+                                  verify._w_pieces(p, q, m, n, pos, N)]),
+            SmearedOp({k: c for k, c in meas.terms.items()
+                       if k < operators.SCALARS}, meas.den))
+
+
+def _lem52_two_pass(p, n, N):
+    pos = _sound_pos(N, 0, n)
+    return combined(
+        (1, series_bracket(walgebra.chern_families(p),
+                           walgebra.heis_families(n), pos, N)),
+        (Fraction(-n, factorial(p)), verify._window(walgebra.jay_families,
+                                                    (p, n), pos, N)))
+
+
+def _thm46_two_pass(k, N, euler):
+    """The transfer-pin residual of G_k, or of the mutation's Euler term."""
+    fams = (verify._euler_families(k, 0) if euler
+            else walgebra.chern_families(k))
+    pos = _sound_pos(N, 0, -1)
+    pin = [] if euler else [(Fraction(-1, factorial(k)), series_to_smeared(
+        walgebra.apow_families(-1, k), pos, N))]
+    return combined((1, series_bracket(fams, walgebra.heis_families(-1),
+                                       pos, N)), *pin)
+
+
+def _same(a, b):
+    """Equal numerators by code over an equal denominator."""
+    return a.terms == b.terms and a.den == b.den
+
+
+def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
+    """Every W-bracket cell of WINDOW_CELLS, every lem52 cell and every
+    thm46 transfer pin on windows 6 and 8 keeps the residual of the two
+    passes, term for term over the same denominator, and a W cell keeps
+    the bracket's scalar terms."""
+    verify._thm46_cell.cache_clear()
+    for N in (6, 8):
+        for cell in WINDOW_CELLS:
+            resid, scalars = W_CELL(cell + (N,))
+            ref, ref_scalars = _w_two_pass(cell, N)
+            assert _same(resid, ref) and scalars == ref_scalars, (cell, N)
+        for p, n in LEM52_CELLS:
+            assert _same(verify._lem52_cell(p, n, N),
+                         _lem52_two_pass(p, n, N)), (p, n, N)
+        for k, euler in product(range(4), (False, True)):
+            assert _same(verify._thm46_cell(k, N, euler)[3],
+                         _thm46_two_pass(k, N, euler)), (k, N, euler)
+    verify._thm46_cell.cache_clear()
+
+
+def test_fused_residual_sees_a_wrong_linear_coefficient(monkeypatch,
+                                                        w_memo):
+    """With (qm - pn) + 1 for the linear coefficient, every W cell of
+    WINDOW_CELLS with qm - pn != 0 leaves a nonzero residual, the two
+    passes' own, but the 8 whose linear term J^0_0 = -a_0 is zero."""
+    pieces = verify._w_pieces
+
+    def wrong(p, q, m, n, pos, neg):
+        out = pieces(p, q, m, n, pos, neg)
+        if q * m - p * n:
+            (c, op), *rest = out
+            out = [(c + 1, op)] + rest
+        return out
+
+    monkeypatch.setattr(verify, "_w_pieces", wrong)
+    linear = [(p, q, m, n) for p, q, m, n in WINDOW_CELLS
+              if q * m - p * n and (p + q, m + n) != (1, 0)]
+    assert len(linear) == 292 - 8
+    for cell in linear:
+        resid = W_CELL(cell + (8,))[0]
+        assert not resid.is_zero() and _same(resid, _w_two_pass(cell, 8)[0])
 
 
 # rmk43 cells (k, n, d) of its default run: k <= 3, |n| <= 3 and both d.
@@ -604,6 +689,40 @@ def test_records_name_only_the_surface_asked_for(name):
     assert report.ok
     if name != "rmk410":
         assert _named_surfaces(report) == set(declared)
+
+
+# Mutated runs whose records name p2 whatever --surface says: thm31's and
+# lem32's mutated parts run on p2, frozen so in perfbench/refs.json.
+# Mending it changes pinned digests (ROADMAP item 1b).
+MUTATED_ON_P2 = {(name, surface) for name in ("thm31", "lem32")
+                 for surface in ("abelian", "k3", "p1xp1")}
+
+
+def _mutated_surface_cases():
+    for name in SUITE_NAMES:
+        for surface in SUITES[name].surfaces:
+            marks = [pytest.mark.xfail(
+                strict=True, reason="the mutated part runs on p2 whatever "
+                "--surface says (ROADMAP item 1b)")] if (
+                    (name, surface) in MUTATED_ON_P2) else []
+            yield pytest.param(name, surface, marks=marks,
+                               id="%s-%s" % (name, surface))
+
+
+@pytest.mark.parametrize("name,surface", list(_mutated_surface_cases()))
+def test_mutated_records_name_only_the_surface_asked_for(name, surface):
+    """test_records_name_only_the_surface_asked_for for mutated runs, at
+    default bounds, where every mutation is caught: a mutated run on a
+    declared surface fails and names no other surface, and cor48, whose
+    mutation needs e != 0, refuses abelian with a message."""
+    spec = SuiteSpec(name, surface=surface, mutation=SUITES[name].mutation)
+    if (name, surface) == ("cor48", "abelian"):
+        with pytest.raises(ValueError, match="the cor48 mutation needs "
+                           "e != 0 and runs on k3, not abelian"):
+            run_suite(spec)
+        return
+    report = run_suite(spec)
+    assert not report.ok and _named_surfaces(report) <= {surface}
 
 
 REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -1006,7 +1125,9 @@ def test_euler_shift_mutation_rebuilds_no_plain_family(monkeypatch, suite,
     only the unit Euler family's terms: every family list it expands or
     brackets is one Euler family, thm46 derives only its three (k = 1..3)
     and def51 none, and both reports keep their frozen digests (the plain
-    one at the acceptance bounds, the defaults)."""
+    one at the acceptance bounds, the defaults).  thm46's cells are
+    cleared first, since an earlier mutated run keeps its Euler cells."""
+    verify._thm46_cell.cache_clear()
     assert report_sha256(run_suite(SuiteSpec(suite, bounds=bounds))) \
         == REPORT_SHA256[suite]
     fams, derives = [], []
