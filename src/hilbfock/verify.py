@@ -30,22 +30,23 @@ ground them on states against the series of the same pieces (`_w_op`).
 A bracket residual is one `operators.series_bracket` with its pieces,
 any other one `operators.combined`, on integer numerators by packed
 code (`operators.encode`) over one common denominator, so no term is
-divided before a record reads it.  Every series window comes from one
-process cache (`_window`).  A diamond window pos + neg <= N of a series
-of one total is the box `_diamond(N, total)`.
+divided before a record reads it.  A diamond window pos + neg <= N of
+a series of one total is the box `_diamond(N, total)`.
 
-A measured cell (`_w_cell`, `_lem52_cell`, `_rmk43_cell`, the
-derivatives of a_n in `_derived`, cor48's two routes in `_cor48_cell`,
-heis's cells in `ring._cache`) is kept for the process as its residual
-against the unmutated identity, or as both sides of it, and a mutation
-adds its one term in a new list, so a run, plain or mutated and in
-either order, reads the stored cell.  thm57 keeps its symbolic record
-(`_thm57_symbolic`), which no mutation touches.  rmk56 reads rmk43's
-cells, since J^p_n = -p! F(p, n, n^2 - 2).  The euler-shift mutation of thm42
-moves the shift of the series it checks (`walgebra.apow_families`); those
-of thm46-unique and def51-ids add the unit Euler family (`_euler_families`)
-to the plain lists they read from the process caches (`_thm46_cell`,
-`_window`).
+Each run, plain or mutated, computes its own cells, and a mutation moves
+the computed side inside the run.  Three caches outlive a run:
+- `_window`, read-only series windows, not cells;
+- `_w_cell`, the W-bracket cells, which no mutation changes: thm57's
+  (window 8, p + q <= 4 in the benchmark) and thm55's mutated ones lie
+  inside thm55's (p + q <= 5).  Clearing it before each run took the
+  benchmark's seed-1 symbolic requests from 177 to 207 ms of CPU, and
+  their p90 from 65 to 80 ms;
+- heis's residuals in `ring._cache`.  Clearing them took the action
+  requests from 250 to 278 ms, and their p50 from about 15 to 26 ms.
+rmk56 reads rmk43's `_rmk43_cell`, as J^p_n = -p! F(p, n, n^2 - 2).
+thm42's euler-shift mutation moves the shift of the series it checks
+(`walgebra.apow_families`); thm46-unique's and def51-ids' add the unit
+Euler family (`_euler_families`) to the series they check.
 
 Every suite carries exactly one documented mutation: a deliberately
 wrong coefficient that the suite must detect by failing.  Mutated runs
@@ -835,10 +836,10 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
                       for na, a in _ktrivial(ring, _probe(ring, "all"))])
               for ring in _rings(spec)]
     ns = [v for a in range(1, n_max + 1) for v in (a, -a)]
+    chains = {n: _derived(n, k_max, *_diamond(N, n), N) for n in ns}
     for k, n in product(range(k_max + 1), ns):
-        box = _diamond(N, n)
-        delta = combined((1, _derived(n, k, *box, N)), (-1, series_to_smeared(
-            apow_families(n, k, moved), *box)))
+        delta = combined((1, chains[n][k]), (-1, series_to_smeared(
+            apow_families(n, k, moved), *_diamond(N, n))))
         yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
         for ring, cases in rcases:
             yield _sweep(delta, ring, cases,
@@ -846,17 +847,15 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     yield from _thm42_spots(spec, mut, moved)
 
 
-@cache
-def _derived(n, k, kpos, kneg, N):
-    """D^k(a_n) modulo K on the box pos <= kpos, neg <= kneg, by k steps of
-    s_derive from the one-term list a_n (empty for n = 0 or off the box),
-    splitting within -N..N.  Kept for the process, so each step is taken
-    once: thm42's plain run derives, and its mutated run reads."""
-    if k:
-        return s_derive(_derived(n, k - 1, kpos, kneg, N), kpos, kneg, N, N,
-                        include_k=False)
-    return SmearedOp({encode((n,)): 1} if 0 < n <= kpos or 0 < -n <= kneg
-                     else {})
+def _derived(n, k_max, kpos, kneg, N):
+    """[D^0, ..., D^k_max](a_n) modulo K on the box pos <= kpos, neg <=
+    kneg: the one-term list a_n (empty for n = 0 or off the box), then
+    each D^k by s_derive from D^{k-1}, splitting within -N..N."""
+    out = [SmearedOp({encode((n,)): 1} if 0 < n <= kpos or 0 < -n <= kneg
+                     else {})]
+    for _ in range(k_max):
+        out.append(s_derive(out[-1], kpos, kneg, N, N, include_k=False))
+    return out
 
 
 def _thm42_spots(spec, mut, moved):
@@ -882,12 +881,11 @@ def _thm42_spots(spec, mut, moved):
 # -- rmk43: derivative closure of shifted families -------------------------
 
 
-@cache
 def _rmk43_cell(k, n, d, N):
     """The derivative of F(k,n,d) less its main right side
     -n(k+1) F(k+1,n,d), and the unit Euler term (1/(24 lam^!))
     a_lam(tau(e c)) over l = k, on the diamond window N (every term has
-    total n).  Kept for the process, so no run derives a family twice."""
+    total n)."""
     box = _diamond(N, n)
     A = series_to_smeared(shift_families(k, n, d), *box)
     rhs = series_to_smeared(shift_families(k + 1, n, d), *box)
@@ -926,41 +924,32 @@ def _run_thm46(spec, mut, *, k_max=3):
     vacuum, the series commutes with the derivation (modulo K), and its
     bracket with a_{-1} reproduces the k-th derivative of a_{-1}.
 
+    The first holds by construction and is not checked: every family of
+    G_k, and the mutation's Euler family, has total 0 and a nonzero
+    part, so every term has a positive mode.
+
     Mutation euler-shift: the Euler factor (s-2) becomes (s-1).
     """
     N = _cutoff(spec)
     for k in range(k_max + 1):
-        cell = _thm46_cell(k, N)
-        if mut and k:
-            # the mutated G_k: the unit Euler family over l = k added
-            cell = [combined((1, x), (1, y))
-                    for x, y in zip(cell, _thm46_cell(k, N, True))]
-        A, bad, dA, pin = cell
-        yield _verdict(bad.is_zero(), {"check": "vacuum", "k": k},
-                       max(len(A.terms), 1),
-                       "every term has an annihilation mode",
-                       "" if bad.is_zero() else bad.render())
+        dA, pin = _thm46_cell(k, N, mut)
         yield _universal_record(dA, {"check": "derivation", "k": k})
         yield _universal_record(pin, {"check": "transfer-pin", "k": k})
     if not mut:
         yield from _thm46_spots(spec)
 
 
-@cache
-def _thm46_cell(k, N, euler=False):
-    """G_k's list A on the diamond window N, A's terms with no
-    annihilation mode, A's derivative modulo K, and A's bracket with a_{-1}
-    less (1/k!) D^k(a_{-1}); with euler, the same parts of the mutation's
-    term, the unit Euler family over l = k, and its bare bracket.  Each
-    part is linear in the series; kept for the process."""
-    fams = _euler_families(k, 0) if euler else chern_families(k)
+def _thm46_cell(k, N, mut):
+    """G_k's derivative modulo K on the diamond window N, and its bracket
+    with a_{-1} less (1/k!) D^k(a_{-1}); with mut, those of the mutated
+    G_k, the unit Euler family over l = k added."""
+    fams = chern_families(k) + (_euler_families(k, 0) if mut else [])
     box, pos = _diamond(N, 0), _sound_pos(N, 0, -1)
-    A = series_to_smeared(fams, *box)
-    pin = [] if euler else [(Q(-1, factorial(k)), series_to_smeared(
-        apow_families(-1, k), pos, N))]
-    return (A, series_to_smeared(fams, 0, N),
-            s_derive(A, *box, N, N, include_k=False),
-            series_bracket(fams, heis_families(-1), pos, N, *pin))
+    return (s_derive(series_to_smeared(fams, *box), *box, N, N,
+                     include_k=False),
+            series_bracket(fams, heis_families(-1), pos, N, (
+                Q(-1, factorial(k)), series_to_smeared(apow_families(-1, k),
+                                                       pos, N))))
 
 
 def _thm46_spots(spec):
@@ -997,23 +986,14 @@ def _run_cor48(spec, mut, *, n_max=4):
     return _cor48_records(_rings(spec, ("k3",)), True, min(n_max, 3))
 
 
-@cache
-def _cor48_cell(surface, k, name, n):
-    """G_k(c, n) of the basis class c called name on the built-in
-    surface, by operator action and by the closed expansion, kept for the
-    process: the mutation only adds a term to the closed side."""
-    ring = builtin_ring(surface)
-    c = ring.basis(name)
-    return chern_class(ring, k, c, n), chern_class_closed(ring, k, c, n)
-
-
 def _cor48_records(rings, mut, n_max):
     for ring in rings:
         for n in range(n_max + 1):
             for k in range(n):
                 t = _Group({"surface": ring.name, "n": n, "k": k}, True)
                 for na, a in _probe(ring, "all"):
-                    via_op, via_closed = _cor48_cell(ring.name, k, na, n)
+                    via_op = chern_class(ring, k, a, n)
+                    via_closed = chern_class_closed(ring, k, a, n)
                     if mut:
                         via_closed = combine((1, via_closed), (
                             Q(-1, 24),
@@ -1072,8 +1052,9 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
     (c) J^p_0 = p! G_{p-1}      (d) J^p_{-1} = -(p-th derivative of a_{-1})
 
     Parts a and d compare J with lists built apart from the series
-    template, a_n and p steps of s_derive from a_{-1} (_derived); part c
-    is how the paper relates J and G, which thm46 and lem52 check.
+    template, a_n and p steps of s_derive from a_{-1} (_derived, one
+    chain per run); part c is how the paper relates J and G, which thm46
+    and lem52 check.
 
     Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
     """
@@ -1088,7 +1069,8 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         return combined((1, _window(jay_families, (p, n), *box)), *pieces)
 
     for n in range(-n_max, n_max + 1):
-        yield _universal_record(jay_plus(0, n, (1, _derived(n, 0, N, N, N))),
+        a_n, = _derived(n, 0, N, N, N)
+        yield _universal_record(jay_plus(0, n, (1, a_n)),
                                 {"part": "a", "n": n})
     for ring in _rings(spec):
         t = _Group({"part": "b", "surface": ring.name}, True)
@@ -1098,14 +1080,14 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
             t.check(ja.equal_terms(ln),
                     dict(t.params, n=n, a=na), ln, ja)
         yield t.record()
+    chain = _derived(-1, p_max, N, N, N)
     for p in range(1, p_max + 1):
         yield _universal_record(
             jay_plus(p, 0, (-factorial(p),
                             _window(chern_families, (p - 1,), N, N))),
             {"part": "c", "p": p})
-        yield _universal_record(
-            jay_plus(p, -1, (1, _derived(-1, p, N, N, N))),
-            {"part": "d", "p": p})
+        yield _universal_record(jay_plus(p, -1, (1, chain[p])),
+                                {"part": "d", "p": p})
     for ring in _rings(spec, () if mut else ("k3",)):
         states = _action_states(ring)
         t = _Group({"part": "d-action", "surface": ring.name})
@@ -1126,23 +1108,19 @@ def _run_lem52(spec, mut, *, p_max=4, n_max=3):
     """
     N = _cutoff(spec)
     for p, n in product(range(p_max + 1), range(-n_max, n_max + 1)):
-        delta = _lem52_cell(p, n, N)
-        if mut:
-            delta = combined((1, delta), (Q(-1, factorial(p)), _window(
-                jay_families, (p, n), _sound_pos(N, 0, n), N)))
-        yield _universal_record(delta, {"check": "universal", "p": p, "n": n})
+        yield _universal_record(_lem52_cell(p, n, N, mut),
+                                {"check": "universal", "p": p, "n": n})
     if not mut:
         yield from _lem52_spots(spec)
 
 
-@cache
-def _lem52_cell(p, n, N):
+def _lem52_cell(p, n, N, mut):
     """The residual of [G_p, a_n] against (n/p!) J^p_n on window N, empty
-    when the identity holds.  Kept for the process like _w_cell, so a
-    mutated run after the plain one brackets nothing."""
+    when the identity holds; with mut, against the mutation's
+    ((n+1)/p!) J^p_n."""
     pos = _sound_pos(N, 0, n)
     return series_bracket(chern_families(p), heis_families(n), pos, N,
-                          (Q(-n, factorial(p)),
+                          (Q(-n - 1 if mut else -n, factorial(p)),
                            _window(jay_families, (p, n), pos, N)))
 
 
@@ -1331,7 +1309,7 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         yield _universal_record(delta, {"check": "universal", "p": p,
                                         "q": q, "m": m, "n": n})
     for ring in _rings(spec):
-        yield _thm57_symbolic(ring.name)
+        yield _thm57_symbolic(ring)
         if not mut:
             yield _w_spots(ring, _action_states(ring), _THM57_SPOT_CELLS,
                            _THM57_SPOT_PAIRS)
@@ -1352,14 +1330,11 @@ def _show_q(x):
     return str({k: Q(v) for k, v in x.items()})
 
 
-@cache
-def _thm57_symbolic(name):
+def _thm57_symbolic(ring):
     """The record of the symbolic W-algebra bracket against the measured
-    constants on the built-in ring name, kept for the process: no thm57
-    mutation touches it, so a mutated run brackets nothing anew."""
-    ring = builtin_ring(name)
+    constants on ring, which no thm57 mutation touches."""
     gram = ring.pairing_matrix()
-    cls = {c: ring.basis(c) for c in _W_CLASSES[name]}
+    cls = {c: ring.basis(c) for c in _W_CLASSES[ring.name]}
     term = cache(lambda p, m, c: wterm(p, m, cls[c]))
     times = cache(lambda ca, cb: cls[ca] * cls[cb])
     t = _Group({"check": "symbolic"}, True)

@@ -118,10 +118,9 @@ def process_caches():
 def test_outputs_survive_clearing_every_process_cache():
     """The caches that live as long as the process only save work: with
     each of them emptied, the query universe and five suite jobs give
-    their frozen bytes again; thm57 measures its W-bracket cells and
-    its symbolic comparisons anew, from new J-families, contraction and
-    shed tables and windows, and rmk43, lem61 and lem53 build their
-    cells anew."""
+    their frozen bytes again; thm57 measures its W-bracket cells anew,
+    from new J-families, contraction and shed tables and windows, and
+    lem61 and lem53 build their windows anew."""
     caches = process_caches()
     assert {verify._window, verify._w_cell, walgebra.jay_families,
             operators._stats_list} <= set(caches)
@@ -160,10 +159,9 @@ def test_def51_mutation_leaves_the_shared_families_alone():
     _check_job("thm55", False)
 
 
-# The process caches of the symbolic cells: rmk43's cells, the series
-# windows of lem61 and lem53, and thm42's derivatives of a_n, which the
-# jobs below leave unread.
-SYMBOLIC_CELLS = ("_rmk43_cell", "_window", "_derived")
+# The process cache of the symbolic jobs below: the series windows of
+# lem61 and lem53.  rmk43 keeps no cell past its run.
+SYMBOLIC_CELLS = ("_window",)
 
 
 @pytest.fixture
@@ -192,29 +190,28 @@ def cell_keys(monkeypatch):
 def test_symbolic_cells_keep_the_frozen_digests_in_either_order(cell_keys,
                                                                 job, first):
     """From cleared caches, the plain and the mutated run give their
-    frozen bytes whichever of them runs first and builds the cells."""
+    frozen bytes whichever of them runs first and builds the windows;
+    rmk43 reads none."""
     _check_job(job, first)
     _check_job(job, not first)
-    assert any(seen for _, seen in cell_keys.values())
+    assert any(seen for _, seen in cell_keys.values()) == (job != "rmk43")
 
 
 def _cell_terms(cell_keys):
     """{(cache name, key): [(smeared list, a copy of its numerators and
-    denominator)]} for each key read so far, from the caches themselves:
-    an rmk43 cell holds two smeared lists, a window one."""
+    denominator)]} for each key read so far, from the caches
+    themselves."""
     out = {}
     for name, (cached, seen) in cell_keys.items():
         for key in seen:
             cell = cached(*key)
-            out[name, key] = [(part, (dict(part.terms), part.den))
-                              for part in (cell if isinstance(cell, tuple)
-                                           else (cell,))]
+            out[name, key] = [(cell, (dict(cell.terms), cell.den))]
     return out
 
 
-@pytest.mark.parametrize("job", ("rmk43", "lem61", "lem53"))
+@pytest.mark.parametrize("job", ("lem61", "lem53"))
 def test_symbolic_mutation_leaves_the_cached_cells_alone(cell_keys, job):
-    """A mutated rmk43, lem61 or lem53 run after the plain one adds its
+    """A mutated lem61 or lem53 run after the plain one adds its
     term to new lists: every cell the plain run cached is the same object
     with the same terms afterwards, and the plain run again keeps its
     frozen digest."""

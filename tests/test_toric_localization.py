@@ -13,7 +13,9 @@ restriction divided by the product of the tangent weights.  The
 restriction of G_k(alpha) is sum_p alpha|_p sum_{box of lam_p}
 c^k / k!: the Todd class of X cancels the Koszul class of the point.
 The point class x restricts to w1 w2 at its own fixed point and to 0
-elsewhere.  The weights below are generic enough that no tangent weight
+elsewhere.  On P^1 x P^1 the fiber class f1 restricts to w1 at the two
+fixed points over the first factor's chosen point and to 0 at the
+others, and f2 likewise to w2, so that x = f1 f2.  The weights below are generic enough that no tangent weight
 of a fixed point with n <= 4 vanishes.
 """
 
@@ -24,7 +26,8 @@ from math import factorial, prod
 import pytest
 
 from hilbfock.fock import basis_states
-from hilbfock.hilbert import intersection_number, k_multisets
+from hilbfock.hilbert import (cup_product, hilb_integral,
+                              intersection_number, k_multisets)
 from hilbfock.ring import builtin_ring
 
 N_MAX = 4
@@ -77,13 +80,22 @@ def tangent_euler(surface, xi):
     return out
 
 
-def chern_at_point_class(surface, xi, k):
-    """G_k(x) restricted to xi, x the point class of the first fixed
-    point."""
-    (w1, w2), lam = FIXED_POINTS[surface][0], xi[0]
-    return w1 * w2 * Fraction(sum((-(i * w1 + j * w2)) ** k
-                                  for i, j, _, _ in boxes(lam)),
-                              factorial(k))
+def restriction(surface, cls, p):
+    """x, or on P^1 x P^1 f1 - f2, restricted to the fixed point numbered
+    p: f1 is w1 at the fixed points that share the first one's w1 and 0
+    elsewhere, f2 likewise with w2, and x = f1 f2.  No other fixed point
+    of P^2 shares a weight with the first."""
+    (c1, c2), (w1, w2) = FIXED_POINTS[surface][0], FIXED_POINTS[surface][p]
+    f1, f2 = (w1 if w1 == c1 else 0), (w2 if w2 == c2 else 0)
+    return f1 * f2 if cls == "x" else f1 - f2
+
+
+def chern_at(surface, xi, cls, k):
+    """G_k(cls) restricted to xi."""
+    return sum((restriction(surface, cls, p) * Fraction(sum(
+        (-(i * w1 + j * w2)) ** k for i, j, _, _ in boxes(lam)),
+        factorial(k)) for p, ((w1, w2), lam)
+        in enumerate(zip(FIXED_POINTS[surface], xi))), Fraction(0))
 
 
 def localized(surface, n, restriction):
@@ -121,5 +133,45 @@ def test_products_of_point_characters_match_intersection_numbers(surface):
     assert len(cases) == 14
     for ks, n in cases:
         want = localized(surface, n, lambda xi: prod(
-            chern_at_point_class(surface, xi, k) for k in ks))
+            chern_at(surface, xi, "x", k) for k in ks))
         assert intersection_number(ring, ks, n) == want, (ks, n)
+
+
+def factor_lists(total, most):
+    """The multisets of at most most factors (class, k), class x of
+    degree k + 2 or f1 - f2 of degree k + 1, of degree total."""
+    kinds = [(cls, k) for k in range(total) for cls in ("x", "f1-f2")]
+    out = []
+
+    def rec(left, start, acc):
+        if not left:
+            out.append(tuple(acc))
+        elif len(acc) < most:
+            for i, (cls, k) in enumerate(kinds[start:], start):
+                if k + (2 if cls == "x" else 1) <= left:
+                    rec(left - k - (2 if cls == "x" else 1), i,
+                        acc + [(cls, k)])
+
+    rec(total, 0, [])
+    return out
+
+
+def test_k_trivial_cup_products_match_localization():
+    """On P^1 x P^1 every degree-matched product of at most 4 factors
+    G_k(x) and G_k(f1 - f2) on X^[n], n <= 4, 96 of them and 43 nonzero,
+    integrates by cup_product and hilb_integral to its localization."""
+    ring = builtin_ring("p1xp1")
+    elems = {"x": ring.basis("x"),
+             "f1-f2": ring.basis("f1") - ring.basis("f2")}
+    cases = [(fs, n) for n in range(1, N_MAX + 1)
+             for fs in factor_lists(2 * n, 4)]
+    assert len(cases) == 96
+    nonzero = 0
+    for fs, n in cases:
+        want = localized("p1xp1", n, lambda xi: prod(
+            chern_at("p1xp1", xi, cls, k) for cls, k in fs))
+        got = hilb_integral(ring, cup_product(
+            ring, [k for _, k in fs], [elems[cls] for cls, _ in fs], n), n)
+        assert got == want, (fs, n)
+        nonzero += want != 0
+    assert nonzero == 43

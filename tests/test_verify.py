@@ -25,6 +25,7 @@ from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              run_suite, serialize_report)
 from test_acceptance import MUTATED_SHA256, REPORT_SHA256, report_sha256
 from test_operators import box_keep, cut, diamond
+from test_report_digests import process_caches
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -372,23 +373,20 @@ LEM52_CELLS = [(p, n) for p in range(5) for n in range(-3, 4)]
 
 @pytest.fixture
 def lem52_memo():
-    """The lem52 cells and J windows, cleared before and after one test,
-    so that no cell measured under a patched window outlives it."""
-    for memo in (verify._lem52_cell, verify._window):
-        memo.cache_clear()
+    """The J windows, cleared before and after one test, so that no
+    window built under a patch outlives it."""
+    verify._window.cache_clear()
     yield
-    for memo in (verify._lem52_cell, verify._window):
-        memo.cache_clear()
+    verify._window.cache_clear()
 
 
 def _lem52_residuals(order):
-    """{(cell, N): the residual _lem52_cell keeps} for each window N in
-    order, from cleared cells, J windows, families and partition lists."""
-    verify._lem52_cell.cache_clear()
+    """{(cell, N): the residual of _lem52_cell} for each window N in
+    order, from cleared J windows, families and partition lists."""
     verify._window.cache_clear()
     walgebra.jay_families.cache_clear()
     operators._stats_list.cache_clear()
-    return {(cell, N): verify._lem52_cell(*cell, N)
+    return {(cell, N): verify._lem52_cell(*cell, N, False)
             for N in order for cell in LEM52_CELLS}
 
 
@@ -436,24 +434,27 @@ def _w_two_pass(cell, N):
                        if k < operators.SCALARS}, meas.den))
 
 
-def _lem52_two_pass(p, n, N):
+def _lem52_two_pass(p, n, N, mut):
     pos = _sound_pos(N, 0, n)
     return combined(
         (1, series_bracket(walgebra.chern_families(p),
                            walgebra.heis_families(n), pos, N)),
-        (Fraction(-n, factorial(p)), verify._window(walgebra.jay_families,
-                                                    (p, n), pos, N)))
+        (Fraction(-n - mut, factorial(p)),
+         verify._window(walgebra.jay_families, (p, n), pos, N)))
 
 
-def _thm46_two_pass(k, N, euler):
-    """The transfer-pin residual of G_k, or of the mutation's Euler term."""
-    fams = (verify._euler_families(k, 0) if euler
-            else walgebra.chern_families(k))
+def _thm46_two_pass(k, N, mut):
+    """The transfer-pin residual of G_k, or with mut of the mutated G_k:
+    the bare brackets of G_k and of the mutation's Euler term, summed
+    with the pin."""
     pos = _sound_pos(N, 0, -1)
-    pin = [] if euler else [(Fraction(-1, factorial(k)), series_to_smeared(
-        walgebra.apow_families(-1, k), pos, N))]
-    return combined((1, series_bracket(fams, walgebra.heis_families(-1),
-                                       pos, N)), *pin)
+    fams = [walgebra.chern_families(k)]
+    if mut:
+        fams.append(verify._euler_families(k, 0))
+    return combined(*[(1, series_bracket(f, walgebra.heis_families(-1),
+                                         pos, N)) for f in fams],
+                    (Fraction(-1, factorial(k)), series_to_smeared(
+                        walgebra.apow_families(-1, k), pos, N)))
 
 
 def _same(a, b):
@@ -462,23 +463,21 @@ def _same(a, b):
 
 
 def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
-    """Every W-bracket cell of WINDOW_CELLS, every lem52 cell and every
-    thm46 transfer pin on windows 6 and 8 keeps the residual of the two
-    passes, term for term over the same denominator, and a W cell keeps
-    the bracket's scalar terms."""
-    verify._thm46_cell.cache_clear()
+    """Every W-bracket cell of WINDOW_CELLS, and every lem52 cell and
+    thm46 transfer pin, plain and mutated, on windows 6 and 8 has the
+    residual of the two passes, term for term over the same denominator,
+    and a W cell keeps the bracket's scalar terms."""
     for N in (6, 8):
         for cell in WINDOW_CELLS:
             resid, scalars = W_CELL(cell + (N,))
             ref, ref_scalars = _w_two_pass(cell, N)
             assert _same(resid, ref) and scalars == ref_scalars, (cell, N)
-        for p, n in LEM52_CELLS:
-            assert _same(verify._lem52_cell(p, n, N),
-                         _lem52_two_pass(p, n, N)), (p, n, N)
-        for k, euler in product(range(4), (False, True)):
-            assert _same(verify._thm46_cell(k, N, euler)[3],
-                         _thm46_two_pass(k, N, euler)), (k, N, euler)
-    verify._thm46_cell.cache_clear()
+        for (p, n), mut in product(LEM52_CELLS, (False, True)):
+            assert _same(verify._lem52_cell(p, n, N, mut),
+                         _lem52_two_pass(p, n, N, mut)), (p, n, N, mut)
+        for k, mut in product(range(4), (False, True)):
+            assert _same(verify._thm46_cell(k, N, mut)[1],
+                         _thm46_two_pass(k, N, mut)), (k, N, mut)
 
 
 def test_fused_residual_sees_a_wrong_linear_coefficient(monkeypatch,
@@ -512,20 +511,9 @@ RMK43_CELLS = [(k, n, d) for k in range(4) for n in range(-3, 4)
 RMK56_CELLS = [(p, n) for p in range(1, 4) for n in range(-2, 3)]
 
 
-@pytest.fixture
-def rmk43_memo():
-    """The rmk43 cells, which rmk56 reads too, cleared before and after
-    one test, so that no cell derived under a patched kernel outlives
-    it."""
-    verify._rmk43_cell.cache_clear()
-    yield
-    verify._rmk43_cell.cache_clear()
-
-
 def _rmk43_cells(order):
-    """{(cell, N): the (residual, Euler term) _rmk43_cell keeps} for each
-    diamond window N in order, from cleared cells and partition lists."""
-    verify._rmk43_cell.cache_clear()
+    """{(cell, N): the (residual, Euler term) of _rmk43_cell} for each
+    diamond window N in order, from cleared partition lists."""
     operators._stats_list.cache_clear()
     return {(cell, N): verify._rmk43_cell(*cell, N)
             for N in order for cell in RMK43_CELLS}
@@ -535,8 +523,7 @@ def _rmk56_cells(order):
     """{(cell, N): the (residual, Euler term) that rmk56 reads from rmk43's
     cell of F(p, n, n^2 - 2), scaled by -p! and -24 (p-1)! as J^p_n =
     -p! F(p, n, n^2 - 2)} for each diamond window N in order, from
-    cleared cells and partition lists."""
-    verify._rmk43_cell.cache_clear()
+    cleared partition lists."""
     operators._stats_list.cache_clear()
     return {((p, n), N): tuple(
         combined((c, part)) for c, part in zip(
@@ -553,7 +540,7 @@ def _unstable(cells, keys, N):
                    in zip(cells[key, N], cells[key, N + 2]))]
 
 
-def test_rmk43_residuals_are_window_stable(rmk43_memo):
+def test_rmk43_residuals_are_window_stable():
     """Each rmk43 residual and Euler term on the diamond N equals the one
     on N + 2 cut to N, for N = 6 and 8 and both shifts d, and each is the
     same whichever window runs first.  Every Euler term holds terms but
@@ -569,7 +556,7 @@ def test_rmk43_residuals_are_window_stable(rmk43_memo):
     assert _rmk43_cells((10, 8, 6)) == narrow_first
 
 
-def test_rmk56_residuals_are_window_stable(rmk43_memo):
+def test_rmk56_residuals_are_window_stable():
     """Each rmk56 residual and Euler term on the diamond N equals the one
     on N + 2 cut to N, for N = 6 and 8, and each is the same whichever
     window runs first.  Every Euler term but J^0_0(e c) = 0 holds terms,
@@ -582,8 +569,7 @@ def test_rmk56_residuals_are_window_stable(rmk43_memo):
     assert _rmk56_cells((10, 8, 6)) == narrow_first
 
 
-def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch,
-                                                           rmk43_memo):
+def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch):
     """A derivative that keeps its terms on a box one mode wider each way
     than its diamond leaves window-6 residual terms that the window-8
     ones, cut to 6, do not have: in every rmk56 cell, and in every rmk43
@@ -599,11 +585,10 @@ def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch,
             cell for cell in RMK43_CELLS if cell[:2] != (0, 0)], order
 
 
-def test_mutated_rmk56_run_derives_nothing(monkeypatch, rmk43_memo):
-    """rmk56 reads rmk43's cells (_rmk43_cell), kept for the process, and
-    no J window: from cleared cells its plain run derives each of its 15
-    cells' families once, a mutated run after it makes no s_derive call,
-    and both keep the frozen digests of the acceptance battery."""
+def test_rmk56_run_derives_each_cell_once(monkeypatch):
+    """rmk56 reads rmk43's cells (_rmk43_cell) and no J window: each run,
+    plain or mutated, derives each of its 15 cells' families once, and
+    both keep the frozen digests of the acceptance battery."""
     calls = {"s_derive": 0, "_window": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(verify, name),
@@ -618,17 +603,15 @@ def test_mutated_rmk56_run_derives_nothing(monkeypatch, rmk43_memo):
     assert report_sha256(report) == REPORT_SHA256["rmk56"]
     calls.update(s_derive=0)
     report = run_suite(SuiteSpec("rmk56", mutation="central-scale"))
-    assert not report.ok and calls == {"s_derive": 0, "_window": 0}
+    assert not report.ok and calls == {"s_derive": 15, "_window": 0}
     assert report_sha256(report) == MUTATED_SHA256["rmk56"]
 
 
-def test_mutated_thm42_run_derives_nothing(monkeypatch):
-    """thm42 reads the derivatives of a_n from _derived, kept for the
-    process: from a cleared cache its plain run takes each of its 18
-    derivative steps once (k <= 3, 1 <= |n| <= 3, each D^k read from
-    D^{k-1}), a mutated run after it makes no s_derive call, and both
-    keep the frozen digests of the acceptance battery."""
-    verify._derived.cache_clear()
+def test_thm42_run_takes_each_derivative_step_once(monkeypatch):
+    """thm42 derives one chain D^0, ..., D^k_max of each a_n per run
+    (_derived), each D^k from D^{k-1}: its plain run takes 18 s_derive
+    steps (k <= 3, 1 <= |n| <= 3) and its mutated run 12 (k <= 2), and
+    both keep the frozen digests of the acceptance battery."""
     calls = 0
     real = verify.s_derive
 
@@ -644,7 +627,7 @@ def test_mutated_thm42_run_derives_nothing(monkeypatch):
     assert report_sha256(report) == REPORT_SHA256["thm42"]
     calls = 0
     report = run_suite(SuiteSpec("thm42", mutation="euler-shift"))
-    assert not report.ok and calls == 0
+    assert not report.ok and calls == 12
     assert report_sha256(report) == MUTATED_SHA256["thm42"]
 
 
@@ -1115,21 +1098,16 @@ def test_lem32_composes_each_bracket_pair_once(monkeypatch):
     assert 0 < calls <= 23256, calls
 
 
-@pytest.mark.parametrize("suite, bounds, derived", (
-    ("def51-ids", {"p_max": 4, "n_max": 3}, 0),
-    ("thm46-unique", {"k_max": 3}, 3)))
-def test_euler_shift_mutation_rebuilds_no_plain_family(monkeypatch, suite,
-                                                       bounds, derived):
-    """After the plain run, the euler-shift run of def51-ids and
-    thm46-unique reads the plain lists from the process caches and builds
-    only the unit Euler family's terms: every family list it expands or
-    brackets is one Euler family, thm46 derives only its three (k = 1..3)
-    and def51 none, and both reports keep their frozen digests (the plain
-    one at the acceptance bounds, the defaults).  thm46's cells are
-    cleared first, since an earlier mutated run keeps its Euler cells."""
-    verify._thm46_cell.cache_clear()
-    assert report_sha256(run_suite(SuiteSpec(suite, bounds=bounds))) \
-        == REPORT_SHA256[suite]
+def test_def51_euler_shift_mutation_rebuilds_no_plain_family(monkeypatch):
+    """After the plain run, def51-ids' euler-shift run reads the plain J
+    windows from _window and builds only the unit Euler family's terms:
+    every family list it expands or brackets is one Euler family, it
+    derives only its one chain D^1, ..., D^4 of a_{-1}, and both reports
+    keep their frozen digests (the plain one at the acceptance bounds,
+    the defaults)."""
+    suite = "def51-ids"
+    assert report_sha256(run_suite(SuiteSpec(
+        suite, bounds={"p_max": 4, "n_max": 3}))) == REPORT_SHA256[suite]
     fams, derives = [], []
     for name, log in (("series_to_smeared", fams), ("series_bracket", fams),
                       ("s_derive", derives)):
@@ -1140,7 +1118,7 @@ def test_euler_shift_mutation_rebuilds_no_plain_family(monkeypatch, suite,
     report = run_suite(SuiteSpec(suite, mutation="euler-shift"))
     assert report_sha256(report) == MUTATED_SHA256[suite]
     assert fams and all(len(f) == 1 and f[0].epow == 1 for f in fams)
-    assert len(derives) == derived
+    assert len(derives) == 4
 
 
 def test_lem32_memo_memory_stays_bounded():
@@ -1236,17 +1214,14 @@ def test_eq22_brackets_each_pair_once(monkeypatch):
         assert calls == want, (mutation, calls)
 
 
-SYMBOLIC_CELLS = ("_rmk43_cell", "_window", "_derived")
-
-
-@pytest.mark.parametrize("name", ("rmk43", "lem61", "lem53"))
+@pytest.mark.parametrize("name", ("lem61", "lem53"))
 def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
-    """After its plain run, a mutated rmk43, lem61 or lem53 run derives
-    nothing and builds no series the plain run built.  Only lem53's
-    mutation builds a series of its own, its 28 :a^{p-1}:_m terms, once
-    per process, so a second mutated run builds none."""
-    for cell in SYMBOLIC_CELLS:
-        getattr(verify, cell).cache_clear()
+    """After its plain run, a mutated lem61 or lem53 run derives nothing
+    and builds no series the plain run built: it reads them from
+    _window.  Only lem53's mutation builds a series of its own, its 28
+    :a^{p-1}:_m terms, once per process, so a second mutated run builds
+    none."""
+    verify._window.cache_clear()
     calls = dict.fromkeys(("s_derive", "series_to_smeared"), 0)
     for fn in calls:
         def counted(*args, _fn=fn, _real=getattr(verify, fn), **kwargs):
@@ -1259,24 +1234,16 @@ def test_mutated_symbolic_run_reuses_the_plain_cells(monkeypatch, name):
     mutation = SUITES[name].mutation
     for own in ((28 if name == "lem53" else 0), 0):
         calls.update(dict.fromkeys(calls, 0))
-        misses = {cell: getattr(verify, cell).cache_info().misses
-                  for cell in SYMBOLIC_CELLS}
+        misses = verify._window.cache_info().misses
         assert not run_suite(SuiteSpec(name, mutation=mutation)).ok
-        grown = {cell: getattr(verify, cell).cache_info().misses - n
-                 for cell, n in misses.items()}
-        assert calls["s_derive"] == 0, calls
-        assert calls["series_to_smeared"] == own, calls
-        assert grown == {"_rmk43_cell": 0, "_window": own, "_derived": 0}, \
-            grown
+        assert calls == {"s_derive": 0, "series_to_smeared": own}, calls
+        assert verify._window.cache_info().misses - misses == own
 
 
-@pytest.mark.parametrize("name", ("lem52", "rmk56"))
+@pytest.mark.parametrize("name", ("lem52",))
 def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
-    """lem52 reads J^p_n from _window, its mutation too, and rmk56
-    rmk43's stored cells, so after the plain run the mutated one builds
-    no series: every window and cell it reads is kept."""
-    verify._lem52_cell.cache_clear()
-    verify._rmk43_cell.cache_clear()
+    """lem52 reads J^p_n from _window, its mutation too, so after the
+    plain run the mutated one builds no series."""
     verify._window.cache_clear()
     calls = 0
 
@@ -1296,61 +1263,38 @@ def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
     assert calls == 0
 
 
-@pytest.mark.parametrize("name,measure,kept,bounds", [
-    ("lem52", "series_bracket", "_lem52_cell", {"p_max": 4, "n_max": 3}),
-    ("thm57", "wbracket", "_thm57_symbolic", {"pq_max": 5, "m_max": 3})])
-def test_mutated_run_after_the_plain_one_measures_nothing(
-        monkeypatch, name, measure, kept, bounds):
-    """lem52 keeps its bracket cells (_lem52_cell) and thm57 the record
-    of its symbolic part (_thm57_symbolic) for the process: from cleared
-    cells, whichever run comes first measures them, the other makes no
-    series_bracket or wbracket call, and both
-    keep the frozen digests of the acceptance battery, whose plain runs
-    name their default bounds."""
-    calls = 0
-    real = getattr(verify, measure)
+# The acceptance battery's plain runs, whose digests REPORT_SHA256
+# freezes, of the suites whose plain and mutated runs build the same
+# cells but for the side the mutation moves.
+ORDER_SPECS = {
+    "cor48": {"bounds": {"n_max": 4}},
+    "def51-ids": {"bounds": {"p_max": 4, "n_max": 3}},
+    "lem52": {"bounds": {"p_max": 4, "n_max": 3}},
+    "rmk43": {"bounds": {"k_max": 3, "n_max": 3}},
+    "rmk56": {"surface": "k3", "bounds": {"p_max": 3, "n_max": 2}},
+    "thm42": {"cutoff": 8, "bounds": {"k_max": 3, "n_max": 3}},
+    "thm46-unique": {"bounds": {"k_max": 3}},
+    "thm57": {"bounds": {"pq_max": 5, "m_max": 3}},
+}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
 
-    monkeypatch.setattr(verify, measure, counted)
-    for first in (False, True):
-        getattr(verify, kept).cache_clear()
-        for mutated in (first, not first):
-            calls = 0
+@pytest.mark.parametrize("name", sorted(ORDER_SPECS))
+def test_reports_do_not_depend_on_the_run_order(name):
+    """From cleared process caches and ring caches, the mutated run and
+    then the plain one give their frozen digests, and so do the plain
+    run and then the mutated one: no run reads what the other left."""
+    for order in ((True, False), (False, True)):
+        for cached in process_caches():
+            cached.cache_clear()
+        for surface in SURFACE_NAMES:
+            builtin_ring(surface)._cache.clear()
+        for mutated in order:
             report = run_suite(
                 SuiteSpec(name, mutation=SUITES[name].mutation) if mutated
-                else SuiteSpec(name, bounds=bounds))
+                else SuiteSpec(name, **ORDER_SPECS[name]))
             assert report.ok != mutated
-            assert (calls > 0) == (mutated == first), (first, mutated)
             digests = MUTATED_SHA256 if mutated else REPORT_SHA256
-            assert report_sha256(report) == digests[name], mutated
-
-
-def test_mutated_cor48_run_reads_the_plain_cells(monkeypatch):
-    """cor48 keeps both routes of each class (_cor48_cell), so after the
-    plain run the mutated one computes no chern_class: it adds only its
-    -(1/24) G_{k-2}(e a, n) term to the stored closed route.  Both runs
-    keep the frozen digests of the acceptance battery."""
-    verify._cor48_cell.cache_clear()
-    calls = 0
-    real = verify.chern_class
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(verify, "chern_class", counted)
-    report = run_suite(SuiteSpec("cor48", bounds={"n_max": 4}))
-    assert report.ok and calls > 0
-    assert report_sha256(report) == REPORT_SHA256["cor48"]
-    calls = 0
-    report = run_suite(SuiteSpec("cor48", mutation="euler-shift"))
-    assert not report.ok and calls == 0
-    assert report_sha256(report) == MUTATED_SHA256["cor48"]
+            assert report_sha256(report) == digests[name], (order, mutated)
 
 
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():
