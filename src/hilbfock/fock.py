@@ -145,9 +145,6 @@ def basis_states(ring, w):
     """All canonical states of weight w, sorted."""
     if w == 0:
         return [()]
-    key = ("basis_states", w)
-    if key in ring._cache:
-        return ring._cache[key]
     out = []
     for parts, _, _ in enumerate_ordinary(w):
         blocks = [[tuple((-part, i) for i in ms)
@@ -158,16 +155,11 @@ def basis_states(ring, w):
             stack = [acc + b for acc in stack for b in block]
         out.extend(stack)
     out.sort()
-    ring._cache[key] = out
     return out
 
 
 def _class_multisets(ring, count):
     """Sorted index tuples of length count; odd classes never repeat."""
-    key = ("class_multisets", count)
-    if key in ring._cache:
-        return ring._cache[key]
-
     def rec(start, k):
         if k == 0:
             yield ()
@@ -177,9 +169,7 @@ def _class_multisets(ring, count):
             for rest in rec(nxt, k - 1):
                 yield (i,) + rest
 
-    out = list(rec(0, count))
-    ring._cache[key] = out
-    return out
+    return list(rec(0, count))
 
 
 def pairing(ring, u, v):

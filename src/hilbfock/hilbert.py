@@ -26,7 +26,6 @@ sum (k_i + 2) = 2n reduce to the surface-independent rational
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import factorial
 
@@ -106,10 +105,9 @@ def intersection_number(ring, ks, n):
     return hilb_integral(ring, vec, n)
 
 
-@cache
 def _closed_factor(k, j):
     """sum_{lam |- (j+1), l(lam)=k-j+1} (-1)^j / (lam^! (j+1)!), the
-    factor of G_k([x]) in intersection_number_closed, kept per (k, j)."""
+    factor of G_k([x]) in intersection_number_closed."""
     return sum((Q((-1) ** j, mf * factorial(j + 1))
                 for _, mf, _ in enumerate_ordinary(j + 1, k - j + 1)), Q(0))
 

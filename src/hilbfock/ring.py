@@ -31,7 +31,7 @@ with Koszul signs from moving classes past tensor factors, and
 tau_k(b_i) = sum c tau_{k-1}(b_p) (x) b_q over the terms c b_p (x) b_q of
 tau2(b_i).  Each tau_k(b_i) is one read-only {index tuple: coeff} table,
 built once per (arity, basis class); tau_k is linear, so the tau of any
-other class is the combination of these tables.  These smearing tensors
+class is the combination of these tables.  These smearing tensors
 are what the Fock-space operators consume.
 
 Built-in models: the projective plane, the quadric (product of two
@@ -379,16 +379,13 @@ class SurfaceRing:
         return self.tau(2, a)
 
     def tau(self, k, a):
-        """k-fold diagonal pushforward as {index tuple: coeff}: the shared
-        read-only table for a basis class with coefficient 1, else the new
-        combination sum a_i tau_k(b_i); tau(1, a) is a itself."""
+        """k-fold diagonal pushforward as {index tuple: coeff}: the new
+        combination sum a_i tau_k(b_i) of the shared tables; tau(1, a) is a
+        itself."""
         if k < 1:
             raise RingError("tau arity must be at least 1")
-        comps = a.components()
-        if len(comps) == 1 and comps[0][1] == 1:
-            return self._tau_table(k, comps[0][0])
         out = {}
-        for i, c in comps:
+        for i, c in a.components():
             for t, v in self._tau_table(k, i).items():
                 out[t] = out.get(t, 0) + c * v
         return {t: exact(v) for t, v in out.items() if v}

@@ -25,8 +25,9 @@ rather than passed vacuously.
 
 The W-bracket of Theorem 5.5 is stated once, as (c, smeared list)
 pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and thm57 (its
-untagged part) measure their cells through one runner, `_w_grid`, and
-ground them on states against the series of the same pieces (`_w_op`).
+untagged part) read their cells' residuals from one store, `_w_cell`,
+and ground them on states against the series of the same pieces
+(`_w_op`).
 A bracket residual is one `operators.series_bracket` with its pieces,
 any other one `operators.combined`, on integer numerators by packed
 code (`operators.encode`) over one common denominator, so no term is
@@ -491,14 +492,11 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 
 
 @cache
-def _window(build, args, pos, neg, shifted=False):
-    """The series build(*args) on the box window, times e if shifted: the
-    one window cache, kept for the process, of J^p_n (jay_families) and
-    J^p_n(e .) for the W-bracket, lem52, lem53 and the mutations, and of
-    the field-monomial series of lem53 and lem61.  Every caller reads it
-    as it is."""
-    if shifted:
-        return euler_shifted(_window(build, args, pos, neg))
+def _window(build, args, pos, neg):
+    """The series build(*args) on the box window: the one window cache,
+    kept for the process, of J^p_n (jay_families) for the W-bracket,
+    lem52, lem53 and the mutations, and of the field-monomial series of
+    lem53 and lem61.  Every caller reads it as it is."""
     return series_to_smeared(build(*args), pos, neg)
 
 
@@ -516,8 +514,8 @@ def _omega_pieces(p, q, m, n, pos, neg):
     om = omega(p, q, m, n)
     if not om or p + q < 3:
         return []
-    return [(Q(-om, 12), _window(jay_families, (p + q - 3, m + n), pos, neg,
-                                 shifted=True))]
+    return [(Q(-om, 12), euler_shifted(
+        _window(jay_families, (p + q - 3, m + n), pos, neg)))]
 
 
 def _w_central(p, q, m, n):
@@ -560,29 +558,16 @@ def _w_cells(pq_max, m_max):
 @cache
 def _w_cell(args):
     """One (p, q, m, n) cell on window N, measured: the residual of the
-    bracket [J^p_m, J^q_n] against _w_pieces, and the bracket's scalar
-    terms (modes ()), which the central checks read without the pieces:
-    the residual's plus the central pieces.
+    bracket [J^p_m, J^q_n] against _w_pieces.
 
-    Kept for the process, one entry per distinct cell and window, whose
-    residual is empty when the identity holds.  vir, thm55 and thm57 all
-    read it, so no caller changes an entry."""
+    Kept for the process, one entry per distinct cell and window, which
+    is empty when the identity holds.  vir, thm55 and thm57 all read it,
+    so no caller changes an entry."""
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
-    resid = series_bracket(jay_families(p, m), jay_families(q, n), pos, N,
-                           *[(-c, op) for c, op in _w_pieces(p, q, m, n,
-                                                             pos, N)])
-    return resid, combined((1, SmearedOp({
-        k: c for k, c in resid.terms.items() if k < SCALARS}, resid.den)),
-        *_w_central(p, q, m, n))
-
-
-def _w_grid(spec, cells):
-    """(cell, _w_cell's (residual, scalar terms)) for each cell, in
-    order, on the run's window."""
-    window = _cutoff(spec)
-    for cell in cells:
-        yield cell, _w_cell(cell + (window,))
+    return series_bracket(jay_families(p, m), jay_families(q, n), pos, N,
+                          *[(-c, op) for c, op in _w_pieces(p, q, m, n,
+                                                            pos, N)])
 
 
 def _w_spots(ring, states, cells, pairs):
@@ -609,21 +594,25 @@ def _run_vir(spec, mut, *, m_max=3):
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
+    N = _cutoff(spec)
     cases = [(r, _pair_cases(r, _probe(r)))
              for r in _rings(spec)]
     if mut:
         m_max = min(m_max, 2)
-    cells = [(1, 1, m, n)
-             for m, n in product(range(-m_max, m_max + 1), repeat=2)]
-    for (_, _, m, n), (delta, scalars) in _w_grid(spec, cells):
+    for m, n in product(range(-m_max, m_max + 1), repeat=2):
+        cell = (1, 1, m, n)
+        resid = delta = _w_cell(cell + (N,))
         if mut and m == -n and m != 0:
-            delta = combined((1, delta), (Q(-1, 12), SmearedOp({1: 1})))
+            delta = combined((1, resid), (Q(-1, 12), SmearedOp({1: 1})))
         yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
                          {"check": "instantiate", "m": m, "n": n})
         for k3 in _rings(spec, ("k3",) if m == -n and m != 0 else ()):
-            val = _scalar_part(scalars, k3, k3.unit)
+            # the bracket's scalar terms: the residual's plus the central
+            # pieces, the only scalar codes of _w_pieces
+            val = _scalar_part(combined((1, resid), *_w_central(*cell)), k3,
+                               k3.unit)
             expect = Q(24) * Q(m ** 3 - m, 12)
             yield _verdict(val == expect, {"check": "central",
                                            "surface": k3.name, "m": m},
@@ -1192,7 +1181,8 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         m_max = min(m_max, 1)
         rings = rings[:1]
     cases = [(r, _pair_cases(r, _probe(r))) for r in rings]
-    for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
+    for p, q, m, n in _w_cells(pq_max, m_max):
+        delta = _w_cell((p, q, m, n, N))
         if mut:
             delta = combined((1, delta), *[(2 * c, op) for c, op in (
                 _omega_pieces(p, q, m, n, _sound_pos(N, m, n), N))])
@@ -1201,7 +1191,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
                          dict(params, check="instantiate"))
-    yield from _thm55_centrals(spec, m_max)
+    yield from _thm55_centrals(spec, N, m_max)
     if not mut:
         for ring in _rings(spec, ("k3", "abelian", "p2")):
             w = {s: weight(ring.states[s]) for s in _action_states(ring)}
@@ -1212,13 +1202,15 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
                            _THM55_SPOT_PAIRS[ring.name])
 
 
-def _thm55_centrals(spec, m_max):
-    """Explicit central values on the K3 model."""
+def _thm55_centrals(spec, N, m_max):
+    """Explicit central values on the K3 model, from the bracket's scalar
+    terms: the residual's plus the central pieces."""
     for ring in _rings(spec, ("k3",)):
         u1u2 = ring.basis("u1") * ring.basis("u2")
-        cells = [(p, q, m, -m) for p, q in ((0, 0), (1, 1), (2, 0), (0, 2))
-                 for m in range(1, m_max + 1)]
-        for (p, q, m, _), (_, scalars) in _w_grid(spec, cells):
+        for (p, q), m in product(((0, 0), (1, 1), (2, 0), (0, 2)),
+                                 range(1, m_max + 1)):
+            cell = (p, q, m, -m)
+            scalars = combined((1, _w_cell(cell + (N,))), *_w_central(*cell))
             if (p, q) == (0, 0):
                 got = _scalar_part(scalars, ring, u1u2)
                 want = Q(-m)
@@ -1298,7 +1290,8 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
     if mut:
         pq_max = min(pq_max, 2)
         m_max = min(m_max, 1)
-    for (p, q, m, n), (delta, _) in _w_grid(spec, _w_cells(pq_max, m_max)):
+    for p, q, m, n in _w_cells(pq_max, m_max):
+        delta = _w_cell((p, q, m, n, N))
         if mut and (p, q) != (0, 0):
             delta = combined((1, delta), (-1, _window(
                 jay_families, (p + q - 1, m + n), _sound_pos(N, m, n), N)))
@@ -1499,9 +1492,8 @@ SUITES = {
                    "partition families, including n = 0", "shift-term", 8,
                    ()),
     "thm46-unique": Suite(_run_thm46, "characterization of the character "
-                          "series: vacuum, derivation invariance, "
-                          "transfer pin", "euler-shift", 8,
-                          ("k3", "abelian")),
+                          "series: derivation invariance, transfer pin",
+                          "euler-shift", 8, ("k3", "abelian")),
     "cor48": Suite(_run_cor48, "creation-only expansion of character "
                    "classes against the operator route", "euler-shift",
                    None, ("abelian", "k3")),

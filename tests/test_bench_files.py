@@ -49,3 +49,16 @@ def test_bench_file_names_the_declared_workloads_and_metrics(path):
             q1, _, q3 = statistics.quantiles(values, n=4)
             assert (stats["q1"], stats["median"], stats["q3"]) == (
                 q1, statistics.median(values), q3), (workload, name)
+
+
+def test_bench_history_refuses_a_repeated_label(monkeypatch, capsys):
+    """A LABEL given twice exits 2 with a message before any revision is
+    unpacked."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import bench_history
+    monkeypatch.setattr(bench_history, "unpack",
+                        lambda rev, dest: pytest.fail("unpacked " + rev))
+    with pytest.raises(SystemExit) as exc:
+        bench_history.main(["pr1=HEAD", "pr1=HEAD~1"])
+    assert exc.value.code == 2
+    assert "each LABEL is given once" in capsys.readouterr().err

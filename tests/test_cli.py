@@ -40,6 +40,9 @@ def test_verify_list_names_every_suite(capsys):
     rows = [json.loads(line) for line in out.strip().split("\n")]
     assert len(rows) == 17
     assert all({"suite", "description", "mutation"} <= set(r) for r in rows)
+    assert {r["suite"]: r["description"] for r in rows}["thm46-unique"] == (
+        "characterization of the character series: derivation invariance, "
+        "transfer pin")
 
 
 def test_verify_list_with_a_run_option_is_usage_error(capsys):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import hilbert
 from hilbfock.fock import combine, fundamental_class, vacuum
 from hilbfock.hilbert import (chern_class, chern_class_closed, cup_product,
                               hilb_integral, intersection_number,
@@ -239,19 +238,13 @@ def _closed_reference(ks, n):
     return total
 
 
-def test_closed_numbers_read_one_factor_table():
-    """The closed value reads its per-(k, j) factors from one table and
-    equals the inline sum on every degree-matched tuple up to 6 points;
-    the table holds at most (k_max + 1)^2 factors."""
-    hilbert._closed_factor.cache_clear()
-    k_max = 0
+def test_closed_numbers_equal_the_inline_factor_sums():
+    """The closed value equals the inline sum on every degree-matched
+    tuple up to 6 points."""
     for n in range(1, 7):
         for ks in k_multisets(n):
             assert intersection_number_closed(ks, n) == _closed_reference(
                 ks, n), (ks, n)
-            k_max = max(k_max, *ks)
-    size = hilbert._closed_factor.cache_info().currsize
-    assert 0 < size <= (k_max + 1) ** 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -98,12 +98,12 @@ def test_query_outputs_do_not_depend_on_history():
         assert _run_query(qid) == REFS["queries"][qid], qid
 
 
-def process_caches():
-    """Every functools cache among the globals of the hilbfock modules,
-    found rather than listed, so that a new or renamed cache is not left
-    out; all but the built-in rings themselves (ring._built), which
-    callers compare by identity, so each keeps its object and has its
-    _cache cleared instead."""
+def clear_process_caches():
+    """Empty every functools cache among the globals of the hilbfock
+    modules, found rather than listed, so that a new or renamed cache is
+    not left out, and return them; all but the built-in rings themselves
+    (ring._built), which callers compare by identity, so each keeps its
+    object and has its _cache cleared instead."""
     found = {}
     for info in pkgutil.iter_modules(hilbfock.__path__):
         if info.name == "__main__":
@@ -112,6 +112,10 @@ def process_caches():
         for value in vars(module).values():
             if hasattr(value, "cache_clear") and value is not ring._built:
                 found[id(value)] = value
+    for cached in found.values():
+        cached.cache_clear()
+    for name in SURFACE_NAMES:
+        builtin_ring(name)._cache.clear()
     return list(found.values())
 
 
@@ -121,13 +125,8 @@ def test_outputs_survive_clearing_every_process_cache():
     their frozen bytes again; thm57 measures its W-bracket cells anew,
     from new J-families, contraction and shed tables and windows, and
     lem61 and lem53 build their windows anew."""
-    caches = process_caches()
     assert {verify._window, verify._w_cell, walgebra.jay_families,
-            operators._stats_list} <= set(caches)
-    for cached in caches:
-        cached.cache_clear()
-    for name in SURFACE_NAMES:
-        builtin_ring(name)._cache.clear()
+            operators._stats_list} <= set(clear_process_caches())
     for qid in sorted(QUERIES):
         assert _run_query(qid) == REFS["queries"][qid], qid
     for job in ("heis-p1xp1", "thm57", "rmk43", "lem61", "lem53"):
@@ -160,7 +159,7 @@ def test_def51_mutation_leaves_the_shared_families_alone():
 
 
 # The process cache of the symbolic jobs below: the series windows of
-# lem61 and lem53.  rmk43 keeps no cell past its run.
+# lem61 and lem53.
 SYMBOLIC_CELLS = ("_window",)
 
 
@@ -198,15 +197,11 @@ def test_symbolic_cells_keep_the_frozen_digests_in_either_order(cell_keys,
 
 
 def _cell_terms(cell_keys):
-    """{(cache name, key): [(smeared list, a copy of its numerators and
-    denominator)]} for each key read so far, from the caches
-    themselves."""
-    out = {}
-    for name, (cached, seen) in cell_keys.items():
-        for key in seen:
-            cell = cached(*key)
-            out[name, key] = [(cell, (dict(cell.terms), cell.den))]
-    return out
+    """{(cache name, key): (smeared list, a copy of its numerators and
+    denominator)} for each key read so far, from the caches themselves."""
+    return {(name, key): (cell, (dict(cell.terms), cell.den))
+            for name, (cached, seen) in cell_keys.items()
+            for key in seen for cell in [cached(*key)]}
 
 
 @pytest.mark.parametrize("job", ("lem61", "lem53"))
@@ -220,8 +215,7 @@ def test_symbolic_mutation_leaves_the_cached_cells_alone(cell_keys, job):
     assert before
     _check_job(job, True)
     after = _cell_terms(cell_keys)
-    for key, cell in before.items():
-        assert len(after[key]) == len(cell), key
-        for (op, terms), (now, now_terms) in zip(cell, after[key]):
-            assert now is op and now_terms == terms, key
+    for key, (op, terms) in before.items():
+        now, now_terms = after[key]
+        assert now is op and now_terms == terms, key
     _check_job(job, False)

@@ -17,15 +17,15 @@ import pytest
 from hilbfock import operators, verify, walgebra
 from hilbfock.fock import (basis_states, combine, render_state,
                            render_terms)
-from hilbfock.operators import (SmearedOp, combined, encode, euler_shifted,
-                                series_bracket, series_to_smeared)
+from hilbfock.operators import (SmearedOp, combined, encode, series_bracket,
+                                series_to_smeared)
 from hilbfock.ring import SURFACE_NAMES, builtin_ring
 from hilbfock.verify import (InstanceRecord, SUITES, SuiteSpec, _sound_pos,
                              VerificationReport, list_suites, report_lines,
                              run_suite, serialize_report)
 from test_acceptance import MUTATED_SHA256, REPORT_SHA256, report_sha256
 from test_operators import box_keep, cut, diamond
-from test_report_digests import process_caches
+from test_report_digests import clear_process_caches
 
 SUITE_NAMES = ("cor48", "def51-ids", "eq22", "heis", "lem32", "lem52",
                "lem53", "lem61", "rmk410", "rmk43", "rmk56", "thm31",
@@ -225,7 +225,7 @@ def _stored_residuals_empty(keys):
     """Every residual the memo holds for keys is empty; re-reading them
     measures nothing anew."""
     misses = W_CELL.cache_info().misses
-    empty = all(not W_CELL(key)[0].terms for key in keys)
+    empty = all(not W_CELL(key).terms for key in keys)
     return empty and W_CELL.cache_info().misses == misses
 
 
@@ -328,7 +328,7 @@ def _w_residuals(order):
     verify._window.cache_clear()
     walgebra.jay_families.cache_clear()
     operators._stats_list.cache_clear()
-    return {(cell, N): W_CELL(cell + (N,))[0]
+    return {(cell, N): W_CELL(cell + (N,))
             for N in order for cell in WINDOW_CELLS}
 
 
@@ -350,11 +350,10 @@ def test_w_residuals_are_window_stable(w_memo):
     assert _w_residuals((8, 6)) == narrow_first
 
 
-def _short_window(build, args, pos, neg, shifted=False):
+def _short_window(build, args, pos, neg):
     """_window with its windows stopping one mode short of the box edge:
-    series_to_smeared on pos - 1, times e if shifted."""
-    short = series_to_smeared(build(*args), pos - 1, neg)
-    return euler_shifted(short) if shifted else short
+    series_to_smeared on pos - 1."""
+    return series_to_smeared(build(*args), pos - 1, neg)
 
 
 def test_w_residual_stability_sees_a_short_expected_window(monkeypatch,
@@ -466,12 +465,17 @@ def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
     """Every W-bracket cell of WINDOW_CELLS, and every lem52 cell and
     thm46 transfer pin, plain and mutated, on windows 6 and 8 has the
     residual of the two passes, term for term over the same denominator,
-    and a W cell keeps the bracket's scalar terms."""
+    and a W cell's residual plus its central pieces, which the central
+    checks read, has the bracket's scalar terms."""
     for N in (6, 8):
         for cell in WINDOW_CELLS:
-            resid, scalars = W_CELL(cell + (N,))
+            resid = W_CELL(cell + (N,))
             ref, ref_scalars = _w_two_pass(cell, N)
-            assert _same(resid, ref) and scalars == ref_scalars, (cell, N)
+            scalars = combined((1, resid), *verify._w_central(*cell))
+            assert _same(resid, ref) and SmearedOp({
+                k: c for k, c in scalars.terms.items()
+                if k < operators.SCALARS}, scalars.den) == ref_scalars, (
+                    cell, N)
         for (p, n), mut in product(LEM52_CELLS, (False, True)):
             assert _same(verify._lem52_cell(p, n, N, mut),
                          _lem52_two_pass(p, n, N, mut)), (p, n, N, mut)
@@ -499,7 +503,7 @@ def test_fused_residual_sees_a_wrong_linear_coefficient(monkeypatch,
               if q * m - p * n and (p + q, m + n) != (1, 0)]
     assert len(linear) == 292 - 8
     for cell in linear:
-        resid = W_CELL(cell + (8,))[0]
+        resid = W_CELL(cell + (8,))
         assert not resid.is_zero() and _same(resid, _w_two_pass(cell, 8)[0])
 
 
@@ -1264,17 +1268,23 @@ def test_mutated_jay_run_reads_the_plain_windows(monkeypatch, name):
 
 
 # The acceptance battery's plain runs, whose digests REPORT_SHA256
-# freezes, of the suites whose plain and mutated runs build the same
-# cells but for the side the mutation moves.
+# freezes, of every suite but thm31 and lem32, which would add about 5 s.
 ORDER_SPECS = {
     "cor48": {"bounds": {"n_max": 4}},
     "def51-ids": {"bounds": {"p_max": 4, "n_max": 3}},
+    "eq22": {},
+    "heis": {"bounds": {"m_max": 4}},
     "lem52": {"bounds": {"p_max": 4, "n_max": 3}},
+    "lem53": {"bounds": {"p_max": 4, "m_max": 3}},
+    "lem61": {"bounds": {"n_max": 4, "m_max": 3}},
+    "rmk410": {"bounds": {"n_max": 4}},
     "rmk43": {"bounds": {"k_max": 3, "n_max": 3}},
     "rmk56": {"surface": "k3", "bounds": {"p_max": 3, "n_max": 2}},
     "thm42": {"cutoff": 8, "bounds": {"k_max": 3, "n_max": 3}},
     "thm46-unique": {"bounds": {"k_max": 3}},
+    "thm55": {"cutoff": 8, "bounds": {"pq_max": 6, "m_max": 3}},
     "thm57": {"bounds": {"pq_max": 5, "m_max": 3}},
+    "vir": {"cutoff": 8, "bounds": {"m_max": 3}},
 }
 
 
@@ -1284,10 +1294,7 @@ def test_reports_do_not_depend_on_the_run_order(name):
     then the plain one give their frozen digests, and so do the plain
     run and then the mutated one: no run reads what the other left."""
     for order in ((True, False), (False, True)):
-        for cached in process_caches():
-            cached.cache_clear()
-        for surface in SURFACE_NAMES:
-            builtin_ring(surface)._cache.clear()
+        clear_process_caches()
         for mutated in order:
             report = run_suite(
                 SuiteSpec(name, mutation=SUITES[name].mutation) if mutated

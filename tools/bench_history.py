@@ -93,6 +93,8 @@ def main(argv=None):
     pairs = [item.split("=", 1) for item in args.revisions]
     if any(len(pair) != 2 or not all(pair) for pair in pairs):
         ap.error("each revision is LABEL=REV")
+    if len({label for label, _ in pairs}) != len(pairs):
+        ap.error("each LABEL is given once")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for label, rev in pairs:
