@@ -210,8 +210,9 @@ class OperatorSum:
 
         Alongside it, the words grouped by their rightmost factor, each
         group with its own such factors (None for a creator), so that a
-        column skips the groups that kill its state.  Both are built
-        once per expansion."""
+        column skips the groups that kill its state; OperatorFamily
+        reads the index, a column only the groups.  Both are built once
+        per expansion."""
         if self._index is None:
             groups = {}
             for word in self.terms:
@@ -228,34 +229,22 @@ class OperatorSum:
         """The exact image of the basis state numbered sid (ring.states),
         as {state number: coeff}, as act({state: 1}) would give it, kept
         on the operator; callers must not modify it.  A series first
-        grows to the state's weight."""
+        grows to the state's weight.  The words act group by group, and
+        a group whose partners the state lacks is skipped: exact for a
+        series too, since every word a later band adds annihilates more
+        points."""
         col = self._columns.get(sid)
         if col is not None:
             return col
-        state = self.ring.states[sid]
+        ring, state = self.ring, self.ring.states[sid]
         if self._reach is not None:
             w = weight(state)
             if w > self._reach:
                 self._grown(w)
-        index = self._index
-        if index is None:
-            index = self._contractions()
-        if index is not False and index.isdisjoint(state):
-            # Exact for a series too: it has grown to the state's
-            # weight, and every word a later band adds annihilates more
-            # points.
-            col = _EMPTY
-        else:
-            col = self._image(sid, state) or _EMPTY
-        self._columns[sid] = col
-        return col
-
-    def _image(self, sid, state):
-        """The column of state, numbered sid, computed word by word; needs
-        the groups that _contractions builds."""
+        if self._groups is None:
+            self._contractions()
         out = {sid: self.scalar} if self.scalar else {}
-        ring, coeffs = self.ring, self.terms
-        ids = ring.state_ids
+        coeffs, ids = self.terms, ring.state_ids
         for partners, words in self._groups:
             if partners is not None and partners.isdisjoint(state):
                 continue
@@ -264,7 +253,8 @@ class OperatorSum:
                 for s, c in apply_word(ring, word, state):
                     # a new state is numbered by state_id (0 is asked again)
                     _acc(out, ids.get(s) or ring.state_id(s), c * tc)
-        return out
+        col = self._columns[sid] = out or _EMPTY
+        return col
 
     def act(self, terms):
         """Image of a {state: coeff} dict: the combination of the cached

@@ -7,21 +7,21 @@ then instantiated on concrete surfaces, and a sample of instances is
 grounded by applying both sides to explicit states, so the smeared
 calculus itself is cross-checked against raw operator composition.
 
-Checks are counted in record groups (`_Group`, which alone with
-`_verdict` builds records): a group reports a pass over all its checks,
-or its first failure.  heis finds a cell's first failure from its
-residual (`_heis_failure`) and counts the checks before it without
-comparing them; every other check on states goes through
-`_Group.columns`, which compares two column sources (an operator, or an
-`operators.Bracket`, `derivative` or `Linear` of operators) state by
-state.  Each runner declares its grid bounds, with their defaults, as
-keyword-only parameters, and the registry (`SUITES`) the window and the
-surfaces it reads; `run_suite` refuses any other key or value, and
-every part of a runner takes its rings from `_rings`, so a report header
-never names a window or a surface the run did not use.  A window too
-small to hold a bracket cell (`_sound_pos`), bounds that leave a run
-without a record, or a mutated run that no check fails, are refused
-rather than passed vacuously.
+Records are built by `_Group` and `_verdict` alone.  A record group
+(`_Group`) counts only the checks it compares, and reports a pass over
+them or its first failure; every check on states but heis's goes
+through `_Group.columns`, which compares two column sources (an
+operator, or an `operators.Bracket`, `derivative` or `Linear` of
+operators) state by state.  heis finds a cell's first failure from its
+residual (`_heis_failure`) and reports the cell as one `_verdict`, its
+checks counted by rule.  Each runner declares its grid bounds, with
+their defaults, as keyword-only parameters, and the registry (`SUITES`)
+the window and the surfaces it reads; `run_suite` refuses any other key
+or value, and every part of a runner takes its rings from `_rings`, so
+a report header never names a window or a surface the run did not use.
+A window too small to hold a bracket cell (`_sound_pos`), bounds that
+leave a run without a record, or a mutated run that no check fails, are
+refused rather than passed vacuously.
 
 The W-bracket of Theorem 5.5 is stated once, as (c, smeared list)
 pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and thm57 (its
@@ -152,8 +152,6 @@ class VerificationReport(_Fields):
 
 
 _NAMED = {
-    "p2": ("1", "H", "x"),
-    "p1xp1": ("1", "f1", "f2", "x"),
     "k3": ("1", "u1", "u2", "u3", "x"),
     "abelian": ("1", "t1", "t2", "t12", "t34", "t123", "t1234"),
 }
@@ -248,9 +246,9 @@ def _show(value):
 class _Group:
     """Check count and first failure of one record group, named by params.
 
-    A group reports a pass over all its checks, or its first failure.
-    The failure reports its own checks or, with ``total`` set, every
-    check counted when the group ends.
+    A group counts the checks it compares, and reports a pass over all
+    of them or its first failure.  The failure reports its own checks
+    or, with ``total`` set, every check counted when the group ends.
     """
 
     __slots__ = ("params", "checks", "fail", "total", "at")
@@ -262,17 +260,13 @@ class _Group:
         self.total = total
         self.at = ()
 
-    def check(self, ok, params, expected, actual, show=_show, n=1):
-        """Count n checks that pass or fail together; the first failure
-        keeps both sides as show() text."""
-        self.checks += n
+    def check(self, ok, params, expected, actual, show=_show):
+        """Count one check; the first failure keeps both sides as show()
+        text."""
+        self.checks += 1
         if not ok and self.fail is None:
-            self.fail = InstanceRecord(params, "fail", n, show(expected),
+            self.fail = InstanceRecord(params, "fail", 1, show(expected),
                                        show(actual))
-
-    def count(self, n):
-        """Count n checks that pass without being compared one by one."""
-        self.checks += n
 
     def columns(self, ring, states, lhs, rhs, params, at=(), sign=1):
         """Compare two column sources on each state numbered s in states:
@@ -415,16 +409,16 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
     of weight at most w_max (default 2 on rings of dimension at most 4,
     else 1).
 
-    Each (m, n) cell is one record over every class pair (a, b) and
+    Each (m, n) cell is one verdict over every class pair (a, b) and
     state.  A failing cell reports its first failing pair at its first
-    failing state, with the checks of every pair up to it.  Each (m, n,
-    w_max) cell of a ring is composed once per process, as one block
-    per state (_heis_residual), and kept in ring._cache as its residual
-    against the unmutated central term; every run, plain or mutated,
-    rebuilds its record from that residual and its own central term
-    (_heis_failure).  Composing (m, n), m != n, stores (n, m) too, read
-    from the same brackets.  The a_n(b) operators a ring's cells
-    compose are built once per run and ring, with their columns.
+    failing state, with the checks of every pair up to and including
+    it.  Each (m, n, w_max) cell of a ring is composed once per process,
+    as one block per state (_heis_residual), and kept in ring._cache as
+    its residual against the unmutated central term; every run, plain
+    or mutated, rebuilds its record from that residual and its own
+    central term (_heis_failure).  Composing (m, n), m != n, stores
+    (n, m) too, from the same brackets.  The a_n(b) operators a ring's
+    cells compose are built once per run and ring, with their columns.
 
     Mutation central-shift: the central coefficient -m becomes -m + 1.
     """
@@ -458,34 +452,31 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                         or (n > 0 and -n in modes)]
                 c0 = Q(-m) if m == -n != 0 else 0
                 plain = central(c0)
-                key, back = ("heis", m, n, wmax), ("heis", n, m, wmax)
+                key = ("heis", m, n, wmax)
                 resid = ring._cache.get(key)
                 if resid is None:
                     # The cell (n, m), central term -c0, mirrors this one.
-                    mirrored = (central(-c0) if m != n
-                                and back not in ring._cache else None)
+                    mirrored = central(-c0) if m != n else None
                     resid, mirror = _heis_residual(
                         family(m), family(n), live, plain,
                         mirrored) if live else ({}, {})
                     ring._cache[key] = resid
                     if mirrored is not None:
-                        ring._cache[back] = mirror
+                        ring._cache["heis", n, m, wmax] = mirror
                 c = c0 + 1 if mut and c0 else c0
                 fail = _heis_failure(resid, live, plain, central(c))
-                t = _Group({"surface": ring.name, "m": m, "n": n}, True)
+                params = {"surface": ring.name, "m": m, "n": n}
                 if fail is None:
-                    t.count(size * size * len(pre))
-                else:
-                    (i, j), s, lhs, rhs = fail
-                    t.count((i * size + j) * len(pre))
-                    t.check(False, dict(t.params, a=pairs[i][0],
-                                        b=pairs[j][0],
-                                        state=render_state(ring.states[s],
-                                                           ring)),
-                            rhs, lhs, show=lambda v: render_terms(
-                                ring.vector(v), ring),
-                            n=len(pre))
-                yield t.record()
+                    yield _verdict(True, params, size * size * len(pre),
+                                   "", "")
+                    continue
+                (i, j), s, lhs, rhs = fail
+                yield _verdict(False, dict(
+                    params, a=pairs[i][0], b=pairs[j][0],
+                    state=render_state(ring.states[s], ring)),
+                    (i * size + j + 1) * len(pre),
+                    render_terms(ring.vector(rhs), ring),
+                    render_terms(ring.vector(lhs), ring))
 
 
 # -- the W-bracket of Theorem 5.5, shared by vir, thm55 and thm57 ----------

@@ -62,3 +62,19 @@ def test_bench_history_refuses_a_repeated_label(monkeypatch, capsys):
         bench_history.main(["pr1=HEAD", "pr1=HEAD~1"])
     assert exc.value.code == 2
     assert "each LABEL is given once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rev", ("nosuchrev", "HEAD:src"))
+def test_bench_history_refuses_a_revision_without_the_benchmark(monkeypatch,
+                                                                capsys, rev):
+    """A REV that names no tree holding src/ and perfbench/series.py, or
+    no revision at all, exits 2 with a message before any revision is
+    unpacked, the good one given first included."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import bench_history
+    monkeypatch.setattr(bench_history, "unpack",
+                        lambda rev, dest: pytest.fail("unpacked " + rev))
+    with pytest.raises(SystemExit) as exc:
+        bench_history.main(["pr1=HEAD", "pr0=" + rev])
+    assert exc.value.code == 2
+    assert "pr0=%s: " % rev in capsys.readouterr().err

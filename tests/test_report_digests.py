@@ -164,21 +164,15 @@ SYMBOLIC_CELLS = ("_window",)
 
 
 @pytest.fixture
-def cell_keys(monkeypatch):
+def cell_keys(recorded):
     """The symbolic cell caches, cleared before and after one test; the
-    dict it yields maps each cache's name to the cache and the set of
-    keys the runners read from it."""
+    dict it yields maps each cache's name to the cache and the list of
+    keys the runners read from it, one per read."""
     keys = {}
     for name in SYMBOLIC_CELLS:
         cached = getattr(verify, name)
         cached.cache_clear()
-        keys[name] = (cached, set())
-
-        def recorded(*args, _seen=keys[name][1], _cached=cached):
-            _seen.add(args)
-            return _cached(*args)
-
-        monkeypatch.setattr(verify, name, recorded)
+        keys[name] = (cached, recorded(verify, name))
     yield keys
     for cached, _ in keys.values():
         cached.cache_clear()

@@ -2,10 +2,12 @@
 
     python3 tools/bench_history.py pr45=5108483 pr46=HEAD
 
-For each LABEL=REV the tree of the git revision REV is unpacked with
-`git archive` into a temporary directory, and that tree's own
-perfbench/series.py runs every workload of BENCHMARK.json on seeds 1-5,
-for run_seconds of BENCHMARK.json, the same on every revision.
+Once every REV is known to name a tree that holds src/ and
+perfbench/series.py (else it exits 2), for each LABEL=REV the tree of
+the git revision REV is unpacked with `git archive` into a temporary
+directory, and that tree's own perfbench/series.py runs every workload
+of BENCHMARK.json on seeds 1-5, for run_seconds of BENCHMARK.json, the
+same on every revision.
 The revisions alternate run by run, and which one goes first alternates
 too, so that a slow stretch of the host falls on all of them alike.
 Apart from the files it writes, the repository is only read.
@@ -95,6 +97,12 @@ def main(argv=None):
         ap.error("each revision is LABEL=REV")
     if len({label for label, _ in pairs}) != len(pairs):
         ap.error("each LABEL is given once")
+    for label, rev in pairs:
+        for spec in (rev + "^{tree}", rev + ":src",
+                     rev + ":perfbench/series.py"):
+            if subprocess.run(["git", "rev-parse", "--verify", "-q", spec],
+                              cwd=ROOT, capture_output=True).returncode:
+                ap.error("%s=%s: %s does not resolve" % (label, rev, spec))
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for label, rev in pairs:
