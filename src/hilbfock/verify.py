@@ -1,62 +1,39 @@
 """Verification suites for the operator calculus.
 
-Each suite checks one identity family by exact computation, instance by
-instance, and returns a report of pass/fail records.  Universal checks
-compare smeared term lists (valid over every surface at once); these are
-then instantiated on concrete surfaces, and a sample of instances is
-grounded by applying both sides to explicit states, so the smeared
-calculus itself is cross-checked against raw operator composition.
+Each suite checks one identity family by exact computation and returns
+a report of pass/fail records.  Universal checks compare smeared term
+lists, valid over every surface at once; instantiate checks specialize
+them on concrete surfaces; action checks apply both sides to explicit
+states, so the smeared calculus is grounded in raw operator composition.
 
-Records are built by `_Group` and `_verdict` alone.  A record group
-(`_Group`) counts only the checks it compares, and reports a pass over
-them or its first failure; every check on states but heis's goes
-through `_Group.columns`, which compares two column sources (an
-operator, or an `operators.Bracket`, `derivative` or `Linear` of
-operators) state by state.  heis finds a cell's first failure from its
-residual (`_heis_failure`) and reports the cell as one `_verdict`, its
-checks counted by rule.  Each runner declares its grid bounds, with
-their defaults, as keyword-only parameters, and the registry (`SUITES`)
-the window and the surfaces it reads; `run_suite` refuses any other key
-or value, and every part of a runner takes its rings from `_rings`, so
-a report header never names a window or a surface the run did not use.
-A window too small to hold a bracket cell (`_sound_pos`), bounds that
-leave a run without a record, or a mutated run that no check fails, are
-refused rather than passed vacuously.
+vir, thm42, rmk43, thm46-unique, lem52 and rmk56 state each identity
+once, as (lhs, rhs) over leaves on class slots (`_Leaf`), a bracket
+(`_Br`), a derivative (`_Der`) and a linear right side, the mutation in
+it.  Two evaluators read that statement, neither from the other:
+`_smeared` gives its residual on a window, `_on` its expanded operators
+on a ring; `_declared` emits every record from them.  The W-bracket of
+Theorem 5.5 is stated once as (c, smeared list) pieces (`_w_pieces`):
+thm55 and thm57 read their residuals from one store, `_w_cell`, and
+ground them against the series of the pieces (`_w_op`).
 
-The W-bracket of Theorem 5.5 is stated once, as (c, smeared list)
-pieces (`_w_pieces`).  vir (its p = q = 1 cells), thm55 and thm57 (its
-untagged part) read their cells' residuals from one store, `_w_cell`,
-and ground them on states against the series of the same pieces
-(`_w_op`).
-A bracket residual is one `operators.series_bracket` with its pieces,
-any other one `operators.combined`, on integer numerators by packed
-code (`operators.encode`) over one common denominator, so no term is
-divided before a record reads it.  A diamond window pos + neg <= N of
-a series of one total is the box `_diamond(N, total)`.
+Records are built by `_Group` and `_verdict` alone, and every check on
+states but heis's goes through `_Group.columns`.  Each runner declares
+its grid bounds as keyword-only parameters and the registry (`SUITES`)
+the window and surfaces it reads; rings come from `_rings`.  A window
+too small for a bracket (`_sound_pos`), bounds that leave a run without
+a record, or a mutated run that no check fails, are refused.
 
-Each run, plain or mutated, computes its own cells, and a mutation moves
-the computed side inside the run.  Three caches outlive a run:
-- `_window`, read-only series windows, not cells;
-- `_w_cell`, the W-bracket cells, which no mutation changes: thm57's
-  (window 8, p + q <= 4 in the benchmark) and thm55's mutated ones lie
-  inside thm55's (p + q <= 5).  Clearing it before each run took the
-  benchmark's seed-1 symbolic requests from 177 to 207 ms of CPU, and
-  their p90 from 65 to 80 ms;
-- heis's residuals in `ring._cache`.  Clearing them took the action
-  requests from 250 to 278 ms, and their p50 from about 15 to 26 ms.
-rmk56 reads rmk43's `_rmk43_cell`, as J^p_n = -p! F(p, n, n^2 - 2).
-thm42's euler-shift mutation moves the shift of the series it checks
-(`walgebra.apow_families`); thm46-unique's and def51-ids' add the unit
-Euler family (`_euler_families`) to the series they check.
-
-Every suite carries exactly one documented mutation: a deliberately
-wrong coefficient that the suite must detect by failing.  Mutated runs
-use reduced grids; the mutation is rejected unless its label matches.
+Every suite carries one documented mutation, a wrong coefficient that it
+must detect; mutated runs use reduced grids and compute their own
+cells.  Three caches outlive a run, none of which a mutation changes:
+`_window`, read-only series windows, and the two the benchmark's
+timings pay for: `_w_cell` and heis's residuals in `ring._cache`.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from functools import cache, partial
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -479,15 +456,15 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                     render_terms(ring.vector(lhs), ring))
 
 
-# -- the W-bracket of Theorem 5.5, shared by vir, thm55 and thm57 ----------
+# -- the W-bracket of Theorem 5.5, shared by thm55 and thm57 -------------
 
 
 @cache
 def _window(build, args, pos, neg):
     """The series build(*args) on the box window: the one window cache,
-    kept for the process, of J^p_n (jay_families) for the W-bracket,
-    lem52, lem53 and the mutations, and of the field-monomial series of
-    lem53 and lem61.  Every caller reads it as it is."""
+    kept for the process, of J^p_n (jay_families) for the W-bracket, the
+    declared identities, lem53 and the mutations, and of the field
+    monomials of lem53 and lem61.  Every caller reads it as it is."""
     return series_to_smeared(build(*args), pos, neg)
 
 
@@ -552,8 +529,8 @@ def _w_cell(args):
     bracket [J^p_m, J^q_n] against _w_pieces.
 
     Kept for the process, one entry per distinct cell and window, which
-    is empty when the identity holds.  vir, thm55 and thm57 all read it,
-    so no caller changes an entry."""
+    is empty when the identity holds.  thm55 and thm57 both read it, so
+    no caller changes an entry."""
     p, q, m, n, N = args
     pos = _sound_pos(N, m, n)
     return series_bracket(jay_families(p, m), jay_families(q, n), pos, N,
@@ -574,66 +551,302 @@ def _w_spots(ring, states, cells, pairs):
     return t.record()
 
 
-# -- vir: Virasoro bracket -------------------------------------------------
+# -- one identity, two evaluators: vir, thm42, rmk43, thm46, lem52, rmk56 --
+
+
+class _Leaf(NamedTuple):
+    """An operator of the paper on a class slot.  kind "a" is a_n, "L"
+    L_n (p = 1), "G" G_p, "J" J^p_n, "D" the closed D^p(a_n) of Theorem
+    4.2, "F" F(p, n, shift), "E" the unit Euler family over l = p and "1"
+    integral(.) Id; the slot is "a", "b" or "ab", times e after "e".
+    shift moves the Euler shift of G_p (adding E) or of D^p(a_n), as the
+    euler-shift mutations do."""
+
+    kind: str
+    p: int
+    n: int
+    cls: str
+    shift: int = 0
+
+
+_Br = NamedTuple("_Br", [("f", _Leaf), ("g", _Leaf)])  # [f, g]
+_Der = NamedTuple("_Der", [("x", _Leaf), ("k", int)])  # D^k(x), k >= 1
+
+
+# The family list of each leaf kind, as walgebra states its series.
+_FAMILIES = {
+    "a": lambda x: heis_families(x.n),
+    "G": lambda x: chern_families(x.p) + (_euler_families(x.p, 0)
+                                          if x.shift else []),
+    "D": lambda x: apow_families(x.n, x.p, x.shift),
+    "F": lambda x: shift_families(x.p, x.n, x.shift),
+    "E": lambda x: _euler_families(x.p, x.n),
+    "J": lambda x: jay_families(x.p, x.n),
+    "L": lambda x: jay_families(x.p, x.n),
+}
+
+
+def _smeared(N):
+    """(residual, window) of one smeared run on window N: residual(lhs,
+    rhs) is one series_bracket on (_sound_pos, N) for a bracket, else one
+    combined on the diamond of lhs's total, the (c, leaf) pieces of rhs
+    negated and fused in; D^k(x) is s_derive of D^{k-1}(x), modulo K."""
+    @cache
+    def window(x, pos, neg):
+        if type(x) is _Der:
+            return s_derive(window(x._replace(k=x.k - 1) if x.k > 1
+                                   else x.x, pos, neg), pos, neg, N, N,
+                            include_k=False)
+        if x.kind == "a":  # one term: no series is built for it
+            w = SmearedOp({encode((x.n,)): 1} if 0 < x.n <= pos
+                          or 0 < -x.n <= neg else {})
+        elif x.kind == "1":
+            w = SmearedOp({0: 1})
+        elif x.kind in "LJ":
+            w = _window(jay_families, (x.p, x.n), pos, neg)
+        else:
+            w = series_to_smeared(_FAMILIES[x.kind](x), pos, neg)
+        return euler_shifted(w) if x.cls[0] == "e" else w
+
+    def residual(lhs, rhs):
+        if type(lhs) is _Br:
+            pos = _sound_pos(N, lhs.f.n, lhs.g.n)
+            return series_bracket(_FAMILIES[lhs.f.kind](lhs.f),
+                                  _FAMILIES[lhs.g.kind](lhs.g), pos,
+                                  N, *[(-c, window(x, pos, N))
+                                       for c, x in rhs])
+        box = _diamond(N, getattr(lhs, "x", lhs).n)
+        return combined((1, window(lhs, *box)),
+                        *[(-c, window(x, *box)) for c, x in rhs])
+    return residual, window
+
+
+def _on(ring, x, classes, built):
+    """The expanded operator of a side on ring, by operators' and
+    walgebra's constructors alone, never from the smeared side; a leaf
+    on the product of classes[s] over its slot, once per dict built."""
+    if type(x) is tuple:
+        return Linear(*[(c, _on(ring, y, classes, built)) for c, y in x
+                        if c])
+    if type(x) is _Br:
+        return Bracket(_on(ring, x.f, classes, built),
+                       _on(ring, x.g, classes, built))
+    if type(x) is _Der:
+        return derivative(_on(ring, x.x, classes, built), x.k)
+    c = classes[x.cls[0]]
+    for s in x.cls[1:]:
+        c = c * classes[s]
+    key = x._replace(cls=""), c
+    if key not in built:
+        kind, p, n, _, shift = x
+        built[key] = (
+            heisenberg(ring, n, c) if kind == "a"
+            else quadratic_sum(ring, n, c) if kind == "L"
+            else chern(ring, p, c) if kind == "G" and not shift
+            else jay(ring, p, n, c) if kind == "J"
+            else arrangement(ring, (), c) if kind == "1"
+            else family_series(ring, _FAMILIES[kind](x), c))
+    return built[key]
+
+
+def _declared(spec, mut, sides, names, cells, act, rings=None, *,
+              on_states=_action_states, sweep=None, central=None,
+              act_mut=True):
+    """The records of an identity: sides(*cell, mut) lists its (check,
+    lhs, rhs) with the mutation in them.  Each cell, named by names,
+    gives per check a universal record; with sweep = (label, cases(ring))
+    instantiate records; with central(*cell) = (expected, params) a
+    record of lhs's scalar terms on k3.  Then act(ring) lists (params,
+    cells, picks) per ring, each one action record of the last check:
+    _on builds its sides at each cell and pick (names, classes), mutated
+    unless act_mut is off."""
+    residual, _ = _smeared(_cutoff(spec))
+    sweeps = [(r, sweep[1](r)) for r in _rings(spec)] if sweep else []
+    for cell in cells:
+        params = dict(zip(names, cell))
+        for check, lhs, rhs in sides(*cell, mut):
+            delta = residual(lhs, rhs)
+            yield _universal_record(delta, dict(params, check=check)
+                                    if check else params)
+            for ring, rcases in sweeps:
+                yield _sweep(delta, ring, rcases,
+                             dict(params, check=sweep[0]))
+            want = central and central(*cell)
+            for k3 in _rings(spec, ("k3",) if want else ()):
+                val = _scalar_part(residual(lhs, ()), k3, k3.unit)
+                yield _verdict(val == want[0], dict(
+                    want[1], check="central", surface=k3.name), 1,
+                    str(want[0]), str(val))
+    for ring in _rings(spec, rings):
+        states, built = on_states(ring), {}
+        base = {"check": "action", "surface": ring.name}
+        for key, acells, picks in act(ring):
+            t = _Group(dict(base, **key))
+            for cell, (named, classes) in product(acells, picks):
+                _, lhs, rhs = sides(*cell, mut and act_mut)[-1]
+                classes = dict(classes, e=ring.e)
+                t.columns(ring, states, _on(ring, lhs, classes, built),
+                          _on(ring, rhs, classes, built),
+                          dict(base, **dict(zip(names, cell)), **named))
+            yield t.record()
+
+
+def _vir(m, n, mut):
+    cc = Q(m ** 3 - m + (1 if mut and m else 0), 12) if m == -n else 0
+    return [("universal", _Br(_Leaf("L", 1, m, "a"), _Leaf("L", 1, n, "b")),
+             ((m - n, _Leaf("L", 1, m + n, "ab")),
+              (cc, _Leaf("1", 0, 0, "eab"))))]
 
 
 def _run_vir(spec, mut, *, m_max=3):
     """[L_m(a), L_n(b)] = (m-n) L_{m+n}(ab)
                           + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id,
 
-    the p = q = 1 cells of the W-bracket.
+    the p = q = 1 cells of the W-bracket (_vir), with central values on
+    k3; a mutated run checks the plain identity on states of p2.
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
-    N = _cutoff(spec)
-    cases = [(r, _pair_cases(r, _probe(r)))
-             for r in _rings(spec)]
     if mut:
         m_max = min(m_max, 2)
-    for m, n in product(range(-m_max, m_max + 1), repeat=2):
-        cell = (1, 1, m, n)
-        resid = delta = _w_cell(cell + (N,))
-        if mut and m == -n and m != 0:
-            delta = combined((1, resid), (Q(-1, 12), SmearedOp({1: 1})))
-        yield _universal_record(delta, {"check": "universal", "m": m, "n": n})
-        for ring, rcases in cases:
-            yield _sweep(delta, ring, rcases,
-                         {"check": "instantiate", "m": m, "n": n})
-        for k3 in _rings(spec, ("k3",) if m == -n and m != 0 else ()):
-            # the bracket's scalar terms: the residual's plus the central
-            # pieces, the only scalar codes of _w_pieces
-            val = _scalar_part(combined((1, resid), *_w_central(*cell)), k3,
-                               k3.unit)
-            expect = Q(24) * Q(m ** 3 - m, 12)
-            yield _verdict(val == expect, {"check": "central",
-                                           "surface": k3.name, "m": m},
-                           1, str(expect), str(val))
-    yield from _vir_spots(spec, mut)
+
+    def act(ring):  # p2: |m|, |n| <= 2, three classes; k3: (m, -m), one
+        grid, width = {"p2": (product(range(-2, 3), repeat=2), 3),
+                       "k3": (((1, -1), (2, -2), (3, -3)), 1)}[ring.name]
+        pairs = [({"a": na, "b": nb}, {"a": a, "b": b}) for (na, a), (nb, b)
+                 in product(_probe(ring)[:width], repeat=2)]
+        return [({"m": m, "n": n}, [(m, n)], pairs) for m, n in grid]
+
+    yield from _declared(
+        spec, mut, _vir, ("m", "n"),
+        product(range(-m_max, m_max + 1), repeat=2), act,
+        ("p2",) if mut else ("p2", "k3"), act_mut=False,
+        sweep=("instantiate", lambda ring: _pair_cases(ring, _probe(ring))),
+        central=lambda m, n: (Q(24) * Q(m ** 3 - m, 12), {"m": m})
+        if m == -n != 0 else None)
 
 
-# Spot cells (m, n) and the number of named probe classes paired.
-_VIR_SPOTS = {"p2": (tuple(product(range(-2, 3), repeat=2)), 3),
-              "k3": (((1, -1), (2, -2), (3, -3)), 1)}
+def _thm42(k, n, mut):
+    a_n = _Leaf("a", 0, n, "a")
+    return [("universal", _Der(a_n, k) if k else a_n,
+             ((1, _Leaf("D", k, n, "a", 2 if mut else 0)),))]
 
 
-def _vir_spots(spec, mut):
-    """Apply both sides to explicit states: the quadratic series on the
-    left, the W-bracket on the right."""
-    for ring in _rings(spec, ("p2",) if mut else ("p2", "k3")):
-        grid, width = _VIR_SPOTS[ring.name]
-        pairs = _probe(ring)[:width]
-        states = _action_states(ring)
-        op = _op_memo(ring)
-        for m, n in grid:
-            params = {"check": "action", "surface": ring.name, "m": m, "n": n}
-            t = _Group(params)
-            for (na, a), (nb, b) in product(pairs, pairs):
-                t.columns(ring, states,
-                          Bracket(op(quadratic_sum, m, a),
-                                  op(quadratic_sum, n, b)),
-                          _w_op(ring, (1, 1, m, n), a * b),
-                          dict(params, a=na, b=nb))
-            yield t.record()
+def _run_thm42(spec, mut, *, k_max=3, n_max=3):
+    """The k-th derivative of a_n equals its closed partition expansion
+    (_thm42; modulo K, exercised with full K via the recursive route on
+    states), on every K-trivial class.  A mutated run checks states for
+    the first class whose Euler term e*a the mutation moves.
+
+    Mutation euler-shift: the closed Euler factor (s-1) becomes (s+1).
+    """
+    if mut:
+        k_max = min(k_max, 2)
+
+    def act(ring):
+        kfree = [a for a in _ktrivial(ring, [(c, ring.basis(c))
+                                             for c in ("1", "x")])
+                 if not mut or not (ring.e * a[1]).is_zero()]
+        return [({"class": na}, product(range(3), (1, -1, -2)),
+                 [({"a": na}, {"a": a})])
+                for na, a in (kfree[:1] if mut else kfree)]
+
+    yield from _declared(
+        spec, mut, _thm42, ("k", "n"),
+        product(range(k_max + 1),
+                [v for a in range(1, n_max + 1) for v in (a, -a)]),
+        act, ("p2", "k3"), sweep=("classes", lambda ring: [
+            (na, a, ring.unit)
+            for na, a in _ktrivial(ring, _probe(ring, "all"))]))
+
+
+def _rmk43(k, n, d, mut):
+    return [("", _Der(_Leaf("F", k, n, "a", d), 1), (
+        (-n * (k + 1), _Leaf("F", k + 1, n, "a", d)),
+        (-2 * n * (d + (2 if mut else 1)), _Leaf("E", k, n, "a"))))]
+
+
+def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
+    """The d-shifted family's derivative (_rmk43), d = -1 and n^2 - 2:
+
+        F(k,n,d)' = -n(k+1) F(k+1,n,d)
+                    - (n(d+1)/12) sum_{l=k} (1/lam^!) a_lam(tau(e c))
+
+    including n = 0, where the derivative must vanish.
+
+    Mutation shift-term: the factor (d+1) becomes (d+2).
+    """
+    yield from _declared(
+        spec, mut, _rmk43, ("k", "n", "d"),
+        [(k, n, d) for k, n in product(range(k_max + 1),
+                                       range(-n_max, n_max + 1))
+         for d in dict.fromkeys((-1, n * n - 2))], None, ())
+
+
+def _thm46(k, mut):
+    gk = _Leaf("G", k, 0, "a", 1 if mut else 0)
+    return [("derivation", _Der(gk, 1), ()),
+            ("transfer-pin", _Br(gk, _Leaf("a", 0, -1, "b")),
+             ((Q(1, factorial(k)), _Leaf("D", k, -1, "ab")),))]
+
+
+def _run_thm46(spec, mut, *, k_max=3):
+    """G_k is pinned by three properties (_thm46): every term annihilates
+    the vacuum, the series commutes with the derivation (modulo K), and
+    its bracket with a_{-1} reproduces the k-th derivative of a_{-1}, in
+    the closed form of Theorem 4.2, which thm42 checks.
+
+    The first holds by construction and is not checked: every family of
+    G_k, and the mutation's Euler family, has total 0 and a nonzero
+    part, so every term has a positive mode.
+
+    Mutation euler-shift: the Euler factor (s-2) becomes (s-1).
+    """
+    yield from _declared(
+        spec, mut, _thm46, ("k",), [(k,) for k in range(k_max + 1)],
+        lambda ring: [({}, [(2,), (3,)], [({"b": nb}, {"a": ring.unit, "b": b})
+                                          for nb, b in _probe(ring)[:3]])],
+        () if mut else None, on_states=lambda ring: _action_states(ring, 3))
+
+
+def _lem52(p, n, mut):
+    return [("universal", _Br(_Leaf("G", p, 0, "a"), _Leaf("a", 0, n, "b")),
+             ((Q(n + mut, factorial(p)), _Leaf("J", p, n, "ab")),))]
+
+
+def _run_lem52(spec, mut, *, p_max=4, n_max=3):
+    """[G_p(a), a_n(b)] = (n/p!) J^p_n(ab) (_lem52).
+
+    Mutation rhs-scale: the factor n/p! becomes (n+1)/p!.
+    """
+    yield from _declared(
+        spec, mut, _lem52, ("p", "n"),
+        product(range(p_max + 1), range(-n_max, n_max + 1)),
+        lambda ring: [({}, product(range(3), (-2, -1, 1, 2)), [
+            ({"a": na, "b": nb}, {"a": a, "b": b}) for (na, a), (nb, b)
+            in product(_ktrivial(ring, _probe(ring))[:3], _probe(ring)[:3])])],
+        () if mut else None)
+
+
+def _rmk56(p, n, mut):
+    return [("universal", _Der(_Leaf("J", p, n, "a"), 1), (
+        (-n, _Leaf("J", p + 1, n, "a")),
+        (Q(-(n ** 3 - n) * p, 6 if mut else 12),
+         _Leaf("J", p - 1, n, "ea"))))]
+
+
+def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
+    """(J^p_n)' = -n J^{p+1}_n - ((n^3-n) p / 12) J^{p-1}_n(e a) (_rmk56),
+    modulo K, with full K on states.
+
+    Mutation central-scale: the factor 1/12 becomes 1/6.
+    """
+    yield from _declared(
+        spec, mut, _rmk56, ("p", "n"),
+        product(range(1, p_max + 1), range(-n_max, n_max + 1)),
+        lambda ring: [({}, product(range(1, 4), (-2, -1, 1, 2)),
+                       [({"a": na}, {"a": a}) for na, a in _probe(ring)[:3]])],
+        () if mut else None, on_states=lambda ring: _action_states(ring)[:6])
 
 
 # -- thm31: mixed brackets and the replacement rule ------------------------
@@ -799,153 +1012,6 @@ def _run_lem32(spec, mut):
         yield t.record()
 
 
-# -- thm42: closed iterated derivatives of transfer operators --------------
-
-
-def _run_thm42(spec, mut, *, k_max=3, n_max=3):
-    """The k-th derivative of a_n equals its closed partition expansion
-    (modulo K; exercised with full K via the recursive route on states).
-
-    Mutation euler-shift: the closed Euler factor (s-1) becomes (s+1).
-    """
-    N = _cutoff(spec)
-    moved = 2 if mut else 0
-    if mut:
-        k_max = min(k_max, 2)
-    rcases = [(ring, [(na, a, ring.unit)
-                      for na, a in _ktrivial(ring, _probe(ring, "all"))])
-              for ring in _rings(spec)]
-    ns = [v for a in range(1, n_max + 1) for v in (a, -a)]
-    chains = {n: _derived(n, k_max, *_diamond(N, n), N) for n in ns}
-    for k, n in product(range(k_max + 1), ns):
-        delta = combined((1, chains[n][k]), (-1, series_to_smeared(
-            apow_families(n, k, moved), *_diamond(N, n))))
-        yield _universal_record(delta, {"check": "universal", "k": k, "n": n})
-        for ring, cases in rcases:
-            yield _sweep(delta, ring, cases,
-                         {"check": "classes", "k": k, "n": n})
-    yield from _thm42_spots(spec, mut, moved)
-
-
-def _derived(n, k_max, kpos, kneg, N):
-    """[D^0, ..., D^k_max](a_n) modulo K on the box pos <= kpos, neg <=
-    kneg: the one-term list a_n (empty for n = 0 or off the box), then
-    each D^k by s_derive from D^{k-1}, splitting within -N..N."""
-    out = [SmearedOp({encode((n,)): 1} if 0 < n <= kpos or 0 < -n <= kneg
-                     else {})]
-    for _ in range(k_max):
-        out.append(s_derive(out[-1], kpos, kneg, N, N, include_k=False))
-    return out
-
-
-def _thm42_spots(spec, mut, moved):
-    """D^k(a_n) on states against the closed series, grown with the state
-    as lem32's derivative part grows its right side."""
-    cases = [(ring, na, a) for ring in _rings(spec, ("p2", "k3"))
-             for na, a in _ktrivial(ring, [(c, ring.basis(c))
-                                           for c in ("1", "x")])]
-    if mut:
-        # the first class the mutation's Euler term e*a can move
-        cases = [c for c in cases if not (c[0].e * c[2]).is_zero()][:1]
-    for ring, cname, a in cases:
-        states = _action_states(ring)
-        t = _Group({"check": "action", "surface": ring.name, "class": cname})
-        for k, n in product(range(3), (1, -1, -2)):
-            t.columns(ring, states, derivative(heisenberg(ring, n, a), k),
-                      family_series(ring, apow_families(n, k, moved), a),
-                      {"check": "action", "surface": ring.name, "k": k,
-                       "n": n, "a": cname})
-        yield t.record()
-
-
-# -- rmk43: derivative closure of shifted families -------------------------
-
-
-def _rmk43_cell(k, n, d, N):
-    """The derivative of F(k,n,d) less its main right side
-    -n(k+1) F(k+1,n,d), and the unit Euler term (1/(24 lam^!))
-    a_lam(tau(e c)) over l = k, on the diamond window N (every term has
-    total n)."""
-    box = _diamond(N, n)
-    A = series_to_smeared(shift_families(k, n, d), *box)
-    rhs = series_to_smeared(shift_families(k + 1, n, d), *box)
-    return (combined((1, s_derive(A, *box, N, N, include_k=False)),
-                     (n * (k + 1), rhs)),
-            series_to_smeared(_euler_families(k, n), *box))
-
-
-def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
-    """Derivative of the d-shifted family, for d = -1 and d = n^2 - 2:
-
-        F(k,n,d)' = -n(k+1) F(k+1,n,d)
-                    - (n(d+1)/12) sum_{l=k} (1/lam^!) a_lam(tau(e c))
-
-    including n = 0, where the derivative must vanish.
-
-    Mutation shift-term: the factor (d+1) becomes (d+2).
-    """
-    N = _cutoff(spec)
-    for k, n in product(range(k_max + 1), range(-n_max, n_max + 1)):
-        dvals = [-1]
-        if n * n - 2 != -1:
-            dvals.append(n * n - 2)
-        for d in dvals:
-            resid, euler = _rmk43_cell(k, n, d, N)
-            c2 = -2 * n * (d + (2 if mut else 1))
-            yield _universal_record(combined((1, resid), (-c2, euler)),
-                                    {"k": k, "n": n, "d": d})
-
-
-# -- thm46-unique: characterization of the character series ----------------
-
-
-def _run_thm46(spec, mut, *, k_max=3):
-    """G_k is pinned by three properties: every term annihilates the
-    vacuum, the series commutes with the derivation (modulo K), and its
-    bracket with a_{-1} reproduces the k-th derivative of a_{-1}.
-
-    The first holds by construction and is not checked: every family of
-    G_k, and the mutation's Euler family, has total 0 and a nonzero
-    part, so every term has a positive mode.
-
-    Mutation euler-shift: the Euler factor (s-2) becomes (s-1).
-    """
-    N = _cutoff(spec)
-    for k in range(k_max + 1):
-        dA, pin = _thm46_cell(k, N, mut)
-        yield _universal_record(dA, {"check": "derivation", "k": k})
-        yield _universal_record(pin, {"check": "transfer-pin", "k": k})
-    if not mut:
-        yield from _thm46_spots(spec)
-
-
-def _thm46_cell(k, N, mut):
-    """G_k's derivative modulo K on the diamond window N, and its bracket
-    with a_{-1} less (1/k!) D^k(a_{-1}); with mut, those of the mutated
-    G_k, the unit Euler family over l = k added."""
-    fams = chern_families(k) + (_euler_families(k, 0) if mut else [])
-    box, pos = _diamond(N, 0), _sound_pos(N, 0, -1)
-    return (s_derive(series_to_smeared(fams, *box), *box, N, N,
-                     include_k=False),
-            series_bracket(fams, heis_families(-1), pos, N, (
-                Q(-1, factorial(k)), series_to_smeared(apow_families(-1, k),
-                                                       pos, N))))
-
-
-def _thm46_spots(spec):
-    for ring in _rings(spec):
-        states = _action_states(ring, 3)
-        t = _Group({"check": "action", "surface": ring.name})
-        for k in (2, 3):
-            gk = chern(ring, k, ring.unit)
-            for nb, b in _probe(ring)[:3]:
-                am = heisenberg(ring, -1, b)
-                t.columns(ring, states, Bracket(gk, am),
-                          Linear((Q(1, factorial(k)), derivative(am, k))),
-                          dict(t.params, k=k, b=nb))
-        yield t.record()
-
-
 # -- cor48: creation-only expansion of character classes -------------------
 
 
@@ -1025,6 +1091,14 @@ def _run_rmk410(spec, mut, *, n_max=4):
 # -- def51-ids: W-generator identifications --------------------------------
 
 
+def _derived(n, k_max, kpos, kneg, N):
+    """[D^0, ..., D^k_max](a_n) modulo K on the box pos <= kpos, neg <=
+    kneg, splitting within -N..N: the windows of one smeared run."""
+    window, a_n = _smeared(N)[1], _Leaf("a", 0, n, "a")
+    return [window(_Der(a_n, k) if k else a_n, kpos, kneg)
+            for k in range(k_max + 1)]
+
+
 def _run_def51(spec, mut, *, p_max=4, n_max=3):
     """Identifications of the W-generators:
 
@@ -1075,50 +1149,6 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
             t.columns(ring, states, jay(ring, p, -1, a),
                       Linear((-1, derivative(heisenberg(ring, -1, a), p))),
                       dict(t.params, p=p, a=na))
-        yield t.record()
-
-
-# -- lem52: character-transfer bracket gives W-generators ------------------
-
-
-def _run_lem52(spec, mut, *, p_max=4, n_max=3):
-    """[G_p(a), a_n(b)] = (n/p!) J^p_n(ab).
-
-    Mutation rhs-scale: the factor n/p! becomes (n+1)/p!.
-    """
-    N = _cutoff(spec)
-    for p, n in product(range(p_max + 1), range(-n_max, n_max + 1)):
-        yield _universal_record(_lem52_cell(p, n, N, mut),
-                                {"check": "universal", "p": p, "n": n})
-    if not mut:
-        yield from _lem52_spots(spec)
-
-
-def _lem52_cell(p, n, N, mut):
-    """The residual of [G_p, a_n] against (n/p!) J^p_n on window N, empty
-    when the identity holds; with mut, against the mutation's
-    ((n+1)/p!) J^p_n."""
-    pos = _sound_pos(N, 0, n)
-    return series_bracket(chern_families(p), heis_families(n), pos, N,
-                          (Q(-n - 1 if mut else -n, factorial(p)),
-                           _window(jay_families, (p, n), pos, N)))
-
-
-def _lem52_spots(spec):
-    for ring in _rings(spec):
-        kfree = _ktrivial(ring, _probe(ring))
-        others = _probe(ring)[:3]
-        states = _action_states(ring)
-        t = _Group({"check": "action", "surface": ring.name})
-        for p, n in product(range(3), (-2, -1, 1, 2)):
-            for na, a in kfree[:3]:
-                gp = chern(ring, p, a)
-                for nb, b in others:
-                    t.columns(ring, states,
-                              Bracket(gp, heisenberg(ring, n, b)),
-                              Linear((Q(n, factorial(p)),
-                                      jay(ring, p, n, a * b))),
-                              dict(t.params, p=p, n=n, a=na, b=nb))
         yield t.record()
 
 
@@ -1224,42 +1254,6 @@ _THM55_SPOT_PAIRS = {
     "abelian": (("1", "1"), ("t1", "t2"), ("t1", "t234"), ("t12", "t34")),
     "p2": (("1", "1"), ("H", "H"), ("1", "x")),
 }
-
-
-# -- rmk56: derivative of W-generators -------------------------------------
-
-
-def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
-    """(J^p_n)' = -n J^{p+1}_n - ((n^3-n) p / 12) J^{p-1}_n(e c), p >= 1,
-    modulo K (grounded with full K on explicit states).
-
-    Mutation central-scale: the factor 1/12 becomes 1/6.
-    """
-    N = _cutoff(spec)
-    for p, n in product(range(1, p_max + 1), range(-n_max, n_max + 1)):
-        # J^p_n = -p! F(p, n, n^2 - 2); J^{p-1}_n(e c) is -24 (p-1)! Euler
-        resid, euler = _rmk43_cell(p, n, n * n - 2, N)
-        cc = Q(-(n ** 3 - n) * p, 6 if mut else 12)
-        yield _universal_record(
-            combined((-factorial(p), resid),
-                     (24 * factorial(p - 1) * cc, euler)),
-            {"check": "universal", "p": p, "n": n})
-    if not mut:
-        yield from _rmk56_spots(spec)
-
-
-def _rmk56_spots(spec):
-    for ring in _rings(spec):
-        states = _action_states(ring)[:6]
-        t = _Group({"check": "action", "surface": ring.name})
-        for p, n in product(range(1, 4), (-2, -1, 1, 2)):
-            for na, a in _probe(ring)[:3]:
-                t.columns(ring, states, derivative(jay(ring, p, n, a), 1),
-                          Linear((Q(-n), jay(ring, p + 1, n, a)),
-                                 (Q(-(n ** 3 - n) * p, 12),
-                                  jay(ring, p - 1, n, ring.e * a))),
-                          dict(t.params, p=p, n=n, a=na))
-        yield t.record()
 
 
 # -- thm57: isomorphism with the abstract W-algebra ------------------------
@@ -1551,6 +1545,9 @@ def run_suite(spec):
         if spec.bounds[k] < 0:
             raise ValueError("bound %s must be at least 0, got %d"
                              % (k, spec.bounds[k]))
+        if spec.bounds[k] > sys.maxsize // 2:  # range(-b, b + 1) is sized
+            raise ValueError("%s must be an integer of at most %d, got %d"
+                             % (k, sys.maxsize // 2, spec.bounds[k]))
     # Calling a runner checks nothing yet; only the cor48 mutation may
     # refuse its surface here, in its own words.
     records = suite.runner(spec, bool(spec.mutation), **spec.bounds)

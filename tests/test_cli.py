@@ -165,6 +165,18 @@ def test_verify_negative_bound_is_usage_error(capsys):
     assert code == 2 and out == ""
     assert "m_max" in err and "at least 0" in err
 
+
+def test_verify_bound_too_large_for_its_grid_is_usage_error(capsys):
+    """A bound whose grid -b..b cannot be built exits 2 with one line,
+    not with an OverflowError traceback."""
+    for suite, key in (("vir", "m_max"), ("lem52", "n_max")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--bound",
+                             "%s=100000000000000000000" % key)
+        assert code == 2 and out == "", suite
+        assert err.startswith("error: %s must be an integer of at most "
+                              % key) and err.count("\n") == 1, err
+
+
 def test_verify_eq22_unsupported_surface_is_usage_error(capsys):
     for surface in ("p2", "p1xp1"):
         code, out, err = run(capsys, "verify", "--suite", "eq22",

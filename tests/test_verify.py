@@ -145,10 +145,13 @@ def test_unknown_bound_key_rejected():
     (SuiteSpec("heis", surface="p2", bounds={"m_max": "1"}), "m_max"),
     (SuiteSpec("heis", surface="p2", bounds={"m_max": True}), "m_max"),
     (SuiteSpec("lem61", cutoff=3.0), "cutoff"),
-    (SuiteSpec("rmk43", cutoff=False), "cutoff")])
+    (SuiteSpec("rmk43", cutoff=False), "cutoff"),
+    (SuiteSpec("vir", bounds={"m_max": 10 ** 20}), "m_max"),
+    (SuiteSpec("lem52", bounds={"n_max": 10 ** 20}), "n_max")])
 def test_non_integer_bound_or_cutoff_rejected(spec, key):
     """A bound or cutoff runs as given or not at all: m_max=1.7 would run
-    the m_max=1 grid under a header that names 1.7."""
+    the m_max=1 grid under a header that names 1.7, and a bound whose
+    grid -b..b holds more than sys.maxsize values cannot be built."""
     with pytest.raises(ValueError, match="^%s must be an integer" % key):
         run_suite(spec)
 
@@ -235,28 +238,6 @@ def test_w_cells_are_measured_once_per_process(recorded, w_memo):
     assert len(calls) == len(keys) == info.currsize == info.misses
     assert {key for key, in w_memo} == keys
     assert _stored_residuals_empty(keys)
-
-
-@pytest.mark.parametrize("name,bounds", [
-    ("vir", {"m_max": 1}), ("thm55", {"pq_max": 3, "m_max": 1}),
-    ("thm57", {"pq_max": 2, "m_max": 1})])
-def test_w_memo_keeps_every_byte(w_memo, name, bounds):
-    """A report from an empty memo and one from a warm memo are
-    byte-identical, plain and mutated.  The mutation fails cold and after
-    the plain run, and adds its term to a copy: the stored residuals stay
-    empty."""
-    def run(mutation):
-        report = run_suite(SuiteSpec(name, bounds=bounds, mutation=mutation))
-        return report.ok, serialize_report(report, "jsonl")
-
-    mutation = SUITES[name].mutation
-    cold_mutated = run(mutation)
-    W_CELL.cache_clear()
-    cold = run("")
-    assert cold[0] and not cold_mutated[0]
-    assert run(mutation) == cold_mutated
-    assert run("") == cold
-    assert w_memo and _stored_residuals_empty(key for key, in w_memo)
 
 
 def _family_tables(kind):
@@ -370,13 +351,22 @@ def lem52_memo():
     verify._window.cache_clear()
 
 
+def _residual(sides, cell, N, mut=False, check=0):
+    """The residual of sides' check at cell (the first by default), by
+    the smeared evaluator of a run on window N."""
+    residual, _ = verify._smeared(N)
+    _, lhs, rhs = sides(*cell, mut)[check]
+    return residual(lhs, rhs)
+
+
 def _lem52_residuals(order):
-    """{(cell, N): the residual of _lem52_cell} for each window N in
-    order, from cleared J windows, families and partition lists."""
+    """{(cell, N): the residual of lem52's identity (verify._lem52)} for
+    each window N in order, from cleared J windows, families and
+    partition lists."""
     verify._window.cache_clear()
     walgebra.jay_families.cache_clear()
     operators._stats_list.cache_clear()
-    return {(cell, N): verify._lem52_cell(*cell, N, False)
+    return {(cell, N): _residual(verify._lem52, cell, N)
             for N in order for cell in LEM52_CELLS}
 
 
@@ -454,7 +444,8 @@ def _same(a, b):
 
 def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
     """Every W-bracket cell of WINDOW_CELLS, and every lem52 cell and
-    thm46 transfer pin, plain and mutated, on windows 6 and 8 has the
+    thm46 transfer pin (verify._smeared's residuals of verify._lem52 and
+    verify._thm46), plain and mutated, on windows 6 and 8 has the
     residual of the two passes, term for term over the same denominator,
     and a W cell's residual plus its central pieces, which the central
     checks read, has the bracket's scalar terms."""
@@ -468,10 +459,10 @@ def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
                 if k < operators.SCALARS}, scalars.den) == ref_scalars, (
                     cell, N)
         for (p, n), mut in product(LEM52_CELLS, (False, True)):
-            assert _same(verify._lem52_cell(p, n, N, mut),
+            assert _same(_residual(verify._lem52, (p, n), N, mut),
                          _lem52_two_pass(p, n, N, mut)), (p, n, N, mut)
         for k, mut in product(range(4), (False, True)):
-            assert _same(verify._thm46_cell(k, N, mut)[1],
+            assert _same(_residual(verify._thm46, (k,), N, mut, 1),
                          _thm46_two_pass(k, N, mut)), (k, N, mut)
 
 
@@ -506,25 +497,32 @@ RMK43_CELLS = [(k, n, d) for k in range(4) for n in range(-3, 4)
 RMK56_CELLS = [(p, n) for p in range(1, 4) for n in range(-2, 3)]
 
 
-def _rmk43_cells(order):
-    """{(cell, N): the (residual, Euler term) of _rmk43_cell} for each
-    diamond window N in order, from cleared partition lists."""
+def _declared_cells(sides, keys, order):
+    """{(key, N): the derivative on the left of sides at key and the Euler
+    term last on its right, as the smeared evaluator of a run on window
+    N holds them on the diamond N} for each window N in order, from
+    cleared J windows and partition lists."""
+    verify._window.cache_clear()
     operators._stats_list.cache_clear()
-    return {(cell, N): verify._rmk43_cell(*cell, N)
-            for N in order for cell in RMK43_CELLS}
+    out = {}
+    for N in order:
+        _, window = verify._smeared(N)
+        for key in keys:
+            _, lhs, rhs = sides(*key, False)[0]
+            box = verify._diamond(N, lhs.x.n)
+            out[key, N] = (window(lhs, *box), window(rhs[-1][1], *box))
+    return out
+
+
+def _rmk43_cells(order):
+    """_declared_cells of rmk43: F(k, n, d)' and the unit Euler family
+    over l = k."""
+    return _declared_cells(verify._rmk43, RMK43_CELLS, order)
 
 
 def _rmk56_cells(order):
-    """{(cell, N): the (residual, Euler term) that rmk56 reads from rmk43's
-    cell of F(p, n, n^2 - 2), scaled by -p! and -24 (p-1)! as J^p_n =
-    -p! F(p, n, n^2 - 2)} for each diamond window N in order, from
-    cleared partition lists."""
-    operators._stats_list.cache_clear()
-    return {((p, n), N): tuple(
-        combined((c, part)) for c, part in zip(
-            (-factorial(p), -24 * factorial(p - 1)),
-            verify._rmk43_cell(p, n, n * n - 2, N)))
-        for N in order for p, n in RMK56_CELLS}
+    """_declared_cells of rmk56: (J^p_n)' and J^{p-1}_n(e a)."""
+    return _declared_cells(verify._rmk56, RMK56_CELLS, order)
 
 
 def _unstable(cells, keys, N):
@@ -552,10 +550,11 @@ def test_rmk43_residuals_are_window_stable():
 
 
 def test_rmk56_residuals_are_window_stable():
-    """Each rmk56 residual and Euler term on the diamond N equals the one
-    on N + 2 cut to N, for N = 6 and 8, and each is the same whichever
-    window runs first.  Every Euler term but J^0_0(e c) = 0 holds terms,
-    so they compare J windows that are not empty."""
+    """Each rmk56 derivative and Euler term that its residual reads on
+    the diamond N equals the one on N + 2 cut to N, for N = 6 and 8, and
+    each is the same whichever window runs first.  Every Euler term but
+    J^0_0(e c) = 0 holds terms, so they compare J windows that are not
+    empty."""
     narrow_first = _rmk56_cells((6, 8, 10))
     assert _unstable(narrow_first, RMK56_CELLS, 6) == []
     assert _unstable(narrow_first, RMK56_CELLS, 8) == []
@@ -566,9 +565,9 @@ def test_rmk56_residuals_are_window_stable():
 
 def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch):
     """A derivative that keeps its terms on a box one mode wider each way
-    than its diamond leaves window-6 residual terms that the window-8
-    ones, cut to 6, do not have: in every rmk56 cell, and in every rmk43
-    cell whose family holds a partition, in either window order."""
+    than its diamond leaves window-6 terms that the window-8 ones, cut to
+    6, do not have: in every rmk56 derivative, and in every rmk43 cell
+    whose family holds a partition, in either window order."""
     real = verify.s_derive
     monkeypatch.setattr(
         verify, "s_derive", lambda a, kpos, kneg, *rest, **kwargs:
@@ -581,26 +580,30 @@ def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch):
 
 
 def test_rmk56_run_derives_each_cell_once(recorded):
-    """rmk56 reads rmk43's cells (_rmk43_cell) and no J window: each run,
-    plain or mutated, derives each of its 15 cells' families once, and
-    both keep the frozen digests of the acceptance battery."""
+    """rmk56 reads J^p_n from _window: each run, plain or mutated, derives
+    each of its 15 cells' J^p_n once and reads 35 windows, one per leaf
+    and diamond (J^p_n and J^{p+1}_n for 1 <= p <= 3, J^{p-1}_n(e a), at
+    five n), and both keep the frozen digests of the acceptance
+    battery."""
     derives, windows = (recorded(verify, name)
                         for name in ("s_derive", "_window"))
     report = run_suite(SuiteSpec("rmk56", surface="k3",
                                  bounds={"p_max": 3, "n_max": 2}))
-    assert report.ok and (len(derives), len(windows)) == (15, 0)
+    assert report.ok and (len(derives), len(windows)) == (15, 35)
     assert report_sha256(report) == REPORT_SHA256["rmk56"]
     derives.clear()
+    windows.clear()
     report = run_suite(SuiteSpec("rmk56", mutation="central-scale"))
-    assert not report.ok and (len(derives), len(windows)) == (15, 0)
+    assert not report.ok and (len(derives), len(windows)) == (15, 35)
     assert report_sha256(report) == MUTATED_SHA256["rmk56"]
 
 
 def test_thm42_run_takes_each_derivative_step_once(recorded):
-    """thm42 derives one chain D^0, ..., D^k_max of each a_n per run
-    (_derived), each D^k from D^{k-1}: its plain run takes 18 s_derive
-    steps (k <= 3, 1 <= |n| <= 3) and its mutated run 12 (k <= 2), and
-    both keep the frozen digests of the acceptance battery."""
+    """thm42 derives one chain D^0, ..., D^k_max of each a_n per run (the
+    windows of verify._smeared), each D^k from D^{k-1}: its plain run
+    takes 18 s_derive steps (k <= 3, 1 <= |n| <= 3) and its mutated run
+    12 (k <= 2), and both keep the frozen digests of the acceptance
+    battery."""
     calls = recorded(verify, "s_derive")
     report = run_suite(SuiteSpec("thm42", cutoff=8,
                                  bounds={"k_max": 3, "n_max": 3}))
@@ -1236,6 +1239,42 @@ def test_reports_do_not_depend_on_the_run_order(name):
             assert report.ok != mutated
             digests = MUTATED_SHA256 if mutated else REPORT_SHA256
             assert report_sha256(report) == digests[name], (order, mutated)
+
+
+def _every_kind():
+    """One side of each leaf kind, and one of each node kind over them."""
+    leaf = verify._Leaf
+    leaves = [leaf("a", 0, -1, "b"), leaf("L", 1, 1, "b"),
+              leaf("G", 2, 0, "a"), leaf("J", 2, -1, "ab"),
+              leaf("D", 2, -1, "a"), leaf("F", 1, -1, "b", -1),
+              leaf("E", 2, 0, "b"), leaf("1", 0, 0, "eb")]
+    return leaves + [verify._Br(leaves[2], leaves[0]),
+                     verify._Der(leaves[3], 1),
+                     tuple((Fraction(1, 2), x) for x in leaves)]
+
+
+@pytest.mark.parametrize("surface, a, b", [("p2", "x", "1"),
+                                           ("abelian", "1", "t1")])
+def test_expanded_sides_never_read_the_smeared_side(recorded, surface, a,
+                                                    b):
+    """_on builds every leaf and node kind by operators' and walgebra's
+    constructors alone: building each and taking its columns on the
+    action states makes no call to verify's smeared kernels, so the
+    action records ground the residuals on an independent route.  Each
+    kind has a nonzero column there but, on abelian, where e = 0, the
+    unit Euler family and integral(e b) Id."""
+    ring = builtin_ring(surface)
+    calls = [recorded(verify, name) for name in (
+        "series_to_smeared", "series_bracket", "s_derive", "instantiate",
+        "smeared_series")]
+    classes = {"a": ring.basis(a), "b": ring.basis(b), "e": ring.e}
+    states = verify._action_states(ring)
+    built = 0
+    for x in _every_kind():
+        op = verify._on(ring, x, classes, {})
+        built += any([op.column(s) for s in states])
+    assert not any(calls)
+    assert built == len(_every_kind()) - 2 * ring.e.is_zero()
 
 
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():

@@ -1,0 +1,33 @@
+"""tools/work_counts.py: exact call counts that do not depend on the host
+or on the hash seed."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "work_counts.py"
+
+
+def _counts(hashseed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "heis,surface=p2,m_max=1"],
+        capture_output=True, text=True, check=True, env=env)
+    line, = proc.stdout.splitlines()
+    return json.loads(line)
+
+
+def test_heis_counts_are_the_same_under_two_hash_seeds():
+    """heis on p2 at m_max=1, counted in two fresh processes under
+    PYTHONHASHSEED 0 and 1, gives the same total calls and the same
+    ncalls of every kernel, and the kernels it runs are counted."""
+    first, second = _counts(0), _counts(1)
+    assert first == second
+    assert first["run"] == "heis,surface=p2,m_max=1"
+    kernels = first["kernels"]
+    assert kernels["OperatorSum.column"] > 0
+    assert kernels["commutator_block"] > 0
+    assert kernels["series_bracket"] == 0
+    assert first["calls"] > sum(kernels.values())
