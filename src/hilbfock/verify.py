@@ -6,15 +6,15 @@ lists, valid over every surface at once; instantiate checks specialize
 them on concrete surfaces; action checks apply both sides to explicit
 states, so the smeared calculus is grounded in raw operator composition.
 
-vir, thm42, rmk43, thm46-unique, lem52 and rmk56 state each identity
-once, as (lhs, rhs) over leaves on class slots (`_Leaf`), a bracket
-(`_Br`), a derivative (`_Der`) and a linear right side, the mutation in
-it.  Two evaluators read that statement, neither from the other:
-`_smeared` gives its residual on a window, `_on` its expanded operators
-on a ring; `_declared` emits every record from them.  The W-bracket of
-Theorem 5.5 is stated once as (c, smeared list) pieces (`_w_pieces`):
-thm55 and thm57 read their residuals from one store, `_w_cell`, and
-ground them against the series of the pieces (`_w_op`).
+vir, thm42, rmk43, thm46-unique, lem52, rmk56, thm55 and thm57 state
+each identity once, as (lhs, rhs) over leaves on class slots (`_Leaf`),
+a bracket (`_Br`), a derivative (`_Der`) and a linear right side.  Two
+evaluators read that statement, neither from the other: `_smeared`
+gives its residual on a window, `_on` its expanded operators on a ring;
+`_declared` emits records from them.  The W-bracket of Theorem 5.5 is
+one statement, `_w`, for vir, thm55 and thm57, each suite's mutation one
+extra right-side piece; thm55 and thm57 read its residuals from one
+store, `_w_cell`, and a mutated run fuses its piece onto a copy.
 
 Records are built by `_Group` and `_verdict` alone, and every check on
 states but heis's goes through `_Group.columns`.  Each runner declares
@@ -25,9 +25,10 @@ a record, or a mutated run that no check fails, are refused.
 
 Every suite carries one documented mutation, a wrong coefficient that it
 must detect; mutated runs use reduced grids and compute their own
-cells.  Three caches outlive a run, none of which a mutation changes:
-`_window`, read-only series windows, and the two the benchmark's
-timings pay for: `_w_cell` and heis's residuals in `ring._cache`.
+cells but the W-bracket's.  Three caches outlive a run, none of which a
+mutation changes: `_window`, read-only series windows, and the two the
+benchmark's timings pay for: `_w_cell` and heis's residuals in
+`ring._cache`.
 """
 
 from __future__ import annotations
@@ -456,15 +457,15 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
                     render_terms(ring.vector(lhs), ring))
 
 
-# -- the W-bracket of Theorem 5.5, shared by thm55 and thm57 -------------
+# -- series windows --------------------------------------------------------
 
 
 @cache
 def _window(build, args, pos, neg):
     """The series build(*args) on the box window: the one window cache,
-    kept for the process, of J^p_n (jay_families) for the W-bracket, the
-    declared identities, lem53 and the mutations, and of the field
-    monomials of lem53 and lem61.  Every caller reads it as it is."""
+    kept for the process, of J^p_n (jay_families) for the declared
+    identities, lem53 and the mutations, and of the field monomials of
+    lem53 and lem61.  Every caller reads it as it is."""
     return series_to_smeared(build(*args), pos, neg)
 
 
@@ -476,82 +477,7 @@ def _diamond(N, total):
     return (N + total) // 2, (N - total) // 2
 
 
-def _omega_pieces(p, q, m, n, pos, neg):
-    """The structure-polynomial term -(Omega/12) J^{p+q-3}_{m+n}(e .), as
-    a list of its one (c, smeared list) piece, empty where it vanishes."""
-    om = omega(p, q, m, n)
-    if not om or p + q < 3:
-        return []
-    return [(Q(-om, 12), euler_shifted(
-        _window(jay_families, (p + q - 3, m + n), pos, neg)))]
-
-
-def _w_central(p, q, m, n):
-    """The central pieces of [J^p_m(a), J^q_n(b)], the only scalar codes
-    of _w_pieces (every J family has parts): the trace term at p = q = 0
-    and the low-weight Euler terms."""
-    if m != -n or m == 0 or (p, q) not in ((0, 0), (2, 0), (0, 2), (1, 1)):
-        return []
-    return [(-m, SmearedOp({0: 1}))] if p == q == 0 else [
-        (m ** 3 - m, SmearedOp({1: 1}, 12 if p == q else 6))]
-
-
-def _w_pieces(p, q, m, n, pos, neg):
-    """The right side of [J^p_m(a), J^q_n(b)] on the box window, as
-    (c, smeared list) pieces summing to it: (qm-pn) J^{p+q-1}_{m+n}(ab)
-    and the Omega term where they are nonzero, then the central pieces
-    (_w_central)."""
-    lin = q * m - p * n
-    out = []
-    if lin:
-        out.append((lin, _window(jay_families, (p + q - 1, m + n), pos,
-                                 neg)))
-    return out + _omega_pieces(p, q, m, n, pos, neg) + _w_central(p, q, m, n)
-
-
-def _w_op(ring, cell, ab):
-    """The expected bracket of a (p, q, m, n) cell as a series against ab."""
-    p, q, m, n = cell
-    return smeared_series(
-        ring, lambda w: combined(*_w_pieces(p, q, m, n, w, w - m - n)), ab)
-
-
-def _w_cells(pq_max, m_max):
-    """The (p, q, m, n) cells with p + q <= pq_max and |m|, |n| <= m_max."""
-    return [(p, q, m, n) for p in range(pq_max + 1)
-            for q in range(pq_max + 1 - p)
-            for m, n in product(range(-m_max, m_max + 1), repeat=2)]
-
-
-@cache
-def _w_cell(args):
-    """One (p, q, m, n) cell on window N, measured: the residual of the
-    bracket [J^p_m, J^q_n] against _w_pieces.
-
-    Kept for the process, one entry per distinct cell and window, which
-    is empty when the identity holds.  thm55 and thm57 both read it, so
-    no caller changes an entry."""
-    p, q, m, n, N = args
-    pos = _sound_pos(N, m, n)
-    return series_bracket(jay_families(p, m), jay_families(q, n), pos, N,
-                          *[(-c, op) for c, op in _w_pieces(p, q, m, n,
-                                                            pos, N)])
-
-
-def _w_spots(ring, states, cells, pairs):
-    """One record: [J^p_m(a), J^q_n(b)] against _w_op on each state, for
-    every cell and (a, b) class-name pair."""
-    t = _Group({"check": "action", "surface": ring.name})
-    for cell, (ca, cb) in product(cells, pairs):
-        p, q, m, n = cell
-        a, b = ring.basis(ca), ring.basis(cb)
-        ja, jb = jay(ring, p, m, a), jay(ring, q, n, b)
-        t.columns(ring, states, Bracket(ja, jb), _w_op(ring, cell, a * b),
-                  dict(t.params, p=p, q=q, m=m, n=n, a=ca, b=cb))
-    return t.record()
-
-
-# -- one identity, two evaluators: vir, thm42, rmk43, thm46, lem52, rmk56 --
+# -- one identity, two evaluators -----------------------------------------
 
 
 class _Leaf(NamedTuple):
@@ -590,9 +516,11 @@ def _smeared(N):
     """(residual, window) of one smeared run on window N: residual(lhs,
     rhs) is one series_bracket on (_sound_pos, N) for a bracket, else one
     combined on the diamond of lhs's total, the (c, leaf) pieces of rhs
-    negated and fused in; D^k(x) is s_derive of D^{k-1}(x), modulo K."""
-    @cache
-    def window(x, pos, neg):
+    negated and fused in; D^k(x) is s_derive of D^{k-1}(x), modulo K.
+    window builds each window once per run and keeps it in a plain dict:
+    every measured W cell is a run, and a functools cache would add about
+    18 calls to each."""
+    def build(x, pos, neg):
         if type(x) is _Der:
             return s_derive(window(x._replace(k=x.k - 1) if x.k > 1
                                    else x.x, pos, neg), pos, neg, N, N,
@@ -607,6 +535,13 @@ def _smeared(N):
         else:
             w = series_to_smeared(_FAMILIES[x.kind](x), pos, neg)
         return euler_shifted(w) if x.cls[0] == "e" else w
+
+    memo = {}
+
+    def window(x, pos, neg):
+        if (x, pos, neg) not in memo:
+            memo[x, pos, neg] = build(x, pos, neg)
+        return memo[x, pos, neg]
 
     def residual(lhs, rhs):
         if type(lhs) is _Br:
@@ -689,41 +624,6 @@ def _declared(spec, mut, sides, names, cells, act, rings=None, *,
                           _on(ring, rhs, classes, built),
                           dict(base, **dict(zip(names, cell)), **named))
             yield t.record()
-
-
-def _vir(m, n, mut):
-    cc = Q(m ** 3 - m + (1 if mut and m else 0), 12) if m == -n else 0
-    return [("universal", _Br(_Leaf("L", 1, m, "a"), _Leaf("L", 1, n, "b")),
-             ((m - n, _Leaf("L", 1, m + n, "ab")),
-              (cc, _Leaf("1", 0, 0, "eab"))))]
-
-
-def _run_vir(spec, mut, *, m_max=3):
-    """[L_m(a), L_n(b)] = (m-n) L_{m+n}(ab)
-                          + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id,
-
-    the p = q = 1 cells of the W-bracket (_vir), with central values on
-    k3; a mutated run checks the plain identity on states of p2.
-
-    Mutation central-shift: the central factor gains an extra 1/12.
-    """
-    if mut:
-        m_max = min(m_max, 2)
-
-    def act(ring):  # p2: |m|, |n| <= 2, three classes; k3: (m, -m), one
-        grid, width = {"p2": (product(range(-2, 3), repeat=2), 3),
-                       "k3": (((1, -1), (2, -2), (3, -3)), 1)}[ring.name]
-        pairs = [({"a": na, "b": nb}, {"a": a, "b": b}) for (na, a), (nb, b)
-                 in product(_probe(ring)[:width], repeat=2)]
-        return [({"m": m, "n": n}, [(m, n)], pairs) for m, n in grid]
-
-    yield from _declared(
-        spec, mut, _vir, ("m", "n"),
-        product(range(-m_max, m_max + 1), repeat=2), act,
-        ("p2",) if mut else ("p2", "k3"), act_mut=False,
-        sweep=("instantiate", lambda ring: _pair_cases(ring, _probe(ring))),
-        central=lambda m, n: (Q(24) * Q(m ** 3 - m, 12), {"m": m})
-        if m == -n != 0 else None)
 
 
 def _thm42(k, n, mut):
@@ -847,6 +747,109 @@ def _run_rmk56(spec, mut, *, p_max=3, n_max=2):
         lambda ring: [({}, product(range(1, 4), (-2, -1, 1, 2)),
                        [({"a": na}, {"a": a}) for na, a in _probe(ring)[:3]])],
         () if mut else None, on_states=lambda ring: _action_states(ring)[:6])
+
+
+# -- the W-bracket of Theorem 5.5: vir, thm55 and thm57 --------------------
+
+
+def _w(p, q, m, n, kind="J", mutation=""):
+    """[J^p_m(a), J^q_n(b)] of Theorem 5.5 as (lhs, rhs), the one
+    statement of the W-bracket.  rhs is (qm-pn) J^{p+q-1}_{m+n}(ab),
+    -(Omega/12) J^{p+q-3}_{m+n}(e ab) and, at m = -n, the central term:
+    -m integral(ab) Id at p = q = 0, ((m^3-m)/12) integral(e ab) Id at
+    p = q = 1 and ((m^3-m)/6) integral(e ab) Id at p + q = 2, p != q; a
+    piece with a zero coefficient is left out.  kind "L" states vir's
+    cells (p = q = 1) over L_n.
+
+    A mutation, named by its label, adds one piece last: thm55's
+    omega-negated (Omega/6) J^{p+q-3}_{m+n}(e ab) flips the structure
+    polynomial's sign, thm57's linear-shift J^{p+q-1}_{m+n}(ab) adds 1 to
+    (qm-pn), and vir's central-shift (1/12) integral(e ab) Id shifts the
+    central term at m = -n."""
+    om = omega(p, q, m, n) if p + q >= 3 else 0
+    rhs = []
+    if q * m - p * n:
+        rhs.append((q * m - p * n, _Leaf(kind, p + q - 1, m + n, "ab")))
+    if om:
+        rhs.append((Q(-om, 12), _Leaf(kind, p + q - 3, m + n, "eab")))
+    if m == -n != 0 and p == q == 0:
+        rhs.append((-m, _Leaf("1", 0, 0, "ab")))
+    elif m == -n and p + q == 2 and m ** 3 != m:
+        rhs.append((Q(m ** 3 - m, 12 if p == q else 6),
+                    _Leaf("1", 0, 0, "eab")))
+    if mutation == "omega-negated" and om:
+        rhs.append((Q(om, 6), _Leaf(kind, p + q - 3, m + n, "eab")))
+    elif mutation == "linear-shift" and (p or q):
+        rhs.append((1, _Leaf(kind, p + q - 1, m + n, "ab")))
+    elif mutation == "central-shift" and m == -n != 0:
+        rhs.append((Q(1, 12), _Leaf("1", 0, 0, "eab")))
+    return _Br(_Leaf(kind, p, m, "a"), _Leaf(kind, q, n, "b")), tuple(rhs)
+
+
+def _w_cells(pq_max, m_max):
+    """The (p, q, m, n) cells with p + q <= pq_max and |m|, |n| <= m_max."""
+    return [(p, q, m, n) for p in range(pq_max + 1)
+            for q in range(pq_max + 1 - p)
+            for m, n in product(range(-m_max, m_max + 1), repeat=2)]
+
+
+@cache
+def _w_cell(args):
+    """One (p, q, m, n) cell on window N, measured: _smeared(N)'s
+    residual of _w's plain statement.
+
+    Kept for the process, one entry per distinct cell and window, which
+    is empty when the identity holds.  thm55 and thm57, plain and
+    mutated, read it, so no caller changes an entry."""
+    p, q, m, n, N = args
+    return _smeared(N)[0](*_w(p, q, m, n))
+
+
+def _w_deltas(pq_max, m_max, N, mutation=""):
+    """(params, residual) of _w at each of _w_cells(pq_max, m_max) on
+    window N, params naming the cell: the stored plain residual
+    (_w_cell), and with a mutation label a copy with that mutation's
+    piece fused on by one combined."""
+    window = _smeared(N)[1]
+    for cell in _w_cells(pq_max, m_max):
+        delta = _w_cell(cell + (N,))
+        if mutation:
+            # The pieces past the plain statement's are the mutation's.
+            extra = _w(*cell, mutation=mutation)[1][len(_w(*cell)[1]):]
+            pos = _sound_pos(N, *cell[2:])
+            delta = combined((1, delta), *[(-c, window(x, pos, N))
+                                           for c, x in extra])
+        yield dict(zip("pqmn", cell)), delta
+
+
+def _run_vir(spec, mut, *, m_max=3):
+    """[L_m(a), L_n(b)] = (m-n) L_{m+n}(ab)
+                          + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id,
+
+    the p = q = 1 cells of the W-bracket (_w over L_n), with central
+    values on k3; a mutated run checks the plain identity on states of
+    p2.
+
+    Mutation central-shift: the central factor gains an extra 1/12.
+    """
+    if mut:
+        m_max = min(m_max, 2)
+
+    def act(ring):  # p2: |m|, |n| <= 2, three classes; k3: (m, -m), one
+        grid, width = {"p2": (product(range(-2, 3), repeat=2), 3),
+                       "k3": (((1, -1), (2, -2), (3, -3)), 1)}[ring.name]
+        pairs = [({"a": na, "b": nb}, {"a": a, "b": b}) for (na, a), (nb, b)
+                 in product(_probe(ring)[:width], repeat=2)]
+        return [({"m": m, "n": n}, [(m, n)], pairs) for m, n in grid]
+
+    yield from _declared(
+        spec, mut, lambda m, n, mut: [("universal", *_w(
+            1, 1, m, n, "L", spec.mutation if mut else ""))],
+        ("m", "n"), product(range(-m_max, m_max + 1), repeat=2), act,
+        ("p2",) if mut else ("p2", "k3"), act_mut=False,
+        sweep=("instantiate", lambda ring: _pair_cases(ring, _probe(ring))),
+        central=lambda m, n: (Q(24) * Q(m ** 3 - m, 12), {"m": m})
+        if m == -n != 0 else None)
 
 
 # -- thm31: mixed brackets and the replacement rule ------------------------
@@ -1189,9 +1192,9 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
     """[J^p_m(a), J^q_n(b)] = (qm-pn) J^{p+q-1}_{m+n}(ab)
                               - (Omega(p,q,m,n)/12) J^{p+q-3}_{m+n}(e a b)
 
-    plus the low-weight exceptional central terms.  Universal residuals
-    per cell, instantiation sweeps per surface, explicit central values,
-    and action spot checks on states.
+    plus the low-weight exceptional central terms (_w).  Universal
+    residuals per cell, instantiation sweeps per surface, central values
+    on k3, and action checks on states.
 
     Mutation omega-negated: the structure polynomial flips sign.
     """
@@ -1202,48 +1205,43 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         m_max = min(m_max, 1)
         rings = rings[:1]
     cases = [(r, _pair_cases(r, _probe(r))) for r in rings]
-    for p, q, m, n in _w_cells(pq_max, m_max):
-        delta = _w_cell((p, q, m, n, N))
-        if mut:
-            delta = combined((1, delta), *[(2 * c, op) for c, op in (
-                _omega_pieces(p, q, m, n, _sound_pos(N, m, n), N))])
-        params = {"p": p, "q": q, "m": m, "n": n}
+    for params, delta in _w_deltas(pq_max, m_max, N, spec.mutation):
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
                          dict(params, check="instantiate"))
-    yield from _thm55_centrals(spec, N, m_max)
-    if not mut:
-        for ring in _rings(spec, ("k3", "abelian", "p2")):
-            w = {s: weight(ring.states[s]) for s in _action_states(ring)}
-            states = ([s for s in w if not w[s]]
-                      + [s for s in w if w[s] == 1][:2]
-                      + [s for s in w if w[s] == 2][:4])
-            yield _w_spots(ring, states, _THM55_SPOT_CELLS,
-                           _THM55_SPOT_PAIRS[ring.name])
-
-
-def _thm55_centrals(spec, N, m_max):
-    """Explicit central values on the K3 model, from the bracket's scalar
-    terms: the residual's plus the central pieces."""
+    window = _smeared(N)[1]
     for ring in _rings(spec, ("k3",)):
         u1u2 = ring.basis("u1") * ring.basis("u2")
         for (p, q), m in product(((0, 0), (1, 1), (2, 0), (0, 2)),
                                  range(1, m_max + 1)):
+            # The bracket's scalar terms, the stored residual's plus the
+            # statement's, against its central pieces, at ab = u1 u2 for
+            # the trace term and ab = 1 for the Euler terms.
             cell = (p, q, m, -m)
-            scalars = combined((1, _w_cell(cell + (N,))), *_w_central(*cell))
-            if (p, q) == (0, 0):
-                got = _scalar_part(scalars, ring, u1u2)
-                want = Q(-m)
-                label = "-m * integral(ab)"
-            else:
-                den = 12 if (p, q) == (1, 1) else 6
-                got = _scalar_part(scalars, ring, ring.unit)
-                want = Q(m ** 3 - m, den) * 24
-                label = "(m^3-m)/%d * integral(e)" % den
+            central = [(c, window(x, N, N)) for c, x in _w(*cell)[1]
+                       if x.kind == "1"]
+            ab = u1u2 if p == q == 0 else ring.unit
+            got = _scalar_part(combined((1, _w_cell(cell + (N,))),
+                                        *central), ring, ab)
+            want = _scalar_part(combined(*central), ring, ab)
+            label = ("(m^3-m)/%d * integral(e)" % (12 if p == q else 6)
+                     if p or q else "-m * integral(ab)")
             yield _verdict(got == want, {"check": "central", "p": p,
                                          "q": q, "m": m, "label": label},
                            1, str(want), str(got))
+
+    def picked(ring):  # the vacuum, two of weight 1 and four of weight 2
+        w = {s: weight(ring.states[s]) for s in _action_states(ring)}
+        return ([s for s in w if not w[s]] + [s for s in w if w[s] == 1][:2]
+                + [s for s in w if w[s] == 2][:4])
+
+    yield from _declared(
+        spec, mut, lambda *cell: [("", *_w(*cell[:4]))], "pqmn", (),
+        lambda ring: [({}, _THM55_SPOT_CELLS, [
+            ({"a": ca, "b": cb}, {"a": ring.basis(ca), "b": ring.basis(cb)})
+            for ca, cb in _THM55_SPOT_PAIRS[ring.name]])],
+        () if mut else ("k3", "abelian", "p2"), on_states=picked)
 
 
 _THM55_SPOT_CELLS = ((1, 1, 1, -1), (2, 1, 1, -1), (2, 1, 2, -1),
@@ -1266,8 +1264,8 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
         [J^p_m(a), J^q_n(b)] = (qm-pn) J^{p+q-1}_{m+n}(ab)
 
     with the trace central term m delta_{m,-n} (-integral(ab)) at
-    p = q = 0; cross-checked against the symbolic bracket and grounded on
-    odd classes of the abelian model.
+    p = q = 0 (_w); cross-checked against the symbolic bracket and
+    grounded on odd classes of the abelian model.
 
     Mutation linear-shift: the factor (qm-pn) gains +1.
     """
@@ -1275,22 +1273,19 @@ def _run_thm57(spec, mut, *, pq_max=5, m_max=3):
     if mut:
         pq_max = min(pq_max, 2)
         m_max = min(m_max, 1)
-    for p, q, m, n in _w_cells(pq_max, m_max):
-        delta = _w_cell((p, q, m, n, N))
-        if mut and (p, q) != (0, 0):
-            delta = combined((1, delta), (-1, _window(
-                jay_families, (p + q - 1, m + n), _sound_pos(N, m, n), N)))
+    for params, delta in _w_deltas(pq_max, m_max, N, spec.mutation):
         # Untagged codes come only from the untagged families' plain
         # events; their powers byte is 0.
         delta = SmearedOp({k: c for k, c in delta.terms.items()
                            if not k % SCALARS}, delta.den)
-        yield _universal_record(delta, {"check": "universal", "p": p,
-                                        "q": q, "m": m, "n": n})
+        yield _universal_record(delta, dict(params, check="universal"))
     for ring in _rings(spec):
         yield _thm57_symbolic(ring)
-        if not mut:
-            yield _w_spots(ring, _action_states(ring), _THM57_SPOT_CELLS,
-                           _THM57_SPOT_PAIRS)
+    yield from _declared(
+        spec, mut, lambda *cell: [("", *_w(*cell[:4]))], "pqmn", (),
+        lambda ring: [({}, _THM57_SPOT_CELLS, [
+            ({"a": ca, "b": cb}, {"a": ring.basis(ca), "b": ring.basis(cb)})
+            for ca, cb in _THM57_SPOT_PAIRS])], () if mut else None)
 
 
 _THM57_SPOT_CELLS = tuple(

@@ -226,14 +226,21 @@ def _stored_residuals_empty(keys):
 
 
 def test_w_cells_are_measured_once_per_process(recorded, w_memo):
-    """thm55 and then thm57 in one process measure each (cell, window)
-    once, and after their passing runs every stored residual is empty."""
+    """thm55 and thm57, plain and then mutated, in one process measure
+    each plain (cell, window) once: one series_bracket per distinct cell
+    of the four runs, which every run reads from the store, a mutated
+    one fusing its piece onto a copy.  Every stored residual is empty
+    afterwards."""
     calls = recorded(verify, "series_bracket")
     bounds = {"pq_max": 2, "m_max": 1}
     assert run_suite(SuiteSpec("thm55", surface="p2", bounds=bounds)).ok
     assert run_suite(SuiteSpec("thm57", bounds=bounds)).ok
+    for name in ("thm55", "thm57"):
+        assert not run_suite(SuiteSpec(
+            name, mutation=SUITES[name].mutation)).ok
+    # The mutated thm55 run reaches p + q = 3; the others p + q <= 2.
     keys = {cell + (SUITES[name].window,) for name in ("thm55", "thm57")
-            for cell in verify._w_cells(2, 1)}
+            for cell in verify._w_cells(3 if name == "thm55" else 2, 1)}
     info = W_CELL.cache_info()
     assert len(calls) == len(keys) == info.currsize == info.misses
     assert {key for key, in w_memo} == keys
@@ -402,14 +409,38 @@ def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
 # bracket, then one combined with the negated expected pieces.
 
 
-def _w_two_pass(cell, N):
-    """(residual, the bracket's scalar terms) of a W cell in two passes."""
+def _w_central(p, q, m, n):
+    """The central pieces of [J^p_m(a), J^q_n(b)], the only ones with a
+    scalar code, written apart from verify._w: -m integral(ab) Id at
+    p = q = 0 and ((m^3-m)/12) integral(e ab) Id at p = q = 1, /6 at
+    (2, 0) and (0, 2), all at m = -n != 0."""
+    if m != -n or m == 0 or p + q not in (0, 2):
+        return []
+    if p == q == 0:
+        return [(-m, SmearedOp({encode(()): 1}))]
+    return [(Fraction(m ** 3 - m, 12 if p == q else 6),
+             SmearedOp({encode((), e=1): 1}))]
+
+
+def _w_two_pass(cell, N, shift=0):
+    """(residual, the bracket's scalar terms) of a W cell in two passes,
+    against the right side written apart from verify._w: (qm-pn+shift)
+    J^{p+q-1}_{m+n}(ab) where qm - pn != 0, -(Omega/12)
+    J^{p+q-3}_{m+n}(e ab) and the central pieces."""
     p, q, m, n = cell
     pos = _sound_pos(N, m, n)
     meas = series_bracket(walgebra.jay_families(p, m),
                           walgebra.jay_families(q, n), pos, N)
-    return (combined((1, meas), *[(-c, op) for c, op in
-                                  verify._w_pieces(p, q, m, n, pos, N)]),
+    pieces = _w_central(*cell)
+    if q * m - p * n:
+        pieces.append((q * m - p * n + shift, series_to_smeared(
+            walgebra.jay_families(p + q - 1, m + n), pos, N)))
+    om = walgebra.omega(p, q, m, n) if p + q >= 3 else 0
+    if om:
+        pieces.append((Fraction(-om, 12), operators.euler_shifted(
+            series_to_smeared(walgebra.jay_families(p + q - 3, m + n),
+                              pos, N))))
+    return (combined((1, meas), *[(-c, op) for c, op in pieces]),
             SmearedOp({k: c for k, c in meas.terms.items()
                        if k < operators.SCALARS}, meas.den))
 
@@ -453,7 +484,7 @@ def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
         for cell in WINDOW_CELLS:
             resid = W_CELL(cell + (N,))
             ref, ref_scalars = _w_two_pass(cell, N)
-            scalars = combined((1, resid), *verify._w_central(*cell))
+            scalars = combined((1, resid), *_w_central(*cell))
             assert _same(resid, ref) and SmearedOp({
                 k: c for k, c in scalars.terms.items()
                 if k < operators.SCALARS}, scalars.den) == ref_scalars, (
@@ -471,22 +502,23 @@ def test_fused_residual_sees_a_wrong_linear_coefficient(monkeypatch,
     """With (qm - pn) + 1 for the linear coefficient, every W cell of
     WINDOW_CELLS with qm - pn != 0 leaves a nonzero residual, the two
     passes' own, but the 8 whose linear term J^0_0 = -a_0 is zero."""
-    pieces = verify._w_pieces
+    right = verify._w
 
-    def wrong(p, q, m, n, pos, neg):
-        out = pieces(p, q, m, n, pos, neg)
+    def wrong(p, q, m, n, kind="J", mutation=""):
+        lhs, rhs = right(p, q, m, n, kind, mutation)
         if q * m - p * n:
-            (c, op), *rest = out
-            out = [(c + 1, op)] + rest
-        return out
+            (c, x), *rest = rhs
+            rhs = ((c + 1, x), *rest)
+        return lhs, rhs
 
-    monkeypatch.setattr(verify, "_w_pieces", wrong)
+    monkeypatch.setattr(verify, "_w", wrong)
     linear = [(p, q, m, n) for p, q, m, n in WINDOW_CELLS
               if q * m - p * n and (p + q, m + n) != (1, 0)]
     assert len(linear) == 292 - 8
     for cell in linear:
         resid = W_CELL(cell + (8,))
-        assert not resid.is_zero() and _same(resid, _w_two_pass(cell, 8)[0])
+        assert not resid.is_zero() and _same(resid,
+                                             _w_two_pass(cell, 8, 1)[0])
 
 
 # rmk43 cells (k, n, d) of its default run: k <= 3, |n| <= 3 and both d.
@@ -1242,39 +1274,64 @@ def test_reports_do_not_depend_on_the_run_order(name):
 
 
 def _every_kind():
-    """One side of each leaf kind, and one of each node kind over them."""
+    """One side of each leaf kind, the two leaves verify._w adds (J^p_n on
+    e a b and integral(a b) Id) among them, and one of each node kind
+    over them."""
     leaf = verify._Leaf
     leaves = [leaf("a", 0, -1, "b"), leaf("L", 1, 1, "b"),
               leaf("G", 2, 0, "a"), leaf("J", 2, -1, "ab"),
               leaf("D", 2, -1, "a"), leaf("F", 1, -1, "b", -1),
-              leaf("E", 2, 0, "b"), leaf("1", 0, 0, "eb")]
+              leaf("E", 2, 0, "b"), leaf("1", 0, 0, "eb"),
+              leaf("J", 1, -1, "eab"), leaf("1", 0, 0, "ab")]
     return leaves + [verify._Br(leaves[2], leaves[0]),
                      verify._Der(leaves[3], 1),
                      tuple((Fraction(1, 2), x) for x in leaves)]
 
 
-@pytest.mark.parametrize("surface, a, b", [("p2", "x", "1"),
-                                           ("abelian", "1", "t1")])
+# The leaves of _every_kind whose column is zero at each (surface, a, b)
+# of the test below: a class that vanishes (e a b = e x on p2; e b, e a b
+# and the unit Euler family where e = 0) or integrates to 0 (a b = 1 on
+# k3, t1 on abelian).
+ZERO_KINDS = {("p2", "x", "1"): {8}, ("k3", "1", "1"): {9},
+              ("abelian", "1", "t1"): {6, 7, 8, 9}}
+
+
+@pytest.mark.parametrize("surface, a, b", sorted(ZERO_KINDS))
 def test_expanded_sides_never_read_the_smeared_side(recorded, surface, a,
                                                     b):
     """_on builds every leaf and node kind by operators' and walgebra's
     constructors alone: building each and taking its columns on the
     action states makes no call to verify's smeared kernels, so the
     action records ground the residuals on an independent route.  Each
-    kind has a nonzero column there but, on abelian, where e = 0, the
-    unit Euler family and integral(e b) Id."""
+    kind has a nonzero column there but the leaves of ZERO_KINDS."""
     ring = builtin_ring(surface)
     calls = [recorded(verify, name) for name in (
         "series_to_smeared", "series_bracket", "s_derive", "instantiate",
         "smeared_series")]
     classes = {"a": ring.basis(a), "b": ring.basis(b), "e": ring.e}
     states = verify._action_states(ring)
-    built = 0
-    for x in _every_kind():
-        op = verify._on(ring, x, classes, {})
-        built += any([op.column(s) for s in states])
+    zero = {i for i, x in enumerate(_every_kind()) if not any(
+        [verify._on(ring, x, classes, {}).column(s) for s in states])}
     assert not any(calls)
-    assert built == len(_every_kind()) - 2 * ring.e.is_zero()
+    assert zero == ZERO_KINDS[surface, a, b]
+
+
+def test_w_action_records_never_read_the_smeared_side(recorded):
+    """thm55 and thm57 build both sides of their action records from _w
+    by _on: a plain thm55 run on p2 and a plain thm57 run, each with its
+    action record, make no smeared_series call, so those records ground
+    the stored residuals on an independent route."""
+    calls = recorded(verify, "smeared_series")
+    bounds = {"pq_max": 2, "m_max": 1}
+    for spec in (SuiteSpec("thm55", surface="p2", bounds=bounds),
+                 SuiteSpec("thm57", bounds=bounds)):
+        report = run_suite(spec)
+        assert report.ok, spec.suite
+        assert [r.params for r in report.records
+                if r.params.get("check") == "action"] == [{
+                    "check": "action", "surface": ring.name}
+                    for ring in verify._rings(spec)], spec.suite
+    assert not calls
 
 
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():

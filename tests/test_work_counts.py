@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "work_counts.py"
 
 
@@ -31,3 +33,19 @@ def test_heis_counts_are_the_same_under_two_hash_seeds():
     assert kernels["commutator_block"] > 0
     assert kernels["series_bracket"] == 0
     assert first["calls"] > sum(kernels.values())
+
+
+@pytest.mark.parametrize("job, item", [("thm55,surface", "'surface'"),
+                                       ("thm55,pq_max=", "'pq_max='"),
+                                       ("thm55,m_max=1,m_max=2", "'m_max=2'")])
+def test_a_malformed_job_exits_2_before_any_child(job, item):
+    """An item without "=", with an empty value, or with a repeated key
+    exits 2 with one line naming it, before any child starts: the well
+    formed job given first prints no count."""
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "heis,surface=p2,m_max=1", job],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith("work_counts.py: %s: item %s" % (job, item))

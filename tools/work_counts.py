@@ -76,17 +76,33 @@ PLAIN = (
 
 def job_fields(run):
     """The SuiteSpec fields of a suite job written as in the module
-    docstring."""
+    docstring.  An item without "=", with an empty key or value, with a
+    key given before, or with a value that is not an integer where one is
+    needed raises ValueError naming the item."""
     name, *items = run.split(",")
     fields = {"suite": name, "bounds": {}}
+    seen = set()
     for item in items:
-        key, _, value = item.partition("=")
+        key, eq, value = item.partition("=")
+        if not (eq and key and value):
+            raise ValueError("%s: item %r is not KEY=VALUE with a nonempty "
+                             "key and value" % (run, item))
+        if key in seen:
+            raise ValueError("%s: item %r repeats the key %s"
+                             % (run, item, key))
+        seen.add(key)
         if key in ("surface", "mutation"):
             fields[key] = value
-        elif key == "cutoff":
-            fields[key] = int(value)
+            continue
+        try:
+            value = int(value)
+        except ValueError:
+            raise ValueError("%s: item %r needs an integer value"
+                             % (run, item)) from None
+        if key == "cutoff":
+            fields[key] = value
         else:
-            fields["bounds"][key] = int(value)
+            fields["bounds"][key] = value
     return fields
 
 
@@ -160,6 +176,13 @@ def main(argv=None):
     if args.in_process:
         print(json.dumps(count(args.runs[0])))
         return
+    # A malformed job is refused before any child starts.
+    for run in [run for run in args.runs if run not in RUNS]:
+        try:
+            job_fields(run)
+        except ValueError as exc:
+            sys.stderr.write("work_counts.py: %s\n" % exc)
+            raise SystemExit(2)
     for run in args.runs:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--in-process", run],
