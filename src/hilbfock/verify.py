@@ -6,15 +6,14 @@ lists, valid over every surface at once; instantiate checks specialize
 them on concrete surfaces; action checks apply both sides to explicit
 states, so the smeared calculus is grounded in raw operator composition.
 
-vir, thm42, rmk43, thm46-unique, lem52, rmk56, thm55 and thm57 state
-each identity once, as (lhs, rhs) over leaves on class slots (`_Leaf`),
-a bracket (`_Br`), a derivative (`_Der`) and a linear right side.  Two
-evaluators read that statement, neither from the other: `_smeared`
-gives its residual on a window, `_on` its expanded operators on a ring;
-`_declared` emits records from them.  The W-bracket of Theorem 5.5 is
-one statement, `_w`, for vir, thm55 and thm57, each suite's mutation one
-extra right-side piece; thm55 and thm57 read its residuals from one
-store, `_w_cell`, and a mutated run fuses its piece onto a copy.
+All suites but heis, lem32, lem61, cor48, rmk410 and eq22 state each
+identity once, as (lhs, rhs) over leaves on class slots (`_Leaf`), a
+bracket (`_Br`), a derivative (`_Der`) and a linear right side.  Two
+evaluators read it, neither from the other: `_smeared` gives its
+residual on a window, `_on` its expanded operators on a ring, from which
+`_declared` and `_action_records` emit records.  The W-bracket of
+Theorem 5.5 is one statement, `_w`; thm55 and thm57 read its residuals
+from one store, `_w_cell`, a mutated run fusing its piece onto a copy.
 
 Records are built by `_Group` and `_verdict` alone, and every check on
 states but heis's goes through `_Group.columns`.  Each runner declares
@@ -196,13 +195,6 @@ def _action_states(ring, wmax=2):
             out += [_st(ring, (-3, "1")),
                     _st(ring, (-2, "t1"), (-1, "t2"))]
     return list(map(ring.state_id, out))
-
-
-def _op_memo(ring):
-    """op(build, m, elem): build(ring, m, elem), made once per (build, m,
-    class), so that its cached columns serve every check that uses it.
-    The memo and its columns live as long as the caller keeps it."""
-    return cache(lambda build, m, elem: build(ring, m, elem))
 
 
 def _sound_pos(N, size_a, size_b):
@@ -463,9 +455,9 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 @cache
 def _window(build, args, pos, neg):
     """The series build(*args) on the box window: the one window cache,
-    kept for the process, of J^p_n (jay_families) for the declared
-    identities, lem53 and the mutations, and of the field monomials of
-    lem53 and lem61.  Every caller reads it as it is."""
+    kept for the process, of the leaves J, L, unshifted G and lem53's
+    field families (V, M), and of lem61's field monomials.  Every caller
+    reads it as it is."""
     return series_to_smeared(build(*args), pos, neg)
 
 
@@ -482,11 +474,11 @@ def _diamond(N, total):
 
 class _Leaf(NamedTuple):
     """An operator of the paper on a class slot.  kind "a" is a_n, "L"
-    L_n (p = 1), "G" G_p, "J" J^p_n, "D" the closed D^p(a_n) of Theorem
-    4.2, "F" F(p, n, shift), "E" the unit Euler family over l = p and "1"
-    integral(.) Id; the slot is "a", "b" or "ab", times e after "e".
-    shift moves the Euler shift of G_p (adding E) or of D^p(a_n), as the
-    euler-shift mutations do."""
+    L_n (p = 1), "G" G_p, "J" J^p_n, "V" its field expression (Lemma
+    5.3), "M" :a^p:_n, "D" the closed D^p(a_n) of Theorem 4.2, "F" F(p,
+    n, shift), "E" the unit Euler family over l = p and "1" integral(.)
+    Id; the slot is "a", "b" or "ab", times e after "e" and K after "K".
+    shift moves the Euler shift of G_p or D^p(a_n), as mutations do."""
 
     kind: str
     p: int
@@ -498,28 +490,33 @@ class _Leaf(NamedTuple):
 _Br = NamedTuple("_Br", [("f", _Leaf), ("g", _Leaf)])  # [f, g]
 _Der = NamedTuple("_Der", [("x", _Leaf), ("k", int)])  # D^k(x), k >= 1
 
-
-# The family list of each leaf kind, as walgebra states its series.
-_FAMILIES = {
-    "a": lambda x: heis_families(x.n),
-    "G": lambda x: chern_families(x.p) + (_euler_families(x.p, 0)
-                                          if x.shift else []),
-    "D": lambda x: apow_families(x.n, x.p, x.shift),
-    "F": lambda x: shift_families(x.p, x.n, x.shift),
-    "E": lambda x: _euler_families(x.p, x.n),
-    "J": lambda x: jay_families(x.p, x.n),
-    "L": lambda x: jay_families(x.p, x.n),
+# Each leaf kind's series as walgebra states it: (build, args) of a leaf.
+_SERIES = {
+    "a": lambda x: (heis_families, (x.n,)),
+    "G": lambda x: (chern_families, (x.p, x.shift)),
+    "D": lambda x: (apow_families, (x.n, x.p, x.shift)),
+    "F": lambda x: (shift_families, (x.p, x.n, x.shift)),
+    "E": lambda x: (_euler_families, (x.p, x.n)),
+    "J": lambda x: (jay_families, (x.p, x.n)),
+    "L": lambda x: (jay_families, (x.p, x.n)),
+    "V": lambda x: (jay_field_families, (x.p, x.n)),
+    "M": lambda x: (fourier_families, ((0,) * x.p, x.n)),
 }
+
+
+def _families(x):
+    """The family list of a leaf."""
+    build, args = _SERIES[x.kind](x)
+    return build(*args)
 
 
 def _smeared(N):
     """(residual, window) of one smeared run on window N: residual(lhs,
     rhs) is one series_bracket on (_sound_pos, N) for a bracket, else one
-    combined on the diamond of lhs's total, the (c, leaf) pieces of rhs
-    negated and fused in; D^k(x) is s_derive of D^{k-1}(x), modulo K.
-    window builds each window once per run and keeps it in a plain dict:
-    every measured W cell is a run, and a functools cache would add about
-    18 calls to each."""
+    combined on the diamond of a derivative's total or the box (N, N),
+    the (c, leaf) pieces of rhs negated and fused in; D^k(x) is s_derive
+    of D^{k-1}(x), modulo K.  window builds each window once per run, in
+    a plain dict (cheaper than a functools cache), or reads _window."""
     def build(x, pos, neg):
         if type(x) is _Der:
             return s_derive(window(x._replace(k=x.k - 1) if x.k > 1
@@ -530,10 +527,10 @@ def _smeared(N):
                           or 0 < -x.n <= neg else {})
         elif x.kind == "1":
             w = SmearedOp({0: 1})
-        elif x.kind in "LJ":
-            w = _window(jay_families, (x.p, x.n), pos, neg)
+        elif x.kind in "GJLMV" and not x.shift:
+            w = _window(*_SERIES[x.kind](x), pos, neg)
         else:
-            w = series_to_smeared(_FAMILIES[x.kind](x), pos, neg)
+            w = series_to_smeared(_families(x), pos, neg)
         return euler_shifted(w) if x.cls[0] == "e" else w
 
     memo = {}
@@ -546,11 +543,10 @@ def _smeared(N):
     def residual(lhs, rhs):
         if type(lhs) is _Br:
             pos = _sound_pos(N, lhs.f.n, lhs.g.n)
-            return series_bracket(_FAMILIES[lhs.f.kind](lhs.f),
-                                  _FAMILIES[lhs.g.kind](lhs.g), pos,
+            return series_bracket(_families(lhs.f), _families(lhs.g), pos,
                                   N, *[(-c, window(x, pos, N))
                                        for c, x in rhs])
-        box = _diamond(N, getattr(lhs, "x", lhs).n)
+        box = _diamond(N, lhs.x.n) if type(lhs) is _Der else (N, N)
         return combined((1, window(lhs, *box)),
                         *[(-c, window(x, *box)) for c, x in rhs])
     return residual, window
@@ -558,8 +554,9 @@ def _smeared(N):
 
 def _on(ring, x, classes, built):
     """The expanded operator of a side on ring, by operators' and
-    walgebra's constructors alone, never from the smeared side; a leaf
-    on the product of classes[s] over its slot, once per dict built."""
+    walgebra's constructors alone, never from the smeared side; a leaf on
+    the product of classes[s] over its slot (kept in classes), once per
+    dict built."""
     if type(x) is tuple:
         return Linear(*[(c, _on(ring, y, classes, built)) for c, y in x
                         if c])
@@ -568,33 +565,54 @@ def _on(ring, x, classes, built):
                        _on(ring, x.g, classes, built))
     if type(x) is _Der:
         return derivative(_on(ring, x.x, classes, built), x.k)
-    c = classes[x.cls[0]]
-    for s in x.cls[1:]:
-        c = c * classes[s]
-    key = x._replace(cls=""), c
-    if key not in built:
-        kind, p, n, _, shift = x
-        built[key] = (
+    kind, p, n, slot, shift = x
+    if slot not in classes:
+        c = classes[slot[0]]
+        for s in slot[1:]:
+            c = c * classes[s]
+        classes[slot] = c
+    c = classes[slot]
+    op = built.get((kind, p, n, shift, c))
+    if op is None:
+        op = built[kind, p, n, shift, c] = (
             heisenberg(ring, n, c) if kind == "a"
             else quadratic_sum(ring, n, c) if kind == "L"
             else chern(ring, p, c) if kind == "G" and not shift
             else jay(ring, p, n, c) if kind == "J"
             else arrangement(ring, (), c) if kind == "1"
-            else family_series(ring, _FAMILIES[kind](x), c))
-    return built[key]
+            else family_series(ring, _families(x), c))
+    return op
+
+
+def _action_records(ring, tag, names, statement, groups, states, built):
+    """One action record per group (key, cells, picks) on ring, named by
+    tag, the surface and key: _on's sides of statement(*cell) on states at
+    each cell and pick (named, classes gaining e and K), each leaf built
+    once per dict built; a failure is also named by names and named."""
+    base = dict(tag, surface=ring.name)
+    for key, cells, picks in groups:
+        t = _Group(dict(base, **key))
+        for _, classes in picks:
+            classes.update(e=ring.e, K=ring.K)
+        for cell in cells:
+            lhs, rhs = statement(*cell)
+            for named, classes in picks:
+                t.columns(ring, states, _on(ring, lhs, classes, built),
+                          _on(ring, rhs, classes, built),
+                          dict(zip(names, cell), **base, **named))
+        yield t.record()
 
 
 def _declared(spec, mut, sides, names, cells, act, rings=None, *,
               on_states=_action_states, sweep=None, central=None,
-              act_mut=True):
+              act_mut=True, tag=(("check", "action"),)):
     """The records of an identity: sides(*cell, mut) lists its (check,
     lhs, rhs) with the mutation in them.  Each cell, named by names,
     gives per check a universal record; with sweep = (label, cases(ring))
     instantiate records; with central(*cell) = (expected, params) a
-    record of lhs's scalar terms on k3.  Then act(ring) lists (params,
-    cells, picks) per ring, each one action record of the last check:
-    _on builds its sides at each cell and pick (names, classes), mutated
-    unless act_mut is off."""
+    record of lhs's scalar terms on k3.  Then act(ring) lists the groups
+    of _action_records per ring, each one record, tagged tag, of the last
+    check, mutated unless act_mut is off."""
     residual, _ = _smeared(_cutoff(spec))
     sweeps = [(r, sweep[1](r)) for r in _rings(spec)] if sweep else []
     for cell in cells:
@@ -613,17 +631,9 @@ def _declared(spec, mut, sides, names, cells, act, rings=None, *,
                     want[1], check="central", surface=k3.name), 1,
                     str(want[0]), str(val))
     for ring in _rings(spec, rings):
-        states, built = on_states(ring), {}
-        base = {"check": "action", "surface": ring.name}
-        for key, acells, picks in act(ring):
-            t = _Group(dict(base, **key))
-            for cell, (named, classes) in product(acells, picks):
-                _, lhs, rhs = sides(*cell, mut and act_mut)[-1]
-                classes = dict(classes, e=ring.e)
-                t.columns(ring, states, _on(ring, lhs, classes, built),
-                          _on(ring, rhs, classes, built),
-                          dict(base, **dict(zip(names, cell)), **named))
-            yield t.record()
+        yield from _action_records(
+            ring, tag, names, lambda *c: sides(*c, mut and act_mut)[-1][1:],
+            act(ring), on_states(ring), {})
 
 
 def _thm42(k, n, mut):
@@ -855,8 +865,21 @@ def _run_vir(spec, mut, *, m_max=3):
 # -- thm31: mixed brackets and the replacement rule ------------------------
 
 
+def _thm31(part, x, y, mut):
+    if part == "mixed":
+        return (_Br(_Leaf("L", 1, x, "a"), _Leaf("a", 0, y, "b")),
+                ((-y, _Leaf("a", 0, x + y, "ab")),))
+    if part == "replacement":
+        return _Der(_Leaf("a", 0, x, "b"), 1), (
+            (Q(x), _Leaf("L", 1, x, "b")),
+            (-Q(x * (abs(x) - 1), 2) - mut, _Leaf("a", 0, x, "Kb")))
+    pin = _Leaf("a", 0, -1, "ab")
+    return (_Br(_Leaf("G", x, 0, "a"), _Leaf("a", 0, -1, "b")),
+            ((Q(1, factorial(x)), _Der(pin, x) if x else pin),))
+
+
 def _run_thm31(spec, mut, *, m_max=3, k_max=3):
-    """Three action identities:
+    """Three action identities (_thm31):
 
     (ii)  [L_m(a), a_n(b)] = -n a_{m+n}(ab)
     (iii) derivative of a_n(b) = n L_n(b) - (n(|n|-1)/2) a_n(K b)
@@ -870,53 +893,28 @@ def _run_thm31(spec, mut, *, m_max=3, k_max=3):
         k_max = 0
         # Frozen in perfbench/refs.json: on p2 whatever --surface says.
         rings = [builtin_ring("p2")]
+    ms = range(-m_max, m_max + 1)
     for ring in rings:
         pairs = _probe(ring)
         small = pairs[:5] if ring.dim > 8 else pairs
-        cases = [(na, a, nb, b, a * b)
-                 for (na, a), (nb, b) in product(small, small)]
-        states = _action_states(ring)
-        # The transfer operators, shared by every part.
-        tr = _op_memo(ring)
-        for m in range(-m_max, m_max + 1):
-            # One memo per m bounds the memory of L_m's cached columns.
-            op = _op_memo(ring)
-            for n in range(-m_max, m_max + 1):
-                params = {"part": "mixed", "surface": ring.name, "m": m,
-                          "n": n}
-                t = _Group(params)
-                for na, a, nb, b, ab in cases:
-                    t.columns(ring, states,
-                              Bracket(op(quadratic_sum, m, a),
-                                      tr(heisenberg, n, b)),
-                              Linear((-n, tr(heisenberg, m + n, ab))),
-                              dict(params, a=na, b=nb))
-                yield t.record()
-        for n in range(-m_max, m_max + 1):
-            if n == 0:
-                continue
-            coef = Q(n * (abs(n) - 1), 2) + (1 if mut else 0)
-            params = {"part": "replacement", "surface": ring.name, "n": n}
-            t = _Group(params)
-            for nb, b in pairs:
-                t.columns(ring, states, derivative(tr(heisenberg, n, b), 1),
-                          Linear((Q(n), quadratic_sum(ring, n, b)),
-                                 (-coef, tr(heisenberg, n, ring.K * b))),
-                          dict(params, b=nb))
-            yield t.record()
-        kfree = _ktrivial(ring, pairs)
-        for k in range(k_max + 1):
-            params = {"part": "character-pin", "surface": ring.name, "k": k}
-            t = _Group(params)
-            for na, a in kfree:
-                gk = chern(ring, k, a)
-                for nb, b in small:
-                    t.columns(ring, states,
-                              Bracket(gk, tr(heisenberg, -1, b)),
-                              Linear((Q(1, factorial(k)), derivative(
-                                  tr(heisenberg, -1, a * b), k))),
-                              dict(params, a=na, b=nb))
-            yield t.record()
+        two = [({"a": na, "b": nb}, {"a": a, "b": b})
+               for (na, a), (nb, b) in product(small, small)]
+        pin = [({"a": na, "b": nb}, {"a": a, "b": b}) for (na, a), (nb, b)
+               in product(_ktrivial(ring, pairs), small)]
+        one = [({"b": nb}, {"b": b}) for nb, b in pairs]
+        states, built = _action_states(ring), {}
+        for part, names, cells, picks in (
+                [("mixed", "mn", [(m, n) for n in ms], two) for m in ms]
+                + [("replacement", "n", [(n, 0)], one) for n in ms if n]
+                + [("character-pin", "k", [(k, 0)], pin)
+                   for k in range(k_max + 1)]):
+            yield from _action_records(
+                ring, {"part": part}, names, partial(_thm31, part, mut=mut),
+                [(dict(zip(names, cell)), [cell], picks) for cell in cells],
+                states, built)
+            # The transfer operators live for the ring, L_m(a) and G_k(a)
+            # with their columns for one m, n or k: that bounds memory.
+            built = {key: op for key, op in built.items() if key[0] == "a"}
 
 
 # -- lem32: smeared calculus against raw composition -----------------------
@@ -968,7 +966,7 @@ def _run_lem32(spec, mut):
             t = _Group(params)
             # One operator per (partition, class) for this ring's
             # bracket and derivative parts; its columns serve every cell.
-            op = _op_memo(ring)
+            op = cache(partial(monomial, ring))
             names, cls = zip(*cpairs)
             ab = {(k, l): a * b for (k, a), (l, b)
                   in product(enumerate(cls), repeat=2)}
@@ -979,8 +977,8 @@ def _run_lem32(spec, mut):
                 for k, l in ab:
                     if x == y and k > l:
                         continue
-                    br = Bracket(op(monomial, nus[x], cls[k]),
-                                 op(monomial, nus[y], cls[l]))
+                    br = Bracket(op(nus[x], cls[k]),
+                                 op(nus[y], cls[l]))
                     odd = br.f.parity() and br.g.parity()
                     for p, q, i, j, sign in ((x, y, k, l, 1),
                                              (y, x, l, k, 1 if odd else -1)):
@@ -995,7 +993,7 @@ def _run_lem32(spec, mut):
             t = _Group(params)
             for nu in nus:
                 for na, a in cpairs:
-                    t.columns(ring, states, derivative(op(monomial, nu, a), 1),
+                    t.columns(ring, states, derivative(op(nu, a), 1),
                               smeared_series(ring, _derivative_at(nu), a),
                               dict(params, nu=str(list(nu)), a=na))
             yield t.record()
@@ -1094,86 +1092,73 @@ def _run_rmk410(spec, mut, *, n_max=4):
 # -- def51-ids: W-generator identifications --------------------------------
 
 
-def _derived(n, k_max, kpos, kneg, N):
-    """[D^0, ..., D^k_max](a_n) modulo K on the box pos <= kpos, neg <=
-    kneg, splitting within -N..N: the windows of one smeared run."""
-    window, a_n = _smeared(N)[1], _Leaf("a", 0, n, "a")
-    return [window(_Der(a_n, k) if k else a_n, kpos, kneg)
-            for k in range(k_max + 1)]
+def _def51(part, x, mut):
+    if part == "a":
+        return _Leaf("J", 0, x, "a"), ((-1, _Leaf("a", 0, x, "a")),)
+    n, a = (0 if part == "c" else -1), _Leaf("a", 0, -1, "a")
+    rhs = ((factorial(x), _Leaf("G", x - 1, 0, "a")) if part == "c"
+           else (-1, _Der(a, x) if x else a),)
+    if mut and x >= 2:
+        rhs += ((factorial(x), _Leaf("E", x - 1, n, "a")),)
+    return _Leaf("J", x, n, "a"), rhs
 
 
 def _run_def51(spec, mut, *, p_max=4, n_max=3):
-    """Identifications of the W-generators:
+    """Identifications of the W-generators (_def51 but b):
 
     (a) J^0_n = -a_n            (b) J^1_n = L_n (independent expansion)
-    (c) J^p_0 = p! G_{p-1}      (d) J^p_{-1} = -(p-th derivative of a_{-1})
+    (c) J^p_0 = p! G_{p-1}      (d) J^p_{-1} = -D^p(a_{-1}), also on k3
 
-    Parts a and d compare J with lists built apart from the series
-    template, a_n and p steps of s_derive from a_{-1} (_derived, one
-    chain per run); part c is how the paper relates J and G, which thm46
-    and lem52 check.
+    Parts a and d compare J with a_n and with p steps of s_derive from
+    a_{-1}, apart from the series template; part c is how the paper
+    relates J and G, which thm46 and lem52 check.
 
-    Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1.
+    Mutation euler-shift: the J Euler weight (s+n^2-2) loses 1, adding
+    p! times the unit Euler family over l = p - 1 to c and d, p >= 2.
     """
-    N = _cutoff(spec)
-
-    def jay_plus(p, n, *pieces, box=(N, N)):
-        """J^p_n on box plus pieces; the mutation's J^p_n has -p! more of
-        the unit Euler family over l = p - 1 (none for p < 2)."""
-        if mut and p > 1:
-            pieces += ((-factorial(p), series_to_smeared(
-                _euler_families(p - 1, n), *box)),)
-        return combined((1, _window(jay_families, (p, n), *box)), *pieces)
-
-    for n in range(-n_max, n_max + 1):
-        a_n, = _derived(n, 0, N, N, N)
-        yield _universal_record(jay_plus(0, n, (1, a_n)),
-                                {"part": "a", "n": n})
+    def sides(part, x, mut):
+        return [("", *_def51(part, x, mut))]
+    yield from _declared(spec, mut, sides, ("part", "n"),
+                         [("a", n) for n in range(-n_max, n_max + 1)],
+                         None, ())
     for ring in _rings(spec):
         t = _Group({"part": "b", "surface": ring.name}, True)
         for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
-            ja = instantiate(jay_plus(1, n, box=(4, 4)), ring, a)
+            ja = instantiate(_window(jay_families, (1, n), 4, 4), ring, a)
             ln = quadratic_sum(ring, n, a).terms_within(4)
             t.check(ja.equal_terms(ln),
                     dict(t.params, n=n, a=na), ln, ja)
         yield t.record()
-    chain = _derived(-1, p_max, N, N, N)
-    for p in range(1, p_max + 1):
-        yield _universal_record(
-            jay_plus(p, 0, (-factorial(p),
-                            _window(chern_families, (p - 1,), N, N))),
-            {"part": "c", "p": p})
-        yield _universal_record(jay_plus(p, -1, (1, chain[p])),
-                                {"part": "d", "p": p})
-    for ring in _rings(spec, () if mut else ("k3",)):
-        states = _action_states(ring)
-        t = _Group({"part": "d-action", "surface": ring.name})
-        for p, (na, a) in product(range(4), _probe(ring)[:3]):
-            t.columns(ring, states, jay(ring, p, -1, a),
-                      Linear((-1, derivative(heisenberg(ring, -1, a), p))),
-                      dict(t.params, p=p, a=na))
-        yield t.record()
+    yield from _declared(
+        spec, mut, sides, ("part", "p"),
+        [(part, p) for p in range(1, p_max + 1) for part in "cd"],
+        lambda ring: [({}, [("d", p) for p in range(4)], [
+            ({"a": na}, {"a": a}) for na, a in _probe(ring)[:3]])],
+        () if mut else ("k3",), tag={"part": "d-action"})
 
 
 # -- lem53: W-generators as field monomial components ----------------------
 
 
+def _lem53(p, m, mut):
+    rhs = ((1, _Leaf("V", p, m, "a")),)
+    if mut and p >= 1:
+        rhs += ((Q(p, 24), _Leaf("M", p - 1, m, "ea")),)
+    return _Leaf("J", p, m, "a"), rhs
+
+
 def _run_lem53(spec, mut, *, p_max=4, m_max=3):
-    """J^p_m equals its normally ordered field expression term by term:
+    """J^p_m equals its normally ordered field expression term by term
+    (_lem53, then :a^2:_m = -2 L_m on p2):
 
         -1/(p+1) :a^{p+1}:_m + p(m^2-3m-2p)/24 :a^{p-1}:_m (Euler)
         + p(p-1)/24 :(d^2 a) a^{p-2}:_m (Euler).
 
     Mutation field-coeff-shift: the middle coefficient gains p/24.
     """
-    N = _cutoff(spec)
-    for p, m in product(range(p_max + 1), range(-m_max, m_max + 1)):
-        pieces = [(1, _window(jay_families, (p, m), N, N)),
-                  (-1, _window(jay_field_families, (p, m), N, N))]
-        if mut and p >= 1:
-            pieces.append((Q(-p, 24), euler_shifted(_window(
-                fourier_families, ((0,) * (p - 1), m), N, N))))
-        yield _universal_record(combined(*pieces), {"p": p, "m": m})
+    yield from _declared(
+        spec, mut, lambda p, m, mut: [("", *_lem53(p, m, mut))], ("p", "m"),
+        product(range(p_max + 1), range(-m_max, m_max + 1)), None, ())
     for ring in _rings(spec, () if mut else ("p2",)):
         t = _Group({"check": "square-field", "surface": ring.name}, True)
         for m in range(-2, 3):

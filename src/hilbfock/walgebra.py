@@ -98,11 +98,11 @@ def jay_families(p, n):
     return tuple(series_families(p, n, -factorial(p), n * n - 2))
 
 
-def chern_families(k):
-    """Families of the k-th Chern character component G_k."""
+def chern_families(k, moved=0):
+    """Families of G_k; thm46's mutation adds moved to its shift."""
     if k < 0:
         raise ValueError("negative Chern character index %d" % k)
-    return series_families(k + 1, 0, -1, -2)
+    return series_families(k + 1, 0, -1, -2 + moved)
 
 
 def apow_families(n, k, moved=0):

@@ -1275,14 +1275,16 @@ def test_reports_do_not_depend_on_the_run_order(name):
 
 def _every_kind():
     """One side of each leaf kind, the two leaves verify._w adds (J^p_n on
-    e a b and integral(a b) Id) among them, and one of each node kind
-    over them."""
+    e a b and integral(a b) Id) and thm31's a_n(K b) among them, and one
+    of each node kind over them."""
     leaf = verify._Leaf
     leaves = [leaf("a", 0, -1, "b"), leaf("L", 1, 1, "b"),
               leaf("G", 2, 0, "a"), leaf("J", 2, -1, "ab"),
               leaf("D", 2, -1, "a"), leaf("F", 1, -1, "b", -1),
               leaf("E", 2, 0, "b"), leaf("1", 0, 0, "eb"),
-              leaf("J", 1, -1, "eab"), leaf("1", 0, 0, "ab")]
+              leaf("J", 1, -1, "eab"), leaf("1", 0, 0, "ab"),
+              leaf("a", 0, -1, "Kb"), leaf("V", 2, -1, "a"),
+              leaf("M", 2, -1, "b")]
     return leaves + [verify._Br(leaves[2], leaves[0]),
                      verify._Der(leaves[3], 1),
                      tuple((Fraction(1, 2), x) for x in leaves)]
@@ -1290,10 +1292,10 @@ def _every_kind():
 
 # The leaves of _every_kind whose column is zero at each (surface, a, b)
 # of the test below: a class that vanishes (e a b = e x on p2; e b, e a b
-# and the unit Euler family where e = 0) or integrates to 0 (a b = 1 on
-# k3, t1 on abelian).
-ZERO_KINDS = {("p2", "x", "1"): {8}, ("k3", "1", "1"): {9},
-              ("abelian", "1", "t1"): {6, 7, 8, 9}}
+# and the unit Euler family where e = 0; K b where K = 0, on k3 and
+# abelian) or integrates to 0 (a b = 1 on k3, t1 on abelian).
+ZERO_KINDS = {("p2", "x", "1"): {8}, ("k3", "1", "1"): {9, 10},
+              ("abelian", "1", "t1"): {6, 7, 8, 9, 10}}
 
 
 @pytest.mark.parametrize("surface, a, b", sorted(ZERO_KINDS))
@@ -1308,7 +1310,8 @@ def test_expanded_sides_never_read_the_smeared_side(recorded, surface, a,
     calls = [recorded(verify, name) for name in (
         "series_to_smeared", "series_bracket", "s_derive", "instantiate",
         "smeared_series")]
-    classes = {"a": ring.basis(a), "b": ring.basis(b), "e": ring.e}
+    classes = {"a": ring.basis(a), "b": ring.basis(b), "e": ring.e,
+               "K": ring.K}
     states = verify._action_states(ring)
     zero = {i for i, x in enumerate(_every_kind()) if not any(
         [verify._on(ring, x, classes, {}).column(s) for s in states])}
@@ -1320,8 +1323,10 @@ def test_w_action_records_never_read_the_smeared_side(recorded):
     """thm55 and thm57 build both sides of their action records from _w
     by _on: a plain thm55 run on p2 and a plain thm57 run, each with its
     action record, make no smeared_series call, so those records ground
-    the stored residuals on an independent route."""
-    calls = recorded(verify, "smeared_series")
+    the stored residuals on an independent route.  thm31, whose records
+    are all action records, builds its sides from _thm31 by _on alone: a
+    small plain run on p2 makes no call to verify's smeared kernels."""
+    calls = [recorded(verify, "smeared_series")]
     bounds = {"pq_max": 2, "m_max": 1}
     for spec in (SuiteSpec("thm55", surface="p2", bounds=bounds),
                  SuiteSpec("thm57", bounds=bounds)):
@@ -1331,7 +1336,14 @@ def test_w_action_records_never_read_the_smeared_side(recorded):
                 if r.params.get("check") == "action"] == [{
                     "check": "action", "surface": ring.name}
                     for ring in verify._rings(spec)], spec.suite
-    assert not calls
+    assert not any(calls)
+    calls += [recorded(verify, name) for name in (
+        "series_to_smeared", "series_bracket", "s_derive", "instantiate")]
+    report = run_suite(SuiteSpec("thm31", surface="p2",
+                                 bounds={"m_max": 1, "k_max": 1}))
+    assert report.ok and {r.params["part"] for r in report.records} == {
+        "mixed", "replacement", "character-pin"}
+    assert not any(calls)
 
 
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():
@@ -1349,6 +1361,20 @@ def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():
             == classes, surface
         assert all(r.status == "fail" for r in action), surface
         assert not report.ok
+
+
+def test_each_identity_is_stated_once():
+    """Every expanded side but lem32's is built from a statement by _on:
+    the top-level definitions of verify.py that call Bracket, Linear or
+    derivative are exactly _on and _run_lem32, which checks the smeared
+    calculus against its own compositions."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    builders = {node.name for node in tree.body
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) in (
+                    "Bracket", "Linear", "derivative")}
+    assert builders == {"_on", "_run_lem32"}
 
 
 def test_only_the_group_and_verdict_build_records():

@@ -49,3 +49,18 @@ def test_a_malformed_job_exits_2_before_any_child(job, item):
     assert proc.stdout == ""
     line, = proc.stderr.splitlines()
     assert line.startswith("work_counts.py: %s: item %s" % (job, item))
+
+
+@pytest.mark.parametrize("job, message", [
+    ("thm55,foo=1", "suite thm55 has no bound foo"),
+    ("nosuch", "unknown suite 'nosuch'")])
+def test_a_refused_job_exits_2_with_one_line(job, message):
+    """A job that verify.run_suite refuses, an unknown bound or suite,
+    exits 2 with one stderr line naming the job and the reason, and no
+    traceback."""
+    proc = subprocess.run([sys.executable, str(TOOL), job],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith("work_counts.py: %s: %s" % (job, message)), line

@@ -12,7 +12,10 @@ A RUN is one of
   order;
 - a suite job written SUITE[,surface=S][,cutoff=C][,mutation=M][,KEY=V],
   such as heis,surface=p2,m_max=1.
-The default is symbolic, action, queries and reports.
+The default is symbolic, action, queries and reports.  A malformed job
+exits 2 before any child starts, and a job that verify.run_suite
+refuses, such as an unknown suite or bound, exits 2 with one line that
+names it.
 
 Each run starts a fresh interpreter on this checkout's src/, imports the
 package and builds the four built-in rings, and then profiles the run
@@ -151,7 +154,12 @@ def count(run):
     if run == "queries":
         queries(hf)
     for spec in jobs:
-        hf.verify.serialize_report(hf.verify.run_suite(spec), "jsonl")
+        try:
+            report = hf.verify.run_suite(spec)
+        except ValueError as exc:  # a refused job: one line, no traceback
+            sys.stderr.write("work_counts.py: %s: %s\n" % (run, exc))
+            raise SystemExit(2)
+        hf.verify.serialize_report(report, "jsonl")
     prof.disable()
     stats = pstats.Stats(prof)
     codes = {}
