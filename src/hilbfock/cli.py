@@ -133,6 +133,8 @@ def _cmd_verify(args):
         if "=" not in item:
             raise UsageError("--bound expects KEY=INT, got %r" % item)
         key, _, val = item.partition("=")
+        if key in bounds:
+            raise UsageError("--bound %s is given more than once" % key)
         try:
             bounds[key] = int(val)
         except ValueError:

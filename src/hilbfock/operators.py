@@ -521,6 +521,8 @@ class Linear:
         self.pieces = pieces
 
     def column(self, sid):
+        if not self.pieces:
+            return _EMPTY
         if len(self.pieces) == 1:
             (c, op), = self.pieces
             return {t: c * v for t, v in op.column(sid).items()} if c else {}

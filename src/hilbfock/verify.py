@@ -9,7 +9,7 @@ states, so the smeared calculus is grounded in raw operator composition.
 All suites but heis, lem32, lem61, cor48, rmk410 and eq22 state each
 identity once, as (lhs, rhs) over leaves on class slots (`_Leaf`), a
 bracket (`_Br`), a derivative (`_Der`) and a linear right side.  Two
-evaluators read it, neither from the other: `_smeared` gives its
+evaluators read it, neither from the other: `_residual` gives its
 residual on a window, `_on` its expanded operators on a ring, from which
 `_declared` and `_action_records` emit records.  The W-bracket of
 Theorem 5.5 is one statement, `_w`; thm55 and thm57 read its residuals
@@ -24,10 +24,10 @@ a record, or a mutated run that no check fails, are refused.
 
 Every suite carries one documented mutation, a wrong coefficient that it
 must detect; mutated runs use reduced grids and compute their own
-cells but the W-bracket's.  Three caches outlive a run, none of which a
-mutation changes: `_window`, read-only series windows, and the two the
-benchmark's timings pay for: `_w_cell` and heis's residuals in
-`ring._cache`.
+cells but the W-bracket's.  Four caches outlive a run, none of which a
+mutation changes: `_window` and `_chain`, the read-only series windows
+and derivative chains of every run, and the two the benchmark's timings
+pay for: `_w_cell` and heis's residuals in `ring._cache`.
 """
 
 from __future__ import annotations
@@ -455,9 +455,9 @@ def _run_heis(spec, mut, *, m_max=4, w_max=None):
 @cache
 def _window(build, args, pos, neg):
     """The series build(*args) on the box window: the one window cache,
-    kept for the process, of the leaves J, L, unshifted G and lem53's
-    field families (V, M), and of lem61's field monomials.  Every caller
-    reads it as it is."""
+    kept for the process, of every series leaf (_read), shifted or not,
+    and of lem61's field monomials.  Its key holds no class slot, and
+    every caller reads it as it is."""
     return series_to_smeared(build(*args), pos, neg)
 
 
@@ -510,46 +510,49 @@ def _families(x):
     return build(*args)
 
 
-def _smeared(N):
-    """(residual, window) of one smeared run on window N: residual(lhs,
-    rhs) is one series_bracket on (_sound_pos, N) for a bracket, else one
-    combined on the diamond of a derivative's total or the box (N, N),
-    the (c, leaf) pieces of rhs negated and fused in; D^k(x) is s_derive
-    of D^{k-1}(x), modulo K.  window builds each window once per run, in
-    a plain dict (cheaper than a functools cache), or reads _window."""
-    def build(x, pos, neg):
-        if type(x) is _Der:
-            return s_derive(window(x._replace(k=x.k - 1) if x.k > 1
-                                   else x.x, pos, neg), pos, neg, N, N,
-                            include_k=False)
-        if x.kind == "a":  # one term: no series is built for it
-            w = SmearedOp({encode((x.n,)): 1} if 0 < x.n <= pos
-                          or 0 < -x.n <= neg else {})
-        elif x.kind == "1":
-            w = SmearedOp({0: 1})
-        elif x.kind in "GJLMV" and not x.shift:
-            w = _window(*_SERIES[x.kind](x), pos, neg)
-        else:
-            w = series_to_smeared(_families(x), pos, neg)
-        return euler_shifted(w) if x.cls[0] == "e" else w
+def _read(x, pos, neg, N):
+    """The window of a leaf or a _Der on the box (pos, neg) of window N:
+    a_n and integral(.) Id are one term, built in place, every series
+    leaf reads _window, times e on an "e" slot, and D^k(x) reads _chain."""
+    if type(x) is _Der:
+        return _chain(x, pos, neg, N)
+    if x.kind == "a":
+        w = SmearedOp({encode((x.n,)): 1} if 0 < x.n <= pos
+                      or 0 < -x.n <= neg else {})
+    elif x.kind == "1":
+        w = SmearedOp({0: 1})
+    else:
+        w = _window(*_SERIES[x.kind](x), pos, neg)
+    return euler_shifted(w) if x.cls[0] == "e" else w
 
-    memo = {}
 
-    def window(x, pos, neg):
-        if (x, pos, neg) not in memo:
-            memo[x, pos, neg] = build(x, pos, neg)
-        return memo[x, pos, neg]
+@cache
+def _chain(x, pos, neg, N):
+    """D^k(x) on the box (pos, neg) of window N, modulo K: s_derive of
+    D^{k-1}(x), kept for the process, so that each step of a chain is
+    taken once.  Every _Der the smeared side reads sits on slot "a"."""
+    return s_derive(_read(x._replace(k=x.k - 1) if x.k > 1 else x.x, pos,
+                          neg, N), pos, neg, N, N, include_k=False)
 
-    def residual(lhs, rhs):
-        if type(lhs) is _Br:
-            pos = _sound_pos(N, lhs.f.n, lhs.g.n)
-            return series_bracket(_families(lhs.f), _families(lhs.g), pos,
-                                  N, *[(-c, window(x, pos, N))
-                                       for c, x in rhs])
-        box = _diamond(N, lhs.x.n) if type(lhs) is _Der else (N, N)
-        return combined((1, window(lhs, *box)),
-                        *[(-c, window(x, *box)) for c, x in rhs])
-    return residual, window
+
+def _residual(lhs, rhs, N):
+    """The residual of a statement on window N: one series_bracket on
+    (_sound_pos, N) for a bracket, else one combined on the diamond of a
+    derivative's total or the box (N, N), the (c, leaf) pieces of rhs
+    negated and fused in."""
+    if type(lhs) is _Br:
+        pos = _sound_pos(N, lhs.f.n, lhs.g.n)
+        return series_bracket(_families(lhs.f), _families(lhs.g), pos, N,
+                              *[(-c, _read(x, pos, N, N)) for c, x in rhs])
+    box = _diamond(N, lhs.x.n) if type(lhs) is _Der else (N, N)
+    return combined((1, _read(lhs, *box, N)),
+                    *[(-c, _read(x, *box, N)) for c, x in rhs])
+
+
+def _central(rhs, N):
+    """The integral(.) Id pieces of a right side, as (c, window): a
+    bracket's residual plus them has the bracket's scalar terms."""
+    return [(c, _read(x, N, N, N)) for c, x in rhs if x.kind == "1"]
 
 
 def _on(ring, x, classes, built):
@@ -605,20 +608,20 @@ def _action_records(ring, tag, names, statement, groups, states, built):
 
 def _declared(spec, mut, sides, names, cells, act, rings=None, *,
               on_states=_action_states, sweep=None, central=None,
-              act_mut=True, tag=(("check", "action"),)):
+              tag=(("check", "action"),)):
     """The records of an identity: sides(*cell, mut) lists its (check,
     lhs, rhs) with the mutation in them.  Each cell, named by names,
     gives per check a universal record; with sweep = (label, cases(ring))
     instantiate records; with central(*cell) = (expected, params) a
-    record of lhs's scalar terms on k3.  Then act(ring) lists the groups
-    of _action_records per ring, each one record, tagged tag, of the last
-    check, mutated unless act_mut is off."""
-    residual, _ = _smeared(_cutoff(spec))
+    record of lhs's scalar terms on k3, its residual's plus rhs's.  Then
+    act(ring), unless act is None, lists the groups of _action_records
+    per ring, each one record, tagged tag, of the last check."""
+    N = _cutoff(spec)
     sweeps = [(r, sweep[1](r)) for r in _rings(spec)] if sweep else []
     for cell in cells:
         params = dict(zip(names, cell))
         for check, lhs, rhs in sides(*cell, mut):
-            delta = residual(lhs, rhs)
+            delta = _residual(lhs, rhs, N)
             yield _universal_record(delta, dict(params, check=check)
                                     if check else params)
             for ring, rcases in sweeps:
@@ -626,14 +629,17 @@ def _declared(spec, mut, sides, names, cells, act, rings=None, *,
                              dict(params, check=sweep[0]))
             want = central and central(*cell)
             for k3 in _rings(spec, ("k3",) if want else ()):
-                val = _scalar_part(residual(lhs, ()), k3, k3.unit)
+                val = _scalar_part(combined((1, delta), *_central(rhs, N)),
+                                   k3, k3.unit)
                 yield _verdict(val == want[0], dict(
                     want[1], check="central", surface=k3.name), 1,
                     str(want[0]), str(val))
+    if act is None:
+        return
     for ring in _rings(spec, rings):
         yield from _action_records(
-            ring, tag, names, lambda *c: sides(*c, mut and act_mut)[-1][1:],
-            act(ring), on_states(ring), {})
+            ring, tag, names, lambda *c: sides(*c, mut)[-1][1:], act(ring),
+            on_states(ring), {})
 
 
 def _thm42(k, n, mut):
@@ -690,7 +696,7 @@ def _run_rmk43(spec, mut, *, k_max=3, n_max=3):
         spec, mut, _rmk43, ("k", "n", "d"),
         [(k, n, d) for k, n in product(range(k_max + 1),
                                        range(-n_max, n_max + 1))
-         for d in dict.fromkeys((-1, n * n - 2))], None, ())
+         for d in dict.fromkeys((-1, n * n - 2))], None)
 
 
 def _thm46(k, mut):
@@ -805,14 +811,14 @@ def _w_cells(pq_max, m_max):
 
 @cache
 def _w_cell(args):
-    """One (p, q, m, n) cell on window N, measured: _smeared(N)'s
-    residual of _w's plain statement.
+    """One (p, q, m, n) cell on window N, measured: the residual of _w's
+    plain statement.
 
     Kept for the process, one entry per distinct cell and window, which
     is empty when the identity holds.  thm55 and thm57, plain and
     mutated, read it, so no caller changes an entry."""
     p, q, m, n, N = args
-    return _smeared(N)[0](*_w(p, q, m, n))
+    return _residual(*_w(p, q, m, n), N)
 
 
 def _w_deltas(pq_max, m_max, N, mutation=""):
@@ -820,14 +826,13 @@ def _w_deltas(pq_max, m_max, N, mutation=""):
     window N, params naming the cell: the stored plain residual
     (_w_cell), and with a mutation label a copy with that mutation's
     piece fused on by one combined."""
-    window = _smeared(N)[1]
     for cell in _w_cells(pq_max, m_max):
         delta = _w_cell(cell + (N,))
         if mutation:
             # The pieces past the plain statement's are the mutation's.
             extra = _w(*cell, mutation=mutation)[1][len(_w(*cell)[1]):]
             pos = _sound_pos(N, *cell[2:])
-            delta = combined((1, delta), *[(-c, window(x, pos, N))
+            delta = combined((1, delta), *[(-c, _read(x, pos, N, N))
                                            for c, x in extra])
         yield dict(zip("pqmn", cell)), delta
 
@@ -837,8 +842,7 @@ def _run_vir(spec, mut, *, m_max=3):
                           + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id,
 
     the p = q = 1 cells of the W-bracket (_w over L_n), with central
-    values on k3; a mutated run checks the plain identity on states of
-    p2.
+    values on k3; a mutated run checks its identity on states of p2.
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
@@ -856,7 +860,7 @@ def _run_vir(spec, mut, *, m_max=3):
         spec, mut, lambda m, n, mut: [("universal", *_w(
             1, 1, m, n, "L", spec.mutation if mut else ""))],
         ("m", "n"), product(range(-m_max, m_max + 1), repeat=2), act,
-        ("p2",) if mut else ("p2", "k3"), act_mut=False,
+        ("p2",) if mut else ("p2", "k3"),
         sweep=("instantiate", lambda ring: _pair_cases(ring, _probe(ring))),
         central=lambda m, n: (Q(24) * Q(m ** 3 - m, 12), {"m": m})
         if m == -n != 0 else None)
@@ -1120,7 +1124,7 @@ def _run_def51(spec, mut, *, p_max=4, n_max=3):
         return [("", *_def51(part, x, mut))]
     yield from _declared(spec, mut, sides, ("part", "n"),
                          [("a", n) for n in range(-n_max, n_max + 1)],
-                         None, ())
+                         None)
     for ring in _rings(spec):
         t = _Group({"part": "b", "surface": ring.name}, True)
         for n, (na, a) in product(range(-2, 3), _probe(ring)[:4]):
@@ -1158,7 +1162,7 @@ def _run_lem53(spec, mut, *, p_max=4, m_max=3):
     """
     yield from _declared(
         spec, mut, lambda p, m, mut: [("", *_lem53(p, m, mut))], ("p", "m"),
-        product(range(p_max + 1), range(-m_max, m_max + 1)), None, ())
+        product(range(p_max + 1), range(-m_max, m_max + 1)), None)
     for ring in _rings(spec, () if mut else ("p2",)):
         t = _Group({"check": "square-field", "surface": ring.name}, True)
         for m in range(-2, 3):
@@ -1195,7 +1199,6 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         for ring, rcases in cases:
             yield _sweep(delta, ring, rcases,
                          dict(params, check="instantiate"))
-    window = _smeared(N)[1]
     for ring in _rings(spec, ("k3",)):
         u1u2 = ring.basis("u1") * ring.basis("u2")
         for (p, q), m in product(((0, 0), (1, 1), (2, 0), (0, 2)),
@@ -1204,8 +1207,7 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
             # statement's, against its central pieces, at ab = u1 u2 for
             # the trace term and ab = 1 for the Euler terms.
             cell = (p, q, m, -m)
-            central = [(c, window(x, N, N)) for c, x in _w(*cell)[1]
-                       if x.kind == "1"]
+            central = _central(_w(*cell)[1], N)
             ab = u1u2 if p == q == 0 else ring.unit
             got = _scalar_part(combined((1, _w_cell(cell + (N,))),
                                         *central), ring, ab)

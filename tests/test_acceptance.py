@@ -91,7 +91,7 @@ MUTATED_SHA256 = {
     "thm57":
         "3fdded60fb792843876c588293caaaacfce1258c418fa98bcc03a65912681263",
     "vir":
-        "6df94b233808a5635d75593344e7f0121f57225c5cd8c7309a1dd46335cac12f",
+        "41f48b73a8946779046b4dcb2dc42c4c3a0ed5b36c01804d7148678f1d5ce5ac",
 }
 
 

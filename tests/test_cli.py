@@ -159,6 +159,15 @@ def test_verify_unknown_bound_key_is_usage_error(capsys):
 
 
 
+def test_verify_repeated_bound_key_is_usage_error(capsys):
+    """A key that --bound gives twice exits 2 with one line naming it,
+    rather than running the last value."""
+    code, out, err = run(capsys, "verify", "--suite", "rmk410", "--bound",
+                         "n_max=1", "--bound", "n_max=2")
+    assert code == 2 and out == ""
+    assert err == "error: --bound n_max is given more than once\n"
+
+
 def test_verify_negative_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "heis",
                          "--bound", "m_max=-1")

@@ -350,20 +350,21 @@ LEM52_CELLS = [(p, n) for p in range(5) for n in range(-3, 4)]
 
 
 @pytest.fixture
-def lem52_memo():
-    """The J windows, cleared before and after one test, so that no
-    window built under a patch outlives it."""
+def windows_memo():
+    """The series windows and derivative chains, cleared before and
+    after one test, so that no window built under a patch outlives it."""
     verify._window.cache_clear()
+    verify._chain.cache_clear()
     yield
     verify._window.cache_clear()
+    verify._chain.cache_clear()
 
 
 def _residual(sides, cell, N, mut=False, check=0):
     """The residual of sides' check at cell (the first by default), by
-    the smeared evaluator of a run on window N."""
-    residual, _ = verify._smeared(N)
+    the smeared evaluator on window N."""
     _, lhs, rhs = sides(*cell, mut)[check]
-    return residual(lhs, rhs)
+    return verify._residual(lhs, rhs, N)
 
 
 def _lem52_residuals(order):
@@ -385,7 +386,7 @@ def _unstable_lem52(residuals):
                 _sound_pos(6, 0, n), 6))]
 
 
-def test_lem52_residuals_are_window_stable(lem52_memo):
+def test_lem52_residuals_are_window_stable(windows_memo):
     """Each lem52 residual on window 6 equals the window-8 residual
     restricted to its box, and every residual is the same whichever
     window runs first."""
@@ -396,7 +397,7 @@ def test_lem52_residuals_are_window_stable(lem52_memo):
 
 
 def test_lem52_stability_sees_a_short_expected_window(monkeypatch,
-                                                      lem52_memo):
+                                                      windows_memo):
     """An expected side whose J windows stop one mode short of the box
     edge leaves window-6 residuals that the window-8 ones, restricted,
     do not have, in either window order."""
@@ -473,9 +474,9 @@ def _same(a, b):
     return a.terms == b.terms and a.den == b.den
 
 
-def test_fused_residuals_equal_the_two_pass_sums(w_memo, lem52_memo):
+def test_fused_residuals_equal_the_two_pass_sums(w_memo, windows_memo):
     """Every W-bracket cell of WINDOW_CELLS, and every lem52 cell and
-    thm46 transfer pin (verify._smeared's residuals of verify._lem52 and
+    thm46 transfer pin (verify._residual of verify._lem52 and
     verify._thm46), plain and mutated, on windows 6 and 8 has the
     residual of the two passes, term for term over the same denominator,
     and a W cell's residual plus its central pieces, which the central
@@ -531,18 +532,19 @@ RMK56_CELLS = [(p, n) for p in range(1, 4) for n in range(-2, 3)]
 
 def _declared_cells(sides, keys, order):
     """{(key, N): the derivative on the left of sides at key and the Euler
-    term last on its right, as the smeared evaluator of a run on window
-    N holds them on the diamond N} for each window N in order, from
-    cleared J windows and partition lists."""
+    term last on its right, as the smeared evaluator on window N reads
+    them on the diamond N} for each window N in order, from cleared
+    windows, derivative chains and partition lists."""
     verify._window.cache_clear()
+    verify._chain.cache_clear()
     operators._stats_list.cache_clear()
     out = {}
     for N in order:
-        _, window = verify._smeared(N)
         for key in keys:
             _, lhs, rhs = sides(*key, False)[0]
             box = verify._diamond(N, lhs.x.n)
-            out[key, N] = (window(lhs, *box), window(rhs[-1][1], *box))
+            out[key, N] = (verify._read(lhs, *box, N),
+                           verify._read(rhs[-1][1], *box, N))
     return out
 
 
@@ -565,7 +567,7 @@ def _unstable(cells, keys, N):
                    in zip(cells[key, N], cells[key, N + 2]))]
 
 
-def test_rmk43_residuals_are_window_stable():
+def test_rmk43_residuals_are_window_stable(windows_memo):
     """Each rmk43 residual and Euler term on the diamond N equals the one
     on N + 2 cut to N, for N = 6 and 8 and both shifts d, and each is the
     same whichever window runs first.  Every Euler term holds terms but
@@ -581,7 +583,7 @@ def test_rmk43_residuals_are_window_stable():
     assert _rmk43_cells((10, 8, 6)) == narrow_first
 
 
-def test_rmk56_residuals_are_window_stable():
+def test_rmk56_residuals_are_window_stable(windows_memo):
     """Each rmk56 derivative and Euler term that its residual reads on
     the diamond N equals the one on N + 2 cut to N, for N = 6 and 8, and
     each is the same whichever window runs first.  Every Euler term but
@@ -595,7 +597,8 @@ def test_rmk56_residuals_are_window_stable():
     assert _rmk56_cells((10, 8, 6)) == narrow_first
 
 
-def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch):
+def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch,
+                                                          windows_memo):
     """A derivative that keeps its terms on a box one mode wider each way
     than its diamond leaves window-6 terms that the window-8 ones, cut to
     6, do not have: in every rmk56 derivative, and in every rmk43 cell
@@ -612,39 +615,54 @@ def test_rmk56_stability_sees_a_derivative_past_its_window(monkeypatch):
 
 
 def test_rmk56_run_derives_each_cell_once(recorded):
-    """rmk56 reads J^p_n from _window: each run, plain or mutated, derives
-    each of its 15 cells' J^p_n once and reads 35 windows, one per leaf
-    and diamond (J^p_n and J^{p+1}_n for 1 <= p <= 3, J^{p-1}_n(e a), at
-    five n), and both keep the frozen digests of the acceptance
-    battery."""
+    """From cleared process caches, rmk56's plain run derives each of its
+    15 cells' J^p_n once and reads 45 windows from _window, one per leaf
+    read (J^p_n under each derivative, J^{p+1}_n and J^{p-1}_n(e a) for
+    1 <= p <= 3, at five n), and keeps the frozen digest of the
+    acceptance battery, and so does the mutated run after it."""
+    clear_process_caches()
     derives, windows = (recorded(verify, name)
                         for name in ("s_derive", "_window"))
     report = run_suite(SuiteSpec("rmk56", surface="k3",
                                  bounds={"p_max": 3, "n_max": 2}))
-    assert report.ok and (len(derives), len(windows)) == (15, 35)
+    assert report.ok and (len(derives), len(windows)) == (15, 45)
     assert report_sha256(report) == REPORT_SHA256["rmk56"]
-    derives.clear()
-    windows.clear()
     report = run_suite(SuiteSpec("rmk56", mutation="central-scale"))
-    assert not report.ok and (len(derives), len(windows)) == (15, 35)
+    assert not report.ok
     assert report_sha256(report) == MUTATED_SHA256["rmk56"]
 
 
 def test_thm42_run_takes_each_derivative_step_once(recorded):
-    """thm42 derives one chain D^0, ..., D^k_max of each a_n per run (the
-    windows of verify._smeared), each D^k from D^{k-1}: its plain run
-    takes 18 s_derive steps (k <= 3, 1 <= |n| <= 3) and its mutated run
-    12 (k <= 2), and both keep the frozen digests of the acceptance
-    battery."""
+    """thm42 derives one chain D^0, ..., D^k_max of each a_n per process
+    (verify._chain), each D^k from D^{k-1}: from cleared process caches
+    its plain run takes 18 s_derive steps (k <= 3, 1 <= |n| <= 3) and
+    keeps the frozen digest of the acceptance battery, and so does the
+    mutated run after it."""
+    clear_process_caches()
     calls = recorded(verify, "s_derive")
     report = run_suite(SuiteSpec("thm42", cutoff=8,
                                  bounds={"k_max": 3, "n_max": 3}))
     assert report.ok and len(calls) == 18
     assert report_sha256(report) == REPORT_SHA256["thm42"]
-    calls.clear()
     report = run_suite(SuiteSpec("thm42", mutation="euler-shift"))
-    assert not report.ok and len(calls) == 12
+    assert not report.ok
     assert report_sha256(report) == MUTATED_SHA256["thm42"]
+
+
+@pytest.mark.parametrize("name", ("rmk43", "thm42", "rmk56"))
+def test_mutated_run_reuses_the_plain_chains(recorded, name):
+    """Windows and derivative chains live for the process: after its
+    plain run, from cleared process caches, a mutated rmk43, thm42 or
+    rmk56 run takes no s_derive step, and mutated rmk43, whose leaves
+    are the plain run's, builds no window."""
+    clear_process_caches()
+    assert run_suite(SuiteSpec(name)).ok
+    derives, built = (recorded(verify, fn)
+                      for fn in ("s_derive", "series_to_smeared"))
+    assert not run_suite(SuiteSpec(name, mutation=SUITES[name].mutation)).ok
+    assert not derives
+    if name == "rmk43":
+        assert not built
 
 
 def test_eq22_rejects_surfaces_without_its_classes():
@@ -752,9 +770,13 @@ def test_thm31_builds_each_transfer_operator_once(recorded):
     built its own, 346 with a memo per m, 1,621 when every (m, a, b)
     built its own), and its report keeps its frozen bytes.  The mixed
     part reads -n a_{m+n}(ab) as a Linear of the memoized operator, so
-    no case builds a scaled copy of it (784 did)."""
+    no case builds a scaled copy of it (784 did).  A Linear with no
+    pieces, the right side of a mixed cell at n = 0, has the shared
+    empty column, so the suite makes 304 combine calls (2,432 when that
+    column combined nothing per state)."""
     calls = recorded(verify, "heisenberg")
     scaled = recorded(operators.OperatorSum, "scaled")
+    combines = recorded(operators, "combine")
     report = run_suite(SuiteSpec("thm31", surface="p1xp1"))
     text = serialize_report(report, "jsonl")
     assert report.ok
@@ -762,6 +784,7 @@ def test_thm31_builds_each_transfer_operator_once(recorded):
         REFS["suites"]["thm31-p1xp1"]
     assert len(calls) <= 77, len(calls)
     assert not scaled, len(scaled)
+    assert len(combines) <= 304, len(combines)
 
 
 def _composed_record(ring, states, lm, an, rhs, params):
@@ -1097,13 +1120,15 @@ def test_lem32_composes_each_bracket_pair_once(recorded):
 
 
 def test_def51_euler_shift_mutation_rebuilds_no_plain_family(recorded):
-    """After the plain run, def51-ids' euler-shift run reads the plain J
-    windows from _window and builds only the unit Euler family's terms:
-    every family list it expands or brackets is one Euler family, it
-    derives only its one chain D^1, ..., D^4 of a_{-1}, and both reports
-    keep their frozen digests (the plain one at the acceptance bounds,
-    the defaults)."""
+    """From cleared process caches and after the plain run, def51-ids'
+    euler-shift run reads the plain J windows from _window and builds
+    only the unit Euler family's terms: every family list it expands or
+    brackets is one Euler family, it takes no s_derive step, since the
+    plain run's chain D^1, ..., D^4 of a_{-1} lives for the process, and
+    both reports keep their frozen digests (the plain one at the
+    acceptance bounds, the defaults)."""
     suite = "def51-ids"
+    clear_process_caches()
     assert report_sha256(run_suite(SuiteSpec(
         suite, bounds={"p_max": 4, "n_max": 3}))) == REPORT_SHA256[suite]
     smeared, brackets, derives = (recorded(verify, name) for name in (
@@ -1112,7 +1137,7 @@ def test_def51_euler_shift_mutation_rebuilds_no_plain_family(recorded):
     assert report_sha256(report) == MUTATED_SHA256[suite]
     fams = [args[0] for args in smeared + brackets]
     assert fams and all(len(f) == 1 and f[0].epow == 1 for f in fams)
-    assert len(derives) == 4
+    assert not derives
 
 
 def test_lem32_memo_memory_stays_bounded():
