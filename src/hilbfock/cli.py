@@ -264,6 +264,21 @@ def _cmd_dump(args):
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so each command parser, storing an option once."""
+
+    class _StoreOnce(argparse._StoreAction):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if self.dest in vars(namespace).setdefault("_given", set()):
+                parser.error("%s is given more than once" % option_string)
+            namespace._given.add(self.dest)
+            setattr(namespace, self.dest, values)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, self._StoreOnce)
+
+
 def _add_ring_flags(p):
     p.add_argument("--surface", default="",
                    help="built-in surface name (default p2)")
@@ -277,7 +292,7 @@ def _add_out_flags(p, formats):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hilbfock",
         description="Exact operator calculus on Fock models of Hilbert "
                     "schemes of points on surfaces.")

@@ -2,18 +2,20 @@
 
 Each suite checks one identity family by exact computation and returns
 a report of pass/fail records.  Universal checks compare smeared term
-lists, valid over every surface at once; instantiate checks specialize
-them on concrete surfaces; action checks apply both sides to explicit
-states, so the smeared calculus is grounded in raw operator composition.
+lists, valid over every surface at once; action checks apply both sides
+to explicit states, so the smeared calculus is grounded in raw operator
+composition.  Instantiate and central records, which specialize
+residuals on concrete surfaces, are thm55's alone.
 
 All suites but heis, lem32, lem61, cor48, rmk410 and eq22 state each
 identity once, as (lhs, rhs) over leaves on class slots (`_Leaf`), a
 bracket (`_Br`), a derivative (`_Der`) and a linear right side.  Two
 evaluators read it, neither from the other: `_residual` gives its
-residual on a window, `_on` its expanded operators on a ring, from which
-`_declared` and `_action_records` emit records.  The W-bracket of
-Theorem 5.5 is one statement, `_w`; thm55 and thm57 read its residuals
-from one store, `_w_cell`, a mutated run fusing its piece onto a copy.
+residual on a window, `_on` its expanded operators on a ring, and
+`_declared` emits exactly their universal and action records.  The
+W-bracket of Theorem 5.5 is one statement, `_w`; thm55 and thm57 read
+its residuals from one store, `_w_cell`, a mutated run fusing its piece
+onto a copy.
 
 Records are built by `_Group` and `_verdict` alone, and every check on
 states but heis's goes through `_Group.columns`.  Each runner declares
@@ -277,12 +279,6 @@ def _inst_fail(delta, ring, a, b):
         if ring.integrate(cls):
             return "%s * integral(%s) * Id" % (c, cls.render())
     return None
-
-
-def _pair_cases(ring, probes):
-    """Instantiation cases (label, a, b) for every ordered probe pair."""
-    return [("%s,%s" % (na, nb), a, b) for na, a in probes
-            for nb, b in probes]
 
 
 def _verdict(ok, params, checks, expected, actual):
@@ -549,12 +545,6 @@ def _residual(lhs, rhs, N):
                     *[(-c, _read(x, *box, N)) for c, x in rhs])
 
 
-def _central(rhs, N):
-    """The integral(.) Id pieces of a right side, as (c, window): a
-    bracket's residual plus them has the bracket's scalar terms."""
-    return [(c, _read(x, N, N, N)) for c, x in rhs if x.kind == "1"]
-
-
 def _on(ring, x, classes, built):
     """The expanded operator of a side on ring, by operators' and
     walgebra's constructors alone, never from the smeared side; a leaf on
@@ -607,33 +597,18 @@ def _action_records(ring, tag, names, statement, groups, states, built):
 
 
 def _declared(spec, mut, sides, names, cells, act, rings=None, *,
-              on_states=_action_states, sweep=None, central=None,
-              tag=(("check", "action"),)):
+              on_states=_action_states, tag=(("check", "action"),)):
     """The records of an identity: sides(*cell, mut) lists its (check,
     lhs, rhs) with the mutation in them.  Each cell, named by names,
-    gives per check a universal record; with sweep = (label, cases(ring))
-    instantiate records; with central(*cell) = (expected, params) a
-    record of lhs's scalar terms on k3, its residual's plus rhs's.  Then
-    act(ring), unless act is None, lists the groups of _action_records
-    per ring, each one record, tagged tag, of the last check."""
+    gives per check a universal record; then act(ring), unless act is
+    None, lists the groups of _action_records per ring, each one record,
+    tagged tag, of the last check."""
     N = _cutoff(spec)
-    sweeps = [(r, sweep[1](r)) for r in _rings(spec)] if sweep else []
     for cell in cells:
         params = dict(zip(names, cell))
         for check, lhs, rhs in sides(*cell, mut):
-            delta = _residual(lhs, rhs, N)
-            yield _universal_record(delta, dict(params, check=check)
-                                    if check else params)
-            for ring, rcases in sweeps:
-                yield _sweep(delta, ring, rcases,
-                             dict(params, check=sweep[0]))
-            want = central and central(*cell)
-            for k3 in _rings(spec, ("k3",) if want else ()):
-                val = _scalar_part(combined((1, delta), *_central(rhs, N)),
-                                   k3, k3.unit)
-                yield _verdict(val == want[0], dict(
-                    want[1], check="central", surface=k3.name), 1,
-                    str(want[0]), str(val))
+            yield _universal_record(_residual(lhs, rhs, N), dict(
+                params, check=check) if check else params)
     if act is None:
         return
     for ring in _rings(spec, rings):
@@ -651,8 +626,8 @@ def _thm42(k, n, mut):
 def _run_thm42(spec, mut, *, k_max=3, n_max=3):
     """The k-th derivative of a_n equals its closed partition expansion
     (_thm42; modulo K, exercised with full K via the recursive route on
-    states), on every K-trivial class.  A mutated run checks states for
-    the first class whose Euler term e*a the mutation moves.
+    states), on the K-trivial ones of 1 and x.  A mutated run checks
+    states for the first class whose Euler term e*a the mutation moves.
 
     Mutation euler-shift: the closed Euler factor (s-1) becomes (s+1).
     """
@@ -671,9 +646,7 @@ def _run_thm42(spec, mut, *, k_max=3, n_max=3):
         spec, mut, _thm42, ("k", "n"),
         product(range(k_max + 1),
                 [v for a in range(1, n_max + 1) for v in (a, -a)]),
-        act, ("p2", "k3"), sweep=("classes", lambda ring: [
-            (na, a, ring.unit)
-            for na, a in _ktrivial(ring, _probe(ring, "all"))]))
+        act)
 
 
 def _rmk43(k, n, d, mut):
@@ -841,8 +814,8 @@ def _run_vir(spec, mut, *, m_max=3):
     """[L_m(a), L_n(b)] = (m-n) L_{m+n}(ab)
                           + delta_{m,-n} ((m^3-m)/12) integral(e a b) Id,
 
-    the p = q = 1 cells of the W-bracket (_w over L_n), with central
-    values on k3; a mutated run checks its identity on states of p2.
+    the p = q = 1 cells of the W-bracket (_w over L_n), on states of p2
+    and k3 (the vacuum reads the central value), mutated on p2 alone.
 
     Mutation central-shift: the central factor gains an extra 1/12.
     """
@@ -860,10 +833,7 @@ def _run_vir(spec, mut, *, m_max=3):
         spec, mut, lambda m, n, mut: [("universal", *_w(
             1, 1, m, n, "L", spec.mutation if mut else ""))],
         ("m", "n"), product(range(-m_max, m_max + 1), repeat=2), act,
-        ("p2",) if mut else ("p2", "k3"),
-        sweep=("instantiate", lambda ring: _pair_cases(ring, _probe(ring))),
-        central=lambda m, n: (Q(24) * Q(m ** 3 - m, 12), {"m": m})
-        if m == -n != 0 else None)
+        ("p2",) if mut else None)
 
 
 # -- thm31: mixed brackets and the replacement rule ------------------------
@@ -1193,7 +1163,8 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
         pq_max = min(pq_max, 3)
         m_max = min(m_max, 1)
         rings = rings[:1]
-    cases = [(r, _pair_cases(r, _probe(r))) for r in rings]
+    cases = [(r, [("%s,%s" % (na, nb), a, b) for (na, a), (nb, b)
+                  in product(_probe(r), repeat=2)]) for r in rings]
     for params, delta in _w_deltas(pq_max, m_max, N, spec.mutation):
         yield _universal_record(delta, dict(params, check="universal"))
         for ring, rcases in cases:
@@ -1207,7 +1178,8 @@ def _run_thm55(spec, mut, *, pq_max=6, m_max=3):
             # statement's, against its central pieces, at ab = u1 u2 for
             # the trace term and ab = 1 for the Euler terms.
             cell = (p, q, m, -m)
-            central = _central(_w(*cell)[1], N)
+            central = [(c, _read(x, N, N, N)) for c, x in _w(*cell)[1]
+                       if x.kind == "1"]
             ab = u1u2 if p == q == 0 else ring.unit
             got = _scalar_part(combined((1, _w_cell(cell + (N,))),
                                         *central), ring, ab)
@@ -1445,7 +1417,7 @@ SUITES = {
                   None, SURFACE_NAMES),
     "vir": Suite(_run_vir, "Virasoro bracket of the quadratic series with "
                  "the Euler-class central term", "central-shift", 8,
-                 SURFACE_NAMES),
+                 ("p2", "k3")),
     "thm31": Suite(_run_thm31, "mixed Virasoro-transfer brackets, the "
                    "derivative replacement rule, and the character pin",
                    "canonical-shift", None, SURFACE_NAMES),
@@ -1454,7 +1426,7 @@ SUITES = {
                    SURFACE_NAMES),
     "thm42": Suite(_run_thm42, "closed partition expansion of iterated "
                    "derivatives of transfer operators", "euler-shift", 8,
-                   ("k3", "abelian", "p2")),
+                   ("p2", "k3")),
     "rmk43": Suite(_run_rmk43, "derivative closure of the d-shifted "
                    "partition families, including n = 0", "shift-term", 8,
                    ()),

@@ -206,6 +206,16 @@ def test_verify_refuses_undeclared_surfaces(capsys):
             assert surface in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ("vir", "thm42"))
+def test_verify_vir_and_thm42_run_on_p2_or_k3(capsys, name):
+    """vir and thm42 read only the rings of their action records, so any
+    other surface is refused in one line."""
+    code, out, err = run(capsys, "verify", "--suite", name, "--surface",
+                         "abelian")
+    assert code == 2 and out == ""
+    assert err == "error: suite %s runs on p2 or k3, not abelian\n" % name
+
+
 def test_verify_cor48_mutation_off_k3_is_usage_error(capsys):
     for surface in ("abelian", "p2"):
         code, out, err = run(capsys, "verify", "--suite", "cor48",
@@ -693,6 +703,45 @@ def test_dump_prints_the_operator_chern_applies(capsys):
     code, text, _ = run(capsys, "dump", "--op", "G(2;u1)", "--surface", "k3",
                         "--cutoff", "3")
     assert code == 0 and text == op.render() + "\n"
+
+
+# (command, option, a value it accepts) for every single-valued option
+# of every command parser, read from the parsers.
+STORE_OPTIONS = [(command, action.option_strings[-1],
+                  action.choices[0] if action.choices
+                  else "1" if action.type is int else "x")
+                 for command, parser in sorted(cli._parser()[1].items())
+                 for action in parser._actions
+                 if isinstance(action, argparse._StoreAction)]
+
+
+@pytest.mark.parametrize("command, option, value", STORE_OPTIONS,
+                         ids=["%s %s" % row[:2] for row in STORE_OPTIONS])
+def test_a_repeated_single_valued_option_exits_2(capsys, command, option,
+                                                 value):
+    """A single-valued option given twice, even with one value, exits 2
+    with argparse's usage and one error line naming it, rather than
+    running the last value."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, value, option, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith("hilbfock %s: error: %s is given more than once\n"
+                        % (command, option)), err
+
+
+def test_appended_options_and_flags_still_repeat(capsys):
+    """Every command has a single-valued option, and each is read from
+    its parser; appended options and flags given twice still run."""
+    assert {command for command, _, _ in STORE_OPTIONS} == set(
+        cli._parser()[1])
+    assert ("verify", "--surface", "x") in STORE_OPTIONS
+    for argv in (["cup", "--k", "1", "--k", "1", "--n", "3", "--class",
+                  "x", "--class", "x"],
+                 ["intersect", "--grid", "--grid", "--n", "2"],
+                 ["verify", "--list", "--list"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err, argv
 
 
 # A mixed stream: append flags given, omitted and repeated, argparse

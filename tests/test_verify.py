@@ -1371,6 +1371,21 @@ def test_w_action_records_never_read_the_smeared_side(recorded):
     assert not any(calls)
 
 
+@pytest.mark.parametrize("name, failing", [("vir", 8), ("thm42", 7)])
+def test_vir_and_thm42_records_come_from_the_two_evaluators(name, failing):
+    """Every record of a plain or mutated vir or thm42 report at default
+    bounds is a universal record (_residual) or an action record (_on):
+    no instantiate, classes or central record, which would count checks
+    on a residual the universal record already decides.  The mutated
+    run still fails that many records."""
+    for mutation in ("", SUITES[name].mutation):
+        report = run_suite(SuiteSpec(name, mutation=mutation))
+        assert {r.params["check"] for r in report.records} == {
+            "universal", "action"}, mutation
+        assert report.ok == (not mutation), mutation
+        assert report.failed >= (failing if mutation else 0), mutation
+
+
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():
     """thm42's mutated run checks on states the first K-trivial class
     whose Euler term e*a the mutation moves: class 1 on k3, with or

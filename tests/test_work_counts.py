@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from hilbfock.verify import SuiteSpec, run_suite
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "work_counts.py"
 
 
@@ -24,7 +26,8 @@ def _counts(hashseed):
 def test_heis_counts_are_the_same_under_two_hash_seeds():
     """heis on p2 at m_max=1, counted in two fresh processes under
     PYTHONHASHSEED 0 and 1, gives the same total calls and the same
-    ncalls of every kernel, and the kernels it runs are counted."""
+    ncalls of every kernel, and the kernels it runs are counted; its
+    records and checks are its report's."""
     first, second = _counts(0), _counts(1)
     assert first == second
     assert first["run"] == "heis,surface=p2,m_max=1"
@@ -33,6 +36,9 @@ def test_heis_counts_are_the_same_under_two_hash_seeds():
     assert kernels["commutator_block"] > 0
     assert kernels["series_bracket"] == 0
     assert first["calls"] > sum(kernels.values())
+    report = run_suite(SuiteSpec("heis", surface="p2", bounds={"m_max": 1}))
+    assert first["records"] == len(report.records) > 0
+    assert first["checks"] == sum(r.checks for r in report.records) > 0
 
 
 @pytest.mark.parametrize("job, item", [("thm55,surface", "'surface'"),

@@ -19,12 +19,13 @@ names it.
 
 Each run starts a fresh interpreter on this checkout's src/, imports the
 package and builds the four built-in rings, and then profiles the run
-alone.  It prints one JSON line per run: the run, its total calls and
-the ncalls of each kernel in KERNELS.  Calls are counted exactly, so two
-runs of one tree give the same numbers on any host and under any hash
-seed; they miss work done inside a builtin, such as a dict or int
-operation, so they complement time and do not replace it.  Uses the
-standard library only, and reads perfbench/ without changing it.
+alone.  It prints one JSON line per run: the run, its total calls, the
+records and checks of its reports (0 for queries) and the ncalls of each
+kernel in KERNELS.  Calls are counted exactly, so two runs of one tree
+give the same numbers on any host and under any hash seed; they miss
+work done inside a builtin, such as a dict or int operation, so they
+complement time and do not replace it.  Uses the standard library only,
+and reads perfbench/ without changing it.
 """
 
 import argparse
@@ -141,7 +142,8 @@ def queries(hf):
 
 def count(run):
     """The counts of one run in this process: {"run", "calls",
-    "kernels"}."""
+    "records", "checks", "kernels"}, records and checks summed over the
+    run's reports (0 for queries)."""
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     import hilbfock.cli
     import hilbfock.verify
@@ -149,6 +151,7 @@ def count(run):
     for name in SURFACES:
         hf.ring.builtin_ring(name)
     jobs = [] if run == "queries" else specs(hf, run)
+    records = []
     prof = cProfile.Profile()
     prof.enable()
     if run == "queries":
@@ -160,6 +163,7 @@ def count(run):
             sys.stderr.write("work_counts.py: %s: %s\n" % (run, exc))
             raise SystemExit(2)
         hf.verify.serialize_report(report, "jsonl")
+        records += report.records  # no call, so calls do not move
     prof.disable()
     stats = pstats.Stats(prof)
     codes = {}
@@ -171,6 +175,8 @@ def count(run):
         codes[qualname] = (code.co_filename, code.co_firstlineno,
                            code.co_name)
     return {"run": run, "calls": stats.total_calls,
+            "records": len(records),
+            "checks": sum(r.checks for r in records),
             "kernels": {name: stats.stats.get(key, (0, 0))[1]
                         for name, key in codes.items()}}
 
