@@ -51,7 +51,7 @@ REPORT_SHA256 = {
     "thm46-unique":
         "4681dcdfc416e1efa6b93fb9d71dbd0b68241879c68f92656da825670213207e",
     "thm55":
-        "5760aeb88da607375c5ae04ae21be5bce710e52a259675ba1bf309d7d3596a79",
+        "02f5ec0d7d0e7fafc380c516473db7a032490e9ad6b52dafa9ac4d24147a1118",
     "thm57":
         "afa10328f40c1da578e2a21e0f893adfad926d931fe0df5d14ffbfb317ae0d58",
     "vir":
@@ -87,7 +87,7 @@ MUTATED_SHA256 = {
     "thm46-unique":
         "6fc5cf672ef0525d284d959076bc4044b368718ef0433061d2904bd969480464",
     "thm55":
-        "8c771e91f55f43790e0decdbcd8efaded89041509808eb7b6f4fcb9c057ae392",
+        "254def899150c38daf5ee7b626d218be1b1477a5afb8225155b5097bdac6ea3d",
     "thm57":
         "3fdded60fb792843876c588293caaaacfce1258c418fa98bcc03a65912681263",
     "vir":

@@ -86,7 +86,7 @@ def test_verify_usage_errors(capsys):
 def test_verify_mutation_that_no_check_fails_is_usage_error(capsys):
     for suite, bound, mutation in (("thm55", "pq_max=2", "omega-negated"),
                                    ("thm57", "pq_max=0", "linear-shift"),
-                                   ("heis", "m_max=0", "central-shift")):
+                                   ("rmk43", "n_max=0", "shift-term")):
         code, out, err = run(capsys, "verify", "--suite", suite,
                              "--bound", bound, "--mutation", mutation)
         assert code == 2 and out == "", suite

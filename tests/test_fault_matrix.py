@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from hilbfock.verify import SUITES
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
     "fault_matrix", ROOT / "tools" / "fault_matrix.py")
@@ -29,3 +31,12 @@ def test_survivors_are_mutants():
     """Every named survivor is a mutant of the table, with a reason."""
     assert set(fault_matrix.SURVIVORS) <= set(fault_matrix.MUTANTS)
     assert all(fault_matrix.SURVIVORS.values())
+
+
+def test_single_killers_are_mutants():
+    """Every mutant of the single-killer table is a mutant of the table,
+    not a survivor, and its killer is a suite."""
+    single = fault_matrix.SINGLE_KILLERS
+    assert set(single) <= set(fault_matrix.MUTANTS) - set(
+        fault_matrix.SURVIVORS)
+    assert set(single.values()) <= set(SUITES)

@@ -163,17 +163,28 @@ def test_run_without_records_rejected():
 
 @pytest.mark.parametrize("name,bounds", [
     ("thm55", {"pq_max": 2}), ("thm57", {"pq_max": 0}),
-    ("heis", {"m_max": 0})])
+    ("rmk43", {"n_max": 0})])
 def test_mutated_run_that_no_check_fails_rejected(name, bounds):
     """Bounds that leave the mutated term out of every check (Omega
-    enters thm55 only at p + q >= 3) would pass the mutated run; it is
-    refused, while the plain run at those bounds passes."""
+    enters thm55 only at p + q >= 3, rmk43's shift term only at n != 0)
+    would pass the mutated run; it is refused, while the plain run at
+    those bounds passes."""
     mutation = SUITES[name].mutation
     with pytest.raises(ValueError, match="^suite %s passes with mutation %s: "
                        "these bounds leave the mutation nothing to change$"
                        % (name, mutation)):
         run_suite(SuiteSpec(name, bounds=bounds, mutation=mutation))
     assert run_suite(SuiteSpec(name, bounds=bounds)).ok
+
+
+@pytest.mark.parametrize("mutation", ["", "central-shift"])
+def test_heis_at_m_max_0_refused(mutation):
+    """At m_max = 0 heis would bracket only a_0 = 0 with itself, and
+    pass every check vacuously; plain and mutated runs are refused."""
+    with pytest.raises(ValueError, match="^heis needs m_max of at least 1, "
+                       "got 0: every check would bracket a_0 = 0 with "
+                       "itself$"):
+        run_suite(SuiteSpec("heis", bounds={"m_max": 0}, mutation=mutation))
 
 
 # Small bounds for each suite that reads a window.
@@ -1384,6 +1395,21 @@ def test_vir_and_thm42_records_come_from_the_two_evaluators(name, failing):
             "universal", "action"}, mutation
         assert report.ok == (not mutation), mutation
         assert report.failed >= (failing if mutation else 0), mutation
+
+
+def test_thm55_records_come_from_the_two_evaluators_and_its_sweep():
+    """Every record of a plain or mutated thm55 report at default bounds
+    is a universal record (_residual), an instantiate record of its
+    sweep or an action record (_on): no central record, which would
+    pass whenever its cell's universal record does.  The mutated run
+    fails its 8 universal records and no other."""
+    for mutation in ("", SUITES["thm55"].mutation):
+        report = run_suite(SuiteSpec("thm55", mutation=mutation))
+        assert {r.params["check"] for r in report.records} <= {
+            "universal", "instantiate", "action"}, mutation
+        failed = [r.params["check"] for r in report.records
+                  if r.status != "pass"]
+        assert failed == (["universal"] * 8 if mutation else []), mutation
 
 
 def test_thm42_mutated_spot_checks_a_class_the_mutation_moves():

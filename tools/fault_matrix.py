@@ -12,9 +12,10 @@ the mutant when its report has a failing record or its run raises; a
 copy that cannot be imported is killed by "import".
 
 It prints {mutant: [killing suites]} as one JSON object, and exits 1 when
-a mutant that SURVIVORS does not name has no killer.  The checkout itself
-is never edited.  Uses the standard library only, and takes about 5 s
-per mutant.
+a mutant that SURVIVORS does not name has no killer, or when the mutants
+with exactly one killer, and that killer, differ from SINGLE_KILLERS.
+The checkout itself is never edited.  Uses the standard library only,
+and takes about 5 s per mutant.
 """
 
 import json
@@ -54,6 +55,30 @@ MUTANTS = {
         "fock.py",
         "odd = m + (ring.parity[i] and sum(ring.parity[j] for _, j in rest))",
         "odd = m"),
+    "omega-sign": (
+        "walgebra.py",
+        "- p**2 * n * q",
+        "+ p**2 * n * q"),
+    "wbracket-central-sign": (
+        "walgebra.py",
+        "-mm * gram[i][j]",
+        "mm * gram[i][j]"),
+    "closed-euler-weight": (
+        "hilbert.py",
+        "(j + 1 + s - 2)",
+        "(j + 1 + s - 1)"),
+    "unit-shift-factorial": (
+        "hilbert.py",
+        "factorial(r)",
+        "factorial(r + 1)"),
+    "derivation-k-term-n": (
+        "operators.py",
+        "-3 * (n - 1)",
+        "-3 * n"),
+    "wbracket-linear": (
+        "walgebra.py",
+        "lin = q * mm - p * nn",
+        "lin = q * mm - p * nn + 1"),
 }
 
 # Mutants that no plain suite kills, each with the reason.
@@ -61,6 +86,16 @@ SURVIVORS = {
     "pairing-sign": "the Koszul sign of an odd class in the pairing; only "
                     "tests/test_fock.py::test_pairing_odd_sign reads it "
                     "(ROADMAP items 8 and 21)",
+}
+
+# Mutants that exactly one plain suite kills, with that suite: a change
+# that drops or weakens the suite's records loses the kill.
+SINGLE_KILLERS = {
+    "smeared-items-scalar-sign": "lem32",
+    "omega-sign": "thm55",
+    "wbracket-central-sign": "thm57",
+    "closed-euler-weight": "cor48",
+    "unit-shift-factorial": "cor48",
 }
 
 # Run in the child: the plain suites on the package at argv[1], printing
@@ -110,9 +145,15 @@ def main():
     table = {name: killers(name) for name in MUTANTS}
     print(json.dumps(table, indent=1))
     unkilled = [n for n in MUTANTS if not table[n] and n not in SURVIVORS]
+    single = {n: k[0] for n, k in table.items() if len(k) == 1}
+    moved = [n for n in MUTANTS if single.get(n) != SINGLE_KILLERS.get(n)]
     if unkilled:
         sys.stderr.write("fault_matrix.py: no suite kills %s\n"
                          % ", ".join(unkilled))
+    if moved:
+        sys.stderr.write("fault_matrix.py: the single killer of %s differs "
+                         "from SINGLE_KILLERS\n" % ", ".join(moved))
+    if unkilled or moved:
         raise SystemExit(1)
 
 
